@@ -62,9 +62,8 @@ def main() -> None:
         start, end = day * DAY, (day + 1) * DAY
         for agent in agents:
             agent.poll_feeds(last, end)
-            for pkt in agent.emit_day(start, end):
-                if pkt.dst in my48:
-                    telescope.handle(pkt)
+            batch = agent.emit_day_batch(start, end)
+            telescope.handle_batch(batch.select(batch.mask_dst_in(my48)))
         last = end
 
     records = telescope.capturer.to_records()

@@ -16,6 +16,6 @@ Top-level convenience surface.  The subpackages are the real API:
 from repro.sim import ScenarioConfig, run_scenario
 from repro.experiments import EXPERIMENTS
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = ["ScenarioConfig", "run_scenario", "EXPERIMENTS", "__version__"]

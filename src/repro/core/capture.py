@@ -1,12 +1,11 @@
 """Packet capture into analysis-ready columnar records.
 
-``PacketCapturer`` is the telescope's packet-capture stage: it appends each
-packet's analysis-relevant fields to growing column buffers (timestamps,
-src/dst split into uint64 halves, protocol, ports) and can simultaneously
-mirror full packets to a capture file.  The columnar fast path,
-:meth:`PacketCapturer.capture_batch`, appends whole numpy chunks instead of
-scalar fields.  ``to_records()`` freezes both — chunks and scalar tails, in
-arrival order — into :class:`repro.analysis.records.PacketRecords`.
+``PacketCapturer`` is the telescope's packet-capture stage:
+:meth:`PacketCapturer.capture_batch` appends each batch's analysis-relevant
+columns (timestamps, src/dst split into uint64 halves, protocol, ports) as
+one numpy chunk and can simultaneously mirror full packets to a capture
+file.  ``to_records()`` freezes the chunks, in arrival order, into
+:class:`repro.analysis.records.PacketRecords`.
 
 The capturer is also the *provenance boundary*: a batch arriving with the
 ground-truth ``origin`` column (the emitting agent's id) has that column
@@ -36,11 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.net.batch import PacketBatch, WireBatch
-from repro.net.packet import Packet
 from repro.net.pcapstore import PacketWriter
 from repro.obs import get_registry
-
-_U64 = 0xFFFFFFFFFFFFFFFF
 
 #: Capture column storage order (matches ``PacketRecords``' columns).
 CAPTURE_COLUMNS = ("ts", "src_hi", "src_lo", "dst_hi", "dst_lo",
@@ -167,20 +163,11 @@ class PacketCapturer:
     def __init__(self, name: str = "capture",
                  mirror_path: str | os.PathLike | None = None):
         self.name = name
-        #: Frozen numpy chunks (from ``capture_batch`` and scalar flushes),
-        #: in arrival order.
+        #: Captured numpy chunks, in arrival order.
         self._chunks: list[PacketBatch] = []
         #: Origin-bearing batches retained at the provenance boundary, in
         #: arrival order (only batches that arrived with ``origin`` set).
         self._truth_chunks: list[PacketBatch] = []
-        self._ts: list[float] = []
-        self._src_hi: list[int] = []
-        self._src_lo: list[int] = []
-        self._dst_hi: list[int] = []
-        self._dst_lo: list[int] = []
-        self._proto: list[int] = []
-        self._sport: list[int] = []
-        self._dport: list[int] = []
         self._writer = PacketWriter(mirror_path) if mirror_path else None
         #: The last freeze's records: ``to_records`` consumes the chunk
         #: buffer (releasing per-chunk references), so repeated freezes
@@ -197,8 +184,7 @@ class PacketCapturer:
     def __len__(self) -> int:
         spilled = self._spill.rows if self._spill is not None else 0
         frozen = len(self._frozen) if self._frozen is not None else 0
-        return (frozen + spilled + sum(len(c) for c in self._chunks)
-                + len(self._ts))
+        return frozen + spilled + sum(len(c) for c in self._chunks)
 
     # -- spill configuration ----------------------------------------------
 
@@ -225,7 +211,6 @@ class PacketCapturer:
     def _maybe_spill(self) -> None:
         if self._spill is None or self._buffered_bytes <= self._spill_budget:
             return
-        self._flush_scalars()
         if self._chunks:
             self._spill.spill(self._chunks)
             self._chunks.clear()
@@ -236,38 +221,8 @@ class PacketCapturer:
 
     # -- capture ----------------------------------------------------------
 
-    def capture(self, pkt: Packet) -> None:
-        """Record one packet."""
-        self._packet_metric.inc()
-        self._ts.append(pkt.timestamp)
-        self._src_hi.append((pkt.src >> 64) & _U64)
-        self._src_lo.append(pkt.src & _U64)
-        self._dst_hi.append((pkt.dst >> 64) & _U64)
-        self._dst_lo.append(pkt.dst & _U64)
-        self._proto.append(pkt.proto)
-        self._sport.append(pkt.sport)
-        self._dport.append(pkt.dport)
-        if self._writer is not None:
-            self._writer.write(pkt)
-
-    def _flush_scalars(self) -> None:
-        """Freeze any scalar tail into a chunk so ordering is preserved
-        when scalar and batch captures interleave."""
-        if not self._ts:
-            return
-        chunk = PacketBatch.from_columns(
-            self._ts,
-            self._src_hi, self._src_lo, self._dst_hi, self._dst_lo,
-            self._proto, self._sport, self._dport,
-        )
-        self._chunks.append(chunk)
-        self._buffered_bytes += _batch_nbytes(chunk)
-        for col in (self._ts, self._src_hi, self._src_lo, self._dst_hi,
-                    self._dst_lo, self._proto, self._sport, self._dport):
-            col.clear()
-
     def capture_batch(self, batch: PacketBatch | WireBatch) -> None:
-        """Record a whole columnar batch as one chunk (fast path).
+        """Record a whole columnar batch as one chunk.
 
         Accepts the eight capture columns as a :class:`PacketBatch`; a
         honeypot reply :class:`WireBatch` is captured through its capture
@@ -278,7 +233,6 @@ class PacketCapturer:
         if len(batch) == 0:
             return
         self._packet_metric.inc(len(batch))
-        self._flush_scalars()
         if batch.origin is not None:
             self._truth_chunks.append(batch)
             self._buffered_bytes += _batch_nbytes(batch)
@@ -287,23 +241,21 @@ class PacketCapturer:
         self._buffered_bytes += _batch_nbytes(analysis)
         self._maybe_spill()
         if self._writer is not None:
-            # Mirroring is inherently per-packet; materialize (slow path,
-            # only paid when a capture file was requested).
+            # Mirroring is inherently per-packet; materialize (only paid
+            # when a capture file was requested).
             for pkt in batch.iter_packets():
                 self._writer.write(pkt)
 
     # -- chunk transfer (shard merge + checkpoint restore) -----------------
 
     def mark(self) -> tuple[int, int]:
-        """Freeze any scalar tail and return the current chunk high-water
-        mark ``(chunks, truth_chunks)`` for a later :meth:`chunks_since`."""
-        self._flush_scalars()
+        """The current chunk high-water mark ``(chunks, truth_chunks)`` for
+        a later :meth:`chunks_since`."""
         return len(self._chunks), len(self._truth_chunks)
 
     def chunks_since(self, mark: tuple[int, int]) -> tuple[list, list]:
         """The (analysis, truth) chunks appended since ``mark`` — the
         per-agent capture delta a shard worker ships to the parent."""
-        self._flush_scalars()
         return list(self._chunks[mark[0]:]), list(self._truth_chunks[mark[1]:])
 
     def extend_chunks(self, chunks, truth_chunks) -> None:
@@ -311,7 +263,6 @@ class PacketCapturer:
         of shard merging and checkpoint restore).  Does not advance the
         capture metrics counter: transferred rows were counted where they
         were captured."""
-        self._flush_scalars()
         self._chunks.extend(chunks)
         self._truth_chunks.extend(truth_chunks)
         self._buffered_bytes += sum(_batch_nbytes(c) for c in chunks)
@@ -321,7 +272,6 @@ class PacketCapturer:
     def reset_chunks(self) -> None:
         """Drop all buffered chunks (a shard worker's memory bound: once a
         day's deltas are shipped, the worker no longer needs them)."""
-        self._flush_scalars()
         self._chunks.clear()
         self._truth_chunks.clear()
         self._buffered_bytes = 0
@@ -339,7 +289,6 @@ class PacketCapturer:
         """
         from repro.analysis.records import PacketRecords
 
-        self._flush_scalars()
         if not self._chunks:
             self._truth_chunks.clear()
             self._buffered_bytes = 0
@@ -365,8 +314,8 @@ class PacketCapturer:
         """Freeze the provenance sidecar into
         :class:`repro.analysis.groundtruth.GroundTruthRecords`.
 
-        Covers only the rows that arrived with an ``origin`` column (the
-        columnar emission path); scalar captures — honeypot responses and
+        Covers only the rows that arrived with an ``origin`` column (scanner
+        emissions); batches without one — honeypot responses and
         hand-built packets — have no provenance and are not truth rows.
         """
         from repro.analysis.groundtruth import GroundTruthRecords
@@ -412,7 +361,6 @@ class PacketCapturer:
         # Imported here to keep core importable without the analysis stack.
         from repro.analysis.records import PacketRecords
 
-        self._flush_scalars()
         spilled = self._spill.rows if self._spill is not None else 0
         if not spilled and not self._chunks:
             return (self._frozen if self._frozen is not None

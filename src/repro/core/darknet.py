@@ -16,31 +16,22 @@ from typing import Callable
 
 from repro.net.addr import IPv6Prefix
 from repro.net.batch import PacketBatch
-from repro.net.packet import Packet
 from repro.obs import get_tracer
 
 
 class DarknetTelescope:
     """A passive telescope over the unused parts of ``covering_prefix``."""
 
-    def __init__(
-        self,
-        name: str,
-        covering_prefix: IPv6Prefix,
-        on_packet: Callable[[Packet], None] | None = None,
-    ):
+    def __init__(self, name: str, covering_prefix: IPv6Prefix):
         self.name = name
         self.covering_prefix = covering_prefix
         self._assigned: list[IPv6Prefix] = []
-        self._on_packet = on_packet
         self._on_batch: Callable[[PacketBatch], None] | None = None
         self.captured_count = 0
         self.ignored_count = 0
 
-    def set_capture(self, on_packet: Callable[[Packet], None],
-                    on_batch: Callable[[PacketBatch], None] | None = None,
-                    ) -> None:
-        self._on_packet = on_packet
+    def set_capture(self, on_batch: Callable[[PacketBatch], None]) -> None:
+        """Install the sink that receives each batch's dark rows."""
         self._on_batch = on_batch
 
     def assign(self, prefix: IPv6Prefix) -> None:
@@ -72,20 +63,11 @@ class DarknetTelescope:
         used = sum(p.num_addresses for p in self._assigned)
         return max(0.0, 1.0 - used / total)
 
-    def handle(self, pkt: Packet) -> None:
-        """Capture a packet when it targets monitored dark space."""
-        if self.monitors(pkt.dst):
-            self.captured_count += 1
-            if self._on_packet is not None:
-                self._on_packet(pkt)
-        else:
-            self.ignored_count += 1
-
     def handle_batch(self, batch: PacketBatch) -> None:
-        """Columnar fast path: vectorized :meth:`monitors` over a batch.
+        """Capture the rows of ``batch`` that target monitored dark space.
 
-        Dark rows flow to the batch capture sink when one is installed;
-        otherwise they are materialized one by one for the scalar sink.
+        A vectorized :meth:`monitors` over the batch; dark rows flow to the
+        capture sink when one is installed.
         """
         if len(batch) == 0:
             return
@@ -99,6 +81,3 @@ class DarknetTelescope:
             self.ignored_count += len(batch) - len(captured)
             if self._on_batch is not None:
                 self._on_batch(captured)
-            elif self._on_packet is not None:
-                for pkt in captured.iter_packets():
-                    self._on_packet(pkt)

@@ -39,9 +39,9 @@ from repro.dns.registry import Registrar
 from repro.dns.reverse import ReverseZone
 from repro.hitlist.categories import HitlistCategory
 from repro.hitlist.service import HitlistService
-from repro.net.addr import IPv6Prefix, member_mask_cols, member_mask_u64
+from repro.net.addr import IPv6Prefix
 from repro.net.batch import PacketBatch, WireBatch
-from repro.net.packet import ICMPV6, TCP, UDP, Packet
+from repro.net.packet import TCP, UDP, Packet
 from repro.obs import get_journal, get_registry, get_tracer
 from repro.routing.speaker import BgpSpeaker
 from repro.tlsca.acme import AcmeClient
@@ -84,9 +84,6 @@ class ProactiveTelescope:
         self.gateways: dict[str, DnatGateway] = {}
         self._domain_counter = itertools.count(1)
         self.response_count = 0
-        #: Columnar reaction kernels on the batch path (scalar per-packet
-        #: reference paths stay available behind this switch).
-        self.use_batch_react = True
         #: Cached honeyprefix /48 key column for handle_batch; invalidated
         #: whenever a deploy adds a honeyprefix.
         self._hp_keys_hi: np.ndarray | None = None
@@ -298,27 +295,13 @@ class ProactiveTelescope:
         """The honeyprefix containing ``address``, or None."""
         return self._hp_by_48.get((address >> 80) << 80)
 
-    def handle(self, pkt: Packet) -> None:
-        """Receive one unsolicited packet: capture, then react."""
-        self.capturer.capture(pkt)
-        hp = self.honeyprefix_for(pkt.dst)
-        if hp is None:
-            return  # control space: pure darknet
-        if hp.config.tpot:
-            self.gateways[hp.name].handle(pkt)
-        else:
-            self.twinklenet.handle(pkt)
-
     def handle_batch(self, batch: PacketBatch) -> None:
-        """Columnar fast path: capture a whole batch, then react.
+        """Receive a batch of unsolicited packets: capture, then react.
 
-        The batch is captured as one numpy chunk, split by honeyprefix /48
-        truncation keys vectorized, and only the rows that can actually
-        elicit a reply (aliased/bound ICMP, open TCP/UDP ports, every
-        in-prefix TCP row for Twinklenet's session machinery) are
-        materialized into per-packet honeypot calls.  Dark rows — the
-        overwhelming majority — are bulk-accounted via ``note_dark`` so rx
-        counters stay identical to the scalar path.
+        The batch is captured as one numpy chunk and split by honeyprefix
+        /48 truncation keys; each honeyprefix's slice goes to its DNAT
+        gateway (T-Pot prefixes) or to Twinklenet.  Rows outside every
+        honeyprefix are control space: pure darknet.
         """
         if len(batch) == 0:
             return
@@ -346,72 +329,9 @@ class ProactiveTelescope:
                 hp = self._hp_by_48[int(key_hi) << 64]
                 sub = batch.select(hi48 == key_hi)
                 if hp.config.tpot:
-                    self._react_tpot_slice(hp, sub)
+                    self.gateways[hp.name].handle_batch(sub)
                 else:
-                    self._react_twinklenet_slice(hp, sub)
-
-    def _react_tpot_slice(self, hp: Honeyprefix, sub: PacketBatch) -> None:
-        """Route one honeyprefix's slice through its DNAT gateway."""
-        if self.use_batch_react:
-            self.gateways[hp.name].handle_batch(sub)
-        else:
-            self._react_tpot_slice_reference(hp, sub)
-
-    def _react_tpot_slice_reference(self, hp: Honeyprefix,
-                                    sub: PacketBatch) -> None:
-        """Per-packet reference: materialize only rows the T-Pot surface
-        can answer, bulk-account the rest."""
-        gateway = self.gateways[hp.name]
-        in_pref = sub.mask_dst_in(gateway.prefix)
-        need = in_pref & (sub.proto == np.uint8(ICMPV6))
-        tcp_ports = np.asarray(gateway.tpot.open_ports(TCP), dtype=np.uint16)
-        udp_ports = np.asarray(gateway.tpot.open_ports(UDP), dtype=np.uint16)
-        need |= (in_pref & (sub.proto == np.uint8(TCP))
-                 & np.isin(sub.dport, tcp_ports))
-        need |= (in_pref & (sub.proto == np.uint8(UDP))
-                 & np.isin(sub.dport, udp_ports))
-        idx = np.nonzero(need)[0]
-        gateway.note_dark(len(sub) - len(idx))
-        for i in idx:
-            gateway.handle(sub.packet_at(int(i)))
-
-    def _react_twinklenet_slice(self, hp: Honeyprefix,
-                                sub: PacketBatch) -> None:
-        """Route one honeyprefix's slice through Twinklenet."""
-        if self.use_batch_react:
-            self.twinklenet.handle_batch(sub, owner_hint=hp)
-        else:
-            self._react_twinklenet_slice_reference(hp, sub)
-
-    def _react_twinklenet_slice_reference(self, hp: Honeyprefix,
-                                          sub: PacketBatch) -> None:
-        """Per-packet reference: TCP rows always materialize (session table
-        + eviction sweeps need every in-prefix segment); ICMP/UDP rows
-        materialize only when the responsiveness map can answer them.
-        """
-        in_pref = sub.mask_dst_in(hp.prefix)
-        need = in_pref & (sub.proto == np.uint8(TCP))
-        icmp = in_pref & (sub.proto == np.uint8(ICMPV6))
-        if hp.config.aliased:
-            need |= icmp
-        elif icmp.any():
-            set_hi, set_lo = hp.icmp_address_columns()
-            need |= icmp & member_mask_u64(sub.dst_hi, sub.dst_lo,
-                                           set_hi, set_lo)
-        udp = in_pref & (sub.proto == np.uint8(UDP))
-        if udp.any():
-            # One composite-key membership test over the cached
-            # (address, port) binding columns replaces the old
-            # per-responsive-address Python loop.
-            set_hi, set_lo, set_ports = hp.binding_columns(UDP)
-            if len(set_hi):
-                need |= udp & member_mask_cols(
-                    (sub.dst_hi, sub.dst_lo, sub.dport),
-                    (set_hi, set_lo, set_ports))
-        idx = np.nonzero(need)[0]
-        self.twinklenet.note_dark(len(sub) - len(idx))
-        for i in idx:
-            self.twinklenet.handle(sub.packet_at(int(i)))
+                    self.twinklenet.handle_batch(sub, owner_hint=hp)
 
     # -- hitlist oracle ------------------------------------------------------
 

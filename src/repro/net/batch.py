@@ -8,8 +8,9 @@ per-packet :class:`~repro.net.packet.Packet` object.
 
 Batches carry *probe semantics*: every TCP row is a bare SYN, every UDP row
 carries the scanner's two-byte payload, and every ICMPv6 row is an Echo
-Request (``sport`` holds the ICMP type, exactly as in the scalar emission
-path).  :meth:`PacketBatch.packet_at` materializes a single row back into a
+Request (``sport`` holds the ICMP type, exactly as
+:func:`~repro.net.packet.icmp_echo_request` builds it).
+:meth:`PacketBatch.packet_at` materializes a single row back into a
 ``Packet`` under those semantics — the interactive honeypots (Twinklenet,
 T-Pot) only ever see the slice of a batch that can actually elicit a reply,
 and that slice goes through this method.
@@ -27,8 +28,7 @@ from repro.net.packet import ICMPV6, TCP, UDP, IcmpType, Packet, TcpFlags
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
-#: The two-byte payload scanner UDP probes carry (matches the scalar
-#: :func:`repro.net.packet.udp_datagram` emission path).
+#: The two-byte payload scanner UDP probes carry.
 PROBE_UDP_PAYLOAD = b"\x00\x01"
 
 #: ``origin`` value for rows whose emitting agent is unknown (e.g. a batch
@@ -505,9 +505,9 @@ def probe_batch(ts, src_hi, src_lo, dst_hi, dst_lo, proto, sport, dport,
                 ) -> PacketBatch:
     """Normalize freshly drawn emission columns into a :class:`PacketBatch`.
 
-    Enforces the probe invariants the scalar ``_packet_for`` path applies
-    per packet: ICMPv6 rows get the Echo Request type in ``sport`` and a
-    zero identifier in ``dport`` regardless of what the sampler drew.
+    Enforces the probe invariants: ICMPv6 rows get the Echo Request type
+    in ``sport`` and a zero identifier in ``dport`` regardless of what the
+    sampler drew.
     """
     proto = np.asarray(proto, dtype=np.uint8)
     sport = np.asarray(sport, dtype=np.uint16).copy()

@@ -5,38 +5,23 @@ watchers), and its active :class:`ScanSession`s.  The simulation drives it
 with two calls per day:
 
 * :meth:`poll_feeds` — check every strategy for new triggers;
-* :meth:`emit_day` — turn each active session's intensity envelope into a
-  Poisson packet count and concrete packets.
+* :meth:`emit_day_batch` — turn each active session's intensity envelope
+  into a Poisson packet count and one columnar batch of probes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro._util import DAY, make_rng, spawn_rngs
 from repro.net.addr import IPv6Prefix, split_u64
 from repro.net.batch import PacketBatch, probe_batch
-from repro.net.packet import (
-    ICMPV6,
-    TCP,
-    UDP,
-    Packet,
-    TcpFlags,
-    icmp_echo_request,
-    tcp_segment,
-    udp_datagram,
-)
 from repro.obs import get_journal, get_tracer
 from repro.obs.registry import get_registry
 from repro.scanners.identity import ScannerIdentity, SourceAllocator
-from repro.scanners.strategies import (
-    ProbeBatch,
-    ProbeTarget,
-    Strategy,
-    targets_to_columns,
-)
+from repro.scanners.strategies import ProbeBatch, Strategy
 
 
 @dataclass
@@ -154,37 +139,19 @@ class ScannerAgent:
 
     # -- emission -----------------------------------------------------------
 
-    def _packet_for(self, target: ProbeTarget, ts: float,
-                    sources: list[int] | None = None,
-                    rng: np.random.Generator | None = None) -> Packet:
-        rng = self._rng if rng is None else rng
-        if sources is not None:
-            src = sources[int(rng.integers(len(sources)))]
-        else:
-            src = self.allocator.source(rng)
-        if target.proto == ICMPV6:
-            return icmp_echo_request(ts, src, target.address)
-        if target.proto == TCP:
-            sport = int(rng.integers(32_768, 61_000))
-            return tcp_segment(ts, src, target.address, sport, target.dport,
-                               TcpFlags.SYN)
-        sport = int(rng.integers(32_768, 61_000))
-        return udp_datagram(ts, src, target.address, sport, target.dport,
-                            payload=b"\x00\x01")
-
     def _day_plan(
         self, day_start: float, day_end: float,
     ) -> tuple[list[tuple[ScanSession, int, float, float]],
                np.random.Generator]:
         """Draw the day's per-session packet counts and time bounds.
 
-        Counts come from the agent's main stream in session order, so both
-        emission paths (:meth:`emit_day` and :meth:`emit_day_batch`) consume
-        ``self._rng`` identically and produce *identical* per-day Poisson
-        counts under the same seed.  Packet contents are then drawn from a
-        spawned per-day child generator — spawning does not advance the
-        parent stream — which is what lets the fast path vectorize its draws
-        while staying statistically equivalent to the reference.
+        Counts come from the agent's main stream in session order, so
+        emission (:meth:`emit_day_batch`) and checkpoint replay
+        (:meth:`replay_day`) consume ``self._rng`` identically and produce
+        *identical* per-day Poisson counts under the same seed.  Packet
+        contents are then drawn from a spawned per-day child generator —
+        spawning does not advance the parent stream — so replay can skip
+        them without disturbing any later draw.
 
         Each plan's time bounds are clamped to
         ``min(day_end, cancelled_at, start + duration)``, the same window
@@ -237,12 +204,10 @@ class ScannerAgent:
         ever reads that child, so not sampling packet contents leaves
         every later stream untouched.  Session bookkeeping
         (``packets_sent``, retirement) is kept in step so cancellation
-        clamps and retirement behave identically after resume.
-
-        Known, accepted drift: :attr:`packets_emitted` is advanced by the
-        *planned* counts, which can exceed the emitted count when a
-        fallback sampler under-delivers — no report or journal record
-        reads this attribute.
+        clamps and retirement behave identically after resume.  Samplers
+        deliver exactly the planned count, so advancing
+        :attr:`packets_emitted` by the planned counts matches an emitting
+        run exactly.
         """
         self.allocator.new_session()
         plans, _pkt_rng = self._day_plan(day_start, day_end)
@@ -251,37 +216,12 @@ class ScannerAgent:
             self.packets_emitted += n
         self._retire_sessions(day_end)
 
-    def emit_day(self, day_start: float, day_end: float) -> list[Packet]:
-        """Emit this day's probe packets across all active sessions.
-
-        Reference implementation: one :class:`Packet` object per probe.
-        The columnar fast path is :meth:`emit_day_batch`.
-        """
-        self.allocator.new_session()
-        plans, pkt_rng = self._day_plan(day_start, day_end)
-        packets: list[Packet] = []
-        for session, n, lo, hi in plans:
-            timestamps = np.sort(pkt_rng.uniform(lo, hi, size=n))
-            targets = session.batch.sampler(pkt_rng, n)
-            for ts, target in zip(timestamps, targets):
-                packets.append(
-                    self._packet_for(target, float(ts), session.sources,
-                                     pkt_rng)
-                )
-            session.packets_sent += n
-        self._retire_sessions(day_end)
-        self.packets_emitted += len(packets)
-        return packets
-
     def emit_day_batch(self, day_start: float, day_end: float) -> PacketBatch:
-        """Columnar fast path: the whole day's probes as one batch.
+        """Emit this day's probes across all active sessions as one batch.
 
-        Draws the identical per-session Poisson counts as :meth:`emit_day`
-        (both paths share :meth:`_day_plan`), then vectorizes timestamps,
-        targets, sources, and sport draws per session.  Samplers exposing a
-        ``sample_batch`` attribute produce columns directly; others fall
-        back to per-target materialization via
-        :func:`~repro.scanners.strategies.targets_to_columns`.
+        Draws the per-session Poisson counts (:meth:`_day_plan`), then
+        vectorizes timestamps, targets, sources, and sport draws per
+        session.
         """
         self.allocator.new_session()
         plans, pkt_rng = self._day_plan(day_start, day_end)
@@ -299,30 +239,19 @@ class ScannerAgent:
         emitted = 0
         for session, n, lo, hi in plans:
             ts = np.sort(pkt_rng.uniform(lo, hi, size=n))
-            sampler = session.batch.sampler
-            sample_batch = getattr(sampler, "sample_batch", None)
-            if sample_batch is not None:
-                dst_hi, dst_lo, proto, dport = sample_batch(pkt_rng, n)
-            else:
-                dst_hi, dst_lo, proto, dport = targets_to_columns(
-                    sampler(pkt_rng, n)
-                )
-                # A sampler may return fewer targets than asked (the scalar
-                # zip truncates the same way).
-                ts = ts[:len(dst_hi)]
-            m = len(dst_hi)
+            dst_hi, dst_lo, proto, dport = session.batch.sampler(pkt_rng, n)
             if session.sources is not None:
                 pool_hi, pool_lo = split_u64(session.sources)
-                idx = pkt_rng.integers(0, len(session.sources), size=m)
+                idx = pkt_rng.integers(0, len(session.sources), size=n)
                 src_hi, src_lo = pool_hi[idx], pool_lo[idx]
             else:
-                src_hi, src_lo = self.allocator.sources_batch(m, pkt_rng)
-            sport = pkt_rng.integers(32_768, 61_000, size=m,
+                src_hi, src_lo = self.allocator.sources_batch(n, pkt_rng)
+            sport = pkt_rng.integers(32_768, 61_000, size=n,
                                      dtype=np.uint16)
             parts.append(probe_batch(ts, src_hi, src_lo, dst_hi, dst_lo,
                                      proto, sport, dport))
             session.packets_sent += n
-            emitted += m
+            emitted += n
         self._retire_sessions(day_end)
         self.packets_emitted += emitted
         batch = PacketBatch.concat(parts)

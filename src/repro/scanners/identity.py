@@ -154,7 +154,7 @@ class SourceAllocator:
         The columnar counterpart of calling :meth:`source` ``n`` times: the
         same pool/session/per-packet semantics apply, only the draws are
         vectorized.  PER_PACKET draws still feed :attr:`used` so blocklist
-        accounting matches the scalar path.
+        accounting sees every source.
         """
         rng = self._rng if rng is None else rng
         mode = self.identity.allocation

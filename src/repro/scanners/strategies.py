@@ -19,7 +19,7 @@ from repro.dns.resolver import Resolver
 from repro.dns.reverse import ReverseZone
 from repro.hitlist.categories import HitlistCategory
 from repro.hitlist.service import HitlistService
-from repro.net.addr import IPv6Prefix
+from repro.net.addr import IPv6Prefix, random_addresses_u64
 from repro.net.packet import ICMPV6, TCP, UDP
 from repro.routing.collectors import CollectorSystem
 from repro.tlsca.ctlog import CtLog
@@ -34,23 +34,16 @@ class ProbeTarget:
     dport: int = 0
 
 
-#: Draws ``n`` probe targets.  Samplers may additionally carry a
-#: ``sample_batch(rng, n) -> (dst_hi, dst_lo, proto, dport)`` attribute —
-#: the columnar fast path :meth:`ScannerAgent.emit_day_batch` uses when
-#: present (falling back to the per-target list otherwise).
-TargetSampler = Callable[[np.random.Generator, int], list[ProbeTarget]]
-
 #: Columnar target draw: (dst_hi, dst_lo, proto, dport) numpy columns.
-TargetColumns = "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]"
+TargetColumns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+#: Draws ``n`` probe targets as columns —
+#: ``(rng, n) -> (dst_hi, dst_lo, proto, dport)``.
+TargetSampler = Callable[[np.random.Generator, int], TargetColumns]
 
 
-def targets_to_columns(targets: list[ProbeTarget]):
-    """Convert a per-target list into (dst_hi, dst_lo, proto, dport) columns.
-
-    The fallback bridge for samplers without a columnar fast path: the
-    targets are still drawn object-by-object, but everything downstream of
-    the sampler stays columnar.
-    """
+def targets_to_columns(targets: list[ProbeTarget]) -> TargetColumns:
+    """A per-target list as (dst_hi, dst_lo, proto, dport) columns."""
     n = len(targets)
     dst_hi = np.fromiter(((t.address >> 64) & 0xFFFFFFFFFFFFFFFF
                           for t in targets), dtype=np.uint64, count=n)
@@ -71,28 +64,12 @@ class ProtocolProfile:
     tcp_ports: tuple[int, ...] = (80, 443, 22, 23)
     udp_ports: tuple[int, ...] = (53, 123)
 
-    def sample(self, rng: np.random.Generator, address: int) -> ProbeTarget:
-        weights = np.array(
-            [self.icmp_weight, self.tcp_weight, self.udp_weight]
-        )
-        total = weights.sum()
-        if total <= 0:
-            raise ValueError("protocol profile has no positive weight")
-        choice = rng.choice(3, p=weights / total)
-        if choice == 0:
-            return ProbeTarget(address, ICMPV6)
-        if choice == 1:
-            port = self.tcp_ports[int(rng.integers(len(self.tcp_ports)))]
-            return ProbeTarget(address, TCP, port)
-        port = self.udp_ports[int(rng.integers(len(self.udp_ports)))]
-        return ProbeTarget(address, UDP, port)
-
     def sample_batch(self, rng: np.random.Generator,
                      n: int) -> tuple[np.ndarray, np.ndarray]:
         """Columnar protocol/port draw: ``(proto, dport)`` for ``n`` probes.
 
-        Statistically identical to ``n`` calls of :meth:`sample` (same
-        protocol mix, same uniform port choice), drawn in bulk.
+        Protocols follow the profile's weights; each probe's port is drawn
+        uniformly from its protocol's port list.
         """
         weights = np.array(
             [self.icmp_weight, self.tcp_weight, self.udp_weight]
@@ -172,62 +149,36 @@ def prefix_sampler(
     profile: ProtocolProfile,
     low_weight: float = 0.5,
     low_span: int = 64,
-    subnet_length: int = 64,
 ) -> TargetSampler:
     """Probe inside a prefix: low addresses of low subnets + random spread.
 
     Mirrors observed in-prefix exploration: scanners concentrate on the
-    first addresses of the first subnets (``::1`` patterns) and scatter the
-    rest across random /64s.
+    first addresses of the first /64 subnets (``::1`` patterns) and scatter
+    the rest across random /64s.  At /64 granularity the subnet index and
+    low offset land in separate uint64 halves, so the whole draw
+    vectorizes.
     """
+    net_hi = np.uint64((prefix.network >> 64) & 0xFFFFFFFFFFFFFFFF)
+    net_lo = np.uint64(prefix.network & 0xFFFFFFFFFFFFFFFF)
+    n_subnets = 1 << min(64 - prefix.length, 16)
 
-    def sample(rng: np.random.Generator, n: int) -> list[ProbeTarget]:
-        out = []
-        n_subnets = 1 << min(subnet_length - prefix.length, 16)
-        for _ in range(n):
-            if rng.random() < low_weight:
-                subnet = int(rng.integers(min(n_subnets, 8)))
-                offset = int(rng.integers(1, low_span))
-                addr = (prefix.network
-                        | (subnet << (128 - subnet_length))
-                        | offset)
-            else:
-                addr = prefix.random_address(rng).value
-            out.append(profile.sample(rng, addr))
-        return out
-
-    if subnet_length <= 64:
-        # Columnar fast path: for the paper's /64 subnet granularity the
-        # subnet index and low offset land in separate uint64 halves, so
-        # the whole draw vectorizes.  (subnet_length > 64 would straddle
-        # the halves; those callers keep the per-target path.)
-        from repro.net.addr import random_addresses_u64
-
-        net_hi = np.uint64((prefix.network >> 64) & 0xFFFFFFFFFFFFFFFF)
-        net_lo = np.uint64(prefix.network & 0xFFFFFFFFFFFFFFFF)
-        n_subnets = 1 << min(subnet_length - prefix.length, 16)
-        subnet_shift = np.uint64(128 - subnet_length - 64)
-
-        def sample_batch(rng: np.random.Generator, n: int):
-            low = rng.random(n) < low_weight
-            dst_hi = np.empty(n, dtype=np.uint64)
-            dst_lo = np.empty(n, dtype=np.uint64)
-            k = int(low.sum())
-            if k:
-                subnet = rng.integers(min(n_subnets, 8), size=k,
-                                      dtype=np.uint64)
-                offset = rng.integers(1, low_span, size=k, dtype=np.uint64)
-                dst_hi[low] = net_hi | (subnet << subnet_shift)
-                dst_lo[low] = net_lo | offset
-            if k < n:
-                high = ~low
-                dst_hi[high], dst_lo[high] = random_addresses_u64(
-                    prefix, rng, n - k
-                )
-            proto, dport = profile.sample_batch(rng, n)
-            return dst_hi, dst_lo, proto, dport
-
-        sample.sample_batch = sample_batch
+    def sample(rng: np.random.Generator, n: int) -> TargetColumns:
+        low = rng.random(n) < low_weight
+        dst_hi = np.empty(n, dtype=np.uint64)
+        dst_lo = np.empty(n, dtype=np.uint64)
+        k = int(low.sum())
+        if k:
+            dst_hi[low] = net_hi | rng.integers(min(n_subnets, 8), size=k,
+                                                dtype=np.uint64)
+            dst_lo[low] = net_lo | rng.integers(1, low_span, size=k,
+                                                dtype=np.uint64)
+        if k < n:
+            high = ~low
+            dst_hi[high], dst_lo[high] = random_addresses_u64(
+                prefix, rng, n - k
+            )
+        proto, dport = profile.sample_batch(rng, n)
+        return dst_hi, dst_lo, proto, dport
 
     return sample
 
@@ -235,24 +186,17 @@ def prefix_sampler(
 def address_list_sampler(
     targets: list[ProbeTarget],
 ) -> TargetSampler:
-    """Probe a fixed list of concrete targets, round-robin with jitter."""
+    """Probe a fixed list of concrete targets, round-robin with jitter.
+
+    The list's columns are computed once; every draw is one fancy-index.
+    """
     if not targets:
         raise ValueError("target list must not be empty")
+    dst_hi, dst_lo, proto, dport = targets_to_columns(targets)
 
-    def sample(rng: np.random.Generator, n: int) -> list[ProbeTarget]:
+    def sample(rng: np.random.Generator, n: int) -> TargetColumns:
         idx = rng.integers(0, len(targets), size=n)
-        return [targets[int(i)] for i in idx]
-
-    # Columnar fast path: the target list is fixed, so its columns are
-    # computed once and every draw is a single fancy-index.
-    columns = targets_to_columns(targets)
-
-    def sample_batch(rng: np.random.Generator, n: int):
-        idx = rng.integers(0, len(targets), size=n)
-        dst_hi, dst_lo, proto, dport = columns
         return dst_hi[idx], dst_lo[idx], proto[idx], dport[idx]
-
-    sample.sample_batch = sample_batch
 
     return sample
 
@@ -768,25 +712,12 @@ class CoveringSweeper(Strategy):
         low_bias = self.low_bias
         n48 = 1 << (48 - prefix.length)
 
-        def sample(rng: np.random.Generator, n: int) -> list[ProbeTarget]:
-            out = []
-            for _ in range(n):
-                if rng.random() < low_bias:
-                    idx = int(rng.integers(min(16, n48)))
-                else:
-                    idx = int(rng.integers(n48))
-                addr = (prefix.network
-                        | (idx << 80)
-                        | int(rng.integers(1, 1 << 16)))
-                out.append(profile.sample(rng, addr))
-            return out
-
-        # Columnar fast path: the /48 index shifts by 80 bits, i.e. by 16
-        # within the hi half, and the host offset fits the lo half.
+        # The /48 index shifts by 80 bits, i.e. by 16 within the hi half,
+        # and the host offset fits the lo half.
         net_hi = np.uint64((prefix.network >> 64) & 0xFFFFFFFFFFFFFFFF)
         net_lo = np.uint64(prefix.network & 0xFFFFFFFFFFFFFFFF)
 
-        def sample_batch(rng: np.random.Generator, n: int):
+        def sample(rng: np.random.Generator, n: int) -> TargetColumns:
             low = rng.random(n) < low_bias
             idx = np.empty(n, dtype=np.uint64)
             k = int(low.sum())
@@ -800,8 +731,6 @@ class CoveringSweeper(Strategy):
                                            dtype=np.uint64)
             proto, dport = profile.sample_batch(rng, n)
             return dst_hi, dst_lo, proto, dport
-
-        sample.sample_batch = sample_batch
 
         return sample
 

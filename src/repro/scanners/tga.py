@@ -22,9 +22,9 @@ from repro._util import DAY, make_rng
 from repro.net.addr import IPv6Prefix
 from repro.scanners.strategies import (
     ProbeBatch,
-    ProbeTarget,
     ProtocolProfile,
     Strategy,
+    TargetColumns,
     TargetSampler,
 )
 
@@ -159,18 +159,10 @@ class PatternTga(Strategy):
     def _sampler(self, patterns: list[NibblePattern]) -> TargetSampler:
         profile = self.profile
 
-        def sample(rng: np.random.Generator, n: int) -> list[ProbeTarget]:
-            out = []
-            for _ in range(n):
-                pattern = patterns[int(rng.integers(len(patterns)))]
-                addr = pattern.generate(rng, 1)[0]
-                out.append(profile.sample(rng, addr))
-            return out
-
-        # Columnar fast path: group the draw by pattern (one vectorized
-        # ``generate_columns`` per pattern actually hit), then one bulk
-        # protocol/port draw for the whole batch.
-        def sample_batch(rng: np.random.Generator, n: int):
+        # Group the draw by pattern (one vectorized ``generate_columns``
+        # per pattern actually hit), then one bulk protocol/port draw for
+        # the whole batch.
+        def sample(rng: np.random.Generator, n: int) -> TargetColumns:
             idx = rng.integers(len(patterns), size=n)
             dst_hi = np.empty(n, dtype=np.uint64)
             dst_lo = np.empty(n, dtype=np.uint64)
@@ -187,8 +179,6 @@ class PatternTga(Strategy):
                 dst_lo[rows] = lo
             proto, dport = profile.sample_batch(rng, n)
             return dst_hi, dst_lo, proto, dport
-
-        sample.sample_batch = sample_batch
 
         return sample
 

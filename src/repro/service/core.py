@@ -206,6 +206,12 @@ class ScenarioService:
         self._pool = ProcessPoolExecutor(
             max_workers=self.jobs, mp_context=process_context(),
         )
+        # Start the workers now, before any server socket exists.  Under
+        # fork the first submit starts every worker, and a worker forked
+        # inside a request would inherit that request's open connection
+        # and keep it open for the pool's lifetime: the client never
+        # sees EOF.  The pool is never rebuilt, so this is the only fork.
+        self._pool.submit(int).result()
 
     # -- admission ---------------------------------------------------------
 

@@ -45,14 +45,13 @@ class DispatchPipeline:
     """Producer/consumer wrapper around one scenario's day loop."""
 
     def __init__(self, scenario, max_pending: int = 8):
-        if not scenario.config.use_batch_path:
-            raise ValueError(
-                "day pipelining requires the columnar batch path "
-                "(ScenarioConfig.use_batch_path=True)"
-            )
         self.scenario = scenario
         self._queue: queue.Queue = queue.Queue(maxsize=max_pending)
         self._error: BaseException | None = None
+        #: Set by the first failed dispatch and never cleared: every batch
+        #: still queued behind it is dropped, so the error is raised on
+        #: the producer side exactly once.
+        self._failed = False
         self._thread = threading.Thread(
             target=self._dispatch_loop, name="dispatch-pipeline", daemon=True
         )
@@ -67,10 +66,11 @@ class DispatchPipeline:
             try:
                 if batch is _STOP:
                     return
-                if self._error is None:
+                if not self._failed:
                     with registry.timer("scenario.dispatch"):
                         self.scenario.dispatch_batch(batch)
             except BaseException as error:  # propagate via the producer
+                self._failed = True
                 self._error = error
             finally:
                 self._queue.task_done()

@@ -192,7 +192,7 @@ def run_scenario(
     — the non-negotiable determinism contract):
 
     * ``jobs > 1`` shards the day loop across that many replicated worker
-      processes (:mod:`repro.exec.shard`); requires the batch path.
+      processes (:mod:`repro.exec.shard`).
     * ``pipeline=True`` overlaps emission with dispatch on a second
       thread (:class:`repro.sim.pipeline.DispatchPipeline`); serial-mode
       only — the sharded path ignores it (workers already overlap).
@@ -235,8 +235,6 @@ def run_scenario(
     ``checkpoint_dir`` (the observer cursor rides in the checkpoint).
     """
     config = config if config is not None else ScenarioConfig()
-    if jobs > 1 and not config.use_batch_path:
-        raise ValueError("sharded runs (jobs > 1) require use_batch_path")
     if observe_dir is not None and not stream_analysis:
         raise ValueError(
             "observe_dir requires stream_analysis=True: observer records "

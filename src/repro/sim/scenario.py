@@ -23,7 +23,6 @@ from repro.core.proactive import ProactiveTelescope
 from repro.datasets.asdb import AsCategory, AsRecord
 from repro.net.addr import IPv6Prefix
 from repro.net.batch import PacketBatch
-from repro.net.packet import Packet
 from repro.obs import get_journal, get_registry, get_tracer
 from repro.routing.speaker import BgpSpeaker
 from repro.scanners.agent import ScannerAgent
@@ -80,14 +79,6 @@ class ScenarioConfig:
     #: (e.g. ``{"ctlog_rate": 0.0}``) — the hook ablation studies use to
     #: suppress individual scanner data channels.
     population_overrides: dict = field(default_factory=dict)
-    #: Drive the daily loop through the columnar fast path
-    #: (``emit_day_batch`` → ``dispatch_batch`` → ``capture_batch``).  Set
-    #: False to run the retained per-packet reference implementation.
-    use_batch_path: bool = True
-    #: Answer honeypot traffic through the columnar reaction kernels
-    #: (``Twinklenet.handle_batch`` / ``DnatGateway.handle_batch``).  Set
-    #: False to run the retained per-packet reference reaction.
-    use_batch_react: bool = True
 
 
 @dataclass
@@ -129,7 +120,6 @@ class PaperScenario:
             reverse_zone=self.fabric.reverse_zone,
             rng=rng_telescope,
         )
-        self.telescope.use_batch_react = cfg.use_batch_react
         self.fabric.register_oracle(self.telescope.responds)
         self.fabric.register_interaction(self.telescope.interaction_level)
         self.fabric.hitlist.add_candidate_source(self._announced_low_candidates)
@@ -137,7 +127,6 @@ class PaperScenario:
         self.live_prefixes = [
             self.nta_covering.subnet_at(i, 48) for i in range(5)
         ]
-        self._live_keys = {p.network for p in self.live_prefixes}
         #: The live /48s' hi-halves (/48 keys fit entirely in the upper
         #: uint64), for the vectorized ``np.isin`` exclusion.
         self._live_keys_hi = np.array(
@@ -153,10 +142,8 @@ class PaperScenario:
         self.ntc.assign(self.ntc_prefix.subnet_at(1, 33))
         self.ntb_capturer = PacketCapturer("NT-B-capture")
         self.ntc_capturer = PacketCapturer("NT-C-capture")
-        self.ntb.set_capture(self.ntb_capturer.capture,
-                             self.ntb_capturer.capture_batch)
-        self.ntc.set_capture(self.ntc_capturer.capture,
-                             self.ntc_capturer.capture_batch)
+        self.ntb.set_capture(self.ntb_capturer.capture_batch)
+        self.ntc.set_capture(self.ntc_capturer.capture_batch)
 
         # -- scanner population ---------------------------------------------
         source_scale = cfg.source_scale
@@ -464,31 +451,13 @@ class PaperScenario:
 
     # -- packet dispatch ---------------------------------------------------------
 
-    def dispatch(self, pkt: Packet) -> None:
-        """Route one scanner packet to whichever telescope owns it."""
-        dst = pkt.dst
-        if dst in self.nta_covering:
-            if ((dst >> 80) << 80) in self._live_keys:
-                self.counters.live_dropped += 1
-            else:
-                self.counters.nta += 1
-                self.telescope.handle(pkt)
-        elif dst in self.ntb_prefix:
-            self.counters.ntb += 1
-            self.ntb.handle(pkt)
-        elif dst in self.ntc_prefix:
-            self.counters.ntc += 1
-            self.ntc.handle(pkt)
-        else:
-            self.counters.unrouted += 1
-
     def dispatch_batch(self, batch: PacketBatch) -> None:
-        """Route a whole emission batch with vectorized range masks.
+        """Route a whole emission batch to whichever telescopes own it.
 
-        The columnar counterpart of :meth:`dispatch`: telescope membership
-        and the live-/48 exclusion are mask operations on ``dst_hi`` (every
-        routed prefix here is /48 or shorter, so the low half never
-        matters), and :class:`DispatchCounters` update from mask sums.
+        Telescope membership and the live-/48 exclusion are mask
+        operations on ``dst_hi`` (every routed prefix here is /48 or
+        shorter, so the low half never matters), and
+        :class:`DispatchCounters` update from mask sums.
         """
         if len(batch) == 0:
             return
@@ -560,18 +529,11 @@ class PaperScenario:
         process or shard drives the agent."""
         registry = get_registry()
         agent.poll_feeds(self._last_poll, day_end)
-        if self.config.use_batch_path:
-            with registry.timer("scenario.emit"):
-                batch = agent.emit_day_batch(day_start, day_end)
-            with registry.timer("scenario.dispatch"):
-                self.dispatch_batch(batch)
-            return len(batch)
         with registry.timer("scenario.emit"):
-            packets = agent.emit_day(day_start, day_end)
+            batch = agent.emit_day_batch(day_start, day_end)
         with registry.timer("scenario.dispatch"):
-            for pkt in packets:
-                self.dispatch(pkt)
-        return len(packets)
+            self.dispatch_batch(batch)
+        return len(batch)
 
     def run_day(self, day: int) -> int:
         """Simulate day ``day``; returns the number of packets dispatched."""

@@ -1,5 +1,5 @@
 """Chunked capture: ``capture_batch`` appends numpy chunks, ``to_records``
-concatenates them in arrival order with any scalar captures interleaved."""
+concatenates them in arrival order, one-row batches and bursts alike."""
 
 import numpy as np
 
@@ -18,6 +18,11 @@ def _packets(n, t0=0.0):
             for i in range(n)]
 
 
+def _row(t0):
+    """One packet as a one-row batch."""
+    return PacketBatch.from_packets(_packets(1, t0=t0))
+
+
 class TestChunkedCapture:
     def test_batch_then_records(self):
         capturer = PacketCapturer("t")
@@ -28,9 +33,9 @@ class TestChunkedCapture:
 
     def test_interleaved_order_preserved(self):
         capturer = PacketCapturer("t")
-        capturer.capture(_packets(1, t0=0.0)[0])
+        capturer.capture_batch(_row(0.0))
         capturer.capture_batch(PacketBatch.from_packets(_packets(3, t0=1.0)))
-        capturer.capture(_packets(1, t0=4.0)[0])
+        capturer.capture_batch(_row(4.0))
         capturer.capture_batch(PacketBatch.from_packets(_packets(2, t0=5.0)))
         records = capturer.to_records()
         assert np.array_equal(records.ts, np.arange(7.0))
@@ -38,7 +43,7 @@ class TestChunkedCapture:
     def test_len_counts_chunks_and_scalars(self):
         capturer = PacketCapturer("t")
         capturer.capture_batch(PacketBatch.from_packets(_packets(3)))
-        capturer.capture(_packets(1, t0=9.0)[0])
+        capturer.capture_batch(_row(9.0))
         assert len(capturer) == 4
 
     def test_empty_batch_is_noop(self):
@@ -52,7 +57,7 @@ class TestChunkedCapture:
         with use_registry(registry):
             capturer = PacketCapturer("metered")
             capturer.capture_batch(PacketBatch.from_packets(_packets(4)))
-            capturer.capture(_packets(1, t0=9.0)[0])
+            capturer.capture_batch(_row(9.0))
         assert registry.counter("telescope.metered.packets").value == 5
 
     def test_mirror_writes_batch_rows(self, tmp_path):

@@ -114,10 +114,12 @@ class TestDrainDayRecords:
         assert len(cap.drain_day_records()) == 0
 
     def test_drain_flushes_scalar_tail(self):
+        """A single captured packet (a one-row batch) drains too."""
         from repro.net.packet import icmp_echo_request
 
         cap = PacketCapturer("s")
-        cap.capture(icmp_echo_request(1.0, 7, 9))
+        cap.capture_batch(PacketBatch.from_packets(
+            [icmp_echo_request(1.0, 7, 9)]))
         day = cap.drain_day_records()
         assert len(day) == 1 and day.ts[0] == 1.0
 

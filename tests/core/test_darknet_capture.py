@@ -5,24 +5,31 @@ import pytest
 from repro.core.capture import PacketCapturer
 from repro.core.darknet import DarknetTelescope
 from repro.net.addr import IPv6Prefix
+from repro.net.batch import PacketBatch
 from repro.net.packet import icmp_echo_request
 from repro.net.pcapstore import read_packets
 
 COVERING = IPv6Prefix.parse("2001:db8::/32")
 
 
+def _one(pkt):
+    """One packet as a one-row batch."""
+    return PacketBatch.from_packets([pkt])
+
+
 class TestDarknet:
     def test_captures_dark_traffic(self):
         seen = []
-        telescope = DarknetTelescope("NT", COVERING, on_packet=seen.append)
+        telescope = DarknetTelescope("NT", COVERING)
+        telescope.set_capture(seen.append)
         pkt = icmp_echo_request(1.0, 9, COVERING.network | 5)
-        telescope.handle(pkt)
-        assert seen == [pkt]
+        telescope.handle_batch(_one(pkt))
+        assert [p for batch in seen for p in batch.iter_packets()] == [pkt]
         assert telescope.captured_count == 1
 
     def test_ignores_out_of_prefix(self):
         telescope = DarknetTelescope("NT", COVERING)
-        telescope.handle(icmp_echo_request(1.0, 9, 42))
+        telescope.handle_batch(_one(icmp_echo_request(1.0, 9, 42)))
         assert telescope.ignored_count == 1
 
     def test_assigned_subnets_not_monitored(self):
@@ -31,7 +38,8 @@ class TestDarknet:
         telescope.assign(live)
         assert not telescope.monitors(live.network | 1)
         assert telescope.monitors(COVERING.subnet_at(1, 33).network | 1)
-        telescope.handle(icmp_echo_request(1.0, 9, live.network | 1))
+        telescope.handle_batch(_one(icmp_echo_request(1.0, 9,
+                                                      live.network | 1)))
         assert telescope.ignored_count == 1
 
     def test_unassign_restores(self):
@@ -57,7 +65,7 @@ class TestCapturer:
     def test_columns_roundtrip(self):
         capturer = PacketCapturer()
         pkt = icmp_echo_request(3.5, 0xABCDEF << 64, COVERING.network | 9)
-        capturer.capture(pkt)
+        capturer.capture_batch(_one(pkt))
         records = capturer.to_records()
         assert len(records) == 1
         assert list(records.src_addresses()) == [pkt.src]
@@ -68,12 +76,12 @@ class TestCapturer:
         path = tmp_path / "mirror.rpv6"
         capturer = PacketCapturer(mirror_path=path)
         pkt = icmp_echo_request(1.0, 1, 2)
-        capturer.capture(pkt)
+        capturer.capture_batch(_one(pkt))
         capturer.close()
         assert read_packets(path) == [pkt]
 
     def test_len(self):
         capturer = PacketCapturer()
         assert len(capturer) == 0
-        capturer.capture(icmp_echo_request(1.0, 1, 2))
+        capturer.capture_batch(_one(icmp_echo_request(1.0, 1, 2)))
         assert len(capturer) == 1

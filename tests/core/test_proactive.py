@@ -12,6 +12,7 @@ from repro.hitlist.categories import HitlistCategory
 from repro.hitlist.prober import CallableOracle, Prober
 from repro.hitlist.service import HitlistService
 from repro.net.addr import IPv6Prefix
+from repro.net.batch import PacketBatch
 from repro.net.packet import ICMPV6, TCP, TcpFlags, icmp_echo_request, tcp_segment
 from repro.routing.collectors import CollectorSystem
 from repro.routing.rpki import RoaRegistry
@@ -137,26 +138,32 @@ class TestTriggers:
         ) == 0
 
 
+def _send(telescope, pkt):
+    """Deliver one packet as a one-row batch."""
+    telescope.handle_batch(PacketBatch.from_packets([pkt]))
+
+
 class TestDataPlane:
     def test_capture_everything_in_covering(self, telescope, configs):
         telescope.deploy(configs["H_Alias"], _slot(1), at=1000.0)
-        telescope.handle(icmp_echo_request(2000.0, SRC, COVERING.network | 1))
-        telescope.handle(icmp_echo_request(2001.0, SRC, _slot(1).network | 5))
+        _send(telescope, icmp_echo_request(2000.0, SRC, COVERING.network | 1))
+        _send(telescope, icmp_echo_request(2001.0, SRC, _slot(1).network | 5))
         assert len(telescope.capturer) == 2
 
     def test_twinklenet_answers_for_aliased(self, telescope, configs):
         hp = telescope.deploy(configs["H_Alias"], _slot(1), at=1000.0)
-        telescope.handle(icmp_echo_request(2000.0, SRC, hp.prefix.network | 5))
+        _send(telescope, icmp_echo_request(2000.0, SRC,
+                                           hp.prefix.network | 5))
         assert telescope.response_count == 1
 
     def test_tpot_path(self, telescope, configs):
         hp = telescope.deploy(configs["H_TPot1"], _slot(2), at=1000.0)
-        telescope.handle(tcp_segment(2000.0, SRC, hp.prefix.network | 3,
+        _send(telescope, tcp_segment(2000.0, SRC, hp.prefix.network | 3,
                                      4000, 22, TcpFlags.SYN))
         assert telescope.gateways["H_TPot1"].nat_log
 
     def test_control_space_is_silent(self, telescope):
-        telescope.handle(icmp_echo_request(2000.0, SRC, COVERING.network | 1))
+        _send(telescope, icmp_echo_request(2000.0, SRC, COVERING.network | 1))
         assert telescope.response_count == 0
 
 

@@ -1,4 +1,4 @@
-"""Scalar-vs-batch equivalence of the columnar honeypot reply path.
+"""Row-by-row vs columnar equivalence of the honeypot reply path.
 
 The contract under test: ``Twinklenet.handle_batch`` and
 ``DnatGateway.handle_batch`` produce byte-identical replies, state and
@@ -25,7 +25,7 @@ from repro.core.twinklenet import (
     Twinklenet,
     TwinklenetConfig,
 )
-from repro.net.addr import IPv6Prefix
+from repro.net.addr import IPv6Prefix, member_mask_cols, member_mask_u64
 from repro.net.batch import WireBatch
 from repro.net.packet import (
     ICMPV6,
@@ -463,30 +463,80 @@ class TestTPotEquivalence:
         assert gw.recover_destination(0.5, ports[0]) is None
 
 
+def _tpot_rows_reference(gateway, sub):
+    """Per-packet reference for ``DnatGateway.handle_batch``: materialize
+    only rows the T-Pot surface can answer, bulk-account the rest."""
+    in_pref = sub.mask_dst_in(gateway.prefix)
+    need = in_pref & (sub.proto == np.uint8(ICMPV6))
+    tcp_ports = np.asarray(gateway.tpot.open_ports(TCP), dtype=np.uint16)
+    udp_ports = np.asarray(gateway.tpot.open_ports(UDP), dtype=np.uint16)
+    need |= (in_pref & (sub.proto == np.uint8(TCP))
+             & np.isin(sub.dport, tcp_ports))
+    need |= (in_pref & (sub.proto == np.uint8(UDP))
+             & np.isin(sub.dport, udp_ports))
+    idx = np.nonzero(need)[0]
+    gateway.note_dark(len(sub) - len(idx))
+    for i in idx:
+        gateway.handle(sub.packet_at(int(i)))
+
+
+def _twinklenet_rows_reference(pot, sub, owner_hint):
+    """Per-packet reference for ``Twinklenet.handle_batch``: TCP rows always
+    materialize (session table + eviction sweeps need every in-prefix
+    segment); ICMP/UDP rows materialize only when the responsiveness map
+    can answer them."""
+    hp = owner_hint
+    in_pref = sub.mask_dst_in(hp.prefix)
+    need = in_pref & (sub.proto == np.uint8(TCP))
+    icmp = in_pref & (sub.proto == np.uint8(ICMPV6))
+    if hp.config.aliased:
+        need |= icmp
+    elif icmp.any():
+        set_hi, set_lo = hp.icmp_address_columns()
+        need |= icmp & member_mask_u64(sub.dst_hi, sub.dst_lo,
+                                       set_hi, set_lo)
+    udp = in_pref & (sub.proto == np.uint8(UDP))
+    if udp.any():
+        set_hi, set_lo, set_ports = hp.binding_columns(UDP)
+        if len(set_hi):
+            need |= udp & member_mask_cols(
+                (sub.dst_hi, sub.dst_lo, sub.dport),
+                (set_hi, set_lo, set_ports))
+    idx = np.nonzero(need)[0]
+    pot.note_dark(len(sub) - len(idx))
+    for i in idx:
+        pot.handle(sub.packet_at(int(i)))
+
+
 class TestScenarioReactParity:
-    """Flipping ``use_batch_react`` must not change a single byte of a
-    scenario run: records, ground truth, honeypot state and counters are
-    identical — reaction is a pure sink of the emission stream."""
+    """Answering honeypot traffic row by row must not change a single byte
+    of a scenario run: records, ground truth, honeypot state and counters
+    are identical — reaction is a pure sink of the emission stream."""
 
     @pytest.fixture(scope="class")
     def pair(self):
         from repro.sim.scenario import PaperScenario, ScenarioConfig
 
-        def _run(use_batch_react):
+        def _run():
             config = ScenarioConfig(
                 seed=23, duration_days=14, volume_scale=1e-4, n_tail=20,
                 phase1_day=2, phase2_day=4, phase3_day=6,
                 specific_start_day=8, tls_offset_days=3,
                 tpot_hitlist_offset_days=5, tpot_tls_offset_days=7,
                 udp_hitlist_offset_days=2, withdraw_after_days=9,
-                use_batch_react=use_batch_react,
             )
             scenario = PaperScenario(config)
             for day in range(14):
                 scenario.run_day(day)
             return scenario
 
-        return _run(True), _run(False)
+        batch = _run()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(DnatGateway, "handle_batch", _tpot_rows_reference)
+            patch.setattr(Twinklenet, "handle_batch",
+                          _twinklenet_rows_reference)
+            scalar = _run()
+        return batch, scalar
 
     def test_records_identical(self, pair):
         batch, scalar = pair

@@ -1,11 +1,11 @@
-"""Equivalence of the columnar emission fast path with the reference loop.
+"""Contract of the columnar emission path, ``ScannerAgent.emit_day_batch``.
 
-The contract (enforced here): under the same seed, ``emit_day_batch`` draws
-*identical* per-day Poisson counts as ``emit_day`` (both consume the agent's
-main stream the same way), and the packet contents — sources, targets,
-protocols, ports — follow the same marginal distributions.  The satellites
-ride along: the emission window clamp (cancelled/expired sessions stop
-emitting when their rate does) and the ``poll_feeds`` overflow counter.
+Under the same seed, emission and checkpoint replay draw *identical*
+per-day Poisson counts (both consume the agent's main stream through
+``_day_plan``), and the packet contents — sources, targets, protocols,
+ports — follow the configured distributions.  The satellites ride along:
+the emission window clamp (cancelled/expired sessions stop emitting when
+their rate does) and the ``poll_feeds`` overflow counter.
 """
 
 import numpy as np
@@ -76,79 +76,71 @@ def _twin_agents(seed=5, rate=30_000.0, allocation=AllocationMode.PER_PACKET):
 
 
 class TestCountEquality:
+    """Emission and replay consume the count stream identically."""
+
     def test_per_day_counts_identical(self):
-        ref, fast = _twin_agents(seed=7, rate=2_000.0)
+        replayed, fast = _twin_agents(seed=7, rate=2_000.0)
         for day in range(5):
-            packets = ref.emit_day(day * DAY, (day + 1) * DAY)
+            before = replayed.packets_emitted
+            replayed.replay_day(day * DAY, (day + 1) * DAY)
             batch = fast.emit_day_batch(day * DAY, (day + 1) * DAY)
-            assert len(packets) == len(batch)
-        assert ref.packets_emitted == fast.packets_emitted
+            assert replayed.packets_emitted - before == len(batch)
+        assert replayed.packets_emitted == fast.packets_emitted
 
     def test_session_accounting_matches(self):
-        ref, fast = _twin_agents(seed=3, rate=500.0)
-        ref.emit_day(0.0, DAY)
-        fast.emit_day_batch(0.0, DAY)
-        assert (ref.sessions[0].packets_sent
-                == fast.sessions[0].packets_sent)
+        replayed, fast = _twin_agents(seed=3, rate=500.0)
+        replayed.replay_day(0.0, DAY)
+        batch = fast.emit_day_batch(0.0, DAY)
+        assert (replayed.sessions[0].packets_sent
+                == fast.sessions[0].packets_sent == len(batch))
 
 
 class TestMarginalEquivalence:
-    """Content distributions match between paths (randomized, fixed seed)."""
+    """Content distributions match the configured ones (fixed seed)."""
 
     N_DAYS = 3
     RATE = 30_000.0
 
     @pytest.fixture(scope="class")
-    def emissions(self):
-        ref, fast = _twin_agents(seed=11, rate=self.RATE)
-        packets, batches = [], []
-        for day in range(self.N_DAYS):
-            packets.extend(ref.emit_day(day * DAY, (day + 1) * DAY))
-            batches.append(fast.emit_day_batch(day * DAY, (day + 1) * DAY))
+    def batch(self):
+        agent = _agent([_FixedBatch(_probe_batch(self.RATE))], seed=11)
+        agent.poll_feeds(0.0, DAY)
         from repro.net.batch import PacketBatch
 
-        return packets, PacketBatch.concat(batches)
+        return PacketBatch.concat([
+            agent.emit_day_batch(day * DAY, (day + 1) * DAY)
+            for day in range(self.N_DAYS)
+        ])
 
-    def test_protocol_mix(self, emissions):
-        packets, batch = emissions
-        for proto in (ICMPV6, TCP, UDP):
-            ref_frac = sum(p.proto == proto for p in packets) / len(packets)
-            fast_frac = float((batch.proto == proto).mean())
-            assert abs(ref_frac - fast_frac) < 0.02
+    def test_protocol_mix(self, batch):
+        weights = {ICMPV6: PROFILE.icmp_weight, TCP: PROFILE.tcp_weight,
+                   UDP: PROFILE.udp_weight}
+        total = sum(weights.values())
+        for proto, weight in weights.items():
+            fraction = float((batch.proto == proto).mean())
+            assert abs(fraction - weight / total) < 0.02
 
-    def test_target_low_subnet_concentration(self, emissions):
-        """prefix_sampler's low/high split survives vectorization."""
-        packets, batch = emissions
+    def test_target_low_subnet_concentration(self, batch):
+        """prefix_sampler's low/high split: ``low_weight`` (0.5) of the
+        probes hit the first addresses of the first subnets."""
         net_hi = TARGET_PREFIX.network >> 64
+        low = float((((batch.dst_hi - np.uint64(net_hi)) < 8)
+                     & (batch.dst_lo < 64)).mean())
+        assert abs(low - 0.5) < 0.02
 
-        def low_frac_ref():
-            low = sum(1 for p in packets
-                      if (p.dst >> 64) - net_hi < 8 and (p.dst & ((1 << 64) - 1)) < 64)
-            return low / len(packets)
+    def test_sport_distribution(self, batch):
+        sports = batch.sport[batch.proto != np.uint8(ICMPV6)]
+        assert sports.min() >= 32_768 and sports.max() < 61_000
+        assert abs(float(sports.mean()) - (32_768 + 60_999) / 2) < 300
 
-        low_fast = float((((batch.dst_hi - np.uint64(net_hi)) < 8)
-                          & (batch.dst_lo < 64)).mean())
-        assert abs(low_frac_ref() - low_fast) < 0.02
-
-    def test_sport_distribution(self, emissions):
-        packets, batch = emissions
-        ref_sports = np.array([p.sport for p in packets if p.proto != ICMPV6])
-        fast_sports = batch.sport[batch.proto != np.uint8(ICMPV6)]
-        for arr in (ref_sports, fast_sports):
-            assert arr.min() >= 32_768 and arr.max() < 61_000
-        assert abs(ref_sports.mean() - float(fast_sports.mean())) < 300
-
-    def test_source_spread_per_packet(self, emissions):
-        packets, batch = emissions
-        ref_unique = len({p.src for p in packets}) / len(packets)
-        fast_unique = (len(np.unique(
+    def test_source_spread_per_packet(self, batch):
+        unique = (len(np.unique(
             np.stack([batch.src_hi, batch.src_lo]), axis=1,
         )[0]) / len(batch))
-        # PER_PACKET: essentially every packet a fresh source, both paths.
-        assert ref_unique > 0.99 and fast_unique > 0.99
+        # PER_PACKET: essentially every packet a fresh source.
+        assert unique > 0.99
 
-    def test_icmp_rows_are_echo_requests(self, emissions):
-        _, batch = emissions
+    def test_icmp_rows_are_echo_requests(self, batch):
         icmp = batch.proto == np.uint8(ICMPV6)
         assert (batch.sport[icmp] == 128).all()
         assert (batch.dport[icmp] == 0).all()
@@ -176,39 +168,15 @@ class TestAllocatorModes:
             assert len(sources) <= 8
 
 
-class TestFallbackSampler:
-    def test_plain_sampler_goes_through_columns(self):
+class TestTargetsToColumns:
+    def test_targets_to_columns(self):
         targets = [ProbeTarget(TARGET_PREFIX.network | 1, ICMPV6),
                    ProbeTarget(TARGET_PREFIX.network | 2, TCP, 443)]
-
-        def sampler(rng, n):
-            return [targets[i % 2] for i in range(n)]
-
-        assert not hasattr(sampler, "sample_batch")
-        agent = _agent([_FixedBatch(ProbeBatch(
-            trigger="ambient", start=0.0, sampler=sampler,
-            peak_rate=500.0, floor_rate=500.0,
-        ))], seed=2)
-        agent.poll_feeds(0.0, DAY)
-        batch = agent.emit_day_batch(0.0, DAY)
-        assert len(batch) > 0
-        assert set(batch.dst_lo.tolist()) == {1, 2}
-
-    def test_short_sampler_truncates_timestamps(self):
-        """A sampler returning fewer targets than asked truncates the batch
-        the same way the scalar zip does."""
-
-        def sampler(rng, n):
-            return [ProbeTarget(TARGET_PREFIX.network | 1, ICMPV6)] * min(n, 3)
-
-        agent = _agent([_FixedBatch(ProbeBatch(
-            trigger="ambient", start=0.0, sampler=sampler,
-            peak_rate=500.0, floor_rate=500.0,
-        ))], seed=2)
-        agent.poll_feeds(0.0, DAY)
-        batch = agent.emit_day_batch(0.0, DAY)
-        assert len(batch) == 3
-        assert agent.packets_emitted == 3
+        dst_hi, dst_lo, proto, dport = targets_to_columns(targets)
+        assert dst_hi.tolist() == [TARGET_PREFIX.network >> 64] * 2
+        assert dst_lo.tolist() == [1, 2]
+        assert proto.tolist() == [ICMPV6, TCP]
+        assert dport.tolist() == [0, 443]
 
     def test_targets_to_columns_empty(self):
         dst_hi, dst_lo, proto, dport = targets_to_columns([])
@@ -226,26 +194,18 @@ class TestEmissionWindowClamp:
         agent.poll_feeds(0.0, DAY)
         return agent
 
-    @pytest.mark.parametrize("emit", ["scalar", "batch"])
-    def test_cancelled_session_stops_at_cancellation(self, emit):
+    def test_cancelled_session_stops_at_cancellation(self):
         probe = _probe_batch(rate=50_000.0)
         probe.cancel(self.CANCEL_AT)
         agent = self._one_session_agent(probe)
-        if emit == "scalar":
-            ts = [p.timestamp for p in agent.emit_day(0.0, DAY)]
-        else:
-            ts = agent.emit_day_batch(0.0, DAY).ts.tolist()
+        ts = agent.emit_day_batch(0.0, DAY).ts.tolist()
         assert ts, "cancelled-at-25% session must still emit a morning tail"
         assert max(ts) <= self.CANCEL_AT
 
-    @pytest.mark.parametrize("emit", ["scalar", "batch"])
-    def test_expiring_session_stops_at_expiry(self, emit):
+    def test_expiring_session_stops_at_expiry(self):
         probe = _probe_batch(rate=50_000.0, duration=0.5 * DAY)
         agent = self._one_session_agent(probe)
-        if emit == "scalar":
-            ts = [p.timestamp for p in agent.emit_day(0.0, DAY)]
-        else:
-            ts = agent.emit_day_batch(0.0, DAY).ts.tolist()
+        ts = agent.emit_day_batch(0.0, DAY).ts.tolist()
         assert ts
         assert max(ts) <= 0.5 * DAY
 

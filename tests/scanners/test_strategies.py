@@ -33,11 +33,21 @@ from repro.tlsca.ctlog import CtLog
 
 PREFIX = IPv6Prefix.parse("2001:db8:5::/48")
 ICMP_ONLY = ProtocolProfile(icmp_weight=1.0)
+ICMP_SAMPLER = prefix_sampler(PREFIX, ICMP_ONLY)
+
+
+def _draw(sampler, rng, n):
+    """Draw ``n`` targets, zipping the sampler's columns into
+    :class:`ProbeTarget` values."""
+    dst_hi, dst_lo, proto, dport = sampler(rng, n)
+    assert len(dst_hi) == len(dst_lo) == len(proto) == len(dport) == n
+    return [ProbeTarget((hi << 64) | lo, p, d) for hi, lo, p, d in zip(
+        dst_hi.tolist(), dst_lo.tolist(), proto.tolist(), dport.tolist())]
 
 
 class TestProbeBatch:
     def test_envelope_decay(self):
-        batch = ProbeBatch("t", start=0.0, sampler=lambda r, n: [],
+        batch = ProbeBatch("t", start=0.0, sampler=ICMP_SAMPLER,
                            peak_rate=100.0, floor_rate=10.0,
                            decay_tau=10 * DAY)
         assert batch.rate_at(0.0) == pytest.approx(100.0)
@@ -48,7 +58,7 @@ class TestProbeBatch:
         assert batch.rate_at(-1.0) == 0.0
 
     def test_cancel_is_idempotent_and_keeps_earliest(self):
-        batch = ProbeBatch("t", start=0.0, sampler=lambda r, n: [],
+        batch = ProbeBatch("t", start=0.0, sampler=ICMP_SAMPLER,
                            peak_rate=100.0)
         batch.cancel(50.0)
         batch.cancel(80.0)
@@ -60,20 +70,20 @@ class TestProbeBatch:
 class TestSamplers:
     def test_prefix_sampler_in_prefix(self, rng):
         sampler = prefix_sampler(PREFIX, ICMP_ONLY, low_weight=0.5)
-        for target in sampler(rng, 200):
+        for target in _draw(sampler, rng, 200):
             assert target.address in PREFIX
             assert target.proto == ICMPV6
 
     def test_prefix_sampler_low_bias(self, rng):
         sampler = prefix_sampler(PREFIX, ICMP_ONLY, low_weight=1.0)
-        targets = sampler(rng, 100)
+        targets = _draw(sampler, rng, 100)
         # all low addresses: host part < 64 within the first 8 /64s
         assert all((t.address & 0xFFFFFFFFFFFFFFFF) < 64 for t in targets)
 
     def test_address_list_sampler(self, rng):
         targets = [ProbeTarget(1, ICMPV6), ProbeTarget(2, TCP, 80)]
         sampler = address_list_sampler(targets)
-        drawn = sampler(rng, 50)
+        drawn = _draw(sampler, rng, 50)
         assert set(t.address for t in drawn) <= {1, 2}
 
     def test_address_list_sampler_rejects_empty(self):
@@ -83,13 +93,14 @@ class TestSamplers:
     def test_protocol_profile_mix(self, rng):
         profile = ProtocolProfile(icmp_weight=0.5, tcp_weight=0.5,
                                   tcp_ports=(80,))
-        protos = {profile.sample(rng, 1).proto for _ in range(100)}
-        assert protos == {ICMPV6, TCP}
+        proto, dport = profile.sample_batch(rng, 100)
+        assert set(proto.tolist()) == {ICMPV6, TCP}
+        assert set(dport[proto == TCP].tolist()) == {80}
 
     def test_protocol_profile_rejects_zero_weights(self, rng):
         with pytest.raises(ValueError):
             ProtocolProfile(icmp_weight=0, tcp_weight=0,
-                            udp_weight=0).sample(rng, 1)
+                            udp_weight=0).sample_batch(rng, 1)
 
 
 class TestBgpWatcher:
@@ -150,7 +161,7 @@ class TestZoneFileWatcher:
         watcher = ZoneFileWatcher(feed, resolver)
         batches = watcher.poll(0.0, 2 * DAY, rng)
         assert len(batches) == 1
-        targets = batches[0].sampler(rng, 50)
+        targets = _draw(batches[0].sampler, rng, 50)
         assert all(t.address == PREFIX.network | 0x99 for t in targets)
         protos = {t.proto for t in targets}
         assert ICMPV6 in protos
@@ -214,13 +225,13 @@ class TestHitlistConsumer:
         consumer = HitlistConsumer(hitlist)
         batches = consumer.poll(0.0, 200.0, rng)
         assert len(batches) == 1
-        targets = batches[0].sampler(rng, 10)
+        targets = _draw(batches[0].sampler, rng, 10)
         assert all(t.proto == ICMPV6 for t in targets)
 
     def test_category_probe_mapping(self, hitlist, rng):
         hitlist.insert_manual(HitlistCategory.UDP53, at=100.0, address=5)
         consumer = HitlistConsumer(hitlist)
-        targets = consumer.poll(0.0, 200.0, rng)[0].sampler(rng, 10)
+        targets = _draw(consumer.poll(0.0, 200.0, rng)[0].sampler, rng, 10)
         assert all(t.proto == UDP and t.dport == 53 for t in targets)
 
     def test_aliased_entry_spawns_prefix_batch(self, hitlist, rng):
@@ -261,7 +272,8 @@ class TestHitlistConsumer:
         hitlist.insert_manual(HitlistCategory.ICMP, at=100.0, address=1)
         hitlist.insert_manual(HitlistCategory.TCP80, at=100.0, address=2)
         consumer = HitlistConsumer(hitlist)
-        targets = consumer.poll(0.0, 200.0, rng)[0].sampler(rng, 2000)
+        batch = consumer.poll(0.0, 200.0, rng)[0]
+        targets = _draw(batch.sampler, rng, 2000)
         icmp = sum(1 for t in targets if t.proto == ICMPV6)
         assert icmp > len(targets) * 0.75
 
@@ -273,7 +285,7 @@ class TestRdnsWalker:
         walker = RdnsWalkerStrategy(zone, [PREFIX])
         batches = walker.poll(0.0, 10 * DAY, rng)
         assert len(batches) == 1
-        targets = batches[0].sampler(rng, 10)
+        targets = _draw(batches[0].sampler, rng, 10)
         assert all(t.address == PREFIX.network | 1 for t in targets)
 
     def test_walk_period_respected(self, rng):
@@ -304,7 +316,7 @@ class TestAmbientAndSweeper:
         sweeper = CoveringSweeper(covering, ICMP_ONLY, rate=10.0,
                                   low_bias=0.0)
         batch = sweeper.poll(0.0, 100.0, rng)[0]
-        targets = batch.sampler(rng, 2000)
+        targets = _draw(batch.sampler, rng, 2000)
         nets = {(t.address >> 80) << 80 for t in targets}
         assert len(nets) > 1000
 
@@ -312,6 +324,6 @@ class TestAmbientAndSweeper:
         covering = IPv6Prefix.parse("2001:db8::/32")
         sweeper = CoveringSweeper(covering, ICMP_ONLY, rate=10.0,
                                   low_bias=1.0)
-        targets = sweeper.poll(0.0, 100.0, rng)[0].sampler(rng, 100)
+        targets = _draw(sweeper.poll(0.0, 100.0, rng)[0].sampler, rng, 100)
         first16 = {covering.subnet_at(i, 48).network for i in range(16)}
         assert all(((t.address >> 80) << 80) in first16 for t in targets)

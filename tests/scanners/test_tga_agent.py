@@ -15,10 +15,18 @@ from repro.scanners.strategies import (
     ProbeTarget,
     ProtocolProfile,
     Strategy,
+    address_list_sampler,
 )
 from repro.scanners.tga import NibblePattern, PatternTga, mine_patterns
 
 PREFIX = IPv6Prefix.parse("2001:db8:5::/48")
+
+#: Every probe at address 1 over ICMPv6.
+TO_ONE = address_list_sampler([ProbeTarget(1, ICMPV6)])
+
+
+def _sources(batch):
+    return set(zip(batch.src_hi.tolist(), batch.src_lo.tolist()))
 
 
 class TestMinePatterns:
@@ -74,6 +82,8 @@ class TestGenerateColumns:
             assert abs(ref - col) < 0.05
 
     def test_sampler_batch_matches_scalar_marginals(self, rng):
+        """The columnar sampler's marginals are the per-draw ones: a
+        uniform pattern choice and the profile's protocol mix."""
         other = IPv6Prefix.parse("2001:db8:6::/48")
         seeds = ([PREFIX.network | i for i in range(6)]
                  + [other.network | i for i in range(6)])
@@ -81,20 +91,15 @@ class TestGenerateColumns:
                          profile=ProtocolProfile(icmp_weight=0.6,
                                                  tcp_weight=0.4))
         (batch,) = tga.poll(0.0, 100.0, rng)
-        sampler = batch.sampler
-        targets = sampler(np.random.default_rng(3), 4000)
-        dst_hi, dst_lo, proto, dport = sampler.sample_batch(
+        dst_hi, dst_lo, proto, dport = batch.sampler(
             np.random.default_rng(4), 4000)
-        assert len(dst_hi) == 4000
-        # Pattern choice is uniform on both paths.
-        ref_share = sum(t.address in PREFIX for t in targets) / 4000
-        col_share = float(
-            (dst_hi == np.uint64(PREFIX.network >> 64)).mean())
-        assert abs(ref_share - col_share) < 0.05
-        # Protocol mix follows the profile on both paths.
-        ref_icmp = sum(t.proto == ICMPV6 for t in targets) / 4000
-        col_icmp = float((proto == np.uint8(ICMPV6)).mean())
-        assert abs(ref_icmp - col_icmp) < 0.05
+        assert len(dst_hi) == len(dst_lo) == len(proto) == 4000
+        hi_values = {PREFIX.network >> 64, other.network >> 64}
+        assert set(dst_hi.tolist()) <= hi_values
+        share = float((dst_hi == np.uint64(PREFIX.network >> 64)).mean())
+        assert abs(share - 0.5) < 0.05
+        icmp = float((proto == np.uint8(ICMPV6)).mean())
+        assert abs(icmp - 0.6) < 0.05
 
 
 class TestPatternTga:
@@ -102,8 +107,8 @@ class TestPatternTga:
         tga = PatternTga(lambda s, u: [PREFIX.network | 1])
         batches = tga.poll(0.0, 100.0, rng)
         assert len(batches) == 1
-        targets = batches[0].sampler(rng, 20)
-        assert all(t.address in PREFIX for t in targets)
+        dst_hi, _, _, _ = batches[0].sampler(rng, 20)
+        assert (dst_hi == np.uint64(PREFIX.network >> 64)).all()
 
     def test_no_seeds_no_batch(self, rng):
         tga = PatternTga(lambda s, u: [])
@@ -155,27 +160,25 @@ def _agent(allocation=AllocationMode.FIXED, **kwargs):
 class TestScannerAgent:
     def test_emission_rate_matches_envelope(self):
         batch = ProbeBatch(
-            "t", start=0.0,
-            sampler=lambda r, n: [ProbeTarget(1, ICMPV6)] * n,
+            "t", start=0.0, sampler=TO_ONE,
             peak_rate=500.0, floor_rate=500.0, decay_tau=DAY,
         )
         agent = ScannerAgent(_agent(), [_OneShot(batch)], rng=0)
         agent.poll_feeds(0.0, DAY)
-        packets = agent.emit_day(0.0, DAY)
+        packets = agent.emit_day_batch(0.0, DAY)
         assert 380 <= len(packets) <= 620  # Poisson(500)
-        assert all(p.dst == 1 for p in packets)
+        assert (packets.dst_hi == 0).all() and (packets.dst_lo == 1).all()
         assert agent.packets_emitted == len(packets)
 
     def test_timestamps_within_day_and_sorted(self):
         batch = ProbeBatch(
-            "t", start=0.5 * DAY,
-            sampler=lambda r, n: [ProbeTarget(1, ICMPV6)] * n,
+            "t", start=0.5 * DAY, sampler=TO_ONE,
             peak_rate=200.0, floor_rate=200.0,
         )
         agent = ScannerAgent(_agent(), [_OneShot(batch)], rng=0)
         agent.poll_feeds(0.0, DAY)
-        packets = agent.emit_day(0.0, DAY)
-        times = [p.timestamp for p in packets]
+        times = agent.emit_day_batch(0.0, DAY).ts.tolist()
+        assert times
         assert times == sorted(times)
         assert all(0.5 * DAY <= t < DAY for t in times)
 
@@ -183,36 +186,36 @@ class TestScannerAgent:
         prefix = IPv6Prefix.parse("2001:db8:5::/48")
         batch = ProbeBatch(
             "bgp", start=0.0,
-            sampler=lambda r, n: [ProbeTarget(prefix.network | 1,
-                                              ICMPV6)] * n,
+            sampler=address_list_sampler(
+                [ProbeTarget(prefix.network | 1, ICMPV6)]),
             peak_rate=100.0, floor_rate=100.0, subject_prefix=prefix,
         )
         agent = ScannerAgent(_agent(), [_OneShot(batch)], rng=0)
         agent.poll_feeds(0.0, DAY)
         assert agent.cancel_prefix(prefix, at=DAY) == 1
-        assert agent.emit_day(DAY, 2 * DAY) == []
+        assert len(agent.emit_day_batch(DAY, 2 * DAY)) == 0
 
     def test_cancel_prefix_matches_contained(self):
         covering = IPv6Prefix.parse("2001:db8::/32")
         specific = IPv6Prefix.parse("2001:db8:5:8000::/56")
-        batch = ProbeBatch("bgp", start=0.0, sampler=lambda r, n: [],
+        batch = ProbeBatch("bgp", start=0.0, sampler=TO_ONE,
                            peak_rate=1.0, subject_prefix=specific)
         agent = ScannerAgent(_agent(), [_OneShot(batch)], rng=0)
         agent.poll_feeds(0.0, DAY)
         assert agent.cancel_prefix(covering, at=DAY) == 1
 
     def test_session_retirement(self):
-        batch = ProbeBatch("t", start=0.0, sampler=lambda r, n: [],
+        batch = ProbeBatch("t", start=0.0, sampler=TO_ONE,
                            peak_rate=1.0, duration=DAY)
         agent = ScannerAgent(_agent(), [_OneShot(batch)], rng=0)
         agent.poll_feeds(0.0, DAY)
         assert len(agent.sessions) == 1
-        agent.emit_day(3 * DAY, 4 * DAY)
+        agent.emit_day_batch(3 * DAY, 4 * DAY)
         assert agent.sessions == []
 
     def test_max_sessions_cap(self):
         batches = [
-            ProbeBatch("t", start=0.0, sampler=lambda r, n: [],
+            ProbeBatch("t", start=0.0, sampler=TO_ONE,
                        peak_rate=1.0)
             for _ in range(10)
         ]
@@ -237,40 +240,36 @@ class TestScannerAgent:
             rng=0,
         )
         agent.poll_feeds(0.0, DAY)
-        packets = agent.emit_day(0.0, DAY)
-        sources = {p.src for p in packets}
-        assert len(sources) > 50
+        assert len(_sources(agent.emit_day_batch(0.0, DAY))) > 50
 
     def test_triggered_batches_use_slice(self):
         identity = _agent(allocation=AllocationMode.SMALL_POOL,
                           pool_size=100, sources_per_target=5)
         batch = ProbeBatch(
-            "bgp", start=0.0,
-            sampler=lambda r, n: [ProbeTarget(1, ICMPV6)] * n,
+            "bgp", start=0.0, sampler=TO_ONE,
             peak_rate=2000.0, floor_rate=2000.0,
         )
         agent = ScannerAgent(identity, [_OneShot(batch)], rng=0)
         agent.poll_feeds(0.0, DAY)
-        packets = agent.emit_day(0.0, DAY)
-        assert len({p.src for p in packets}) == 5
+        assert len(_sources(agent.emit_day_batch(0.0, DAY))) == 5
 
 
 class TestScanSession:
     def test_expected_packets_partial_day(self):
-        batch = ProbeBatch("t", start=0.5 * DAY, sampler=lambda r, n: [],
+        batch = ProbeBatch("t", start=0.5 * DAY, sampler=TO_ONE,
                            peak_rate=100.0, floor_rate=100.0)
         session = ScanSession(batch)
         assert session.expected_packets(0.0, DAY) == pytest.approx(50.0)
 
     def test_expected_packets_cancelled(self):
-        batch = ProbeBatch("t", start=0.0, sampler=lambda r, n: [],
+        batch = ProbeBatch("t", start=0.0, sampler=TO_ONE,
                            peak_rate=100.0, floor_rate=100.0)
         batch.cancel(0.25 * DAY)
         session = ScanSession(batch)
         assert session.expected_packets(0.0, DAY) == pytest.approx(25.0)
 
     def test_expected_packets_outside_window(self):
-        batch = ProbeBatch("t", start=5 * DAY, sampler=lambda r, n: [],
+        batch = ProbeBatch("t", start=5 * DAY, sampler=TO_ONE,
                            peak_rate=100.0)
         session = ScanSession(batch)
         assert session.expected_packets(0.0, DAY) == 0.0

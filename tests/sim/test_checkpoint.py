@@ -58,6 +58,18 @@ def _assert_identical(a, b):
         == (cb.nta, cb.ntb, cb.ntc, cb.live_dropped, cb.unrouted)
 
 
+def _assert_same_emission_accounting(a, b):
+    """Every agent's ``packets_emitted`` and every session's
+    ``packets_sent`` match: replayed days count exactly what emitting
+    them counted."""
+    agents_a, agents_b = a.scenario.agents, b.scenario.agents
+    assert ([agent.packets_emitted for agent in agents_a]
+            == [agent.packets_emitted for agent in agents_b])
+    assert ([[s.packets_sent for s in agent.sessions] for agent in agents_a]
+            == [[s.packets_sent for s in agent.sessions]
+                for agent in agents_b])
+
+
 @pytest.fixture(scope="module")
 def baseline(tmp_path_factory):
     """Uninterrupted run with checkpointing on — the golden bytes."""
@@ -87,6 +99,7 @@ class TestResumeSerial:
             _run(tmp_path, abort_after_day=5)
         resumed, journal = _run(tmp_path, resume=True)
         _assert_identical(base_result, resumed)
+        _assert_same_emission_accounting(base_result, resumed)
         assert journal == base_journal
 
     def test_resume_without_checkpoint_runs_fresh(self, baseline, tmp_path):

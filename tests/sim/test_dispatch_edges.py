@@ -1,9 +1,9 @@
-"""Routing edges of the scenario dispatchers, scalar and batch alike.
+"""Routing edges of the scenario dispatcher, one packet or a burst.
 
 Shared parametrized tests: the live-/48 exclusion inside NT-A's covering
 /32, unrouted packets, and NT-C's assigned-/33 exclusion must behave
-identically whether packets go through the per-packet ``dispatch`` or the
-columnar ``dispatch_batch``.
+identically whether ``dispatch_batch`` receives each packet as its own
+one-row batch (``scalar``) or the whole burst as one batch (``batch``).
 """
 
 import numpy as np
@@ -30,7 +30,7 @@ def _send(scenario, dispatcher, addresses):
                for i, dst in enumerate(addresses)]
     if dispatcher == "scalar":
         for pkt in packets:
-            scenario.dispatch(pkt)
+            scenario.dispatch_batch(PacketBatch.from_packets([pkt]))
     else:
         scenario.dispatch_batch(PacketBatch.from_packets(packets))
 
@@ -108,8 +108,8 @@ class TestNtb:
 
 class TestPathAgreement:
     def test_both_paths_route_a_mixed_burst_identically(self, scenario):
-        """One mixed burst through each dispatcher: every counter moves by
-        the same amount."""
+        """One mixed burst, row by row and as one batch: every counter
+        moves by the same amount."""
         addresses = (
             [p.network | 1 for p in scenario.live_prefixes[:2]]
             + [scenario.nta_covering.subnet_at(6, 48).network | 1]

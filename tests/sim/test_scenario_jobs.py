@@ -78,10 +78,6 @@ class TestShardedEquivalence:
         _assert_identical(serial_result, sharded)
         assert journal == serial_journal
 
-    def test_sharding_requires_batch_path(self):
-        with pytest.raises(ValueError, match="batch"):
-            run_scenario(_config(use_batch_path=False), jobs=2)
-
     def test_same_day_withdrawals_keep_event_order(self, serial):
         """Two honeyprefixes withdrawing on the *same day* is the journal
         merge's hard case: their session_cancel records must interleave by
@@ -109,14 +105,6 @@ class TestPipelineEquivalence:
         piped, journal = _run(_config(), pipeline=True)
         _assert_identical(serial_result, piped)
         assert journal == serial_journal
-
-    def test_pipeline_requires_batch_path(self):
-        from repro.sim.pipeline import DispatchPipeline
-
-        scenario = PaperScenario(_config(use_batch_path=False,
-                                         duration_days=1))
-        with pytest.raises(ValueError, match="batch"):
-            DispatchPipeline(scenario)
 
     def test_pipeline_propagates_dispatch_errors(self):
         from repro.sim.pipeline import DispatchPipeline

@@ -122,9 +122,10 @@ class TestSamplerContainment:
         profile = ProtocolProfile(icmp_weight=0.5, tcp_weight=0.3,
                                   udp_weight=0.2)
         sampler = prefix_sampler(PREFIX, profile, low_weight=low_weight)
-        for target in sampler(rng, 50):
-            assert target.address in PREFIX
-            assert target.proto in (ICMPV6, TCP, UDP)
+        dst_hi, dst_lo, proto, _ = sampler(rng, 50)
+        for hi, lo in zip(dst_hi.tolist(), dst_lo.tolist()):
+            assert (hi << 64) | lo in PREFIX
+        assert set(proto.tolist()) <= {ICMPV6, TCP, UDP}
 
 
 class TestDeployDeterminism:
