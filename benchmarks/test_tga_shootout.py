@@ -7,8 +7,7 @@ the "Target Acquired?"-style comparison, with the paper's deployment as
 the ground truth.
 """
 
-import numpy as np
-
+from repro.net.packet import ICMPV6
 from repro.scanners.tga_eval import evaluate_tgas
 
 
@@ -27,13 +26,30 @@ def _seed_set(scenario_result):
     return sorted(set(seeds))
 
 
-def test_tga_shootout(benchmark, scenario_result, publish):
-    telescope = scenario_result.scenario.telescope
-    at = scenario_result.end - 1.0
-    from repro.net.packet import ICMPV6
+def _icmp_oracle(honeyprefixes, at: float):
+    """The telescope's ICMPv6 responsiveness at ``at``, from the deployed
+    honeyprefixes alone (a cached result carries no live telescope): a
+    deployed, unwithdrawn T-Pot prefix answers every address, any other
+    honeyprefix answers per its own bindings."""
+    by_48 = {(hp.prefix.network >> 80) << 80: hp
+             for hp in honeyprefixes.values()}
 
     def oracle(address, _at):
-        return telescope.responds(address, ICMPV6, None, at)
+        hp = by_48.get((address >> 80) << 80)
+        if hp is None or hp.deployed_at is None or hp.deployed_at > at:
+            return False
+        if hp.withdrawn_at is not None and at >= hp.withdrawn_at:
+            return False
+        if hp.config.tpot:
+            return address in hp.prefix
+        return hp.responds(address, ICMPV6, None)
+
+    return oracle
+
+
+def test_tga_shootout(benchmark, scenario_result, publish):
+    oracle = _icmp_oracle(scenario_result.honeyprefixes,
+                          scenario_result.end - 1.0)
 
     seeds = _seed_set(scenario_result)
     assert len(seeds) > 50

@@ -8,7 +8,7 @@ number of seconds from epoch 0).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -100,3 +100,30 @@ def weighted_choice(
         raise ValueError("weights must sum to a positive value")
     idx = rng.choice(len(items), p=w / total)
     return items[idx]
+
+
+class WindowView:
+    """A one-entry memo for data every agent derives alike from a feed.
+
+    :meth:`get` returns the value built for ``key`` and rebuilds it when
+    the key changes.  Callers put the poll window and the feed's mutation
+    counter in the key, so a new window or any mutation of the feed (even
+    one between two polls of the same window) invalidates the value, and
+    memory stays bounded to one window.  A view pickles empty: derived data
+    never rides along in a frozen scenario, a checkpoint or the cache.
+    """
+
+    __slots__ = ("_key", "_value")
+
+    def __init__(self) -> None:
+        self._key: object = None
+        self._value: object = None
+
+    def get(self, key, build: Callable[[], object]):
+        if key != self._key:
+            self._value = build()
+            self._key = key
+        return self._value
+
+    def __reduce__(self):
+        return (WindowView, ())

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
-from repro._util import DAY
+from repro._util import DAY, WindowView
 from repro.dns.records import ResourceRecord, RRType, validate_name
 from repro.dns.zone import Zone
 
@@ -40,6 +42,10 @@ class TldRegistry:
             raise ValueError("publication period must be positive")
         self.publication_period = publication_period
         self._registrations: dict[str, DomainRegistration] = {}
+
+    def __len__(self) -> int:
+        """Registrations; they are only ever added."""
+        return len(self._registrations)
 
     def register(self, domain: str, at: float, registrant: str) -> DomainRegistration:
         """Register an eTLD+1 domain under this TLD."""
@@ -95,6 +101,7 @@ class Registrar:
         self.name = name
         self._tlds: dict[str, TldRegistry] = {}
         self._zones: dict[str, Zone] = {}
+        self._window = WindowView()
 
     def add_tld(self, registry: TldRegistry) -> None:
         self._tlds[registry.tld] = registry
@@ -108,6 +115,33 @@ class Registrar:
     @property
     def tlds(self) -> tuple[str, ...]:
         return tuple(self._tlds)
+
+    @property
+    def mutations(self) -> int:
+        """A counter that grows with every registration and record change.
+
+        TLDs, registrations and zones are only ever added, and a zone's
+        serial grows with each of its changes, so their sum never repeats.
+        """
+        return (len(self._tlds) + sum(len(t) for t in self._tlds.values())
+                + len(self._zones)
+                + sum(zone.serial for zone in self._zones.values()))
+
+    def new_domains(self, since: float, until: float) -> Mapping[str, float]:
+        """The merged zone-file diff of every TLD: domain -> publication
+        time for first appearances in ``(since, until]``, in TLD order.
+
+        The read-only map is built once per window and shared by every
+        zone-file watcher until the window or the registrar changes.
+        """
+
+        def merge() -> Mapping[str, float]:
+            out: dict[str, float] = {}
+            for registry in self._tlds.values():
+                out.update(registry.new_domains(since, until))
+            return MappingProxyType(out)
+
+        return self._window.get((since, until, self.mutations), merge)
 
     def register_domain(self, domain: str, at: float, registrant: str = "") -> Zone:
         """Register ``domain`` and create its hosted zone."""

@@ -8,6 +8,7 @@ timing is consistent with the registration timeline.
 
 from __future__ import annotations
 
+from repro._util import WindowView
 from repro.dns.records import ResourceRecord, RRType, validate_name
 from repro.dns.registry import Registrar
 from repro.dns.reverse import ReverseZone
@@ -21,6 +22,16 @@ class Resolver:
         self._registrars = list(registrars or [])
         self._reverse = reverse_zone
         self.query_count = 0
+        #: Holds the per-window AAAA answers that every agent resolving
+        #: through this resolver shares
+        #: (:class:`repro.scanners.strategies.AddressWindow`).
+        self.view = WindowView()
+
+    @property
+    def mutations(self) -> int:
+        """Grows whenever a forward answer could change."""
+        return len(self._registrars) + sum(
+            r.mutations for r in self._registrars)
 
     def add_registrar(self, registrar: Registrar) -> None:
         self._registrars.append(registrar)

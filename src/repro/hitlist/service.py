@@ -5,7 +5,8 @@ registered public sources (zone files resolved to AAAA, CT-log SAN names,
 submitted seeds), probe each per category, run aliased-prefix detection on
 the candidates' covering /64s and announced prefixes, and publish a
 categorized snapshot.  Downstream scanners poll :meth:`entries_between` or
-fetch :meth:`snapshot_at`.
+fetch :meth:`snapshot_at`; :meth:`address_columns` is the same snapshot as
+shared numpy columns, built once per publication for every consumer.
 """
 
 from __future__ import annotations
@@ -14,13 +15,15 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from repro._util import DAY, check_positive
+import numpy as np
+
+from repro._util import DAY, WindowView, check_positive
 from repro.hitlist.categories import (
     ADDRESS_CATEGORIES,
     HitlistCategory,
 )
 from repro.hitlist.prober import Prober
-from repro.net.addr import IPv6Prefix
+from repro.net.addr import IPv6Prefix, split_u64
 
 #: A candidate source: called with (since, until) and yielding int addresses
 #: that became publicly visible in that window.
@@ -60,6 +63,50 @@ class HitlistSnapshot:
     prefixes: dict[HitlistCategory, set[IPv6Prefix]] = field(default_factory=dict)
 
 
+class AddressColumns:
+    """A snapshot's listed addresses as read-only probe target columns.
+
+    Rows run category by category in :data:`ADDRESS_CATEGORIES` order and,
+    within a category, in the iteration order of the matching
+    :meth:`HitlistService.snapshot_at` set; each row probes its category's
+    protocol and port.  A consumer that repeats rows by weight therefore
+    builds the same rows, in the same order, as a loop over the snapshot.
+    """
+
+    def __init__(self, snapshot: HitlistSnapshot):
+        #: listed addresses (ints), one per row.
+        self.addresses: list[int] = []
+        codes: list[int] = []
+        for code, category in enumerate(ADDRESS_CATEGORIES):
+            listed = snapshot.addresses.get(category, ())
+            self.addresses.extend(listed)
+            codes.extend([code] * len(listed))
+        #: each row's index into ADDRESS_CATEGORIES.
+        self.category = np.array(codes, dtype=np.intp)
+        proto = np.array([c.protocol for c in ADDRESS_CATEGORIES],
+                         dtype=np.uint8)
+        dport = np.array([c.port or 0 for c in ADDRESS_CATEGORIES],
+                         dtype=np.uint16)
+        #: (dst_hi, dst_lo, proto, dport) target columns.
+        self.targets = (*split_u64(self.addresses), proto[self.category],
+                        dport[self.category])
+        for column in (self.category, *self.targets):
+            column.flags.writeable = False
+        self._levels = WindowView()
+
+    def levels(self, oracle, at: float) -> np.ndarray:
+        """``oracle(address, at)`` for every row; evaluated once per
+        ``(oracle, at)``."""
+
+        def evaluate() -> np.ndarray:
+            column = np.fromiter((oracle(a, at) for a in self.addresses),
+                                 dtype=np.int64, count=len(self.addresses))
+            column.flags.writeable = False
+            return column
+
+        return self._levels.get((oracle, at), evaluate)
+
+
 class HitlistService:
     """Periodic hitlist compiler and publisher."""
 
@@ -82,6 +129,7 @@ class HitlistService:
         self._known_aliased: set[IPv6Prefix] = set()
         self._known_non_aliased: set[IPv6Prefix] = set()
         self._last_cycle_end = 0.0
+        self._columns = WindowView()
 
     # -- source registration -------------------------------------------------
 
@@ -232,3 +280,15 @@ class HitlistService:
                     entry.prefix
                 )
         return snapshot
+
+    def address_columns(self, at: float) -> AddressColumns:
+        """:meth:`snapshot_at`'s addresses as shared columns, built once per
+        publication.
+
+        The key is the number of entries visible at ``at``: entries are
+        only ever added, so it changes exactly when the visible snapshot
+        does, including after a mid-window insertion.
+        """
+        visible = bisect.bisect_right(self._entry_times, at)
+        return self._columns.get(
+            visible, lambda: AddressColumns(self.snapshot_at(at)))

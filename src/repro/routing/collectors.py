@@ -13,17 +13,21 @@ the paper's "36 public BGP collectors monitored").  Propagation semantics:
 * withdrawals become visible within minutes to hours.
 
 Scanner agents subscribe by polling :meth:`CollectorSystem.visible_updates`.
+Every agent polls the same day window, so :meth:`CollectorSystem.new_prefixes`
+is computed once per window and shared, and route state is read from a
+per-prefix index rather than a scan of each collector's log.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 import numpy as np
 
-from repro._util import make_rng, spawn_rngs
+from repro._util import WindowView, make_rng
 from repro.net.addr import IPv6Prefix
 from repro.obs import get_registry
 from repro.routing.messages import Announcement, Withdrawal
@@ -65,12 +69,24 @@ class RouteCollector:
         self.rpki_strict = rpki_strict
         self._events: list[VisibleUpdate] = []
         self._times: list[float] = []
+        #: prefix -> (visibility times, route held after each event), in
+        #: log order: equal-time events keep their record order.
+        self._by_prefix: dict[IPv6Prefix, tuple[list[float], list[bool]]] = {}
+
+    def __len__(self) -> int:
+        """Events recorded; the log is append-only, so this counts its
+        mutations."""
+        return len(self._events)
 
     def record(self, update: Announcement | Withdrawal, visible_at: float) -> None:
         event = VisibleUpdate(self.name, visible_at, update)
         idx = bisect.bisect_right(self._times, visible_at)
         self._times.insert(idx, visible_at)
         self._events.insert(idx, event)
+        times, held = self._by_prefix.setdefault(update.prefix, ([], []))
+        idx = bisect.bisect_right(times, visible_at)
+        times.insert(idx, visible_at)
+        held.insert(idx, not event.is_withdrawal)
 
     def events(self) -> tuple[VisibleUpdate, ...]:
         return tuple(self._events)
@@ -82,14 +98,45 @@ class RouteCollector:
         return self._events[lo:hi]
 
     def carries(self, prefix: IPv6Prefix, at: float) -> bool:
-        """True when this collector holds a route for ``prefix`` at ``at``."""
-        state = False
-        for event in self._events:
-            if event.visible_at > at:
-                break
-            if event.update.prefix == prefix:
-                state = not event.is_withdrawal
-        return state
+        """True when this collector holds a route for ``prefix`` at ``at``:
+        the latest event for it visible by ``at`` is an announcement."""
+        index = self._by_prefix.get(prefix)
+        if index is None:
+            return False
+        times, held = index
+        idx = bisect.bisect_right(times, at)
+        return idx > 0 and held[idx - 1]
+
+
+class CollectorWindow:
+    """One poll window of the collector feed, shared by every watcher.
+
+    ``new`` is :meth:`CollectorSystem.new_prefixes` for the window;
+    :meth:`visibility` memoizes each prefix's collector count at the
+    window's end.
+    """
+
+    def __init__(self, system: "CollectorSystem", since: float,
+                 until: float):
+        self._system = system
+        self.until = until
+        seen: dict[IPv6Prefix, float] = {}
+        for event in system.visible_updates(since, until):
+            if event.is_withdrawal:
+                continue
+            prev = seen.get(event.update.prefix)
+            if prev is None or event.visible_at < prev:
+                seen[event.update.prefix] = event.visible_at
+        self.new: Mapping[IPv6Prefix, float] = MappingProxyType(seen)
+        self._counts: dict[IPv6Prefix, int] = {}
+
+    def visibility(self, prefix: IPv6Prefix) -> int:
+        """Collectors carrying ``prefix`` at the end of the window."""
+        count = self._counts.get(prefix)
+        if count is None:
+            count = self._system.visibility_count(prefix, self.until)
+            self._counts[prefix] = count
+        return count
 
 
 class CollectorSystem:
@@ -126,6 +173,7 @@ class CollectorSystem:
                     rpki_strict=bool(strict_flags[i]) and roa_registry is not None,
                 )
             )
+        self._window = WindowView()
 
     def _delay(self) -> float:
         return float(self._rng.uniform(self.min_delay, self.max_delay))
@@ -180,16 +228,20 @@ class CollectorSystem:
         for collector in self.collectors:
             yield from collector.events_between(since, until)
 
-    def new_prefixes(self, since: float, until: float) -> dict[IPv6Prefix, float]:
+    def window(self, since: float, until: float) -> CollectorWindow:
+        """The shared view of ``(since, until]``: built once, and rebuilt
+        only when the window changes or any collector records an event
+        (collector logs are append-only, so their total length counts
+        the feed's mutations)."""
+        mutations = sum(len(c) for c in self.collectors)
+        return self._window.get((since, until, mutations),
+                                lambda: CollectorWindow(self, since, until))
+
+    def new_prefixes(self, since: float,
+                     until: float) -> Mapping[IPv6Prefix, float]:
         """Deduplicated map of newly announced prefix -> earliest visibility.
 
-        Convenience for scanners that only care about *new* targets.
+        Convenience for scanners that only care about *new* targets; the
+        read-only map is shared (see :meth:`window`).
         """
-        seen: dict[IPv6Prefix, float] = {}
-        for event in self.visible_updates(since, until):
-            if event.is_withdrawal:
-                continue
-            prev = seen.get(event.update.prefix)
-            if prev is None or event.visible_at < prev:
-                seen[event.update.prefix] = event.visible_at
-        return seen
+        return self.window(since, until).new

@@ -22,7 +22,6 @@ from repro.scanners.strategies import (
     CtLogWatcher,
     HitlistConsumer,
     ProbeBatch,
-    ProbeTarget,
     RdnsWalkerStrategy,
     Strategy,
     ZoneFileWatcher,
@@ -39,7 +38,6 @@ __all__ = [
     "ScannerIdentity",
     "SourceAllocator",
     "Strategy",
-    "ProbeTarget",
     "ProbeBatch",
     "BgpWatcher",
     "ZoneFileWatcher",

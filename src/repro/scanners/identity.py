@@ -125,35 +125,17 @@ class SourceAllocator:
         idx = self._rng.choice(len(self._pool), size=k, replace=False)
         return [self._pool[int(i)] for i in idx]
 
-    def source(self, rng: np.random.Generator | None = None) -> int:
-        """Draw the source address for the next packet.
-
-        ``rng`` overrides the allocator's own stream for the random modes,
-        which lets :class:`~repro.scanners.agent.ScannerAgent` draw packet
-        contents from a per-day child generator (see ``_day_plan``).
-        """
-        rng = self._rng if rng is None else rng
-        mode = self.identity.allocation
-        if mode is AllocationMode.FIXED:
-            return self._pool[0]
-        if mode is AllocationMode.SMALL_POOL:
-            return self._pool[int(rng.integers(len(self._pool)))]
-        if mode is AllocationMode.PER_SESSION:
-            if self._session_addr is None:
-                self.new_session()
-            return self._session_addr
-        # PER_PACKET
-        addr = self.identity.source_prefix.random_address(rng).value
-        self.used.add(addr)
-        return addr
-
     def sources_batch(self, n: int, rng: np.random.Generator | None = None,
                       ) -> tuple[np.ndarray, np.ndarray]:
         """Draw ``n`` source addresses as (hi, lo) uint64 columns.
 
-        The columnar counterpart of calling :meth:`source` ``n`` times: the
-        same pool/session/per-packet semantics apply, only the draws are
-        vectorized.  PER_PACKET draws still feed :attr:`used` so blocklist
+        FIXED repeats its one address, SMALL_POOL draws uniformly from the
+        pool, PER_SESSION repeats the current session's address (starting
+        a session if none is open), and PER_PACKET draws a fresh address
+        per packet.  ``rng`` overrides the allocator's own stream for the
+        random modes, which lets :class:`~repro.scanners.agent.ScannerAgent`
+        draw packet contents from a per-day child generator (see
+        ``_day_plan``).  PER_PACKET draws feed :attr:`used` so blocklist
         accounting sees every source.
         """
         rng = self._rng if rng is None else rng

@@ -114,18 +114,6 @@ def _register(fabric, record: AsRecord, prefix: IPv6Prefix) -> None:
     fabric.geodb.add(prefix, record.country)
 
 
-def _zone_feed(fabric):
-    """Merged new-domain feed across all TLD registries."""
-
-    def feed(since: float, until: float) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for tld in fabric.registrar.tlds:
-            out.update(fabric.registrar.tld(tld).new_domains(since, until))
-        return out
-
-    return feed
-
-
 def _hitlist_seed_source(fabric):
     """Seed feed for TGAs: addresses newly published on the hitlist."""
 
@@ -146,14 +134,9 @@ def _collector_prefix_seed_source(fabric, min_collectors: int = 10):
     never pick them up)."""
 
     def feed(since: float, until: float) -> list[int]:
-        return [
-            prefix.network | 1
-            for prefix, seen_at in fabric.collectors.new_prefixes(
-                since, until
-            ).items()
-            if fabric.collectors.visibility_count(prefix, until)
-            >= min_collectors
-        ]
+        window = fabric.collectors.window(since, until)
+        return [prefix.network | 1 for prefix in window.new
+                if window.visibility(prefix) >= min_collectors]
 
     return feed
 
@@ -198,7 +181,7 @@ def build_population(
     rng = make_rng(fabric.rng_population if rng is None else rng)
     agents: list[ScannerAgent] = []
     scale = spec.volume_scale
-    zone_feed = _zone_feed(fabric)
+    zone_feed = fabric.registrar.new_domains
     # Base key for per-(scanner, prefix) reaction decision streams.  Keyed
     # on the ASN rather than construction draw order so that which
     # announcements a scanner reacts to is pinned by (population seed, AS,

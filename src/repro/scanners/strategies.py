@@ -9,29 +9,20 @@ trigger, then converges to a stable lower value after 15-40 days.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro._util import DAY, derive_rng, make_rng
+from repro._util import DAY, derive_rng
 from repro.dns.resolver import Resolver
 from repro.dns.reverse import ReverseZone
-from repro.hitlist.categories import HitlistCategory
+from repro.hitlist.categories import ADDRESS_CATEGORIES, HitlistCategory
 from repro.hitlist.service import HitlistService
-from repro.net.addr import IPv6Prefix, random_addresses_u64
+from repro.net.addr import IPv6Prefix, random_addresses_u64, split_u64
 from repro.net.packet import ICMPV6, TCP, UDP
 from repro.routing.collectors import CollectorSystem
 from repro.tlsca.ctlog import CtLog
-
-
-@dataclass(frozen=True, slots=True)
-class ProbeTarget:
-    """One concrete probe: destination, protocol, destination port."""
-
-    address: int
-    proto: int
-    dport: int = 0
 
 
 #: Columnar target draw: (dst_hi, dst_lo, proto, dport) numpy columns.
@@ -41,17 +32,75 @@ TargetColumns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 #: ``(rng, n) -> (dst_hi, dst_lo, proto, dport)``.
 TargetSampler = Callable[[np.random.Generator, int], TargetColumns]
 
+#: The probes sent to each address of a target list, as (proto, dport)
+#: pairs in row order.
+ProbeLayout = tuple[tuple[int, int], ...]
 
-def targets_to_columns(targets: list[ProbeTarget]) -> TargetColumns:
-    """A per-target list as (dst_hi, dst_lo, proto, dport) columns."""
-    n = len(targets)
-    dst_hi = np.fromiter(((t.address >> 64) & 0xFFFFFFFFFFFFFFFF
-                          for t in targets), dtype=np.uint64, count=n)
-    dst_lo = np.fromiter((t.address & 0xFFFFFFFFFFFFFFFF for t in targets),
-                         dtype=np.uint64, count=n)
-    proto = np.fromiter((t.proto for t in targets), dtype=np.uint8, count=n)
-    dport = np.fromiter((t.dport for t in targets), dtype=np.uint16, count=n)
-    return dst_hi, dst_lo, proto, dport
+
+def layout_columns(addresses: Sequence[int],
+                   layout: ProbeLayout) -> TargetColumns:
+    """Target columns probing every address with every probe of
+    ``layout``: address-major rows, the layout's order within each."""
+    hi, lo = split_u64(addresses)
+    k = len(layout)
+    proto = np.array([p for p, _ in layout], dtype=np.uint8)
+    dport = np.array([d for _, d in layout], dtype=np.uint16)
+    return (np.repeat(hi, k), np.repeat(lo, k),
+            np.tile(proto, len(hi)), np.tile(dport, len(hi)))
+
+
+class AddressWindow:
+    """What every watcher resolving through one resolver derives alike
+    within one poll window, computed once and read by all agents.
+
+    Holds each name's AAAA answer, each answer's target columns per probe
+    layout, and interaction levels per ``(oracle, address, at)``.  Only
+    deterministic data lives here; every agent still makes its own RNG
+    draws.  Columns are read-only: samplers index them, never write.
+    """
+
+    def __init__(self, resolver: Resolver):
+        self._resolver = resolver
+        self._answers: dict[tuple[str, float], tuple[int, ...]] = {}
+        self._columns: dict[tuple, TargetColumns] = {}
+        self._levels: dict[tuple, int] = {}
+
+    @classmethod
+    def of(cls, resolver: Resolver, since: float,
+           until: float) -> "AddressWindow":
+        """The shared window of ``resolver`` for ``(since, until]``."""
+        return resolver.view.get((since, until, resolver.mutations),
+                                   lambda: cls(resolver))
+
+    def aaaa(self, name: str, at: float) -> tuple[int, ...]:
+        key = (name, at)
+        answer = self._answers.get(key)
+        if answer is None:
+            answer = tuple(self._resolver.resolve_aaaa(name, at=at))
+            self._answers[key] = answer
+        return answer
+
+    def columns(self, addresses: tuple[int, ...],
+                layout: ProbeLayout) -> TargetColumns:
+        key = (addresses, layout)
+        columns = self._columns.get(key)
+        if columns is None:
+            columns = layout_columns(addresses, layout)
+            for column in columns:
+                column.flags.writeable = False
+            self._columns[key] = columns
+        return columns
+
+    def level(self, oracle, addresses: tuple[int, ...], at: float) -> int:
+        """The highest ``oracle(address, at)`` over ``addresses``."""
+        levels = []
+        for addr in addresses:
+            key = (oracle, addr, at)
+            level = self._levels.get(key)
+            if level is None:
+                level = self._levels[key] = oracle(addr, at)
+            levels.append(level)
+        return max(levels)
 
 
 @dataclass(frozen=True)
@@ -183,19 +232,19 @@ def prefix_sampler(
     return sample
 
 
-def address_list_sampler(
-    targets: list[ProbeTarget],
-) -> TargetSampler:
-    """Probe a fixed list of concrete targets, round-robin with jitter.
+def address_list_sampler(targets: TargetColumns) -> TargetSampler:
+    """Probe a fixed list of concrete targets, uniformly at random.
 
-    The list's columns are computed once; every draw is one fancy-index.
+    ``targets`` holds one row per list entry as target columns; every
+    draw is one fancy-index into them.
     """
-    if not targets:
+    dst_hi, dst_lo, proto, dport = targets
+    size = len(dst_hi)
+    if not size:
         raise ValueError("target list must not be empty")
-    dst_hi, dst_lo, proto, dport = targets_to_columns(targets)
 
     def sample(rng: np.random.Generator, n: int) -> TargetColumns:
-        idx = rng.integers(0, len(targets), size=n)
+        idx = rng.integers(0, size, size=n)
         return dst_hi[idx], dst_lo[idx], proto[idx], dport[idx]
 
     return sample
@@ -261,13 +310,12 @@ class BgpWatcher(Strategy):
     def poll(self, since: float, until: float,
              rng: np.random.Generator) -> list[ProbeBatch]:
         batches = []
-        for prefix, visible_at in self.collectors.new_prefixes(
-            since, until
-        ).items():
+        window = self.collectors.window(since, until)
+        for prefix, visible_at in window.new.items():
             if prefix in self._seen:
                 continue
             self._seen.add(prefix)
-            if self.collectors.visibility_count(prefix, until) < self.min_collectors:
+            if window.visibility(prefix) < self.min_collectors:
                 continue
             d_rng = self._reaction_rng(prefix, rng)
             if d_rng.random() > self.attention_probability:
@@ -310,7 +358,7 @@ class ZoneFileWatcher(Strategy):
 
     def __init__(
         self,
-        new_names: Callable[[float, float], dict[str, float]],
+        new_names: Callable[[float, float], Mapping[str, float]],
         resolver: Resolver,
         peak_rate: float = 60.0,
         floor_rate: float = 2.0,
@@ -331,23 +379,27 @@ class ZoneFileWatcher(Strategy):
         self.probe_surrounding = probe_surrounding
         self.attention_probability = attention_probability
         self.ping_ratio = max(1, ping_ratio)
+        # ICMP liveness checks outnumber service probes for most scanners
+        # (§5.2: ICMPv6 is 91.6% of all unsolicited traffic); service-
+        # focused scanners pass ping_ratio=1.
+        self._layout: ProbeLayout = ((ICMPV6, 0),) * self.ping_ratio + (
+            ((TCP, 80), (TCP, 443)) if probe_web else ())
         self._seen: set[str] = set()
 
-    def _targets_for(self, addresses: Iterable[int]) -> list[ProbeTarget]:
-        targets = []
-        for addr in addresses:
-            # ICMP liveness checks outnumber service probes for most
-            # scanners (§5.2: ICMPv6 is 91.6% of all unsolicited traffic);
-            # service-focused scanners pass ping_ratio=1.
-            targets.extend([ProbeTarget(addr, ICMPV6)] * self.ping_ratio)
-            if self.probe_web:
-                for port in (80, 443):
-                    targets.append(ProbeTarget(addr, TCP, port))
-        return targets
+    def _surrounding(self, addresses: tuple[int, ...],
+                     rng: np.random.Generator) -> TargetColumns:
+        """Four ICMP probes at random low offsets of each address's /64."""
+        hi, _ = split_u64(addresses)
+        lo = np.array([int(rng.integers(1, 1 << 16))
+                       for _ in addresses for _ in range(4)], dtype=np.uint64)
+        n = len(lo)
+        return (np.repeat(hi, 4), lo, np.full(n, ICMPV6, dtype=np.uint8),
+                np.zeros(n, dtype=np.uint16))
 
     def poll(self, since: float, until: float,
              rng: np.random.Generator) -> list[ProbeBatch]:
         batches = []
+        window = AddressWindow.of(self.resolver, since, until)
         for name, published in self.new_names(since, until).items():
             if name in self._seen:
                 continue
@@ -355,18 +407,13 @@ class ZoneFileWatcher(Strategy):
             tld_weight = self.TLD_WEIGHTS.get(name.rsplit(".", 1)[-1], 0.5)
             if rng.random() > self.attention_probability * tld_weight:
                 continue
-            addresses = self.resolver.resolve_aaaa(name, at=published)
+            addresses = window.aaaa(name, published)
             if not addresses:
                 continue
-            targets = self._targets_for(addresses)
+            targets = window.columns(addresses, self._layout)
             if self.probe_surrounding:
-                for addr in addresses:
-                    base = (addr >> 64) << 64
-                    targets.extend(
-                        ProbeTarget(base | int(rng.integers(1, 1 << 16)),
-                                    ICMPV6)
-                        for _ in range(4)
-                    )
+                targets = tuple(map(np.concatenate, zip(
+                    targets, self._surrounding(addresses, rng))))
             start = published + rng.exponential(self.reaction_delay)
             batches.append(ProbeBatch(
                 trigger="zonefile",
@@ -410,31 +457,28 @@ class CtLogWatcher(Strategy):
         self.reaction_delay = reaction_delay
         self.interaction_oracle = interaction_oracle
         self.ping_ratio = max(1, ping_ratio)
+        # Liveness pings accompany (and usually outnumber) the service
+        # probes, per the overall ICMP dominance of §5.2.
+        self._layout: ProbeLayout = (
+            (TCP, 443), (TCP, 80)) + ((ICMPV6, 0),) * self.ping_ratio
         self._seen: set[str] = set()
 
     def poll(self, since: float, until: float,
              rng: np.random.Generator) -> list[ProbeBatch]:
         batches = []
+        window = AddressWindow.of(self.resolver, since, until)
         for name, logged_at in self.ct_log.names_between(since, until).items():
             if name in self._seen:
                 continue
             self._seen.add(name)
-            addresses = self.resolver.resolve_aaaa(name, at=logged_at)
+            addresses = window.aaaa(name, logged_at)
             if not addresses:
                 continue
-            targets = []
-            for addr in addresses:
-                targets.append(ProbeTarget(addr, TCP, 443))
-                targets.append(ProbeTarget(addr, TCP, 80))
-                # Liveness pings accompany (and usually outnumber) the
-                # service probes, per the overall ICMP dominance of §5.2.
-                targets.extend([ProbeTarget(addr, ICMPV6)] * self.ping_ratio)
+            targets = window.columns(addresses, self._layout)
             factor = 1.0
             if self.interaction_oracle is not None:
-                level = max(
-                    self.interaction_oracle(addr, logged_at)
-                    for addr in addresses
-                )
+                level = window.level(self.interaction_oracle, addresses,
+                                     logged_at)
                 factor = self.ENGAGEMENT_FACTORS[level]
             start = logged_at + float(rng.exponential(self.reaction_delay))
             batches.append(ProbeBatch(
@@ -496,41 +540,30 @@ class HitlistConsumer(Strategy):
         self._seen_aliased: set[IPv6Prefix] = set()
         self._current_batch: ProbeBatch | None = None
 
-    _CATEGORY_PROBES = {
-        HitlistCategory.ICMP: (ICMPV6, 0),
-        HitlistCategory.TCP80: (TCP, 80),
-        HitlistCategory.TCP443: (TCP, 443),
-        HitlistCategory.UDP53: (UDP, 53),
-    }
-
-    @classmethod
-    def _target_for(cls, entry) -> ProbeTarget | None:
-        probe = cls._CATEGORY_PROBES.get(entry.category)
-        if probe is None:
-            return None
-        return ProbeTarget(entry.address, probe[0], probe[1])
-
-    def _rebuild_targets(self, at: float) -> list[ProbeTarget]:
-        """Build the weighted target list from the current hitlist snapshot.
+    def _target_columns(self, at: float) -> TargetColumns | None:
+        """The weighted target list for the current hitlist snapshot.
 
         A real consumer downloads the whole published list each time, so
         delisted addresses (removed entries) drop out here — the mechanism
         by which scanning dies within hours-to-days of a BGP retraction.
+        The snapshot's target columns and oracle levels are shared by
+        every consumer; only the weighting is this consumer's own: each
+        listed address becomes ``weight`` identical rows.  None when the
+        list has no rows.
         """
-        snapshot = self.hitlist.snapshot_at(at)
-        targets: list[ProbeTarget] = []
-        for category, (proto, port) in self._CATEGORY_PROBES.items():
-            if self.categories and category not in self.categories:
-                continue
-            for addr in snapshot.addresses.get(category, ()):
-                weight = (self.icmp_weight
-                          if category is HitlistCategory.ICMP else 1)
-                if self.interaction_oracle is not None:
-                    weight *= self.ENGAGEMENT_WEIGHTS[
-                        self.interaction_oracle(addr, at)
-                    ]
-                targets.extend([ProbeTarget(addr, proto, port)] * weight)
-        return targets
+        view = self.hitlist.address_columns(at)
+        per_category = np.array([
+            0 if self.categories and category not in self.categories
+            else self.icmp_weight if category is HitlistCategory.ICMP else 1
+            for category in ADDRESS_CATEGORIES
+        ], dtype=np.int64)
+        weight = per_category[view.category]
+        if self.interaction_oracle is not None:
+            engagement = np.asarray(self.ENGAGEMENT_WEIGHTS, dtype=np.int64)
+            weight *= engagement[view.levels(self.interaction_oracle, at)]
+        if not weight.any():
+            return None
+        return tuple(np.repeat(column, weight) for column in view.targets)
 
     def poll(self, since: float, until: float,
              rng: np.random.Generator) -> list[ProbeBatch]:
@@ -571,12 +604,12 @@ class HitlistConsumer(Strategy):
             # traffic instead of diluting existing targets.
             if self._current_batch is not None:
                 self._current_batch.cancel(until)
-            targets = self._rebuild_targets(until)
-            if not targets:
+            targets = self._target_columns(until)
+            if targets is None:
                 return batches
             start = (first_published if first_published is not None
                      else until) + float(rng.exponential(self.reaction_delay))
-            budget = max(1.0, len(targets) / 40.0)
+            budget = max(1.0, len(targets[0]) / 40.0)
             self._current_batch = ProbeBatch(
                 trigger="hitlist",
                 start=start,
@@ -626,8 +659,11 @@ class RdnsWalkerStrategy(Strategy):
                     fresh.append(addr)
         if not fresh:
             return []
-        targets = [ProbeTarget(a, ICMPV6) for a in fresh]
-        targets += [ProbeTarget(a, TCP, 22) for a in fresh]
+        hi, lo = split_u64(fresh)
+        n = len(fresh)
+        targets = (np.concatenate([hi, hi]), np.concatenate([lo, lo]),
+                   np.repeat(np.array([ICMPV6, TCP], dtype=np.uint8), n),
+                   np.repeat(np.array([0, 22], dtype=np.uint16), n))
         return [ProbeBatch(
             trigger="rdns",
             start=until,

@@ -111,12 +111,8 @@ class InternetFabric:
         through CT (the paper's "s always came with S" finding depends on
         this asymmetry).
         """
-        for tld in self.registrar.tlds:
-            for domain, published in self.registrar.tld(tld).new_domains(
-                since, until
-            ).items():
-                for addr in self.resolver.resolve_aaaa(domain, at=until):
-                    yield addr
+        for domain in self.registrar.new_domains(since, until):
+            yield from self.resolver.resolve_aaaa(domain, at=until)
 
     def _ct_candidates(self, since: float, until: float):
         """AAAA targets of names newly appearing in CT logs."""

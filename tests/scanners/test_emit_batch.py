@@ -20,11 +20,10 @@ from repro.scanners.agent import ScannerAgent
 from repro.scanners.identity import AllocationMode, ScannerIdentity
 from repro.scanners.strategies import (
     ProbeBatch,
-    ProbeTarget,
     ProtocolProfile,
     Strategy,
+    layout_columns,
     prefix_sampler,
-    targets_to_columns,
 )
 
 SOURCE_PREFIX = IPv6Prefix.parse("2a0e:5c00::/30")
@@ -168,18 +167,18 @@ class TestAllocatorModes:
             assert len(sources) <= 8
 
 
-class TestTargetsToColumns:
-    def test_targets_to_columns(self):
-        targets = [ProbeTarget(TARGET_PREFIX.network | 1, ICMPV6),
-                   ProbeTarget(TARGET_PREFIX.network | 2, TCP, 443)]
-        dst_hi, dst_lo, proto, dport = targets_to_columns(targets)
-        assert dst_hi.tolist() == [TARGET_PREFIX.network >> 64] * 2
-        assert dst_lo.tolist() == [1, 2]
-        assert proto.tolist() == [ICMPV6, TCP]
-        assert dport.tolist() == [0, 443]
+class TestLayoutColumns:
+    def test_layout_columns(self):
+        addresses = (TARGET_PREFIX.network | 1, TARGET_PREFIX.network | 2)
+        dst_hi, dst_lo, proto, dport = layout_columns(
+            addresses, ((ICMPV6, 0), (TCP, 443)))
+        assert dst_hi.tolist() == [TARGET_PREFIX.network >> 64] * 4
+        assert dst_lo.tolist() == [1, 1, 2, 2]
+        assert proto.tolist() == [ICMPV6, TCP, ICMPV6, TCP]
+        assert dport.tolist() == [0, 443, 0, 443]
 
-    def test_targets_to_columns_empty(self):
-        dst_hi, dst_lo, proto, dport = targets_to_columns([])
+    def test_layout_columns_empty(self):
+        dst_hi, dst_lo, proto, dport = layout_columns((), ((ICMPV6, 0),))
         assert len(dst_hi) == len(dst_lo) == len(proto) == len(dport) == 0
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.datasets.asdb import AsCategory
-from repro.net.addr import IPv6Prefix
+from repro.net.addr import IPv6Prefix, join_u64
 from repro.scanners.identity import (
     AllocationMode,
     ScannerIdentity,
@@ -23,6 +23,13 @@ def _identity(**kwargs):
     return ScannerIdentity(**defaults)
 
 
+def _sources(allocator, n):
+    """``n`` source draws from ``sources_batch``, as int addresses."""
+    hi, lo = allocator.sources_batch(n)
+    assert len(hi) == len(lo) == n
+    return join_u64(hi, lo)
+
+
 class TestValidation:
     def test_rejects_bad_asn(self):
         with pytest.raises(ValueError):
@@ -38,7 +45,7 @@ class TestValidation:
 class TestFixed:
     def test_single_stable_source(self):
         allocator = SourceAllocator(_identity(), rng=0)
-        sources = {allocator.source() for _ in range(20)}
+        sources = set(_sources(allocator, 20))
         assert len(sources) == 1
         assert next(iter(sources)) in PREFIX
 
@@ -49,7 +56,7 @@ class TestSmallPool:
             _identity(allocation=AllocationMode.SMALL_POOL, pool_size=46),
             rng=0,
         )
-        sources = {allocator.source() for _ in range(2000)}
+        sources = set(_sources(allocator, 2000))
         assert len(sources) == 46
 
     def test_clustered_pool_shapes_64s(self):
@@ -59,7 +66,7 @@ class TestSmallPool:
                       pool_size=400, pool_subnets=4),
             rng=0,
         )
-        sources = {allocator.source() for _ in range(20_000)}
+        sources = set(_sources(allocator, 20_000))
         subnets = {s >> 64 for s in sources}
         assert len(sources) == 400
         assert len(subnets) == 4
@@ -78,11 +85,13 @@ class TestPerSession:
         allocator = SourceAllocator(
             _identity(allocation=AllocationMode.PER_SESSION), rng=0,
         )
-        first = allocator.source()
-        assert allocator.source() == first  # stable within a session
+        first = set(_sources(allocator, 5))
+        assert len(first) == 1  # stable within a session
+        assert set(_sources(allocator, 5)) == first
         allocator.new_session()
-        assert allocator.source() != first
-        assert len(allocator.used) == 2
+        second = set(_sources(allocator, 5))
+        assert len(second) == 1 and second != first
+        assert allocator.used == first | second
 
 
 class TestPerPacket:
@@ -90,7 +99,7 @@ class TestPerPacket:
         allocator = SourceAllocator(
             _identity(allocation=AllocationMode.PER_PACKET), rng=0,
         )
-        sources = [allocator.source() for _ in range(100)]
+        sources = _sources(allocator, 100)
         assert len(set(sources)) == 100
         assert all(s in PREFIX for s in sources)
 

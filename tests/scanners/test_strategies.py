@@ -26,10 +26,14 @@ from repro.scanners.strategies import (
     ZoneFileWatcher,
     address_list_sampler,
     prefix_sampler,
-    ProbeTarget,
 )
 from repro.tlsca.cert import Certificate
 from repro.tlsca.ctlog import CtLog
+from tests.scanners.reference import (
+    ProbeTarget,
+    columns_to_targets,
+    targets_to_columns,
+)
 
 PREFIX = IPv6Prefix.parse("2001:db8:5::/48")
 ICMP_ONLY = ProtocolProfile(icmp_weight=1.0)
@@ -39,10 +43,9 @@ ICMP_SAMPLER = prefix_sampler(PREFIX, ICMP_ONLY)
 def _draw(sampler, rng, n):
     """Draw ``n`` targets, zipping the sampler's columns into
     :class:`ProbeTarget` values."""
-    dst_hi, dst_lo, proto, dport = sampler(rng, n)
-    assert len(dst_hi) == len(dst_lo) == len(proto) == len(dport) == n
-    return [ProbeTarget((hi << 64) | lo, p, d) for hi, lo, p, d in zip(
-        dst_hi.tolist(), dst_lo.tolist(), proto.tolist(), dport.tolist())]
+    columns = sampler(rng, n)
+    assert all(len(column) == n for column in columns)
+    return columns_to_targets(columns)
 
 
 class TestProbeBatch:
@@ -82,13 +85,13 @@ class TestSamplers:
 
     def test_address_list_sampler(self, rng):
         targets = [ProbeTarget(1, ICMPV6), ProbeTarget(2, TCP, 80)]
-        sampler = address_list_sampler(targets)
+        sampler = address_list_sampler(targets_to_columns(targets))
         drawn = _draw(sampler, rng, 50)
         assert set(t.address for t in drawn) <= {1, 2}
 
     def test_address_list_sampler_rejects_empty(self):
         with pytest.raises(ValueError):
-            address_list_sampler([])
+            address_list_sampler(targets_to_columns([]))
 
     def test_protocol_profile_mix(self, rng):
         profile = ProtocolProfile(icmp_weight=0.5, tcp_weight=0.5,

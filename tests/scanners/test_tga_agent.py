@@ -12,17 +12,17 @@ from repro.scanners.identity import AllocationMode, ScannerIdentity
 from repro.scanners.strategies import (
     AmbientScanner,
     ProbeBatch,
-    ProbeTarget,
     ProtocolProfile,
     Strategy,
     address_list_sampler,
 )
 from repro.scanners.tga import NibblePattern, PatternTga, mine_patterns
+from tests.scanners.reference import ProbeTarget, targets_to_columns
 
 PREFIX = IPv6Prefix.parse("2001:db8:5::/48")
 
 #: Every probe at address 1 over ICMPv6.
-TO_ONE = address_list_sampler([ProbeTarget(1, ICMPV6)])
+TO_ONE = address_list_sampler(targets_to_columns([ProbeTarget(1, ICMPV6)]))
 
 
 def _sources(batch):
@@ -186,8 +186,8 @@ class TestScannerAgent:
         prefix = IPv6Prefix.parse("2001:db8:5::/48")
         batch = ProbeBatch(
             "bgp", start=0.0,
-            sampler=address_list_sampler(
-                [ProbeTarget(prefix.network | 1, ICMPV6)]),
+            sampler=address_list_sampler(targets_to_columns(
+                [ProbeTarget(prefix.network | 1, ICMPV6)])),
             peak_rate=100.0, floor_rate=100.0, subject_prefix=prefix,
         )
         agent = ScannerAgent(_agent(), [_OneShot(batch)], rng=0)
