@@ -1,6 +1,6 @@
 """Parallel execution and result caching for the reproduction suite.
 
-Three coordinated pieces, in the shape of a training/inference stack's
+Coordinated pieces, in the shape of a training/inference stack's
 data-parallel + artifact-cache tier:
 
 * :mod:`repro.exec.pool` — :func:`run_experiments`, the process-pool
@@ -11,12 +11,14 @@ data-parallel + artifact-cache tier:
   fan-out primitive shared with the jobs-aware experiment drivers
   (``table4``/``fig7``/``fig8``/``fig10``);
 * :mod:`repro.exec.shard` — :class:`ShardPool`, intra-scenario agent
-  sharding (``python -m repro run --jobs N``);
+  sharding (``python -m repro run --jobs N``), and
+  :func:`run_sharded_days`, which yields each merged day to the runner's
+  one day loop;
 * the checkpoint layer in :mod:`repro.exec.freeze` —
   :func:`save_checkpoint`/:func:`load_checkpoint`, resumable engine-state
   snapshots at day boundaries (``--checkpoint``/``--resume``).
 
-All three uphold one determinism contract: output bytes depend only on the
+All of them uphold one determinism contract: output bytes depend only on the
 configuration (seeds included), never on ``jobs``, worker identity, or
 cache state.  See the "Parallel execution & scenario cache" section of
 ``docs/ARCHITECTURE.md``.

@@ -274,24 +274,26 @@ def merge_day(scenario, journal, day: int, parent_records,
 
 
 def run_sharded_days(scenario, pool: ShardPool, *, start_day: int,
-                     duration: int, window_days: int,
-                     progress: bool = False, on_day_end=None,
-                     on_window_end=None) -> None:
-    """Drive the day loop across the pool in day windows.
+                     duration: int, window_days: int):
+    """Drive the day loop across the pool; yields ``(day, emitted)``.
 
-    For each window the parent first posts the work, then advances its
-    own engine through the same days (buffering its deploy/retract
-    records with event ordinals) while the workers emit and dispatch —
-    the overlap that makes sharding pay — and finally merges.
-    ``on_day_end(day)`` runs after each day's merge (the runner feeds the
-    streaming analyzers there — at that point the parent capturers hold
-    exactly that day's rows); ``on_window_end(next_day)`` runs after each
-    merged window (checkpoint saves and the abort-for-testing path).
+    Days run in windows aligned to multiples of ``window_days`` (the
+    checkpoint cadence), so every cadence day is a window end and a
+    checkpoint never lands while the parent's engine is ahead of the
+    merged captures.  For each window the parent first posts the work,
+    then advances its own engine through the same days (buffering its
+    deploy/retract records with event ordinals) while the workers emit
+    and dispatch — the overlap that makes sharding pay — and finally
+    merges.  Each day is yielded right after its merge: at that point the
+    parent capturers hold exactly that day's rows and the journal ends
+    with that day's record.
     """
     journal = get_journal()
     window_days = max(1, int(window_days))
-    for window_start in range(start_day, duration, window_days):
-        window_end = min(window_start + window_days, duration)
+    window_start = start_day
+    while window_start < duration:
+        window_end = min((window_start // window_days + 1) * window_days,
+                         duration)
         pool.send_window(window_start, window_end)
         parent_days = []
         for day in range(window_start, window_end):
@@ -308,11 +310,5 @@ def run_sharded_days(scenario, pool: ShardPool, *, start_day: int,
                 scenario, journal, day, parent_days[offset],
                 [per_worker[offset] for per_worker in worker_days],
             )
-            if progress and day % 10 == 0:
-                counters = scenario.counters
-                print(f"day {day}: {emitted} packets "
-                      f"(NT-A {counters.nta}, NT-C {counters.ntc})")
-            if on_day_end is not None:
-                on_day_end(day)
-        if on_window_end is not None:
-            on_window_end(window_end)
+            yield day, emitted
+        window_start = window_end

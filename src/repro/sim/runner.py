@@ -1,4 +1,12 @@
-"""End-to-end experiment runner and result bundle."""
+"""End-to-end experiment runner and result bundle.
+
+:func:`run_scenario` builds the scenario and runs its days through one
+loop.  A day comes either from :meth:`PaperScenario.run_day` (serial) or
+from :func:`repro.exec.shard.run_sharded_days` (``jobs > 1``, yielded
+after each day's merge); the loop body is the same for both: the
+progress line, the streaming feed (and observatory), the cadence
+checkpoint, and the ``abort_after_day`` test hook, in that order.
+"""
 
 from __future__ import annotations
 
@@ -27,10 +35,12 @@ from repro.sim.scenario import PaperScenario, ScenarioConfig
 
 
 class SimulationAborted(RuntimeError):
-    """Raised by ``run_scenario(abort_after_day=...)`` — the test hook
-    simulating a process killed mid-horizon.  Any state the run was asked
-    to persist (checkpoints, journal lines) is already on disk when this
-    raises, exactly as it would be at a real kill between day windows."""
+    """Raised by ``run_scenario(abort_after_day=N)`` once day N has
+    completed, serial or sharded — the test hook simulating a process
+    killed mid-horizon.  Any state the run was asked to persist
+    (checkpoints, journal lines, observer day files) is already on disk
+    when this raises, exactly as it would be at a real kill between two
+    days."""
 
 #: A /48-truncated address has its low 80 bits zeroed; prefixes whose
 #: network keeps any of those bits set can never equal a truncated net.
@@ -149,8 +159,8 @@ class ScenarioResult:
         return GroundTruthRecords.concat(list(self.truth.values()))
 
 
-#: Checkpoints (and the sharded path's day windows) land every this many
-#: days unless overridden.
+#: Checkpoints land every this many days unless overridden; sharded day
+#: windows end on the same multiples.
 DEFAULT_CHECKPOINT_EVERY = 10
 
 
@@ -160,7 +170,6 @@ def run_scenario(
     cache_dir=None,
     *,
     jobs: int = 1,
-    pipeline: bool = False,
     checkpoint_dir=None,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     resume: bool = False,
@@ -191,18 +200,18 @@ def run_scenario(
     Execution modes (all byte-identical in records, counters, and journal
     — the non-negotiable determinism contract):
 
-    * ``jobs > 1`` shards the day loop across that many replicated worker
-      processes (:mod:`repro.exec.shard`).
-    * ``pipeline=True`` overlaps emission with dispatch on a second
-      thread (:class:`repro.sim.pipeline.DispatchPipeline`); serial-mode
-      only — the sharded path ignores it (workers already overlap).
+    * ``jobs > 1`` shards the agents of each day across that many
+      replicated worker processes (:mod:`repro.exec.shard`); the days run
+      through the same loop as a serial run.
     * ``checkpoint_dir`` saves a resumable engine-state checkpoint every
       ``checkpoint_every`` days; with ``resume=True`` a usable checkpoint
       is loaded, the covered days are fast-forwarded without re-emitting
       a single packet, and the journal records emitted before the
       checkpoint are replayed verbatim into the active journal.
     * ``abort_after_day=N`` raises :class:`SimulationAborted` once day N
-      has completed (sharded runs: once N's window has merged) — the test
+      has completed (fed to the analyzers and the observatory, and
+      checkpointed if N + 1 is a cadence day), in every mode: an aborted
+      run's journal and observatory files end with day N.  It is the test
       hook for kill/resume equivalence.
 
     Memory-bounded modes (each changes what is held, never what is
@@ -231,7 +240,7 @@ def run_scenario(
     rates, new-source discovery, tactic mix, honeyprefix reaction
     latency) written into the directory, mirrored to
     ``observations.jsonl``, and indexed at the end.  Requires
-    ``stream_analysis=True``; composes with ``jobs``, ``pipeline``, and
+    ``stream_analysis=True``; composes with ``jobs`` and
     ``checkpoint_dir`` (the observer cursor rides in the checkpoint).
     """
     config = config if config is not None else ScenarioConfig()
@@ -346,7 +355,7 @@ def run_scenario(
                          seed=config.seed):
             scenario = _simulate(
                 config, checkpoint, start_day, progress=progress, jobs=jobs,
-                pipeline=pipeline, checkpoint_dir=checkpoint_dir,
+                checkpoint_dir=checkpoint_dir,
                 checkpoint_every=checkpoint_every,
                 abort_after_day=abort_after_day, streams=streams,
                 observatory=observatory,
@@ -446,129 +455,92 @@ def _feed_streams(scenario, streams, journal, day: int,
         observatory.observe_day(day, scenario, streams, drained)
 
 
-def _simulate(config, checkpoint, start_day, *, progress, jobs, pipeline,
+def _simulate(config, checkpoint, start_day, *, progress, jobs,
               checkpoint_dir, checkpoint_every, abort_after_day,
               streams=None, observatory=None, spill_dir=None,
               spill_budget_bytes=None):
-    """Build (or rebuild-and-fast-forward) the scenario and run its days
-    in the requested execution mode; returns the run scenario."""
+    """Build (or rebuild-and-fast-forward) the scenario and run its days;
+    returns the run scenario.
+
+    Serial and sharded runs share one day loop: only where ``days`` comes
+    from differs.  Sharded windows end on multiples of the checkpoint
+    cadence, so every checkpoint day is a window end.
+    """
     registry = get_registry()
     tracer = get_tracer()
     journal = get_journal()
     duration = config.duration_days
+    cadence = max(1, checkpoint_every)
     chash = config_hash(config)
 
-    def enable_spill(scenario):
-        if spill_dir is None:
-            return
-        for cap in _scenario_capturers(scenario).values():
-            if spill_budget_bytes is not None:
-                cap.enable_spill(spill_dir, spill_budget_bytes)
-            else:
-                cap.enable_spill(spill_dir)
-
-    def maybe_checkpoint(scenario, next_day):
-        """Save at the cadence boundary; the ``checkpoint`` record goes
-        out *before* the file is written so the checkpoint carries its own
-        record and a resumed journal replays it in place."""
-        if (checkpoint_dir is not None and next_day < duration
-                and next_day % max(1, checkpoint_every) == 0):
-            from repro.exec.freeze import capture_checkpoint, save_checkpoint
-
-            journal.emit("checkpoint", day=next_day, config_hash=chash)
-            save_checkpoint(
-                checkpoint_dir,
-                capture_checkpoint(
-                    scenario, next_day, journal.plain_records(),
-                    streaming=streams,
-                    observatory=(observatory.checkpoint_state()
-                                 if observatory is not None else None)),
-                config,
-            )
-
+    pool = None
     if jobs > 1:
-        from repro.exec.freeze import restore_checkpoint
         from repro.exec.shard import ShardPool, run_sharded_days
 
         # Spawn first: worker replicas build while the parent builds.
         pool = ShardPool(config, jobs, start_day)
-        try:
-            with registry.timer("scenario.build"), \
-                    tracer.span("scenario.build"):
-                scenario = PaperScenario(config)
-                if checkpoint is not None:
-                    restore_checkpoint(scenario, checkpoint)
-                if start_day:
-                    with use_journal(None):
-                        for day in range(start_day):
-                            scenario.replay_day(day, agents=False)
-                enable_spill(scenario)
-            sample_peak_rss(registry, stage="build")
+    try:
+        with registry.timer("scenario.build"), \
+                tracer.span("scenario.build"):
+            scenario = PaperScenario(config)
+            if checkpoint is not None:
+                from repro.exec.freeze import restore_checkpoint
 
-            on_day_end = None
-            if streams is not None:
-                def on_day_end(day):
-                    _feed_streams(scenario, streams, journal, day,
-                                  observatory=observatory)
+                restore_checkpoint(scenario, checkpoint)
+            if start_day:
+                # The sharded parent never polls: it advances the engine
+                # alone and the workers replay their own agents.
+                with use_journal(None):
+                    for day in range(start_day):
+                        scenario.replay_day(day, agents=pool is None)
+            if spill_dir is not None:
+                for cap in _scenario_capturers(scenario).values():
+                    if spill_budget_bytes is not None:
+                        cap.enable_spill(spill_dir, spill_budget_bytes)
+                    else:
+                        cap.enable_spill(spill_dir)
+        sample_peak_rss(registry, stage="build")
 
-            def on_window_end(next_day):
-                maybe_checkpoint(scenario, next_day)
-                if abort_after_day is not None and next_day > abort_after_day:
-                    raise SimulationAborted(
-                        f"aborted after day window ending at {next_day}")
-
-            with registry.timer("scenario.run"), \
-                    tracer.span("scenario.run", jobs=jobs):
-                run_sharded_days(
-                    scenario, pool, start_day=start_day, duration=duration,
-                    window_days=max(1, checkpoint_every), progress=progress,
-                    on_day_end=on_day_end, on_window_end=on_window_end,
-                )
-        finally:
-            pool.close()
-        return scenario
-
-    with registry.timer("scenario.build"), tracer.span("scenario.build"):
-        scenario = PaperScenario(config)
-        if checkpoint is not None:
-            from repro.exec.freeze import restore_checkpoint
-
-            restore_checkpoint(scenario, checkpoint)
-        if start_day:
-            with use_journal(None):
-                for day in range(start_day):
-                    scenario.replay_day(day)
-        enable_spill(scenario)
-    sample_peak_rss(registry, stage="build")
-    with registry.timer("scenario.run"), tracer.span("scenario.run"):
-        pipe = None
-        if pipeline:
-            from repro.sim.pipeline import DispatchPipeline
-
-            pipe = DispatchPipeline(scenario)
-        try:
-            for day in range(start_day, duration):
-                emitted = (pipe.run_day(day) if pipe is not None
-                           else scenario.run_day(day))
+        if pool is None:
+            days = ((day, scenario.run_day(day))
+                    for day in range(start_day, duration))
+        else:
+            days = run_sharded_days(scenario, pool, start_day=start_day,
+                                    duration=duration, window_days=cadence)
+        with registry.timer("scenario.run"), \
+                tracer.span("scenario.run", jobs=jobs):
+            for day, emitted in days:
                 if progress and day % 10 == 0:
                     counters = scenario.counters
                     print(f"day {day}: {emitted} packets "
                           f"(NT-A {counters.nta}, NT-C {counters.ntc})")
-                next_day = day + 1
-                if pipe is not None and (streams is not None
-                                         or checkpoint_dir is not None):
-                    # Captures must be settled before they are drained
-                    # into the analyzers or snapshot into a checkpoint.
-                    pipe.drain()
                 if streams is not None:
                     _feed_streams(scenario, streams, journal, day,
                                   observatory=observatory)
-                maybe_checkpoint(scenario, next_day)
+                next_day = day + 1
+                if (checkpoint_dir is not None and next_day < duration
+                        and next_day % cadence == 0):
+                    # The record goes out *before* the file is written so
+                    # the checkpoint carries its own record and a resumed
+                    # journal replays it in place.
+                    from repro.exec.freeze import (capture_checkpoint,
+                                                   save_checkpoint)
+
+                    journal.emit("checkpoint", day=next_day,
+                                 config_hash=chash)
+                    save_checkpoint(
+                        checkpoint_dir,
+                        capture_checkpoint(
+                            scenario, next_day, journal.plain_records(),
+                            streaming=streams,
+                            observatory=(observatory.checkpoint_state()
+                                         if observatory is not None
+                                         else None)),
+                        config,
+                    )
                 if abort_after_day is not None and day >= abort_after_day:
-                    if pipe is not None:
-                        pipe.drain()
                     raise SimulationAborted(f"aborted after day {day}")
-        finally:
-            if pipe is not None:
-                pipe.close()
+    finally:
+        if pool is not None:
+            pool.close()
     return scenario

@@ -473,11 +473,9 @@ class PaperScenario:
 
         Computes every membership mask over the shared ``dst_hi`` column,
         updates :class:`DispatchCounters` from the mask sums, and returns
-        ``(handler, sub_batch)`` pairs in fixed NT-A, NT-B, NT-C order —
-        the fan-out stage the day pipeline's dispatcher consumes.
-        Counters are settled *here*, before any handler runs, so emitted
-        accounting never depends on how (or on which thread) the parts
-        are delivered.
+        ``(handler, sub_batch)`` pairs in fixed NT-A, NT-B, NT-C order,
+        which :meth:`dispatch_batch` then delivers.  Counters are settled
+        *here*, before any handler runs.
         """
         nta = batch.mask_dst_in(self.nta_covering)
         shift = np.uint64(16)
@@ -576,10 +574,7 @@ class PaperScenario:
                 agent.replay_day(day_start, day_end)
         self._last_poll = day_end
 
-    def run(self, progress: bool = False) -> None:
+    def run(self) -> None:
         """Run the whole configured window."""
         for day in range(self.config.duration_days):
-            n = self.run_day(day)
-            if progress and day % 10 == 0:
-                print(f"day {day}: {n} packets "
-                      f"(NT-A {self.counters.nta}, NT-C {self.counters.ntc})")
+            self.run_day(day)

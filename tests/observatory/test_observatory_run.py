@@ -3,15 +3,18 @@
 The reproducibility contract under test: the data directory a streaming
 observatory run writes — every per-day file, the ``observations.jsonl``
 mirror, the index, the manifest — is byte-identical across serial,
-``--jobs N``, ``--pipeline``, and killed-and-resumed executions of one
-config.  Plus the mode guards: the observer only rides a streaming run,
-and a checkpoint can only resume into the observation mode that wrote it.
+``--jobs N``, and killed-and-resumed executions of one config, and an
+aborted run stops after the same day in every mode.  Plus the mode
+guards: the observer only rides a streaming run, and a checkpoint can
+only resume into the observation mode that wrote it.
 """
 
+import io
 from pathlib import Path
 
 import pytest
 
+from repro.obs import Journal, use_journal
 from repro.observatory import Observatory, ObservatoryError, ObservatoryState
 from repro.sim import ScenarioConfig, SimulationAborted, run_scenario
 
@@ -35,10 +38,26 @@ class TestByteIdentity:
         run_observatory(tmp_path / "data", jobs=2)
         assert _dir_bytes(tmp_path / "data") == _dir_bytes(golden)
 
-    def test_pipeline_matches_serial(self, serial_observatory, tmp_path):
-        golden, _ = serial_observatory
-        run_observatory(tmp_path / "data", pipeline=True)
-        assert _dir_bytes(tmp_path / "data") == _dir_bytes(golden)
+    def test_aborted_jobs2_matches_aborted_serial(self, tmp_path):
+        """``abort_after_day=N`` stops after day N in both modes, even
+        when N is not the end of a checkpoint window."""
+        outputs = []
+        for jobs in (1, 2):
+            data = tmp_path / f"data-{jobs}"
+            buffer = io.StringIO()
+            with use_journal(Journal(buffer)):
+                with pytest.raises(SimulationAborted):
+                    run_observatory(data, jobs=jobs,
+                                    checkpoint_dir=tmp_path / f"ckpt-{jobs}",
+                                    checkpoint_every=CADENCE,
+                                    abort_after_day=ABORT_AFTER)
+            outputs.append((buffer.getvalue(), _dir_bytes(data)))
+        (serial_journal, serial_files), (sharded_journal, sharded_files) \
+            = outputs
+        assert sharded_journal == serial_journal
+        assert sharded_files == serial_files
+        assert f"observer-{ABORT_AFTER:05d}.json" in serial_files
+        assert f"observer-{ABORT_AFTER + 1:05d}.json" not in serial_files
 
     def test_killed_and_resumed_matches_serial(self, serial_observatory,
                                                tmp_path):

@@ -11,6 +11,8 @@ records.
 """
 
 import io
+import json
+import shutil
 
 import numpy as np
 import pytest
@@ -143,3 +145,26 @@ class TestResumeSharded:
         resumed, journal = _run(tmp_path, resume=True)
         _assert_identical(base_result, resumed)
         assert journal == base_journal
+
+    def test_sharded_resume_with_new_cadence_checkpoints_like_serial(
+            self, tmp_path):
+        """Resuming at day 5 with cadence 4 must checkpoint at day 8 in
+        both modes: sharded windows end on cadence multiples, not on
+        ``resume day + cadence``."""
+        with pytest.raises(SimulationAborted):
+            run_scenario(_config(), checkpoint_dir=tmp_path / "killed",
+                         checkpoint_every=5, abort_after_day=6)
+        journals = []
+        for jobs in (1, 2):
+            ckpt = tmp_path / f"resume-{jobs}"
+            shutil.copytree(tmp_path / "killed", ckpt)
+            buffer = io.StringIO()
+            with use_journal(Journal(buffer)):
+                run_scenario(_config(), checkpoint_dir=ckpt,
+                             checkpoint_every=4, resume=True, jobs=jobs)
+            journals.append(buffer.getvalue())
+        serial, sharded = journals
+        records = [json.loads(line) for line in serial.splitlines()]
+        assert [r["day"] for r in records if r["type"] == "checkpoint"] \
+            == [5, 8]
+        assert sharded == serial
