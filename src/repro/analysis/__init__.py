@@ -24,7 +24,6 @@ from repro.analysis.campaigns import (
     cluster_campaigns,
 )
 from repro.analysis.streaming import (
-    FlowTracker,
     SessionTracker,
     StreamAnalyzer,
     StreamSummary,
@@ -54,7 +53,6 @@ __all__ = [
     "Campaign",
     "campaign_summary",
     "cluster_campaigns",
-    "FlowTracker",
     "SessionTracker",
     "StreamAnalyzer",
     "StreamSummary",

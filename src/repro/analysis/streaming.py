@@ -1,27 +1,36 @@
-"""Incremental (online) scan detection and flow aggregation.
+"""Incremental (online) scan detection.
 
-:func:`~repro.analysis.scandetect.detect_scans` and
-:func:`~repro.analysis.flows.aggregate_flows` lexsort the *entire run* at
-the end — memory scales with total packet count.  This module evaluates the
-same definitions online: a :class:`SessionTracker` (and its 5-tuple
-sibling :class:`FlowTracker`) consumes per-day :class:`PacketRecords`
-chunks, carries open sessions across chunk boundaries, and emits exactly
-the event list the batch path would — element-identical at every
-aggregation level, pinned by randomized equivalence tests.
+:func:`~repro.analysis.scandetect.detect_scans` lexsorts the *entire run*
+at the end — memory scales with total packet count.  This module evaluates
+the same definition online: a :class:`SessionTracker` consumes per-day
+:class:`PacketRecords` chunks, carries open sessions across chunk
+boundaries, and emits exactly the event list the batch path would —
+element-identical at every aggregation level, pinned by randomized
+equivalence tests.
 
-The trick that keeps each chunk fully columnar is the **synthetic carry
-row**: every open session contributes one sentinel row (timestamp = the
-session's last packet, destination = one of its already-counted targets)
-that is prepended to the chunk before the per-chunk lexsort.  The ordinary
-gap rule then decides continuation for free — if the session's first real
-packet in this chunk arrives within the timeout, it lands in the sentinel's
-segment and the session extends; if not, the sentinel forms a lone segment
-and the carried session closes with its stored stats.  Because the
-sentinel's destination is already a member of the open session's target
-set, the segment's unique-target union is unpolluted.  Only segments that
-touch a carry row or survive the chunk's horizon are handled in Python;
-everything else — the overwhelming majority — closes through the same
-vectorized path as the batch kernel.
+**One day index per chunk.**  A :class:`DayIndex` sorts what every
+aggregation level shares exactly once: a stable timestamp rank, dense
+/128 source ids numbered in address order (masking that small sorted
+table of distinct sources to a prefix length keeps it sorted, so each
+level's ids follow from the table alone), and dense destination ids.
+Each level then needs one single-key int64 argsort — ``(source id,
+timestamp rank)`` lays its sessions out — and one int64 sort —
+``(segment, destination id)`` counts their distinct targets.  The
+observer reads each level's distinct sources from the same index
+(:meth:`StreamAnalyzer.day_sources`).
+
+**Open sessions are columns.**  A tracker's carry state is one row per
+open session: the truncated source, first and last packet times, packet
+count, and the distinct targets in CSR form.  A carried session whose
+source reappears in the chunk is located by a lookup in the level's
+table of distinct sources; if the source's first chunk packet arrives
+within the timeout, the session merges into that first segment.  Its
+carried targets are looked up among the chunk's destination ids (one the
+chunk never saw takes a fresh id) and join the segment's ``(segment,
+destination)`` sort — so the union is counted by the same pass as every
+other segment's targets.  Carried sessions that do not merge close, or
+stay open while a future packet could still extend them.  All of it is
+vectorized; no Python runs per session.
 
 Memory is O(open sessions + one chunk), never O(run): at each feed
 boundary any session whose last packet is more than a timeout behind the
@@ -35,8 +44,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._util import check_positive
-from repro.analysis.flows import DEFAULT_FLOW_TIMEOUT, Flow, _flow_order
 from repro.analysis.records import PacketRecords
 from repro.analysis.scandetect import (
     DEFAULT_MIN_TARGETS,
@@ -45,12 +52,232 @@ from repro.analysis.scandetect import (
     _event_order,
     _validate,
 )
-from repro.net.addr import mask_u64, pack_key_u64
+from repro.net.addr import mask_u64
 
 #: The paper's three source-aggregation levels, in report order.
 SCAN_LEVELS = (128, 64, 48)
 
 _NEG_INF = float("-inf")
+
+#: Multiplier of the pair hash.  Odd, so ``hi * _MIX`` is a bijection on
+#: 64-bit words: two pairs with equal ``hi`` never collide.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _firsts(sorted_values: np.ndarray) -> np.ndarray:
+    """True where a sorted column starts a run of equal values."""
+    first = np.empty(len(sorted_values), dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=first[1:])
+    return first
+
+
+def dense_pairs(hi: np.ndarray, lo: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense ids for (hi, lo) uint64 pairs.
+
+    Returns ``(ids, u_hi, u_lo)``: one id per distinct pair, with
+    ``u_hi[ids] == hi`` and ``u_lo[ids] == lo``.  Sorts a 64-bit hash of
+    each pair — one single-key argsort instead of a two-key lexsort — and
+    checks every run of equal hashes for a second distinct pair; a
+    collision falls back to the exact lexsort.  Ids follow hash order,
+    not address order.
+    """
+    hashes = hi * _MIX
+    hashes ^= lo
+    order = np.argsort(hashes)
+    first = _firsts(hashes[order])
+    del hashes  # one word per row; the index's peak is these temporaries
+    sorted_ids = np.cumsum(first)
+    sorted_ids -= 1
+    u_hi, u_lo = hi[order[first]], lo[order[first]]
+    # Equal hashes and equal ``hi`` imply equal ``lo`` (the hash is
+    # invertible given ``hi``), so a collision is a hash run whose ``hi``
+    # differs.
+    if not np.array_equal(hi[order], u_hi[sorted_ids]):
+        order = np.lexsort((lo, hi))
+        first = _firsts(hi[order]) | _firsts(lo[order])
+        sorted_ids = np.cumsum(first) - 1
+        u_hi, u_lo = hi[order[first]], lo[order[first]]
+    ids = np.empty(len(hi), dtype=np.int64)
+    ids[order] = sorted_ids
+    return ids, u_hi, u_lo
+
+
+def find_pairs(table_hi: np.ndarray, table_lo: np.ndarray,
+               q_hi: np.ndarray, q_lo: np.ndarray) -> np.ndarray:
+    """Row of each query pair in a table of distinct pairs, or -1.
+
+    A binary search over the table's sorted pair hashes, confirmed on
+    ``hi`` (equal hashes and equal ``hi`` imply equal ``lo``).  Most
+    carried targets are not in the day's table, so a bitmap over the
+    table's hashes first rejects nearly every miss.  A hash shared by two
+    table rows falls back to :func:`dense_pairs` over table and queries
+    together.
+    """
+    hashes = table_hi * _MIX
+    hashes ^= table_lo
+    order = np.argsort(hashes)
+    hashes = hashes[order]
+    if np.any(hashes[1:] == hashes[:-1]):
+        rows = len(table_hi)
+        ids, u_hi, _ = dense_pairs(np.concatenate([table_hi, q_hi]),
+                                   np.concatenate([table_lo, q_lo]))
+        row_of = np.full(len(u_hi), -1, dtype=np.int64)
+        row_of[ids[:rows]] = np.arange(rows)
+        return row_of[ids[rows:]]
+    q_hash = q_hi * _MIX
+    q_hash ^= q_lo
+    # About 16 bitmap slots per table row: a miss passes with p <= 1/16.
+    shift = np.uint64(64 - max(10, (16 * len(hashes)).bit_length()))
+    marked = np.zeros(1 << (64 - int(shift)), dtype=bool)
+    marked[(hashes * _MIX) >> shift] = True
+    found = np.full(len(q_hi), -1, dtype=np.int64)
+    maybe = np.flatnonzero(marked[(q_hash * _MIX) >> shift])
+    at = np.searchsorted(hashes, q_hash[maybe])
+    at[at == len(hashes)] = 0
+    row = order[at]
+    hit = (hashes[at] == q_hash[maybe]) & (table_hi[row] == q_hi[maybe])
+    found[maybe[hit]] = row[hit]
+    return found
+
+
+def _csr_take(offsets: np.ndarray, rows: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of CSR ``rows``, concatenated in order, and each
+    row's length."""
+    lengths = offsets[rows + 1] - offsets[rows]
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return (np.arange(total)
+            + np.repeat(offsets[rows] - (ends - lengths), lengths)), lengths
+
+
+def _sessions(kid: np.ndarray, index: "DayIndex", id_bound: int,
+              timeout: float) -> tuple:
+    """One level's rows cut into sessions by the batch gap rule.
+
+    Rows are grouped by level source id ``kid`` and time-ordered within a
+    group (the sort key is unique, so any argsort gives the stable
+    order); a session starts at a group change or a gap strictly above
+    the timeout, as in :func:`~repro.analysis.scandetect.sessionize`.
+    Returns ``(codes, starts, seg_kid, start_ts, end_ts)``: each row's
+    ``segment * id_bound + destination id`` code, then per session its
+    first sorted row, source id, and first and last packet times.
+    """
+    n = len(kid)
+    order = np.argsort(kid * n + index.rank)
+    kk = kid[order]
+    t = index.ts[order]
+    new_seg = _firsts(kk)
+    new_seg[1:] |= t[1:] - t[:-1] > timeout
+    starts = np.flatnonzero(new_seg)
+    ends = np.append(starts[1:], n) - 1
+    codes = np.cumsum(new_seg) - 1
+    codes *= id_bound
+    codes += index.did[order]
+    return codes, starts, kk[starts], t[starts], t[ends]
+
+
+class DayIndex:
+    """What every aggregation level shares about one chunk, sorted once.
+
+    * ``rank``: each row's position in stable timestamp order;
+    * ``sid``: dense /128 source ids into the distinct sources
+      ``src_hi``/``src_lo``, which are in (hi, lo) order — masking that
+      table to any prefix length keeps it sorted, so :meth:`level`
+      derives a level's ids from the table alone;
+    * ``did``: dense destination ids into ``dst_hi``/``dst_lo``;
+      :meth:`destination_ids` finds a carried session's targets among
+      them, so carried and fresh targets compare as integers.
+
+    Built per chunk and never pickled.
+    """
+
+    def __init__(self, records: PacketRecords):
+        n = self.n = len(records)
+        self.ts = records.ts
+        self.t_min = float(records.ts.min()) if n else None
+        self.t_max = float(records.ts.max()) if n else None
+        self.rank = np.empty(n, dtype=np.int64)
+        self.rank[np.argsort(records.ts, kind="stable")] = np.arange(n)
+
+        sid, s_hi, s_lo = dense_pairs(records.src_hi, records.src_lo)
+        by_address = np.lexsort((s_lo, s_hi))
+        self.src_hi, self.src_lo = s_hi[by_address], s_lo[by_address]
+        renumber = np.empty(len(by_address), dtype=np.int64)
+        renumber[by_address] = np.arange(len(by_address))
+        self.sid = renumber[sid]
+
+        self.did, self.dst_hi, self.dst_lo = dense_pairs(records.dst_hi,
+                                                         records.dst_lo)
+        self._levels: dict[int, tuple] = {}
+
+    def destination_ids(self, hi: np.ndarray, lo: np.ndarray
+                        ) -> np.ndarray:
+        """The id of each (hi, lo) destination in this chunk, or -1."""
+        return find_pairs(self.dst_hi, self.dst_lo, hi, lo)
+
+    def level(self, length: int
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(kid_of_sid, key_hi, key_lo)`` at one aggregation length: the
+        dense level id of each /128 source id, and the distinct truncated
+        sources in (hi, lo) order (``key_lo`` is zero at lengths <= 64)."""
+        if length not in self._levels:
+            hi, lo = mask_u64(self.src_hi, self.src_lo, length)
+            first = _firsts(hi) | _firsts(lo)
+            self._levels[length] = (np.cumsum(first) - 1,
+                                    hi[first], lo[first])
+        return self._levels[length]
+
+
+@dataclass
+class _OpenSessions:
+    """A tracker's open sessions as columns, one row per session.
+
+    ``k_hi``/``k_lo`` is the truncated source (``k_lo`` is zero at
+    lengths <= 64); session ``i``'s distinct targets are
+    ``t_hi[t_off[i]:t_off[i + 1]]`` with ``t_lo`` alike — 16 bytes per
+    target, the tracker's only per-session payload.
+    """
+
+    k_hi: np.ndarray
+    k_lo: np.ndarray
+    start: np.ndarray
+    last: np.ndarray
+    packets: np.ndarray
+    t_off: np.ndarray
+    t_hi: np.ndarray
+    t_lo: np.ndarray
+
+    @classmethod
+    def empty(cls) -> "_OpenSessions":
+        words, times = np.empty(0, np.uint64), np.empty(0, np.float64)
+        return cls(words, words, times, times, np.empty(0, np.int64),
+                   np.zeros(1, np.int64), words, words)
+
+    def __len__(self) -> int:
+        return len(self.k_hi)
+
+    def targets(self) -> np.ndarray:
+        """Distinct-target count per session."""
+        return np.diff(self.t_off)
+
+    def take(self, rows: np.ndarray) -> "_OpenSessions":
+        positions, lengths = _csr_take(self.t_off, rows)
+        return _OpenSessions(
+            self.k_hi[rows], self.k_lo[rows], self.start[rows],
+            self.last[rows], self.packets[rows],
+            np.concatenate([[0], np.cumsum(lengths)]),
+            self.t_hi[positions], self.t_lo[positions])
+
+    def extend(self, other: "_OpenSessions") -> "_OpenSessions":
+        joined = {name: np.concatenate([getattr(self, name),
+                                        getattr(other, name)])
+                  for name in ("k_hi", "k_lo", "start", "last", "packets",
+                               "t_hi", "t_lo")}
+        t_off = np.concatenate([self.t_off, self.t_off[-1] + other.t_off[1:]])
+        return _OpenSessions(t_off=t_off, **joined)
 
 
 class SessionTracker:
@@ -78,80 +305,37 @@ class SessionTracker:
         self.timeout = timeout
         self._watermark = _NEG_INF
         self._events: list[ScanEvent] = []
-        # Open-session carry state, parallel lists.  Keys are python ints
-        # (packed, length <= 64) or (hi, lo) tuples; targets are sorted
-        # unique (hi, lo) uint64 arrays — 16 bytes per distinct target,
-        # the tracker's only per-session payload.
-        self._keys: list = []
-        self._start: list[float] = []
-        self._last: list[float] = []
-        self._packets: list[int] = []
-        self._targets: list[tuple[np.ndarray, np.ndarray]] = []
+        self._open = _OpenSessions.empty()
 
     # -- introspection ----------------------------------------------------
 
     @property
     def open_sessions(self) -> int:
-        return len(self._keys)
+        return len(self._open)
 
     @property
     def events_closed(self) -> int:
         return len(self._events)
 
-    def carry_bytes(self) -> int:
-        """Approximate size of the open-session target payload."""
-        return sum(hi.nbytes + lo.nbytes for hi, lo in self._targets)
-
     # -- internals --------------------------------------------------------
 
-    def _source_of(self, key) -> int:
-        if isinstance(key, tuple):
-            return (key[0] << 64) | key[1]
-        return key << 64
+    def _emit(self, k_hi, k_lo, start, end, packets, uniq) -> None:
+        """Record every given session reaching ``min_targets`` as an
+        event."""
+        q = np.flatnonzero(uniq >= self.min_targets)
+        length = self.source_length
+        self._events.extend(
+            ScanEvent(source=(hi << 64) | lo, source_length=length,
+                      start=s, end=e, packets=p, unique_targets=u)
+            for hi, lo, s, e, p, u in zip(
+                k_hi[q].tolist(), k_lo[q].tolist(), start[q].tolist(),
+                end[q].tolist(), packets[q].tolist(), uniq[q].tolist()))
 
-    def _emit(self, key, start: float, end: float,
-              packets: int, uniq: int) -> None:
-        if uniq >= self.min_targets:
-            self._events.append(ScanEvent(
-                source=self._source_of(key),
-                source_length=self.source_length,
-                start=start, end=end,
-                packets=packets, unique_targets=uniq,
-            ))
-
-    @staticmethod
-    def _union(targets: tuple[np.ndarray, np.ndarray],
-               add_hi: np.ndarray, add_lo: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-        hi = np.concatenate([targets[0], add_hi])
-        lo = np.concatenate([targets[1], add_lo])
-        order = np.lexsort((lo, hi))
-        hi, lo = hi[order], lo[order]
-        keep = np.empty(len(hi), dtype=bool)
-        keep[0] = True
-        keep[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
-        return hi[keep], lo[keep]
-
-    def _expire(self, horizon: float) -> None:
-        """Finalize open sessions no future packet can extend.
-
-        Strict inequality: a future packet arrives at ts >= horizon, so a
-        session with last == horizon - timeout sits at gap == timeout —
-        which the gap rule (strictly >) still merges.
-        """
-        keep = [i for i, last in enumerate(self._last)
-                if last >= horizon - self.timeout]
-        if len(keep) == len(self._keys):
-            return
-        for i, last in enumerate(self._last):
-            if last < horizon - self.timeout:
-                self._emit(self._keys[i], self._start[i], last,
-                           self._packets[i], len(self._targets[i][0]))
-        self._keys = [self._keys[i] for i in keep]
-        self._start = [self._start[i] for i in keep]
-        self._last = [self._last[i] for i in keep]
-        self._packets = [self._packets[i] for i in keep]
-        self._targets = [self._targets[i] for i in keep]
+    def _close_open(self, rows: np.ndarray) -> None:
+        """Emit the open sessions ``rows`` with their stored stats."""
+        o = self._open
+        self._emit(o.k_hi[rows], o.k_lo[rows], o.start[rows], o.last[rows],
+                   o.packets[rows], o.targets()[rows])
 
     # -- the per-chunk kernel ---------------------------------------------
 
@@ -163,190 +347,95 @@ class SessionTracker:
         than a timeout before it, so later chunks must not carry earlier
         timestamps.
         """
-        n = len(records)
-        k = len(self._keys)
+        return self.feed_index(DayIndex(records), now)
+
+    def feed_index(self, index: DayIndex, now: float | None = None) -> int:
+        """:meth:`feed` over a prebuilt :class:`DayIndex`."""
+        n = index.n
         before = len(self._events)
-        if n:
-            t_lo = float(records.ts.min())
-            if t_lo < self._watermark:
-                raise ValueError(
-                    f"out-of-order feed: chunk starts at {t_lo}, before "
-                    f"the tracker's horizon {self._watermark}")
+        if n and index.t_min < self._watermark:
+            raise ValueError(
+                f"out-of-order feed: chunk starts at {index.t_min}, before "
+                f"the tracker's horizon {self._watermark}")
         horizon = self._watermark
         if now is not None:
             horizon = max(horizon, float(now))
         if n:
-            horizon = max(horizon, float(records.ts.max()))
+            horizon = max(horizon, index.t_max)
+        timeout = self.timeout
+        # >= : a session ending exactly a timeout before the horizon can
+        # still merge with a packet at ts == horizon (the gap rule is > ).
+        lower = horizon - timeout
+        carry = self._open
         if n == 0:
-            self._expire(horizon)
+            idle = carry.last >= lower
+            self._close_open(np.flatnonzero(~idle))
+            self._open = carry.take(np.flatnonzero(idle))
             self._watermark = horizon
             return len(self._events) - before
 
-        length = self.source_length
-        timeout = self.timeout
-
-        # Columns with the k synthetic carry rows prepended (index < k in
-        # the original order identifies them after the sort).
-        ts = records.ts
-        dst_hi, dst_lo = records.dst_hi, records.dst_lo
-        if k:
-            ts = np.concatenate([
-                np.asarray(self._last, dtype=np.float64), ts])
-            dst_hi = np.concatenate([
-                np.array([t[0][0] for t in self._targets], dtype=np.uint64),
-                dst_hi])
-            dst_lo = np.concatenate([
-                np.array([t[1][0] for t in self._targets], dtype=np.uint64),
-                dst_lo])
-
-        packed = pack_key_u64(records.src_hi, records.src_lo, length)
-        if packed is not None:
-            if k:
-                packed = np.concatenate([
-                    np.asarray(self._keys, dtype=np.uint64), packed])
-            # Stable lexsort: a carry row ties with a real row only at the
-            # watermark, and concatenation order keeps it first.
-            order = np.lexsort((ts, packed))
-            key_hi, key_lo = packed[order], None
-            group_change = key_hi[1:] != key_hi[:-1]
-        else:
-            mhi, mlo = mask_u64(records.src_hi, records.src_lo, length)
-            if k:
-                mhi = np.concatenate([
-                    np.array([key[0] for key in self._keys],
-                             dtype=np.uint64), mhi])
-                mlo = np.concatenate([
-                    np.array([key[1] for key in self._keys],
-                             dtype=np.uint64), mlo])
-            order = np.lexsort((ts, mlo, mhi))
-            key_hi, key_lo = mhi[order], mlo[order]
-            group_change = ((key_hi[1:] != key_hi[:-1])
-                            | (key_lo[1:] != key_lo[:-1]))
-        t = ts[order]
-        dh = dst_hi[order]
-        dl = dst_lo[order]
-        m = n + k
-
-        # Same segmentation as the batch kernel (sessionize), inlined to
-        # keep the per-segment unique-target *slices*, not just counts.
-        new_seg = np.empty(m, dtype=bool)
-        new_seg[0] = True
-        new_seg[1:] = group_change | (t[1:] - t[:-1] > timeout)
-        seg_of = np.cumsum(new_seg) - 1
-        starts = np.flatnonzero(new_seg)
+        kid_of_sid, key_hi, key_lo = index.level(self.source_length)
+        # Destination ids: the chunk's, then carried targets absent from
+        # it, so every id stays below this bound.
+        id_bound = len(index.dst_hi) + len(carry.t_hi)
+        codes, starts, seg_kid, start_ts, end_ts = _sessions(
+            kid_of_sid[index.sid], index, id_bound, timeout)
         n_segs = len(starts)
-        seg_packets = np.diff(starts, append=m)
-        ends = starts + seg_packets - 1
-        start_ts = t[starts]
-        end_ts = t[ends]
+        seg_packets = np.diff(starts, append=n)
+        group_first = _firsts(seg_kid)
+        key_seg = np.flatnonzero(group_first)  # first segment of each kid
+        # Only a group's final segment can reach past the horizon's
+        # timeout window: any other is followed by a > timeout gap.
+        stays = np.append(group_first[1:], True) & (end_ts >= lower)
 
-        ord2 = np.lexsort((dl, dh, seg_of))
-        s2, h2, l2 = seg_of[ord2], dh[ord2], dl[ord2]
-        first = np.empty(m, dtype=bool)
-        first[0] = True
-        first[1:] = ((s2[1:] != s2[:-1]) | (h2[1:] != h2[:-1])
-                     | (l2[1:] != l2[:-1]))
-        u_hi, u_lo = h2[first], l2[first]
-        uniq_counts = np.bincount(s2[first], minlength=n_segs)
-        u_off = np.zeros(n_segs + 1, dtype=np.int64)
-        np.cumsum(uniq_counts, out=u_off[1:])
+        # A carried session merges into its source's first segment when
+        # that segment starts within the timeout of its last packet.
+        # Otherwise it is idle: it closes if its source is in this chunk
+        # (the gap already exceeded the timeout) or if the horizon has
+        # moved a timeout past it, and stays open if not.
+        kid_of_open = (find_pairs(key_hi, key_lo, carry.k_hi, carry.k_lo)
+                       if len(carry) else np.empty(0, dtype=np.int64))
+        present = np.flatnonzero(kid_of_open >= 0)
+        first_seg = key_seg[kid_of_open[present]]
+        joins = start_ts[first_seg] - carry.last[present] <= timeout
+        merged, merged_seg = present[joins], first_seg[joins]
+        idle = (kid_of_open < 0) & (carry.last >= lower)
+        closing = ~idle
+        closing[merged] = False
 
-        # Segment classification.  A carry row sorts first in its group
-        # (its timestamp precedes every chunk row of the same source), so
-        # it can only be a segment's first row; and a non-final segment of
-        # a group is followed by a > timeout gap, so only group-final
-        # segments can reach past the horizon's timeout window.
-        gc_full = np.empty(m, dtype=bool)
-        gc_full[0] = True
-        gc_full[1:] = group_change
-        seg_new_group = gc_full[starts]
-        seg_last = np.empty(n_segs, dtype=bool)
-        seg_last[:-1] = seg_new_group[1:]
-        seg_last[-1] = True
-        first_orig = order[starts]
-        seg_carry = first_orig < k
-        # >= : a segment ending exactly a timeout before the horizon can
-        # still merge with a row at ts == horizon (the gap rule is > ).
-        stay_open = seg_last & (end_ts >= horizon - timeout)
-        special = seg_carry | stay_open
+        # Distinct targets per segment from one sort of the codes; a
+        # merged session's carried targets sort into its segment, so the
+        # count is the union's.
+        positions, lengths = _csr_take(carry.t_off, merged)
+        carried_hi, carried_lo = carry.t_hi[positions], carry.t_lo[positions]
+        carried_ids = index.destination_ids(carried_hi, carried_lo)
+        absent = np.flatnonzero(carried_ids < 0)
+        carried_ids[absent] = len(index.dst_hi) + np.arange(len(absent))
+        codes = np.concatenate([
+            codes, np.repeat(merged_seg, lengths) * id_bound + carried_ids])
+        codes.sort()
+        codes = codes[_firsts(codes)]
+        code_seg = codes // id_bound
+        uniq = np.bincount(code_seg, minlength=n_segs)
+        start_ts[merged_seg] = carry.start[merged]
+        seg_packets[merged_seg] += carry.packets[merged]
 
-        # Vectorized close of every plain segment (no carry, not staying
-        # open) — the hot path, identical math to the batch detector.
-        qual = np.flatnonzero(~special & (uniq_counts >= self.min_targets))
-        if qual.size:
-            rows = starts[qual]
-            if key_lo is None:
-                sources = [v << 64 for v in key_hi[rows].tolist()]
-            else:
-                sources = [(hv << 64) | lv for hv, lv in
-                           zip(key_hi[rows].tolist(), key_lo[rows].tolist())]
-            events = self._events
-            for source, s, e, p, u in zip(
-                    sources, start_ts[qual].tolist(), end_ts[qual].tolist(),
-                    seg_packets[qual].tolist(), uniq_counts[qual].tolist()):
-                events.append(ScanEvent(
-                    source=source, source_length=length,
-                    start=s, end=e, packets=p, unique_targets=u))
+        self._close_open(np.flatnonzero(closing))
+        done = np.flatnonzero(~stays)
+        self._emit(key_hi[seg_kid[done]], key_lo[seg_kid[done]],
+                   start_ts[done], end_ts[done], seg_packets[done],
+                   uniq[done])
 
-        # Python handles only carry-merges and the sessions that survive
-        # this chunk — O(active sources), not O(segments).
-        new_keys: list = []
-        new_start: list[float] = []
-        new_last: list[float] = []
-        new_packets: list[int] = []
-        new_targets: list[tuple[np.ndarray, np.ndarray]] = []
-        for i in np.flatnonzero(special).tolist():
-            stays = bool(stay_open[i])
-            if seg_carry[i]:
-                o = int(first_orig[i])
-                if int(seg_packets[i]) == 1:
-                    # Idle carry: no chunk row joined this session.
-                    if stays:
-                        new_keys.append(self._keys[o])
-                        new_start.append(self._start[o])
-                        new_last.append(self._last[o])
-                        new_packets.append(self._packets[o])
-                        new_targets.append(self._targets[o])
-                    else:
-                        self._emit(self._keys[o], self._start[o],
-                                   self._last[o], self._packets[o],
-                                   len(self._targets[o][0]))
-                    continue
-                # Carried session extended by this segment.  The carry
-                # row's destination is already in the stored target set,
-                # so the union double-counts nothing; its packet is
-                # subtracted from the segment count.
-                key = self._keys[o]
-                start = self._start[o]
-                packets = self._packets[o] + int(seg_packets[i]) - 1
-                t_hi, t_lo = self._union(
-                    self._targets[o],
-                    u_hi[u_off[i]:u_off[i + 1]],
-                    u_lo[u_off[i]:u_off[i + 1]])
-            else:
-                row = int(starts[i])
-                key = (int(key_hi[row]) if key_lo is None
-                       else (int(key_hi[row]), int(key_lo[row])))
-                start = float(start_ts[i])
-                packets = int(seg_packets[i])
-                # Copy: the slices view this chunk's full unique array.
-                t_hi = u_hi[u_off[i]:u_off[i + 1]].copy()
-                t_lo = u_lo[u_off[i]:u_off[i + 1]].copy()
-            if stays:
-                new_keys.append(key)
-                new_start.append(start)
-                new_last.append(float(end_ts[i]))
-                new_packets.append(packets)
-                new_targets.append((t_hi, t_lo))
-            else:
-                self._emit(key, start, float(end_ts[i]), packets,
-                           len(t_hi))
-
-        self._keys = new_keys
-        self._start = new_start
-        self._last = new_last
-        self._packets = new_packets
-        self._targets = new_targets
+        kept = np.flatnonzero(stays)
+        targets = codes[stays[code_seg]] % id_bound
+        dst_hi = np.concatenate([index.dst_hi, carried_hi[absent]])
+        dst_lo = np.concatenate([index.dst_lo, carried_lo[absent]])
+        self._open = _OpenSessions(
+            key_hi[seg_kid[kept]], key_lo[seg_kid[kept]], start_ts[kept],
+            end_ts[kept], seg_packets[kept],
+            np.concatenate([[0], np.cumsum(uniq[kept])]),
+            dst_hi[targets], dst_lo[targets],
+        ).extend(carry.take(np.flatnonzero(idle)))
         self._watermark = horizon
         return len(self._events) - before
 
@@ -355,199 +444,10 @@ class SessionTracker:
 
         Idempotent: a second call returns the same list.
         """
-        for i in range(len(self._keys)):
-            self._emit(self._keys[i], self._start[i], self._last[i],
-                       self._packets[i], len(self._targets[i][0]))
-        self._keys = []
-        self._start = []
-        self._last = []
-        self._packets = []
-        self._targets = []
+        self._close_open(np.arange(len(self._open)))
+        self._open = _OpenSessions.empty()
         self._events.sort(key=_event_order)
         return list(self._events)
-
-
-class FlowTracker:
-    """Online equivalent of :func:`~repro.analysis.flows.aggregate_flows`.
-
-    Same synthetic-carry construction as :class:`SessionTracker`, keyed by
-    the 5-tuple; flows have no target sets, so the carry state is just
-    (first_seen, last_seen, packets) per open flow — with the default 60 s
-    inactivity timeout only flows active in a chunk's final minute survive
-    a day boundary.
-    """
-
-    _TUPLE_DTYPES = (np.uint64, np.uint64, np.uint64, np.uint64,
-                     np.uint8, np.uint16, np.uint16)
-
-    def __init__(self, timeout: float = DEFAULT_FLOW_TIMEOUT):
-        check_positive("timeout", timeout)
-        self.timeout = timeout
-        self._watermark = _NEG_INF
-        self._flows: list[Flow] = []
-        self._keys: list[tuple] = []  # (sh, sl, dh, dl, proto, sport, dport)
-        self._first: list[float] = []
-        self._last: list[float] = []
-        self._packets: list[int] = []
-
-    @property
-    def open_flows(self) -> int:
-        return len(self._keys)
-
-    def _emit(self, key: tuple, first: float, last: float,
-              packets: int) -> None:
-        sh, sl, dh, dl, proto, sport, dport = key
-        self._flows.append(Flow(
-            src=(sh << 64) | sl, dst=(dh << 64) | dl,
-            proto=proto, sport=sport, dport=dport,
-            first_seen=first, last_seen=last, packets=packets))
-
-    def _expire(self, horizon: float) -> None:
-        keep = [i for i, last in enumerate(self._last)
-                if last >= horizon - self.timeout]
-        if len(keep) == len(self._keys):
-            return
-        for i, last in enumerate(self._last):
-            if last < horizon - self.timeout:
-                self._emit(self._keys[i], self._first[i], last,
-                           self._packets[i])
-        self._keys = [self._keys[i] for i in keep]
-        self._first = [self._first[i] for i in keep]
-        self._last = [self._last[i] for i in keep]
-        self._packets = [self._packets[i] for i in keep]
-
-    def feed(self, records: PacketRecords, now: float | None = None) -> int:
-        """Consume one chunk; returns the number of flows closed."""
-        n = len(records)
-        k = len(self._keys)
-        before = len(self._flows)
-        if n:
-            t_lo = float(records.ts.min())
-            if t_lo < self._watermark:
-                raise ValueError(
-                    f"out-of-order feed: chunk starts at {t_lo}, before "
-                    f"the tracker's horizon {self._watermark}")
-        horizon = self._watermark
-        if now is not None:
-            horizon = max(horizon, float(now))
-        if n:
-            horizon = max(horizon, float(records.ts.max()))
-        if n == 0:
-            self._expire(horizon)
-            self._watermark = horizon
-            return len(self._flows) - before
-
-        timeout = self.timeout
-        ts = records.ts
-        cols = [records.src_hi, records.src_lo,
-                records.dst_hi, records.dst_lo,
-                records.proto, records.sport, records.dport]
-        if k:
-            ts = np.concatenate([
-                np.asarray(self._last, dtype=np.float64), ts])
-            cols = [
-                np.concatenate([
-                    np.array([key[c] for key in self._keys], dtype=dtype),
-                    col])
-                for c, (col, dtype) in enumerate(
-                    zip(cols, self._TUPLE_DTYPES))
-            ]
-        order = np.lexsort((ts,) + tuple(cols[::-1]))
-        t = ts[order]
-        sc = [c[order] for c in cols]
-        m = n + k
-
-        tuple_change = np.zeros(m - 1, dtype=bool)
-        for c in sc:
-            tuple_change |= c[1:] != c[:-1]
-        new_seg = np.empty(m, dtype=bool)
-        new_seg[0] = True
-        new_seg[1:] = tuple_change | (t[1:] - t[:-1] > timeout)
-        starts = np.flatnonzero(new_seg)
-        n_segs = len(starts)
-        seg_packets = np.diff(starts, append=m)
-        ends = starts + seg_packets - 1
-        start_ts = t[starts]
-        end_ts = t[ends]
-
-        tc_full = np.empty(m, dtype=bool)
-        tc_full[0] = True
-        tc_full[1:] = tuple_change
-        seg_new_group = tc_full[starts]
-        seg_last = np.empty(n_segs, dtype=bool)
-        seg_last[:-1] = seg_new_group[1:]
-        seg_last[-1] = True
-        first_orig = order[starts]
-        seg_carry = first_orig < k
-        stay_open = seg_last & (end_ts >= horizon - timeout)
-        special = seg_carry | stay_open
-
-        plain = np.flatnonzero(~special)
-        if plain.size:
-            rows = starts[plain]
-            flows = self._flows
-            packed_rows = zip(*(c[rows].tolist() for c in sc),
-                              start_ts[plain].tolist(),
-                              end_ts[plain].tolist(),
-                              seg_packets[plain].tolist())
-            for sh, sl, dh, dl, pr, sp, dp, f, last, count in packed_rows:
-                flows.append(Flow(
-                    src=(sh << 64) | sl, dst=(dh << 64) | dl,
-                    proto=pr, sport=sp, dport=dp,
-                    first_seen=f, last_seen=last, packets=count))
-
-        new_keys: list[tuple] = []
-        new_first: list[float] = []
-        new_last: list[float] = []
-        new_packets: list[int] = []
-        for i in np.flatnonzero(special).tolist():
-            stays = bool(stay_open[i])
-            if seg_carry[i]:
-                o = int(first_orig[i])
-                if int(seg_packets[i]) == 1:
-                    if stays:
-                        new_keys.append(self._keys[o])
-                        new_first.append(self._first[o])
-                        new_last.append(self._last[o])
-                        new_packets.append(self._packets[o])
-                    else:
-                        self._emit(self._keys[o], self._first[o],
-                                   self._last[o], self._packets[o])
-                    continue
-                key = self._keys[o]
-                first = self._first[o]
-                packets = self._packets[o] + int(seg_packets[i]) - 1
-            else:
-                row = int(starts[i])
-                key = tuple(int(c[row]) for c in sc)
-                first = float(start_ts[i])
-                packets = int(seg_packets[i])
-            if stays:
-                new_keys.append(key)
-                new_first.append(first)
-                new_last.append(float(end_ts[i]))
-                new_packets.append(packets)
-            else:
-                self._emit(key, first, float(end_ts[i]), packets)
-
-        self._keys = new_keys
-        self._first = new_first
-        self._last = new_last
-        self._packets = new_packets
-        self._watermark = horizon
-        return len(self._flows) - before
-
-    def finish(self) -> list[Flow]:
-        """Close every open flow and return the full sorted flow list."""
-        for i in range(len(self._keys)):
-            self._emit(self._keys[i], self._first[i], self._last[i],
-                       self._packets[i])
-        self._keys = []
-        self._first = []
-        self._last = []
-        self._packets = []
-        self._flows.sort(key=_flow_order)
-        return list(self._flows)
 
 
 @dataclass
@@ -559,18 +459,15 @@ class StreamSummary:
     #: aggregation level -> the run's full scan-event list (identical to
     #: batch ``detect_scans`` over the materialized records).
     events: dict[int, list[ScanEvent]] = field(default_factory=dict)
-    #: the run's flow list (identical to batch ``aggregate_flows``), when
-    #: flow tracking was enabled.
-    flows: list[Flow] | None = None
 
 
 class StreamAnalyzer:
     """One telescope's online analysis bundle.
 
     Holds a :class:`SessionTracker` per aggregation level (the paper's
-    /128, /64, /48 by default) plus an optional :class:`FlowTracker`, all
-    fed the same day chunk.  Fully picklable, so a streaming run's open
-    state checkpoints alongside the scenario.
+    /128, /64, /48 by default), all fed the same day chunk through one
+    shared :class:`DayIndex`.  Picklable, so a streaming run's open state
+    checkpoints alongside the scenario; the day index is not part of it.
     """
 
     def __init__(
@@ -579,8 +476,6 @@ class StreamAnalyzer:
         levels: tuple[int, ...] = SCAN_LEVELS,
         min_targets: int = DEFAULT_MIN_TARGETS,
         timeout: float = DEFAULT_TIMEOUT,
-        flows: bool = False,
-        flow_timeout: float = DEFAULT_FLOW_TIMEOUT,
     ):
         self.name = name
         self.levels = tuple(levels)
@@ -589,20 +484,30 @@ class StreamAnalyzer:
                                   min_targets=min_targets, timeout=timeout)
             for level in self.levels
         }
-        self.flow_tracker = FlowTracker(timeout=flow_timeout) if flows \
-            else None
         self.records_in = 0
         self._summary: StreamSummary | None = None
+        self._day_sources: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_day_sources"] = {}
+        return state
 
     def feed(self, records: PacketRecords, now: float | None = None) -> int:
         """Feed one day chunk to every tracker; returns events closed."""
-        closed = 0
-        for tracker in self.trackers.values():
-            closed += tracker.feed(records, now=now)
-        if self.flow_tracker is not None:
-            self.flow_tracker.feed(records, now=now)
+        index = DayIndex(records)
+        closed = sum(tracker.feed_index(index, now=now)
+                     for tracker in self.trackers.values())
+        self._day_sources = {level: index.level(level)[1:]
+                             for level in self.levels}
         self.records_in += len(records)
         return closed
+
+    def day_sources(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct sources at ``level`` of the chunk fed last, as
+        (hi, lo) columns in address order (``lo`` is zero at levels
+        <= 64)."""
+        return self._day_sources[level]
 
     @property
     def open_sessions(self) -> int:
@@ -617,7 +522,5 @@ class StreamAnalyzer:
                 records_in=self.records_in,
                 events={level: tracker.finish()
                         for level, tracker in self.trackers.items()},
-                flows=(self.flow_tracker.finish()
-                       if self.flow_tracker is not None else None),
             )
         return self._summary

@@ -109,7 +109,8 @@ def freeze_result(result):
 #: (the resume falls back to a fresh run rather than crashing).
 #: 2: added ``streaming`` (open analyzer state for ``stream_analysis``).
 #: 3: added ``observatory`` (observer cursor for ``observe_dir`` runs).
-CHECKPOINT_PROTOCOL = 3
+#: 4: scan trackers keep their open sessions as columns.
+CHECKPOINT_PROTOCOL = 4
 
 
 @dataclass
@@ -131,7 +132,7 @@ class ScenarioCheckpoint:
     journal_records: list
     #: ``stream_analysis`` runs only: telescope name ->
     #: :class:`~repro.analysis.streaming.StreamAnalyzer` mid-run (open
-    #: sessions, closed events, flow state).  None for batch runs — a
+    #: sessions and closed events).  None for batch runs — a
     #: checkpoint can only resume into the mode that wrote it.
     streaming: dict | None = None
     #: ``observe_dir`` runs only: the

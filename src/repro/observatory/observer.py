@@ -471,7 +471,8 @@ class Observatory:
                 "events_closed": events_closed,
                 "open_sessions": open_sessions,
                 "new_sources": {
-                    str(level): self._count_new_sources(name, level, records)
+                    str(level): self._count_new_sources(name, level,
+                                                        analyzer)
                     for level in self.levels
                 },
             }
@@ -525,24 +526,21 @@ class Observatory:
         }
 
     def _count_new_sources(self, telescope: str, level: int,
-                           records: PacketRecords) -> int:
-        if len(records) == 0:
-            return 0
-        hi, lo = mask_u64(records.src_hi, records.src_lo, level)
+                           analyzer) -> int:
+        """Add the day's distinct sources at ``level`` to the seen set;
+        returns how many were new.  Reads them from the analyzer's day
+        index rather than re-sorting the drained records."""
+        hi, lo = analyzer.day_sources(level)
         seen = self.state.seen_sources[telescope][level]
         before = len(seen)
         if level <= 64:
             # The masked low half is all zeros: the high half alone
             # identifies the source, and small ints keep the set cheap.
-            seen.update(np.unique(hi).tolist())
+            seen.update(hi.tolist())
         else:
-            order = np.lexsort((lo, hi))
-            hi, lo = hi[order], lo[order]
-            firsts = np.ones(len(hi), dtype=bool)
-            firsts[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
             # (hi, lo) tuples, not packed 128-bit ints: ``zip`` builds
             # them in C, and tuple hashing beats bigint construction.
-            seen.update(zip(hi[firsts].tolist(), lo[firsts].tolist()))
+            seen.update(zip(hi.tolist(), lo.tolist()))
         return len(seen) - before
 
     # -- lifecycle ---------------------------------------------------------

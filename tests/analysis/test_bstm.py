@@ -1,5 +1,10 @@
 """Tests for the BSTM / causal-impact estimator."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -229,3 +234,25 @@ class TestBatchedBootstrap:
             np.array([2.5]), np.array([0.1]), np.random.default_rng(1))
         assert draws.shape == (50,)
         assert np.all(np.isfinite(draws))
+
+
+class TestImportCost:
+    """Only ``scipy.optimize`` is used; ``scipy.stats`` alone costs about
+    half a second of import time, so the entry points must not load it."""
+
+    @pytest.mark.parametrize("module", ["repro.sim", "repro.experiments",
+                                        "repro.observatory",
+                                        "repro.__main__"])
+    def test_entry_points_leave_scipy_stats_unloaded(self, module):
+        code = (f"import sys, {module}\n"
+                "from repro.analysis.bstm import fit_local_level\n"
+                "import numpy as np\n"
+                "fit_local_level(np.arange(30, dtype=float))\n"
+                "print('scipy.stats' in sys.modules)")
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

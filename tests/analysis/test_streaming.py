@@ -1,35 +1,39 @@
 """Streaming analysis equivalence: incremental trackers vs. batch.
 
-The online :class:`~repro.analysis.streaming.SessionTracker` and
-:class:`~repro.analysis.streaming.FlowTracker` must emit event/flow lists
-*element-identical* to the batch detectors (and their per-packet
-references) over the concatenation of the fed chunks — on randomized
-workloads with random chunk splits, tie-heavy quantized timestamps, empty
-feeds, sessions crossing chunk boundaries (the midnight case), and
-aggregation lengths on both sides of the 64-bit packing threshold.
+The online :class:`~repro.analysis.streaming.SessionTracker` must emit
+event lists *element-identical* to the batch detector (and its per-packet
+reference) over the concatenation of the fed chunks — on randomized
+workloads with random chunk splits, internally shuffled chunks (the
+shape of the NT-B and NT-C day drains), carried sessions whose source is
+absent from the next chunk, tie-heavy quantized timestamps and ties at
+the watermark, empty feeds, sessions crossing chunk boundaries (the
+midnight case), chunks larger than 65,536 rows, and aggregation lengths
+on both sides of the 64-bit packing threshold.
 """
 
+import copy
 import pickle
 
 import numpy as np
 import pytest
 
 from repro._util import DAY, HOUR
-from repro.analysis.flows import aggregate_flows, aggregate_flows_reference
 from repro.analysis.records import PacketRecords
 from repro.analysis.scandetect import detect_scans, detect_scans_reference
 from repro.analysis.streaming import (
-    FlowTracker,
     SessionTracker,
     StreamAnalyzer,
+    dense_pairs,
+    find_pairs,
 )
+from repro.net.addr import mask_u64
 from repro.net.packet import TCP, UDP, Packet, icmp_echo_request
 
 LENGTHS = (128, 64, 48, 0, 96)
 
 
 def _random_records(rng, n, n_sources=12, n_dests=40, t_max=20_000.0,
-                    quantize=None):
+                    quantize=None, host_bits=16):
     base_src = [(int(rng.integers(1 << 40)) << 88)
                 | (int(rng.integers(1 << 30)) << 50)
                 for _ in range(n_sources)]
@@ -42,7 +46,7 @@ def _random_records(rng, n, n_sources=12, n_dests=40, t_max=20_000.0,
         if quantize:
             ts = round(ts / quantize) * quantize
         src = base_src[int(rng.integers(n_sources))] | int(
-            rng.integers(1 << 16))
+            rng.integers(1 << host_bits))
         dst = base_dst[int(rng.integers(n_dests))]
         proto = (TCP, UDP)[int(rng.integers(2))]
         pkts.append(Packet(
@@ -159,37 +163,185 @@ class TestSessionTrackerEquivalence:
         assert tracker.finish() == tracker.finish()
 
 
-class TestFlowTrackerEquivalence:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_randomized_chunked(self, seed):
-        rng = np.random.default_rng(200 + seed)
-        records = _random_records(rng, 400, t_max=2_000.0)
-        tracker = FlowTracker(timeout=60.0)
-        for chunk in _chunk_splits(rng, records, int(rng.integers(1, 6))):
-            tracker.feed(chunk)
-        got = tracker.finish()
-        assert got == aggregate_flows(records, timeout=60.0)
-        assert got == aggregate_flows_reference(records, timeout=60.0)
+def _feed_and_check(chunks, source_length, min_targets, timeout,
+                    nows=None):
+    """Feed ``chunks`` one by one; after each, ``finish()`` on a deep copy
+    must equal both batch detectors over every record fed so far."""
+    tracker = SessionTracker(source_length=source_length,
+                             min_targets=min_targets, timeout=timeout)
+    fed = []
+    for i, chunk in enumerate(chunks):
+        tracker.feed(chunk, now=None if nows is None else nows[i])
+        fed.append(chunk)
+        records = PacketRecords.concat(fed)
+        got = copy.deepcopy(tracker).finish()
+        assert got == detect_scans(records, source_length, min_targets,
+                                   timeout)
+        assert got == detect_scans_reference(records, source_length,
+                                             min_targets, timeout)
+    return tracker
 
-    def test_flow_crossing_chunk_boundary(self):
-        pkts = [Packet(timestamp=t, src=5, dst=9, proto=TCP,
-                       sport=4000, dport=80)
-                for t in (990.0, 1000.0, 1010.0, 1030.0)]
-        records = PacketRecords.from_packets(pkts)
-        tracker = FlowTracker(timeout=60.0)
-        tracker.feed(records.select(records.ts <= 1000.0), now=1000.0)
-        tracker.feed(records.select(records.ts > 1000.0), now=1100.0)
-        got = tracker.finish()
-        assert got == aggregate_flows(records, timeout=60.0)
-        assert len(got) == 1 and got[0].packets == 4
+
+def _shuffled(rng, records):
+    return records.select(rng.permutation(len(records)))
+
+
+def _column_records(rng, n, n_sources, n_dests, t_lo, t_hi):
+    """``n`` random rows built as columns (fast at any size): sources
+    clustered so that /128, /96, /64 and /48 group them differently."""
+    prefixes = rng.integers(1, 1 << 20, size=max(1, n_sources // 8),
+                            dtype=np.uint64) << np.uint64(44)
+    src_hi = (rng.choice(prefixes, size=n_sources)
+              | rng.integers(0, 1 << 3, size=n_sources, dtype=np.uint64))
+    src_lo = rng.integers(0, 1 << 40, size=n_sources, dtype=np.uint64) \
+        << np.uint64(rng.integers(0, 24))
+    dst_hi = rng.integers(1, 1 << 62, size=n_dests, dtype=np.uint64)
+    dst_lo = rng.integers(0, 1 << 62, size=n_dests, dtype=np.uint64)
+    src = rng.integers(0, n_sources, size=n)
+    dst = rng.integers(0, n_dests, size=n)
+    return PacketRecords.from_columns(
+        ts=rng.uniform(t_lo, t_hi, size=n), src_hi=src_hi[src],
+        src_lo=src_lo[src], dst_hi=dst_hi[dst], dst_lo=dst_lo[dst],
+        proto=np.full(n, TCP, dtype=np.uint8),
+        sport=np.full(n, 4000, dtype=np.uint16),
+        dport=np.full(n, 80, dtype=np.uint16))
+
+
+class TestUnsortedAndEdgeChunks:
+    """Chunk shapes a time-sorted split never produces."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("source_length", LENGTHS)
+    def test_internally_shuffled_chunks(self, seed, source_length):
+        rng = np.random.default_rng(300 + seed)
+        records = _random_records(rng, 500, t_max=5_000.0, host_bits=2)
+        chunks = [_shuffled(rng, chunk)
+                  for chunk in _chunk_splits(rng, records, 5)]
+        _feed_and_check(chunks, source_length, 5, 400.0)
+
+    @pytest.mark.parametrize("source_length", LENGTHS)
+    def test_carried_keys_absent_from_next_chunk(self, source_length):
+        """Windows shorter than the timeout, each probed by a random
+        third of the sources: open sessions ride through chunks without
+        their source, then merge, or close once the horizon passes."""
+        rng = np.random.default_rng(400 + source_length)
+        timeout, width = 600.0, 250.0
+        pool = _random_records(rng, 1_500, n_sources=15,
+                               t_max=16 * width, host_bits=1)
+        sources = np.unique(pool.src_hi)
+        chunks, nows = [], []
+        for w in range(16):
+            active = rng.choice(sources, size=5, replace=False)
+            window = pool.mask_time(w * width, (w + 1) * width)
+            chunks.append(_shuffled(
+                rng, pool.select(window & np.isin(pool.src_hi, active))))
+            nows.append((w + 1) * width)
+        # One long silence: every carried session closes on horizon alone.
+        chunks.append(PacketRecords.empty())
+        nows.append(16 * width + 3 * timeout)
+        tracker = _feed_and_check(chunks, source_length, 4, timeout, nows)
+        assert tracker.open_sessions == 0
+
+    @pytest.mark.parametrize("source_length", LENGTHS)
+    def test_equal_timestamp_ties_at_the_watermark(self, source_length):
+        """Rows stamped exactly at the previous chunk's horizon, split
+        across both chunks, from sources with sessions open on both
+        sides."""
+        rng = np.random.default_rng(500 + source_length)
+        records = _random_records(rng, 600, n_sources=6, t_max=3_000.0,
+                                  quantize=100.0, host_bits=1)
+        chunks, nows, previous = [], [], -1.0
+        for cut in (700.0, 1_500.0, 2_200.0, 3_000.0):
+            ties = np.flatnonzero(records.ts == cut)
+            early = np.zeros(len(records), dtype=bool)
+            early[(records.ts > previous) & (records.ts < cut)] = True
+            early[ties[: len(ties) // 2]] = True
+            late_ties = np.zeros(len(records), dtype=bool)
+            late_ties[ties[len(ties) // 2:]] = True
+            chunks.append(_shuffled(rng, records.select(early)))
+            nows.append(cut)
+            chunks.append(records.select(late_ties))
+            nows.append(cut)
+            previous = cut
+        assert sum(len(chunk) for chunk in chunks) == int(
+            (records.ts <= 3_000.0).sum())
+        _feed_and_check(chunks, source_length, 3, 100.0, nows)
+
+    @pytest.mark.parametrize("source_length", LENGTHS)
+    def test_chunk_larger_than_65536_rows(self, source_length):
+        rng = np.random.default_rng(600 + source_length)
+        big = _column_records(rng, 70_000, n_sources=3_000,
+                              n_dests=20_000, t_lo=0.0, t_hi=2_000.0)
+        tail = _column_records(rng, 2_000, n_sources=300,
+                               n_dests=2_000, t_lo=2_000.0, t_hi=2_400.0)
+        # Carried sessions need sources shared across the boundary.
+        tail = PacketRecords.from_columns(
+            ts=tail.ts, src_hi=big.src_hi[:2_000], src_lo=big.src_lo[:2_000],
+            dst_hi=tail.dst_hi, dst_lo=tail.dst_lo, proto=tail.proto,
+            sport=tail.sport, dport=tail.dport)
+        assert len(np.unique(big.src_lo)) > 2_000
+        _feed_and_check([big, tail], source_length, 10, 300.0)
+
+
+class TestPairIds:
+    def test_hash_collision_falls_back_to_exact_ids(self):
+        """Two distinct pairs built to share the 64-bit pair hash still
+        get distinct ids."""
+        mix = 0x9E3779B97F4A7C15
+        mask = (1 << 64) - 1
+        hi = [1, 2, 1, 3]
+        lo = [0, ((2 * mix) & mask) ^ mix, 0, 5]
+        hi_col = np.array(hi, dtype=np.uint64)
+        lo_col = np.array(lo, dtype=np.uint64)
+        hashes = (hi_col * np.uint64(mix)) ^ lo_col
+        assert hashes[0] == hashes[1]
+        ids, u_hi, u_lo = dense_pairs(hi_col, lo_col)
+        assert ids[0] == ids[2] and len(set(ids.tolist())) == 3
+        assert (u_hi[ids] == hi_col).all() and (u_lo[ids] == lo_col).all()
+
+    def test_find_pairs_with_a_colliding_table(self):
+        """A table holding two pairs with one hash still answers every
+        lookup exactly (the binary search cannot tell them apart)."""
+        mix = 0x9E3779B97F4A7C15
+        mask = (1 << 64) - 1
+        table_hi = np.array([1, 2, 7], dtype=np.uint64)
+        table_lo = np.array([0, ((2 * mix) & mask) ^ mix, 9],
+                            dtype=np.uint64)
+        q_hi = np.array([2, 1, 7, 3, 1], dtype=np.uint64)
+        q_lo = np.array([table_lo[1], 0, 9, 0, 1], dtype=np.uint64)
+        assert find_pairs(table_hi, table_lo, q_hi, q_lo).tolist() == [
+            1, 0, 2, -1, -1]
+
+    def test_find_pairs_random(self):
+        rng = np.random.default_rng(2)
+        table = {(int(h), int(l)) for h, l in zip(
+            rng.integers(0, 50, 300), rng.integers(0, 50, 300))}
+        table_hi = np.array([h for h, _ in table], dtype=np.uint64)
+        table_lo = np.array([l for _, l in table], dtype=np.uint64)
+        q_hi = rng.integers(0, 60, 400).astype(np.uint64)
+        q_lo = rng.integers(0, 60, 400).astype(np.uint64)
+        rows = {pair: i for i, pair in enumerate(zip(table_hi.tolist(),
+                                                      table_lo.tolist()))}
+        assert find_pairs(table_hi, table_lo, q_hi, q_lo).tolist() == [
+            rows.get(pair, -1)
+            for pair in zip(q_hi.tolist(), q_lo.tolist())]
+        assert find_pairs(table_hi[:0], table_lo[:0], q_hi, q_lo).tolist() \
+            == [-1] * len(q_hi)
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(1)
+        hi = rng.integers(0, 4, size=500, dtype=np.uint64)
+        lo = rng.integers(0, 40, size=500, dtype=np.uint64)
+        ids, u_hi, u_lo = dense_pairs(hi, lo)
+        assert len(u_hi) == len(set(zip(hi.tolist(), lo.tolist())))
+        assert (u_hi[ids] == hi).all() and (u_lo[ids] == lo).all()
 
 
 class TestStreamAnalyzer:
     def test_matches_batch_at_all_levels(self):
         rng = np.random.default_rng(42)
         records = _random_records(rng, 600)
-        analyzer = StreamAnalyzer("NT-A", min_targets=5, timeout=500.0,
-                                  flows=True, flow_timeout=60.0)
+        analyzer = StreamAnalyzer("NT-A", min_targets=5, timeout=500.0)
         for chunk in _chunk_splits(rng, records, 4):
             analyzer.feed(chunk)
         summary = analyzer.finish()
@@ -197,7 +349,6 @@ class TestStreamAnalyzer:
         for level in (128, 64, 48):
             assert summary.events[level] == detect_scans(
                 records, level, 5, 500.0)
-        assert summary.flows == aggregate_flows(records, timeout=60.0)
 
     def test_pickle_roundtrip_mid_run(self):
         """Checkpointing contract: a pickled analyzer resumes to the same
@@ -215,6 +366,23 @@ class TestStreamAnalyzer:
                 resumed = pickle.loads(pickle.dumps(resumed))
         a, b = straight.finish(), resumed.finish()
         assert a.events == b.events and a.records_in == b.records_in
+
+    def test_day_sources_are_the_chunk_distinct_sources(self):
+        """What the observer counts as a day's sources: the fed chunk's
+        distinct truncated sources, read off the day index, and never
+        carried into a pickle."""
+        rng = np.random.default_rng(11)
+        records = _random_records(rng, 400, host_bits=3)
+        analyzer = StreamAnalyzer("NT-A", levels=LENGTHS, min_targets=5)
+        analyzer.feed(records)
+        for level in LENGTHS:
+            hi, lo = mask_u64(records.src_hi, records.src_lo, level)
+            got_hi, got_lo = analyzer.day_sources(level)
+            assert list(zip(got_hi.tolist(), got_lo.tolist())) == sorted(
+                set(zip(hi.tolist(), lo.tolist())))
+        restored = pickle.loads(pickle.dumps(analyzer))
+        with pytest.raises(KeyError):
+            restored.day_sources(64)
 
     def test_finish_idempotent(self):
         analyzer = StreamAnalyzer("NT-B", min_targets=5)

@@ -1,0 +1,155 @@
+"""Golden digests for the streaming observatory's outputs.
+
+A compressed deployment timeline (all three tactic phases, the
+hyper-specific window, TLS, hitlist and withdrawal triggers inside eight
+days) streamed through the per-day detectors and the observer.  The
+digests below were computed by the per-session carry implementation of
+the streaming detectors; serial, ``jobs=2`` and killed-and-resumed runs
+must reproduce them byte for byte, so a change that shifts all three
+modes the same way still fails.
+"""
+
+import hashlib
+import pickle
+from pathlib import Path
+
+import pytest
+
+from repro.exec.freeze import (
+    CHECKPOINT_PROTOCOL,
+    checkpoint_path,
+    load_checkpoint,
+)
+from repro.observatory import list_day_files
+from repro.sim import ScenarioConfig, SimulationAborted, run_scenario
+
+CONFIG = ScenarioConfig(seed=29, duration_days=8, volume_scale=1e-3,
+                        n_tail=20, phase1_day=1, phase2_day=2, phase3_day=3,
+                        specific_start_day=4, tls_offset_days=1,
+                        tpot_hitlist_offset_days=2, tpot_tls_offset_days=3,
+                        udp_hitlist_offset_days=1, withdraw_after_days=3,
+                        hitlist_first_cycle_day=1, hitlist_cycle_days=2)
+
+OBSERVATIONS_SHA256 = ("0b19971d9dad90fee98f6fcbc270211e"
+                       "fddb0ee1a471bd90c7cb744bf21373f9")
+DAY_FILES_SHA256 = {
+    0: "fab311b23cf188cde516a1303ca5eba2e217f0bc36af485fef6d29d257d6400b",
+    1: "f7c4fc04fa35af26d49f5cf22e0dbcf8074226554a65cbcf1e62316486d2263c",
+    2: "a6868179f3827216bed2e916d284f8a19492161df3132f7252f3b93916f9fb58",
+    3: "a22ae98c4b6cd64a8a8ad04928827796171b298a799acb0297a5681c0aec9794",
+    4: "29582affe4991611e8d2a1f2b32cecce92b952d78919e616694a96e1b1f954f5",
+    5: "461d0d7c4fd35c9a904a4cf41c682291ccddd553d116335bf6b98f5781e6924a",
+    6: "7c756f6f042135a161eddd969e6b8cd8065bbe0bf5d8938d909c18ea6da8dfca",
+    7: "1359a9528b26362a8647a11db23368734f6e449621902e58b515dd1d9107fae3",
+}
+EVENTS_SHA256 = {
+    "NT-A/48": ("ad48fd86c82c453aa396828c6b2cedc6"
+                "c6932afe59c1cd978a64f51a5685e270"),
+    "NT-A/64": ("e6190b4b4d15262d8e7eddb11155bd24"
+                "d4dd0d8cfc06bbafc36276aa6bb8d037"),
+    "NT-A/128": ("9d44f6b5141a5f7311de8852e3cfc82b"
+                 "ec709f18adec472886a676ff204cbbd0"),
+    "NT-B/48": ("e3b0c44298fc1c149afbf4c8996fb924"
+                "27ae41e4649b934ca495991b7852b855"),
+    "NT-B/64": ("e3b0c44298fc1c149afbf4c8996fb924"
+                "27ae41e4649b934ca495991b7852b855"),
+    "NT-B/128": ("e3b0c44298fc1c149afbf4c8996fb924"
+                 "27ae41e4649b934ca495991b7852b855"),
+    "NT-C/48": ("b5a8d8154577d288e4f79518a1dec610"
+                "d641c24a7d7597bbc170fabce5e7bdcc"),
+    "NT-C/64": ("2e5ed11425c1867896ccd523da70b2d8"
+                "57bdd82687baf5983637f285e244c153"),
+    "NT-C/128": ("666082671f5706388ddfd27b64df3cc4"
+                 "c4de916d524c02be6e44eed6e48fa4b3"),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def events_digests(streaming) -> dict:
+    """sha256 of each telescope's event list at each level, keyed
+    ``"<telescope>/<level>"``."""
+    out = {}
+    for name, summary in sorted(streaming.items()):
+        for level, events in sorted(summary.events.items()):
+            text = "".join(
+                f"{e.source},{e.source_length},{e.start!r},{e.end!r},"
+                f"{e.packets},{e.unique_targets};" for e in events)
+            out[f"{name}/{level}"] = _sha256(text.encode())
+    return out
+
+
+def digests(directory, result) -> tuple[str, dict, dict]:
+    directory = Path(directory)
+    observations = _sha256((directory / "observations.jsonl").read_bytes())
+    day_files = {day: _sha256(path.read_bytes())
+                 for day, path in list_day_files(directory)}
+    return observations, day_files, events_digests(result.streaming)
+
+
+def observe(directory, **kwargs):
+    return run_scenario(CONFIG, stream_analysis=True, observe_dir=directory,
+                        **kwargs)
+
+
+GOLDEN = (OBSERVATIONS_SHA256, DAY_FILES_SHA256, EVENTS_SHA256)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_digests(tmp_path, jobs):
+    result = observe(tmp_path / "data", jobs=jobs)
+    assert digests(tmp_path / "data", result) == GOLDEN
+
+
+def test_killed_and_resumed_digests(tmp_path):
+    data, ckpt = tmp_path / "data", tmp_path / "ckpt"
+    with pytest.raises(SimulationAborted):
+        observe(data, checkpoint_dir=ckpt, checkpoint_every=3,
+                abort_after_day=4)
+    result = observe(data, checkpoint_dir=ckpt, checkpoint_every=3,
+                     resume=True)
+    assert digests(data, result) == GOLDEN
+
+
+def _previous_layout(tracker) -> None:
+    """Rewrite a tracker's pickled state into the per-session list layout
+    that checkpoint protocol 3 stored."""
+    state = tracker.__dict__
+    sessions = state.pop("_open")
+    keys = (sessions.k_hi.tolist()
+            if tracker.source_length <= 64 else
+            list(zip(sessions.k_hi.tolist(), sessions.k_lo.tolist())))
+    off = sessions.t_off
+    state.update(
+        _keys=keys, _start=sessions.start.tolist(),
+        _last=sessions.last.tolist(), _packets=sessions.packets.tolist(),
+        _targets=[(sessions.t_hi[a:b], sessions.t_lo[a:b])
+                  for a, b in zip(off[:-1], off[1:])])
+
+
+def test_previous_layout_checkpoint_is_refused(tmp_path):
+    """A checkpoint in the old tracker layout is ignored rather than
+    unpickled into the new code; the resume then runs from day zero and
+    still reproduces the serial run byte for byte."""
+    data, ckpt = tmp_path / "data", tmp_path / "ckpt"
+    with pytest.raises(SimulationAborted):
+        observe(data, checkpoint_dir=ckpt, checkpoint_every=3,
+                abort_after_day=4)
+    path = checkpoint_path(ckpt, CONFIG)
+    checkpoint = pickle.loads(path.read_bytes())
+    assert checkpoint.protocol == CHECKPOINT_PROTOCOL
+    assert any(tracker.open_sessions
+               for analyzer in checkpoint.streaming.values()
+               for tracker in analyzer.trackers.values())
+    for analyzer in checkpoint.streaming.values():
+        for tracker in analyzer.trackers.values():
+            _previous_layout(tracker)
+    checkpoint.protocol = 3
+    path.write_bytes(pickle.dumps(checkpoint))
+
+    assert load_checkpoint(ckpt, CONFIG) is None
+    result = observe(data, checkpoint_dir=ckpt, checkpoint_every=3,
+                     resume=True)
+    assert digests(data, result) == GOLDEN
