@@ -56,6 +56,7 @@ from repro.obs import (
     set_tracer,
 )
 from repro.sim import ScenarioConfig, run_scenario
+from repro.sim.runner import DEFAULT_CHECKPOINT_EVERY
 
 #: --journal without a path appends here.
 DEFAULT_JOURNAL_PATH = "journal.jsonl"
@@ -66,11 +67,20 @@ DEFAULT_CACHE_DIR = ".cache"
 #: --checkpoint without a directory uses this.
 DEFAULT_CHECKPOINT_DIR = ".checkpoints"
 
-#: --spill without a directory uses this.
-DEFAULT_SPILL_DIR = ".spill"
-
 #: --observe / the observe subcommand write observer day files here.
 DEFAULT_OBSERVE_DIR = "data"
+
+
+def _cadence(text: str) -> int:
+    """argparse type for ``--checkpoint-every``: an integer of at least 1."""
+    try:
+        days = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {text!r}") from None
+    if days < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {days}")
+    return days
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -125,9 +135,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="save a resumable checkpoint every "
                             "--checkpoint-every days into DIR (default "
                             f"{DEFAULT_CHECKPOINT_DIR})")
-        p.add_argument("--checkpoint-every", type=int, default=10,
-                       metavar="DAYS",
-                       help="checkpoint cadence in days (default 10)")
+        p.add_argument("--checkpoint-every", type=_cadence,
+                       default=DEFAULT_CHECKPOINT_EVERY, metavar="DAYS",
+                       help="checkpoint cadence in days (default "
+                            f"{DEFAULT_CHECKPOINT_EVERY})")
         p.add_argument("--resume", action="store_true",
                        help="resume from the last usable checkpoint in "
                             "the --checkpoint directory")
@@ -141,22 +152,12 @@ def _build_parser() -> argparse.ArgumentParser:
                             "day loop and release each day's packets: peak "
                             "memory holds one day, not the horizon; prints "
                             "a streaming scan summary instead of the "
-                            "record-driven tables")
+                            "record-driven tables (--observe implies it)")
     run_p.add_argument("--observe", nargs="?", const=DEFAULT_OBSERVE_DIR,
                        default=None, metavar="DIR",
-                       help="with --stream: emit one schema-versioned "
-                            "observer JSON per simulated day into DIR "
-                            f"(default {DEFAULT_OBSERVE_DIR})")
-    run_p.add_argument("--spill", nargs="?", const=DEFAULT_SPILL_DIR,
-                       default=None, metavar="DIR",
-                       help="bound capture memory by sealing buffered "
-                            "chunks past the budget to checksummed npz "
-                            "segments in DIR (default "
-                            f"{DEFAULT_SPILL_DIR})")
-    run_p.add_argument("--spill-budget-mb", type=int, default=None,
-                       metavar="MB",
-                       help="capture bytes to buffer before spilling "
-                            "(default 64)")
+                       help="stream (as --stream) and emit one schema-"
+                            "versioned observer JSON per simulated day "
+                            f"into DIR (default {DEFAULT_OBSERVE_DIR})")
     add_scenario_args(run_p)
 
     exp_p = sub.add_parser("experiment",
@@ -216,9 +217,10 @@ def _build_parser() -> argparse.ArgumentParser:
                               "--checkpoint-every days so a killed service "
                               "resumes instead of recomputing (default dir "
                               f"{DEFAULT_CHECKPOINT_DIR})")
-    serve_p.add_argument("--checkpoint-every", type=int, default=10,
-                         metavar="DAYS", help="checkpoint cadence "
-                         "(default 10)")
+    serve_p.add_argument("--checkpoint-every", type=_cadence,
+                         default=DEFAULT_CHECKPOINT_EVERY, metavar="DAYS",
+                         help="checkpoint cadence in days (default "
+                              f"{DEFAULT_CHECKPOINT_EVERY})")
     serve_p.add_argument("--observatory", default=None, metavar="DIR",
                          help="expose the observatory directory at "
                               "GET /observatory (SSE tail) and "
@@ -237,6 +239,15 @@ def _cache_dir(args):
     return None if args.no_cache else args.cache
 
 
+def _streams(args) -> bool:
+    """Whether the requested run drains its captures daily: ``--stream``,
+    ``run --observe`` (which implies it), or an ``observe`` run."""
+    if args.command == "observe":
+        return not args.summary_only
+    return (getattr(args, "stream", False)
+            or getattr(args, "observe", None) is not None)
+
+
 def _mode_conflict(args) -> str | None:
     """First mutually-exclusive option combination as a one-line message,
     or None when the requested mode set is coherent.
@@ -244,22 +255,9 @@ def _mode_conflict(args) -> str | None:
     Centralising the refusals keeps every combination to the same
     contract: one ``error:`` line on stderr, exit status 2, no traceback.
     """
-    observe_run = args.command == "observe" and not args.summary_only
-    stream = getattr(args, "stream", False) or observe_run
-    observe = getattr(args, "observe", None)
-    spill = getattr(args, "spill", None)
-    if stream and _cache_dir(args) is not None:
+    if _streams(args) and _cache_dir(args) is not None:
         return ("--stream is incompatible with --cache (streaming runs "
                 "produce no record bundle to cache)")
-    if observe is not None and not stream:
-        return ("--observe requires --stream (observer records are "
-                "derived from the streaming day drain)")
-    if spill is not None and stream:
-        return ("--spill is incompatible with --stream (a streaming run "
-                "already releases each day's packets)")
-    if spill is not None and args.checkpoint:
-        return ("--spill is incompatible with --checkpoint (spilled "
-                "segments are not captured by checkpoints)")
     if args.resume and not args.checkpoint:
         return "--resume requires --checkpoint (nothing to resume from)"
     return None
@@ -268,7 +266,6 @@ def _mode_conflict(args) -> str | None:
 def _scenario(args) -> object:
     print(f"running scenario: {args.days} days, scale {args.scale}, "
           f"seed {args.seed} ...", file=sys.stderr)
-    budget_mb = getattr(args, "spill_budget_mb", None)
     return run_scenario(
         _config(args), cache_dir=_cache_dir(args),
         jobs=getattr(args, "jobs", 1) if args.command == "run" else 1,
@@ -277,9 +274,6 @@ def _scenario(args) -> object:
         resume=args.resume,
         stream_analysis=getattr(args, "stream", False),
         observe_dir=getattr(args, "observe", None),
-        spill_dir=getattr(args, "spill", None),
-        spill_budget_bytes=(budget_mb * 1024 * 1024
-                            if budget_mb is not None else None),
     )
 
 
@@ -314,7 +308,7 @@ def _observe(args) -> int:
             checkpoint_dir=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
             resume=args.resume,
-            stream_analysis=True, observe_dir=args.data,
+            observe_dir=args.data,
         )
         summary = result.observatory
         print(f"observatory: {summary['days']} day files, "
@@ -460,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "run":
             result = _scenario(args)
-            if args.stream:
+            if _streams(args):
                 print()
                 print(_render_stream_summary(result))
                 if result.observatory is not None:

@@ -7,8 +7,8 @@ observer`), an append-only long-horizon index (:mod:`~repro.observatory.
 index`), and drift/changepoint summaries over the resulting daily series
 (:mod:`~repro.observatory.drift`, reusing the BSTM causal-impact engine).
 
-Entry points: ``run_scenario(..., stream_analysis=True, observe_dir=...)``,
-CLI ``python -m repro observe`` / ``repro run --stream --observe``, and the
+Entry points: ``run_scenario(..., observe_dir=...)`` (which streams by
+itself), CLI ``python -m repro observe`` / ``repro run --observe``, and the
 service's ``GET /observatory`` SSE endpoint.
 """
 

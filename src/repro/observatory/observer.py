@@ -1,7 +1,7 @@
 """The observatory runner: one validated observer record per simulated day.
 
-An :class:`Observatory` rides along a ``run_scenario(stream_analysis=True)``
-day loop.  At every day boundary the runner hands it the day's drained
+An :class:`Observatory` rides along the streaming day loop of a
+``run_scenario(observe_dir=...)`` run.  At every day boundary the runner hands it the day's drained
 telescope records plus the (already fed) per-telescope
 :class:`~repro.analysis.streaming.StreamAnalyzer` instances, and the
 observatory emits one schema-versioned ``observer`` record:

@@ -63,6 +63,7 @@ from repro.obs import (
     use_journal,
     use_registry,
 )
+from repro.sim.runner import DEFAULT_CHECKPOINT_EVERY
 from repro.sim.scenario import ScenarioConfig
 
 
@@ -176,7 +177,7 @@ class ScenarioService:
         max_cache_bytes: int | None = None,
         journals_dir: str | os.PathLike | None = None,
         checkpoint_dir: str | os.PathLike | None = None,
-        checkpoint_every: int = 10,
+        checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         observatory_dir: str | os.PathLike | None = None,
     ):
         self.cache = ScenarioCache(cache_dir, max_bytes=max_cache_bytes)

@@ -176,8 +176,6 @@ def run_scenario(
     abort_after_day: int | None = None,
     stream_analysis: bool = False,
     observe_dir=None,
-    spill_dir=None,
-    spill_budget_bytes: int | None = None,
 ) -> ScenarioResult:
     """Build, run, and bundle one full scenario.
 
@@ -214,52 +212,35 @@ def run_scenario(
       run's journal and observatory files end with day N.  It is the test
       hook for kill/resume equivalence.
 
-    Memory-bounded modes (each changes what is held, never what is
-    computed):
+    Capture storage (changes what is held, never what is computed): a
+    batch run retains every capture until the freeze, while
+    ``stream_analysis=True`` runs the scan detectors *during* the day
+    loop: each day's captures are drained into per-telescope
+    :class:`~repro.analysis.streaming.StreamAnalyzer` instances and
+    released, so peak memory holds one day of packets instead of the
+    horizon.  The result carries :attr:`ScenarioResult.streaming`
+    summaries whose events are element-identical to running
+    ``detect_scans`` over the batch records; the record columns come back
+    empty.  Streaming composes with ``jobs`` and ``checkpoint_dir`` (open
+    analyzer state rides in the checkpoint); it is incompatible with
+    ``cache_dir`` (the cache stores record bundles).
 
-    * ``stream_analysis=True`` runs the scan/flow detectors *during* the
-      day loop: each day's captures are drained into per-telescope
-      :class:`~repro.analysis.streaming.StreamAnalyzer` instances and
-      released, so peak memory holds one day of packets instead of the
-      horizon.  The result carries :attr:`ScenarioResult.streaming`
-      summaries whose events are element-identical to running
-      ``detect_scans`` over the batch records; the record columns come
-      back empty.  Composes with ``jobs`` and ``checkpoint_dir`` (open
-      analyzer state rides in the checkpoint); incompatible with
-      ``cache_dir`` (the cache stores record bundles).
-    * ``spill_dir`` keeps the *batch* path's captures bounded instead:
-      buffered chunks past ``spill_budget_bytes`` are sealed to
-      checksummed npz segments and streamed back at freeze time.
-      Incompatible with ``checkpoint_dir`` (checkpoints snapshot
-      in-memory chunks) and redundant under ``stream_analysis`` (the
-      day-drain already bounds the buffer), so both pairings are errors.
-
-    ``observe_dir`` turns a streaming run into the longitudinal
-    observatory (:mod:`repro.observatory`): one validated, bit-
-    reproducible observer JSON record per simulated day (scan-event
-    rates, new-source discovery, tactic mix, honeyprefix reaction
-    latency) written into the directory, mirrored to
-    ``observations.jsonl``, and indexed at the end.  Requires
-    ``stream_analysis=True``; composes with ``jobs`` and
-    ``checkpoint_dir`` (the observer cursor rides in the checkpoint).
+    ``observe_dir`` adds the longitudinal observatory
+    (:mod:`repro.observatory`) to a streaming run, and turns streaming on
+    by itself: one validated, bit-reproducible observer JSON record per
+    simulated day (scan-event rates, new-source discovery, tactic mix,
+    honeyprefix reaction latency) written into the directory, mirrored to
+    ``observations.jsonl``, and indexed at the end.  It composes with
+    ``jobs`` and ``checkpoint_dir`` (the observer cursor rides in the
+    checkpoint).
     """
     config = config if config is not None else ScenarioConfig()
-    if observe_dir is not None and not stream_analysis:
-        raise ValueError(
-            "observe_dir requires stream_analysis=True: observer records "
-            "are derived from the streaming day drain")
+    # Observer records are derived from the streaming day drain.
+    stream_analysis = stream_analysis or observe_dir is not None
     if stream_analysis and cache_dir is not None:
         raise ValueError(
             "stream_analysis runs produce no record bundle to cache; "
             "drop cache_dir or stream_analysis")
-    if spill_dir is not None and checkpoint_dir is not None:
-        raise ValueError(
-            "capture spill and checkpointing are mutually exclusive: "
-            "a checkpoint snapshots in-memory chunks only")
-    if spill_dir is not None and stream_analysis:
-        raise ValueError(
-            "stream_analysis already bounds capture memory by draining "
-            "each day; spill_dir would hide chunks from the day drain")
     registry = get_registry()
     tracer = get_tracer()
 
@@ -359,7 +340,6 @@ def run_scenario(
                 checkpoint_every=checkpoint_every,
                 abort_after_day=abort_after_day, streams=streams,
                 observatory=observatory,
-                spill_dir=spill_dir, spill_budget_bytes=spill_budget_bytes,
             )
             sample_peak_rss(registry, stage="run")
             summaries = None
@@ -457,8 +437,7 @@ def _feed_streams(scenario, streams, journal, day: int,
 
 def _simulate(config, checkpoint, start_day, *, progress, jobs,
               checkpoint_dir, checkpoint_every, abort_after_day,
-              streams=None, observatory=None, spill_dir=None,
-              spill_budget_bytes=None):
+              streams=None, observatory=None):
     """Build (or rebuild-and-fast-forward) the scenario and run its days;
     returns the run scenario.
 
@@ -493,12 +472,6 @@ def _simulate(config, checkpoint, start_day, *, progress, jobs,
                 with use_journal(None):
                     for day in range(start_day):
                         scenario.replay_day(day, agents=pool is None)
-            if spill_dir is not None:
-                for cap in _scenario_capturers(scenario).values():
-                    if spill_budget_bytes is not None:
-                        cap.enable_spill(spill_dir, spill_budget_bytes)
-                    else:
-                        cap.enable_spill(spill_dir)
         sample_peak_rss(registry, stage="build")
 
         if pool is None:

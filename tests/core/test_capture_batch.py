@@ -1,9 +1,11 @@
 """Chunked capture: ``capture_batch`` appends numpy chunks, ``to_records``
-concatenates them in arrival order, one-row batches and bursts alike."""
+concatenates them in arrival order, one-row batches and bursts alike;
+repeated freezes and captures after a freeze stay valid, and the day
+drain empties the buffer."""
 
 import numpy as np
 
-from repro.core.capture import PacketCapturer
+from repro.core.capture import CAPTURE_COLUMNS, PacketCapturer
 from repro.net.addr import IPv6Prefix
 from repro.net.batch import PacketBatch
 from repro.net.packet import icmp_echo_request
@@ -21,6 +23,22 @@ def _packets(n, t0=0.0):
 def _row(t0):
     """One packet as a one-row batch."""
     return PacketBatch.from_packets(_packets(1, t0=t0))
+
+
+def _batch(rng, n, with_origin=True):
+    """``n`` random rows, with an ``origin`` column unless told not to."""
+    return PacketBatch.from_columns(
+        rng.uniform(0, 1000, n),
+        rng.integers(0, 1 << 60, n, dtype=np.uint64),
+        rng.integers(0, 1 << 60, n, dtype=np.uint64),
+        rng.integers(0, 1 << 60, n, dtype=np.uint64),
+        rng.integers(0, 1 << 60, n, dtype=np.uint64),
+        rng.integers(0, 255, n, dtype=np.uint8),
+        rng.integers(0, 65535, n, dtype=np.uint16),
+        rng.integers(0, 65535, n, dtype=np.uint16),
+        origin=(rng.integers(0, 50, n, dtype=np.int64)
+                if with_origin else None),
+    )
 
 
 class TestChunkedCapture:
@@ -67,3 +85,60 @@ class TestChunkedCapture:
         capturer.close()
         mirrored = read_packets(path)
         assert [p.timestamp for p in mirrored] == [0.0, 1.0, 2.0]
+
+
+class TestFreeze:
+    def test_repeated_freeze_and_capture_after_freeze(self):
+        rng = np.random.default_rng(2)
+        cap = PacketCapturer("r")
+        first = _batch(rng, 150)
+        cap.capture_batch(first)
+        r1 = cap.to_records()
+        r2 = cap.to_records()
+        assert len(r1) == len(r2) == 150
+        for col in CAPTURE_COLUMNS:
+            assert np.array_equal(getattr(r1, col), getattr(r2, col)), col
+        second = _batch(rng, 70)
+        cap.capture_batch(second)
+        r3 = cap.to_records()
+        assert len(r3) == 220
+        assert np.array_equal(r3.ts[:150], first.ts)
+        assert np.array_equal(r3.ts[150:], second.ts)
+        # The truth sidecar outlives every freeze, in arrival order.
+        truth = cap.to_truth()
+        assert np.array_equal(truth.ts, np.concatenate([first.ts,
+                                                        second.ts]))
+
+    def test_len_counts_frozen_and_buffered(self):
+        rng = np.random.default_rng(3)
+        cap = PacketCapturer("n")
+        cap.capture_batch(_batch(rng, 80))
+        assert len(cap) == 80
+        cap.to_records()
+        cap.capture_batch(_batch(rng, 20))
+        assert len(cap) == 100
+
+
+class TestDrainDayRecords:
+    def test_drain_empties_and_preserves_order(self):
+        rng = np.random.default_rng(4)
+        cap = PacketCapturer("d")
+        b1, b2 = _batch(rng, 30), _batch(rng, 40, with_origin=False)
+        cap.capture_batch(b1)
+        cap.capture_batch(b2)
+        day = cap.drain_day_records()
+        assert len(day) == 70
+        for col in CAPTURE_COLUMNS:
+            assert np.array_equal(
+                getattr(day, col),
+                np.concatenate([getattr(b1, col), getattr(b2, col)])), col
+        assert len(cap) == 0
+        assert len(cap.to_truth()) == 0
+        assert len(cap.drain_day_records()) == 0
+
+    def test_drain_flushes_scalar_tail(self):
+        """A single captured packet (a one-row batch) drains too."""
+        cap = PacketCapturer("s")
+        cap.capture_batch(_row(1.0))
+        day = cap.drain_day_records()
+        assert len(day) == 1 and day.ts[0] == 1.0

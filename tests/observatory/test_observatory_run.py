@@ -5,8 +5,8 @@ observatory run writes — every per-day file, the ``observations.jsonl``
 mirror, the index, the manifest — is byte-identical across serial,
 ``--jobs N``, and killed-and-resumed executions of one config, and an
 aborted run stops after the same day in every mode.  Plus the mode
-guards: the observer only rides a streaming run, and a checkpoint can
-only resume into the observation mode that wrote it.
+guards: ``observe_dir`` turns streaming on by itself, and a checkpoint
+can only resume into the observation mode that wrote it.
 """
 
 import io
@@ -81,9 +81,15 @@ class TestByteIdentity:
 
 
 class TestModeGuards:
-    def test_observe_requires_streaming(self, tmp_path):
-        with pytest.raises(ValueError, match="requires stream_analysis"):
-            run_scenario(GUARD, observe_dir=tmp_path / "data")
+    def test_observe_dir_implies_streaming(self, tmp_path):
+        implied = run_scenario(GUARD, observe_dir=tmp_path / "implied")
+        run_scenario(GUARD, stream_analysis=True,
+                     observe_dir=tmp_path / "explicit")
+        assert implied.streaming is not None
+        assert len(implied.nta) == 0
+        assert implied.observatory["days"] == GUARD.duration_days
+        assert (_dir_bytes(tmp_path / "implied")
+                == _dir_bytes(tmp_path / "explicit"))
 
     def test_plain_checkpoint_cannot_resume_into_observe(self, tmp_path):
         ckpt = tmp_path / "ckpt"

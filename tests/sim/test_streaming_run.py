@@ -9,7 +9,6 @@ kill-and-resume whose checkpoint carries open sessions over the boundary.
 
 import io
 
-import numpy as np
 import pytest
 
 from repro.analysis.scandetect import detect_scans, detect_scans_reference
@@ -136,36 +135,11 @@ class TestStreamingCheckpoint:
                          resume=True)
 
 
-class TestSpillRun:
-    def test_forced_spill_byte_identical_to_batch(self, batch, tmp_path):
-        spilled = run_scenario(_config(), spill_dir=tmp_path,
-                               spill_budget_bytes=2048)
-        for name, records in batch.telescopes().items():
-            other = spilled.telescopes()[name]
-            assert len(records) == len(other)
-            for col in ("ts", "src_hi", "src_lo", "dst_hi", "dst_lo",
-                        "proto", "sport", "dport"):
-                assert np.array_equal(getattr(records, col),
-                                      getattr(other, col)), (name, col)
-        for name, truth in batch.truth.items():
-            assert np.array_equal(truth.origin, spilled.truth[name].origin)
-
-
 class TestModeGuards:
     def test_stream_rejects_cache(self, tmp_path):
         with pytest.raises(ValueError, match="cache"):
             run_scenario(_config(), stream_analysis=True,
                          cache_dir=tmp_path)
-
-    def test_spill_rejects_checkpoint(self, tmp_path):
-        with pytest.raises(ValueError, match="spill"):
-            run_scenario(_config(), spill_dir=tmp_path / "s",
-                         checkpoint_dir=tmp_path / "c")
-
-    def test_spill_rejects_stream(self, tmp_path):
-        with pytest.raises(ValueError, match="spill"):
-            run_scenario(_config(), stream_analysis=True,
-                         spill_dir=tmp_path)
 
 
 class TestPeakRssGauge:

@@ -15,8 +15,9 @@ from repro._util import (
     week_of,
     weighted_choice,
 )
-from repro.__main__ import main
+from repro.__main__ import _build_parser, main
 from repro.core.wordlists import COMMON_SUBDOMAINS_HEAD, common_subdomains
+from repro.sim.runner import DEFAULT_CHECKPOINT_EVERY
 
 
 class TestRng:
@@ -214,13 +215,12 @@ class TestCliModeConflicts:
 
     CONFLICTS = [
         (["run", "--stream", "--cache"], "--stream is incompatible"),
-        (["run", "--observe"], "--observe requires --stream"),
-        (["run", "--spill", "--stream"], "--spill is incompatible"),
-        (["run", "--spill", "--checkpoint"], "--spill is incompatible"),
         (["run", "--resume"], "--resume requires --checkpoint"),
         (["experiment", "table1", "--resume"],
          "--resume requires --checkpoint"),
         (["observe", "--cache"], "--stream is incompatible with --cache"),
+        (["run", "--observe", "--cache"],
+         "--stream is incompatible with --cache"),
     ]
 
     @pytest.mark.parametrize("argv,message", CONFLICTS,
@@ -239,6 +239,38 @@ class TestCliModeConflicts:
         assert main(["run", "--stream", "--cache", "--no-cache",
                      "--days", "2", "--scale", "1e-6", "--tail", "2"]) == 0
         assert "Streaming scan summary" in capsys.readouterr().out
+
+
+class TestCliCheckpointEvery:
+    """``--checkpoint-every`` defaults to the runner's cadence and refuses
+    a cadence below one day at parse time on every subcommand."""
+
+    COMMANDS = (["run"], ["experiment", "table1"], ["observe"], ["serve"])
+
+    @pytest.mark.parametrize("command", COMMANDS,
+                             ids=[c[0] for c in COMMANDS])
+    def test_default_is_the_runner_cadence(self, command):
+        args = _build_parser().parse_args(command)
+        assert args.checkpoint_every == DEFAULT_CHECKPOINT_EVERY
+
+    @pytest.mark.parametrize("command", COMMANDS,
+                             ids=[c[0] for c in COMMANDS])
+    @pytest.mark.parametrize("value", ["0", "-5", "ten"])
+    def test_invalid_cadence_refused(self, capsys, command, value):
+        with pytest.raises(SystemExit) as info:
+            _build_parser().parse_args(
+                [*command, f"--checkpoint-every={value}"])
+        assert info.value.code == 2
+        assert "--checkpoint-every" in capsys.readouterr().err
+
+    def test_service_default_is_the_runner_cadence(self, tmp_path):
+        from repro.service import ScenarioService
+
+        service = ScenarioService(tmp_path / "cache")
+        try:
+            assert service.checkpoint_every == DEFAULT_CHECKPOINT_EVERY
+        finally:
+            service.close()
 
 
 class TestCliObserve:
@@ -271,9 +303,11 @@ class TestCliObserve:
         assert err == f"error: no observer day files in {missing}"
 
     def test_run_observe_prints_summary(self, capsys, tmp_path):
-        data = tmp_path / "data"
-        assert main(["run", "--stream", f"--observe={data}",
-                     "--days", "2", "--scale", "1e-6", "--tail", "2"]) == 0
-        captured = capsys.readouterr()
-        assert "Streaming scan summary" in captured.out
-        assert "observatory: 2 day files" in captured.err
+        """``--observe`` streams with or without ``--stream``."""
+        for stream in (["--stream"], []):
+            data = tmp_path / f"data{len(stream)}"
+            assert main(["run", *stream, f"--observe={data}", "--days", "2",
+                         "--scale", "1e-6", "--tail", "2"]) == 0
+            captured = capsys.readouterr()
+            assert "Streaming scan summary" in captured.out
+            assert "observatory: 2 day files" in captured.err
