@@ -303,11 +303,18 @@ class TestCliObserve:
         assert err == f"error: no observer day files in {missing}"
 
     def test_run_observe_prints_summary(self, capsys, tmp_path):
-        """``--observe`` streams with or without ``--stream``."""
-        for stream in (["--stream"], []):
-            data = tmp_path / f"data{len(stream)}"
-            assert main(["run", *stream, f"--observe={data}", "--days", "2",
-                         "--scale", "1e-6", "--tail", "2"]) == 0
-            captured = capsys.readouterr()
-            assert "Streaming scan summary" in captured.out
-            assert "observatory: 2 day files" in captured.err
+        data = tmp_path / "data"
+        assert main(["run", "--stream", f"--observe={data}",
+                     "--days", "2", "--scale", "1e-6", "--tail", "2"]) == 0
+        captured = capsys.readouterr()
+        assert "Streaming scan summary" in captured.out
+        assert "observatory: 2 day files" in captured.err
+
+    def test_run_observe_implies_stream(self, capsys, tmp_path):
+        """``--observe`` without ``--stream`` streams instead of refusing."""
+        data = tmp_path / "data"
+        assert main(["run", f"--observe={data}",
+                     "--days", "2", "--scale", "1e-6", "--tail", "2"]) == 0
+        captured = capsys.readouterr()
+        assert "Streaming scan summary" in captured.out
+        assert "observatory: 2 day files" in captured.err
