@@ -92,15 +92,10 @@ class PacketCapturer:
 
     # -- chunk transfer (shard merge + checkpoint restore) -----------------
 
-    def mark(self) -> tuple[int, int]:
-        """The current chunk high-water mark ``(chunks, truth_chunks)`` for
-        a later :meth:`chunks_since`."""
-        return len(self._chunks), len(self._truth_chunks)
-
-    def chunks_since(self, mark: tuple[int, int]) -> tuple[list, list]:
-        """The (analysis, truth) chunks appended since ``mark`` — the
-        per-agent capture delta a shard worker ships to the parent."""
-        return list(self._chunks[mark[0]:]), list(self._truth_chunks[mark[1]:])
+    def chunks(self) -> tuple[list, list]:
+        """The buffered (analysis, truth) chunks, in arrival order — what a
+        checkpoint stores and a shard worker ships to the parent."""
+        return list(self._chunks), list(self._truth_chunks)
 
     def extend_chunks(self, chunks, truth_chunks) -> None:
         """Append transferred chunks in arrival order (the receiving side

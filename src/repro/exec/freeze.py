@@ -174,7 +174,7 @@ def capture_checkpoint(scenario, next_day: int, journal_records,
         next_day=int(next_day),
         counters=(c.nta, c.ntb, c.ntc, c.live_dropped, c.unrouted),
         captures={
-            key: cap.chunks_since((0, 0))
+            key: cap.chunks()
             for key, cap in _capturers(scenario).items()
         },
         journal_records=list(journal_records),

@@ -28,15 +28,25 @@ processes the identical event sequence — and the parent sort-merges on
 deploy/retract records keyed at agent index -1 (a serial ``_withdraw``
 emits the retraction before any cancel).
 
-Workers ship, per day and per agent: the journal records the agent
-emitted, its per-telescope capture-chunk deltas (truth sidecars included),
-and its emitted count; plus per-day dispatch-counter deltas.  Chunks are
-dropped worker-side once shipped, bounding worker memory to one window.
+Each worker runs its day as the serial loop does, through
+:meth:`~repro.sim.scenario.PaperScenario.run_agents_day` with its own
+agent indices: every owned agent polls and emits in ascending agent order,
+then the worker dispatches their rows once.  Workers ship, per day: the
+poll-phase journal records (each carries its ``agent``), one capture delta
+per telescope (analysis chunks and their origin-bearing truth sidecars),
+the emitted count, and the dispatch-counter deltas.  The parent restores
+serial order by stably sorting the poll records on ``agent`` and each
+telescope's rows on the truth ``origin`` column — exact, because the
+serial day and each worker both hold rows in ascending agent order.
+Chunks are dropped worker-side once shipped, bounding worker memory to
+one window.
 """
 
 from __future__ import annotations
 
 import traceback
+
+import numpy as np
 
 from repro._util import DAY
 from repro.exec.parallel import process_context
@@ -47,6 +57,7 @@ from repro.obs import (
     set_tracer,
     use_journal,
 )
+from repro.net.batch import PacketBatch
 from repro.obs.journal import RecordingJournal
 
 #: Journal record types that originate from scanner agents — the only
@@ -91,25 +102,22 @@ def _worker_day(scenario, recorder, caps, day: int, shard_index: int,
     ]
     recorder.context_fn = None
     recorder.clear()
-    agents = []
-    for idx in shard_indices(len(scenario.agents), shard_index,
-                             shard_count):
-        marks = {key: cap.mark() for key, cap in caps.items()}
-        emitted = scenario.run_agent_day(scenario.agents[idx], day_start,
-                                         day_end)
-        records = [(rtype, fields) for _, rtype, fields in recorder.records]
-        recorder.clear()
-        deltas = {key: cap.chunks_since(marks[key])
-                  for key, cap in caps.items()}
-        agents.append((idx, records, emitted, deltas))
+    emitted = scenario.run_agents_day(
+        shard_indices(len(scenario.agents), shard_index, shard_count),
+        day_start, day_end)
     scenario._last_poll = day_end
-    for cap in caps.values():
+    records = [(rtype, fields) for _, rtype, fields in recorder.records]
+    recorder.clear()
+    captures = {}
+    for key, cap in caps.items():
+        captures[key] = cap.chunks()
         cap.reset_chunks()
     counter_delta = tuple(
         after - before for before, after
         in zip(counters_before, _counter_tuple(scenario.counters))
     )
-    return {"engine": engine_records, "agents": agents,
+    return {"engine": engine_records, "records": records,
+            "emitted": emitted, "captures": captures,
             "counters": counter_delta}
 
 
@@ -227,14 +235,45 @@ class ShardPool:
                 proc.join(timeout=5)
 
 
+def _merge_capture(deltas) -> PacketBatch | None:
+    """One telescope-day's shipped ``(analysis, truth)`` chunk deltas as
+    one truth batch in serial row order (None when no rows arrived).
+
+    The serial day and each worker capture rows in ascending agent order,
+    so a stable sort on ``origin`` over the shards' concatenated rows
+    rebuilds the serial order exactly.  Every shipped row must carry its
+    origin: a chunk without one, or analysis and truth row counts that
+    differ, raise ``ValueError``.
+    """
+    analysis_rows = 0
+    truth = []
+    for chunks, truth_chunks in deltas:
+        analysis_rows += sum(len(chunk) for chunk in chunks)
+        for chunk in truth_chunks:
+            if chunk.origin is None:
+                raise ValueError("a shipped capture chunk lacks origin")
+            truth.append(chunk)
+    truth_rows = sum(len(chunk) for chunk in truth)
+    if analysis_rows != truth_rows:
+        raise ValueError(
+            f"shipped capture rows differ: {analysis_rows} analysis, "
+            f"{truth_rows} truth"
+        )
+    if not truth_rows:
+        return None
+    merged = PacketBatch.concat(truth)
+    return merged.select(np.argsort(merged.origin, kind="stable"))
+
+
 def merge_day(scenario, journal, day: int, parent_records,
               worker_payloads) -> int:
     """Merge one day's shard outputs into the parent; returns emitted.
 
     Reconstructs the serial journal order (engine phase sort-merged on
-    ``(event ordinal, agent, emission order)``, then poll records in
-    agent order, then the day record), appends capture chunks in agent
-    order, and accumulates counter deltas.
+    ``(event ordinal, agent, emission order)``, then poll records stably
+    sorted on agent, then the day record), appends each telescope's rows
+    as one chunk in serial order (:func:`_merge_capture`), and accumulates
+    counter deltas.
     """
     engine_phase = [
         (tag, fields.get("agent", -1), i, rtype, fields)
@@ -247,20 +286,21 @@ def merge_day(scenario, journal, day: int, parent_records,
     for _tag, _agent, _i, rtype, fields in engine_phase:
         journal.emit(rtype, **fields)
 
-    caps = _scenario_capturers(scenario)
-    entries = sorted(
-        (entry for payload in worker_payloads for entry in payload["agents"]),
-        key=lambda entry: entry[0],
+    poll_records = sorted(
+        (record for payload in worker_payloads
+         for record in payload["records"]),
+        key=lambda record: record[1]["agent"],
     )
-    emitted_total = 0
-    for _idx, records, emitted, deltas in entries:
-        for rtype, fields in records:
-            journal.emit(rtype, **fields)
-        emitted_total += emitted
-        for key, cap in caps.items():
-            chunks, truth_chunks = deltas[key]
-            cap.extend_chunks(chunks, truth_chunks)
+    for rtype, fields in poll_records:
+        journal.emit(rtype, **fields)
+    emitted_total = sum(payload["emitted"] for payload in worker_payloads)
     journal.emit("day", day=day, emitted=emitted_total)
+
+    for key, cap in _scenario_capturers(scenario).items():
+        merged = _merge_capture(
+            [payload["captures"][key] for payload in worker_payloads])
+        if merged is not None:
+            cap.extend_chunks([merged.drop_origin()], [merged])
 
     counters = scenario.counters
     for payload in worker_payloads:

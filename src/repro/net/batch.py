@@ -502,12 +502,12 @@ class WireBuilder:
 
 
 def probe_batch(ts, src_hi, src_lo, dst_hi, dst_lo, proto, sport, dport,
-                ) -> PacketBatch:
+                origin=None) -> PacketBatch:
     """Normalize freshly drawn emission columns into a :class:`PacketBatch`.
 
     Enforces the probe invariants: ICMPv6 rows get the Echo Request type
     in ``sport`` and a zero identifier in ``dport`` regardless of what the
-    sampler drew.
+    sampler drew.  ``origin`` is the optional provenance column.
     """
     proto = np.asarray(proto, dtype=np.uint8)
     sport = np.asarray(sport, dtype=np.uint16).copy()
@@ -516,5 +516,5 @@ def probe_batch(ts, src_hi, src_lo, dst_hi, dst_lo, proto, sport, dport,
     sport[icmp] = np.uint16(int(IcmpType.ECHO_REQUEST))
     dport[icmp] = np.uint16(0)
     return PacketBatch.from_columns(
-        ts, src_hi, src_lo, dst_hi, dst_lo, proto, sport, dport
+        ts, src_hi, src_lo, dst_hi, dst_lo, proto, sport, dport, origin
     )

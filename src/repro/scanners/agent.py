@@ -11,17 +11,21 @@ with two calls per day:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._util import DAY, make_rng, spawn_rngs
+from repro._util import DAY, make_rng
 from repro.net.addr import IPv6Prefix, split_u64
 from repro.net.batch import PacketBatch, probe_batch
 from repro.obs import get_journal, get_tracer
 from repro.obs.registry import get_registry
 from repro.scanners.identity import ScannerIdentity, SourceAllocator
 from repro.scanners.strategies import ProbeBatch, Strategy
+
+#: What an agent-day that plans nothing returns (zero-length columns, so
+#: sharing one instance is safe).
+_NO_PACKETS = PacketBatch.empty()
 
 
 @dataclass
@@ -33,24 +37,35 @@ class ScanSession:
     #: Worker slice of the agent's source pool dedicated to this target
     #: (None: draw from the whole pool).
     sources: list[int] | None = None
+    #: ``sources`` split into (hi, lo) uint64 columns, once.
+    source_columns: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.sources is not None:
+            self.source_columns = split_u64(self.sources)
+
+    def window(self, day_start: float, day_end: float) -> tuple[float, float]:
+        """The session's live part ``(lo, hi)`` of ``[day_start, day_end)``:
+        clamped to ``min(day_end, cancelled_at, start + duration)``.  Empty
+        when ``hi <= lo``."""
+        batch = self.batch
+        hi = min(day_end, batch.start + batch.duration)
+        if batch.cancelled_at is not None:
+            hi = min(hi, batch.cancelled_at)
+        return max(day_start, batch.start), hi
 
     def expected_packets(self, day_start: float, day_end: float) -> float:
         """Expected packets in ``[day_start, day_end)``.
 
-        Approximates the envelope's integral with the midpoint rate; the
-        per-day envelope changes slowly relative to a day, so this is
-        accurate to a few percent.
+        Approximates the envelope's integral over :meth:`window` with the
+        midpoint rate; the per-day envelope changes slowly relative to a
+        day, so this is accurate to a few percent.
         """
-        effective_start = max(day_start, self.batch.start)
-        end = day_end
-        if self.batch.cancelled_at is not None:
-            end = min(end, self.batch.cancelled_at)
-        end = min(end, self.batch.start + self.batch.duration)
-        if end <= effective_start:
+        lo, hi = self.window(day_start, day_end)
+        if hi <= lo:
             return 0.0
-        midpoint = 0.5 * (effective_start + end)
-        fraction = (end - effective_start) / DAY
-        return self.batch.rate_at(midpoint) * fraction
+        return self.batch.rate_at(0.5 * (lo + hi)) * ((hi - lo) / DAY)
 
 
 class ScannerAgent:
@@ -142,19 +157,21 @@ class ScannerAgent:
     def _day_plan(
         self, day_start: float, day_end: float,
     ) -> tuple[list[tuple[ScanSession, int, float, float]],
-               np.random.Generator]:
+               np.random.SeedSequence]:
         """Draw the day's per-session packet counts and time bounds.
 
-        Counts come from the agent's main stream in session order, so
-        emission (:meth:`emit_day_batch`) and checkpoint replay
+        Counts come from the agent's main stream, one Poisson draw per
+        session with a positive expectation, in session order, so emission
+        (:meth:`emit_day_batch`) and checkpoint replay
         (:meth:`replay_day`) consume ``self._rng`` identically and produce
         *identical* per-day Poisson counts under the same seed.  Packet
-        contents are then drawn from a spawned per-day child generator —
-        spawning does not advance the parent stream — so replay can skip
-        them without disturbing any later draw.
+        contents are then drawn from a per-day child generator, built from
+        the returned spawned child seed only when a day has plans —
+        spawning does not advance the parent stream — so replay and empty
+        days skip it without disturbing any later draw.
 
-        Each plan's time bounds are clamped to
-        ``min(day_end, cancelled_at, start + duration)``, the same window
+        Each plan's time bounds are the session's
+        :meth:`ScanSession.window`, the span
         :meth:`ScanSession.expected_packets` integrates over, so cancelled
         or expiring sessions stop emitting at the instant their rate does
         (the §5.3.1 retraction tail).
@@ -163,23 +180,17 @@ class ScannerAgent:
         weekly = 1.0 + self.weekly_amplitude * float(
             np.sin(2 * np.pi * day_index / 7.0 + self.weekly_phase)
         )
+        scale = self.volume_scale * weekly
         plans: list[tuple[ScanSession, int, float, float]] = []
         for session in self.sessions:
-            expected = session.expected_packets(day_start, day_end) * (
-                self.volume_scale * weekly
-            )
+            expected = session.expected_packets(day_start, day_end) * scale
             if expected <= 0:
                 continue
             n = int(self._rng.poisson(expected))
-            if n == 0:
-                continue
-            lo = max(day_start, session.batch.start)
-            hi = day_end
-            if session.batch.cancelled_at is not None:
-                hi = min(hi, session.batch.cancelled_at)
-            hi = min(hi, session.batch.start + session.batch.duration)
-            plans.append((session, n, lo, hi))
-        return plans, spawn_rngs(self._rng, 1)[0]
+            if n:
+                plans.append((session, n,
+                              *session.window(day_start, day_end)))
+        return plans, self._rng.bit_generator.seed_seq.spawn(1)[0]
 
     def _retire_sessions(self, day_end: float) -> None:
         """Retire long-dead sessions to bound memory."""
@@ -210,7 +221,7 @@ class ScannerAgent:
         run exactly.
         """
         self.allocator.new_session()
-        plans, _pkt_rng = self._day_plan(day_start, day_end)
+        plans, _pkt_seed = self._day_plan(day_start, day_end)
         for session, n, _lo, _hi in plans:
             session.packets_sent += n
             self.packets_emitted += n
@@ -220,41 +231,53 @@ class ScannerAgent:
         """Emit this day's probes across all active sessions as one batch.
 
         Draws the per-session Poisson counts (:meth:`_day_plan`), then
-        vectorizes timestamps, targets, sources, and sport draws per
-        session.
+        each session's timestamps, targets, sources, and sport draws
+        straight into one set of day columns.  A day that plans nothing
+        returns an empty batch at once, after the same stream draws and
+        session retirement as any other day.
         """
         self.allocator.new_session()
-        plans, pkt_rng = self._day_plan(day_start, day_end)
-        span = get_tracer().span("agent.emit_day_batch",
-                                 agent=self.agent_id,
-                                 asn=self.identity.asn,
-                                 sessions=len(plans))
-        with span:
-            batch = self._emit_plans(plans, pkt_rng, day_end)
-        span.set(packets=len(batch))
+        plans, pkt_seed = self._day_plan(day_start, day_end)
+        batch = _NO_PACKETS
+        if plans:
+            span = get_tracer().span("agent.emit_day_batch",
+                                     agent=self.agent_id,
+                                     asn=self.identity.asn,
+                                     sessions=len(plans))
+            with span:
+                batch = self._emit_plans(plans,
+                                         np.random.default_rng(pkt_seed))
+            span.set(packets=len(batch))
+        self._retire_sessions(day_end)
         return batch
 
-    def _emit_plans(self, plans, pkt_rng, day_end: float) -> PacketBatch:
-        parts: list[PacketBatch] = []
-        emitted = 0
+    def _emit_plans(self, plans, pkt_rng) -> PacketBatch:
+        total = sum(n for _, n, _, _ in plans)
+        ts = np.empty(total, dtype=np.float64)
+        src_hi, src_lo, dst_hi, dst_lo = (
+            np.empty(total, dtype=np.uint64) for _ in range(4))
+        proto = np.empty(total, dtype=np.uint8)
+        sport = np.empty(total, dtype=np.uint16)
+        dport = np.empty(total, dtype=np.uint16)
+        start = 0
         for session, n, lo, hi in plans:
-            ts = np.sort(pkt_rng.uniform(lo, hi, size=n))
-            dst_hi, dst_lo, proto, dport = session.batch.sampler(pkt_rng, n)
-            if session.sources is not None:
-                pool_hi, pool_lo = split_u64(session.sources)
-                idx = pkt_rng.integers(0, len(session.sources), size=n)
-                src_hi, src_lo = pool_hi[idx], pool_lo[idx]
+            rows = slice(start, start + n)
+            ts[rows] = np.sort(pkt_rng.uniform(lo, hi, size=n))
+            (dst_hi[rows], dst_lo[rows], proto[rows],
+             dport[rows]) = session.batch.sampler(pkt_rng, n)
+            if session.source_columns is not None:
+                pool_hi, pool_lo = session.source_columns
+                idx = pkt_rng.integers(0, len(pool_hi), size=n)
+                src_hi[rows], src_lo[rows] = pool_hi[idx], pool_lo[idx]
             else:
-                src_hi, src_lo = self.allocator.sources_batch(n, pkt_rng)
-            sport = pkt_rng.integers(32_768, 61_000, size=n,
-                                     dtype=np.uint16)
-            parts.append(probe_batch(ts, src_hi, src_lo, dst_hi, dst_lo,
-                                     proto, sport, dport))
+                src_hi[rows], src_lo[rows] = self.allocator.sources_batch(
+                    n, pkt_rng)
+            sport[rows] = pkt_rng.integers(32_768, 61_000, size=n,
+                                           dtype=np.uint16)
             session.packets_sent += n
-            emitted += n
-        self._retire_sessions(day_end)
-        self.packets_emitted += emitted
-        batch = PacketBatch.concat(parts)
-        if self.agent_id >= 0:
-            batch = batch.with_origin(self.agent_id)
-        return batch
+            start += n
+        self.packets_emitted += total
+        origin = (np.full(total, self.agent_id, dtype=np.int32)
+                  if self.agent_id >= 0 else None)
+        return probe_batch(ts, src_hi, src_lo, dst_hi, dst_lo, proto, sport,
+                           dport, origin=origin)

@@ -105,7 +105,12 @@ class AddressWindow:
 
 @dataclass(frozen=True)
 class ProtocolProfile:
-    """A scanner's protocol mix for generic (non-source-specific) probes."""
+    """A scanner's protocol mix for generic (non-source-specific) probes.
+
+    The weights are validated once, at construction: they must be finite
+    and non-negative with a positive total.  The protocol CDF and the port
+    columns are precomputed then, so a draw pays for none of it.
+    """
 
     icmp_weight: float = 1.0
     tcp_weight: float = 0.0
@@ -113,34 +118,51 @@ class ProtocolProfile:
     tcp_ports: tuple[int, ...] = (80, 443, 22, 23)
     udp_ports: tuple[int, ...] = (53, 123)
 
+    def __post_init__(self) -> None:
+        weights = np.array(
+            [self.icmp_weight, self.tcp_weight, self.udp_weight]
+        )
+        if not np.isfinite(weights).all() or (weights < 0).any():
+            raise ValueError(
+                "protocol weights must be finite and non-negative, got "
+                f"{tuple(weights.tolist())}"
+            )
+        total = weights.sum()
+        if not (np.isfinite(total) and total > 0):
+            raise ValueError("protocol profile has no positive weight")
+        # Exactly the CDF Generator.choice(3, p=weights / total) builds.
+        cdf = (weights / total).cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "_cdf", cdf)
+        object.__setattr__(self, "_tcp_ports",
+                           np.asarray(self.tcp_ports, dtype=np.uint16))
+        object.__setattr__(self, "_udp_ports",
+                           np.asarray(self.udp_ports, dtype=np.uint16))
+
     def sample_batch(self, rng: np.random.Generator,
                      n: int) -> tuple[np.ndarray, np.ndarray]:
         """Columnar protocol/port draw: ``(proto, dport)`` for ``n`` probes.
 
         Protocols follow the profile's weights; each probe's port is drawn
-        uniformly from its protocol's port list.
+        uniformly from its protocol's port list.  The protocol draw is
+        ``Generator.choice(3, size=n, p=...)`` without its per-call setup:
+        the same uniforms, the same CDF, the same stream position after.
         """
-        weights = np.array(
-            [self.icmp_weight, self.tcp_weight, self.udp_weight]
-        )
-        total = weights.sum()
-        if total <= 0:
-            raise ValueError("protocol profile has no positive weight")
-        choice = rng.choice(3, size=n, p=weights / total)
+        choice = self._cdf.searchsorted(rng.random(n), side="right")
         proto = np.full(n, ICMPV6, dtype=np.uint8)
         dport = np.zeros(n, dtype=np.uint16)
         tcp = choice == 1
         k = int(tcp.sum())
         if k:
             proto[tcp] = TCP
-            ports = np.asarray(self.tcp_ports, dtype=np.uint16)
-            dport[tcp] = ports[rng.integers(len(ports), size=k)]
+            dport[tcp] = self._tcp_ports[rng.integers(len(self._tcp_ports),
+                                                      size=k)]
         udp = choice == 2
         k = int(udp.sum())
         if k:
             proto[udp] = UDP
-            ports = np.asarray(self.udp_ports, dtype=np.uint16)
-            dport[udp] = ports[rng.integers(len(ports), size=k)]
+            dport[udp] = self._udp_ports[rng.integers(len(self._udp_ports),
+                                                      size=k)]
         return proto, dport
 
 

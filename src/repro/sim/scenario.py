@@ -519,22 +519,38 @@ class PaperScenario:
         self.engine.run_until(day_end)
         return day_start, day_end
 
-    def run_agent_day(self, agent: ScannerAgent, day_start: float,
-                      day_end: float) -> int:
-        """Poll, emit, and dispatch one agent's day; returns its emitted
-        count.  Reads ``self._last_poll`` (advanced once per day, after
-        every agent ran) so the poll window is identical no matter which
-        process or shard drives the agent."""
+    def run_agents_day(self, indices, day_start: float,
+                       day_end: float) -> int:
+        """Poll and emit the agents at ``indices``, in order, then dispatch
+        their rows once; returns the emitted count.
+
+        Each agent's batch arrives stamped with its origin, so the one
+        concatenated batch carries the rows in agent order — the order
+        the serial day and every shard worker capture them in.  Reads
+        ``self._last_poll`` (advanced once per day, after every agent
+        ran) so the poll window is identical no matter which process or
+        shard drives an agent."""
         registry = get_registry()
-        agent.poll_feeds(self._last_poll, day_end)
-        with registry.timer("scenario.emit"):
-            batch = agent.emit_day_batch(day_start, day_end)
+        batches = []
+        for idx in indices:
+            agent = self.agents[idx]
+            agent.poll_feeds(self._last_poll, day_end)
+            with registry.timer("scenario.emit"):
+                batch = agent.emit_day_batch(day_start, day_end)
+            if len(batch):
+                batches.append(batch)
+        batch = PacketBatch.concat(batches)
         with registry.timer("scenario.dispatch"):
             self.dispatch_batch(batch)
         return len(batch)
 
     def run_day(self, day: int) -> int:
-        """Simulate day ``day``; returns the number of packets dispatched."""
+        """Simulate day ``day``; returns the number of packets dispatched.
+
+        Runs the engine through the day, then every agent's poll and emit
+        in agent order, then one dispatch of the whole population's rows
+        (:meth:`run_agents_day`).  A shard worker runs the same body over
+        its own agent indices."""
         span = get_tracer().span("scenario.run_day", day=day)
         with span:
             emitted = self._run_day_impl(day)
@@ -544,9 +560,8 @@ class PaperScenario:
 
     def _run_day_impl(self, day: int) -> int:
         day_start, day_end = self.begin_day(day)
-        emitted = 0
-        for agent in self.agents:
-            emitted += self.run_agent_day(agent, day_start, day_end)
+        emitted = self.run_agents_day(range(len(self.agents)), day_start,
+                                      day_end)
         self._last_poll = day_end
         return emitted
 
@@ -556,10 +571,12 @@ class PaperScenario:
 
         Runs the engine exactly as :meth:`run_day` does, then replays the
         selected agents' polls and per-day plan draws
-        (:meth:`~repro.scanners.agent.ScannerAgent.replay_day`), leaving
-        every RNG stream, session list, and engine structure in the state
-        a real run of this day would have left them — the checkpoint
-        resume path.  Shard workers replay only their own agents
+        (:meth:`~repro.scanners.agent.ScannerAgent.replay_day`) in the
+        order :meth:`run_agents_day` polls and emits them, leaving every
+        RNG stream, session list, and engine structure in the state a real
+        run of this day would have left them — the checkpoint resume path.
+        Nothing is dispatched: dispatch draws from no agent stream.  Shard
+        workers replay only their own agents
         (``agent_index % shard_count == shard_index``); the merging
         parent, which never polls, passes ``agents=False`` to advance the
         engine alone.  Callers suppress the journal around replay
