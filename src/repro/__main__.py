@@ -33,10 +33,8 @@ invocation):
   ``--checkpoint-every`` days (default dir ``.checkpoints``); ``--resume``
   picks up from the last checkpoint instead of starting at day zero.
 
-``run`` additionally takes ``--jobs N`` (shard each day's agents across
-``N`` worker processes), which produces byte-identical results to a
-serial run.  ``experiment`` takes ``--jobs N`` to render report sections
-in ``N`` worker processes (the report bytes do not depend on N).
+``experiment`` takes ``--jobs N`` to render report sections in ``N``
+worker processes (the report bytes do not depend on N).
 """
 
 from __future__ import annotations
@@ -144,9 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "the --checkpoint directory")
 
     run_p = sub.add_parser("run", help="run the scenario, print headlines")
-    run_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="shard the day loop's agents across N worker "
-                            "processes (results are identical for every N)")
     run_p.add_argument("--stream", action="store_true",
                        help="run scan detection incrementally during the "
                             "day loop and release each day's packets: peak "
@@ -183,10 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "already in --data")
     obs_p.add_argument("--json", default=None, metavar="FILE",
                        help="also write the drift report as JSON to FILE")
-    obs_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="shard the day loop's agents across N worker "
-                            "processes (day files are identical for "
-                            "every N)")
     add_scenario_args(obs_p)
 
     serve_p = sub.add_parser(
@@ -268,7 +259,6 @@ def _scenario(args) -> object:
           f"seed {args.seed} ...", file=sys.stderr)
     return run_scenario(
         _config(args), cache_dir=_cache_dir(args),
-        jobs=getattr(args, "jobs", 1) if args.command == "run" else 1,
         checkpoint_dir=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
@@ -304,8 +294,7 @@ def _observe(args) -> int:
 
     if not args.summary_only:
         result = run_scenario(
-            _config(args), jobs=args.jobs,
-            checkpoint_dir=args.checkpoint,
+            _config(args), checkpoint_dir=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
             resume=args.resume,
             observe_dir=args.data,

@@ -90,26 +90,19 @@ class PacketCapturer:
             for pkt in batch.iter_packets():
                 self._writer.write(pkt)
 
-    # -- chunk transfer (shard merge + checkpoint restore) -----------------
+    # -- chunk transfer (checkpoint capture + restore) ----------------------
 
     def chunks(self) -> tuple[list, list]:
         """The buffered (analysis, truth) chunks, in arrival order — what a
-        checkpoint stores and a shard worker ships to the parent."""
+        checkpoint stores."""
         return list(self._chunks), list(self._truth_chunks)
 
     def extend_chunks(self, chunks, truth_chunks) -> None:
-        """Append transferred chunks in arrival order (the receiving side
-        of shard merging and checkpoint restore).  Does not advance the
-        capture metrics counter: transferred rows were counted where they
-        were captured."""
+        """Append transferred chunks in arrival order (the checkpoint
+        restore side).  Does not advance the capture metrics counter:
+        transferred rows were counted where they were captured."""
         self._chunks.extend(chunks)
         self._truth_chunks.extend(truth_chunks)
-
-    def reset_chunks(self) -> None:
-        """Drop all buffered chunks (a shard worker's memory bound: once a
-        day's deltas are shipped, the worker no longer needs them)."""
-        self._chunks.clear()
-        self._truth_chunks.clear()
 
     def drain_day_records(self):
         """Freeze and drop everything buffered since the last drain.

@@ -10,10 +10,6 @@ data-parallel + artifact-cache tier:
 * :mod:`repro.exec.parallel` — :func:`parallel_map`, the deterministic
   fan-out primitive shared with the jobs-aware experiment drivers
   (``table4``/``fig7``/``fig8``/``fig10``);
-* :mod:`repro.exec.shard` — :class:`ShardPool`, intra-scenario agent
-  sharding (``python -m repro run --jobs N``), and
-  :func:`run_sharded_days`, which yields each merged day to the runner's
-  one day loop;
 * the checkpoint layer in :mod:`repro.exec.freeze` —
   :func:`save_checkpoint`/:func:`load_checkpoint`, resumable engine-state
   snapshots at day boundaries (``--checkpoint``/``--resume``).
@@ -49,7 +45,6 @@ from repro.exec.pool import (
     resolve_ids,
     run_experiments,
 )
-from repro.exec.shard import ShardPool, ShardWorkerError, run_sharded_days
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -59,8 +54,6 @@ __all__ = [
     "FrozenScenario",
     "ScenarioCache",
     "ScenarioCheckpoint",
-    "ShardPool",
-    "ShardWorkerError",
     "UnknownExperimentError",
     "capture_checkpoint",
     "checkpoint_path",
@@ -73,6 +66,5 @@ __all__ = [
     "resolve_ids",
     "restore_checkpoint",
     "run_experiments",
-    "run_sharded_days",
     "save_checkpoint",
 ]

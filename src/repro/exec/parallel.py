@@ -31,10 +31,10 @@ T = TypeVar("T")
 def process_context():
     """The multiprocessing context worker fan-out uses.
 
-    Prefers ``fork`` (the shard workers rebuild their world from the
-    config either way, but fork skips re-importing the package and starts
-    in milliseconds); falls back to the platform default where fork is
-    unavailable.  Centralized so every in-repo fan-out picks the same
+    Prefers ``fork`` (workers receive their inputs as pickled task
+    arguments either way, but fork skips re-importing the package and
+    starts in milliseconds); falls back to the platform default where fork
+    is unavailable.  Centralized so every in-repo fan-out picks the same
     start method.
     """
     try:

@@ -165,12 +165,7 @@ class Journal:
         self.records_written += 1
 
     def flush(self) -> None:
-        """Flush any buffered lines to the underlying stream.
-
-        The shard executor calls this before forking workers so a child
-        process can never re-flush (and thereby duplicate) bytes the
-        parent had already written.
-        """
+        """Flush any buffered lines to the underlying stream."""
         if self._stream is not None:
             self._stream.flush()
 
@@ -198,47 +193,34 @@ class NullJournal(Journal):
 
 
 class RecordingJournal(Journal):
-    """A journal that buffers every record, optionally forwarding it.
+    """A journal that buffers every record and forwards it to ``inner``.
 
-    Two executor features build on this:
-
-    * **checkpointing** — the runner wraps the active journal in a
-      recorder for the duration of a run; a checkpoint then carries every
-      record emitted so far, and a resumed run replays them through the
-      fresh journal, keeping the resumed journal byte-identical to an
-      uninterrupted one;
-    * **sharded merging** — each shard worker records the journal lines
-      its agents would have written, tagged with :attr:`context_fn`'s
-      value at emit time (the shard driver uses the engine's processed-
-      event count, a tag that is consistent across replicated workers),
-      and the parent re-emits them in the serial order.
-
-    Records are stored as ``(tag, record_type, fields)`` tuples; ``tag``
-    is ``None`` unless :attr:`context_fn` is set.
+    Checkpointing builds on this: the runner wraps the active journal in a
+    recorder for the duration of a run; a checkpoint then carries every
+    record emitted so far, and a resumed run replays them through the
+    fresh journal, keeping the resumed journal byte-identical to an
+    uninterrupted one.  Records are stored as ``(record_type, fields)``
+    pairs.
     """
 
     enabled = True
 
-    def __init__(self, inner: Journal | None = None, context_fn=None):
+    def __init__(self, inner: Journal):
         self.inner = inner
-        #: Zero-argument callable evaluated at emit time to tag records.
-        self.context_fn = context_fn
         self.records: list[tuple] = []
         self.records_written = 0
 
     def emit(self, record_type: str, **fields) -> None:
         validate_record(dict(fields, v=JOURNAL_SCHEMA_VERSION,
                              type=record_type))
-        tag = self.context_fn() if self.context_fn is not None else None
-        self.records.append((tag, record_type, dict(fields)))
+        self.records.append((record_type, dict(fields)))
         self.records_written += 1
-        if self.inner is not None:
-            self.inner.emit(record_type, **fields)
+        self.inner.emit(record_type, **fields)
 
     def plain_records(self) -> list[tuple]:
-        """The buffered records as ``(type, fields)`` pairs (tags dropped),
-        the form checkpoints store and :func:`replay` consumes."""
-        return [(rtype, dict(fields)) for _, rtype, fields in self.records]
+        """The buffered records as ``(type, fields)`` pairs (copies), the
+        form checkpoints store and :func:`replay` consumes."""
+        return [(rtype, dict(fields)) for rtype, fields in self.records]
 
     def replay(self, records) -> None:
         """Re-emit previously recorded ``(type, fields)`` pairs through
@@ -247,12 +229,8 @@ class RecordingJournal(Journal):
         for record_type, fields in records:
             self.emit(record_type, **fields)
 
-    def clear(self) -> None:
-        del self.records[:]
-
     def flush(self) -> None:
-        if self.inner is not None:
-            self.inner.flush()
+        self.inner.flush()
 
     def close(self) -> None:
         pass

@@ -25,9 +25,9 @@ the stream and the on-disk files interchangeable.
 
 Reproducibility contract (same as the run journal's): records contain
 simulation-time values only — never wall clock, hostnames, or paths — so
-the per-day files are byte-identical across serial, ``--jobs N``, and
+the per-day files are byte-identical across uninterrupted and
 killed-and-resumed executions of one config, and an aborted run stops
-after the same day in every mode.  On
+after the day it was asked to.  On
 resume the observatory restores its cursor state (seen-source sets,
 cumulative event counts, first-contact times) from the scenario
 checkpoint and rewrites the ``observations.jsonl`` prefix from the
@@ -486,10 +486,9 @@ class Observatory:
         for name in sorted(scenario.honeyprefixes):
             hp = scenario.honeyprefixes[name]
             # Gate on the deployment *time*, not dict membership: the
-            # sharded parent's engine registers a whole window's deploys
-            # before the first day's observation runs, while the serial
-            # path registers them day by day.  The timestamp is identical
-            # in both modes; membership is not.
+            # engine runs every event up to and including ``day_end``, so
+            # a deploy at exactly ``day_end`` is already in the dict but
+            # only goes live the next day.
             if hp.deployed_at is None or hp.deployed_at >= day_end:
                 continue
             selected = (nta.select(nta.mask_dst_in(hp.prefix))

@@ -1,11 +1,9 @@
 """End-to-end experiment runner and result bundle.
 
 :func:`run_scenario` builds the scenario and runs its days through one
-loop.  A day comes either from :meth:`PaperScenario.run_day` (serial) or
-from :func:`repro.exec.shard.run_sharded_days` (``jobs > 1``, yielded
-after each day's merge); the loop body is the same for both: the
-progress line, the streaming feed (and observatory), the cadence
-checkpoint, and the ``abort_after_day`` test hook, in that order.
+loop: each day is :meth:`PaperScenario.run_day`, followed by the progress
+line, the streaming feed (and observatory), the cadence checkpoint, and
+the ``abort_after_day`` test hook, in that order.
 """
 
 from __future__ import annotations
@@ -36,11 +34,10 @@ from repro.sim.scenario import PaperScenario, ScenarioConfig
 
 class SimulationAborted(RuntimeError):
     """Raised by ``run_scenario(abort_after_day=N)`` once day N has
-    completed, serial or sharded — the test hook simulating a process
-    killed mid-horizon.  Any state the run was asked to persist
-    (checkpoints, journal lines, observer day files) is already on disk
-    when this raises, exactly as it would be at a real kill between two
-    days."""
+    completed — the test hook simulating a process killed mid-horizon.
+    Any state the run was asked to persist (checkpoints, journal lines,
+    observer day files) is already on disk when this raises, exactly as
+    it would be at a real kill between two days."""
 
 #: A /48-truncated address has its low 80 bits zeroed; prefixes whose
 #: network keeps any of those bits set can never equal a truncated net.
@@ -159,8 +156,7 @@ class ScenarioResult:
         return GroundTruthRecords.concat(list(self.truth.values()))
 
 
-#: Checkpoints land every this many days unless overridden; sharded day
-#: windows end on the same multiples.
+#: Checkpoints land every this many days unless overridden.
 DEFAULT_CHECKPOINT_EVERY = 10
 
 
@@ -169,7 +165,6 @@ def run_scenario(
     progress: bool = False,
     cache_dir=None,
     *,
-    jobs: int = 1,
     checkpoint_dir=None,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     resume: bool = False,
@@ -198,9 +193,6 @@ def run_scenario(
     Execution modes (all byte-identical in records, counters, and journal
     — the non-negotiable determinism contract):
 
-    * ``jobs > 1`` shards the agents of each day across that many
-      replicated worker processes (:mod:`repro.exec.shard`); the days run
-      through the same loop as a serial run.
     * ``checkpoint_dir`` saves a resumable engine-state checkpoint every
       ``checkpoint_every`` days; with ``resume=True`` a usable checkpoint
       is loaded, the covered days are fast-forwarded without re-emitting
@@ -208,9 +200,9 @@ def run_scenario(
       checkpoint are replayed verbatim into the active journal.
     * ``abort_after_day=N`` raises :class:`SimulationAborted` once day N
       has completed (fed to the analyzers and the observatory, and
-      checkpointed if N + 1 is a cadence day), in every mode: an aborted
-      run's journal and observatory files end with day N.  It is the test
-      hook for kill/resume equivalence.
+      checkpointed if N + 1 is a cadence day): an aborted run's journal
+      and observatory files end with day N.  It is the test hook for
+      kill/resume equivalence.
 
     Capture storage (changes what is held, never what is computed): a
     batch run retains every capture until the freeze, while
@@ -221,8 +213,8 @@ def run_scenario(
     horizon.  The result carries :attr:`ScenarioResult.streaming`
     summaries whose events are element-identical to running
     ``detect_scans`` over the batch records; the record columns come back
-    empty.  Streaming composes with ``jobs`` and ``checkpoint_dir`` (open
-    analyzer state rides in the checkpoint); it is incompatible with
+    empty.  Streaming composes with ``checkpoint_dir`` (open analyzer
+    state rides in the checkpoint); it is incompatible with
     ``cache_dir`` (the cache stores record bundles).
 
     ``observe_dir`` adds the longitudinal observatory
@@ -231,8 +223,7 @@ def run_scenario(
     simulated day (scan-event rates, new-source discovery, tactic mix,
     honeyprefix reaction latency) written into the directory, mirrored to
     ``observations.jsonl``, and indexed at the end.  It composes with
-    ``jobs`` and ``checkpoint_dir`` (the observer cursor rides in the
-    checkpoint).
+    ``checkpoint_dir`` (the observer cursor rides in the checkpoint).
     """
     config = config if config is not None else ScenarioConfig()
     # Observer records are derived from the streaming day drain.
@@ -335,7 +326,7 @@ def run_scenario(
         with tracer.span("run_scenario", days=config.duration_days,
                          seed=config.seed):
             scenario = _simulate(
-                config, checkpoint, start_day, progress=progress, jobs=jobs,
+                config, checkpoint, start_day, progress=progress,
                 checkpoint_dir=checkpoint_dir,
                 checkpoint_every=checkpoint_every,
                 abort_after_day=abort_after_day, streams=streams,
@@ -411,8 +402,7 @@ def _feed_streams(scenario, streams, journal, day: int,
 
     ``now`` is the day boundary, so sessions idle past the timeout close
     deterministically each day regardless of when their source next shows
-    up.  One ``stream_detection`` record per telescope, in fixed order —
-    the serial and sharded paths emit identical journals.
+    up.  One ``stream_detection`` record per telescope, in fixed order.
 
     With an ``observatory``, the drained day records are handed to it
     after all three feeds, so the observer record sees the day's
@@ -435,16 +425,11 @@ def _feed_streams(scenario, streams, journal, day: int,
         observatory.observe_day(day, scenario, streams, drained)
 
 
-def _simulate(config, checkpoint, start_day, *, progress, jobs,
+def _simulate(config, checkpoint, start_day, *, progress,
               checkpoint_dir, checkpoint_every, abort_after_day,
               streams=None, observatory=None):
     """Build (or rebuild-and-fast-forward) the scenario and run its days;
-    returns the run scenario.
-
-    Serial and sharded runs share one day loop: only where ``days`` comes
-    from differs.  Sharded windows end on multiples of the checkpoint
-    cadence, so every checkpoint day is a window end.
-    """
+    returns the run scenario."""
     registry = get_registry()
     tracer = get_tracer()
     journal = get_journal()
@@ -452,68 +437,47 @@ def _simulate(config, checkpoint, start_day, *, progress, jobs,
     cadence = max(1, checkpoint_every)
     chash = config_hash(config)
 
-    pool = None
-    if jobs > 1:
-        from repro.exec.shard import ShardPool, run_sharded_days
+    with registry.timer("scenario.build"), tracer.span("scenario.build"):
+        scenario = PaperScenario(config)
+        if checkpoint is not None:
+            from repro.exec.freeze import restore_checkpoint
 
-        # Spawn first: worker replicas build while the parent builds.
-        pool = ShardPool(config, jobs, start_day)
-    try:
-        with registry.timer("scenario.build"), \
-                tracer.span("scenario.build"):
-            scenario = PaperScenario(config)
-            if checkpoint is not None:
-                from repro.exec.freeze import restore_checkpoint
+            restore_checkpoint(scenario, checkpoint)
+        if start_day:
+            with use_journal(None):
+                for day in range(start_day):
+                    scenario.replay_day(day)
+    sample_peak_rss(registry, stage="build")
 
-                restore_checkpoint(scenario, checkpoint)
-            if start_day:
-                # The sharded parent never polls: it advances the engine
-                # alone and the workers replay their own agents.
-                with use_journal(None):
-                    for day in range(start_day):
-                        scenario.replay_day(day, agents=pool is None)
-        sample_peak_rss(registry, stage="build")
+    with registry.timer("scenario.run"), tracer.span("scenario.run"):
+        for day in range(start_day, duration):
+            emitted = scenario.run_day(day)
+            if progress and day % 10 == 0:
+                counters = scenario.counters
+                print(f"day {day}: {emitted} packets "
+                      f"(NT-A {counters.nta}, NT-C {counters.ntc})")
+            if streams is not None:
+                _feed_streams(scenario, streams, journal, day,
+                              observatory=observatory)
+            next_day = day + 1
+            if (checkpoint_dir is not None and next_day < duration
+                    and next_day % cadence == 0):
+                # The record goes out *before* the file is written so the
+                # checkpoint carries its own record and a resumed journal
+                # replays it in place.
+                from repro.exec.freeze import (capture_checkpoint,
+                                               save_checkpoint)
 
-        if pool is None:
-            days = ((day, scenario.run_day(day))
-                    for day in range(start_day, duration))
-        else:
-            days = run_sharded_days(scenario, pool, start_day=start_day,
-                                    duration=duration, window_days=cadence)
-        with registry.timer("scenario.run"), \
-                tracer.span("scenario.run", jobs=jobs):
-            for day, emitted in days:
-                if progress and day % 10 == 0:
-                    counters = scenario.counters
-                    print(f"day {day}: {emitted} packets "
-                          f"(NT-A {counters.nta}, NT-C {counters.ntc})")
-                if streams is not None:
-                    _feed_streams(scenario, streams, journal, day,
-                                  observatory=observatory)
-                next_day = day + 1
-                if (checkpoint_dir is not None and next_day < duration
-                        and next_day % cadence == 0):
-                    # The record goes out *before* the file is written so
-                    # the checkpoint carries its own record and a resumed
-                    # journal replays it in place.
-                    from repro.exec.freeze import (capture_checkpoint,
-                                                   save_checkpoint)
-
-                    journal.emit("checkpoint", day=next_day,
-                                 config_hash=chash)
-                    save_checkpoint(
-                        checkpoint_dir,
-                        capture_checkpoint(
-                            scenario, next_day, journal.plain_records(),
-                            streaming=streams,
-                            observatory=(observatory.checkpoint_state()
-                                         if observatory is not None
-                                         else None)),
-                        config,
-                    )
-                if abort_after_day is not None and day >= abort_after_day:
-                    raise SimulationAborted(f"aborted after day {day}")
-    finally:
-        if pool is not None:
-            pool.close()
+                journal.emit("checkpoint", day=next_day, config_hash=chash)
+                save_checkpoint(
+                    checkpoint_dir,
+                    capture_checkpoint(
+                        scenario, next_day, journal.plain_records(),
+                        streaming=streams,
+                        observatory=(observatory.checkpoint_state()
+                                     if observatory is not None else None)),
+                    config,
+                )
+            if abort_after_day is not None and day >= abort_after_day:
+                raise SimulationAborted(f"aborted after day {day}")
     return scenario

@@ -503,11 +503,10 @@ class PaperScenario:
     def begin_day(self, day: int) -> tuple[float, float]:
         """Advance the engine through day ``day``'s events.
 
-        Returns the ``(day_start, day_end)`` window.  Every execution mode
-        — serial, replay fast-forward, and each shard-worker replica —
-        opens its day here, so all replicas process the identical event
-        sequence (the no-op boundary tick included) and their
-        ``engine.processed`` counts stay merge-comparable.
+        Returns the ``(day_start, day_end)`` window.  A simulated day
+        (:meth:`run_day`) and a replayed one (:meth:`replay_day`) both open
+        here, so a resumed run processes the identical event sequence, the
+        no-op boundary tick included.
         """
         day_start = day * DAY
         day_end = (day + 1) * DAY
@@ -519,38 +518,13 @@ class PaperScenario:
         self.engine.run_until(day_end)
         return day_start, day_end
 
-    def run_agents_day(self, indices, day_start: float,
-                       day_end: float) -> int:
-        """Poll and emit the agents at ``indices``, in order, then dispatch
-        their rows once; returns the emitted count.
-
-        Each agent's batch arrives stamped with its origin, so the one
-        concatenated batch carries the rows in agent order — the order
-        the serial day and every shard worker capture them in.  Reads
-        ``self._last_poll`` (advanced once per day, after every agent
-        ran) so the poll window is identical no matter which process or
-        shard drives an agent."""
-        registry = get_registry()
-        batches = []
-        for idx in indices:
-            agent = self.agents[idx]
-            agent.poll_feeds(self._last_poll, day_end)
-            with registry.timer("scenario.emit"):
-                batch = agent.emit_day_batch(day_start, day_end)
-            if len(batch):
-                batches.append(batch)
-        batch = PacketBatch.concat(batches)
-        with registry.timer("scenario.dispatch"):
-            self.dispatch_batch(batch)
-        return len(batch)
-
     def run_day(self, day: int) -> int:
         """Simulate day ``day``; returns the number of packets dispatched.
 
         Runs the engine through the day, then every agent's poll and emit
-        in agent order, then one dispatch of the whole population's rows
-        (:meth:`run_agents_day`).  A shard worker runs the same body over
-        its own agent indices."""
+        in agent order, then one dispatch of the whole population's rows:
+        each agent's batch arrives stamped with its origin, so the one
+        concatenated batch carries the rows in agent order."""
         span = get_tracer().span("scenario.run_day", day=day)
         with span:
             emitted = self._run_day_impl(day)
@@ -559,36 +533,39 @@ class PaperScenario:
         return emitted
 
     def _run_day_impl(self, day: int) -> int:
+        registry = get_registry()
         day_start, day_end = self.begin_day(day)
-        emitted = self.run_agents_day(range(len(self.agents)), day_start,
-                                      day_end)
+        batches = []
+        for agent in self.agents:
+            agent.poll_feeds(self._last_poll, day_end)
+            with registry.timer("scenario.emit"):
+                batch = agent.emit_day_batch(day_start, day_end)
+            if len(batch):
+                batches.append(batch)
+        batch = PacketBatch.concat(batches)
+        with registry.timer("scenario.dispatch"):
+            self.dispatch_batch(batch)
         self._last_poll = day_end
-        return emitted
+        return len(batch)
 
-    def replay_day(self, day: int, shard_index: int = 0,
-                   shard_count: int = 1, agents: bool = True) -> None:
+    def replay_day(self, day: int) -> None:
         """Fast-forward one day without emitting or dispatching packets.
 
-        Runs the engine exactly as :meth:`run_day` does, then replays the
-        selected agents' polls and per-day plan draws
+        Runs the engine exactly as :meth:`run_day` does, then replays every
+        agent's poll and per-day plan draws
         (:meth:`~repro.scanners.agent.ScannerAgent.replay_day`) in the
-        order :meth:`run_agents_day` polls and emits them, leaving every
-        RNG stream, session list, and engine structure in the state a real
-        run of this day would have left them — the checkpoint resume path.
-        Nothing is dispatched: dispatch draws from no agent stream.  Shard
-        workers replay only their own agents
-        (``agent_index % shard_count == shard_index``); the merging
-        parent, which never polls, passes ``agents=False`` to advance the
-        engine alone.  Callers suppress the journal around replay
-        (``use_journal(None)``): every record this day would emit is
-        already carried by the checkpoint.
+        order :meth:`run_day` polls and emits them, leaving every RNG
+        stream, session list, and engine structure in the state a real run
+        of this day would have left them — the checkpoint resume path.
+        Nothing is dispatched: dispatch draws from no agent stream.
+        Callers suppress the journal around replay (``use_journal(None)``):
+        every record this day would emit is already carried by the
+        checkpoint.
         """
         day_start, day_end = self.begin_day(day)
-        if agents:
-            for idx in range(shard_index, len(self.agents), shard_count):
-                agent = self.agents[idx]
-                agent.poll_feeds(self._last_poll, day_end)
-                agent.replay_day(day_start, day_end)
+        for agent in self.agents:
+            agent.poll_feeds(self._last_poll, day_end)
+            agent.replay_day(day_start, day_end)
         self._last_poll = day_end
 
     def run(self) -> None:

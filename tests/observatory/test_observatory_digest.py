@@ -4,9 +4,9 @@ A compressed deployment timeline (all three tactic phases, the
 hyper-specific window, TLS, hitlist and withdrawal triggers inside eight
 days) streamed through the per-day detectors and the observer.  The
 digests below were computed by the per-session carry implementation of
-the streaming detectors; serial, ``jobs=2`` and killed-and-resumed runs
-must reproduce them byte for byte, so a change that shifts all three
-modes the same way still fails.
+the streaming detectors; uninterrupted and killed-and-resumed runs must
+reproduce them byte for byte, so a change that shifts both modes the
+same way still fails.
 """
 
 import hashlib
@@ -97,9 +97,8 @@ def observe(directory, **kwargs):
 GOLDEN = (OBSERVATIONS_SHA256, DAY_FILES_SHA256, EVENTS_SHA256)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_digests(tmp_path, jobs):
-    result = observe(tmp_path / "data", jobs=jobs)
+def test_digests(tmp_path):
+    result = observe(tmp_path / "data")
     assert digests(tmp_path / "data", result) == GOLDEN
 
 

@@ -2,14 +2,15 @@
 
 The reproducibility contract under test: the data directory a streaming
 observatory run writes — every per-day file, the ``observations.jsonl``
-mirror, the index, the manifest — is byte-identical across serial,
-``--jobs N``, and killed-and-resumed executions of one config, and an
-aborted run stops after the same day in every mode.  Plus the mode
-guards: ``observe_dir`` turns streaming on by itself, and a checkpoint
-can only resume into the observation mode that wrote it.
+mirror, the index, the manifest — is byte-identical across uninterrupted
+and killed-and-resumed executions of one config, and an aborted run stops
+after the day it was asked to.  Plus the mode guards: ``observe_dir``
+turns streaming on by itself, and a checkpoint can only resume into the
+observation mode that wrote it.
 """
 
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -33,31 +34,31 @@ def _dir_bytes(directory) -> dict:
 
 
 class TestByteIdentity:
-    def test_jobs2_matches_serial(self, serial_observatory, tmp_path):
+    def test_aborted_run_ends_with_the_named_day(self, serial_observatory,
+                                                 tmp_path):
+        """``abort_after_day=N`` stops after day N even when N is not the
+        end of a checkpoint window: the journal and the observer day files
+        end with day N, and those files match the uninterrupted run's."""
         golden, _ = serial_observatory
-        run_observatory(tmp_path / "data", jobs=2)
-        assert _dir_bytes(tmp_path / "data") == _dir_bytes(golden)
-
-    def test_aborted_jobs2_matches_aborted_serial(self, tmp_path):
-        """``abort_after_day=N`` stops after day N in both modes, even
-        when N is not the end of a checkpoint window."""
-        outputs = []
-        for jobs in (1, 2):
-            data = tmp_path / f"data-{jobs}"
-            buffer = io.StringIO()
-            with use_journal(Journal(buffer)):
-                with pytest.raises(SimulationAborted):
-                    run_observatory(data, jobs=jobs,
-                                    checkpoint_dir=tmp_path / f"ckpt-{jobs}",
-                                    checkpoint_every=CADENCE,
-                                    abort_after_day=ABORT_AFTER)
-            outputs.append((buffer.getvalue(), _dir_bytes(data)))
-        (serial_journal, serial_files), (sharded_journal, sharded_files) \
-            = outputs
-        assert sharded_journal == serial_journal
-        assert sharded_files == serial_files
-        assert f"observer-{ABORT_AFTER:05d}.json" in serial_files
-        assert f"observer-{ABORT_AFTER + 1:05d}.json" not in serial_files
+        data = tmp_path / "data"
+        buffer = io.StringIO()
+        with use_journal(Journal(buffer)):
+            with pytest.raises(SimulationAborted):
+                run_observatory(data, checkpoint_dir=tmp_path / "ckpt",
+                                checkpoint_every=CADENCE,
+                                abort_after_day=ABORT_AFTER)
+        records = [json.loads(line)
+                   for line in buffer.getvalue().splitlines()]
+        assert [r["day"] for r in records if r["type"] == "day"] \
+            == list(range(ABORT_AFTER + 1))
+        assert records[-1]["day"] == ABORT_AFTER
+        day_files = {name: body for name, body in _dir_bytes(data).items()
+                     if name.startswith("observer-")}
+        golden_files = _dir_bytes(golden)
+        assert sorted(day_files) == [f"observer-{day:05d}.json"
+                                     for day in range(ABORT_AFTER + 1)]
+        assert all(body == golden_files[name]
+                   for name, body in day_files.items())
 
     def test_killed_and_resumed_matches_serial(self, serial_observatory,
                                                tmp_path):

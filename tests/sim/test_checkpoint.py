@@ -12,12 +12,11 @@ records.
 
 import io
 import json
-import shutil
 
 import numpy as np
 import pytest
 
-from repro.exec.freeze import load_checkpoint
+from repro.exec.freeze import checkpoint_path, load_checkpoint
 from repro.obs import Journal, use_journal
 from repro.sim import ScenarioConfig, SimulationAborted, run_scenario
 
@@ -126,45 +125,54 @@ class TestResumeSerial:
         assert journal == base_journal
 
 
-class TestResumeSharded:
-    def test_sharded_abort_resume_equals_uninterrupted(self, baseline,
-                                                       tmp_path):
-        base_result, base_journal = baseline
+class TestResumeCadence:
+    def test_resume_with_new_cadence_checkpoints_on_multiples(
+            self, tmp_path):
+        """Resuming at day 5 with cadence 4 checkpoints at day 8 (a
+        cadence multiple), not at ``resume day + cadence``."""
         with pytest.raises(SimulationAborted):
-            _run(tmp_path, jobs=2, abort_after_day=5)
-        resumed, journal = _run(tmp_path, jobs=2, resume=True)
-        _assert_identical(base_result, resumed)
-        assert journal == base_journal
+            run_scenario(_config(), checkpoint_dir=tmp_path,
+                         checkpoint_every=5, abort_after_day=6)
+        buffer = io.StringIO()
+        with use_journal(Journal(buffer)):
+            run_scenario(_config(), checkpoint_dir=tmp_path,
+                         checkpoint_every=4, resume=True)
+        records = [json.loads(line)
+                   for line in buffer.getvalue().splitlines()]
+        assert [r["day"] for r in records if r["type"] == "checkpoint"] \
+            == [5, 8]
 
-    def test_cross_mode_resume(self, baseline, tmp_path):
-        """A checkpoint written by a sharded run resumes serially (and the
-        bytes still match): checkpoints carry no execution-mode state."""
+
+class TestTornCheckpoint:
+    """A kill can leave a half-written checkpoint file behind; a resume
+    must then either ignore it or load the last good one, and the bytes
+    still match the uninterrupted run."""
+
+    def test_truncated_checkpoint_is_ignored(self, baseline, tmp_path):
         base_result, base_journal = baseline
         with pytest.raises(SimulationAborted):
-            _run(tmp_path, jobs=2, abort_after_day=5)
+            _run(tmp_path, abort_after_day=5)
+        path = checkpoint_path(tmp_path, _config())
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+        assert load_checkpoint(tmp_path, _config()) is None
         resumed, journal = _run(tmp_path, resume=True)
         _assert_identical(base_result, resumed)
         assert journal == base_journal
 
-    def test_sharded_resume_with_new_cadence_checkpoints_like_serial(
-            self, tmp_path):
-        """Resuming at day 5 with cadence 4 must checkpoint at day 8 in
-        both modes: sharded windows end on cadence multiples, not on
-        ``resume day + cadence``."""
+    def test_stray_temp_file_leaves_good_checkpoint_usable(self, baseline,
+                                                           tmp_path):
+        base_result, base_journal = baseline
         with pytest.raises(SimulationAborted):
-            run_scenario(_config(), checkpoint_dir=tmp_path / "killed",
-                         checkpoint_every=5, abort_after_day=6)
-        journals = []
-        for jobs in (1, 2):
-            ckpt = tmp_path / f"resume-{jobs}"
-            shutil.copytree(tmp_path / "killed", ckpt)
-            buffer = io.StringIO()
-            with use_journal(Journal(buffer)):
-                run_scenario(_config(), checkpoint_dir=ckpt,
-                             checkpoint_every=4, resume=True, jobs=jobs)
-            journals.append(buffer.getvalue())
-        serial, sharded = journals
-        records = [json.loads(line) for line in serial.splitlines()]
-        assert [r["day"] for r in records if r["type"] == "checkpoint"] \
-            == [5, 8]
-        assert sharded == serial
+            _run(tmp_path, abort_after_day=5)
+        path = checkpoint_path(tmp_path, _config())
+        # A kill during write-then-rename: the temp file is torn, the
+        # renamed checkpoint beside it is intact.
+        data = path.read_bytes()
+        path.with_suffix(".ckpt.tmp").write_bytes(data[:len(data) // 2])
+        checkpoint = load_checkpoint(tmp_path, _config())
+        assert checkpoint is not None and checkpoint.next_day == CADENCE
+        resumed, journal = _run(tmp_path, resume=True)
+        _assert_identical(base_result, resumed)
+        _assert_same_emission_accounting(base_result, resumed)
+        assert journal == base_journal

@@ -1,16 +1,13 @@
-"""One dispatch per simulated day, serially and inside a shard worker.
+"""One dispatch per simulated day.
 
-The day loop emits the whole population's day (or a worker's share of
-it) and then partitions it across the telescopes once, through
-``PaperScenario.dispatch_parts``.  A per-agent dispatch would call it
-once per emitting agent.
+The day loop emits the whole population's day and then partitions it
+across the telescopes once, through ``PaperScenario.dispatch_parts``.  A
+per-agent dispatch would call it once per emitting agent.
 """
 
 import pytest
 
-from repro.exec.shard import _scenario_capturers, _worker_day
 from repro.obs import use_journal
-from repro.obs.journal import RecordingJournal
 from repro.sim import ScenarioConfig
 from repro.sim.scenario import PaperScenario
 
@@ -43,22 +40,5 @@ def test_serial_day_dispatches_once(dispatch_calls):
             before = len(dispatch_calls)
             emitted += scenario.run_day(day)
             assert len(dispatch_calls) - before <= 1, day
-    assert emitted > 0
-    assert sum(dispatch_calls) == emitted
-
-
-@pytest.mark.parametrize("shard_index", [0, 1])
-def test_shard_worker_day_dispatches_once(dispatch_calls, shard_index):
-    scenario = PaperScenario(ScenarioConfig(**CONFIG))
-    recorder = RecordingJournal()
-    caps = _scenario_capturers(scenario)
-    emitted = 0
-    with use_journal(recorder):
-        for day in range(DAYS):
-            before = len(dispatch_calls)
-            payload = _worker_day(scenario, recorder, caps, day,
-                                  shard_index, 2)
-            assert len(dispatch_calls) - before <= 1, day
-            emitted += payload["emitted"]
     assert emitted > 0
     assert sum(dispatch_calls) == emitted

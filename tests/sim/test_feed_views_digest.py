@@ -4,15 +4,13 @@ Many agents polling the same feeds on a compressed deployment timeline:
 BGP announcements and withdrawals, CT issuance, zone files and several
 hitlist publications all land inside six days.  The records and journal
 digests were computed before the feeds' per-window views were shared, by
-the per-agent code; serial and sharded runs must still reproduce them
-byte for byte.
+the per-agent code; a run must still reproduce them byte for byte.
 """
 
 import hashlib
 import io
 
 import numpy as np
-import pytest
 
 from repro.obs import Journal, use_journal
 from repro.sim import ScenarioConfig, run_scenario
@@ -33,12 +31,12 @@ COLUMNS = ("ts", "src_hi", "src_lo", "dst_hi", "dst_lo",
            "proto", "sport", "dport")
 
 
-def digests(**kwargs) -> tuple[str, str]:
+def digests() -> tuple[str, str]:
     """sha256 of the three telescopes' records plus ground truth, and of
     the journal bytes, for one run of :data:`CONFIG`."""
     buffer = io.StringIO()
     with use_journal(Journal(buffer)):
-        result = run_scenario(ScenarioConfig(**CONFIG), **kwargs)
+        result = run_scenario(ScenarioConfig(**CONFIG))
     records = hashlib.sha256()
     for name, telescope in result.telescopes().items():
         records.update(f"{name}:{len(telescope)};".encode())
@@ -49,6 +47,5 @@ def digests(**kwargs) -> tuple[str, str]:
     return records.hexdigest(), journal.hexdigest()
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_digests_match_per_agent_feeds(jobs):
-    assert digests(jobs=jobs) == (RECORDS_SHA256, JOURNAL_SHA256)
+def test_digests_match_per_agent_feeds():
+    assert digests() == (RECORDS_SHA256, JOURNAL_SHA256)

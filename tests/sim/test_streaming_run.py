@@ -3,8 +3,8 @@
 ``run_scenario(stream_analysis=True)`` analyzes each day's captures
 online and releases them; its event lists must be element-identical to
 running :func:`~repro.analysis.scandetect.detect_scans` over a batch
-run's records — serially, sharded (``jobs=2``), and across a
-kill-and-resume whose checkpoint carries open sessions over the boundary.
+run's records — uninterrupted, and across a kill-and-resume whose
+checkpoint carries open sessions over the boundary.
 """
 
 import io
@@ -79,12 +79,6 @@ class TestStreamingEqualsBatch:
         lines = [line for line in journal.splitlines()
                  if '"stream_detection"' in line]
         assert len(lines) == 3 * DAYS
-
-    def test_sharded_streaming_identical(self, stream):
-        serial_result, serial_journal = stream
-        sharded, journal = _stream_run(jobs=2)
-        _assert_same_events(serial_result, sharded)
-        assert journal == serial_journal
 
 
 class TestStreamingCheckpoint:

@@ -273,6 +273,27 @@ class TestCliCheckpointEvery:
             service.close()
 
 
+class TestCliJobs:
+    """``--jobs`` fans out report sections (``experiment``) and cold runs
+    (``serve``); ``run`` and ``observe`` have one day loop and reject it
+    as an unknown option."""
+
+    @pytest.mark.parametrize("command", ["run", "observe"])
+    def test_day_loop_commands_reject_jobs(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--jobs", "2"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing ran
+        assert captured.err.startswith("usage: ")
+        assert "unrecognized arguments: --jobs 2" in captured.err
+
+    @pytest.mark.parametrize("command", [["experiment", "table1"], ["serve"]],
+                             ids=["experiment", "serve"])
+    def test_fan_out_commands_keep_jobs(self, command):
+        assert _build_parser().parse_args([*command, "--jobs", "2"]).jobs == 2
+
+
 class TestCliObserve:
     def test_observe_end_to_end(self, capsys, tmp_path):
         import json
