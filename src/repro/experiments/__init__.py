@@ -1,9 +1,10 @@
 """Experiment drivers: one callable per table/figure in the paper.
 
 Each function takes either a :class:`~repro.sim.runner.ScenarioResult`
-(NT-A-centric experiments) or builds its own CDN vantage (the §1/App. C
-longitudinal figures), and returns a structured result object with a
-``render()`` method that prints the same rows/series the paper reports.
+(NT-A-centric experiments) or shares one default vantage per process (the
+§1/App. C longitudinal figures), and returns a structured result object
+with a ``render()`` method that prints the same rows/series the paper
+reports.
 
 ``EXPERIMENTS`` maps experiment ids ("fig1", "table4", ...) to their
 drivers, so harnesses can iterate the full reproduction.

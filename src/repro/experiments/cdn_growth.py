@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from repro.sim.cdn import CdnVantage
 
 
+@lru_cache(maxsize=None)
 def _default_vantage(seed: int = 0, n_weeks: int = 104) -> CdnVantage:
+    """The vantage the drivers build when none is passed, one per process.
+
+    Figs 1, 2, 13 and Table 6 read the same events, so the report builds
+    them once.  The cached vantage is private: no driver returns it or
+    draws from its generator after ``events()``.
+    """
     return CdnVantage(rng=seed, n_weeks=n_weeks)
 
 

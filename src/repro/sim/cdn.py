@@ -8,13 +8,16 @@ one or two sources to broadly dispersed.
 ``CdnVantage`` is a generative model of that two-year window: a roster of
 scanning ASes (the Table 6 archetypes plus a steadily arriving long tail)
 emits weekly scan events whose aggregate series reproduce those growth
-shapes.  ``sample_packets`` can additionally materialize packet records for
-any week, so the scan-detection pipeline can be exercised end to end.
+shapes.  The events are columns (:class:`CdnEvents`): each week's weights
+are one vector over the roster, only the two per-event random draws stay
+sequential, and the figures' series are ``bincount`` passes over them.
+``sample_packets`` can additionally materialize packet records for any
+week, so the scan-detection pipeline can be exercised end to end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,16 +70,16 @@ class CdnScannerSpec:
 
 
 @dataclass(frozen=True)
-class CdnScanEvent:
-    """One weekly scan summary: an AS's activity in one week."""
+class CdnEvents:
+    """One row per (AS, week) with traffic, week-major in roster order."""
 
-    week: int
-    asn: int
-    packets: float
-    sources_128: int
-    sources_64: int
-    sources_48: int
-    targets: int
+    week: np.ndarray
+    asn: np.ndarray
+    packets: np.ndarray
+    sources_128: np.ndarray
+    sources_64: np.ndarray
+    sources_48: np.ndarray
+    targets: np.ndarray
 
 
 class CdnVantage:
@@ -102,7 +105,7 @@ class CdnVantage:
         self.tail_arrival_rate0 = tail_arrival_rate0
         self.tail_arrival_growth = tail_arrival_growth
         self.specs = self._build_specs()
-        self._events: list[CdnScanEvent] | None = None
+        self._events: CdnEvents | None = None
 
     # -- roster ----------------------------------------------------------
 
@@ -148,100 +151,96 @@ class CdnVantage:
 
     # -- weekly events -------------------------------------------------------
 
-    def _weekly_weight(self, spec: CdnScannerSpec, week: int) -> float:
-        """Relative packet weight of one AS in one week."""
-        if week < spec.arrival_week:
-            return 0.0
-        # Front-loaded specs decay toward weight 1; tails ramp up.
-        age = week - spec.arrival_week
-        bias = 1.0 + (spec.early_bias - 1.0) * np.exp(-age / 30.0)
-        ramp = 1.0 - np.exp(-(age + 1) / 8.0)
-        return spec.share * bias * ramp
-
-    def events(self) -> list[CdnScanEvent]:
-        """Generate (and cache) all weekly scan events."""
+    def events(self) -> CdnEvents:
+        """Generate (and cache) all weekly scan events as columns."""
         if self._events is not None:
             return self._events
-        events = []
+        arrival, share, early_bias = np.array(
+            [(s.arrival_week, s.share, s.early_bias) for s in self.specs]).T
+        kept = []
         for week in range(self.n_weeks):
             total = self.base_weekly * self.growth ** week * self.volume_scale
-            weights = np.array([
-                self._weekly_weight(spec, week) for spec in self.specs
-            ])
+            # Front-loaded specs decay toward weight 1; tails ramp up.
+            age = week - arrival
+            bias = 1.0 + (early_bias - 1.0) * np.exp(-age / 30.0)
+            ramp = 1.0 - np.exp(-(age + 1) / 8.0)
+            weights = np.where(age >= 0, share * bias * ramp, 0.0)
             weight_sum = weights.sum()
             if weight_sum <= 0:
                 continue
-            for spec, weight in zip(self.specs, weights):
-                if weight <= 0:
-                    continue
-                packets = total * weight / weight_sum * float(
-                    self._rng.lognormal(0.0, 0.25)
-                )
-                if packets < 1:
-                    continue
-                # Source-address usage grows with the window, doubling the
-                # /128 count over two years (Fig. 1).
-                growth_frac = 0.5 + 0.5 * week / max(self.n_weeks - 1, 1)
-                n128 = max(1, int(spec.n_128 * growth_frac
-                                  * self._rng.uniform(0.6, 1.0) / 10))
-                n64 = max(1, int(spec.n_64 * growth_frac))
-                n48 = max(1, min(spec.n_48, n64))
-                events.append(CdnScanEvent(
-                    week=week, asn=spec.asn, packets=packets,
-                    sources_128=n128, sources_64=n64, sources_48=n48,
-                    targets=int(min(packets, 100 + packets * 0.2)),
-                ))
-        self._events = events
-        return events
+            expected = (total * weights / weight_sum).tolist()
+            # Only kept events draw a /128 jitter, so draws stay in order.
+            for i in np.flatnonzero(weights > 0).tolist():
+                volume = expected[i] * self._rng.lognormal(0.0, 0.25)
+                if volume >= 1:
+                    kept.append((week, i, volume, self._rng.uniform(0.6, 1.0)))
+        week, index, packets, jitter = np.array(kept).reshape(-1, 4).T
+        week = week.astype(np.int64)
+        asn, n128, n64, n48 = np.array(
+            [(s.asn, s.n_128, s.n_64, s.n_48) for s in self.specs]
+        )[index.astype(np.int64)].T
+        # Source-address usage grows with the window, doubling the /128
+        # count over two years (Fig. 1).
+        growth_frac = 0.5 + 0.5 * week / max(self.n_weeks - 1, 1)
+        n64 = np.maximum(1, (n64 * growth_frac).astype(np.int64))
+        self._events = CdnEvents(
+            week=week, asn=asn, packets=packets,
+            sources_128=np.maximum(1, (n128 * growth_frac * jitter
+                                       / 10).astype(np.int64)),
+            sources_64=n64, sources_48=np.maximum(1, np.minimum(n48, n64)),
+            targets=np.minimum(packets, 100 + packets * 0.2).astype(np.int64),
+        )
+        return self._events
 
     # -- aggregate series (the figures) -----------------------------------------
 
     def weekly_packets(self) -> tuple[np.ndarray, np.ndarray]:
         """(total weekly packets, weekly packets of the top source) — Fig 2."""
-        totals = np.zeros(self.n_weeks)
+        events = self.events()
         top = np.zeros(self.n_weeks)
-        for event in self.events():
-            totals[event.week] += event.packets
-            top[event.week] = max(top[event.week], event.packets)
-        return totals, top
+        np.maximum.at(top, events.week, events.packets)
+        return np.bincount(events.week, weights=events.packets,
+                           minlength=self.n_weeks), top
 
     def weekly_sources(self, prefix_length: int = 64) -> np.ndarray:
         """Weekly count of distinct scan sources at an aggregation — Fig 1."""
-        field_name = {128: "sources_128", 64: "sources_64",
-                      48: "sources_48"}[prefix_length]
-        out = np.zeros(self.n_weeks)
-        for event in self.events():
-            out[event.week] += getattr(event, field_name)
-        return out
+        events = self.events()
+        sources = {128: events.sources_128, 64: events.sources_64,
+                   48: events.sources_48}[prefix_length]
+        return np.bincount(events.week, weights=sources,
+                           minlength=self.n_weeks)
 
     def weekly_ases(self) -> np.ndarray:
         """Weekly count of distinct scanning ASes — Fig 13."""
-        per_week: list[set[int]] = [set() for _ in range(self.n_weeks)]
-        for event in self.events():
-            per_week[event.week].add(event.asn)
-        return np.array([len(s) for s in per_week], dtype=np.float64)
+        # An AS has at most one event per week, so events count ASes.
+        return np.bincount(self.events().week,
+                           minlength=self.n_weeks).astype(np.float64)
 
     def top_as_table(self, n: int = 20) -> list[dict]:
         """Table 6: top ASes by total packets with their source footprints."""
-        per_as: dict[int, dict] = {}
-        for event in self.events():
-            row = per_as.setdefault(event.asn, {
-                "asn": event.asn, "packets": 0.0,
-                "n_48": 0, "n_64": 0, "n_128": 0,
-            })
-            row["packets"] += event.packets
-            row["n_48"] = max(row["n_48"], event.sources_48)
-            row["n_64"] = max(row["n_64"], event.sources_64)
-            row["n_128"] = max(row["n_128"], event.sources_128)
+        events = self.events()
+        asns, first, group = np.unique(events.asn, return_index=True,
+                                       return_inverse=True)
+        packets = np.bincount(group, weights=events.packets)
+        footprint = np.zeros((len(asns), 3), dtype=np.int64)
+        np.maximum.at(footprint, group, np.column_stack(
+            (events.sources_48, events.sources_64, events.sources_128)))
+        # ASes in order of first appearance: the order the total is summed
+        # in and the tie-break of the stable sort.
+        seen = np.argsort(first, kind="stable")
+        total = sum(packets[seen])
         by_asn = {spec.asn: spec for spec in self.specs}
-        total = sum(r["packets"] for r in per_as.values())
-        rows = sorted(per_as.values(), key=lambda r: -r["packets"])[:n]
-        for row in rows:
-            spec = by_asn[row["asn"]]
-            row["name"] = spec.name
-            row["as_type"] = spec.as_type
-            row["country"] = spec.country
-            row["share"] = row["packets"] / total if total else 0.0
+        rows = []
+        for i in seen[np.argsort(-packets[seen], kind="stable")][:n]:
+            spec = by_asn[int(asns[i])]
+            n48, n64, n128 = footprint[i].tolist()
+            rows.append({
+                "asn": spec.asn, "packets": packets[i],
+                "n_48": n48, "n_64": n64, "n_128": n128,
+                "name": spec.name, "as_type": spec.as_type,
+                "country": spec.country,
+                "share": packets[i] / total if total else 0.0,
+            })
         return rows
 
     # -- packet materialization ---------------------------------------------------
@@ -254,19 +253,20 @@ class CdnVantage:
         CDN-shaped traffic.  Packet counts are capped; per-event volumes are
         scaled down proportionally when the cap binds.
         """
-        events = [e for e in self.events() if e.week == week]
-        total = sum(e.packets for e in events)
+        events = self.events()
+        at = np.flatnonzero(events.week == week)
+        total = sum(events.packets[at])
         scale = min(1.0, max_packets / total) if total else 1.0
         cdn_space = IPv6Prefix.parse("2600:9000::/28")
         cols: tuple[list, ...] = ([], [], [], [], [], [], [], [])
         by_asn = {spec.asn: spec for spec in self.specs}
         week_start = week * WEEK
-        for event in events:
-            spec = by_asn[event.asn]
-            n = max(1, int(event.packets * scale))
+        for i in at:
+            spec = by_asn[events.asn[i]]
+            n = max(1, int(events.packets[i] * scale))
             sources = [
                 spec.source_prefix.random_address(self._rng).value
-                for _ in range(min(event.sources_128, 64))
+                for _ in range(min(events.sources_128[i], 64))
             ]
             for _ in range(n):
                 ts = week_start + float(self._rng.uniform(0, WEEK))

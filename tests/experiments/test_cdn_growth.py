@@ -123,6 +123,6 @@ class TestTable6:
         assert out.count("#") == 5
 
     def test_default_vantage_path(self):
-        """Drivers build their own 104-week vantage when none is passed."""
+        """Drivers share a default 104-week vantage when none is passed."""
         result = fig13(seed=1)
         assert len(result.ases) == 104
