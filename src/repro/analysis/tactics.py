@@ -37,6 +37,9 @@ class TacticReport:
 
 def _classify_probe(
     hp: Honeyprefix,
+    domain_addrs: set[int],
+    sub_addrs: set[int],
+    manual: set[int],
     ts: float,
     dst: int,
     proto: int,
@@ -45,11 +48,12 @@ def _classify_probe(
     tls_sub_time: float | None,
     hitlist_time: float | None,
 ) -> Feature:
-    """Attribute one probe to one feature."""
-    domain_addrs = set(hp.domain_targets.values())
-    sub_addrs = set(hp.subdomain_targets.values())
-    manual = set(hp.manual_hitlist_addresses)
+    """Attribute one probe to one feature.
 
+    ``domain_addrs``, ``sub_addrs`` and ``manual`` are the honeyprefix's
+    domain, subdomain and manual-hitlist target addresses, built once per
+    honeyprefix by the caller.
+    """
     if dst in manual and hitlist_time is not None and ts >= hitlist_time:
         return Feature.HITLIST
     if dst in domain_addrs:
@@ -94,6 +98,9 @@ def _label_tactics_impl(
     tls_root_time = hp.feature_time(Feature.TLS_ROOT)
     tls_sub_time = hp.feature_time(Feature.TLS_SUB)
     hitlist_time = hp.feature_time(Feature.HITLIST)
+    domain_addrs = set(hp.domain_targets.values())
+    sub_addrs = set(hp.subdomain_targets.values())
+    manual = set(hp.manual_hitlist_addresses)
 
     shift = 128 - source_length
     per_source: dict[int, set[Feature]] = {}
@@ -105,6 +112,9 @@ def _label_tactics_impl(
         source = (src >> shift) << shift if shift else src
         feature = _classify_probe(
             hp,
+            domain_addrs,
+            sub_addrs,
+            manual,
             float(records.ts[i]),
             dst,
             int(records.proto[i]),
