@@ -16,9 +16,12 @@ def _default_vantage(seed: int = 0, n_weeks: int = 104) -> CdnVantage:
 
     Figs 1, 2, 13 and Table 6 read the same events, so the report builds
     them once.  The cached vantage is private: no driver returns it or
-    draws from its generator after ``events()``.
+    draws from its generator.  Its events are built before it is cached,
+    so callers only ever read it.
     """
-    return CdnVantage(rng=seed, n_weeks=n_weeks)
+    vantage = CdnVantage(rng=seed, n_weeks=n_weeks)
+    vantage.events()
+    return vantage
 
 
 def _trend_ratio(series: np.ndarray, head: int = 8, tail: int = 8) -> float:
