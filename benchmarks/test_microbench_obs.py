@@ -3,9 +3,10 @@
 The tracing/journal instrumentation is compiled into the hot paths, so a
 "without instrumentation" baseline no longer exists to diff against.
 Instead the bench bounds the overhead analytically: measure the per-call
-cost of a null span and a null journal emit, count how many of each a real
-run performs (by running once with the layers *enabled*), and bound the
-null-path tax as ``calls x per-call cost`` against the untraced wall clock.
+cost of a null stage (``repro.obs.stage`` with nothing installed) and a
+null journal emit, count how many of each a real run performs (by running
+once with the layers *enabled*), and bound the null-path tax as
+``calls x per-call cost`` against the untraced wall clock.
 The bound, plus the enabled-tracer slowdown for context, is written to
 ``results/BENCH_obs.json`` so the overhead trajectory has data PR-over-PR.
 
@@ -20,9 +21,9 @@ import time
 
 from repro.obs import (
     NULL_JOURNAL,
-    NULL_TRACER,
     Journal,
     Tracer,
+    stage,
     use_journal,
     use_tracer,
 )
@@ -47,10 +48,10 @@ def _config():
 
 
 def _null_span_seconds():
-    """Per-call cost of entering and exiting the shared null span."""
+    """Per-call cost of a stage with no registry or tracer installed."""
     t0 = time.perf_counter()
     for _ in range(NULL_CALL_ITERS):
-        with NULL_TRACER.span("bench", size=1):
+        with stage("bench", size=1):
             pass
     return (time.perf_counter() - t0) / NULL_CALL_ITERS
 

@@ -48,10 +48,10 @@ from repro.obs import (
     Journal,
     MetricsRegistry,
     Tracer,
-    get_tracer,
     set_journal,
     set_registry,
     set_tracer,
+    stage,
 )
 from repro.sim import ScenarioConfig, run_scenario
 from repro.sim.runner import DEFAULT_CHECKPOINT_EVERY
@@ -69,16 +69,29 @@ DEFAULT_CHECKPOINT_DIR = ".checkpoints"
 DEFAULT_OBSERVE_DIR = "data"
 
 
-def _cadence(text: str) -> int:
-    """argparse type for ``--checkpoint-every``: an integer of at least 1."""
+def _positive_int(text: str) -> int:
+    """argparse type for ``--days``/``--checkpoint-every``: an integer of
+    at least 1."""
     try:
-        days = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"not an integer: {text!r}") from None
-    if days < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {days}")
-    return days
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for ``--scale``: a number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a number: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be above 0, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,9 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              "instead of text")
 
     def add_scenario_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--days", type=int, default=100,
+        p.add_argument("--days", type=_positive_int, default=100,
                        help="simulated days (default 100)")
-        p.add_argument("--scale", type=float, default=2e-4,
+        p.add_argument("--scale", type=_positive_float, default=2e-4,
                        help="volume scale vs. the paper (default 2e-4)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tail", type=int, default=140,
@@ -133,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="save a resumable checkpoint every "
                             "--checkpoint-every days into DIR (default "
                             f"{DEFAULT_CHECKPOINT_DIR})")
-        p.add_argument("--checkpoint-every", type=_cadence,
+        p.add_argument("--checkpoint-every", type=_positive_int,
                        default=DEFAULT_CHECKPOINT_EVERY, metavar="DAYS",
                        help="checkpoint cadence in days (default "
                             f"{DEFAULT_CHECKPOINT_EVERY})")
@@ -208,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               "--checkpoint-every days so a killed service "
                               "resumes instead of recomputing (default dir "
                               f"{DEFAULT_CHECKPOINT_DIR})")
-    serve_p.add_argument("--checkpoint-every", type=_cadence,
+    serve_p.add_argument("--checkpoint-every", type=_positive_int,
                          default=DEFAULT_CHECKPOINT_EVERY, metavar="DAYS",
                          help="checkpoint cadence in days (default "
                               f"{DEFAULT_CHECKPOINT_EVERY})")
@@ -317,6 +330,39 @@ def _observe(args) -> int:
     return 0
 
 
+def _run(args) -> int:
+    """The ``run`` subcommand: the scenario, then its headline tables (or
+    the streaming summary when the run drained its captures daily)."""
+    result = _scenario(args)
+    if _streams(args):
+        print()
+        print(_render_stream_summary(result))
+        if result.observatory is not None:
+            summary = result.observatory
+            print(f"observatory: {summary['days']} day files, "
+                  f"{summary['records']} telescope records in "
+                  f"{summary['directory']}", file=sys.stderr)
+        return 0
+    for key in ("table1", "table3", "fig5", "fig9", "table4"):
+        fn, _ = EXPERIMENTS[key]
+        print()
+        with stage(f"experiment.{key}"):
+            rendered = fn(result).render()
+        print(rendered)
+    return 0
+
+
+def _experiment(args, ids: list[str]) -> int:
+    """The ``experiment`` subcommand over already-resolved ``ids``."""
+    from repro.exec import partition_ids, run_experiments
+
+    result = _scenario(args) if partition_ids(ids)[1] else None
+    print(run_experiments(
+        ids=ids, jobs=args.jobs, output_path=args.output, result=result,
+    ))
+    return 0
+
+
 def _emit_metrics(registry: MetricsRegistry, metrics_arg) -> None:
     """Print the snapshot table; write JSON when a path was given."""
     print()
@@ -421,6 +467,16 @@ def main(argv: list[str] | None = None) -> int:
     if conflict is not None:
         print(f"error: {conflict}", file=sys.stderr)
         return 2
+    if args.command == "experiment":
+        # Resolved before any layer is installed: an unknown id exits 2
+        # without a metrics snapshot or trace table.
+        from repro.exec import UnknownExperimentError, resolve_ids
+
+        try:
+            ids = resolve_ids(args.ids)
+        except UnknownExperimentError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
 
     # Install the observability layers before the scenario is built:
     # components bind their counters at construction time (tracer and
@@ -435,67 +491,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "observe":
             code = _observe(args)
-            if registry:
-                _emit_metrics(registry, args.metrics)
-            if tracer:
-                _emit_trace(tracer, args.trace)
-            return code
-
-        if args.command == "run":
-            result = _scenario(args)
-            if _streams(args):
-                print()
-                print(_render_stream_summary(result))
-                if result.observatory is not None:
-                    summary = result.observatory
-                    print(f"observatory: {summary['days']} day files, "
-                          f"{summary['records']} telescope records in "
-                          f"{summary['directory']}", file=sys.stderr)
-                if registry:
-                    _emit_metrics(registry, args.metrics)
-                if tracer:
-                    _emit_trace(tracer, args.trace)
-                return 0
-            for key in ("table1", "table3", "fig5", "fig9", "table4"):
-                fn, _ = EXPERIMENTS[key]
-                print()
-                with get_tracer().span(f"experiment.{key}"):
-                    if registry:
-                        with registry.timer(f"experiment.{key}"):
-                            rendered = fn(result).render()
-                    else:
-                        rendered = fn(result).render()
-                print(rendered)
-            if registry:
-                _emit_metrics(registry, args.metrics)
-            if tracer:
-                _emit_trace(tracer, args.trace)
-            return 0
-
-        # experiment
-        from repro.exec import (
-            UnknownExperimentError,
-            partition_ids,
-            resolve_ids,
-            run_experiments,
-        )
-
-        try:
-            ids = resolve_ids(args.ids)
-        except UnknownExperimentError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        result = None
-        if partition_ids(ids)[1]:
-            result = _scenario(args)
-        print(run_experiments(
-            ids=ids, jobs=args.jobs, output_path=args.output, result=result,
-        ))
+        elif args.command == "run":
+            code = _run(args)
+        else:
+            code = _experiment(args, ids)
         if registry:
             _emit_metrics(registry, args.metrics)
         if tracer:
             _emit_trace(tracer, args.trace)
-        return 0
+        return code
     finally:
         if registry:
             set_registry(prev_registry)

@@ -240,10 +240,10 @@ class CausalImpact:
         series (same length; may be (n, k) for several controls), and
         ``intervention_index`` the first post-intervention day.
         """
-        from repro.obs import get_tracer
+        from repro.obs import stage
 
-        with get_tracer().span("analysis.causal_impact",
-                               n=len(y), intervention=intervention_index):
+        with stage("analysis.causal_impact", n=len(y),
+                   intervention=intervention_index):
             return self._run_impl(y, x, intervention_index)
 
     def bootstrap_draws(

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro._util import check_positive
 from repro.analysis.records import PacketRecords
-from repro.obs import get_registry, get_tracer
+from repro.obs import get_registry, stage
 
 #: Zeek's default UDP/ICMP inactivity timeout is 60 s; TCP's is longer.  A
 #: single uniform timeout keeps flow semantics simple and matches how the
@@ -61,11 +61,9 @@ def aggregate_flows(
     timeout; Python only materializes the resulting :class:`Flow` objects.
     The per-packet loop is retained as :func:`aggregate_flows_reference`.
     """
-    registry = get_registry()
-    with registry.timer("analysis.aggregate_flows"), \
-            get_tracer().span("analysis.aggregate_flows",
-                              records=len(records)):
+    with stage("analysis.aggregate_flows", records=len(records)):
         flows = _aggregate_flows_impl(records, timeout)
+    registry = get_registry()
     registry.counter("analysis.aggregate_flows.records_in").inc(len(records))
     registry.counter("analysis.aggregate_flows.flows_out").inc(len(flows))
     return flows

@@ -40,7 +40,7 @@ from repro.analysis.scandetect import (
     sessionize,
 )
 from repro.net.addr import mask_u64
-from repro.obs import get_tracer
+from repro.obs import stage
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
@@ -291,9 +291,8 @@ def score_detection(
     elif source_length is None:
         source_length = 128
 
-    with get_tracer().span("analysis.score_detection",
-                           source_length=source_length,
-                           events=len(events)):
+    with stage("analysis.score_detection", source_length=source_length,
+               events=len(events)):
         truths = truth_events(truth, min_targets=min_targets,
                               timeout=timeout)
         contributors = _event_contributors(events, truth, source_length)

@@ -124,11 +124,10 @@ def overlap_report(
     prefix_length: int = 64,
 ) -> OverlapReport:
     """Compute the §5.1 overlap metrics for one telescope pair."""
-    from repro.obs import get_tracer
+    from repro.obs import stage
 
-    with get_tracer().span("analysis.overlap_report",
-                           pair=f"{name_a}/{name_b}",
-                           prefix_length=prefix_length):
+    with stage("analysis.overlap_report", pair=f"{name_a}/{name_b}",
+               prefix_length=prefix_length):
         sources_a = records_a.source_set(prefix_length)
         sources_b = records_b.source_set(prefix_length)
         shared = sources_a & sources_b

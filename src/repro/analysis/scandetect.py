@@ -24,7 +24,7 @@ import numpy as np
 from repro._util import check_positive
 from repro.analysis.records import PacketRecords
 from repro.net.addr import mask_u64, pack_key_u64
-from repro.obs import get_journal, get_registry, get_tracer
+from repro.obs import get_journal, get_registry, stage
 
 #: Paper's scan definition parameters.
 DEFAULT_MIN_TARGETS = 100
@@ -72,13 +72,11 @@ def detect_scans(
     exceeds ``timeout``; sessions reaching ``min_targets`` distinct /128
     destinations become :class:`ScanEvent`s.
     """
-    registry = get_registry()
-    with registry.timer("analysis.detect_scans"), \
-            get_tracer().span("analysis.detect_scans",
-                              records=len(records),
-                              source_length=source_length):
+    with stage("analysis.detect_scans", records=len(records),
+               source_length=source_length):
         events = _detect_scans_impl(records, source_length, min_targets,
                                     timeout)
+    registry = get_registry()
     registry.counter("analysis.detect_scans.records_in").inc(len(records))
     registry.counter("analysis.detect_scans.events_out").inc(len(events))
     get_journal().emit(

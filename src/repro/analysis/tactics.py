@@ -83,10 +83,10 @@ def label_tactics(
     ``records`` should already be restricted to traffic destined to the
     honeyprefix (use ``records.select(records.mask_dst_in(hp.prefix))``).
     """
-    from repro.obs import get_tracer
+    from repro.obs import stage
 
-    with get_tracer().span("analysis.label_tactics", honeyprefix=hp.name,
-                           records=len(records)):
+    with stage("analysis.label_tactics", honeyprefix=hp.name,
+               records=len(records)):
         return _label_tactics_impl(records, hp, source_length)
 
 

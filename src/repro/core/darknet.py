@@ -16,7 +16,7 @@ from typing import Callable
 
 from repro.net.addr import IPv6Prefix
 from repro.net.batch import PacketBatch
-from repro.obs import get_tracer
+from repro.obs import stage
 
 
 class DarknetTelescope:
@@ -71,8 +71,8 @@ class DarknetTelescope:
         """
         if len(batch) == 0:
             return
-        with get_tracer().span("darknet.handle_batch", telescope=self.name,
-                               packets=len(batch)):
+        with stage("darknet.handle_batch", telescope=self.name,
+                   packets=len(batch)):
             dark = batch.mask_dst_in(self.covering_prefix)
             for assigned in self._assigned:
                 dark &= ~batch.mask_dst_in(assigned)

@@ -42,7 +42,7 @@ from repro.hitlist.service import HitlistService
 from repro.net.addr import IPv6Prefix
 from repro.net.batch import PacketBatch, WireBatch
 from repro.net.packet import TCP, UDP, Packet
-from repro.obs import get_journal, get_registry, get_tracer
+from repro.obs import get_journal, stage
 from repro.routing.speaker import BgpSpeaker
 from repro.tlsca.acme import AcmeClient
 from repro.tlsca.ca import RateLimitExceeded
@@ -305,16 +305,12 @@ class ProactiveTelescope:
         """
         if len(batch) == 0:
             return
-        registry = get_registry()
-        tracer = get_tracer()
-        with registry.timer("telescope.capture"), \
-                tracer.span("telescope.capture", telescope=self.name,
-                            packets=len(batch)):
+        with stage("telescope.capture", telescope=self.name,
+                   packets=len(batch)):
             self.capturer.capture_batch(batch)
         if not self._hp_by_48:
             return
-        with registry.timer("telescope.react"), \
-                tracer.span("telescope.react", telescope=self.name):
+        with stage("telescope.react", telescope=self.name):
             shift = np.uint64(16)  # /48 keeps 48 of hi's 64 bits
             hi48 = (batch.dst_hi >> shift) << shift
             if self._hp_keys_hi is None:

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.exec.freeze import freeze_result
-from repro.obs import RunManifest, config_hash, get_journal, get_registry, get_tracer
+from repro.obs import RunManifest, config_hash, get_journal, get_registry, stage
 
 #: Bump when the entry layout changes incompatibly.
 CACHE_SCHEMA_VERSION = 1
@@ -135,7 +135,7 @@ class ScenarioCache:
     def store(self, result) -> Path:
         """Persist ``result``; returns the entry directory."""
         registry = get_registry()
-        with get_tracer().span("scenario.cache_store"):
+        with stage("scenario.cache_store"):
             frozen = freeze_result(result)
             config = frozen.config
             entry = self.entry_dir(config)
@@ -230,7 +230,7 @@ class ScenarioCache:
 
         registry = get_registry()
         entry = self.entry_dir(config)
-        with get_tracer().span("scenario.cache_load", key=entry.name) as span:
+        with stage("scenario.cache_load", key=entry.name) as span:
             try:
                 manifest = self._verified_manifest(config, entry)
                 records = {

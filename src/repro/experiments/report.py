@@ -17,7 +17,7 @@ from __future__ import annotations
 import io
 
 from repro.experiments import EXPERIMENTS
-from repro.obs import get_registry, get_tracer
+from repro.obs import get_registry, stage
 from repro.sim.runner import ScenarioResult
 
 #: Experiment drivers that accept a ``jobs=`` keyword and parallelize
@@ -67,8 +67,7 @@ def render_section(
         )
     kwargs = {"jobs": jobs} if experiment_id in JOBS_AWARE and jobs > 1 else {}
     try:
-        with registry.timer(f"experiment.{experiment_id}"), \
-                get_tracer().span(f"experiment.{experiment_id}"):
+        with stage(f"experiment.{experiment_id}"):
             output = (driver(result, **kwargs) if needs_result
                       else driver(**kwargs))
     except ValueError as error:

@@ -14,6 +14,11 @@ Three cooperating layers, each process-wide and disabled by default:
   honeyprefix lifecycle, detection summaries), making two runs diffable
   from artifacts alone.
 
+Pipeline stages are instrumented with one primitive,
+:func:`~repro.obs.stage.stage`: ``with stage(name, **attrs):`` times the
+block into the active registry's ``Timing(name)`` and opens a span
+``name`` under the active tracer, both fetched at call time.
+
 Until something calls the ``set_*`` installers (or the CLI's
 ``--metrics``/``--trace``/``--journal`` flags do), every layer is a shared
 no-op null object and the instrumented hot paths cost one no-op method
@@ -52,7 +57,7 @@ from repro.obs.registry import (
     use_registry,
 )
 from repro.obs.rss import PEAK_RSS_GAUGE, peak_rss_bytes, sample_peak_rss
-from repro.obs.timer import NULL_TIMER, StageTimer
+from repro.obs.stage import stage
 from repro.obs.trace import (
     NULL_SPAN,
     NULL_TRACER,
@@ -76,7 +81,6 @@ __all__ = [
     "NULL_JOURNAL",
     "NULL_REGISTRY",
     "NULL_SPAN",
-    "NULL_TIMER",
     "NULL_TRACER",
     "NullJournal",
     "NullRegistry",
@@ -86,7 +90,6 @@ __all__ = [
     "RecordingJournal",
     "RunManifest",
     "Span",
-    "StageTimer",
     "Timing",
     "Tracer",
     "config_hash",
@@ -100,6 +103,7 @@ __all__ = [
     "set_journal",
     "set_registry",
     "set_tracer",
+    "stage",
     "tail_journal",
     "use_journal",
     "use_registry",

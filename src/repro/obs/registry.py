@@ -19,8 +19,6 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
-from repro.obs.timer import NULL_TIMER, StageTimer
-
 
 class Counter:
     """A monotonically increasing count (floats allowed for volumes)."""
@@ -145,9 +143,10 @@ class Timing:
         self.total = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        #: Live same-name timers (maintained by :class:`StageTimer`): a
-        #: nested span of the same stage must not add its elapsed time on
-        #: top of the enclosing span's — the outer one already covers it.
+        #: Live stages of this name (maintained by
+        #: :class:`~repro.obs.stage.Stage`): a nested stage of the same
+        #: name must not add its elapsed time on top of the enclosing
+        #: one's — the outer one already covers it.
         self.active = 0
 
     def observe(self, seconds: float) -> None:
@@ -209,13 +208,10 @@ class _NullHistogram:
 
 
 class _NullTiming:
-    __slots__ = ("active",)
+    __slots__ = ()
     name = "null"
     count = 0
     total = 0.0
-
-    def __init__(self):
-        self.active = 0
 
     def observe(self, seconds: float) -> None:
         pass
@@ -270,11 +266,6 @@ class MetricsRegistry:
         if metric is None:
             metric = self._timings[name] = Timing(name)
         return metric
-
-    def timer(self, name: str) -> StageTimer:
-        """A fresh context manager recording into the named timing (fresh
-        per call, so same-name timers nest safely)."""
-        return StageTimer(self.timing(name))
 
     # -- merging ---------------------------------------------------------
 
@@ -391,9 +382,6 @@ class NullRegistry(MetricsRegistry):
 
     def timing(self, name: str) -> Timing:
         return _NULL_TIMING  # type: ignore[return-value]
-
-    def timer(self, name: str) -> StageTimer:
-        return NULL_TIMER  # type: ignore[return-value]
 
     def merge(self, other: "MetricsRegistry | dict") -> "MetricsRegistry":
         return self

@@ -22,6 +22,7 @@ did the time go" questions get their answers.
 from __future__ import annotations
 
 import json
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -40,6 +41,8 @@ class Span:
     parent_id: int | None = None
     #: Wall clock spent inside *direct* child spans (filled as they close).
     child_time: float = 0.0
+    #: Id of the process the span ran in (set when it opens).
+    pid: int = 0
     _tracer: "Tracer | None" = None
 
     @property
@@ -57,6 +60,7 @@ class Span:
         return self
 
     def __enter__(self) -> "Span":
+        self.pid = os.getpid()
         self._tracer._open(self)
         self.start = self._tracer._clock()
         return self
@@ -142,7 +146,7 @@ class Tracer:
                 "name": span.name, "attrs": dict(span.attrs),
                 "start": span.start, "end": span.end,
                 "span_id": span.span_id, "parent_id": span.parent_id,
-                "child_time": span.child_time,
+                "child_time": span.child_time, "pid": span.pid,
             }
             for span in self.spans
         ]
@@ -176,7 +180,7 @@ class Tracer:
                 span_id=record["span_id"] + offset,
                 parent_id=(record["parent_id"] + offset
                            if record["parent_id"] is not None else parent_id),
-                child_time=record["child_time"],
+                child_time=record["child_time"], pid=record["pid"],
             )
             if record["parent_id"] is None and parent is not None:
                 parent.child_time += span.duration
@@ -226,7 +230,9 @@ class Tracer:
         """The spans as Chrome trace-event JSON (complete "X" events).
 
         Loadable in ``chrome://tracing`` and Perfetto; timestamps are in
-        microseconds since the tracer's first span.
+        microseconds since the tracer's first span, and each event's
+        ``pid`` is the process its span ran in, so adopted worker spans
+        show as their own process tracks.
         """
         origin = min((s.start for s in self.spans), default=0.0)
         events = [
@@ -234,7 +240,7 @@ class Tracer:
                 "name": span.name,
                 "cat": "repro",
                 "ph": "X",
-                "pid": 1,
+                "pid": span.pid,
                 "tid": 1,
                 "ts": (span.start - origin) * 1e6,
                 "dur": span.duration * 1e6,

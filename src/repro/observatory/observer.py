@@ -54,6 +54,7 @@ from repro.obs import (
     JOURNAL_SCHEMA_VERSION,
     config_hash,
     get_registry,
+    stage,
     validate_record,
 )
 
@@ -437,7 +438,7 @@ class Observatory:
             raise ObservatoryError(
                 f"days must be observed in order: got {day}, "
                 f"expected {self.state.next_day}")
-        with self._registry.timer("observatory.emit"):
+        with stage("observatory.emit", day=day):
             record = self._build_record(day, scenario, streams, drained)
             validate_observer(record)
             line = observer_line(record)

@@ -18,8 +18,7 @@ import numpy as np
 from repro._util import DAY, make_rng
 from repro.net.addr import IPv6Prefix, split_u64
 from repro.net.batch import PacketBatch, probe_batch
-from repro.obs import get_journal, get_tracer
-from repro.obs.registry import get_registry
+from repro.obs import get_journal, get_registry, stage
 from repro.scanners.identity import ScannerIdentity, SourceAllocator
 from repro.scanners.strategies import ProbeBatch, Strategy
 
@@ -240,11 +239,8 @@ class ScannerAgent:
         plans, pkt_seed = self._day_plan(day_start, day_end)
         batch = _NO_PACKETS
         if plans:
-            span = get_tracer().span("agent.emit_day_batch",
-                                     agent=self.agent_id,
-                                     asn=self.identity.asn,
-                                     sessions=len(plans))
-            with span:
+            with stage("scenario.emit", agent=self.agent_id,
+                       asn=self.identity.asn, sessions=len(plans)) as span:
                 batch = self._emit_plans(plans,
                                          np.random.default_rng(pkt_seed))
             span.set(packets=len(batch))

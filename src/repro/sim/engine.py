@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable
 
-from repro.obs import MetricsRegistry, get_registry, get_tracer
+from repro.obs import MetricsRegistry, get_registry, stage
 
 
 @dataclass(order=True)
@@ -38,10 +38,6 @@ class Engine:
         self.processed = 0
         self._metrics = metrics if metrics is not None else get_registry()
         self._event_counter = self._metrics.counter("engine.events")
-        #: Event-loop profile: label -> [count, wall-clock seconds].  Only
-        #: populated when metrics are enabled — timing every callback costs
-        #: two clock reads per event.
-        self.profile: dict[str, list] = {}
 
     def schedule(self, time: float, action: Callable[[], None],
                  label: str = "") -> Event:
@@ -73,6 +69,8 @@ class Engine:
         event = heapq.heappop(self._queue)
         self.now = event.time
         if self._metrics.enabled:
+            # Timing every callback costs two clock reads per event, so
+            # only a metered run pays for it.
             start = perf_counter()
             event.action()
             elapsed = perf_counter() - start
@@ -80,11 +78,6 @@ class Engine:
             label = event.label or "(unlabeled)"
             self._metrics.counter(f"engine.events.{label}").inc()
             self._metrics.timing(f"engine.event.{label}").observe(elapsed)
-            stats = self.profile.get(label)
-            if stats is None:
-                stats = self.profile[label] = [0, 0.0]
-            stats[0] += 1
-            stats[1] += elapsed
         else:
             event.action()
         self.processed += 1
@@ -92,8 +85,7 @@ class Engine:
 
     def run_until(self, end_time: float) -> int:
         """Run all events with time <= end_time; returns the count run."""
-        span = get_tracer().span("engine.run_until", until=end_time)
-        with span:
+        with stage("engine.run_until", until=end_time) as span:
             n = 0
             while self._queue and self._queue[0].time <= end_time:
                 self.step()

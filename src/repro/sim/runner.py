@@ -24,9 +24,9 @@ from repro.obs import (
     config_hash,
     get_journal,
     get_registry,
-    get_tracer,
     sample_peak_rss,
     set_journal,
+    stage,
     use_journal,
 )
 from repro.sim.scenario import PaperScenario, ScenarioConfig
@@ -175,9 +175,10 @@ def run_scenario(
     """Build, run, and bundle one full scenario.
 
     Each stage (world construction, the day loop, freezing the captures)
-    is timed into the active metrics registry and wrapped in a trace span
-    under one ``run_scenario`` root, and the resulting metrics snapshot
-    rides along as :attr:`ScenarioResult.telemetry`.  When a journal is
+    is one :func:`~repro.obs.stage` under the ``run_scenario`` stage:
+    timed into the active metrics registry and traced as a span when
+    those layers are on.  The resulting metrics snapshot rides along as
+    :attr:`ScenarioResult.telemetry`.  When a journal is
     active, the run opens with its ``run_manifest`` (config hash + seed +
     package version) and closes with a ``run_end`` summary.
 
@@ -233,7 +234,6 @@ def run_scenario(
             "stream_analysis runs produce no record bundle to cache; "
             "drop cache_dir or stream_analysis")
     registry = get_registry()
-    tracer = get_tracer()
 
     checkpoint = None
     if resume and checkpoint_dir is not None:
@@ -297,9 +297,8 @@ def run_scenario(
                 from repro.exec.cache import ScenarioCache
 
                 cache = ScenarioCache(cache_dir)
-                with tracer.span("run_scenario.cached",
-                                 days=config.duration_days,
-                                 seed=config.seed):
+                with stage("run_scenario.cached",
+                           days=config.duration_days, seed=config.seed):
                     cached = cache.load(config)
                 if cached is not None:
                     return cached
@@ -323,8 +322,8 @@ def run_scenario(
                        if checkpoint is not None else None),
             )
 
-        with tracer.span("run_scenario", days=config.duration_days,
-                         seed=config.seed):
+        with stage("run_scenario", days=config.duration_days,
+                   seed=config.seed):
             scenario = _simulate(
                 config, checkpoint, start_day, progress=progress,
                 checkpoint_dir=checkpoint_dir,
@@ -335,8 +334,7 @@ def run_scenario(
             sample_peak_rss(registry, stage="run")
             summaries = None
             observatory_summary = None
-            with registry.timer("scenario.freeze"), \
-                    tracer.span("scenario.freeze"):
+            with stage("scenario.freeze"):
                 if streams is not None:
                     summaries = {name: streams[name].finish()
                                  for name in ("NT-A", "NT-B", "NT-C")}
@@ -431,13 +429,12 @@ def _simulate(config, checkpoint, start_day, *, progress,
     """Build (or rebuild-and-fast-forward) the scenario and run its days;
     returns the run scenario."""
     registry = get_registry()
-    tracer = get_tracer()
     journal = get_journal()
     duration = config.duration_days
     cadence = max(1, checkpoint_every)
     chash = config_hash(config)
 
-    with registry.timer("scenario.build"), tracer.span("scenario.build"):
+    with stage("scenario.build"):
         scenario = PaperScenario(config)
         if checkpoint is not None:
             from repro.exec.freeze import restore_checkpoint
@@ -449,7 +446,7 @@ def _simulate(config, checkpoint, start_day, *, progress,
                     scenario.replay_day(day)
     sample_peak_rss(registry, stage="build")
 
-    with registry.timer("scenario.run"), tracer.span("scenario.run"):
+    with stage("scenario.run"):
         for day in range(start_day, duration):
             emitted = scenario.run_day(day)
             if progress and day % 10 == 0:

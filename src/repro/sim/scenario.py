@@ -23,7 +23,7 @@ from repro.core.proactive import ProactiveTelescope
 from repro.datasets.asdb import AsCategory, AsRecord
 from repro.net.addr import IPv6Prefix
 from repro.net.batch import PacketBatch
-from repro.obs import get_journal, get_registry, get_tracer
+from repro.obs import get_journal, stage
 from repro.routing.speaker import BgpSpeaker
 from repro.scanners.agent import ScannerAgent
 from repro.scanners.identity import AllocationMode, ScannerIdentity
@@ -461,8 +461,7 @@ class PaperScenario:
         """
         if len(batch) == 0:
             return
-        with get_tracer().span("scenario.dispatch_batch",
-                               packets=len(batch)):
+        with stage("scenario.dispatch", packets=len(batch)):
             for handler, sub in self.dispatch_parts(batch):
                 handler(sub)
 
@@ -510,10 +509,10 @@ class PaperScenario:
         """
         day_start = day * DAY
         day_end = (day + 1) * DAY
-        # A no-op day-boundary tick: keeps the engine's event-loop profile
-        # populated (and day boundaries visible in it) even on short runs
-        # where no deployment or hitlist event fires.  Touches no RNG, so
-        # determinism is unaffected.
+        # A no-op day-boundary tick: keeps the engine's per-label event
+        # metrics populated (and day boundaries visible in them) even on
+        # short runs where no deployment or hitlist event fires.  Touches
+        # no RNG, so determinism is unaffected.
         self.engine.schedule(day_end, lambda: None, label="day boundary")
         self.engine.run_until(day_end)
         return day_start, day_end
@@ -525,26 +524,22 @@ class PaperScenario:
         in agent order, then one dispatch of the whole population's rows:
         each agent's batch arrives stamped with its origin, so the one
         concatenated batch carries the rows in agent order."""
-        span = get_tracer().span("scenario.run_day", day=day)
-        with span:
+        with stage("scenario.run_day", day=day) as span:
             emitted = self._run_day_impl(day)
         span.set(emitted=emitted)
         get_journal().emit("day", day=day, emitted=emitted)
         return emitted
 
     def _run_day_impl(self, day: int) -> int:
-        registry = get_registry()
         day_start, day_end = self.begin_day(day)
         batches = []
         for agent in self.agents:
             agent.poll_feeds(self._last_poll, day_end)
-            with registry.timer("scenario.emit"):
-                batch = agent.emit_day_batch(day_start, day_end)
+            batch = agent.emit_day_batch(day_start, day_end)
             if len(batch):
                 batches.append(batch)
         batch = PacketBatch.concat(batches)
-        with registry.timer("scenario.dispatch"):
-            self.dispatch_batch(batch)
+        self.dispatch_batch(batch)
         self._last_poll = day_end
         return len(batch)
 

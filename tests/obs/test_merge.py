@@ -1,5 +1,8 @@
 """Tests for worker-telemetry fan-in: registry merge and span adoption."""
 
+import json
+import os
+
 import pytest
 
 from repro.obs import (
@@ -7,6 +10,7 @@ from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
     Tracer,
+    use_tracer,
 )
 
 
@@ -97,6 +101,7 @@ class TestSpanAdoption:
         assert all(isinstance(s, dict) for s in spans)
         names = {s["name"] for s in spans}
         assert names == {"section", "inner"}
+        assert {s["pid"] for s in spans} == {os.getpid()}
 
     def test_adopt_reparents_under_executor(self):
         parent = Tracer()
@@ -131,3 +136,24 @@ class TestSpanAdoption:
     def test_null_tracer_adopt_is_inert(self):
         NULL_TRACER.adopt(self._worker_spans())
         assert NULL_TRACER.spans == []
+
+
+class TestMultiProcessTrace:
+    def test_worker_spans_carry_their_process_id(self, tmp_path):
+        """A fanned-out report's trace shows each worker as its own
+        process: adopted spans keep the worker's pid, not the parent's."""
+        from repro.exec import run_experiments
+
+        with use_tracer(Tracer()) as tracer:
+            run_experiments(ids=["table2", "table7"], jobs=2)
+        [executor] = [s for s in tracer.spans if s.name == "executor"]
+        adopted = [s for s in tracer.spans
+                   if s.name.startswith("experiment.")]
+        assert len(adopted) == 2
+        assert executor.pid == os.getpid()
+        assert all(0 < s.pid != executor.pid for s in adopted)
+
+        path = tmp_path / "trace.json"
+        tracer.write_chrome_trace(path)
+        events = json.loads(path.read_text())["traceEvents"]
+        assert len({e["pid"] for e in events}) >= 2

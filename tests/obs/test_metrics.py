@@ -2,8 +2,8 @@
 
 The histogram's quantile estimator is checked against ``np.percentile`` on
 randomized samples (the estimate must land within one bucket width of the
-empirical percentile), snapshots must round-trip through JSON, and timers
-must nest safely — including two live timers of the *same* name.
+empirical percentile), snapshots must round-trip through JSON, and stage
+timings must nest safely — including two live stages of the *same* name.
 """
 
 import json
@@ -21,10 +21,10 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     NullRegistry,
-    StageTimer,
     Timing,
     get_registry,
     set_registry,
+    stage,
     use_registry,
 )
 
@@ -175,72 +175,75 @@ class TestSnapshotJsonRoundTrip:
 
 
 class TestTimers:
+    """Stage timings recorded through :func:`repro.obs.stage`."""
+
     def test_timer_records_elapsed(self):
-        registry = MetricsRegistry()
-        with registry.timer("work"):
-            time.sleep(0.01)
+        with use_registry(MetricsRegistry()) as registry:
+            with stage("work"):
+                time.sleep(0.01)
         stats = registry.timing("work")
         assert stats.count == 1
         assert stats.total >= 0.01
         assert stats.min == stats.max == stats.total
 
     def test_nested_distinct_names(self):
-        registry = MetricsRegistry()
-        with registry.timer("outer"):
-            with registry.timer("inner"):
-                time.sleep(0.005)
+        with use_registry(MetricsRegistry()) as registry:
+            with stage("outer"):
+                with stage("inner"):
+                    time.sleep(0.005)
         assert registry.timing("outer").total >= registry.timing("inner").total
         assert registry.timing("inner").total >= 0.005
 
     def test_nested_same_name(self):
-        """A same-name timer nested inside a live one records nothing: the
-        outer timer's elapsed already covers it, so double-counting would
+        """A same-name stage nested inside a live one records nothing: the
+        outer stage's elapsed already covers it, so double-counting would
         overstate the stage's total."""
-        registry = MetricsRegistry()
-        with registry.timer("stage"):
-            time.sleep(0.005)
-            with registry.timer("stage"):
-                time.sleep(0.002)
+        with use_registry(MetricsRegistry()) as registry:
+            with stage("stage"):
+                time.sleep(0.005)
+                with stage("stage"):
+                    time.sleep(0.002)
         stats = registry.timing("stage")
         assert stats.count == 1
         assert stats.total >= 0.007
         assert stats.active == 0
 
     def test_nested_same_name_no_double_count(self):
-        """Regression: the nested span's time must not be added on top of
-        the outer span's — total stays below the sum of both elapsed."""
-        registry = MetricsRegistry()
-        with registry.timer("stage"):
-            with registry.timer("stage"):
-                time.sleep(0.004)
+        """Regression: the nested stage's time must not be added on top of
+        the outer stage's — total stays below the sum of both elapsed."""
+        with use_registry(MetricsRegistry()) as registry:
+            with stage("stage"):
+                with stage("stage"):
+                    time.sleep(0.004)
         stats = registry.timing("stage")
         assert stats.count == 1
         # Double-counting would make total >= 2 * 0.004.
         assert stats.total < 0.008
 
     def test_sequential_same_name_still_counts(self):
-        """Back-to-back (non-nested) same-name timers each record."""
-        registry = MetricsRegistry()
-        with registry.timer("stage"):
-            pass
-        with registry.timer("stage"):
-            pass
+        """Back-to-back (non-nested) same-name stages each record."""
+        with use_registry(MetricsRegistry()) as registry:
+            with stage("stage"):
+                pass
+            with stage("stage"):
+                pass
         assert registry.timing("stage").count == 2
 
     def test_nested_different_names_both_record(self):
-        registry = MetricsRegistry()
-        with registry.timer("outer"):
-            with registry.timer("inner"):
-                pass
+        with use_registry(MetricsRegistry()) as registry:
+            with stage("outer"):
+                with stage("inner"):
+                    pass
         assert registry.timing("outer").count == 1
         assert registry.timing("inner").count == 1
 
     def test_stage_timer_observes_on_exception(self):
-        timing = Timing("t")
-        with pytest.raises(RuntimeError):
-            with StageTimer(timing):
-                raise RuntimeError("boom")
-        assert timing.count == 1
+        with use_registry(MetricsRegistry()) as registry:
+            with pytest.raises(RuntimeError):
+                with stage("t"):
+                    raise RuntimeError("boom")
+        assert registry.timing("t").count == 1
+        assert registry.timing("t").active == 0
 
     def test_timing_snapshot_mean(self):
         timing = Timing("t")
@@ -264,8 +267,7 @@ class TestActiveRegistry:
         counter.inc(10)
         registry.gauge("g").set(5)
         registry.histogram("h").observe(1.0)
-        with registry.timer("t"):
-            pass
+        registry.timing("t").observe(1.0)
         assert registry.snapshot() == {
             "counters": {}, "gauges": {}, "timings": {}, "histograms": {},
         }

@@ -273,6 +273,33 @@ class TestCliCheckpointEvery:
             service.close()
 
 
+class TestCliScenarioSize:
+    """``--days`` and ``--scale`` must be positive: a non-positive run
+    would render an all-zero report, so argparse refuses it (exit 2)."""
+
+    COMMANDS = (["run"], ["experiment", "table1"], ["observe"])
+
+    @pytest.mark.parametrize("command", COMMANDS,
+                             ids=[c[0] for c in COMMANDS])
+    @pytest.mark.parametrize("option,value", [
+        ("--days", "0"), ("--days", "-3"), ("--days", "1.5"),
+        ("--scale", "0"), ("--scale", "-1"), ("--scale", "nan"),
+        ("--scale", "tiny"),
+    ])
+    def test_non_positive_refused(self, capsys, command, option, value):
+        with pytest.raises(SystemExit) as info:
+            main([*command, f"{option}={value}"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing ran
+        assert option in captured.err
+
+    def test_positive_values_parse(self):
+        args = _build_parser().parse_args(
+            ["experiment", "table1", "--days", "1", "--scale", "1e-7"])
+        assert args.days == 1 and args.scale == 1e-7
+
+
 class TestCliJobs:
     """``--jobs`` fans out report sections (``experiment``) and cold runs
     (``serve``); ``run`` and ``observe`` have one day loop and reject it
