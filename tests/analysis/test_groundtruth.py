@@ -11,6 +11,7 @@ import pytest
 
 from repro.analysis.groundtruth import (
     GroundTruthRecords,
+    TruthEvent,
     score_all_levels,
     score_detection,
     truth_events,
@@ -89,6 +90,84 @@ class TestTruthEvents:
         )
         assert truth_events(truth, min_targets=1) == []
         assert truth.agents().size == 0
+
+
+def _truth_events_oracle(truth, min_targets, timeout):
+    """Per-row reference for :func:`truth_events`: walk the rows in
+    stable time order, one open session per known ``origin``."""
+    open_sessions: dict[int, dict] = {}
+    events = []
+
+    def close(agent, state):
+        if len(state["targets"]) >= min_targets:
+            events.append(TruthEvent(
+                agent=agent, start=state["start"], end=state["last"],
+                packets=state["packets"],
+                unique_targets=len(state["targets"])))
+
+    for i in np.argsort(truth.ts, kind="stable").tolist():
+        agent = int(truth.origin[i])
+        if agent < 0:
+            continue
+        ts = float(truth.ts[i])
+        state = open_sessions.get(agent)
+        if state is not None and ts - state["last"] > timeout:
+            close(agent, state)
+            state = None
+        if state is None:
+            state = open_sessions[agent] = {
+                "start": ts, "last": ts, "packets": 0, "targets": set()}
+        state["last"] = ts
+        state["packets"] += 1
+        state["targets"].add((int(truth.dst_hi[i]), int(truth.dst_lo[i])))
+    for agent, state in open_sessions.items():
+        close(agent, state)
+    events.sort(key=lambda e: (e.start, e.agent))
+    return events
+
+
+def _random_truth(rng, n, quantum):
+    """``n`` unsorted rows: a few agents (some with negative, unknown
+    origins, one at the int32 maximum) probing a small destination pool
+    from sources unrelated to the agent, on timestamps quantized so that
+    ties and gaps of exactly one quantum are common."""
+    agents = np.array([-7, -1, 0, 1, 2, 5, 40, 2**31 - 1], dtype=np.int32)
+    dst = rng.integers(0, 60, size=n, dtype=np.uint64)
+    return GroundTruthRecords.from_columns(
+        ts=np.round(rng.uniform(0, 40 * quantum, size=n) / quantum)
+        * quantum,
+        src_hi=rng.integers(0, 4, size=n, dtype=np.uint64),
+        src_lo=rng.integers(0, 1 << 63, size=n, dtype=np.uint64),
+        dst_hi=dst % np.uint64(3), dst_lo=dst,
+        origin=rng.choice(agents, size=n),
+    )
+
+
+class TestTruthEventsOracle:
+    """Randomized equivalence with a per-row loop keyed by ``origin``."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_row_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        quantum = 100.0
+        truth = _random_truth(rng, 700, quantum)
+        # A timeout equal to the quantum puts gaps exactly at the
+        # timeout (kept in-session); a shorter one splits at every gap.
+        for timeout in (quantum, quantum / 2, 7 * quantum):
+            for min_targets in (1, 4, 12):
+                assert truth_events(truth, min_targets, timeout) == \
+                    _truth_events_oracle(truth, min_targets, timeout)
+
+    def test_gap_exactly_at_timeout_stays_in_session(self):
+        truth = GroundTruthRecords.from_columns(
+            ts=[0.0, 3600.0, 3600.0, 7200.5], src_hi=[HI_A] * 4,
+            src_lo=[1, 2, 3, 4], dst_hi=[DST_HI] * 4, dst_lo=[1, 2, 3, 4],
+            origin=[3] * 4,
+        )
+        events = truth_events(truth, min_targets=1, timeout=3600.0)
+        assert [(e.start, e.end, e.packets) for e in events] == [
+            (0.0, 3600.0, 3), (7200.5, 7200.5, 1)]
+        assert events == _truth_events_oracle(truth, 1, 3600.0)
 
 
 class TestPinnedScores:
