@@ -18,11 +18,6 @@ from repro.analysis.blocklist import (
     recommend_blocklist,
     render_blocklist,
 )
-from repro.analysis.campaigns import (
-    Campaign,
-    campaign_summary,
-    cluster_campaigns,
-)
 from repro.analysis.streaming import (
     SessionTracker,
     StreamAnalyzer,
@@ -50,9 +45,6 @@ __all__ = [
     "BlocklistEntry",
     "recommend_blocklist",
     "render_blocklist",
-    "Campaign",
-    "campaign_summary",
-    "cluster_campaigns",
     "SessionTracker",
     "StreamAnalyzer",
     "StreamSummary",

@@ -7,9 +7,9 @@ stable agent id through :class:`~repro.net.batch.PacketBatch` as the
 records and retains it in a sidecar :class:`GroundTruthRecords` table.
 
 This module closes the loop: :func:`truth_events` builds the *actual* scan
-sessions per agent (the same ≥``min_targets``-distinct-destinations /
-``timeout``-gap definition the detector uses, but grouped by the true
-emitter instead of the observed source prefix), and :func:`score_detection`
+sessions per agent (the detector's own session kernel and definition —
+≥``min_targets`` distinct destinations, ``timeout``-bounded gaps — but
+grouped by the true emitter instead of the observed source prefix), and :func:`score_detection`
 grades the detector's output against them:
 
 * **precision** — fraction of detected events whose packets all came from
@@ -36,8 +36,8 @@ from repro.analysis.scandetect import (
     DEFAULT_MIN_TARGETS,
     DEFAULT_TIMEOUT,
     ScanEvent,
+    SessionTracker,
     detect_scans,
-    sessionize,
 )
 from repro.net.addr import mask_u64
 from repro.obs import stage
@@ -174,35 +174,31 @@ def truth_events(
     Applies the paper's scan definition — sessions bounded by
     ``timeout``-second gaps, qualifying at ``min_targets`` distinct /128
     destinations — but grouped by the *emitting agent* rather than the
-    observed source prefix.  Rows with unknown provenance (``origin`` < 0)
-    are excluded.
+    observed source prefix: one
+    :class:`~repro.analysis.scandetect.SessionTracker` at /128 fed the
+    known rows with each row's ``origin`` as its source.  Rows with
+    unknown provenance (``origin`` < 0) are excluded.
     """
     known = truth.origin >= 0
-    if not known.any():
-        return []
-    ts = truth.ts[known]
-    origin = truth.origin[known]
-    order = np.lexsort((ts, origin))
-    o = origin[order]
-    t = ts[order]
-    starts, packets, start_ts, end_ts, uniq = sessionize(
-        o[1:] != o[:-1], t,
-        truth.dst_hi[known][order], truth.dst_lo[known][order],
-        timeout,
+    n = int(known.sum())
+    # The agent id takes the source column, so the tracker's /128
+    # sessions are the agents' sessions and its (start, source) event
+    # order is (start, agent).
+    agents = PacketRecords.from_columns(
+        ts=truth.ts[known], src_hi=np.zeros(n, dtype=np.uint64),
+        src_lo=truth.origin[known].astype(np.uint64),
+        dst_hi=truth.dst_hi[known], dst_lo=truth.dst_lo[known],
+        proto=np.zeros(n, dtype=np.uint8),
+        sport=np.zeros(n, dtype=np.uint16),
+        dport=np.zeros(n, dtype=np.uint16),
     )
-    qualifying = np.flatnonzero(uniq >= min_targets)
-    events = [
-        TruthEvent(
-            agent=int(o[starts[i]]),
-            start=float(start_ts[i]),
-            end=float(end_ts[i]),
-            packets=int(packets[i]),
-            unique_targets=int(uniq[i]),
-        )
-        for i in qualifying
+    tracker = SessionTracker(128, min_targets, timeout)
+    tracker.feed(agents)
+    return [
+        TruthEvent(agent=e.source, start=e.start, end=e.end,
+                   packets=e.packets, unique_targets=e.unique_targets)
+        for e in tracker.finish()
     ]
-    events.sort(key=lambda e: (e.start, e.agent))
-    return events
 
 
 @dataclass(frozen=True)

@@ -1,41 +1,18 @@
-"""Incremental (online) scan detection.
+"""Online scan detection for a streaming run.
 
-:func:`~repro.analysis.scandetect.detect_scans` lexsorts the *entire run*
-at the end — memory scales with total packet count.  This module evaluates
-the same definition online: a :class:`SessionTracker` consumes per-day
-:class:`PacketRecords` chunks, carries open sessions across chunk
-boundaries, and emits exactly the event list the batch path would —
-element-identical at every aggregation level, pinned by randomized
-equivalence tests.
+A :class:`StreamAnalyzer` holds one
+:class:`~repro.analysis.scandetect.SessionTracker` per aggregation level
+and feeds them a telescope's records one day at a time, all through one
+shared :class:`~repro.analysis.scandetect.DayIndex` per day.  The trackers
+carry open sessions across day boundaries, so the finished event lists
+equal batch :func:`~repro.analysis.scandetect.detect_scans` over the
+whole run — element-identical at every aggregation level, pinned by
+randomized equivalence tests — while memory stays O(open sessions + one
+day).  The observer reads each level's distinct sources from the same
+index (:meth:`StreamAnalyzer.day_sources`).
 
-**One day index per chunk.**  A :class:`DayIndex` sorts what every
-aggregation level shares exactly once: a stable timestamp rank, dense
-/128 source ids numbered in address order (masking that small sorted
-table of distinct sources to a prefix length keeps it sorted, so each
-level's ids follow from the table alone), and dense destination ids.
-Each level then needs one single-key int64 argsort — ``(source id,
-timestamp rank)`` lays its sessions out — and one int64 sort —
-``(segment, destination id)`` counts their distinct targets.  The
-observer reads each level's distinct sources from the same index
-(:meth:`StreamAnalyzer.day_sources`).
-
-**Open sessions are columns.**  A tracker's carry state is one row per
-open session: the truncated source, first and last packet times, packet
-count, and the distinct targets in CSR form.  A carried session whose
-source reappears in the chunk is located by a lookup in the level's
-table of distinct sources; if the source's first chunk packet arrives
-within the timeout, the session merges into that first segment.  Its
-carried targets are looked up among the chunk's destination ids (one the
-chunk never saw takes a fresh id) and join the segment's ``(segment,
-destination)`` sort — so the union is counted by the same pass as every
-other segment's targets.  Carried sessions that do not merge close, or
-stay open while a future packet could still extend them.  All of it is
-vectorized; no Python runs per session.
-
-Memory is O(open sessions + one chunk), never O(run): at each feed
-boundary any session whose last packet is more than a timeout behind the
-chunk horizon is finalized (no future packet can extend it), so the carry
-state tracks only currently-active sources.
+The session kernel itself lives in :mod:`repro.analysis.scandetect`;
+its names are re-exported here.
 """
 
 from __future__ import annotations
@@ -48,406 +25,25 @@ from repro.analysis.records import PacketRecords
 from repro.analysis.scandetect import (
     DEFAULT_MIN_TARGETS,
     DEFAULT_TIMEOUT,
+    DayIndex,
     ScanEvent,
-    _event_order,
-    _validate,
+    SessionTracker,
+    dense_pairs,
+    find_pairs,
 )
-from repro.net.addr import mask_u64
+
+__all__ = [
+    "SCAN_LEVELS",
+    "DayIndex",
+    "SessionTracker",
+    "StreamAnalyzer",
+    "StreamSummary",
+    "dense_pairs",
+    "find_pairs",
+]
 
 #: The paper's three source-aggregation levels, in report order.
 SCAN_LEVELS = (128, 64, 48)
-
-_NEG_INF = float("-inf")
-
-#: Multiplier of the pair hash.  Odd, so ``hi * _MIX`` is a bijection on
-#: 64-bit words: two pairs with equal ``hi`` never collide.
-_MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _firsts(sorted_values: np.ndarray) -> np.ndarray:
-    """True where a sorted column starts a run of equal values."""
-    first = np.empty(len(sorted_values), dtype=bool)
-    first[:1] = True
-    np.not_equal(sorted_values[1:], sorted_values[:-1], out=first[1:])
-    return first
-
-
-def dense_pairs(hi: np.ndarray, lo: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense ids for (hi, lo) uint64 pairs.
-
-    Returns ``(ids, u_hi, u_lo)``: one id per distinct pair, with
-    ``u_hi[ids] == hi`` and ``u_lo[ids] == lo``.  Sorts a 64-bit hash of
-    each pair — one single-key argsort instead of a two-key lexsort — and
-    checks every run of equal hashes for a second distinct pair; a
-    collision falls back to the exact lexsort.  Ids follow hash order,
-    not address order.
-    """
-    hashes = hi * _MIX
-    hashes ^= lo
-    order = np.argsort(hashes)
-    first = _firsts(hashes[order])
-    del hashes  # one word per row; the index's peak is these temporaries
-    sorted_ids = np.cumsum(first)
-    sorted_ids -= 1
-    u_hi, u_lo = hi[order[first]], lo[order[first]]
-    # Equal hashes and equal ``hi`` imply equal ``lo`` (the hash is
-    # invertible given ``hi``), so a collision is a hash run whose ``hi``
-    # differs.
-    if not np.array_equal(hi[order], u_hi[sorted_ids]):
-        order = np.lexsort((lo, hi))
-        first = _firsts(hi[order]) | _firsts(lo[order])
-        sorted_ids = np.cumsum(first) - 1
-        u_hi, u_lo = hi[order[first]], lo[order[first]]
-    ids = np.empty(len(hi), dtype=np.int64)
-    ids[order] = sorted_ids
-    return ids, u_hi, u_lo
-
-
-def find_pairs(table_hi: np.ndarray, table_lo: np.ndarray,
-               q_hi: np.ndarray, q_lo: np.ndarray) -> np.ndarray:
-    """Row of each query pair in a table of distinct pairs, or -1.
-
-    A binary search over the table's sorted pair hashes, confirmed on
-    ``hi`` (equal hashes and equal ``hi`` imply equal ``lo``).  Most
-    carried targets are not in the day's table, so a bitmap over the
-    table's hashes first rejects nearly every miss.  A hash shared by two
-    table rows falls back to :func:`dense_pairs` over table and queries
-    together.
-    """
-    hashes = table_hi * _MIX
-    hashes ^= table_lo
-    order = np.argsort(hashes)
-    hashes = hashes[order]
-    if np.any(hashes[1:] == hashes[:-1]):
-        rows = len(table_hi)
-        ids, u_hi, _ = dense_pairs(np.concatenate([table_hi, q_hi]),
-                                   np.concatenate([table_lo, q_lo]))
-        row_of = np.full(len(u_hi), -1, dtype=np.int64)
-        row_of[ids[:rows]] = np.arange(rows)
-        return row_of[ids[rows:]]
-    q_hash = q_hi * _MIX
-    q_hash ^= q_lo
-    # About 16 bitmap slots per table row: a miss passes with p <= 1/16.
-    shift = np.uint64(64 - max(10, (16 * len(hashes)).bit_length()))
-    marked = np.zeros(1 << (64 - int(shift)), dtype=bool)
-    marked[(hashes * _MIX) >> shift] = True
-    found = np.full(len(q_hi), -1, dtype=np.int64)
-    maybe = np.flatnonzero(marked[(q_hash * _MIX) >> shift])
-    at = np.searchsorted(hashes, q_hash[maybe])
-    at[at == len(hashes)] = 0
-    row = order[at]
-    hit = (hashes[at] == q_hash[maybe]) & (table_hi[row] == q_hi[maybe])
-    found[maybe[hit]] = row[hit]
-    return found
-
-
-def _csr_take(offsets: np.ndarray, rows: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions of CSR ``rows``, concatenated in order, and each
-    row's length."""
-    lengths = offsets[rows + 1] - offsets[rows]
-    ends = np.cumsum(lengths)
-    total = int(ends[-1]) if len(ends) else 0
-    return (np.arange(total)
-            + np.repeat(offsets[rows] - (ends - lengths), lengths)), lengths
-
-
-def _sessions(kid: np.ndarray, index: "DayIndex", id_bound: int,
-              timeout: float) -> tuple:
-    """One level's rows cut into sessions by the batch gap rule.
-
-    Rows are grouped by level source id ``kid`` and time-ordered within a
-    group (the sort key is unique, so any argsort gives the stable
-    order); a session starts at a group change or a gap strictly above
-    the timeout, as in :func:`~repro.analysis.scandetect.sessionize`.
-    Returns ``(codes, starts, seg_kid, start_ts, end_ts)``: each row's
-    ``segment * id_bound + destination id`` code, then per session its
-    first sorted row, source id, and first and last packet times.
-    """
-    n = len(kid)
-    order = np.argsort(kid * n + index.rank)
-    kk = kid[order]
-    t = index.ts[order]
-    new_seg = _firsts(kk)
-    new_seg[1:] |= t[1:] - t[:-1] > timeout
-    starts = np.flatnonzero(new_seg)
-    ends = np.append(starts[1:], n) - 1
-    codes = np.cumsum(new_seg) - 1
-    codes *= id_bound
-    codes += index.did[order]
-    return codes, starts, kk[starts], t[starts], t[ends]
-
-
-class DayIndex:
-    """What every aggregation level shares about one chunk, sorted once.
-
-    * ``rank``: each row's position in stable timestamp order;
-    * ``sid``: dense /128 source ids into the distinct sources
-      ``src_hi``/``src_lo``, which are in (hi, lo) order — masking that
-      table to any prefix length keeps it sorted, so :meth:`level`
-      derives a level's ids from the table alone;
-    * ``did``: dense destination ids into ``dst_hi``/``dst_lo``;
-      :meth:`destination_ids` finds a carried session's targets among
-      them, so carried and fresh targets compare as integers.
-
-    Built per chunk and never pickled.
-    """
-
-    def __init__(self, records: PacketRecords):
-        n = self.n = len(records)
-        self.ts = records.ts
-        self.t_min = float(records.ts.min()) if n else None
-        self.t_max = float(records.ts.max()) if n else None
-        self.rank = np.empty(n, dtype=np.int64)
-        self.rank[np.argsort(records.ts, kind="stable")] = np.arange(n)
-
-        sid, s_hi, s_lo = dense_pairs(records.src_hi, records.src_lo)
-        by_address = np.lexsort((s_lo, s_hi))
-        self.src_hi, self.src_lo = s_hi[by_address], s_lo[by_address]
-        renumber = np.empty(len(by_address), dtype=np.int64)
-        renumber[by_address] = np.arange(len(by_address))
-        self.sid = renumber[sid]
-
-        self.did, self.dst_hi, self.dst_lo = dense_pairs(records.dst_hi,
-                                                         records.dst_lo)
-        self._levels: dict[int, tuple] = {}
-
-    def destination_ids(self, hi: np.ndarray, lo: np.ndarray
-                        ) -> np.ndarray:
-        """The id of each (hi, lo) destination in this chunk, or -1."""
-        return find_pairs(self.dst_hi, self.dst_lo, hi, lo)
-
-    def level(self, length: int
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(kid_of_sid, key_hi, key_lo)`` at one aggregation length: the
-        dense level id of each /128 source id, and the distinct truncated
-        sources in (hi, lo) order (``key_lo`` is zero at lengths <= 64)."""
-        if length not in self._levels:
-            hi, lo = mask_u64(self.src_hi, self.src_lo, length)
-            first = _firsts(hi) | _firsts(lo)
-            self._levels[length] = (np.cumsum(first) - 1,
-                                    hi[first], lo[first])
-        return self._levels[length]
-
-
-@dataclass
-class _OpenSessions:
-    """A tracker's open sessions as columns, one row per session.
-
-    ``k_hi``/``k_lo`` is the truncated source (``k_lo`` is zero at
-    lengths <= 64); session ``i``'s distinct targets are
-    ``t_hi[t_off[i]:t_off[i + 1]]`` with ``t_lo`` alike — 16 bytes per
-    target, the tracker's only per-session payload.
-    """
-
-    k_hi: np.ndarray
-    k_lo: np.ndarray
-    start: np.ndarray
-    last: np.ndarray
-    packets: np.ndarray
-    t_off: np.ndarray
-    t_hi: np.ndarray
-    t_lo: np.ndarray
-
-    @classmethod
-    def empty(cls) -> "_OpenSessions":
-        words, times = np.empty(0, np.uint64), np.empty(0, np.float64)
-        return cls(words, words, times, times, np.empty(0, np.int64),
-                   np.zeros(1, np.int64), words, words)
-
-    def __len__(self) -> int:
-        return len(self.k_hi)
-
-    def targets(self) -> np.ndarray:
-        """Distinct-target count per session."""
-        return np.diff(self.t_off)
-
-    def take(self, rows: np.ndarray) -> "_OpenSessions":
-        positions, lengths = _csr_take(self.t_off, rows)
-        return _OpenSessions(
-            self.k_hi[rows], self.k_lo[rows], self.start[rows],
-            self.last[rows], self.packets[rows],
-            np.concatenate([[0], np.cumsum(lengths)]),
-            self.t_hi[positions], self.t_lo[positions])
-
-    def extend(self, other: "_OpenSessions") -> "_OpenSessions":
-        joined = {name: np.concatenate([getattr(self, name),
-                                        getattr(other, name)])
-                  for name in ("k_hi", "k_lo", "start", "last", "packets",
-                               "t_hi", "t_lo")}
-        t_off = np.concatenate([self.t_off, self.t_off[-1] + other.t_off[1:]])
-        return _OpenSessions(t_off=t_off, **joined)
-
-
-class SessionTracker:
-    """Online equivalent of :func:`~repro.analysis.scandetect.detect_scans`.
-
-    Feed time-ordered chunks (each chunk may be internally unsorted, but no
-    chunk may contain a timestamp earlier than a previous chunk's horizon);
-    call :meth:`finish` for the final event list.  The emitted events are
-    element-identical — same fields, same order — to running the batch
-    detector over the concatenation of every chunk.
-    """
-
-    def __init__(
-        self,
-        source_length: int = 64,
-        min_targets: int = DEFAULT_MIN_TARGETS,
-        timeout: float = DEFAULT_TIMEOUT,
-    ):
-        _validate(min_targets, timeout)
-        if not 0 <= source_length <= 128:
-            raise ValueError(
-                f"prefix length must be in [0, 128], got {source_length}")
-        self.source_length = source_length
-        self.min_targets = min_targets
-        self.timeout = timeout
-        self._watermark = _NEG_INF
-        self._events: list[ScanEvent] = []
-        self._open = _OpenSessions.empty()
-
-    # -- introspection ----------------------------------------------------
-
-    @property
-    def open_sessions(self) -> int:
-        return len(self._open)
-
-    @property
-    def events_closed(self) -> int:
-        return len(self._events)
-
-    # -- internals --------------------------------------------------------
-
-    def _emit(self, k_hi, k_lo, start, end, packets, uniq) -> None:
-        """Record every given session reaching ``min_targets`` as an
-        event."""
-        q = np.flatnonzero(uniq >= self.min_targets)
-        length = self.source_length
-        self._events.extend(
-            ScanEvent(source=(hi << 64) | lo, source_length=length,
-                      start=s, end=e, packets=p, unique_targets=u)
-            for hi, lo, s, e, p, u in zip(
-                k_hi[q].tolist(), k_lo[q].tolist(), start[q].tolist(),
-                end[q].tolist(), packets[q].tolist(), uniq[q].tolist()))
-
-    def _close_open(self, rows: np.ndarray) -> None:
-        """Emit the open sessions ``rows`` with their stored stats."""
-        o = self._open
-        self._emit(o.k_hi[rows], o.k_lo[rows], o.start[rows], o.last[rows],
-                   o.packets[rows], o.targets()[rows])
-
-    # -- the per-chunk kernel ---------------------------------------------
-
-    def feed(self, records: PacketRecords, now: float | None = None) -> int:
-        """Consume one chunk; returns the number of events closed.
-
-        ``now`` is the chunk horizon (defaults to the chunk's max
-        timestamp): the tracker may finalize any session idle for more
-        than a timeout before it, so later chunks must not carry earlier
-        timestamps.
-        """
-        return self.feed_index(DayIndex(records), now)
-
-    def feed_index(self, index: DayIndex, now: float | None = None) -> int:
-        """:meth:`feed` over a prebuilt :class:`DayIndex`."""
-        n = index.n
-        before = len(self._events)
-        if n and index.t_min < self._watermark:
-            raise ValueError(
-                f"out-of-order feed: chunk starts at {index.t_min}, before "
-                f"the tracker's horizon {self._watermark}")
-        horizon = self._watermark
-        if now is not None:
-            horizon = max(horizon, float(now))
-        if n:
-            horizon = max(horizon, index.t_max)
-        timeout = self.timeout
-        # >= : a session ending exactly a timeout before the horizon can
-        # still merge with a packet at ts == horizon (the gap rule is > ).
-        lower = horizon - timeout
-        carry = self._open
-        if n == 0:
-            idle = carry.last >= lower
-            self._close_open(np.flatnonzero(~idle))
-            self._open = carry.take(np.flatnonzero(idle))
-            self._watermark = horizon
-            return len(self._events) - before
-
-        kid_of_sid, key_hi, key_lo = index.level(self.source_length)
-        # Destination ids: the chunk's, then carried targets absent from
-        # it, so every id stays below this bound.
-        id_bound = len(index.dst_hi) + len(carry.t_hi)
-        codes, starts, seg_kid, start_ts, end_ts = _sessions(
-            kid_of_sid[index.sid], index, id_bound, timeout)
-        n_segs = len(starts)
-        seg_packets = np.diff(starts, append=n)
-        group_first = _firsts(seg_kid)
-        key_seg = np.flatnonzero(group_first)  # first segment of each kid
-        # Only a group's final segment can reach past the horizon's
-        # timeout window: any other is followed by a > timeout gap.
-        stays = np.append(group_first[1:], True) & (end_ts >= lower)
-
-        # A carried session merges into its source's first segment when
-        # that segment starts within the timeout of its last packet.
-        # Otherwise it is idle: it closes if its source is in this chunk
-        # (the gap already exceeded the timeout) or if the horizon has
-        # moved a timeout past it, and stays open if not.
-        kid_of_open = (find_pairs(key_hi, key_lo, carry.k_hi, carry.k_lo)
-                       if len(carry) else np.empty(0, dtype=np.int64))
-        present = np.flatnonzero(kid_of_open >= 0)
-        first_seg = key_seg[kid_of_open[present]]
-        joins = start_ts[first_seg] - carry.last[present] <= timeout
-        merged, merged_seg = present[joins], first_seg[joins]
-        idle = (kid_of_open < 0) & (carry.last >= lower)
-        closing = ~idle
-        closing[merged] = False
-
-        # Distinct targets per segment from one sort of the codes; a
-        # merged session's carried targets sort into its segment, so the
-        # count is the union's.
-        positions, lengths = _csr_take(carry.t_off, merged)
-        carried_hi, carried_lo = carry.t_hi[positions], carry.t_lo[positions]
-        carried_ids = index.destination_ids(carried_hi, carried_lo)
-        absent = np.flatnonzero(carried_ids < 0)
-        carried_ids[absent] = len(index.dst_hi) + np.arange(len(absent))
-        codes = np.concatenate([
-            codes, np.repeat(merged_seg, lengths) * id_bound + carried_ids])
-        codes.sort()
-        codes = codes[_firsts(codes)]
-        code_seg = codes // id_bound
-        uniq = np.bincount(code_seg, minlength=n_segs)
-        start_ts[merged_seg] = carry.start[merged]
-        seg_packets[merged_seg] += carry.packets[merged]
-
-        self._close_open(np.flatnonzero(closing))
-        done = np.flatnonzero(~stays)
-        self._emit(key_hi[seg_kid[done]], key_lo[seg_kid[done]],
-                   start_ts[done], end_ts[done], seg_packets[done],
-                   uniq[done])
-
-        kept = np.flatnonzero(stays)
-        targets = codes[stays[code_seg]] % id_bound
-        dst_hi = np.concatenate([index.dst_hi, carried_hi[absent]])
-        dst_lo = np.concatenate([index.dst_lo, carried_lo[absent]])
-        self._open = _OpenSessions(
-            key_hi[seg_kid[kept]], key_lo[seg_kid[kept]], start_ts[kept],
-            end_ts[kept], seg_packets[kept],
-            np.concatenate([[0], np.cumsum(uniq[kept])]),
-            dst_hi[targets], dst_lo[targets],
-        ).extend(carry.take(np.flatnonzero(idle)))
-        self._watermark = horizon
-        return len(self._events) - before
-
-    def finish(self) -> list[ScanEvent]:
-        """Close every open session and return the full sorted event list.
-
-        Idempotent: a second call returns the same list.
-        """
-        self._close_open(np.arange(len(self._open)))
-        self._open = _OpenSessions.empty()
-        self._events.sort(key=_event_order)
-        return list(self._events)
 
 
 @dataclass

@@ -211,10 +211,12 @@ def run_scenario(
     loop: each day's captures are drained into per-telescope
     :class:`~repro.analysis.streaming.StreamAnalyzer` instances and
     released, so peak memory holds one day of packets instead of the
-    horizon.  The result carries :attr:`ScenarioResult.streaming`
-    summaries whose events are element-identical to running
-    ``detect_scans`` over the batch records; the record columns come back
-    empty.  Streaming composes with ``checkpoint_dir`` (open analyzer
+    horizon.  Both modes run the same session kernel
+    (:class:`~repro.analysis.scandetect.SessionTracker`), fed a day at a
+    time here and the whole run at once by ``detect_scans``, so the
+    result's :attr:`ScenarioResult.streaming` summaries carry events
+    element-identical to batch detection over the batch records; the
+    record columns come back empty.  Streaming composes with ``checkpoint_dir`` (open analyzer
     state rides in the checkpoint); it is incompatible with
     ``cache_dir`` (the cache stores record bundles).
 

@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from repro._util import DAY, HOUR, WEEK
 from repro.analysis.flows import aggregate_flows
 from repro.analysis.records import PacketRecords
-from repro.analysis.scandetect import (
-    detect_scans,
-    weekly_scan_packets,
-    weekly_scan_sources,
-)
+from repro.analysis.scandetect import detect_scans
 from repro.net.packet import icmp_echo_request, tcp_segment, TcpFlags
 
 
@@ -104,48 +99,3 @@ class TestScanDetection:
         with pytest.raises(ValueError):
             detect_scans(PacketRecords.empty(), timeout=0.0)
 
-
-class TestWeeklySeries:
-    def test_weekly_scan_sources(self):
-        pkts = (_ping_burst(7, 120, start=0.0)
-                + _ping_burst(8, 120, start=WEEK + 100.0, dst_base=2 << 80))
-        records = PacketRecords.from_packets(pkts)
-        weekly = weekly_scan_sources(records, 0.0, 2 * WEEK)
-        assert weekly.tolist() == [1.0, 1.0]
-
-    def test_weekly_scan_packets_top_source(self):
-        # Sources in distinct /64s so the default aggregation keeps them
-        # apart (7 and 8 share ::/64 and would merge into one session).
-        src_a, src_b = 7 << 64, 8 << 64
-        pkts = (_ping_burst(src_a, 300, start=0.0)
-                + _ping_burst(src_b, 120, start=HOUR, dst_base=2 << 80))
-        records = PacketRecords.from_packets(pkts)
-        totals, top = weekly_scan_packets(records, 0.0, WEEK)
-        assert totals[0] == 420.0
-        assert top[0] == 300.0
-
-    def test_empty_window(self):
-        assert weekly_scan_sources(PacketRecords.empty(), 0.0, 0.0).shape == (0,)
-
-    def test_weekly_scan_packets_drops_events_outside_window(self):
-        """Events starting outside [start, end) are dropped, not
-        mis-bucketed into the first or last week."""
-        src_a, src_b, src_c = 7 << 64, 8 << 64, 9 << 64
-        pkts = (
-            # Starts (and ends) before the window: must not count.
-            _ping_burst(src_a, 120, start=0.0)
-            # Inside the window: counts in week 0 of the window.
-            + _ping_burst(src_b, 120, start=10 * WEEK + 100.0,
-                          dst_base=2 << 80)
-            # Starts after the window end: must not count.
-            + _ping_burst(src_c, 120, start=12 * WEEK + 100.0,
-                          dst_base=3 << 80)
-        )
-        records = PacketRecords.from_packets(pkts)
-        totals, top = weekly_scan_packets(records, 10 * WEEK, 12 * WEEK)
-        assert totals.tolist() == [120.0, 0.0]
-        assert top.tolist() == [120.0, 0.0]
-
-    def test_weekly_scan_packets_empty_window(self):
-        totals, top = weekly_scan_packets(PacketRecords.empty(), 0.0, 0.0)
-        assert totals.shape == (0,) and top.shape == (0,)

@@ -1,8 +1,9 @@
 """Streaming analysis equivalence: incremental trackers vs. batch.
 
-The online :class:`~repro.analysis.streaming.SessionTracker` must emit
-event lists *element-identical* to the batch detector (and its per-packet
-reference) over the concatenation of the fed chunks — on randomized
+The :class:`~repro.analysis.scandetect.SessionTracker` fed chunk by
+chunk must emit event lists *element-identical* to the per-packet
+reference (and to the single-chunk batch detector, which is the same
+tracker) over the concatenation of the fed chunks — on randomized
 workloads with random chunk splits, internally shuffled chunks (the
 shape of the NT-B and NT-C day drains), carried sessions whose source is
 absent from the next chunk, tie-heavy quantized timestamps and ties at
@@ -97,7 +98,9 @@ class TestSessionTrackerEquivalence:
             if rng.integers(2):
                 tracker.feed(PacketRecords.empty())
             tracker.feed(chunk)
-        assert tracker.finish() == detect_scans(records, 64, 3, 100.0)
+        got = tracker.finish()
+        assert got == detect_scans(records, 64, 3, 100.0)
+        assert got == detect_scans_reference(records, 64, 3, 100.0)
 
     def test_midnight_crossing_session_single_event(self):
         """A scan straddling a day boundary, fed as two day chunks with
@@ -134,6 +137,7 @@ class TestSessionTrackerEquivalence:
         got = tracker.finish()
         assert len(got) == 2
         assert got == detect_scans(records, 64, 100)
+        assert got == detect_scans_reference(records, 64, 100, 3600.0)
 
     def test_idle_session_expires_between_feeds(self):
         """An empty feed whose horizon passes last+timeout finalizes the
@@ -348,6 +352,8 @@ class TestStreamAnalyzer:
         assert summary.records_in == len(records)
         for level in (128, 64, 48):
             assert summary.events[level] == detect_scans(
+                records, level, 5, 500.0)
+            assert summary.events[level] == detect_scans_reference(
                 records, level, 5, 500.0)
 
     def test_pickle_roundtrip_mid_run(self):

@@ -62,6 +62,8 @@ class TestStreamingEqualsBatch:
             for level in LEVELS:
                 expect = detect_scans(records, source_length=level)
                 assert summary.events[level] == expect, (name, level)
+                assert summary.events[level] == detect_scans_reference(
+                    records, level, 100, 3600.0), (name, level)
 
     def test_matches_per_packet_reference(self, batch, stream):
         result, _ = stream
