@@ -5,7 +5,7 @@ figure-specific analyses (scope, tactics, Hilbert maps).
 
 from repro.analysis.records import PacketRecords
 from repro.analysis.flows import Flow, aggregate_flows
-from repro.analysis.scandetect import ScanEvent, detect_scans
+from repro.analysis.scandetect import ScanEvent, SessionTracker, detect_scans
 from repro.analysis.jaccard import jaccard_similarity, overlap_report
 from repro.analysis.asinfo import MetadataJoiner, SourceBreakdown
 from repro.analysis.bstm import BstmModel, CausalImpact
@@ -18,11 +18,7 @@ from repro.analysis.blocklist import (
     recommend_blocklist,
     render_blocklist,
 )
-from repro.analysis.streaming import (
-    SessionTracker,
-    StreamAnalyzer,
-    StreamSummary,
-)
+from repro.analysis.streaming import StreamAnalyzer, StreamSummary
 
 __all__ = [
     "PacketRecords",

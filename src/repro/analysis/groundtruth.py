@@ -9,8 +9,8 @@ records and retains it in a sidecar :class:`GroundTruthRecords` table.
 This module closes the loop: :func:`truth_events` builds the *actual* scan
 sessions per agent (the detector's own session kernel and definition —
 ≥``min_targets`` distinct destinations, ``timeout``-bounded gaps — but
-grouped by the true emitter instead of the observed source prefix), and :func:`score_detection`
-grades the detector's output against them:
+grouped by the true emitter instead of the observed source prefix), and
+:func:`score_detection` grades the detector's output against them:
 
 * **precision** — fraction of detected events whose packets all came from
   a single agent (an impure event blends scanners the analysis would then
