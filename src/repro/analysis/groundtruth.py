@@ -287,10 +287,20 @@ def score_detection(
     elif source_length is None:
         source_length = 128
 
+    truths = truth_events(truth, min_targets=min_targets, timeout=timeout)
+    return _score(events, truth, truths, source_length)
+
+
+def _score(
+    events: list[ScanEvent],
+    truth: GroundTruthRecords,
+    truths: list[TruthEvent],
+    source_length: int,
+) -> DetectionScore:
+    """Grade ``events`` (all at /``source_length``) against ``truths``,
+    the truth events of ``truth`` built at the detector's parameters."""
     with stage("analysis.score_detection", source_length=source_length,
                events=len(events)):
-        truths = truth_events(truth, min_targets=min_targets,
-                              timeout=timeout)
         contributors = _event_contributors(events, truth, source_length)
 
         pure = sum(1 for c in contributors if len(c) == 1)
@@ -334,13 +344,12 @@ def score_all_levels(
     min_targets: int = DEFAULT_MIN_TARGETS,
     timeout: float = DEFAULT_TIMEOUT,
 ) -> dict[int, DetectionScore]:
-    """Run detection and scoring at each aggregation level."""
+    """Run detection and scoring at each aggregation level (the truth
+    events, which do not depend on the level, are built once)."""
+    truths = truth_events(truth, min_targets=min_targets, timeout=timeout)
     scores: dict[int, DetectionScore] = {}
     for length in levels:
         events = detect_scans(records, source_length=length,
                               min_targets=min_targets, timeout=timeout)
-        scores[length] = score_detection(
-            events, truth, min_targets=min_targets, timeout=timeout,
-            source_length=length,
-        )
+        scores[length] = _score(events, truth, truths, length)
     return scores
