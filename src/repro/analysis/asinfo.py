@@ -5,18 +5,23 @@ AS (RouteViews prefix2as), classify the AS (ASdb, with the paper's manual
 overrides applied upstream), geolocate (IPinfo), and produce the Table 3/8
 top-ASN rows, the Fig. 5 per-category protocol/source/destination
 breakdown, and the Fig. 6 per-country source counts.
+
+Lookups run once per distinct source address, never per row: the rows are
+grouped by source first and the ASNs indexed back onto them, and the
+per-ASN and per-category counts are numpy groupings over those row ASNs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.records import PacketRecords
+from repro.analysis.records import PacketRecords, distinct_per_group
 from repro.datasets.asdb import AsCategory, AsDatabase
 from repro.datasets.geodb import GeoDatabase
 from repro.datasets.prefix2as import Prefix2As
+from repro.net.addr import prefix_groups_u64
 from repro.net.packet import ICMPV6, TCP, UDP
 
 
@@ -76,55 +81,75 @@ class MetadataJoiner:
         self.prefix2as = prefix2as
         self.asdb = asdb
         self.geodb = geodb
-        self._asn_cache: dict[int, int] = {}
-        self._country_cache: dict[int, str | None] = {}
+        # Keyed by (address, at): a route installed after ``at`` maps to
+        # nothing at ``at`` but to its origin for an undated lookup.
+        self._asn_cache: dict[tuple[int, float | None], int] = {}
+        self._country_cache: dict[tuple[int, float | None], str | None] = {}
 
     def asn_of(self, address: int, at: float | None = None) -> int:
         """Origin ASN for a source address (0 when unmapped)."""
-        cached = self._asn_cache.get(address)
+        key = (address, at)
+        cached = self._asn_cache.get(key)
         if cached is None:
             cached = self.prefix2as.lookup(address, at=at) or 0
-            self._asn_cache[address] = cached
+            self._asn_cache[key] = cached
         return cached
 
     def country_of(self, address: int, at: float | None = None) -> str | None:
         if self.geodb is None:
             return None
-        if address not in self._country_cache:
-            self._country_cache[address] = self.geodb.lookup(address, at=at)
-        return self._country_cache[address]
+        key = (address, at)
+        if key not in self._country_cache:
+            self._country_cache[key] = self.geodb.lookup(address, at=at)
+        return self._country_cache[key]
 
     def row_asns(self, records: PacketRecords) -> np.ndarray:
-        """Per-row source ASN array."""
-        out = np.zeros(len(records), dtype=np.int64)
-        for i, src in enumerate(records.src_addresses()):
-            out[i] = self.asn_of(src)
-        return out
+        """Per-row source ASN array (one lookup per distinct source)."""
+        ids, asns = self._source_asns(records)
+        return asns[ids]
+
+    def _source_asns(self, records: PacketRecords
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, asns)``: each row's /128 source group and each group's
+        ASN."""
+        ids, hi, lo = prefix_groups_u64(records.src_hi, records.src_lo, 128)
+        asns = np.fromiter(
+            (self.asn_of((h << 64) | l)
+             for h, l in zip(hi.tolist(), lo.tolist())),
+            dtype=np.int64, count=len(hi))
+        return ids, asns
 
     # -- Table 3 / Table 8 -------------------------------------------------
 
     def top_asns(self, records: PacketRecords, n: int = 20) -> list[AsnRow]:
         """The top-``n`` source ASNs by packet count."""
+        return self._top_asns(records, *self._source_asns(records), n)
+
+    def _top_asns(self, records: PacketRecords, ids: np.ndarray,
+                  source_asns: np.ndarray, n: int) -> list[AsnRow]:
         if len(records) == 0:
             return []
-        asns = self.row_asns(records)
-        total = len(records)
-        rows: list[AsnRow] = []
-        unique_asns, counts = np.unique(asns, return_counts=True)
-        order = np.argsort(counts)[::-1]
-        for idx in order[:n]:
-            asn = int(unique_asns[idx])
-            sub = records.select(asns == asn)
-            rows.append(AsnRow(
-                asn=asn,
-                name=self.asdb.name(asn),
+        unique_asns, inverse, counts = np.unique(
+            source_asns[ids], return_inverse=True, return_counts=True)
+        order = np.argsort(counts)[::-1][:n]
+        per_asn = {
+            length: distinct_per_group(
+                inverse, len(unique_asns),
+                ids if length == 128 else records.source_groups(length))
+            for length in (128, 64, 48)
+        }
+        return [
+            AsnRow(
+                asn=int(unique_asns[idx]),
+                name=self.asdb.name(int(unique_asns[idx])),
                 packets=int(counts[idx]),
-                share=float(counts[idx]) / total,
-                unique_128=sub.unique_sources(128),
-                unique_64=sub.unique_sources(64),
-                unique_48=sub.unique_sources(48),
-            ))
-        return rows
+                share=float(counts[idx]) / len(records),
+                unique_128=int(per_asn[128][idx]),
+                unique_64=int(per_asn[64][idx]),
+                unique_48=int(per_asn[48][idx]),
+            )
+            for idx in order
+        ]
 
     # -- Fig. 5 ---------------------------------------------------------------
 
@@ -132,26 +157,42 @@ class MetadataJoiner:
         self, records: PacketRecords
     ) -> dict[AsCategory, CategoryStats]:
         """Per-AS-category protocol/source/destination statistics."""
-        asns = self.row_asns(records)
-        categories = {
-            asn: self.asdb.classify(int(asn)) for asn in np.unique(asns)
+        return self._category_breakdown(records, *self._source_asns(records))
+
+    def _category_breakdown(
+        self, records: PacketRecords, ids: np.ndarray,
+        source_asns: np.ndarray,
+    ) -> dict[AsCategory, CategoryStats]:
+        # Categories in order of their lowest ASN, as Fig 5's packet
+        # ranking breaks ties by dict order.
+        unique_asns, inverse = np.unique(source_asns, return_inverse=True)
+        slot_of: dict[AsCategory, int] = {}
+        asn_slot = [slot_of.setdefault(self.asdb.classify(asn), len(slot_of))
+                    for asn in unique_asns.tolist()]
+        row_slot = np.asarray(asn_slot, dtype=np.int64)[inverse][ids]
+        k = len(slot_of)
+        packets = np.bincount(row_slot, minlength=k)
+        by_proto = {
+            proto: np.bincount(row_slot[records.proto == np.uint8(proto)],
+                               minlength=k)
+            for proto in (ICMPV6, TCP, UDP)
         }
-        out: dict[AsCategory, CategoryStats] = {}
-        for asn, category in categories.items():
-            stats = out.setdefault(category, CategoryStats(category=category))
-            sub = records.select(asns == asn)
-            stats.packets += len(sub)
-            stats.packets_icmp += int(np.sum(sub.proto == np.uint8(ICMPV6)))
-            stats.packets_tcp += int(np.sum(sub.proto == np.uint8(TCP)))
-            stats.packets_udp += int(np.sum(sub.proto == np.uint8(UDP)))
-        # Unique counts need set semantics across the category's ASNs.
-        for category, stats in out.items():
-            cat_asns = [a for a, c in categories.items() if c is category]
-            mask = np.isin(asns, cat_asns)
-            sub = records.select(mask)
-            stats.unique_sources_128 = sub.unique_sources(128)
-            stats.unique_destinations_128 = sub.unique_destinations(128)
-        return out
+        sources = distinct_per_group(row_slot, k, ids)
+        destinations = distinct_per_group(
+            row_slot, k,
+            prefix_groups_u64(records.dst_hi, records.dst_lo, 128)[0])
+        return {
+            category: CategoryStats(
+                category=category,
+                packets=int(packets[i]),
+                packets_icmp=int(by_proto[ICMPV6][i]),
+                packets_tcp=int(by_proto[TCP][i]),
+                packets_udp=int(by_proto[UDP][i]),
+                unique_sources_128=int(sources[i]),
+                unique_destinations_128=int(destinations[i]),
+            )
+            for category, i in slot_of.items()
+        }
 
     # -- Fig. 6 ---------------------------------------------------------------
 
@@ -176,13 +217,13 @@ class MetadataJoiner:
                 "tcp": float(np.sum(records.proto == np.uint8(TCP))) / total,
                 "udp": float(np.sum(records.proto == np.uint8(UDP))) / total,
             }
-        asns = self.row_asns(records)
+        ids, source_asns = self._source_asns(records)
         return SourceBreakdown(
             total_packets=total,
-            total_sources_128=records.unique_sources(128),
-            total_asns=len(np.unique(asns[asns > 0])),
-            top_asns=self.top_asns(records, n=top_n),
-            by_category=self.category_breakdown(records),
+            total_sources_128=len(source_asns),
+            total_asns=len(np.unique(source_asns[source_asns > 0])),
+            top_asns=self._top_asns(records, ids, source_asns, top_n),
+            by_category=self._category_breakdown(records, ids, source_asns),
             by_country=self.country_breakdown(records),
             protocol_shares=protocol_shares,
         )

@@ -4,6 +4,9 @@ Maps the 65,536 /48 subnets of a /32 onto a 256x256 Hilbert curve so that
 numerically adjacent subnets stay visually adjacent — the standard way to
 render telescope address space.  Returns plain numpy grids; rendering is
 left to the caller (the benchmark prints an ASCII digest).
+
+:func:`hilbert_map` groups the in-prefix destination columns by cell once
+and walks the curve once per distinct cell, not once per packet.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.records import PacketRecords
-from repro.net.addr import IPv6Prefix
+from repro.net.addr import IPv6Prefix, prefix_groups_u64
 
 
 def hilbert_d2xy(order: int, d: int) -> tuple[int, int]:
@@ -77,12 +80,14 @@ def hilbert_map(
     grid = np.zeros((size, size), dtype=np.float64)
     shift = 128 - cell_length
     base_index = covering_prefix.network >> shift
-    for dst in records.dst_addresses():
-        if dst not in covering_prefix:
-            continue
-        d = (dst >> shift) - base_index
-        x, y = hilbert_d2xy(order, int(d))
-        grid[y, x] += 1
+    inside = records.mask_dst_in(covering_prefix)
+    ids, cell_hi, cell_lo = prefix_groups_u64(
+        records.dst_hi[inside], records.dst_lo[inside], cell_length)
+    counts = np.bincount(ids, minlength=len(cell_hi))
+    for hi, lo, count in zip(cell_hi.tolist(), cell_lo.tolist(),
+                             counts.tolist()):
+        x, y = hilbert_d2xy(order, (((hi << 64) | lo) >> shift) - base_index)
+        grid[y, x] += count
     return grid
 
 

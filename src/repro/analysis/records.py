@@ -16,9 +16,9 @@ import numpy as np
 from repro._util import DAY
 from repro.net.addr import (
     IPv6Prefix,
-    group_ids_u64,
     mask_u64,
     pack_key_u64,
+    prefix_groups_u64,
     unique_pairs_u64,
 )
 from repro.net.packet import Packet
@@ -31,6 +31,15 @@ def _prefix_halves(prefix: IPv6Prefix) -> tuple[np.uint64, np.uint64]:
         np.uint64((prefix.network >> 64) & _U64),
         np.uint64(prefix.network & _U64),
     )
+
+
+def distinct_per_group(group: np.ndarray, n_groups: int,
+                       ids: np.ndarray) -> np.ndarray:
+    """Number of distinct ``ids`` among the rows of each of ``n_groups``
+    row groups; ``group`` and ``ids`` hold one non-negative int per row."""
+    span = int(ids.max()) + 1 if len(ids) else 1
+    pairs = np.unique(group * span + ids)
+    return np.bincount(pairs // span, minlength=n_groups)
 
 
 @dataclass(frozen=True)
@@ -209,14 +218,7 @@ class PacketRecords:
 
         Ids are assigned in ascending order of the truncated source value.
         """
-        if len(self) == 0:
-            return np.empty(0, dtype=np.int64)
-        key, lo = self._agg_key(self.src_hi, self.src_lo, prefix_len)
-        if lo is None:
-            _, inverse = np.unique(key, return_inverse=True)
-            return inverse.astype(np.int64, copy=False)
-        ids, _ = group_ids_u64(key, lo)
-        return ids
+        return prefix_groups_u64(self.src_hi, self.src_lo, prefix_len)[0]
 
     # -- time series ---------------------------------------------------------
 

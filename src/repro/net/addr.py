@@ -332,6 +332,26 @@ def group_ids_u64(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, int]:
     return ids, int(ids_sorted[-1]) + 1
 
 
+def prefix_groups_u64(hi: np.ndarray, lo: np.ndarray, prefix_len: int
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group rows by /``prefix_len`` subnet: ``(ids, key_hi, key_lo)``.
+
+    ``ids`` holds each row's group; group ``g`` is the truncated address
+    ``(key_hi[g], key_lo[g])``, in ascending address order.  Lengths up to
+    64 take the packed 1-D sort of :func:`pack_key_u64`.
+    """
+    packed = pack_key_u64(hi, lo, prefix_len)
+    if packed is not None:
+        keys, ids = np.unique(packed, return_inverse=True)
+        return ids.astype(np.int64, copy=False), keys, np.zeros_like(keys)
+    hi, lo = mask_u64(hi, lo, prefix_len)
+    ids, n = group_ids_u64(hi, lo)
+    key_hi = np.zeros(n, dtype=np.uint64)
+    key_lo = np.zeros(n, dtype=np.uint64)
+    key_hi[ids], key_lo[ids] = hi, lo
+    return ids, key_hi, key_lo
+
+
 def member_mask_u64(hi: np.ndarray, lo: np.ndarray,
                     set_hi: np.ndarray, set_lo: np.ndarray) -> np.ndarray:
     """Row-wise membership of (hi, lo) in the set given as (set_hi, set_lo).

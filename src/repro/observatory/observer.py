@@ -43,13 +43,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from repro._util import DAY
 from repro.analysis.records import PacketRecords
 from repro.analysis.streaming import SCAN_LEVELS
-from repro.core.features import Feature, combo_label
-from repro.net.addr import mask_u64
+from repro.analysis.tactics import tactic_combos
 from repro.obs import (
     JOURNAL_SCHEMA_VERSION,
     config_hash,
@@ -164,162 +161,17 @@ def load_observer_day(path) -> dict:
     return validate_observer(record)
 
 
-#: Feature code order for the vectorized classifier: the index of a
-#: feature here is its bit in the per-source combination mask.  Only the
-#: features :func:`repro.analysis.tactics._classify_probe` can return.
-_TACTIC_FEATURES = (
-    Feature.ICMP, Feature.TCP, Feature.UDP, Feature.DOMAIN,
-    Feature.TLS_ROOT, Feature.SUBDOMAIN, Feature.TLS_SUB,
-    Feature.HITLIST, Feature.OTHER,
-)
-
-
-def _classify_distinct(hp, dst_hi, dst_lo, meta) -> np.ndarray:
-    """Classify each distinct ``(dst, proto, dport, flags)`` probe tuple.
-
-    The same decision tree as :func:`repro.analysis.tactics.
-    _classify_probe`, restructured for bulk input.  A destination only
-    classifies off the default path when it is one of the honeyprefix's
-    *special* addresses — a domain/subdomain target, a manual hitlist
-    entry, or an address with a responsive binding — and those number in
-    the dozens while the day's distinct destinations number in the
-    thousands.  So the default codes (aliased-prefix ICMP or the
-    catch-all OTHER) are assigned vectorized, and the python decision
-    tree runs only over candidates whose high address half matches a
-    special address's.  Returns one ``_TACTIC_FEATURES`` index per tuple.
-    """
-    from repro.net.addr import _cached_mask
-    from repro.net.packet import ICMPV6, TCP, UDP
-
-    domain_addrs = set(hp.domain_targets.values())
-    sub_addrs = set(hp.subdomain_targets.values())
-    manual = set(hp.manual_hitlist_addresses)
-    responsive = hp.responsive
-    aliased = hp.config.aliased
-    pmask = _cached_mask(hp.prefix.length)
-    pnet = hp.prefix.network
-    icmp_echo = (ICMPV6, None)
-
-    proto_arr = meta >> np.uint64(32)
-    codes = np.full(len(dst_hi), 8, dtype=np.uint16)  # OTHER
-    if aliased:
-        hi_m, lo_m = mask_u64(dst_hi, dst_lo, hp.prefix.length)
-        in_prefix = (hi_m == np.uint64(pnet >> 64)) \
-            & (lo_m == np.uint64(pnet & 0xFFFFFFFFFFFFFFFF))
-        codes[(proto_arr == ICMPV6) & in_prefix] = 0  # ICMP
-
-    special = domain_addrs | sub_addrs | manual | set(responsive)
-    if not special:
-        return codes
-    special_hi = np.fromiter((a >> 64 for a in special), dtype=np.uint64,
-                             count=len(special))
-    candidates = np.flatnonzero(np.isin(dst_hi, special_hi))
-    hi_list, lo_list = dst_hi[candidates].tolist(), dst_lo[candidates].tolist()
-    meta_list = meta[candidates].tolist()
-    for k, j in enumerate(candidates.tolist()):
-        m = meta_list[k]
-        dst = (hi_list[k] << 64) | lo_list[k]
-        if dst in manual and m & 4:
-            code = 7  # HITLIST
-        elif dst in domain_addrs:
-            code = 4 if m & 1 else 3  # TLS_ROOT / DOMAIN
-        elif dst in sub_addrs:
-            code = 6 if m & 2 else 5  # TLS_SUB / SUBDOMAIN
-        else:
-            proto = m >> 32
-            bindings = responsive.get(dst)
-            if proto == ICMPV6:
-                responds = (aliased and dst & pmask == pnet) \
-                    or (bindings and icmp_echo in bindings)
-                code = 0 if responds else 8  # ICMP / OTHER
-            elif proto == TCP:
-                code = 1 if bindings and (TCP, (m >> 8) & 0xFFFF) \
-                    in bindings else 8
-            elif proto == UDP:
-                code = 2 if bindings and (UDP, (m >> 8) & 0xFFFF) \
-                    in bindings else 8
-            else:
-                code = 8  # OTHER
-        codes[j] = code
-    return codes
-
-
 def day_tactics(records: PacketRecords, hp, source_length: int = 48,
                 ) -> tuple[Counter, int]:
-    """One day's Figure 11 tactic combos for one honeyprefix, vectorized.
+    """One day's Figure 11 tactic combos for one honeyprefix.
 
-    Equivalent to :func:`repro.analysis.tactics.label_tactics` on the same
-    (honeyprefix-restricted) records — pinned by the randomized
-    equivalence test — but fast enough to run at every day boundary.
-    Classification is independent of the probe's *source*: it depends
-    only on ``(dst, proto, dport, ts-vs-feature-thresholds)``, with the
-    timestamp thresholds folded into three boolean flags so any packet of
-    a tuple classifies identically.  The python decision tree therefore
-    runs once per distinct tuple; everything else — the dedupe, mapping
-    features back onto packets, and collapsing packets into per-source
-    feature-combination masks — is numpy.
+    The kernel of :func:`repro.analysis.tactics.label_tactics` over the
+    day's (honeyprefix-restricted) records, with sources of at most 64
+    bits.
     """
     if not 0 < source_length <= 64:
         raise ValueError(f"source_length must be in (0, 64]: {source_length}")
-    combos: Counter = Counter()
-    n = len(records)
-    if n == 0:
-        return combos, 0
-    t_root = hp.feature_time(Feature.TLS_ROOT)
-    t_sub = hp.feature_time(Feature.TLS_SUB)
-    t_hit = hp.feature_time(Feature.HITLIST)
-
-    def flag(threshold, bit):
-        if threshold is None:
-            return np.zeros(n, dtype=np.uint64)
-        return (records.ts >= threshold).astype(np.uint64) << np.uint64(bit)
-
-    # proto (bits 32+), dport (bits 8..23), and the three threshold flags
-    # (bits 0..2) packed into one key so the dedupe is a 3-key lexsort.
-    meta = ((records.proto.astype(np.uint64) << np.uint64(32))
-            | (records.dport.astype(np.uint64) << np.uint64(8))
-            | flag(t_root, 0) | flag(t_sub, 1) | flag(t_hit, 2))
-    order = np.lexsort((meta, records.dst_lo, records.dst_hi))
-    hi_s, lo_s = records.dst_hi[order], records.dst_lo[order]
-    meta_s = meta[order]
-    firsts = np.ones(n, dtype=bool)
-    firsts[1:] = ((hi_s[1:] != hi_s[:-1]) | (lo_s[1:] != lo_s[:-1])
-                  | (meta_s[1:] != meta_s[:-1]))
-    inverse = np.empty(n, dtype=np.int64)
-    inverse[order] = np.cumsum(firsts) - 1
-
-    codes = _classify_distinct(
-        hp, hi_s[firsts], lo_s[firsts], meta_s[firsts])
-
-    # Per-source feature masks: dedupe (source, feature) pairs on one
-    # packed u64 key when the source fits, then OR the feature bits of
-    # each source's run.  Sources wider than 60 bits fall back to a
-    # 2-key lexsort; the downstream is identical.
-    feature = codes[inverse].astype(np.uint64)
-    source = records.src_hi >> np.uint64(64 - source_length)
-    if source_length <= 60:
-        packed = np.sort((source << np.uint64(4)) | feature)
-        keep = np.ones(n, dtype=bool)
-        keep[1:] = packed[1:] != packed[:-1]
-        pairs = packed[keep]
-        pair_src, pair_feat = pairs >> np.uint64(4), pairs & np.uint64(0xF)
-    else:
-        order2 = np.lexsort((feature, source))
-        src_s, feat_s = source[order2], feature[order2]
-        keep = np.ones(n, dtype=bool)
-        keep[1:] = (src_s[1:] != src_s[:-1]) | (feat_s[1:] != feat_s[:-1])
-        pair_src, pair_feat = src_s[keep], feat_s[keep]
-    starts = np.ones(len(pair_src), dtype=bool)
-    starts[1:] = pair_src[1:] != pair_src[:-1]
-    start_idx = np.flatnonzero(starts)
-    masks = np.bitwise_or.reduceat(
-        np.uint16(1) << pair_feat.astype(np.uint16), start_idx)
-
-    for mask, count in zip(*np.unique(masks, return_counts=True)):
-        features = {f for k, f in enumerate(_TACTIC_FEATURES)
-                    if mask >> k & 1}
-        combos[combo_label(features)] += int(count)
-    return combos, len(start_idx)
+    return tactic_combos(records, hp, source_length)
 
 
 @dataclass

@@ -27,6 +27,7 @@ from repro.observatory import (
     validate_observer,
 )
 from repro.observatory.observer import OBSERVATIONS_NAME, TELESCOPES
+from tests.analysis.reference import label_tactics_oracle
 
 from tests.observatory.conftest import DAYS, OBS_CONFIG
 
@@ -159,8 +160,8 @@ class TestIndex:
 
 class TestDayTactics:
     def test_matches_label_tactics_per_honeyprefix(self, serial_observatory):
-        """The vectorized dedupe-then-classify kernel is pinned against
-        the reference per-packet classifier on real scenario traffic."""
+        """The tactic kernel Fig 11 and the observer share is pinned
+        against the per-packet oracle on real scenario traffic."""
         from repro.sim import run_scenario
 
         _directory, _ = serial_observatory
@@ -170,10 +171,11 @@ class TestDayTactics:
         for name in sorted(result.scenario.honeyprefixes):
             hp = result.scenario.honeyprefixes[name]
             selected = nta.select(nta.mask_dst_in(hp.prefix))
-            reference = label_tactics(selected, hp)
+            reference, reference_sources = label_tactics_oracle(selected, hp)
             combos, sources = day_tactics(selected, hp)
-            assert combos == reference.combos, name
-            assert sources == reference.total_sources, name
+            assert combos == reference, name
+            assert sources == reference_sources, name
+            assert label_tactics(selected, hp).combos == reference, name
             checked += bool(len(selected))
         assert checked > 0  # the scenario actually exercised the kernel
 
