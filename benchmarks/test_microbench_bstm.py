@@ -5,9 +5,10 @@ inside it two hot spots dominate: the ``n_resamples``-round bootstrap
 (formerly a Python loop drawing per resample) and the per-step Kalman
 filters that L-BFGS evaluates dozens of times per fit.  This bench times
 
-* the batched ``bootstrap_draws`` against its retained scalar
-  ``bootstrap_draws_reference`` (same generator stream, identical output —
-  so the speedup is pure vectorization, no statistical change), and
+* the batched ``bootstrap_draws`` against its scalar oracle
+  ``bootstrap_draws_reference`` in ``tests/analysis/reference.py`` (same
+  generator stream, identical output — so the speedup is pure
+  vectorization, no statistical change), and
 * the local-level and seasonal Kalman filters at fit-sized inputs,
 
 and writes ``results/BENCH_bstm.json``.  Manual timing (no ``benchmark``
@@ -25,6 +26,7 @@ from repro.analysis.bstm import (
     kalman_filter_local_level,
     kalman_filter_seasonal,
 )
+from tests.analysis.reference import bootstrap_draws_reference
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
@@ -59,8 +61,8 @@ def test_bootstrap_batched_vs_reference():
 
     batched_s = _best_of(lambda: estimator.bootstrap_draws(
         pointwise, cf_sd, np.random.default_rng(3)))
-    reference_s = _best_of(lambda: estimator.bootstrap_draws_reference(
-        pointwise, cf_sd, np.random.default_rng(3)))
+    reference_s = _best_of(lambda: bootstrap_draws_reference(
+        estimator, pointwise, cf_sd, np.random.default_rng(3)))
     speedup = reference_s / batched_s
 
     # The two paths must agree bitwise — the bench would be meaningless if
@@ -68,8 +70,8 @@ def test_bootstrap_batched_vs_reference():
     assert np.array_equal(
         estimator.bootstrap_draws(pointwise, cf_sd,
                                   np.random.default_rng(3)),
-        estimator.bootstrap_draws_reference(pointwise, cf_sd,
-                                            np.random.default_rng(3)),
+        bootstrap_draws_reference(estimator, pointwise, cf_sd,
+                                  np.random.default_rng(3)),
     )
 
     z = np.cumsum(np.random.default_rng(8).normal(0, 1, SERIES_LEN)) + 50.0

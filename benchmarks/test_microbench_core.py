@@ -6,7 +6,7 @@ gateway, columnar aggregation, scan detection, flow aggregation, overlap
 shares, and pcap serialization.
 
 The vectorized analysis paths are benchmarked side by side with their
-retained ``_reference`` per-packet implementations, and
+per-packet ``_reference`` oracles in ``tests/analysis/reference.py``, and
 ``test_scan_detection_speedup`` measures the ratio directly so the
 speedup is a number in the benchmark output, not a hand-waved claim.
 """
@@ -16,21 +16,22 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis.flows import aggregate_flows, aggregate_flows_reference
-from repro.analysis.jaccard import (
-    _dest_share,
-    _dest_share_reference,
-    _traffic_share,
-    _traffic_share_reference,
-)
+from repro.analysis.flows import aggregate_flows
+from repro.analysis.jaccard import _dest_share, _traffic_share
 from repro.analysis.records import PacketRecords
-from repro.analysis.scandetect import detect_scans, detect_scans_reference
+from repro.analysis.scandetect import detect_scans
 from repro.core.honeyprefix import HoneyprefixConfig, IcmpMode, deploy_addresses
 from repro.core.tpot import DnatGateway, TPOT1_CONTAINERS, TPotInstance
 from repro.core.twinklenet import Twinklenet, TwinklenetConfig
 from repro.net.addr import IPv6Prefix
 from repro.net.packet import TcpFlags, icmp_echo_request, tcp_segment
 from repro.net.realpcap import serialize_frame
+from tests.analysis.reference import (
+    _dest_share_reference,
+    _traffic_share_reference,
+    aggregate_flows_reference,
+    detect_scans_reference,
+)
 
 PREFIX = IPv6Prefix.parse("2001:db8:77::/48")
 

@@ -108,15 +108,22 @@ class MetadataJoiner:
         ids, asns = self._source_asns(records)
         return asns[ids]
 
-    def _source_asns(self, records: PacketRecords
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """``(ids, asns)``: each row's /128 source group and each group's
-        ASN."""
+    def grouped_sources(self, records: PacketRecords) -> tuple[
+            np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(ids, hi, lo, asns)``: each row's /128 source group, and each
+        group's address halves (in ascending address order) and ASN."""
         ids, hi, lo = prefix_groups_u64(records.src_hi, records.src_lo, 128)
         asns = np.fromiter(
             (self.asn_of((h << 64) | l)
              for h, l in zip(hi.tolist(), lo.tolist())),
             dtype=np.int64, count=len(hi))
+        return ids, hi, lo, asns
+
+    def _source_asns(self, records: PacketRecords
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, asns)``: each row's /128 source group and each group's
+        ASN."""
+        ids, _, _, asns = self.grouped_sources(records)
         return ids, asns
 
     # -- Table 3 / Table 8 -------------------------------------------------

@@ -73,24 +73,28 @@ def recommend_blocklist(
     """
     if len(records) == 0:
         return []
-    asns = joiner.row_asns(records)
+    ids, hi, lo, group_asns = joiner.grouped_sources(records)
+    group_packets = np.bincount(ids, minlength=len(group_asns))
+    # Groups by ASN; the stable sort keeps each AS's sources ascending.
+    order = np.argsort(group_asns, kind="stable")
+    asns, starts = np.unique(group_asns[order], return_index=True)
+    bounds = np.append(starts, len(order)).tolist()
     entries: list[BlocklistEntry] = []
-    sources = list(records.src_addresses())
-    sources_arr = np.array(asns)
-    for asn in np.unique(sources_arr):
+    for k, asn in enumerate(asns.tolist()):
         if asn <= 0:
             continue
-        mask = sources_arr == asn
-        packets = int(mask.sum())
+        groups = order[bounds[k]:bounds[k + 1]]
+        packets = int(group_packets[groups].sum())
         if packets < min_packets:
             continue
-        as_sources = sorted({s for s, m in zip(sources, mask) if m})
+        as_sources = [(h << 64) | l for h, l in zip(hi[groups].tolist(),
+                                                    lo[groups].tolist())]
         prefixes = _covering_prefixes(as_sources, max_entries_per_as)
         covered = sum(p.num_addresses for p in prefixes)
         overreach = float(np.log2(max(covered / len(as_sources), 1.0)))
         entries.append(BlocklistEntry(
-            asn=int(asn),
-            as_name=joiner.asdb.name(int(asn)),
+            asn=asn,
+            as_name=joiner.asdb.name(asn),
             prefixes=prefixes,
             packets=packets,
             sources_128=len(as_sources),

@@ -256,7 +256,8 @@ class CausalImpact:
 
         One ``(B, n_post)`` index draw plus one matching noise draw replace
         the per-resample loop; the centered row means come out identical to
-        :meth:`bootstrap_draws_reference` under the same generator state
+        the per-resample oracle ``bootstrap_draws_reference`` (in
+        ``tests/analysis/reference.py``) under the same generator state
         because both consume the stream in the same order (all indices
         first, then all noise, row-major).
         """
@@ -265,23 +266,6 @@ class CausalImpact:
         noise = rng.normal(0.0, cf_sd[idx])
         resampled = pointwise[idx] + noise - noise.mean(axis=1, keepdims=True)
         return resampled.mean(axis=1)
-
-    def bootstrap_draws_reference(
-        self,
-        pointwise: np.ndarray,
-        cf_sd: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Scalar per-resample loop: the readable spec for
-        :meth:`bootstrap_draws`, kept for the seeded equivalence test."""
-        n_post = len(pointwise)
-        idx_rows = [rng.integers(0, n_post, size=n_post)
-                    for _ in range(self.n_resamples)]
-        draws = np.empty(self.n_resamples)
-        for b, idx in enumerate(idx_rows):
-            noise = rng.normal(0.0, cf_sd[idx])
-            draws[b] = np.mean(pointwise[idx] + noise - noise.mean())
-        return draws
 
     def _run_impl(
         self,

@@ -59,7 +59,8 @@ def aggregate_flows(
     Columnar implementation: one lexsort by (5-tuple, timestamp) makes each
     flow a contiguous run, split where the within-tuple gap exceeds the
     timeout; Python only materializes the resulting :class:`Flow` objects.
-    The per-packet loop is retained as :func:`aggregate_flows_reference`.
+    The per-packet loop is kept as the test oracle
+    ``aggregate_flows_reference`` in ``tests/analysis/reference.py``.
     """
     with stage("analysis.aggregate_flows", records=len(records)):
         flows = _aggregate_flows_impl(records, timeout)
@@ -103,47 +104,6 @@ def _aggregate_flows_impl(records: PacketRecords, timeout: float) -> list[Flow]:
              first_seen=first, last_seen=last, packets=count)
         for sh, sl, dh, dl, pr, sp, dp, first, last, count in rows
     ]
-    flows.sort(key=_flow_order)
-    return flows
-
-
-def aggregate_flows_reference(
-    records: PacketRecords, timeout: float = DEFAULT_FLOW_TIMEOUT
-) -> list[Flow]:
-    """Per-packet reference implementation of :func:`aggregate_flows`.
-
-    Kept as the ground truth for the randomized equivalence tests and as
-    the baseline the microbenchmarks measure the vectorized path against.
-    """
-    check_positive("timeout", timeout)
-    if len(records) == 0:
-        return []
-    ordered = records.sorted_by_time()
-    flows: list[Flow] = []
-    # 5-tuple -> open state: [first_seen, last_seen, packets]
-    open_flows: dict[tuple[int, int, int, int, int], list] = {}
-
-    src_iter = ordered.src_addresses()
-    dst_iter = ordered.dst_addresses()
-    for i in range(len(ordered)):
-        src = next(src_iter)
-        dst = next(dst_iter)
-        ts = float(ordered.ts[i])
-        key = (src, dst, int(ordered.proto[i]),
-               int(ordered.sport[i]), int(ordered.dport[i]))
-        state = open_flows.get(key)
-        if state is not None and ts - state[1] <= timeout:
-            state[1] = ts
-            state[2] += 1
-            continue
-        if state is not None:
-            flows.append(Flow(*key, first_seen=state[0],
-                              last_seen=state[1], packets=state[2]))
-        open_flows[key] = [ts, ts, 1]
-
-    for key, state in open_flows.items():
-        flows.append(Flow(*key, first_seen=state[0],
-                          last_seen=state[1], packets=state[2]))
     flows.sort(key=_flow_order)
     return flows
 

@@ -100,22 +100,6 @@ class GroundTruthRecords:
             origin=np.concatenate([b.origin for b in parts]),
         )
 
-    @classmethod
-    def concat(cls, parts: list["GroundTruthRecords"]) -> "GroundTruthRecords":
-        parts = [p for p in parts if len(p)]
-        if not parts:
-            return cls.empty()
-        if len(parts) == 1:
-            return parts[0]
-        return cls(
-            ts=np.concatenate([p.ts for p in parts]),
-            src_hi=np.concatenate([p.src_hi for p in parts]),
-            src_lo=np.concatenate([p.src_lo for p in parts]),
-            dst_hi=np.concatenate([p.dst_hi for p in parts]),
-            dst_lo=np.concatenate([p.dst_lo for p in parts]),
-            origin=np.concatenate([p.origin for p in parts]),
-        )
-
     def __len__(self) -> int:
         return len(self.ts)
 

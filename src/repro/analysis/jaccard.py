@@ -84,38 +84,6 @@ def _dest_share(records: PacketRecords, shared: set[int],
     return n_shared / n_all if n_all else 0.0
 
 
-def _traffic_share_reference(records: PacketRecords, shared: set[int],
-                             prefix_length: int) -> float:
-    """Per-packet reference for :func:`_traffic_share` (equivalence tests)."""
-    if len(records) == 0 or not shared:
-        return 0.0
-    shift = 128 - prefix_length
-    count = 0
-    for src in records.src_addresses():
-        truncated = (src >> shift) << shift if shift else src
-        if truncated in shared:
-            count += 1
-    return count / len(records)
-
-
-def _dest_share_reference(records: PacketRecords, shared: set[int],
-                          prefix_length: int) -> float:
-    """Per-packet reference for :func:`_dest_share` (equivalence tests)."""
-    if len(records) == 0 or not shared:
-        return 0.0
-    shift = 128 - prefix_length
-    shared_dests: set[int] = set()
-    all_dests: set[int] = set()
-    src_iter = records.src_addresses()
-    for dst in records.dst_addresses():
-        src = next(src_iter)
-        truncated = (src >> shift) << shift if shift else src
-        all_dests.add(dst)
-        if truncated in shared:
-            shared_dests.add(dst)
-    return len(shared_dests) / len(all_dests) if all_dests else 0.0
-
-
 def overlap_report(
     name_a: str,
     records_a: PacketRecords,

@@ -15,8 +15,9 @@ streaming analyzer (:mod:`repro.analysis.streaming`) feeds it one
 telescope-day at a time; and the ground-truth sessions
 (:func:`repro.analysis.groundtruth.truth_events`) are the same tracker at
 /128 with each row's emitting agent in the source column.  The
-per-packet loop is retained as :func:`detect_scans_reference` and
-cross-checked by randomized equivalence tests.
+per-packet loop is kept as the test oracle ``detect_scans_reference`` in
+``tests/analysis/reference.py`` and cross-checked by randomized
+equivalence tests.
 
 **One day index per chunk.**  A :class:`DayIndex` sorts what every
 aggregation level shares exactly once: a stable timestamp rank, dense
@@ -322,7 +323,8 @@ class SessionTracker:
     call :meth:`finish` for the final event list.  The emitted events are
     element-identical — same fields, same order — however the records are
     split into chunks, one chunk included (:func:`detect_scans`), and equal
-    :func:`detect_scans_reference` over their concatenation.
+    the per-packet oracle ``detect_scans_reference`` over their
+    concatenation.
     """
 
     def __init__(
@@ -515,67 +517,4 @@ def detect_scans(
         source_length=source_length, min_targets=min_targets,
         timeout=timeout, records_in=len(records), events_out=len(events),
     )
-    return events
-
-
-def detect_scans_reference(
-    records: PacketRecords,
-    source_length: int = 64,
-    min_targets: int = DEFAULT_MIN_TARGETS,
-    timeout: float = DEFAULT_TIMEOUT,
-) -> list[ScanEvent]:
-    """Per-packet reference implementation of :func:`detect_scans`.
-
-    Kept as the oracle of the randomized equivalence tests for
-    :class:`SessionTracker` (single-chunk and chunked feeds) and as the
-    baseline the microbenchmarks measure the vectorized path against.
-    """
-    _validate(min_targets, timeout)
-    if len(records) == 0:
-        return []
-
-    ordered = records.sorted_by_time()
-    groups = ordered.source_groups(source_length)
-    # Representative truncated source value per group.
-    reps: dict[int, int] = {}
-    src_iter = ordered.src_addresses()
-    dst_iter = ordered.dst_addresses()
-
-    mask_shift = 128 - source_length
-    sessions: dict[int, dict] = {}
-    events: list[ScanEvent] = []
-
-    def _close(state: dict, source: int) -> None:
-        if len(state["targets"]) >= min_targets:
-            events.append(ScanEvent(
-                source=source,
-                source_length=source_length,
-                start=state["start"],
-                end=state["last"],
-                packets=state["packets"],
-                unique_targets=len(state["targets"]),
-            ))
-
-    for i in range(len(ordered)):
-        src = next(src_iter)
-        dst = next(dst_iter)
-        ts = float(ordered.ts[i])
-        group = int(groups[i])
-        if group not in reps:
-            reps[group] = (src >> mask_shift) << mask_shift if mask_shift else src
-        state = sessions.get(group)
-        if state is not None and ts - state["last"] > timeout:
-            _close(state, reps[group])
-            state = None
-        if state is None:
-            state = sessions[group] = {
-                "start": ts, "last": ts, "packets": 0, "targets": set(),
-            }
-        state["last"] = ts
-        state["packets"] += 1
-        state["targets"].add(dst)
-
-    for group, state in sessions.items():
-        _close(state, reps[group])
-    events.sort(key=_event_order)
     return events

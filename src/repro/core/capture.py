@@ -3,8 +3,7 @@
 ``PacketCapturer`` is the telescope's packet-capture stage:
 :meth:`PacketCapturer.capture_batch` appends each batch's analysis-relevant
 columns (timestamps, src/dst split into uint64 halves, protocol, ports) as
-one numpy chunk and can simultaneously mirror full packets to a capture
-file.  ``to_records()`` freezes the chunks, in arrival order, into
+one numpy chunk.  ``to_records()`` freezes the chunks, in arrival order, into
 :class:`repro.analysis.records.PacketRecords`.
 
 The capturer is also the *provenance boundary*: a batch arriving with the
@@ -23,12 +22,9 @@ more than one day.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.net.batch import PacketBatch, WireBatch
-from repro.net.pcapstore import PacketWriter
 from repro.obs import get_registry
 
 #: Capture column storage order (matches ``PacketRecords``' columns).
@@ -44,17 +40,15 @@ _COLUMN_DTYPES = {
 
 
 class PacketCapturer:
-    """Columnar packet capture with optional file mirroring."""
+    """Columnar packet capture into in-memory chunks."""
 
-    def __init__(self, name: str = "capture",
-                 mirror_path: str | os.PathLike | None = None):
+    def __init__(self, name: str = "capture"):
         self.name = name
         #: Captured numpy chunks, in arrival order.
         self._chunks: list[PacketBatch] = []
         #: Origin-bearing batches retained at the provenance boundary, in
         #: arrival order (only batches that arrived with ``origin`` set).
         self._truth_chunks: list[PacketBatch] = []
-        self._writer = PacketWriter(mirror_path) if mirror_path else None
         #: The last freeze's records: ``to_records`` consumes the chunk
         #: buffer (releasing per-chunk references), so repeated freezes
         #: serve — and later captures extend — this cached prefix.
@@ -84,11 +78,6 @@ class PacketCapturer:
         if batch.origin is not None:
             self._truth_chunks.append(batch)
         self._chunks.append(batch.drop_origin())
-        if self._writer is not None:
-            # Mirroring is inherently per-packet; materialize (only paid
-            # when a capture file was requested).
-            for pkt in batch.iter_packets():
-                self._writer.write(pkt)
 
     # -- chunk transfer (checkpoint capture + restore) ----------------------
 
@@ -132,11 +121,6 @@ class PacketCapturer:
         from repro.analysis.groundtruth import GroundTruthRecords
 
         return GroundTruthRecords.from_batches(self._truth_chunks)
-
-    def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None
 
     def _freeze_chunks(self, prefix=None):
         """``prefix`` records (if any) followed by every buffered chunk, in

@@ -348,8 +348,7 @@ class SessionTable:
 class Twinklenet:
     """The responder.  Feed packets in via :meth:`handle` (or whole columns
     via :meth:`handle_batch`); responses are emitted through the
-    ``transmit`` callback (typically an
-    :class:`~repro.net.iface.Interface`'s transmit)."""
+    ``transmit`` callback (the proactive telescope's reply counter)."""
 
     def __init__(
         self,

@@ -1,10 +1,10 @@
-"""IPv6 data-plane substrate: addresses, packets, wire format, capture files,
-and simulated network interfaces.
+"""IPv6 data-plane substrate: addresses, packets, packet batches and
+libpcap capture files.
 
 The telescope and scanner ecosystem are built on this package.  Addresses
 are int-backed (128-bit Python ints) with helpers to aggregate to the /48
-and /64 granularities the paper uses throughout, and packets are lightweight
-frozen dataclasses with an exact binary wire format for capture storage.
+and /64 granularities the paper uses throughout, packets are lightweight
+frozen dataclasses, and captures export as standard libpcap files.
 """
 
 from repro.net.addr import (
@@ -27,9 +27,7 @@ from repro.net.packet import (
     tcp_segment,
     udp_datagram,
 )
-from repro.net.pcapstore import PacketReader, PacketWriter, read_packets
-from repro.net.realpcap import convert_capture, read_pcap, write_pcap
-from repro.net.iface import Interface, Link
+from repro.net.realpcap import read_pcap, write_pcap
 
 __all__ = [
     "IPv6Address",
@@ -48,12 +46,6 @@ __all__ = [
     "icmp_echo_reply",
     "tcp_segment",
     "udp_datagram",
-    "PacketReader",
-    "PacketWriter",
-    "read_packets",
     "write_pcap",
     "read_pcap",
-    "convert_capture",
-    "Interface",
-    "Link",
 ]

@@ -1,7 +1,6 @@
 """Standard libpcap interop: export/import captures as real ``.pcap`` files.
 
-The internal capture format (:mod:`repro.net.wire`) is compact but
-repro-specific.  This module serializes the same packets as genuine
+This module serializes :class:`~repro.net.packet.Packet` objects as genuine
 Ethernet/IPv6/{ICMPv6,TCP,UDP} frames — correct header layouts and real
 one's-complement checksums over the IPv6 pseudo-header — inside a classic
 libpcap container, so simulated telescope captures open directly in
@@ -226,14 +225,3 @@ def verify_checksums(frame: bytes) -> bool:
         cleared = body[:2] + b"\x00\x00" + body[4:]
         return stored == _checksum(pseudo + cleared)
     return False
-
-
-def convert_capture(source_path, destination_path) -> int:
-    """Convert an internal ``.rpv6`` capture into a standard ``.pcap``.
-
-    Returns the number of packets converted.  This is the bridge from the
-    telescope's mirror files to Wireshark/Zeek tooling.
-    """
-    from repro.net.pcapstore import PacketReader
-
-    return write_pcap(destination_path, PacketReader(source_path))

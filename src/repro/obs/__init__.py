@@ -40,7 +40,6 @@ from repro.obs.journal import (
     load_manifest,
     read_journal,
     set_journal,
-    tail_journal,
     use_journal,
     validate_record,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "set_registry",
     "set_tracer",
     "stage",
-    "tail_journal",
     "use_journal",
     "use_registry",
     "use_tracer",

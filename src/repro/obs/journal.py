@@ -382,37 +382,3 @@ class JournalTail:
         self.records_read += len(records)
         return records
 
-
-def tail_journal(path, *, follow: bool = False, poll_interval: float = 0.05,
-                 timeout: float | None = None, stop=None,
-                 end_types: tuple = ("run_end",)) -> Iterator[dict]:
-    """Yield journal records as they land in ``path``.
-
-    Without ``follow`` this yields what is currently complete and returns.
-    With ``follow`` it keeps polling every ``poll_interval`` seconds until
-    a record whose type is in ``end_types`` goes by (``run_end``, the
-    run's closing line, by default — pass ``()`` when trailing records
-    like ``cache_store`` may follow it), the optional ``stop()`` callable
-    goes truthy (poll once more, then stop — so records written before
-    the stop signal are never lost), or ``timeout`` seconds elapse.
-    """
-    import time as _time
-
-    tail = JournalTail(path)
-    if not follow:
-        yield from tail.poll()
-        return
-    deadline = None if timeout is None else _time.monotonic() + timeout
-    while True:
-        stopping = stop() if stop is not None else False
-        drained = True
-        for record in tail.poll():
-            drained = False
-            yield record
-            if record["type"] in end_types:
-                return
-        if stopping and drained:
-            return
-        if deadline is not None and _time.monotonic() >= deadline:
-            return
-        _time.sleep(poll_interval)

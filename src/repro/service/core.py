@@ -364,31 +364,6 @@ class ScenarioService:
             raise UnknownRun(f"{run_id} has no artifact {name!r}")
         return entry / name
 
-    # -- progress ----------------------------------------------------------
-
-    def progress_records(self, run_id: str, *, follow: bool = True,
-                         poll_interval: float = 0.05,
-                         timeout: float | None = None):
-        """Yield the run's journal records (tailing while it runs).
-
-        The stream ends when the run reaches a terminal state and the
-        file is fully drained (``cache_store`` trails ``run_end``, so the
-        stream must not stop at ``run_end`` itself), or at ``timeout``.
-        A torn final line (worker killed mid-write) is never yielded; a
-        worker re-dispatched with checkpoint resume rewrites the journal
-        with its full history and the tail restarts from the top,
-        byte-compatibly.
-        """
-        from repro.obs import tail_journal
-
-        run = self.get(run_id)
-        if run.journal_path is None:
-            return iter(())
-        return tail_journal(
-            run.journal_path, follow=follow, poll_interval=poll_interval,
-            timeout=timeout, stop=run.done_event.is_set, end_types=(),
-        )
-
     # -- observatory -------------------------------------------------------
 
     def _require_observatory(self) -> Path:

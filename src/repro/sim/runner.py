@@ -106,7 +106,8 @@ class ScenarioResult:
         Vectorized: the /48 truncation ``(dst >> 80) << 80`` lives entirely
         in the high 64 bits, so the per-row nets come straight from the
         ``dst_hi`` column.  Ties on the packet count are broken by first
-        appearance, matching :meth:`control_records_reference` exactly.
+        appearance, matching the per-packet oracle in
+        ``tests/sim/reference.py``.
         """
         if len(self.nta) == 0:
             return PacketRecords.empty()
@@ -127,33 +128,8 @@ class ScenarioResult:
         best = uniq[ties[np.argmin(first_seen[ties])]]
         return self.nta.select(nets_hi == best)
 
-    def control_records_reference(self) -> PacketRecords:
-        """Per-packet reference for :meth:`control_records` (ground truth
-        for the randomized equivalence tests)."""
-        honey = {hp.prefix.network for hp in self.honeyprefixes.values()}
-        live = {p.network for p in self.scenario.live_prefixes}
-        nets = np.zeros(len(self.nta), dtype=object)
-        counts: dict[int, int] = {}
-        for i, dst in enumerate(self.nta.dst_addresses()):
-            net = (dst >> 80) << 80
-            nets[i] = net
-            if net not in honey and net not in live:
-                counts[net] = counts.get(net, 0) + 1
-        if not counts:
-            return PacketRecords.empty()
-        best = max(counts, key=counts.get)
-        mask = np.fromiter((n == best for n in nets), dtype=bool,
-                           count=len(nets))
-        return self.nta.select(mask)
-
     def telescopes(self) -> dict[str, PacketRecords]:
         return {"NT-A": self.nta, "NT-B": self.ntb, "NT-C": self.ntc}
-
-    def truth_combined(self):
-        """All telescopes' ground-truth sidecars as one table."""
-        from repro.analysis.groundtruth import GroundTruthRecords
-
-        return GroundTruthRecords.concat(list(self.truth.values()))
 
 
 #: Checkpoints land every this many days unless overridden.

@@ -1,17 +1,30 @@
-"""Per-row oracles for the columnar report analyses.
+"""Per-row oracles for the columnar analyses.
 
-Each function here is the per-row walk a report analysis (Figs 5, 9, 11,
-14, Tables 1, 3) made before it grouped its columns: one 128-bit int and
-one dict, set or Hilbert lookup per packet.  The columnar code must match
-them exactly, dict and ``Counter`` insertion order included.
+Each function here is the per-packet (or per-resample) loop a columnar
+analysis replaced: scan detection, flow aggregation, the §5.1 overlap
+shares, the BSTM bootstrap, the blocklist, and the report analyses of
+Figs 5, 9, 11, 14 and Tables 1, 3 (one 128-bit int and one dict, set or
+Hilbert lookup per packet).  The columnar code must match them exactly,
+dict and ``Counter`` insertion order included.  They live in ``tests/``
+because only the equivalence tests and the microbenchmarks call them.
 """
 
 from collections import Counter
 
 import numpy as np
 
+from repro._util import check_positive
 from repro.analysis.asinfo import AsnRow, CategoryStats
+from repro.analysis.blocklist import BlocklistEntry, _covering_prefixes
+from repro.analysis.flows import DEFAULT_FLOW_TIMEOUT, Flow, _flow_order
 from repro.analysis.hilbert import hilbert_d2xy
+from repro.analysis.scandetect import (
+    DEFAULT_MIN_TARGETS,
+    DEFAULT_TIMEOUT,
+    ScanEvent,
+    _event_order,
+    _validate,
+)
 from repro.core.features import Feature, combo_label
 from repro.net.packet import ICMPV6, TCP, UDP
 
@@ -137,3 +150,170 @@ def label_tactics_oracle(records, hp, source_length=48):
     for features in per_source.values():
         combos[combo_label(features)] += 1
     return combos, len(per_source)
+
+
+def detect_scans_reference(records, source_length=64,
+                           min_targets=DEFAULT_MIN_TARGETS,
+                           timeout=DEFAULT_TIMEOUT):
+    """Per-packet scan detection: the oracle of :func:`detect_scans` and of
+    :class:`SessionTracker` over single-chunk and chunked feeds."""
+    _validate(min_targets, timeout)
+    if len(records) == 0:
+        return []
+
+    ordered = records.sorted_by_time()
+    groups = ordered.source_groups(source_length)
+    # Representative truncated source value per group.
+    reps = {}
+    src_iter = ordered.src_addresses()
+    dst_iter = ordered.dst_addresses()
+
+    mask_shift = 128 - source_length
+    sessions = {}
+    events = []
+
+    def _close(state, source):
+        if len(state["targets"]) >= min_targets:
+            events.append(ScanEvent(
+                source=source,
+                source_length=source_length,
+                start=state["start"],
+                end=state["last"],
+                packets=state["packets"],
+                unique_targets=len(state["targets"]),
+            ))
+
+    for i in range(len(ordered)):
+        src = next(src_iter)
+        dst = next(dst_iter)
+        ts = float(ordered.ts[i])
+        group = int(groups[i])
+        if group not in reps:
+            reps[group] = ((src >> mask_shift) << mask_shift if mask_shift
+                           else src)
+        state = sessions.get(group)
+        if state is not None and ts - state["last"] > timeout:
+            _close(state, reps[group])
+            state = None
+        if state is None:
+            state = sessions[group] = {
+                "start": ts, "last": ts, "packets": 0, "targets": set(),
+            }
+        state["last"] = ts
+        state["packets"] += 1
+        state["targets"].add(dst)
+
+    for group, state in sessions.items():
+        _close(state, reps[group])
+    events.sort(key=_event_order)
+    return events
+
+
+def aggregate_flows_reference(records, timeout=DEFAULT_FLOW_TIMEOUT):
+    """Per-packet flow aggregation: the oracle of :func:`aggregate_flows`."""
+    check_positive("timeout", timeout)
+    if len(records) == 0:
+        return []
+    ordered = records.sorted_by_time()
+    flows = []
+    # 5-tuple -> open state: [first_seen, last_seen, packets]
+    open_flows = {}
+
+    src_iter = ordered.src_addresses()
+    dst_iter = ordered.dst_addresses()
+    for i in range(len(ordered)):
+        src = next(src_iter)
+        dst = next(dst_iter)
+        ts = float(ordered.ts[i])
+        key = (src, dst, int(ordered.proto[i]),
+               int(ordered.sport[i]), int(ordered.dport[i]))
+        state = open_flows.get(key)
+        if state is not None and ts - state[1] <= timeout:
+            state[1] = ts
+            state[2] += 1
+            continue
+        if state is not None:
+            flows.append(Flow(*key, first_seen=state[0],
+                              last_seen=state[1], packets=state[2]))
+        open_flows[key] = [ts, ts, 1]
+
+    for key, state in open_flows.items():
+        flows.append(Flow(*key, first_seen=state[0],
+                          last_seen=state[1], packets=state[2]))
+    flows.sort(key=_flow_order)
+    return flows
+
+
+def _traffic_share_reference(records, shared, prefix_length):
+    """Per-packet oracle of ``jaccard._traffic_share``."""
+    if len(records) == 0 or not shared:
+        return 0.0
+    shift = 128 - prefix_length
+    count = 0
+    for src in records.src_addresses():
+        truncated = (src >> shift) << shift if shift else src
+        if truncated in shared:
+            count += 1
+    return count / len(records)
+
+
+def _dest_share_reference(records, shared, prefix_length):
+    """Per-packet oracle of ``jaccard._dest_share``."""
+    if len(records) == 0 or not shared:
+        return 0.0
+    shift = 128 - prefix_length
+    shared_dests = set()
+    all_dests = set()
+    src_iter = records.src_addresses()
+    for dst in records.dst_addresses():
+        src = next(src_iter)
+        truncated = (src >> shift) << shift if shift else src
+        all_dests.add(dst)
+        if truncated in shared:
+            shared_dests.add(dst)
+    return len(shared_dests) / len(all_dests) if all_dests else 0.0
+
+
+def bootstrap_draws_reference(estimator, pointwise, cf_sd, rng):
+    """Scalar per-resample loop: the oracle of
+    :meth:`CausalImpact.bootstrap_draws` under the same generator state."""
+    n_post = len(pointwise)
+    idx_rows = [rng.integers(0, n_post, size=n_post)
+                for _ in range(estimator.n_resamples)]
+    draws = np.empty(estimator.n_resamples)
+    for b, idx in enumerate(idx_rows):
+        noise = rng.normal(0.0, cf_sd[idx])
+        draws[b] = np.mean(pointwise[idx] + noise - noise.mean())
+    return draws
+
+
+def recommend_blocklist_reference(records, joiner, max_entries_per_as=16,
+                                  min_packets=10):
+    """Per-AS scan over every row: the oracle of
+    :func:`recommend_blocklist`."""
+    if len(records) == 0:
+        return []
+    asns = joiner.row_asns(records)
+    entries = []
+    sources = list(records.src_addresses())
+    for asn in np.unique(asns):
+        if asn <= 0:
+            continue
+        mask = asns == asn
+        packets = int(mask.sum())
+        if packets < min_packets:
+            continue
+        as_sources = sorted({s for s, m in zip(sources, mask) if m})
+        prefixes = _covering_prefixes(as_sources, max_entries_per_as)
+        covered = sum(p.num_addresses for p in prefixes)
+        overreach = float(np.log2(max(covered / len(as_sources), 1.0)))
+        entries.append(BlocklistEntry(
+            asn=int(asn),
+            as_name=joiner.asdb.name(int(asn)),
+            prefixes=prefixes,
+            packets=packets,
+            sources_128=len(as_sources),
+            overreach_bits=overreach,
+        ))
+    entries.sort(key=lambda e: -e.packets)
+    return entries

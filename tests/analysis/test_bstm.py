@@ -14,6 +14,7 @@ from repro.analysis.bstm import (
     fit_local_level,
     kalman_filter_local_level,
 )
+from tests.analysis.reference import bootstrap_draws_reference
 
 
 class TestKalman:
@@ -213,8 +214,8 @@ class TestBatchedBootstrap:
         estimator = CausalImpact(rng=0, n_resamples=400)
         batched = estimator.bootstrap_draws(
             pointwise, cf_sd, np.random.default_rng(77))
-        reference = estimator.bootstrap_draws_reference(
-            pointwise, cf_sd, np.random.default_rng(77))
+        reference = bootstrap_draws_reference(
+            estimator, pointwise, cf_sd, np.random.default_rng(77))
         assert np.array_equal(batched, reference)
 
     def test_consumes_identical_stream(self):
@@ -225,7 +226,7 @@ class TestBatchedBootstrap:
         rng_a = np.random.default_rng(5)
         rng_b = np.random.default_rng(5)
         estimator.bootstrap_draws(pointwise, cf_sd, rng_a)
-        estimator.bootstrap_draws_reference(pointwise, cf_sd, rng_b)
+        bootstrap_draws_reference(estimator, pointwise, cf_sd, rng_b)
         assert rng_a.integers(1 << 40) == rng_b.integers(1 << 40)
 
     def test_single_post_day(self):

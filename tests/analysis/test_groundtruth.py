@@ -283,14 +283,6 @@ class TestGroundTruthRecords:
         assert truth.origin.tolist() == [3, 4]
         assert truth.agents().tolist() == [3, 4]
 
-    def test_concat_and_empty(self):
-        _, truth = _toy_population()
-        combined = GroundTruthRecords.concat(
-            [truth, GroundTruthRecords.empty()]
-        )
-        assert len(combined) == len(truth)
-        assert len(GroundTruthRecords.concat([])) == 0
-
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="origin"):
             GroundTruthRecords.from_columns(

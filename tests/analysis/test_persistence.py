@@ -1,4 +1,4 @@
-"""Tests for records persistence, conn.log export, and capture conversion."""
+"""Tests for records persistence and conn.log export."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ from repro.analysis.flows import aggregate_flows, write_conn_log
 from repro.analysis.groundtruth import GroundTruthRecords
 from repro.analysis.records import PacketRecords
 from repro.net.packet import TcpFlags, icmp_echo_request, tcp_segment
-from repro.net.pcapstore import PacketWriter
-from repro.net.realpcap import convert_capture, read_pcap
 
 SRC = 0x20010DB8 << 96 | 7
 DST = 0x20010DB8 << 96 | 9
@@ -114,14 +112,3 @@ class TestConnLog:
         assert write_conn_log([], path) == 0
         assert path.read_text().count("\n") == 2  # headers only
 
-
-class TestCaptureConversion:
-    def test_rpv6_to_pcap(self, tmp_path, packets):
-        source = tmp_path / "capture.rpv6"
-        with PacketWriter(source) as writer:
-            writer.write_all(packets)
-        destination = tmp_path / "capture.pcap"
-        assert convert_capture(source, destination) == 3
-        parsed = list(read_pcap(destination))
-        assert len(parsed) == 3
-        assert parsed[0].src == SRC

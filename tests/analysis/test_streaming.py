@@ -20,7 +20,7 @@ import pytest
 
 from repro._util import DAY, HOUR
 from repro.analysis.records import PacketRecords
-from repro.analysis.scandetect import detect_scans, detect_scans_reference
+from repro.analysis.scandetect import detect_scans
 from repro.analysis.streaming import (
     SessionTracker,
     StreamAnalyzer,
@@ -29,6 +29,7 @@ from repro.analysis.streaming import (
 )
 from repro.net.addr import mask_u64
 from repro.net.packet import TCP, UDP, Packet, icmp_echo_request
+from tests.analysis.reference import detect_scans_reference
 
 LENGTHS = (128, 64, 48, 0, 96)
 

@@ -2,7 +2,7 @@
 
 The columnar hot paths (`detect_scans`, `aggregate_flows`, the §5.1
 overlap shares, and the packed-key aggregation in `PacketRecords`) must be
-byte-identical to the retained per-packet reference implementations, on
+byte-identical to the per-packet oracles in `tests/analysis/reference.py`, on
 randomized workloads and on the boundary cases the vectorization could
 plausibly get wrong: gaps exactly equal to the timeout, empty and
 singleton groups, duplicate timestamps, and aggregation lengths on both
@@ -12,18 +12,18 @@ sides of the 64-bit packing threshold.
 import numpy as np
 import pytest
 
-from repro.analysis.flows import aggregate_flows, aggregate_flows_reference
-from repro.analysis.jaccard import (
-    _dest_share,
-    _dest_share_reference,
-    _traffic_share,
-    _traffic_share_reference,
-    overlap_report,
-)
+from repro.analysis.flows import aggregate_flows
+from repro.analysis.jaccard import _dest_share, _traffic_share, overlap_report
 from repro.analysis.records import PacketRecords
-from repro.analysis.scandetect import detect_scans, detect_scans_reference
+from repro.analysis.scandetect import detect_scans
 from repro.net.addr import aggregate
 from repro.net.packet import TCP, UDP, Packet, icmp_echo_request
+from tests.analysis.reference import (
+    _dest_share_reference,
+    _traffic_share_reference,
+    aggregate_flows_reference,
+    detect_scans_reference,
+)
 
 #: Lengths on both sides of the packed-uint64 threshold, plus the paper's
 #: aggregation levels.

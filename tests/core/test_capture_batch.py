@@ -9,7 +9,6 @@ from repro.core.capture import CAPTURE_COLUMNS, PacketCapturer
 from repro.net.addr import IPv6Prefix
 from repro.net.batch import PacketBatch
 from repro.net.packet import icmp_echo_request
-from repro.net.pcapstore import read_packets
 from repro.obs.registry import MetricsRegistry, use_registry
 
 PREFIX = IPv6Prefix.parse("2001:db8:50::/48")
@@ -77,14 +76,6 @@ class TestChunkedCapture:
             capturer.capture_batch(PacketBatch.from_packets(_packets(4)))
             capturer.capture_batch(_row(9.0))
         assert registry.counter("telescope.metered.packets").value == 5
-
-    def test_mirror_writes_batch_rows(self, tmp_path):
-        path = tmp_path / "mirror.pkts"
-        capturer = PacketCapturer("t", mirror_path=path)
-        capturer.capture_batch(PacketBatch.from_packets(_packets(3)))
-        capturer.close()
-        mirrored = read_packets(path)
-        assert [p.timestamp for p in mirrored] == [0.0, 1.0, 2.0]
 
 
 class TestFreeze:

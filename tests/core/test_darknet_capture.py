@@ -7,7 +7,6 @@ from repro.core.darknet import DarknetTelescope
 from repro.net.addr import IPv6Prefix
 from repro.net.batch import PacketBatch
 from repro.net.packet import icmp_echo_request
-from repro.net.pcapstore import read_packets
 
 COVERING = IPv6Prefix.parse("2001:db8::/32")
 
@@ -71,14 +70,6 @@ class TestCapturer:
         assert list(records.src_addresses()) == [pkt.src]
         assert list(records.dst_addresses()) == [pkt.dst]
         assert records.ts[0] == 3.5
-
-    def test_mirror_file(self, tmp_path):
-        path = tmp_path / "mirror.rpv6"
-        capturer = PacketCapturer(mirror_path=path)
-        pkt = icmp_echo_request(1.0, 1, 2)
-        capturer.capture_batch(_one(pkt))
-        capturer.close()
-        assert read_packets(path) == [pkt]
 
     def test_len(self):
         capturer = PacketCapturer()

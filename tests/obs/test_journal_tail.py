@@ -18,7 +18,6 @@ from repro.obs import (
     JournalError,
     JournalTail,
     read_journal,
-    tail_journal,
     use_journal,
 )
 from repro.sim import ScenarioConfig, SimulationAborted, run_scenario
@@ -108,41 +107,6 @@ class TestPoll:
         assert tail.poll() == []
         _emit_days(path, 2, 3)
         assert [r["day"] for r in tail.poll()] == [2, 3, 4]
-
-
-class TestTailJournal:
-    def test_non_follow_returns_current_records(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        _emit_days(path, 0, 3)
-        assert len(list(tail_journal(path))) == 3
-
-    def test_follow_stops_after_end_type(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        journal = Journal(str(path))
-        journal.emit("day", day=0, emitted=1)
-        journal.emit("run_end", days=1, packets=1)
-        journal.emit("cache_store", config_hash="ff", path="x")
-        journal.close()
-        types = [r["type"] for r in tail_journal(path, follow=True)]
-        assert types == ["day", "run_end"]  # default end_types
-
-    def test_follow_with_stop_drains_everything(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        journal = Journal(str(path))
-        journal.emit("day", day=0, emitted=1)
-        journal.emit("run_end", days=1, packets=1)
-        journal.emit("cache_store", config_hash="ff", path="x")
-        journal.close()
-        types = [r["type"] for r in tail_journal(
-            path, follow=True, end_types=(), stop=lambda: True)]
-        assert types == ["day", "run_end", "cache_store"]
-
-    def test_follow_times_out(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        _emit_days(path, 0, 1)
-        records = list(tail_journal(path, follow=True, timeout=0.2,
-                                    poll_interval=0.01, end_types=()))
-        assert len(records) == 1  # returned — did not hang forever
 
 
 class TestCrashTolerance:

@@ -1,7 +1,7 @@
 """Tests for the scenario runner result bundle (`repro.sim.runner`).
 
 `ScenarioResult.control_records` is vectorized over the `dst_hi` column;
-it must match the retained per-packet `control_records_reference` exactly
+it must match the per-packet oracle `control_records_reference` exactly
 — on randomized workloads and on the boundary cases the vectorization
 could plausibly get wrong: packet-count ties between control /48s,
 captures that consist entirely of honeyprefix traffic, and exclusion
@@ -22,6 +22,7 @@ from repro.net.packet import icmp_echo_request
 from repro.obs import MetricsRegistry, use_registry
 from repro.sim import ScenarioConfig, run_scenario
 from repro.sim.runner import ScenarioResult
+from tests.sim.reference import control_records_reference
 
 
 def _result(nta, honey_prefixes=(), live_prefixes=()):
@@ -68,7 +69,7 @@ class TestControlRecordsEquivalence:
                 for _ in range(int(rng.integers(50, 300)))]
         result = _result(_records(dsts), honey, live)
         _assert_same_records(result.control_records(),
-                             result.control_records_reference())
+                             control_records_reference(result))
 
     def test_tie_broken_by_first_appearance(self):
         """Two control /48s with equal counts: the reference keeps the
@@ -78,20 +79,20 @@ class TestControlRecordsEquivalence:
         # `high` appears first; both end up with two packets.
         result = _result(_records([high | 1, low | 1, low | 2, high | 2]))
         vec = result.control_records()
-        _assert_same_records(vec, result.control_records_reference())
+        _assert_same_records(vec, control_records_reference(result))
         assert np.all(vec.dst_hi == np.uint64(high >> 64))
 
     def test_empty_capture(self):
         result = _result(PacketRecords.empty())
         assert len(result.control_records()) == 0
-        assert len(result.control_records_reference()) == 0
+        assert len(control_records_reference(result)) == 0
 
     def test_all_traffic_in_honeyprefixes(self):
         net = _random_net48(np.random.default_rng(3))
         honey = [IPv6Prefix(net, 48)]
         result = _result(_records([net | i for i in range(20)]), honey)
         assert len(result.control_records()) == 0
-        assert len(result.control_records_reference()) == 0
+        assert len(control_records_reference(result)) == 0
 
     def test_long_exclusion_prefix_never_matches(self):
         """A /49 network with host-half bits set (H_Specific-style) can
@@ -101,7 +102,7 @@ class TestControlRecordsEquivalence:
         with_sub = _result(_records([net | 1, net | 2]), [sub49])
         without = _result(_records([net | 1, net | 2]))
         _assert_same_records(with_sub.control_records(),
-                             with_sub.control_records_reference())
+                             control_records_reference(with_sub))
         _assert_same_records(with_sub.control_records(),
                              without.control_records())
         assert len(with_sub.control_records()) == 2
@@ -114,7 +115,7 @@ class TestControlRecordsEquivalence:
         control = result.control_records()
         assert len(control) == 5
         assert np.all(control.dst_hi == np.uint64(busy >> 64))
-        _assert_same_records(control, result.control_records_reference())
+        _assert_same_records(control, control_records_reference(result))
 
 
 class TestScenarioResultAccessors:

@@ -11,10 +11,11 @@ import io
 
 import pytest
 
-from repro.analysis.scandetect import detect_scans, detect_scans_reference
+from repro.analysis.scandetect import detect_scans
 from repro.exec.freeze import load_checkpoint
 from repro.obs import Journal, MetricsRegistry, use_journal, use_registry
 from repro.sim import ScenarioConfig, SimulationAborted, run_scenario
+from tests.analysis.reference import detect_scans_reference
 
 DAYS = 12
 CADENCE = 4
