@@ -3,8 +3,10 @@
 The simulator knows which scanner agent emitted every packet — provenance
 the paper's telescopes could never observe.  The emission path threads a
 stable agent id through :class:`~repro.net.batch.PacketBatch` as the
-``origin`` column; the capture boundary strips it from the analysis-facing
-records and retains it in a sidecar :class:`GroundTruthRecords` table.
+``origin`` column; the capture boundary keeps it out of the analysis-facing
+records and freezes it as one int32 array aligned row for row with them
+(:meth:`~repro.core.capture.PacketCapturer.to_truth`; negative values mark
+rows of unknown provenance).
 
 This module closes the loop: :func:`truth_events` builds the *actual* scan
 sessions per agent (the detector's own session kernel and definition —
@@ -45,98 +47,6 @@ from repro.obs import stage
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
-@dataclass(frozen=True)
-class GroundTruthRecords:
-    """Sidecar provenance table: one row per captured packet.
-
-    Column-compatible with :class:`~repro.analysis.records.PacketRecords`
-    plus the ``origin`` agent-id column the telescopes never saw.
-    """
-
-    ts: np.ndarray        # float64
-    src_hi: np.ndarray    # uint64
-    src_lo: np.ndarray    # uint64
-    dst_hi: np.ndarray    # uint64
-    dst_lo: np.ndarray    # uint64
-    origin: np.ndarray    # int32 agent ids (< 0: unknown emitter)
-
-    def __post_init__(self) -> None:
-        n = len(self.ts)
-        for name in ("src_hi", "src_lo", "dst_hi", "dst_lo", "origin"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"column {name} length mismatch")
-
-    @classmethod
-    def from_columns(cls, ts, src_hi, src_lo, dst_hi, dst_lo,
-                     origin) -> "GroundTruthRecords":
-        return cls(
-            ts=np.asarray(ts, dtype=np.float64),
-            src_hi=np.asarray(src_hi, dtype=np.uint64),
-            src_lo=np.asarray(src_lo, dtype=np.uint64),
-            dst_hi=np.asarray(dst_hi, dtype=np.uint64),
-            dst_lo=np.asarray(dst_lo, dtype=np.uint64),
-            origin=np.asarray(origin, dtype=np.int32),
-        )
-
-    @classmethod
-    def empty(cls) -> "GroundTruthRecords":
-        return cls.from_columns([], [], [], [], [], [])
-
-    @classmethod
-    def from_batches(cls, batches) -> "GroundTruthRecords":
-        """Concatenate capture-order batches (each must carry ``origin``)."""
-        parts = [b for b in batches if len(b)]
-        if not parts:
-            return cls.empty()
-        for b in parts:
-            if b.origin is None:
-                raise ValueError("ground truth requires the origin column")
-        return cls(
-            ts=np.concatenate([b.ts for b in parts]),
-            src_hi=np.concatenate([b.src_hi for b in parts]),
-            src_lo=np.concatenate([b.src_lo for b in parts]),
-            dst_hi=np.concatenate([b.dst_hi for b in parts]),
-            dst_lo=np.concatenate([b.dst_lo for b in parts]),
-            origin=np.concatenate([b.origin for b in parts]),
-        )
-
-    def __len__(self) -> int:
-        return len(self.ts)
-
-    def agents(self) -> np.ndarray:
-        """Distinct (known) agent ids present in the table."""
-        known = self.origin[self.origin >= 0]
-        return np.unique(known)
-
-    # -- persistence -----------------------------------------------------
-
-    def save_npz(self, path) -> None:
-        """Persist the columns as a compressed ``.npz`` archive."""
-        np.savez_compressed(
-            path,
-            ts=self.ts, src_hi=self.src_hi, src_lo=self.src_lo,
-            dst_hi=self.dst_hi, dst_lo=self.dst_lo, origin=self.origin,
-        )
-
-    @classmethod
-    def load_npz(cls, path) -> "GroundTruthRecords":
-        """Load a sidecar saved by :meth:`save_npz`.
-
-        An archive without the ``origin`` column (e.g. a plain
-        :class:`~repro.analysis.records.PacketRecords` archive) still
-        loads: every row gets origin ``-1``, the unknown-emitter marker.
-        """
-        with np.load(path) as archive:
-            origin = (archive["origin"] if "origin" in archive.files
-                      else np.full(len(archive["ts"]), -1, dtype=np.int32))
-            return cls.from_columns(
-                ts=archive["ts"],
-                src_hi=archive["src_hi"], src_lo=archive["src_lo"],
-                dst_hi=archive["dst_hi"], dst_lo=archive["dst_lo"],
-                origin=origin,
-            )
-
-
 @dataclass(frozen=True, slots=True)
 class TruthEvent:
     """One actual scan session of one agent (the detector's target)."""
@@ -149,7 +59,8 @@ class TruthEvent:
 
 
 def truth_events(
-    truth: GroundTruthRecords,
+    records: PacketRecords,
+    origin: np.ndarray,
     min_targets: int = DEFAULT_MIN_TARGETS,
     timeout: float = DEFAULT_TIMEOUT,
 ) -> list[TruthEvent]:
@@ -160,18 +71,22 @@ def truth_events(
     destinations — but grouped by the *emitting agent* rather than the
     observed source prefix: one
     :class:`~repro.analysis.scandetect.SessionTracker` at /128 fed the
-    known rows with each row's ``origin`` as its source.  Rows with
-    unknown provenance (``origin`` < 0) are excluded.
+    known rows with each row's ``origin`` as its source.  ``origin`` is
+    aligned row for row with ``records``; rows with unknown provenance
+    (``origin`` < 0) are excluded.
     """
-    known = truth.origin >= 0
+    if len(origin) != len(records):
+        raise ValueError(
+            f"origin has {len(origin)} rows, records {len(records)}")
+    known = origin >= 0
     n = int(known.sum())
     # The agent id takes the source column, so the tracker's /128
     # sessions are the agents' sessions and its (start, source) event
     # order is (start, agent).
     agents = PacketRecords.from_columns(
-        ts=truth.ts[known], src_hi=np.zeros(n, dtype=np.uint64),
-        src_lo=truth.origin[known].astype(np.uint64),
-        dst_hi=truth.dst_hi[known], dst_lo=truth.dst_lo[known],
+        ts=records.ts[known], src_hi=np.zeros(n, dtype=np.uint64),
+        src_lo=origin[known].astype(np.uint64),
+        dst_hi=records.dst_hi[known], dst_lo=records.dst_lo[known],
         proto=np.zeros(n, dtype=np.uint8),
         sport=np.zeros(n, dtype=np.uint16),
         dport=np.zeros(n, dtype=np.uint16),
@@ -209,20 +124,21 @@ class DetectionScore:
 
 def _event_contributors(
     events: list[ScanEvent],
-    truth: GroundTruthRecords,
+    records: PacketRecords,
+    origin: np.ndarray,
     source_length: int,
 ) -> list[np.ndarray]:
-    """Per detected event: the distinct agent ids of its truth packets.
+    """Per detected event: the distinct known agent ids of its packets.
 
-    The truth rows are sorted once by (masked source, timestamp); each
-    event then resolves to a contiguous slice via binary search, so the
-    total cost is one sort plus O(log n) per event.
+    The rows are sorted once by (masked source, timestamp); each event
+    then resolves to a contiguous slice via binary search, so the total
+    cost is one sort plus O(log n) per event.
     """
-    mhi, mlo = mask_u64(truth.src_hi, truth.src_lo, source_length)
-    order = np.lexsort((truth.ts, mlo, mhi))
+    mhi, mlo = mask_u64(records.src_hi, records.src_lo, source_length)
+    order = np.lexsort((records.ts, mlo, mhi))
     khi, klo = mhi[order], mlo[order]
-    kts = truth.ts[order]
-    korigin = truth.origin[order]
+    kts = records.ts[order]
+    korigin = origin[order]
 
     contributors: list[np.ndarray] = []
     for event in events:
@@ -241,7 +157,8 @@ def _event_contributors(
 
 def score_detection(
     events: list[ScanEvent],
-    truth: GroundTruthRecords,
+    records: PacketRecords,
+    origin: np.ndarray,
     min_targets: int = DEFAULT_MIN_TARGETS,
     timeout: float = DEFAULT_TIMEOUT,
     source_length: int | None = None,
@@ -249,7 +166,8 @@ def score_detection(
     """Grade detected scan-events against the simulated scanner population.
 
     ``events`` must all share one aggregation level (the usual output of
-    :func:`~repro.analysis.scandetect.detect_scans`); truth events are
+    :func:`~repro.analysis.scandetect.detect_scans` over ``records``, whose
+    row-aligned provenance is ``origin``); truth events are
     built with the same ``min_targets``/``timeout`` the detector used, so
     the comparison is apples-to-apples.  ``source_length`` is derived from
     the events; pass it explicitly when the list may be empty (an empty
@@ -271,21 +189,25 @@ def score_detection(
     elif source_length is None:
         source_length = 128
 
-    truths = truth_events(truth, min_targets=min_targets, timeout=timeout)
-    return _score(events, truth, truths, source_length)
+    truths = truth_events(records, origin, min_targets=min_targets,
+                          timeout=timeout)
+    return _score(events, records, origin, truths, source_length)
 
 
 def _score(
     events: list[ScanEvent],
-    truth: GroundTruthRecords,
+    records: PacketRecords,
+    origin: np.ndarray,
     truths: list[TruthEvent],
     source_length: int,
 ) -> DetectionScore:
     """Grade ``events`` (all at /``source_length``) against ``truths``,
-    the truth events of ``truth`` built at the detector's parameters."""
+    the truth events of ``(records, origin)`` built at the detector's
+    parameters."""
     with stage("analysis.score_detection", source_length=source_length,
                events=len(events)):
-        contributors = _event_contributors(events, truth, source_length)
+        contributors = _event_contributors(events, records, origin,
+                                           source_length)
 
         pure = sum(1 for c in contributors if len(c) == 1)
         merged = sum(1 for c in contributors if len(c) > 1)
@@ -323,17 +245,18 @@ def _score(
 
 def score_all_levels(
     records: PacketRecords,
-    truth: GroundTruthRecords,
+    origin: np.ndarray,
     levels: tuple[int, ...] = (128, 64, 48),
     min_targets: int = DEFAULT_MIN_TARGETS,
     timeout: float = DEFAULT_TIMEOUT,
 ) -> dict[int, DetectionScore]:
     """Run detection and scoring at each aggregation level (the truth
     events, which do not depend on the level, are built once)."""
-    truths = truth_events(truth, min_targets=min_targets, timeout=timeout)
+    truths = truth_events(records, origin, min_targets=min_targets,
+                          timeout=timeout)
     scores: dict[int, DetectionScore] = {}
     for length in levels:
         events = detect_scans(records, source_length=length,
                               min_targets=min_targets, timeout=timeout)
-        scores[length] = _score(events, truth, truths, length)
+        scores[length] = _score(events, records, origin, truths, length)
     return scores

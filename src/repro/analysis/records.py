@@ -126,10 +126,6 @@ class PacketRecords:
             dport=self.dport[mask],
         )
 
-    def sorted_by_time(self) -> "PacketRecords":
-        order = np.argsort(self.ts, kind="stable")
-        return self.select(order)
-
     # -- masks -----------------------------------------------------------
 
     def mask_time(self, start: float, end: float) -> np.ndarray:
@@ -150,10 +146,6 @@ class PacketRecords:
         return (hi == want_hi) & (lo == want_lo)
 
     # -- address reconstruction -------------------------------------------
-
-    def src_addresses(self) -> Iterator[int]:
-        for hi, lo in zip(self.src_hi, self.src_lo):
-            yield (int(hi) << 64) | int(lo)
 
     def dst_addresses(self) -> Iterator[int]:
         for hi, lo in zip(self.dst_hi, self.dst_lo):

@@ -7,12 +7,12 @@ one numpy chunk.  ``to_records()`` freezes the chunks, in arrival order, into
 :class:`repro.analysis.records.PacketRecords`.
 
 The capturer is also the *provenance boundary*: a batch arriving with the
-ground-truth ``origin`` column (the emitting agent's id) has that column
-stripped from the analysis-facing chunk — a real telescope cannot see who
-sent a packet — and the origin-bearing batch is retained in a sidecar,
-frozen by :meth:`PacketCapturer.to_truth` into
-:class:`repro.analysis.groundtruth.GroundTruthRecords` for detection
-scoring.
+ground-truth ``origin`` column (the emitting agent's id) keeps it in its
+chunk, but the frozen records never carry it — a real telescope cannot see
+who sent a packet.  The freeze fills ``origin`` as one int32 column aligned
+row for row with the records (:data:`~repro.net.batch.UNKNOWN_ORIGIN` on
+rows that arrived without one), and :meth:`PacketCapturer.to_truth` serves
+it for detection scoring.
 
 Two storages, picked by the run mode: a batch run retains every chunk
 until the freeze, and a streaming run drains the buffer at each day
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.net.batch import PacketBatch, WireBatch
+from repro.net.batch import UNKNOWN_ORIGIN, PacketBatch, WireBatch
 from repro.obs import get_registry
 
 #: Capture column storage order (matches ``PacketRecords``' columns).
@@ -44,15 +44,15 @@ class PacketCapturer:
 
     def __init__(self, name: str = "capture"):
         self.name = name
-        #: Captured numpy chunks, in arrival order.
+        #: Captured batches in arrival order, ``origin`` included when the
+        #: batch arrived with one.
         self._chunks: list[PacketBatch] = []
-        #: Origin-bearing batches retained at the provenance boundary, in
-        #: arrival order (only batches that arrived with ``origin`` set).
-        self._truth_chunks: list[PacketBatch] = []
-        #: The last freeze's records: ``to_records`` consumes the chunk
-        #: buffer (releasing per-chunk references), so repeated freezes
-        #: serve — and later captures extend — this cached prefix.
+        #: The last freeze's records and their aligned ``origin`` column:
+        #: a freeze consumes the chunk buffer (releasing per-chunk
+        #: references), so repeated freezes serve — and later captures
+        #: extend — this cached prefix.
         self._frozen = None
+        self._frozen_origin = None
         self._packet_metric = get_registry().counter(
             f"telescope.{name}.packets"
         )
@@ -75,23 +75,22 @@ class PacketCapturer:
         if len(batch) == 0:
             return
         self._packet_metric.inc(len(batch))
-        if batch.origin is not None:
-            self._truth_chunks.append(batch)
-        self._chunks.append(batch.drop_origin())
+        self._chunks.append(batch)
 
     # -- chunk transfer (checkpoint capture + restore) ----------------------
 
-    def chunks(self) -> tuple[list, list]:
-        """The buffered (analysis, truth) chunks, in arrival order — what a
-        checkpoint stores."""
-        return list(self._chunks), list(self._truth_chunks)
+    def chunks(self) -> list[PacketBatch]:
+        """Every captured row as batches in arrival order, the frozen
+        prefix (if any) first — what a checkpoint stores."""
+        if self._frozen is None:
+            return list(self._chunks)
+        return [self._frozen_batch(), *self._chunks]
 
-    def extend_chunks(self, chunks, truth_chunks) -> None:
+    def extend_chunks(self, chunks) -> None:
         """Append transferred chunks in arrival order (the checkpoint
         restore side).  Does not advance the capture metrics counter:
         transferred rows were counted where they were captured."""
         self._chunks.extend(chunks)
-        self._truth_chunks.extend(truth_chunks)
 
     def drain_day_records(self):
         """Freeze and drop everything buffered since the last drain.
@@ -99,36 +98,32 @@ class PacketCapturer:
         The streaming-analysis path: each day boundary converts the day's
         chunks into one :class:`~repro.analysis.records.PacketRecords`
         chunk for the online trackers and releases them, so a run's peak
-        memory holds one day, not the horizon.  Ground-truth sidecars are
-        dropped first (streaming runs carry events, not records), so each
-        chunk's arrays are freed as soon as they are copied.
+        memory holds one day, not the horizon.  Streaming runs carry
+        events, not records, so the day's ``origin`` column is dropped.
         """
         from repro.analysis.records import PacketRecords
 
-        self._truth_chunks.clear()
         if not self._chunks:
             return PacketRecords.empty()
-        return self._freeze_chunks()
+        return self._freeze_chunks()[0]
 
-    def to_truth(self):
-        """Freeze the provenance sidecar into
-        :class:`repro.analysis.groundtruth.GroundTruthRecords`.
+    # -- freeze -------------------------------------------------------------
 
-        Covers only the rows that arrived with an ``origin`` column (scanner
-        emissions); batches without one — honeypot responses and
-        hand-built packets — have no provenance and are not truth rows.
-        """
-        from repro.analysis.groundtruth import GroundTruthRecords
-
-        return GroundTruthRecords.from_batches(self._truth_chunks)
+    def _frozen_batch(self) -> PacketBatch:
+        """The cached freeze as one origin-bearing batch (shared arrays)."""
+        return PacketBatch(
+            **{col: getattr(self._frozen, col) for col in CAPTURE_COLUMNS},
+            origin=self._frozen_origin,
+        )
 
     def _freeze_chunks(self, prefix=None):
-        """``prefix`` records (if any) followed by every buffered chunk, in
-        arrival order, as one :class:`~repro.analysis.records.PacketRecords`.
+        """``prefix`` (if any) followed by every buffered chunk, in arrival
+        order, as one :class:`~repro.analysis.records.PacketRecords` and its
+        aligned int32 ``origin`` column.
 
         Columns are preallocated at the final size and filled chunk by
-        chunk, each chunk reference released as it is copied; the chunk
-        buffer is empty afterwards.
+        chunk, each chunk reference released as soon as it is copied; the
+        chunk buffer is empty afterwards.
         """
         from repro.analysis.records import PacketRecords
 
@@ -139,31 +134,48 @@ class PacketCapturer:
         total = sum(len(c) for c in chunks)
         out = {col: np.empty(total, dtype=dtype)
                for col, dtype in _COLUMN_DTYPES.items()}
+        origin = np.empty(total, dtype=np.int32)
         position = 0
         for i in range(len(chunks)):
             chunk = chunks[i]
             chunks[i] = None
-            size = len(chunk)
+            end = position + len(chunk)
             for col in CAPTURE_COLUMNS:
-                out[col][position:position + size] = getattr(chunk, col)
-            position += size
-        return PacketRecords(**out)
+                out[col][position:end] = getattr(chunk, col)
+            origin[position:end] = (UNKNOWN_ORIGIN if chunk.origin is None
+                                    else chunk.origin)
+            position = end
+        return PacketRecords(**out), origin
+
+    def _freeze(self) -> None:
+        """Fold buffered chunks into the cached freeze."""
+        if self._chunks:
+            prefix = None if self._frozen is None else self._frozen_batch()
+            self._frozen, self._frozen_origin = self._freeze_chunks(prefix)
 
     def to_records(self):
         """Freeze into :class:`repro.analysis.records.PacketRecords`.
 
         The output columns are preallocated once, not built by eight
-        full-size ``np.concatenate`` calls.  Peak memory is still the
-        output plus every captured chunk: the truth sidecar shares the
-        chunks' column arrays (:meth:`to_truth` needs them after this), so
-        releasing a chunk here frees nothing.  The chunk buffer is consumed
+        full-size ``np.concatenate`` calls.  The chunk buffer is consumed
         into a cached frozen prefix, so repeated freezes (and captures
-        after a freeze) remain valid; the truth sidecar is untouched.
+        after a freeze) remain valid.
         """
         # Imported here to keep core importable without the analysis stack.
         from repro.analysis.records import PacketRecords
 
-        if self._chunks:
-            self._frozen = self._freeze_chunks(self._frozen)
+        self._freeze()
         return (self._frozen if self._frozen is not None
                 else PacketRecords.empty())
+
+    def to_truth(self) -> np.ndarray:
+        """The frozen ``origin`` column: the emitting agent's id per row,
+        aligned row for row with :meth:`to_records`.
+
+        Rows that arrived without ``origin`` — honeypot responses and
+        hand-built packets — have no provenance and read
+        :data:`~repro.net.batch.UNKNOWN_ORIGIN`.
+        """
+        self._freeze()
+        return (self._frozen_origin if self._frozen_origin is not None
+                else np.empty(0, dtype=np.int32))

@@ -5,7 +5,8 @@ A cache entry is one directory holding the frozen
 
 * ``nta.npz`` / ``ntb.npz`` / ``ntc.npz`` — the telescopes' columnar
   captures (:meth:`PacketRecords.save_npz`),
-* ``truth-<telescope>.npz`` — the ground-truth provenance sidecars,
+* ``origin-<telescope>.npy`` — each telescope's ground-truth ``origin``
+  column, aligned row for row with its records,
 * ``meta.pkl`` — the pickled :class:`~repro.exec.freeze.FrozenScenario`
   (honeyprefix timelines, metadata datasets, dispatch counters),
 * ``manifest.json`` — the :class:`~repro.obs.journal.RunManifest` fields
@@ -49,11 +50,14 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from repro.exec.freeze import freeze_result
 from repro.obs import RunManifest, config_hash, get_journal, get_registry, stage
 
 #: Bump when the entry layout changes incompatibly.
-CACHE_SCHEMA_VERSION = 1
+#: 2: one ``origin`` array per telescope replaces the truth sidecar tables.
+CACHE_SCHEMA_VERSION = 2
 
 #: The record columns files inside one entry (fixed names, fixed set).
 _RECORD_FILES = ("nta.npz", "ntb.npz", "ntc.npz")
@@ -148,9 +152,9 @@ class ScenarioCache:
                 frozen.ntb.save_npz(tmp / "ntb.npz")
                 frozen.ntc.save_npz(tmp / "ntc.npz")
                 truth_files = {}
-                for name, truth in frozen.truth.items():
-                    filename = f"truth-{name}.npz"
-                    truth.save_npz(tmp / filename)
+                for name, origin in frozen.truth.items():
+                    filename = f"origin-{name}.npy"
+                    np.save(tmp / filename, origin, allow_pickle=False)
                     truth_files[filename] = name
                 with open(tmp / "meta.pkl", "wb") as stream:
                     pickle.dump(frozen.scenario, stream,
@@ -224,7 +228,6 @@ class ScenarioCache:
         entry is reported as a miss (with a ``scenario.cache.invalid``
         count when an entry existed but failed), never as a crash.
         """
-        from repro.analysis.groundtruth import GroundTruthRecords
         from repro.analysis.records import PacketRecords
         from repro.sim.runner import ScenarioResult
 
@@ -238,7 +241,7 @@ class ScenarioCache:
                     for name in ("nta", "ntb", "ntc")
                 }
                 truth = {
-                    telescope: GroundTruthRecords.load_npz(entry / filename)
+                    telescope: np.load(entry / filename, allow_pickle=False)
                     for filename, telescope in manifest["truth"].items()
                 }
                 with open(entry / "meta.pkl", "rb") as stream:

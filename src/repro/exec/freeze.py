@@ -110,7 +110,8 @@ def freeze_result(result):
 #: 2: added ``streaming`` (open analyzer state for ``stream_analysis``).
 #: 3: added ``observatory`` (observer cursor for ``observe_dir`` runs).
 #: 4: scan trackers keep their open sessions as columns.
-CHECKPOINT_PROTOCOL = 4
+#: 5: one origin-bearing chunk list per telescope name, no truth sidecar.
+CHECKPOINT_PROTOCOL = 5
 
 
 @dataclass
@@ -124,7 +125,8 @@ class ScenarioCheckpoint:
     next_day: int
     #: ``(nta, ntb, ntc, live_dropped, unrouted)`` dispatch totals.
     counters: tuple
-    #: telescope key -> (analysis chunks, truth chunks), in arrival order.
+    #: telescope name -> captured chunks (``origin`` included), in
+    #: arrival order.
     captures: dict
     #: Every journal record emitted since the run started, as
     #: ``(record_type, fields)`` pairs — replayed verbatim on resume so
@@ -140,14 +142,6 @@ class ScenarioCheckpoint:
     #: (seen-source sets, cumulative event counts, honeyprefix first
     #: contacts) at the boundary.  Same mode-pairing rule as streaming.
     observatory: object | None = None
-
-
-def _capturers(scenario) -> dict:
-    return {
-        "nta": scenario.telescope.capturer,
-        "ntb": scenario.ntb_capturer,
-        "ntc": scenario.ntc_capturer,
-    }
 
 
 def checkpoint_path(directory, config) -> Path:
@@ -173,10 +167,8 @@ def capture_checkpoint(scenario, next_day: int, journal_records,
         config_hash=config_hash(scenario.config),
         next_day=int(next_day),
         counters=(c.nta, c.ntb, c.ntc, c.live_dropped, c.unrouted),
-        captures={
-            key: cap.chunks()
-            for key, cap in _capturers(scenario).items()
-        },
+        captures={name: cap.chunks()
+                  for name, cap in scenario.capturers.items()},
         journal_records=list(journal_records),
         streaming=streaming,
         observatory=observatory,
@@ -228,8 +220,7 @@ def restore_checkpoint(scenario, checkpoint: ScenarioCheckpoint) -> None:
     Complements the replay fast-forward: replay re-derives the live
     engine/RNG/session state, this restores the accumulated outputs.
     """
-    for key, cap in _capturers(scenario).items():
-        chunks, truth_chunks = checkpoint.captures[key]
-        cap.extend_chunks(chunks, truth_chunks)
+    for name, cap in scenario.capturers.items():
+        cap.extend_chunks(checkpoint.captures[name])
     c = scenario.counters
     (c.nta, c.ntb, c.ntc, c.live_dropped, c.unrouted) = checkpoint.counters

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.groundtruth import (
-    DetectionScore,
-    GroundTruthRecords,
-    score_all_levels,
-)
+import numpy as np
+
+from repro.analysis.groundtruth import DetectionScore, score_all_levels
+from repro.net.batch import UNKNOWN_ORIGIN
 from repro.sim.runner import ScenarioResult
 
 #: The paper's three source-aggregation levels.
@@ -52,14 +51,14 @@ def groundtruth(
     result: ScenarioResult,
     levels: tuple[int, ...] = LEVELS,
 ) -> GroundTruthResult:
-    """Score scan detection against each telescope's provenance sidecar."""
+    """Score scan detection against each telescope's ``origin`` column."""
     scores: dict[str, dict[int, DetectionScore]] = {}
     truth_rows: dict[str, int] = {}
     telescopes = result.telescopes()
     for name, records in sorted(telescopes.items()):
-        truth = result.truth.get(name)
-        if truth is None:
-            truth = GroundTruthRecords.empty()
-        truth_rows[name] = len(truth)
-        scores[name] = score_all_levels(records, truth, levels=levels)
+        origin = result.truth.get(name)
+        if origin is None:
+            origin = np.full(len(records), UNKNOWN_ORIGIN, dtype=np.int32)
+        truth_rows[name] = int((origin >= 0).sum())
+        scores[name] = score_all_levels(records, origin, levels=levels)
     return GroundTruthResult(scores=scores, truth_rows=truth_rows)

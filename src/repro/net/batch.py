@@ -42,9 +42,10 @@ class PacketBatch:
 
     The optional ``origin`` column carries the emitting scanner agent's
     stable id (int32) — ground-truth provenance the real telescopes could
-    never see.  It rides along through dispatch and honeypot reaction, and
-    is stripped at the capture boundary into a sidecar ground-truth table
-    (:meth:`repro.core.capture.PacketCapturer.capture_batch`), so the
+    never see.  It rides along through dispatch and honeypot reaction into
+    :class:`~repro.core.capture.PacketCapturer`, which freezes it as a
+    separate column aligned with the captured records
+    (:meth:`~repro.core.capture.PacketCapturer.to_truth`), so the
     analysis-facing records stay exactly what a telescope observes.
     """
 
@@ -158,16 +159,6 @@ class PacketBatch:
             dst_hi=self.dst_hi, dst_lo=self.dst_lo, proto=self.proto,
             sport=self.sport, dport=self.dport,
             origin=np.full(len(self), agent_id, dtype=np.int32),
-        )
-
-    def drop_origin(self) -> "PacketBatch":
-        """This batch without provenance (what a real telescope sees)."""
-        if self.origin is None:
-            return self
-        return PacketBatch(
-            ts=self.ts, src_hi=self.src_hi, src_lo=self.src_lo,
-            dst_hi=self.dst_hi, dst_lo=self.dst_lo, proto=self.proto,
-            sport=self.sport, dport=self.dport,
         )
 
     # -- masks -----------------------------------------------------------

@@ -270,10 +270,6 @@ class Observatory:
                 f"({error.filename})")
         return stream
 
-    @property
-    def observations_path(self) -> Path:
-        return self.directory / OBSERVATIONS_NAME
-
     # -- per-day emission --------------------------------------------------
 
     def observe_day(self, day: int, scenario, streams,

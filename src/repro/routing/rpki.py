@@ -60,9 +60,6 @@ class RoaRegistry:
     def register(self, roa: Roa) -> None:
         self._roas.append(roa)
 
-    def roas(self) -> tuple[Roa, ...]:
-        return tuple(self._roas)
-
     def validate(
         self, prefix: IPv6Prefix, origin_asn: int, at: float | None = None
     ) -> RpkiValidity:

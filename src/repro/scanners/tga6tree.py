@@ -52,10 +52,6 @@ class SpaceTreeNode:
             return 1.0
         return self.hits / self.probes_sent
 
-    @property
-    def fixed_length(self) -> int:
-        return len(self.prefix_nibbles) * 4
-
     def contains(self, address: int) -> bool:
         return all(_nibble(address, i) == n
                    for i, n in enumerate(self.prefix_nibbles))

@@ -55,10 +55,11 @@ class ScenarioResult:
     #: Metrics snapshot taken right after the run (empty when metrics are
     #: disabled) — experiments join their own numbers against it.
     telemetry: dict = field(default_factory=dict)
-    #: Per-telescope ground-truth provenance sidecars
-    #: (:class:`repro.analysis.groundtruth.GroundTruthRecords`): which agent
-    #: emitted each captured packet — data a real telescope never has, kept
-    #: out of the analysis-facing records and used only for scoring.
+    #: Per-telescope ground-truth provenance: one int32 ``origin`` array
+    #: aligned row for row with that telescope's records, holding which
+    #: agent emitted each captured packet (negative: unknown) — data a real
+    #: telescope never has, kept out of the records and used only for
+    #: scoring.
     truth: dict = field(default_factory=dict)
     #: ``stream_analysis`` runs only: telescope name ->
     #: :class:`~repro.analysis.streaming.StreamSummary` (scan events at
@@ -312,41 +313,33 @@ def run_scenario(
             sample_peak_rss(registry, stage="run")
             summaries = None
             observatory_summary = None
+            capturers = scenario.capturers
             with stage("scenario.freeze"):
                 if streams is not None:
                     summaries = {name: streams[name].finish()
-                                 for name in ("NT-A", "NT-B", "NT-C")}
-                    nta = ntb = ntc = PacketRecords.empty()
+                                 for name in capturers}
+                    records = {name: PacketRecords.empty()
+                               for name in capturers}
                     truth = {}
-                    packets = sum(s.records_in for s in summaries.values())
+                    counts = {name: summary.records_in
+                              for name, summary in summaries.items()}
                     if observatory is not None:
                         observatory_summary = observatory.finish()
                 else:
-                    nta = scenario.telescope.capturer.to_records()
-                    ntb = scenario.ntb_capturer.to_records()
-                    ntc = scenario.ntc_capturer.to_records()
-                    truth = {
-                        "NT-A": scenario.telescope.capturer.to_truth(),
-                        "NT-B": scenario.ntb_capturer.to_truth(),
-                        "NT-C": scenario.ntc_capturer.to_truth(),
-                    }
-                    packets = len(nta) + len(ntb) + len(ntc)
+                    records = {name: cap.to_records()
+                               for name, cap in capturers.items()}
+                    truth = {name: cap.to_truth()
+                             for name, cap in capturers.items()}
+                    counts = {name: len(r) for name, r in records.items()}
             journal.emit("run_end", days=config.duration_days,
-                         packets=packets)
+                         packets=sum(counts.values()))
             sample_peak_rss(registry, stage="freeze")
-        if summaries is not None:
-            registry.gauge("scenario.records.nta").set(
-                summaries["NT-A"].records_in)
-            registry.gauge("scenario.records.ntb").set(
-                summaries["NT-B"].records_in)
-            registry.gauge("scenario.records.ntc").set(
-                summaries["NT-C"].records_in)
-        else:
-            registry.gauge("scenario.records.nta").set(len(nta))
-            registry.gauge("scenario.records.ntb").set(len(ntb))
-            registry.gauge("scenario.records.ntc").set(len(ntc))
+        for name, count in counts.items():
+            gauge = f"scenario.records.{name.replace('-', '').lower()}"
+            registry.gauge(gauge).set(count)
         result = ScenarioResult(
-            scenario=scenario, nta=nta, ntb=ntb, ntc=ntc,
+            scenario=scenario, nta=records["NT-A"], ntb=records["NT-B"],
+            ntc=records["NT-C"],
             telemetry=registry.snapshot() if registry.enabled else {},
             truth=truth, streaming=summaries,
             observatory=observatory_summary,
@@ -364,14 +357,6 @@ def run_scenario(
             set_journal(previous_journal)
 
 
-def _scenario_capturers(scenario) -> dict:
-    return {
-        "NT-A": scenario.telescope.capturer,
-        "NT-B": scenario.ntb_capturer,
-        "NT-C": scenario.ntc_capturer,
-    }
-
-
 def _feed_streams(scenario, streams, journal, day: int,
                   observatory=None) -> None:
     """Drain each telescope's day of captures into its analyzer.
@@ -387,7 +372,7 @@ def _feed_streams(scenario, streams, journal, day: int,
     memory bound is unchanged.
     """
     drained = {} if observatory is not None else None
-    for name, cap in _scenario_capturers(scenario).items():
+    for name, cap in scenario.capturers.items():
         records = cap.drain_day_records()
         closed = streams[name].feed(records, now=(day + 1) * DAY)
         journal.emit(

@@ -144,6 +144,12 @@ class PaperScenario:
         self.ntc_capturer = PacketCapturer("NT-C-capture")
         self.ntb.set_capture(self.ntb_capturer.capture_batch)
         self.ntc.set_capture(self.ntc_capturer.capture_batch)
+        #: Telescope name -> its capturer, in the fixed NT-A/B/C order.
+        self.capturers = {
+            "NT-A": self.telescope.capturer,
+            "NT-B": self.ntb_capturer,
+            "NT-C": self.ntc_capturer,
+        }
 
         # -- scanner population ---------------------------------------------
         source_scale = cfg.source_scale

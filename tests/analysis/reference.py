@@ -6,7 +6,8 @@ shares, the BSTM bootstrap, the blocklist, and the report analyses of
 Figs 5, 9, 11, 14 and Tables 1, 3 (one 128-bit int and one dict, set or
 Hilbert lookup per packet).  The columnar code must match them exactly,
 dict and ``Counter`` insertion order included.  They live in ``tests/``
-because only the equivalence tests and the microbenchmarks call them.
+because only the equivalence tests and the microbenchmarks call them,
+as do the two per-row record helpers they share.
 """
 
 from collections import Counter
@@ -29,9 +30,20 @@ from repro.core.features import Feature, combo_label
 from repro.net.packet import ICMPV6, TCP, UDP
 
 
+def sorted_by_time(records):
+    """``records`` in stable timestamp order."""
+    return records.select(np.argsort(records.ts, kind="stable"))
+
+
+def src_addresses(records):
+    """Each row's source address as one 128-bit int."""
+    for hi, lo in zip(records.src_hi, records.src_lo):
+        yield (int(hi) << 64) | int(lo)
+
+
 def row_asns_oracle(joiner, records):
     out = np.zeros(len(records), dtype=np.int64)
-    for i, src in enumerate(records.src_addresses()):
+    for i, src in enumerate(src_addresses(records)):
         out[i] = joiner.asn_of(src)
     return out
 
@@ -99,7 +111,7 @@ def scanner_scope_oracle(records, covering, honeyprefixes, source_length):
                   for hp in honeyprefixes}
     first16 = {covering.subnet_at(i, 48).network for i in range(16)}
     honey = other = other_low = 0
-    for src, dst in zip(records.src_addresses(), records.dst_addresses()):
+    for src, dst in zip(src_addresses(records), records.dst_addresses()):
         source = (src >> shift) << shift
         dst48 = (dst >> 80) << 80
         per_scanner.setdefault(source, set()).add(dst48)
@@ -140,7 +152,7 @@ def classify_probe_oracle(hp, ts, dst, proto, dport):
 def label_tactics_oracle(records, hp, source_length=48):
     shift = 128 - source_length
     per_source = {}
-    rows = zip(records.src_addresses(), records.dst_addresses(),
+    rows = zip(src_addresses(records), records.dst_addresses(),
                records.ts.tolist(), records.proto.tolist(),
                records.dport.tolist())
     for src, dst, ts, proto, dport in rows:
@@ -161,11 +173,11 @@ def detect_scans_reference(records, source_length=64,
     if len(records) == 0:
         return []
 
-    ordered = records.sorted_by_time()
+    ordered = sorted_by_time(records)
     groups = ordered.source_groups(source_length)
     # Representative truncated source value per group.
     reps = {}
-    src_iter = ordered.src_addresses()
+    src_iter = src_addresses(ordered)
     dst_iter = ordered.dst_addresses()
 
     mask_shift = 128 - source_length
@@ -214,12 +226,12 @@ def aggregate_flows_reference(records, timeout=DEFAULT_FLOW_TIMEOUT):
     check_positive("timeout", timeout)
     if len(records) == 0:
         return []
-    ordered = records.sorted_by_time()
+    ordered = sorted_by_time(records)
     flows = []
     # 5-tuple -> open state: [first_seen, last_seen, packets]
     open_flows = {}
 
-    src_iter = ordered.src_addresses()
+    src_iter = src_addresses(ordered)
     dst_iter = ordered.dst_addresses()
     for i in range(len(ordered)):
         src = next(src_iter)
@@ -250,7 +262,7 @@ def _traffic_share_reference(records, shared, prefix_length):
         return 0.0
     shift = 128 - prefix_length
     count = 0
-    for src in records.src_addresses():
+    for src in src_addresses(records):
         truncated = (src >> shift) << shift if shift else src
         if truncated in shared:
             count += 1
@@ -264,7 +276,7 @@ def _dest_share_reference(records, shared, prefix_length):
     shift = 128 - prefix_length
     shared_dests = set()
     all_dests = set()
-    src_iter = records.src_addresses()
+    src_iter = src_addresses(records)
     for dst in records.dst_addresses():
         src = next(src_iter)
         truncated = (src >> shift) << shift if shift else src
@@ -295,7 +307,7 @@ def recommend_blocklist_reference(records, joiner, max_entries_per_as=16,
         return []
     asns = joiner.row_asns(records)
     entries = []
-    sources = list(records.src_addresses())
+    sources = list(src_addresses(records))
     for asn in np.unique(asns):
         if asn <= 0:
             continue

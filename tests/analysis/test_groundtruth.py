@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.groundtruth import (
-    GroundTruthRecords,
     TruthEvent,
     score_all_levels,
     score_detection,
@@ -47,18 +46,22 @@ def _toy_population():
         proto=np.full(len(ts), 6), sport=np.full(len(ts), 40_000),
         dport=np.full(len(ts), 443),
     )
-    truth = GroundTruthRecords.from_columns(
-        ts=ts, src_hi=src_hi, src_lo=src_lo,
-        dst_hi=np.full(len(ts), DST_HI, dtype=np.uint64), dst_lo=dst_lo,
-        origin=origin,
+    return records, origin.astype(np.int32)
+
+
+def _rows(ts, src_hi, src_lo, dst_hi, dst_lo, origin):
+    """Hand-built ``(records, origin)`` with zeroed protocol and ports."""
+    n = len(ts)
+    records = PacketRecords.from_columns(
+        ts=ts, src_hi=src_hi, src_lo=src_lo, dst_hi=dst_hi, dst_lo=dst_lo,
+        proto=np.zeros(n), sport=np.zeros(n), dport=np.zeros(n),
     )
-    return records, truth
+    return records, np.asarray(origin, dtype=np.int32)
 
 
 class TestTruthEvents:
     def test_pinned_truth_events(self):
-        _, truth = _toy_population()
-        events = truth_events(truth)
+        events = truth_events(*_toy_population())
         assert [(e.agent, e.packets, e.unique_targets) for e in events] == [
             (1, 150, 150), (0, 300, 300), (2, 120, 120),
         ]
@@ -67,34 +70,35 @@ class TestTruthEvents:
         assert by_agent[0].end == pytest.approx(299.5)
 
     def test_min_targets_filters(self):
-        _, truth = _toy_population()
-        assert len(truth_events(truth, min_targets=200)) == 1  # agent 0 only
+        # agent 0 only
+        assert len(truth_events(*_toy_population(), min_targets=200)) == 1
 
     def test_timeout_splits_sessions(self):
-        truth = GroundTruthRecords.from_columns(
+        truth = _rows(
             ts=[0.0, 1.0, 5000.0, 5001.0],
             src_hi=[HI_A] * 4, src_lo=[1] * 4,
             dst_hi=[DST_HI] * 4, dst_lo=[1, 2, 3, 4],
             origin=[0] * 4,
         )
-        events = truth_events(truth, min_targets=2, timeout=3600.0)
+        events = truth_events(*truth, min_targets=2, timeout=3600.0)
         assert [(e.start, e.end) for e in events] == [
             (0.0, 1.0), (5000.0, 5001.0),
         ]
 
     def test_unknown_origin_excluded(self):
-        truth = GroundTruthRecords.from_columns(
+        truth = _rows(
             ts=[0.0, 1.0], src_hi=[HI_A] * 2, src_lo=[1] * 2,
             dst_hi=[DST_HI] * 2, dst_lo=[1, 2],
             origin=[UNKNOWN_ORIGIN] * 2,
         )
-        assert truth_events(truth, min_targets=1) == []
-        assert truth.agents().size == 0
+        assert truth_events(*truth, min_targets=1) == []
 
 
 def _truth_events_oracle(truth, min_targets, timeout):
-    """Per-row reference for :func:`truth_events`: walk the rows in
-    stable time order, one open session per known ``origin``."""
+    """Per-row reference for :func:`truth_events`: walk the rows of
+    ``truth = (records, origin)`` in stable time order, one open session
+    per known ``origin``."""
+    records, origin = truth
     open_sessions: dict[int, dict] = {}
     events = []
 
@@ -105,11 +109,11 @@ def _truth_events_oracle(truth, min_targets, timeout):
                 packets=state["packets"],
                 unique_targets=len(state["targets"])))
 
-    for i in np.argsort(truth.ts, kind="stable").tolist():
-        agent = int(truth.origin[i])
+    for i in np.argsort(records.ts, kind="stable").tolist():
+        agent = int(origin[i])
         if agent < 0:
             continue
-        ts = float(truth.ts[i])
+        ts = float(records.ts[i])
         state = open_sessions.get(agent)
         if state is not None and ts - state["last"] > timeout:
             close(agent, state)
@@ -119,7 +123,8 @@ def _truth_events_oracle(truth, min_targets, timeout):
                 "start": ts, "last": ts, "packets": 0, "targets": set()}
         state["last"] = ts
         state["packets"] += 1
-        state["targets"].add((int(truth.dst_hi[i]), int(truth.dst_lo[i])))
+        state["targets"].add((int(records.dst_hi[i]),
+                              int(records.dst_lo[i])))
     for agent, state in open_sessions.items():
         close(agent, state)
     events.sort(key=lambda e: (e.start, e.agent))
@@ -133,7 +138,7 @@ def _random_truth(rng, n, quantum):
     ties and gaps of exactly one quantum are common."""
     agents = np.array([-7, -1, 0, 1, 2, 5, 40, 2**31 - 1], dtype=np.int32)
     dst = rng.integers(0, 60, size=n, dtype=np.uint64)
-    return GroundTruthRecords.from_columns(
+    return _rows(
         ts=np.round(rng.uniform(0, 40 * quantum, size=n) / quantum)
         * quantum,
         src_hi=rng.integers(0, 4, size=n, dtype=np.uint64),
@@ -155,16 +160,16 @@ class TestTruthEventsOracle:
         # timeout (kept in-session); a shorter one splits at every gap.
         for timeout in (quantum, quantum / 2, 7 * quantum):
             for min_targets in (1, 4, 12):
-                assert truth_events(truth, min_targets, timeout) == \
+                assert truth_events(*truth, min_targets, timeout) == \
                     _truth_events_oracle(truth, min_targets, timeout)
 
     def test_gap_exactly_at_timeout_stays_in_session(self):
-        truth = GroundTruthRecords.from_columns(
+        truth = _rows(
             ts=[0.0, 3600.0, 3600.0, 7200.5], src_hi=[HI_A] * 4,
             src_lo=[1, 2, 3, 4], dst_hi=[DST_HI] * 4, dst_lo=[1, 2, 3, 4],
             origin=[3] * 4,
         )
-        events = truth_events(truth, min_targets=1, timeout=3600.0)
+        events = truth_events(*truth, min_targets=1, timeout=3600.0)
         assert [(e.start, e.end, e.packets) for e in events] == [
             (0.0, 3600.0, 3), (7200.5, 7200.5, 1)]
         assert events == _truth_events_oracle(truth, 1, 3600.0)
@@ -175,8 +180,8 @@ class TestPinnedScores:
 
     @pytest.fixture(scope="class")
     def scores(self):
-        records, truth = _toy_population()
-        return score_all_levels(records, truth)
+        records, origin = _toy_population()
+        return score_all_levels(records, origin)
 
     def test_slash128(self, scores):
         s = scores[128]
@@ -227,21 +232,17 @@ class TestScoreDetectionEdges:
             proto=np.full(len(ts), 6), sport=np.full(len(ts), 1),
             dport=np.full(len(ts), 2),
         )
-        truth = GroundTruthRecords.from_columns(
-            ts=ts, src_hi=src_hi, src_lo=src_lo,
-            dst_hi=np.full(len(ts), DST_HI, dtype=np.uint64), dst_lo=dst_lo,
-            origin=origin,
-        )
         events = detect_scans(records, source_length=64)
         assert len(events) == 2
-        score = score_detection(events, truth)
+        score = score_detection(events, records, origin.astype(np.int32))
         assert score.n_truth_events == 1
         assert score.recall == pytest.approx(1.0)
         assert score.fragmentation == pytest.approx(2.0)
         assert score.precision == pytest.approx(1.0)
 
     def test_empty_everything(self):
-        score = score_detection([], GroundTruthRecords.empty(),
+        score = score_detection([], PacketRecords.empty(),
+                                np.empty(0, dtype=np.int32),
                                 source_length=64)
         assert score.source_length == 64
         assert score.n_events == 0
@@ -250,44 +251,22 @@ class TestScoreDetectionEdges:
         assert score.recall == 1.0
 
     def test_mixed_levels_rejected(self):
-        records, truth = _toy_population()
+        records, origin = _toy_population()
         events = (detect_scans(records, source_length=64)
                   + detect_scans(records, source_length=48))
         with pytest.raises(ValueError, match="mix aggregation levels"):
-            score_detection(events, truth)
+            score_detection(events, records, origin)
 
     def test_explicit_level_must_match(self):
-        records, truth = _toy_population()
+        records, origin = _toy_population()
         events = detect_scans(records, source_length=64)
         with pytest.raises(ValueError, match="aggregated at /64"):
-            score_detection(events, truth, source_length=48)
+            score_detection(events, records, origin, source_length=48)
 
-
-class TestGroundTruthRecords:
-    def test_from_batches_requires_origin(self):
-        batch = PacketBatch.from_columns(
-            [0.0], [HI_A], [1], [DST_HI], [1], [6], [1], [2],
-        )
-        with pytest.raises(ValueError, match="origin"):
-            GroundTruthRecords.from_batches([batch])
-
-    def test_from_batches_concat_order(self):
-        b1 = PacketBatch.from_columns(
-            [0.0], [HI_A], [1], [DST_HI], [1], [6], [1], [2],
-        ).with_origin(3)
-        b2 = PacketBatch.from_columns(
-            [1.0], [HI_B], [1], [DST_HI], [2], [6], [1], [2],
-        ).with_origin(4)
-        truth = GroundTruthRecords.from_batches([b1, b2])
-        assert len(truth) == 2
-        assert truth.origin.tolist() == [3, 4]
-        assert truth.agents().tolist() == [3, 4]
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="origin"):
-            GroundTruthRecords.from_columns(
-                [0.0], [HI_A], [1], [DST_HI], [1], [0, 1],
-            )
+    def test_misaligned_origin_rejected(self):
+        records, origin = _toy_population()
+        with pytest.raises(ValueError, match="origin has"):
+            score_all_levels(records, origin[:-1])
 
 
 class TestProvenanceBoundary:
@@ -301,9 +280,9 @@ class TestProvenanceBoundary:
         ).with_origin(9)
         capturer.capture_batch(batch)
         records = capturer.to_records()
-        truth = capturer.to_truth()
-        assert len(records) == 2 and len(truth) == 2
-        assert truth.origin.tolist() == [9, 9]
+        origin = capturer.to_truth()
+        assert len(records) == 2 and len(origin) == 2
+        assert origin.tolist() == [9, 9]
         # Analysis-facing records carry no provenance column at all.
         assert not hasattr(records, "origin") or records.origin is None
 
@@ -315,7 +294,7 @@ class TestProvenanceBoundary:
             [0.0], [HI_A], [1], [DST_HI], [1], [6], [1], [2],
         ))
         assert len(capturer.to_records()) == 1
-        assert len(capturer.to_truth()) == 0
+        assert capturer.to_truth().tolist() == [UNKNOWN_ORIGIN]
 
     def test_batch_origin_ops(self):
         batch = PacketBatch.from_columns(
@@ -324,8 +303,6 @@ class TestProvenanceBoundary:
         )
         stamped = batch.with_origin(5)
         assert stamped.origin.tolist() == [5, 5]
-        assert stamped.drop_origin().origin is None
-        assert batch.drop_origin() is batch
         sub = stamped.select(np.array([True, False]))
         assert sub.origin.tolist() == [5]
         mixed = PacketBatch.concat([stamped, batch])

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.flows import aggregate_flows, write_conn_log
-from repro.analysis.groundtruth import GroundTruthRecords
 from repro.analysis.records import PacketRecords
 from repro.net.packet import TcpFlags, icmp_echo_request, tcp_segment
+from tests.analysis.reference import src_addresses
 
 SRC = 0x20010DB8 << 96 | 7
 DST = 0x20010DB8 << 96 | 9
@@ -28,7 +28,7 @@ class TestRecordsPersistence:
         records.save(path)
         loaded = PacketRecords.load(path)
         assert len(loaded) == len(records)
-        assert list(loaded.src_addresses()) == list(records.src_addresses())
+        assert list(src_addresses(loaded)) == list(src_addresses(records))
         assert np.array_equal(loaded.ts, records.ts)
         assert np.array_equal(loaded.proto, records.proto)
 
@@ -55,43 +55,7 @@ class TestRecordsPersistence:
         path = tmp_path / "specific.npz"
         PacketRecords.from_packets(packets).save_npz(path)
         loaded = PacketRecords.load_npz(path)
-        assert list(loaded.src_addresses()) == addresses
-
-
-class TestGroundTruthPersistence:
-    def _truth(self):
-        return GroundTruthRecords.from_columns(
-            ts=[1.0, 2.0], src_hi=[SRC >> 64] * 2, src_lo=[7, 8],
-            dst_hi=[DST >> 64] * 2, dst_lo=[9, 9], origin=[3, -1],
-        )
-
-    def test_roundtrip_with_origin(self, tmp_path):
-        path = tmp_path / "truth.npz"
-        truth = self._truth()
-        truth.save_npz(path)
-        loaded = GroundTruthRecords.load_npz(path)
-        assert np.array_equal(loaded.origin, truth.origin)
-        assert np.array_equal(loaded.src_lo, truth.src_lo)
-        assert loaded.origin.dtype == np.int32
-
-    def test_empty_roundtrip(self, tmp_path):
-        path = tmp_path / "truth-empty.npz"
-        GroundTruthRecords.empty().save_npz(path)
-        assert len(GroundTruthRecords.load_npz(path)) == 0
-
-    def test_origin_absent_means_unknown_emitter(self, tmp_path):
-        """An archive without the origin column (e.g. exported from plain
-        packet records) loads with every row marked unknown (-1)."""
-        truth = self._truth()
-        path = tmp_path / "no-origin.npz"
-        np.savez_compressed(
-            path, ts=truth.ts, src_hi=truth.src_hi, src_lo=truth.src_lo,
-            dst_hi=truth.dst_hi, dst_lo=truth.dst_lo,
-        )
-        loaded = GroundTruthRecords.load_npz(path)
-        assert len(loaded) == 2
-        assert np.array_equal(loaded.origin,
-                              np.full(2, -1, dtype=np.int32))
+        assert list(src_addresses(loaded)) == addresses
 
 
 class TestConnLog:

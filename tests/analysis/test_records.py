@@ -8,6 +8,7 @@ from repro._util import DAY
 from repro.analysis.records import PacketRecords
 from repro.net.addr import MAX_ADDRESS, IPv6Prefix, aggregate
 from repro.net.packet import ICMPV6, TCP, icmp_echo_request, tcp_segment, TcpFlags
+from tests.analysis.reference import sorted_by_time, src_addresses
 
 PREFIX = IPv6Prefix.parse("2001:db8:5::/48")
 
@@ -26,7 +27,7 @@ def records():
 class TestConstruction:
     def test_from_packets_roundtrip(self, records):
         assert len(records) == 4
-        assert list(records.src_addresses()) == [100, 100, 200, 300]
+        assert list(src_addresses(records)) == [100, 100, 200, 300]
         assert list(records.dst_addresses())[0] == PREFIX.network | 1
 
     def test_empty(self):
@@ -64,7 +65,7 @@ class TestSelection:
         assert int(records.mask_src_in(IPv6Prefix.parse("::/118")).sum()) == 4
 
     def test_sorted_by_time(self, records):
-        ordered = records.sorted_by_time()
+        ordered = sorted_by_time(records)
         assert list(ordered.ts) == sorted(records.ts)
 
 
@@ -82,7 +83,7 @@ class TestAggregation:
 
     def test_source_groups_alignment(self, records):
         groups = records.source_groups(128)
-        srcs = list(records.src_addresses())
+        srcs = list(src_addresses(records))
         for g, s in zip(groups, srcs):
             same = [x for x, gg in zip(srcs, groups) if gg == g]
             assert all(x == s for x in same)

@@ -29,7 +29,7 @@ from repro.analysis.streaming import (
 )
 from repro.net.addr import mask_u64
 from repro.net.packet import TCP, UDP, Packet, icmp_echo_request
-from tests.analysis.reference import detect_scans_reference
+from tests.analysis.reference import detect_scans_reference, sorted_by_time
 
 LENGTHS = (128, 64, 48, 0, 96)
 
@@ -62,7 +62,7 @@ def _random_records(rng, n, n_sources=12, n_dests=40, t_max=20_000.0,
 def _chunk_splits(rng, records, n_chunks):
     """Sort by time and cut into ``n_chunks`` contiguous slices (some
     possibly empty), the shape a day-boundary drain produces."""
-    records = records.sorted_by_time()
+    records = sorted_by_time(records)
     idx = np.arange(len(records))
     cuts = np.sort(rng.integers(0, len(records) + 1, size=n_chunks - 1))
     bounds = [0, *cuts.tolist(), len(records)]
@@ -164,7 +164,7 @@ class TestSessionTrackerEquivalence:
         records = _random_records(rng, 300)
         tracker = SessionTracker(source_length=64, min_targets=5,
                                  timeout=500.0)
-        tracker.feed(records.sorted_by_time())
+        tracker.feed(sorted_by_time(records))
         assert tracker.finish() == tracker.finish()
 
 

@@ -1,13 +1,14 @@
 """Chunked capture: ``capture_batch`` appends numpy chunks, ``to_records``
 concatenates them in arrival order, one-row batches and bursts alike;
-repeated freezes and captures after a freeze stay valid, and the day
+repeated freezes and captures after a freeze stay valid, the frozen
+``origin`` column stays aligned row for row with the records, and the day
 drain empties the buffer."""
 
 import numpy as np
 
 from repro.core.capture import CAPTURE_COLUMNS, PacketCapturer
 from repro.net.addr import IPv6Prefix
-from repro.net.batch import PacketBatch
+from repro.net.batch import UNKNOWN_ORIGIN, PacketBatch
 from repro.net.packet import icmp_echo_request
 from repro.obs.registry import MetricsRegistry, use_registry
 
@@ -95,10 +96,9 @@ class TestFreeze:
         assert len(r3) == 220
         assert np.array_equal(r3.ts[:150], first.ts)
         assert np.array_equal(r3.ts[150:], second.ts)
-        # The truth sidecar outlives every freeze, in arrival order.
-        truth = cap.to_truth()
-        assert np.array_equal(truth.ts, np.concatenate([first.ts,
-                                                        second.ts]))
+        # The origin column outlives every freeze, aligned with the rows.
+        assert np.array_equal(cap.to_truth(),
+                              np.concatenate([first.origin, second.origin]))
 
     def test_len_counts_frozen_and_buffered(self):
         rng = np.random.default_rng(3)
@@ -124,7 +124,7 @@ class TestDrainDayRecords:
                 getattr(day, col),
                 np.concatenate([getattr(b1, col), getattr(b2, col)])), col
         assert len(cap) == 0
-        assert len(cap.to_truth()) == 0
+        assert len(cap.to_records()) == len(cap.to_truth()) == 0
         assert len(cap.drain_day_records()) == 0
 
     def test_drain_flushes_scalar_tail(self):
@@ -133,3 +133,37 @@ class TestDrainDayRecords:
         cap.capture_batch(_row(1.0))
         day = cap.drain_day_records()
         assert len(day) == 1 and day.ts[0] == 1.0
+
+
+class TestAlignedOrigin:
+    """``to_truth()`` is one origin column aligned with ``to_records()``,
+    whatever mix of batches arrived and however they were transferred."""
+
+    def test_mixed_batches_freeze_and_transfer(self):
+        rng = np.random.default_rng(5)
+        parts = [_batch(rng, 40), _batch(rng, 25, with_origin=False),
+                 _batch(rng, 30), _batch(rng, 15, with_origin=False)]
+        source = PacketCapturer("src")
+        source.capture_batch(parts[0])
+        source.capture_batch(parts[1])
+        source.to_records()  # freeze mid-stream
+        source.capture_batch(parts[2])
+        source.capture_batch(parts[3])
+        moved = PacketCapturer("dst")
+        moved.extend_chunks(source.chunks())
+        expected = np.concatenate([
+            p.origin if p.origin is not None
+            else np.full(len(p), UNKNOWN_ORIGIN, dtype=np.int32)
+            for p in parts])
+        for cap in (source, moved):
+            records, origin = cap.to_records(), cap.to_truth()
+            assert len(origin) == len(records) == 110
+            assert origin.dtype == np.int32
+            assert np.array_equal(origin, expected)
+            assert np.array_equal((origin == UNKNOWN_ORIGIN).nonzero()[0],
+                                  np.r_[40:65, 95:110])
+            for col in CAPTURE_COLUMNS:
+                assert np.array_equal(
+                    getattr(records, col),
+                    np.concatenate([getattr(p, col) for p in parts])), col
+            assert not hasattr(records, "origin")

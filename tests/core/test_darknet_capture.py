@@ -7,6 +7,7 @@ from repro.core.darknet import DarknetTelescope
 from repro.net.addr import IPv6Prefix
 from repro.net.batch import PacketBatch
 from repro.net.packet import icmp_echo_request
+from tests.analysis.reference import src_addresses
 
 COVERING = IPv6Prefix.parse("2001:db8::/32")
 
@@ -67,7 +68,7 @@ class TestCapturer:
         capturer.capture_batch(_one(pkt))
         records = capturer.to_records()
         assert len(records) == 1
-        assert list(records.src_addresses()) == [pkt.src]
+        assert list(src_addresses(records)) == [pkt.src]
         assert list(records.dst_addresses()) == [pkt.dst]
         assert records.ts[0] == 3.5
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exec import ScenarioCache, freeze_result
+from repro.exec.cache import _manifest_digest, _sha256
 from repro.obs import MetricsRegistry, use_registry
 from repro.sim import ScenarioConfig, run_scenario
 
@@ -43,8 +44,9 @@ class TestStoreLoad:
             assert np.array_equal(original.src_lo, restored.src_lo)
             assert np.array_equal(original.dport, restored.dport)
         assert set(loaded.truth) == set(tiny_result.truth)
-        for name, truth in tiny_result.truth.items():
-            assert np.array_equal(truth.origin, loaded.truth[name].origin)
+        for name, origin in tiny_result.truth.items():
+            assert np.array_equal(origin, loaded.truth[name])
+            assert loaded.truth[name].dtype == np.int32
         assert loaded.config == TINY
         assert loaded.honeyprefixes.keys() == tiny_result.honeyprefixes.keys()
         # The frozen scenario still supports the experiment-facing surface.
@@ -105,6 +107,53 @@ class TestInvalidation:
         manifest["cache_schema"] = -1
         manifest_path.write_text(json.dumps(manifest))
         assert cache.load(TINY) is None
+
+
+class TestOriginColumn:
+    def test_origin_roundtrip_aligned_with_records(self, tmp_path,
+                                                   tiny_result):
+        cache = ScenarioCache(tmp_path)
+        entry = cache.store(tiny_result)
+        manifest = json.loads((entry / "manifest.json").read_text())
+        assert sorted(manifest["truth"]) == [
+            "origin-NT-A.npy", "origin-NT-B.npy", "origin-NT-C.npy"]
+        assert set(manifest["truth"]) <= set(manifest["files"])
+        loaded = cache.load(TINY)
+        for name, records in loaded.telescopes().items():
+            origin = loaded.truth[name]
+            assert origin.dtype == np.int32
+            assert len(origin) == len(records)
+            assert np.array_equal(origin, tiny_result.truth[name])
+
+    def test_schema1_truth_tables_are_a_miss(self, tmp_path, tiny_result):
+        """An entry in the schema-1 layout (six-column truth tables beside
+        the records, self-checksummed) loads as a miss, never as a
+        result."""
+        cache = ScenarioCache(tmp_path)
+        entry = cache.store(tiny_result)
+        manifest = json.loads((entry / "manifest.json").read_text())
+        del manifest["manifest_sha256"]
+        truth_files = {}
+        for filename, name in manifest.pop("truth").items():
+            records = tiny_result.telescopes()[name]
+            (entry / filename).unlink()
+            del manifest["files"][filename]
+            legacy = f"truth-{name}.npz"
+            np.savez_compressed(
+                entry / legacy, ts=records.ts, src_hi=records.src_hi,
+                src_lo=records.src_lo, dst_hi=records.dst_hi,
+                dst_lo=records.dst_lo, origin=tiny_result.truth[name])
+            manifest["files"][legacy] = _sha256(entry / legacy)
+            truth_files[legacy] = name
+        manifest["truth"] = truth_files
+        manifest["cache_schema"] = 1
+        manifest["manifest_sha256"] = _manifest_digest(manifest)
+        (entry / "manifest.json").write_text(json.dumps(manifest))
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            assert cache.load(TINY) is None
+            assert not cache.probe(TINY)
+        assert registry.snapshot()["counters"]["scenario.cache.invalid"] == 1
 
 
 class TestCorruptionRecovery:

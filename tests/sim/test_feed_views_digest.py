@@ -42,7 +42,7 @@ def digests() -> tuple[str, str]:
         records.update(f"{name}:{len(telescope)};".encode())
         for column in COLUMNS:
             records.update(np.ascontiguousarray(getattr(telescope, column)))
-        records.update(np.ascontiguousarray(result.truth[name].origin))
+        records.update(np.ascontiguousarray(result.truth[name]))
     journal = hashlib.sha256(buffer.getvalue().encode())
     return records.hexdigest(), journal.hexdigest()
 
