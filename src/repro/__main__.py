@@ -30,8 +30,9 @@ invocation):
 * ``--cache[=DIR]`` — reuse/store the scenario result in an on-disk cache
   (default ``.cache``); ``--no-cache`` ignores any configured cache;
 * ``--checkpoint[=DIR]`` — save a resumable engine-state checkpoint every
-  ``--checkpoint-every`` days (default dir ``.checkpoints``); ``--resume``
-  picks up from the last checkpoint instead of starting at day zero.
+  ``--checkpoint-every`` days (default dir ``.checkpoints``), one file
+  per config and run mode; a rerun picks up from its mode's last usable
+  checkpoint instead of starting at day zero.
 
 ``experiment`` takes ``--jobs N`` to render report sections in ``N``
 worker processes (the report bytes do not depend on N).
@@ -144,15 +145,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        const=DEFAULT_CHECKPOINT_DIR, default=None,
                        metavar="DIR",
                        help="save a resumable checkpoint every "
-                            "--checkpoint-every days into DIR (default "
+                            "--checkpoint-every days into DIR and resume "
+                            "from it on a rerun (default "
                             f"{DEFAULT_CHECKPOINT_DIR})")
         p.add_argument("--checkpoint-every", type=_positive_int,
                        default=DEFAULT_CHECKPOINT_EVERY, metavar="DAYS",
                        help="checkpoint cadence in days (default "
                             f"{DEFAULT_CHECKPOINT_EVERY})")
-        p.add_argument("--resume", action="store_true",
-                       help="resume from the last usable checkpoint in "
-                            "the --checkpoint directory")
 
     run_p = sub.add_parser("run", help="run the scenario, print headlines")
     run_p.add_argument("--stream", action="store_true",
@@ -253,17 +252,15 @@ def _streams(args) -> bool:
 
 
 def _mode_conflict(args) -> str | None:
-    """First mutually-exclusive option combination as a one-line message,
-    or None when the requested mode set is coherent.
+    """The refused option combination (a streaming run with a cache) as
+    a one-line message, or None when the requested mode set is coherent.
 
-    Centralising the refusals keeps every combination to the same
-    contract: one ``error:`` line on stderr, exit status 2, no traceback.
+    The refusal keeps the CLI contract: one ``error:`` line on stderr,
+    exit status 2, no traceback.
     """
     if _streams(args) and _cache_dir(args) is not None:
         return ("--stream is incompatible with --cache (streaming runs "
                 "produce no record bundle to cache)")
-    if args.resume and not args.checkpoint:
-        return "--resume requires --checkpoint (nothing to resume from)"
     return None
 
 
@@ -274,7 +271,6 @@ def _scenario(args) -> object:
         _config(args), cache_dir=_cache_dir(args),
         checkpoint_dir=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
         stream_analysis=getattr(args, "stream", False),
         observe_dir=getattr(args, "observe", None),
     )
@@ -309,7 +305,6 @@ def _observe(args) -> int:
         result = run_scenario(
             _config(args), checkpoint_dir=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
-            resume=args.resume,
             observe_dir=args.data,
         )
         summary = result.observatory

@@ -12,7 +12,7 @@ data-parallel + artifact-cache tier:
   (``table4``/``fig7``/``fig8``/``fig10``);
 * the checkpoint layer in :mod:`repro.exec.freeze` —
   :func:`save_checkpoint`/:func:`load_checkpoint`, resumable engine-state
-  snapshots at day boundaries (``--checkpoint``/``--resume``).
+  snapshots at day boundaries, one file per run mode (``--checkpoint``).
 
 All of them uphold one determinism contract: output bytes depend only on the
 configuration (seeds included), never on ``jobs``, worker identity, or

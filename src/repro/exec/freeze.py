@@ -106,7 +106,7 @@ def freeze_result(result):
 # would hold at the same day boundary.
 
 #: Bump when the checkpoint layout changes; mismatched files are ignored
-#: (the resume falls back to a fresh run rather than crashing).
+#: (the run starts from day zero rather than crashing).
 #: 2: added ``streaming`` (open analyzer state for ``stream_analysis``).
 #: 3: added ``observatory`` (observer cursor for ``observe_dir`` runs).
 #: 4: scan trackers keep their open sessions as columns.
@@ -134,22 +134,36 @@ class ScenarioCheckpoint:
     journal_records: list
     #: ``stream_analysis`` runs only: telescope name ->
     #: :class:`~repro.analysis.streaming.StreamAnalyzer` mid-run (open
-    #: sessions and closed events).  None for batch runs — a
-    #: checkpoint can only resume into the mode that wrote it.
+    #: sessions and closed events).  None for batch runs.
     streaming: dict | None = None
     #: ``observe_dir`` runs only: the
     #: :class:`~repro.observatory.observer.ObservatoryState` cursor
     #: (seen-source sets, cumulative event counts, honeyprefix first
-    #: contacts) at the boundary.  Same mode-pairing rule as streaming.
+    #: contacts) at the boundary.
     observatory: object | None = None
 
 
-def checkpoint_path(directory, config) -> Path:
-    """Where ``config``'s checkpoint lives: one file per config hash, so
-    concurrent runs of different configs never clobber each other."""
+def checkpoint_mode(checkpoint: ScenarioCheckpoint) -> str:
+    """The run mode (``"batch"``, ``"stream"`` or ``"observe"``) a
+    checkpoint's fields say it was written by.
+
+    Each mode has its own checkpoint file: a batch checkpoint carries
+    chunks a streaming run never analyzes, a streaming one carries
+    analyzer state a batch run would drop, and only an observe one
+    carries the observatory cursor.
+    """
+    if checkpoint.observatory is not None:
+        return "observe"
+    return "batch" if checkpoint.streaming is None else "stream"
+
+
+def checkpoint_path(directory, config, mode: str) -> Path:
+    """Where ``config``'s checkpoint in run ``mode`` lives: one file per
+    config hash and mode, so concurrent runs of different configs never
+    clobber each other and one mode never loads another's state."""
     from repro.obs import config_hash
 
-    return Path(directory) / f"{config_hash(config)}.ckpt"
+    return Path(directory) / f"{config_hash(config)}-{mode}.ckpt"
 
 
 def capture_checkpoint(scenario, next_day: int, journal_records,
@@ -177,9 +191,10 @@ def capture_checkpoint(scenario, next_day: int, journal_records,
 
 def save_checkpoint(directory, checkpoint: ScenarioCheckpoint,
                     config) -> Path:
-    """Atomically persist a checkpoint (write-then-rename, so a process
-    killed mid-write can never corrupt the previous good checkpoint)."""
-    path = checkpoint_path(directory, config)
+    """Atomically persist a checkpoint under its own mode's file
+    (write-then-rename, so a process killed mid-write can never corrupt
+    the previous good checkpoint)."""
+    path = checkpoint_path(directory, config, checkpoint_mode(checkpoint))
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".ckpt.tmp")
     with open(tmp, "wb") as stream:
@@ -188,17 +203,20 @@ def save_checkpoint(directory, checkpoint: ScenarioCheckpoint,
     return path
 
 
-def load_checkpoint(directory, config) -> ScenarioCheckpoint | None:
-    """Load ``config``'s checkpoint, or None when no usable one exists.
+def load_checkpoint(directory, config,
+                    mode: str) -> ScenarioCheckpoint | None:
+    """Load ``config``'s checkpoint in run ``mode``, or None when no
+    usable one exists.
 
     Missing, torn, stale-version, or wrong-protocol files all return
-    None — a resume then simply starts from day zero, which is always
-    correct, just slower.
+    None, and so does a file whose fields belong to another mode (a
+    renamed file) — the run then simply starts from day zero, which is
+    always correct, just slower.
     """
     from repro import __version__
     from repro.obs import config_hash
 
-    path = checkpoint_path(directory, config)
+    path = checkpoint_path(directory, config, mode)
     if not path.exists():
         return None
     try:
@@ -209,7 +227,8 @@ def load_checkpoint(directory, config) -> ScenarioCheckpoint | None:
     if (not isinstance(checkpoint, ScenarioCheckpoint)
             or checkpoint.protocol != CHECKPOINT_PROTOCOL
             or checkpoint.repro_version != __version__
-            or checkpoint.config_hash != config_hash(config)):
+            or checkpoint.config_hash != config_hash(config)
+            or checkpoint_mode(checkpoint) != mode):
         return None
     return checkpoint
 

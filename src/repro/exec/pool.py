@@ -1,13 +1,13 @@
 """Process-pool experiment executor.
 
-:func:`run_experiments` is the parallel counterpart of
-:func:`repro.experiments.report.run_all`: it partitions the selected
-experiment ids into *standalone* drivers (fig1/fig2/fig13, table2/5/6/7 —
-they build their own CDN vantage or need no data at all) and *scenario*
-consumers (everything analyzing the shared telescope run), obtains the
-scenario result once (from the on-disk cache when one is configured),
-and fans the per-experiment report sections out over a
-``ProcessPoolExecutor``.
+:func:`run_experiments` renders the consolidated report: it partitions
+the selected experiment ids into *standalone* drivers (fig1/fig2/fig13,
+table2/5/6/7 — they build their own CDN vantage or need no data at all)
+and *scenario* consumers (everything analyzing the shared telescope run),
+obtains the scenario result once (from the on-disk cache when one is
+configured), and renders the per-experiment report sections inline
+(``jobs=1``) or fanned out through
+:func:`~repro.exec.parallel.parallel_map`.
 
 Determinism contract
 --------------------
@@ -24,16 +24,16 @@ The combined report is **byte-identical for every ``jobs`` value**:
 Telemetry from worker processes is not lost: each worker installs its own
 :class:`MetricsRegistry`/:class:`Tracer` when the parent has them enabled
 and ships a snapshot back; the parent folds the snapshots in via
-:meth:`MetricsRegistry.merge` and re-parents the worker spans under one
-``executor`` root span (:meth:`Tracer.adopt`).
+:meth:`MetricsRegistry.merge`, in task order, and re-parents the worker
+spans under one ``executor`` root span (:meth:`Tracer.adopt`).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
 from repro.exec.freeze import freeze_result
+from repro.exec.parallel import parallel_map
 from repro.obs import MetricsRegistry, Tracer, get_registry, get_tracer
 from repro.sim.runner import ScenarioResult, run_scenario
 
@@ -160,29 +160,21 @@ def run_experiments(
         # their submissions are cheapest and fill workers while the
         # (larger) frozen-result pickles stream out.
         order = [*standalone, *scenario_ids]
-        with tracer.span("executor", jobs=jobs, sections=len(ids)) as root, \
-                ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
-            futures = {
-                pool.submit(
-                    _render_in_worker,
-                    experiment_id,
-                    frozen if EXPERIMENTS[experiment_id][1] else None,
-                    registry.enabled,
-                    tracer.enabled,
-                    inner_jobs,
-                ): experiment_id
-                for experiment_id in order
-            }
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    outcome = future.result()
-                    sections[outcome.experiment_id] = outcome.text
-                    if outcome.metrics is not None:
-                        registry.merge(outcome.metrics)
-                    if outcome.spans:
-                        tracer.adopt(outcome.spans, parent=root)
+        with tracer.span("executor", jobs=jobs, sections=len(ids)) as root:
+            outcomes = parallel_map(
+                _render_in_worker,
+                [(experiment_id,
+                  frozen if EXPERIMENTS[experiment_id][1] else None,
+                  registry.enabled, tracer.enabled, inner_jobs)
+                 for experiment_id in order],
+                jobs=jobs,
+            )
+            for outcome in outcomes:
+                sections[outcome.experiment_id] = outcome.text
+                if outcome.metrics is not None:
+                    registry.merge(outcome.metrics)
+                if outcome.spans:
+                    tracer.adopt(outcome.spans, parent=root)
 
     header = render_header(result)
     report = header + "".join(sections[experiment_id] for experiment_id in ids)

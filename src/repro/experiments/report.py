@@ -1,15 +1,12 @@
-"""Run the full reproduction and write one consolidated report.
+"""The consolidated report's building blocks: header and sections.
 
-``run_all`` executes every registered experiment (sharing one scenario run
-for the scenario-driven ones) and returns/writes the concatenated rendered
-rows — the whole paper's evaluation in a single text artifact.  The CLI
-exposes it as ``python -m repro experiment all``.
-
-The report is assembled from per-experiment *sections*
-(:func:`render_section`), each independent of the others, so the parallel
-executor (:mod:`repro.exec.pool`) can render sections in worker processes
-and concatenate them in id order — producing the exact bytes the serial
-path produces.
+The report (``python -m repro experiment all``, assembled by
+:func:`repro.exec.pool.run_experiments`) is the whole paper's evaluation
+in one text artifact: :func:`render_header` followed by one
+per-experiment *section* (:func:`render_section`) per selected id.  Each
+section is independent of the others, so the executor can render them in
+worker processes and concatenate them in id order — producing the exact
+bytes the serial path produces.
 """
 
 from __future__ import annotations
@@ -77,33 +74,3 @@ def render_section(
     buffer.write("\n")
     return buffer.getvalue()
 
-
-def run_all(
-    result: ScenarioResult | None = None,
-    experiment_ids: list[str] | None = None,
-    output_path=None,
-) -> str:
-    """Run every (or the named) experiments; return the combined report.
-
-    ``result`` is required when any selected experiment is
-    scenario-driven.  When ``output_path`` is given the report is also
-    written there.
-    """
-    ids = experiment_ids or list(EXPERIMENTS)
-    unknown = [i for i in ids if i not in EXPERIMENTS]
-    if unknown:
-        raise KeyError(f"unknown experiment ids: {unknown}")
-    needs_scenario = [i for i in ids if EXPERIMENTS[i][1]]
-    if needs_scenario and result is None:
-        raise ValueError(
-            f"experiments {needs_scenario} need a ScenarioResult; pass one"
-        )
-    buffer = io.StringIO()
-    buffer.write(render_header(result))
-    for experiment_id in ids:
-        buffer.write(render_section(experiment_id, result))
-    report = buffer.getvalue()
-    if output_path is not None:
-        with open(output_path, "w") as stream:
-            stream.write(report)
-    return report

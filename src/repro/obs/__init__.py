@@ -2,8 +2,8 @@
 
 Three cooperating layers, each process-wide and disabled by default:
 
-* **metrics** (:mod:`repro.obs.registry`) — counters, gauges, histograms,
-  stage timings.  Components bind their metric objects at construction
+* **metrics** (:mod:`repro.obs.registry`) — counters, gauges, stage
+  timings.  Components bind their metric objects at construction
   time, so enable metrics *before* building the scenario.
 * **tracing** (:mod:`repro.obs.trace`) — nested spans with attributes,
   exportable as Chrome/Perfetto trace-event JSON plus a self-time table.
@@ -46,7 +46,6 @@ from repro.obs.journal import (
 from repro.obs.registry import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     NullRegistry,
     NULL_REGISTRY,
@@ -71,7 +70,6 @@ from repro.obs.trace import (
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "JOURNAL_SCHEMA_VERSION",
     "Journal",
     "JournalError",

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, histograms, stage timings.
+"""The metrics registry: counters, gauges, stage timings.
 
 Single-threaded fast path: metrics are plain Python objects mutated without
 locks (the simulator is single-threaded; a multi-threaded deployment would
@@ -15,9 +15,8 @@ off.  Components bind their metric objects at construction time via
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Iterator
 
 
 class Counter:
@@ -50,86 +49,6 @@ class Gauge:
 
     def dec(self, n: int | float = 1) -> None:
         self.value -= n
-
-
-#: Default histogram bucket edges: log decades covering microseconds to
-#: kiloseconds — a sensible span for durations in seconds.
-DEFAULT_EDGES: tuple[float, ...] = tuple(10.0 ** e for e in range(-6, 4))
-
-
-class Histogram:
-    """A fixed-bucket histogram with quantile estimation.
-
-    Bucket ``i`` holds observations in ``(edges[i-1], edges[i]]``; bucket
-    ``len(edges)`` is the overflow bucket.  Quantiles are estimated by
-    linear interpolation inside the owning bucket (clamped to the observed
-    min/max for the open-ended end buckets), so an estimate is never off by
-    more than one bucket width from the empirical percentile.
-    """
-
-    __slots__ = ("name", "edges", "counts", "count", "sum", "min", "max")
-
-    def __init__(self, name: str, edges: Sequence[float] | None = None):
-        self.name = name
-        if edges is None:
-            edges = DEFAULT_EDGES
-        self.edges = tuple(float(e) for e in edges)
-        if list(self.edges) != sorted(set(self.edges)):
-            raise ValueError("bucket edges must be strictly increasing")
-        if not self.edges:
-            raise ValueError("a histogram needs at least one bucket edge")
-        self.counts = [0] * (len(self.edges) + 1)
-        self.count = 0
-        self.sum = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-
-    def observe(self, value: float) -> None:
-        self.counts[bisect_left(self.edges, value)] += 1
-        self.count += 1
-        self.sum += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def _bucket_bounds(self, index: int) -> tuple[float, float]:
-        lo = self.edges[index - 1] if index > 0 else min(self.min, self.edges[0])
-        hi = self.edges[index] if index < len(self.edges) else self.max
-        return lo, max(hi, lo)
-
-    def quantile(self, q: float) -> float:
-        """Estimate the ``q``-quantile (numpy's linear-interpolation rank)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be within [0, 1], got {q!r}")
-        if self.count == 0:
-            return float("nan")
-        if q == 0.0:
-            return self.min
-        if q == 1.0:
-            return self.max
-        rank = q * (self.count - 1)
-        cumulative = 0
-        for i, n in enumerate(self.counts):
-            if n == 0:
-                continue
-            if cumulative + n > rank:
-                lo, hi = self._bucket_bounds(i)
-                frac = (rank - cumulative) / n
-                estimate = lo + (hi - lo) * frac
-                return min(max(estimate, self.min), self.max)
-            cumulative += n
-        return self.max
-
-    def snapshot(self) -> dict:
-        return {
-            "edges": list(self.edges),
-            "counts": list(self.counts),
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-        }
 
 
 class Timing:
@@ -191,22 +110,6 @@ class _NullGauge:
         pass
 
 
-class _NullHistogram:
-    __slots__ = ()
-    name = "null"
-    edges: tuple[float, ...] = ()
-    count = 0
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def quantile(self, q: float) -> float:
-        return float("nan")
-
-    def snapshot(self) -> dict:
-        return {}
-
-
 class _NullTiming:
     __slots__ = ()
     name = "null"
@@ -222,7 +125,6 @@ class _NullTiming:
 
 _NULL_COUNTER = _NullCounter()
 _NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
 _NULL_TIMING = _NullTiming()
 
 
@@ -234,7 +136,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
         self._timings: dict[str, Timing] = {}
 
     # -- get-or-create ---------------------------------------------------
@@ -249,16 +150,6 @@ class MetricsRegistry:
         metric = self._gauges.get(name)
         if metric is None:
             metric = self._gauges[name] = Gauge(name)
-        return metric
-
-    def histogram(self, name: str,
-                  edges: Sequence[float] | None = None) -> Histogram:
-        metric = self._histograms.get(name)
-        if metric is None:
-            metric = self._histograms[name] = Histogram(name, edges)
-        elif edges is not None and tuple(float(e) for e in edges) != metric.edges:
-            raise ValueError(f"histogram {name!r} already exists with "
-                             f"different bucket edges")
         return metric
 
     def timing(self, name: str) -> Timing:
@@ -279,9 +170,6 @@ class MetricsRegistry:
 
         * **counters** — summed;
         * **timings** — counts and totals summed, min/max folded;
-        * **histograms** — per-bucket counts summed (bucket edges must
-          match — a mismatch raises, the same rule :meth:`histogram`
-          enforces within one process);
         * **gauges** — last write wins (the merged-in snapshot overrides),
           since a gauge is a point-in-time reading, not an accumulation.
 
@@ -299,19 +187,6 @@ class MetricsRegistry:
                 timing.total += stats["total"]
                 timing.min = min(timing.min, stats["min"])
                 timing.max = max(timing.max, stats["max"])
-        for name, stats in snap.get("histograms", {}).items():
-            if not stats:
-                continue
-            # histogram() raises on a bucket-edge mismatch, the same rule
-            # it enforces for same-name histograms within one process.
-            histogram = self.histogram(name, stats["edges"])
-            for i, count in enumerate(stats["counts"]):
-                histogram.counts[i] += count
-            histogram.count += stats["count"]
-            histogram.sum += stats["sum"]
-            if stats["count"]:
-                histogram.min = min(histogram.min, stats["min"])
-                histogram.max = max(histogram.max, stats["max"])
         return self
 
     # -- export ----------------------------------------------------------
@@ -325,8 +200,6 @@ class MetricsRegistry:
                        for n in sorted(self._gauges)},
             "timings": {n: self._timings[n].snapshot()
                         for n in sorted(self._timings)},
-            "histograms": {n: self._histograms[n].snapshot()
-                           for n in sorted(self._histograms)},
         }
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -352,16 +225,11 @@ class MetricsRegistry:
                 f"  {name:<{width}}  {stats['total']:>12.3f}s  "
                 f"(n={stats['count']}, mean {stats['mean'] * 1e3:.2f} ms)"
             )
-        for name, stats in snap["histograms"].items():
-            lines.append(
-                f"  {name:<{width}}  n={stats['count']} sum={stats['sum']:.4g}"
-            )
         return "\n".join(lines)
 
     def reset(self) -> None:
         self._counters.clear()
         self._gauges.clear()
-        self._histograms.clear()
         self._timings.clear()
 
 
@@ -375,10 +243,6 @@ class NullRegistry(MetricsRegistry):
 
     def gauge(self, name: str) -> Gauge:
         return _NULL_GAUGE  # type: ignore[return-value]
-
-    def histogram(self, name: str,
-                  edges: Sequence[float] | None = None) -> Histogram:
-        return _NULL_HISTOGRAM  # type: ignore[return-value]
 
     def timing(self, name: str) -> Timing:
         return _NULL_TIMING  # type: ignore[return-value]

@@ -41,8 +41,8 @@ never lose its artifacts to the sweep that its own store triggered.
 Shutdown: ``close(drain=True)`` stops admitting, then waits for in-flight
 runs to finish.  ``close(drain=False)`` abandons queued work; runs
 launched with a ``checkpoint_dir`` have their cadence checkpoints on
-disk, so a later service picks them up with ``resume`` semantics instead
-of recomputing from day zero.
+disk, so a later service resumes from them instead of recomputing from
+day zero.
 """
 
 from __future__ import annotations
@@ -139,10 +139,10 @@ def _execute_run(config_fields: dict, cache_dir: str, journal_path: str,
     Module-level and picklable.  Installs a fresh registry and a
     line-buffered journal (the parent tails the file while this runs),
     then runs the scenario through the shared cache so the result lands
-    as a verified entry.  ``resume=True`` whenever checkpointing is on:
-    a worker re-dispatched after a crash fast-forwards from the last
-    cadence checkpoint and replays the journal history, keeping the
-    progress stream byte-compatible with an uninterrupted run.
+    as a verified entry.  A checkpointed run always resumes: a worker
+    re-dispatched after a crash fast-forwards from the last cadence
+    checkpoint and replays the journal history, keeping the progress
+    stream byte-compatible with an uninterrupted run.
     """
     from repro.sim.runner import run_scenario
 
@@ -155,7 +155,6 @@ def _execute_run(config_fields: dict, cache_dir: str, journal_path: str,
                 config, cache_dir=cache_dir,
                 checkpoint_dir=checkpoint_dir,
                 checkpoint_every=checkpoint_every,
-                resume=checkpoint_dir is not None,
             )
         return {
             "telemetry": registry.snapshot(),

@@ -144,7 +144,6 @@ def run_scenario(
     *,
     checkpoint_dir=None,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-    resume: bool = False,
     abort_after_day: int | None = None,
     stream_analysis: bool = False,
     observe_dir=None,
@@ -172,10 +171,15 @@ def run_scenario(
     — the non-negotiable determinism contract):
 
     * ``checkpoint_dir`` saves a resumable engine-state checkpoint every
-      ``checkpoint_every`` days; with ``resume=True`` a usable checkpoint
-      is loaded, the covered days are fast-forwarded without re-emitting
-      a single packet, and the journal records emitted before the
-      checkpoint are replayed verbatim into the active journal.
+      ``checkpoint_every`` days, one file per config and run mode
+      (batch, stream or observe).  A run with ``checkpoint_dir`` always
+      resumes from a usable checkpoint of its own mode: the covered days
+      are fast-forwarded without re-emitting a single packet, and the
+      journal records emitted before the checkpoint are replayed
+      verbatim into the active journal.  With no usable checkpoint (none
+      yet, torn, stale, or an observe checkpoint whose ``observe_dir``
+      lacks a day file before it) the run starts at day zero; a verified
+      ``cache_dir`` entry is loaded in preference to any checkpoint.
     * ``abort_after_day=N`` raises :class:`SimulationAborted` once day N
       has completed (fed to the analyzers and the observatory, and
       checkpointed if N + 1 is a cadence day): an aborted run's journal
@@ -193,9 +197,10 @@ def run_scenario(
     time here and the whole run at once by ``detect_scans``, so the
     result's :attr:`ScenarioResult.streaming` summaries carry events
     element-identical to batch detection over the batch records; the
-    record columns come back empty.  Streaming composes with ``checkpoint_dir`` (open analyzer
-    state rides in the checkpoint); it is incompatible with
-    ``cache_dir`` (the cache stores record bundles).
+    record columns come back empty.  Streaming composes with
+    ``checkpoint_dir`` (open analyzer state rides in the checkpoint); it
+    is incompatible with ``cache_dir`` (the cache stores record bundles),
+    the one refused combination.
 
     ``observe_dir`` adds the longitudinal observatory
     (:mod:`repro.observatory`) to a streaming run, and turns streaming on
@@ -212,48 +217,42 @@ def run_scenario(
         raise ValueError(
             "stream_analysis runs produce no record bundle to cache; "
             "drop cache_dir or stream_analysis")
+    mode = ("observe" if observe_dir is not None
+            else "stream" if stream_analysis else "batch")
     registry = get_registry()
+    cache = None
+    if cache_dir is not None:
+        from repro.exec.cache import ScenarioCache
+
+        cache = ScenarioCache(cache_dir)
 
     checkpoint = None
-    if resume and checkpoint_dir is not None:
+    if checkpoint_dir is not None:
         from repro.exec.freeze import load_checkpoint
 
-        checkpoint = load_checkpoint(checkpoint_dir, config)
-        if checkpoint is not None:
-            # A checkpoint can only resume into the mode that wrote it:
-            # batch checkpoints carry chunks the streaming path would
-            # never analyze, streaming ones carry analyzer state the
-            # batch path would silently drop.
-            if stream_analysis and checkpoint.streaming is None:
-                raise ValueError(
-                    "cannot resume a batch-mode checkpoint with "
-                    "stream_analysis=True")
-            if not stream_analysis and checkpoint.streaming is not None:
-                raise ValueError(
-                    "cannot resume a stream_analysis checkpoint without "
-                    "stream_analysis=True")
-            # Same pairing rule for the observatory cursor: its seen-source
-            # sets and event counters only mean anything to a run that
-            # keeps observing, and a run that observes cannot start from a
-            # checkpoint that never tracked them.
-            if observe_dir is not None and checkpoint.observatory is None:
-                raise ValueError(
-                    "cannot resume a non-observatory checkpoint with "
-                    "observe_dir set")
-            if observe_dir is None and checkpoint.observatory is not None:
-                raise ValueError(
-                    "cannot resume an observatory checkpoint without "
-                    "observe_dir")
+        checkpoint = load_checkpoint(checkpoint_dir, config, mode)
+        if (checkpoint is not None and cache is not None
+                and cache.probe(config)):
+            # A completed run leaves its last cadence checkpoint behind;
+            # its verified cache entry is the cheaper way to the result.
+            checkpoint = None
+        if checkpoint is not None and observe_dir is not None:
+            # The observatory rebuilds observations.jsonl from the day
+            # files before the checkpoint; without all of them (say, a
+            # fresh directory) the run starts over.
+            from repro.observatory import day_file_path
+
+            if not all(day_file_path(observe_dir, day).exists()
+                       for day in range(checkpoint.next_day)):
+                checkpoint = None
 
     streams = None
     if stream_analysis:
         from repro.analysis.streaming import StreamAnalyzer
 
-        if checkpoint is not None and checkpoint.streaming is not None:
-            streams = checkpoint.streaming
-        else:
-            streams = {name: StreamAnalyzer(name)
-                       for name in ("NT-A", "NT-B", "NT-C")}
+        streams = (checkpoint.streaming if checkpoint is not None
+                   else {name: StreamAnalyzer(name)
+                         for name in ("NT-A", "NT-B", "NT-C")})
 
     # With checkpointing on, wrap the active journal in a recorder for the
     # duration of the run: checkpoints then carry every record emitted so
@@ -265,17 +264,13 @@ def run_scenario(
     observatory = None
     try:
         journal = get_journal()
-        cache = None
         if checkpoint is None:
             # The manifest opens the journal whether the run simulates or
             # loads from cache: a warm run stays auditable from artifacts.
             journal.emit(
                 "run_manifest",
                 **RunManifest.from_config(config).to_record_fields())
-            if cache_dir is not None:
-                from repro.exec.cache import ScenarioCache
-
-                cache = ScenarioCache(cache_dir)
+            if cache is not None:
                 with stage("run_scenario.cached",
                            days=config.duration_days, seed=config.seed):
                     cached = cache.load(config)
@@ -286,10 +281,6 @@ def run_scenario(
             # manifest included) are the journal's opening lines, and the
             # cache is only consulted for storage at the end.
             journal.replay(checkpoint.journal_records)
-            if cache_dir is not None:
-                from repro.exec.cache import ScenarioCache
-
-                cache = ScenarioCache(cache_dir)
         start_day = checkpoint.next_day if checkpoint is not None else 0
 
         if observe_dir is not None:

@@ -13,7 +13,6 @@ from repro.exec import (
     run_experiments,
 )
 from repro.experiments import EXPERIMENTS
-from repro.experiments.report import run_all
 
 #: A fast mixed selection: two standalone drivers, two scenario consumers
 #: (one of them jobs-aware).
@@ -45,11 +44,6 @@ class TestIdHandling:
 
 
 class TestDeterminism:
-    def test_serial_matches_run_all(self, small_result):
-        expected = run_all(small_result, experiment_ids=MIXED_IDS)
-        actual = run_experiments(ids=MIXED_IDS, result=small_result, jobs=1)
-        assert actual == expected
-
     def test_jobs2_matches_serial(self, small_result):
         expected = run_experiments(ids=MIXED_IDS, result=small_result, jobs=1)
         actual = run_experiments(ids=MIXED_IDS, result=small_result, jobs=2)

@@ -1,41 +1,13 @@
-"""Tests for the run-all report driver and result-class details."""
+"""Tests for result-class details and the ``experiment all`` CLI."""
 
 import pytest
 
 from repro.experiments import (
-    EXPERIMENTS,
     fig1,
     fig2,
     table1,
     table3,
 )
-from repro.experiments.report import run_all
-
-
-class TestRunAll:
-    def test_standalone_subset(self, tmp_path):
-        path = tmp_path / "report.txt"
-        report = run_all(experiment_ids=["table2", "table7", "fig13"],
-                         output_path=path)
-        assert "## table2" in report
-        assert "## table7" in report
-        assert "## fig13" in report
-        assert path.read_text() == report
-
-    def test_requires_scenario_when_needed(self):
-        with pytest.raises(ValueError, match="ScenarioResult"):
-            run_all(experiment_ids=["table1"])
-
-    def test_unknown_id(self):
-        with pytest.raises(KeyError):
-            run_all(experiment_ids=["bogus"])
-
-    def test_full_report(self, small_result, tmp_path):
-        path = tmp_path / "full.txt"
-        report = run_all(small_result, output_path=path)
-        for experiment_id in EXPERIMENTS:
-            assert f"## {experiment_id}" in report
-        assert "# scenario:" in report
 
 
 class TestResultClassDetails:

@@ -1,7 +1,8 @@
 """Golden digests for the rendered report.
 
 The CDN sections (Figs 1, 2, 13 and Table 6) are pinned per seed, and the
-full ``run_all`` report over the shared scenario fixture is pinned whole.
+full ``run_experiments`` report over the shared scenario fixture is
+pinned whole.
 The digests were computed before the CDN vantage became columnar and
 shared per process; a render must still reproduce them byte for byte.
 
@@ -16,10 +17,10 @@ import hashlib
 import pytest
 
 from bench.workloads import REPORT
+from repro.exec import run_experiments
 from repro.experiments import (
     fig1, fig2, fig5, fig9, fig11, fig13, fig14, table1, table3, table6,
 )
-from repro.experiments.report import run_all
 from repro.sim import ScenarioConfig, run_scenario
 
 CDN_SHA256 = {
@@ -88,4 +89,4 @@ def test_source_section_digest(report_result, name):
 
 
 def test_full_report_digest(small_result):
-    assert sha256(run_all(small_result)) == REPORT_SHA256
+    assert sha256(run_experiments(result=small_result)) == REPORT_SHA256

@@ -156,7 +156,7 @@ class TestCrashTolerance:
         # are rewritten byte-identically and the tail just continues.
         with use_journal(Journal(str(journal_path))) as journal:
             run_scenario(_config(), checkpoint_dir=ckpt,
-                         checkpoint_every=CADENCE, resume=True)
+                         checkpoint_every=CADENCE)
             journal.close()
         rest = tail.poll()
         assert first + rest == baseline_records

@@ -1,24 +1,18 @@
 """Property and unit tests for the metrics layer (`repro.obs`).
 
-The histogram's quantile estimator is checked against ``np.percentile`` on
-randomized samples (the estimate must land within one bucket width of the
-empirical percentile), snapshots must round-trip through JSON, and stage
-timings must nest safely — including two live stages of the *same* name.
+Snapshots must round-trip through JSON, and stage timings must nest
+safely — including two live stages of the *same* name.
 """
 
 import json
-import math
 import time
-from bisect import bisect_left
 
-import numpy as np
 import pytest
 
 from repro.obs import (
     NULL_REGISTRY,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     NullRegistry,
     Timing,
@@ -27,99 +21,6 @@ from repro.obs import (
     stage,
     use_registry,
 )
-
-
-def _bucket_width(edges, value):
-    """Width of the bucket that owns ``value`` (inf for the open ends)."""
-    i = bisect_left(edges, value)
-    if i == 0 or i == len(edges):
-        return float("inf")
-    return edges[i] - edges[i - 1]
-
-
-class TestHistogramQuantiles:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_uniform_within_one_bucket_width(self, seed):
-        rng = np.random.default_rng(seed)
-        samples = rng.uniform(0.0, 10.0, size=500)
-        edges = np.linspace(0.0, 10.0, 21)  # width 0.5, covers the support
-        hist = Histogram("h", edges)
-        for v in samples:
-            hist.observe(float(v))
-        for q in (0.0, 0.05, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0):
-            true = float(np.percentile(samples, q * 100))
-            assert abs(hist.quantile(q) - true) <= 0.5 + 1e-9
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_lognormal_default_edges(self, seed):
-        """With the default log-decade edges the bound is the width of the
-        bucket owning the true percentile."""
-        rng = np.random.default_rng(seed)
-        samples = rng.lognormal(mean=-4.0, sigma=1.5, size=400)
-        hist = Histogram("h")
-        for v in samples:
-            hist.observe(float(v))
-        for q in (0.1, 0.5, 0.9):
-            true = float(np.percentile(samples, q * 100))
-            width = _bucket_width(hist.edges, true)
-            assert abs(hist.quantile(q) - true) <= width + 1e-9
-
-    def test_extreme_quantiles_clamp_to_observed(self):
-        hist = Histogram("h", (1.0, 2.0, 4.0))
-        for v in (0.3, 1.5, 3.0, 9.0):
-            hist.observe(v)
-        assert hist.quantile(0.0) == 0.3
-        assert hist.quantile(1.0) == 9.0
-
-    def test_empty_histogram_is_nan(self):
-        assert math.isnan(Histogram("h").quantile(0.5))
-
-    def test_single_observation(self):
-        hist = Histogram("h", (1.0, 10.0))
-        hist.observe(3.0)
-        for q in (0.0, 0.5, 1.0):
-            assert hist.quantile(q) == 3.0
-
-    def test_quantile_out_of_range_rejected(self):
-        hist = Histogram("h")
-        with pytest.raises(ValueError):
-            hist.quantile(1.5)
-        with pytest.raises(ValueError):
-            hist.quantile(-0.1)
-
-
-class TestHistogramBuckets:
-    def test_counts_partition_observations(self):
-        rng = np.random.default_rng(0)
-        hist = Histogram("h", (1.0, 2.0, 3.0))
-        samples = rng.uniform(0.0, 4.0, size=200)
-        for v in samples:
-            hist.observe(float(v))
-        assert sum(hist.counts) == hist.count == 200
-        # bucket i is (edges[i-1], edges[i]]; the last bucket is overflow.
-        assert hist.counts[0] == int(np.sum(samples <= 1.0))
-        assert hist.counts[-1] == int(np.sum(samples > 3.0))
-
-    def test_numpy_array_edges_accepted(self):
-        # regression: `edges or DEFAULT_EDGES` raised on numpy arrays.
-        hist = Histogram("h", np.linspace(0.0, 1.0, 5))
-        hist.observe(0.4)
-        assert hist.count == 1
-
-    def test_unsorted_or_duplicate_edges_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram("h", (2.0, 1.0))
-        with pytest.raises(ValueError):
-            Histogram("h", (1.0, 1.0, 2.0))
-        with pytest.raises(ValueError):
-            Histogram("h", ())
-
-    def test_registry_rejects_conflicting_edges(self):
-        registry = MetricsRegistry()
-        registry.histogram("h", (1.0, 2.0))
-        assert registry.histogram("h") is registry.histogram("h")
-        with pytest.raises(ValueError):
-            registry.histogram("h", (1.0, 3.0))
 
 
 class TestSnapshotJsonRoundTrip:
@@ -131,9 +32,6 @@ class TestSnapshotJsonRoundTrip:
         registry.gauge("depth").set(7)
         registry.gauge("depth").dec(3)
         registry.timing("stage").observe(0.25)
-        hist = registry.histogram("lat", (0.1, 1.0))
-        hist.observe(0.05)
-        hist.observe(0.5)
         return registry
 
     def test_counter_gauge_values(self):
@@ -163,14 +61,14 @@ class TestSnapshotJsonRoundTrip:
     def test_render_table_lists_every_metric(self):
         registry = self._populated()
         table = registry.render_table()
-        for name in ("pkts", "bytes", "depth", "stage", "lat"):
+        for name in ("pkts", "bytes", "depth", "stage"):
             assert name in table
 
     def test_reset(self):
         registry = self._populated()
         registry.reset()
         assert registry.snapshot() == {
-            "counters": {}, "gauges": {}, "timings": {}, "histograms": {},
+            "counters": {}, "gauges": {}, "timings": {},
         }
 
 
@@ -266,12 +164,10 @@ class TestActiveRegistry:
         assert counter is registry.counter("b")
         counter.inc(10)
         registry.gauge("g").set(5)
-        registry.histogram("h").observe(1.0)
         registry.timing("t").observe(1.0)
         assert registry.snapshot() == {
-            "counters": {}, "gauges": {}, "timings": {}, "histograms": {},
+            "counters": {}, "gauges": {}, "timings": {},
         }
-        assert math.isnan(registry.histogram("h").quantile(0.5))
 
     def test_use_registry_scopes_and_restores(self):
         registry = MetricsRegistry()

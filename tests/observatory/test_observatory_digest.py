@@ -96,10 +96,23 @@ def observe(directory, **kwargs):
 
 GOLDEN = (OBSERVATIONS_SHA256, DAY_FILES_SHA256, EVENTS_SHA256)
 
+#: A second pinned config: the default deployment timeline at seed 7 over
+#: 20 days, whose ``observations.jsonl`` digest predates this file.
+SEED7_CONFIG = ScenarioConfig(seed=7, duration_days=20, volume_scale=1e-4,
+                              n_tail=20)
+SEED7_OBSERVATIONS_SHA256 = ("2f8cdbb2e4ad72f3b550e9141adc6783"
+                             "b3d994f040265a4055cb7b810e45ce89")
+
 
 def test_digests(tmp_path):
     result = observe(tmp_path / "data")
     assert digests(tmp_path / "data", result) == GOLDEN
+
+
+def test_seed7_observations_digest(tmp_path):
+    run_scenario(SEED7_CONFIG, observe_dir=tmp_path / "data")
+    observations = (tmp_path / "data" / "observations.jsonl").read_bytes()
+    assert _sha256(observations) == SEED7_OBSERVATIONS_SHA256
 
 
 def test_killed_and_resumed_digests(tmp_path):
@@ -107,8 +120,7 @@ def test_killed_and_resumed_digests(tmp_path):
     with pytest.raises(SimulationAborted):
         observe(data, checkpoint_dir=ckpt, checkpoint_every=3,
                 abort_after_day=4)
-    result = observe(data, checkpoint_dir=ckpt, checkpoint_every=3,
-                     resume=True)
+    result = observe(data, checkpoint_dir=ckpt, checkpoint_every=3)
     assert digests(data, result) == GOLDEN
 
 
@@ -136,7 +148,7 @@ def test_previous_layout_checkpoint_is_refused(tmp_path):
     with pytest.raises(SimulationAborted):
         observe(data, checkpoint_dir=ckpt, checkpoint_every=3,
                 abort_after_day=4)
-    path = checkpoint_path(ckpt, CONFIG)
+    path = checkpoint_path(ckpt, CONFIG, "observe")
     checkpoint = pickle.loads(path.read_bytes())
     assert checkpoint.protocol == CHECKPOINT_PROTOCOL
     assert any(tracker.open_sessions
@@ -148,7 +160,6 @@ def test_previous_layout_checkpoint_is_refused(tmp_path):
     checkpoint.protocol = 3
     path.write_bytes(pickle.dumps(checkpoint))
 
-    assert load_checkpoint(ckpt, CONFIG) is None
-    result = observe(data, checkpoint_dir=ckpt, checkpoint_every=3,
-                     resume=True)
+    assert load_checkpoint(ckpt, CONFIG, "observe") is None
+    result = observe(data, checkpoint_dir=ckpt, checkpoint_every=3)
     assert digests(data, result) == GOLDEN

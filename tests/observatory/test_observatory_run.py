@@ -4,9 +4,10 @@ The reproducibility contract under test: the data directory a streaming
 observatory run writes — every per-day file, the ``observations.jsonl``
 mirror, the index, the manifest — is byte-identical across uninterrupted
 and killed-and-resumed executions of one config, and an aborted run stops
-after the day it was asked to.  Plus the mode guards: ``observe_dir``
-turns streaming on by itself, and a checkpoint can only resume into the
-observation mode that wrote it.
+after the day it was asked to.  An observe checkpoint pointed at a
+directory without its earlier day files restarts at day zero.  Plus the
+mode guards: ``observe_dir`` turns streaming on by itself, and the
+observatory refuses out-of-order days and a foreign config.
 """
 
 import io
@@ -15,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import Journal, use_journal
+from repro.exec.freeze import load_checkpoint
+from repro.obs import Journal, MetricsRegistry, use_journal, use_registry
 from repro.observatory import Observatory, ObservatoryError, ObservatoryState
 from repro.sim import ScenarioConfig, SimulationAborted, run_scenario
 
@@ -74,11 +76,34 @@ class TestByteIdentity:
             stream.write(b'{"v": 1, "type": "observer", "da')
 
         result = run_observatory(data, checkpoint_dir=ckpt,
-                                 checkpoint_every=CADENCE, resume=True)
+                                 checkpoint_every=CADENCE)
         assert result.observatory["days"] == OBS_CONFIG.duration_days
         # The resume healed the torn line: every file byte-identical,
         # checkpoint sidecar aside, to the uninterrupted run's.
         assert _dir_bytes(data) == _dir_bytes(golden)
+
+
+    def test_checkpoint_with_fresh_directory_restarts(self,
+                                                      serial_observatory,
+                                                      tmp_path):
+        """An observe checkpoint whose ``observe_dir`` lacks the day files
+        before it is unusable: the run starts at day zero and writes the
+        serial run's files."""
+        golden, _ = serial_observatory
+        ckpt = tmp_path / "ckpt"
+        with pytest.raises(SimulationAborted):
+            run_observatory(tmp_path / "first", checkpoint_dir=ckpt,
+                            checkpoint_every=CADENCE,
+                            abort_after_day=ABORT_AFTER)
+        assert load_checkpoint(ckpt, OBS_CONFIG, "observe").next_day \
+            == CADENCE
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            run_observatory(tmp_path / "fresh", checkpoint_dir=ckpt,
+                            checkpoint_every=CADENCE)
+        simulated = registry.snapshot()["timings"]["scenario.run_day"]
+        assert simulated["count"] == OBS_CONFIG.duration_days
+        assert _dir_bytes(tmp_path / "fresh") == _dir_bytes(golden)
 
 
 class TestModeGuards:
@@ -91,25 +116,6 @@ class TestModeGuards:
         assert implied.observatory["days"] == GUARD.duration_days
         assert (_dir_bytes(tmp_path / "implied")
                 == _dir_bytes(tmp_path / "explicit"))
-
-    def test_plain_checkpoint_cannot_resume_into_observe(self, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        with pytest.raises(SimulationAborted):
-            run_scenario(GUARD, stream_analysis=True, checkpoint_dir=ckpt,
-                         checkpoint_every=2, abort_after_day=3)
-        with pytest.raises(ValueError, match="non-observatory checkpoint"):
-            run_scenario(GUARD, stream_analysis=True, checkpoint_dir=ckpt,
-                         resume=True, observe_dir=tmp_path / "data")
-
-    def test_observatory_checkpoint_cannot_drop_observe(self, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        with pytest.raises(SimulationAborted):
-            run_scenario(GUARD, stream_analysis=True, checkpoint_dir=ckpt,
-                         checkpoint_every=2, abort_after_day=3,
-                         observe_dir=tmp_path / "data")
-        with pytest.raises(ValueError, match="without[ \n]+observe_dir"):
-            run_scenario(GUARD, stream_analysis=True, checkpoint_dir=ckpt,
-                         resume=True)
 
     def test_directory_refuses_foreign_config(self, tmp_path):
         observatory = Observatory(tmp_path / "data", GUARD)
@@ -143,8 +149,6 @@ class TestModeGuards:
 
 class TestOpsCounters:
     def test_registry_sees_observatory_activity(self, tmp_path):
-        from repro.obs import MetricsRegistry, use_registry
-
         registry = MetricsRegistry()
         with use_registry(registry):
             result = run_scenario(GUARD, stream_analysis=True,

@@ -1,6 +1,8 @@
 """Checkpoint/resume equivalence: a run killed mid-horizon and resumed
 must be byte-identical — journal, capture records, counters, ground
-truth — to one that ran uninterrupted.
+truth — to one that ran uninterrupted.  A run with a checkpoint
+directory resumes by itself, from the checkpoint of its own mode (batch,
+stream or observe); the three modes' files sit side by side.
 
 The kill is simulated with ``run_scenario(abort_after_day=...)``, which
 raises :class:`SimulationAborted` at the same point a real SIGKILL
@@ -16,8 +18,10 @@ import json
 import numpy as np
 import pytest
 
+from pathlib import Path
+
 from repro.exec.freeze import checkpoint_path, load_checkpoint
-from repro.obs import Journal, use_journal
+from repro.obs import Journal, MetricsRegistry, use_journal, use_registry
 from repro.sim import ScenarioConfig, SimulationAborted, run_scenario
 
 DAYS = 12
@@ -55,6 +59,28 @@ def _run(checkpoint_dir, config=None, cadence=CADENCE, **kwargs):
     return result, buffer.getvalue()
 
 
+def _counted_run(checkpoint_dir, **kwargs):
+    """:func:`_run` under a fresh registry; returns (result, journal text,
+    number of days simulated rather than fast-forwarded)."""
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        result, journal = _run(checkpoint_dir, **kwargs)
+    timings = registry.snapshot()["timings"]
+    days = timings.get("scenario.run_day", {}).get("count", 0)
+    return result, journal, days
+
+
+def _dir_bytes(directory) -> dict:
+    return {path.name: path.read_bytes()
+            for path in Path(directory).iterdir() if path.is_file()}
+
+
+def _assert_same_events(a, b):
+    for name, summary in a.streaming.items():
+        assert summary.records_in == b.streaming[name].records_in, name
+        assert summary.events == b.streaming[name].events, name
+
+
 def _assert_identical(a, b):
     for name in ("nta", "ntb", "ntc"):
         ra, rb = getattr(a, name), getattr(b, name)
@@ -88,6 +114,13 @@ def baseline(tmp_path_factory):
     return _run(tmp_path_factory.mktemp("ckpt-base"))
 
 
+@pytest.fixture(scope="module")
+def stream_baseline(tmp_path_factory):
+    """Uninterrupted streaming run with checkpointing on."""
+    return _run(tmp_path_factory.mktemp("ckpt-stream-base"),
+                stream_analysis=True)
+
+
 class TestAbort:
     def test_abort_raises_after_the_named_day(self, tmp_path):
         with pytest.raises(SimulationAborted):
@@ -96,7 +129,7 @@ class TestAbort:
     def test_abort_leaves_the_cadence_checkpoint(self, tmp_path):
         with pytest.raises(SimulationAborted):
             _run(tmp_path, abort_after_day=5)
-        checkpoint = load_checkpoint(tmp_path, _config())
+        checkpoint = load_checkpoint(tmp_path, _config(), "batch")
         assert checkpoint is not None
         # day 5 completed, so the last cadence boundary <= 6 is day 4.
         assert checkpoint.next_day == CADENCE
@@ -109,14 +142,14 @@ class TestResumeSerial:
         base_result, base_journal = baseline
         with pytest.raises(SimulationAborted):
             _run(tmp_path, abort_after_day=5)
-        resumed, journal = _run(tmp_path, resume=True)
+        resumed, journal = _run(tmp_path)
         _assert_identical(base_result, resumed)
         _assert_same_emission_accounting(base_result, resumed)
         assert journal == base_journal
 
     def test_resume_without_checkpoint_runs_fresh(self, baseline, tmp_path):
         base_result, base_journal = baseline
-        result, journal = _run(tmp_path, resume=True)
+        result, journal = _run(tmp_path)
         _assert_identical(base_result, result)
         assert journal == base_journal
 
@@ -130,10 +163,24 @@ class TestResumeSerial:
             with pytest.raises(SimulationAborted):
                 run_scenario(other, checkpoint_dir=tmp_path,
                              checkpoint_every=CADENCE, abort_after_day=5)
-        assert load_checkpoint(tmp_path, _config()) is None
-        result, journal = _run(tmp_path, resume=True)
+        assert load_checkpoint(tmp_path, _config(), "batch") is None
+        result, journal = _run(tmp_path)
         _assert_identical(base_result, result)
         assert journal == base_journal
+
+    def test_cache_entry_beats_leftover_checkpoint(self, baseline,
+                                                  tmp_path):
+        """A completed run leaves its last cadence checkpoint behind; a
+        rerun with a verified cache entry loads the entry instead of
+        resuming."""
+        ckpt, cache = tmp_path / "ckpt", tmp_path / "cache"
+        _run(ckpt, cache_dir=cache)
+        assert load_checkpoint(ckpt, _config(), "batch") is not None
+        result, journal, days = _counted_run(ckpt, cache_dir=cache)
+        assert days == 0
+        assert [json.loads(line)["type"] for line in journal.splitlines()] \
+            == ["run_manifest", "cache_hit"]
+        _assert_identical(baseline[0], result)
 
 
 class TestHoneypotHeavyResume:
@@ -142,8 +189,7 @@ class TestHoneypotHeavyResume:
         base, base_journal = _run(tmp_path / "base", config, cadence=5)
         with pytest.raises(SimulationAborted):
             _run(tmp_path / "killed", config, cadence=5, abort_after_day=9)
-        resumed, journal = _run(tmp_path / "killed", config, cadence=5,
-                                resume=True)
+        resumed, journal = _run(tmp_path / "killed", config, cadence=5)
         _assert_identical(base, resumed)
         assert set(base.truth) == {"NT-A", "NT-B", "NT-C"}
         for name, records in base.telescopes().items():
@@ -162,7 +208,7 @@ class TestResumeCadence:
         buffer = io.StringIO()
         with use_journal(Journal(buffer)):
             run_scenario(_config(), checkpoint_dir=tmp_path,
-                         checkpoint_every=4, resume=True)
+                         checkpoint_every=4)
         records = [json.loads(line)
                    for line in buffer.getvalue().splitlines()]
         assert [r["day"] for r in records if r["type"] == "checkpoint"] \
@@ -178,11 +224,11 @@ class TestTornCheckpoint:
         base_result, base_journal = baseline
         with pytest.raises(SimulationAborted):
             _run(tmp_path, abort_after_day=5)
-        path = checkpoint_path(tmp_path, _config())
+        path = checkpoint_path(tmp_path, _config(), "batch")
         data = path.read_bytes()
         path.write_bytes(data[:len(data) // 2])
-        assert load_checkpoint(tmp_path, _config()) is None
-        resumed, journal = _run(tmp_path, resume=True)
+        assert load_checkpoint(tmp_path, _config(), "batch") is None
+        resumed, journal = _run(tmp_path)
         _assert_identical(base_result, resumed)
         assert journal == base_journal
 
@@ -191,14 +237,66 @@ class TestTornCheckpoint:
         base_result, base_journal = baseline
         with pytest.raises(SimulationAborted):
             _run(tmp_path, abort_after_day=5)
-        path = checkpoint_path(tmp_path, _config())
+        path = checkpoint_path(tmp_path, _config(), "batch")
         # A kill during write-then-rename: the temp file is torn, the
         # renamed checkpoint beside it is intact.
         data = path.read_bytes()
         path.with_suffix(".ckpt.tmp").write_bytes(data[:len(data) // 2])
-        checkpoint = load_checkpoint(tmp_path, _config())
+        checkpoint = load_checkpoint(tmp_path, _config(), "batch")
         assert checkpoint is not None and checkpoint.next_day == CADENCE
-        resumed, journal = _run(tmp_path, resume=True)
+        resumed, journal = _run(tmp_path)
         _assert_identical(base_result, resumed)
         _assert_same_emission_accounting(base_result, resumed)
         assert journal == base_journal
+
+
+class TestModeKeyedCheckpoints:
+    """Batch, stream and observe runs of one config checkpoint into one
+    directory side by side; a rerun resumes its own mode's checkpoint
+    without being asked and simulates only the days after it."""
+
+    def test_three_modes_share_a_directory(self, baseline, stream_baseline,
+                                           tmp_path):
+        ckpt = tmp_path / "ckpt"
+        modes = {"batch": {}, "stream": {"stream_analysis": True},
+                 "observe": {"observe_dir": tmp_path / "observed"}}
+        for kwargs in modes.values():
+            with pytest.raises(SimulationAborted):
+                _run(ckpt, abort_after_day=5, **kwargs)
+        for mode in modes:
+            checkpoint = load_checkpoint(ckpt, _config(), mode)
+            assert checkpoint is not None and checkpoint.next_day == CADENCE
+
+        batch, journal, days = _counted_run(ckpt)
+        assert days == DAYS - CADENCE
+        _assert_identical(baseline[0], batch)
+        assert journal == baseline[1]
+
+        stream, journal, days = _counted_run(ckpt, stream_analysis=True)
+        assert days == DAYS - CADENCE
+        _assert_same_events(stream_baseline[0], stream)
+        assert journal == stream_baseline[1]
+
+        twin, twin_journal = _run(tmp_path / "twin-ckpt",
+                                  observe_dir=tmp_path / "twin")
+        observed, journal, days = _counted_run(
+            ckpt, observe_dir=tmp_path / "observed")
+        assert days == DAYS - CADENCE
+        _assert_same_events(twin, observed)
+        assert journal == twin_journal
+        assert (_dir_bytes(tmp_path / "observed")
+                == _dir_bytes(tmp_path / "twin"))
+
+    def test_renamed_checkpoint_of_another_mode_is_unusable(
+            self, stream_baseline, tmp_path):
+        """A batch checkpoint renamed to the stream file is refused by its
+        fields, and the streaming rerun starts from day zero."""
+        with pytest.raises(SimulationAborted):
+            _run(tmp_path, abort_after_day=5)
+        checkpoint_path(tmp_path, _config(), "batch").rename(
+            checkpoint_path(tmp_path, _config(), "stream"))
+        assert load_checkpoint(tmp_path, _config(), "stream") is None
+        stream, journal, days = _counted_run(tmp_path, stream_analysis=True)
+        assert days == DAYS
+        _assert_same_events(stream_baseline[0], stream)
+        assert journal == stream_baseline[1]

@@ -90,15 +90,14 @@ class TestStreamingCheckpoint:
         with pytest.raises(SimulationAborted):
             _stream_run(checkpoint_dir=tmp_path, checkpoint_every=CADENCE,
                         abort_after_day=5)
-        checkpoint = load_checkpoint(tmp_path, _config())
+        checkpoint = load_checkpoint(tmp_path, _config(), "stream")
         assert checkpoint is not None
         assert checkpoint.streaming is not None
         carried = sum(a.open_sessions
                       for a in checkpoint.streaming.values())
         assert carried > 0  # sessions genuinely cross the boundary
         resumed, journal = _stream_run(checkpoint_dir=tmp_path,
-                                       checkpoint_every=CADENCE,
-                                       resume=True)
+                                       checkpoint_every=CADENCE)
         _assert_same_events(base, resumed)
 
     def test_resumed_equals_uninterrupted_with_checkpointing(self, tmp_path):
@@ -108,28 +107,9 @@ class TestStreamingCheckpoint:
             _stream_run(checkpoint_dir=tmp_path / "kill",
                         checkpoint_every=CADENCE, abort_after_day=5)
         resumed, journal = _stream_run(checkpoint_dir=tmp_path / "kill",
-                                       checkpoint_every=CADENCE,
-                                       resume=True)
+                                       checkpoint_every=CADENCE)
         _assert_same_events(base, resumed)
         assert journal == base_journal
-
-    def test_cross_mode_resume_rejected(self, tmp_path):
-        with pytest.raises(SimulationAborted):
-            _stream_run(checkpoint_dir=tmp_path, checkpoint_every=CADENCE,
-                        abort_after_day=5)
-        with pytest.raises(ValueError, match="stream_analysis"):
-            run_scenario(_config(), checkpoint_dir=tmp_path,
-                         checkpoint_every=CADENCE, resume=True)
-
-    def test_batch_checkpoint_rejected_by_streaming_resume(self, tmp_path):
-        with use_journal(Journal(io.StringIO())):
-            with pytest.raises(SimulationAborted):
-                run_scenario(_config(), checkpoint_dir=tmp_path,
-                             checkpoint_every=CADENCE, abort_after_day=5)
-        with pytest.raises(ValueError, match="batch-mode"):
-            run_scenario(_config(), stream_analysis=True,
-                         checkpoint_dir=tmp_path, checkpoint_every=CADENCE,
-                         resume=True)
 
 
 class TestModeGuards:

@@ -215,9 +215,6 @@ class TestCliModeConflicts:
 
     CONFLICTS = [
         (["run", "--stream", "--cache"], "--stream is incompatible"),
-        (["run", "--resume"], "--resume requires --checkpoint"),
-        (["experiment", "table1", "--resume"],
-         "--resume requires --checkpoint"),
         (["observe", "--cache"], "--stream is incompatible with --cache"),
         (["run", "--observe", "--cache"],
          "--stream is incompatible with --cache"),
@@ -233,6 +230,16 @@ class TestCliModeConflicts:
         assert len(lines) == 1  # one line, no traceback
         assert lines[0].startswith("error: ")
         assert message in lines[0]
+
+    def test_resume_flag_rejected(self, capsys):
+        """Checkpointed runs resume by themselves; there is no ``--resume``
+        flag to accept."""
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--resume"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --resume" in captured.err
 
     def test_stream_composes_with_no_cache(self, capsys):
         """--no-cache defuses the --cache conflict instead of refusing."""
