@@ -41,8 +41,8 @@ def main() -> None:
     scenario = result.scenario
     print()
     print(f"honeypot responses sent: {scenario.telescope.response_count}")
-    print(f"T-Pot NAT log entries:   "
-          f"{sum(len(g.nat_log) for g in scenario.telescope.gateways.values())}")
+    print(f"T-Pot gateway replies:   "
+          f"{sum(g.tx_count for g in scenario.telescope.gateways.values())}")
     print(f"hitlist entries:         "
           f"{len(scenario.fabric.hitlist.entries())}")
     print(f"certificates in CT log:  {len(scenario.fabric.ct_log)}")

@@ -10,12 +10,13 @@ Top-level convenience surface.  The subpackages are the real API:
 * :mod:`repro.analysis` — the measurement pipeline (flows, scan detection,
   BSTM causal impact, scope/tactic/geo analyses),
 * :mod:`repro.sim` — the event engine, fabric, paper scenario, CDN model,
-* :mod:`repro.experiments` — one driver per paper table/figure.
+* :mod:`repro.experiments` — one driver per paper table/figure (the
+  registry is ``repro.experiments.EXPERIMENTS``; importing it imports
+  scipy, which the simulation path never needs).
 """
 
 from repro.sim import ScenarioConfig, run_scenario
-from repro.experiments import EXPERIMENTS
 
 __version__ = "1.2.0"
 
-__all__ = ["ScenarioConfig", "run_scenario", "EXPERIMENTS", "__version__"]
+__all__ = ["ScenarioConfig", "run_scenario", "__version__"]

@@ -156,8 +156,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run the scenario, print headlines")
     run_p.add_argument("--stream", action="store_true",
                        help="run scan detection incrementally during the "
-                            "day loop and release each day's packets: peak "
-                            "memory holds one day, not the horizon; prints "
+                            "day loop and release each day's packets, so "
+                            "no packet outlives its day; prints "
                             "a streaming scan summary instead of the "
                             "record-driven tables (--observe implies it)")
     run_p.add_argument("--observe", nargs="?", const=DEFAULT_OBSERVE_DIR,

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from repro._util import make_rng
 
@@ -109,6 +108,10 @@ def fit_local_level(z: np.ndarray) -> KalmanResult:
         sigma_obs2 = np.exp(params[0]) * scale
         sigma_level2 = np.exp(params[1]) * scale
         return -kalman_filter_local_level(z, sigma_obs2, sigma_level2).loglik
+
+    # Imported here, not at module level: scipy takes about half a second
+    # to import, and only Table 4, Fig 7 and DriftReport fit a model.
+    from scipy import optimize
 
     best = None
     for start in ([0.0, -2.0], [-1.0, 0.0], [0.0, 0.0]):
@@ -430,6 +433,8 @@ def fit_seasonal(z: np.ndarray, period: int = 7) -> SeasonalKalmanResult:
             np.exp(params[2]) * scale,
             period=period,
         ).loglik
+
+    from scipy import optimize
 
     best = None
     for start in ([0.0, -2.0, -4.0], [-1.0, -1.0, -2.0]):

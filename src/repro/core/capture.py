@@ -97,8 +97,8 @@ class PacketCapturer:
 
         The streaming-analysis path: each day boundary converts the day's
         chunks into one :class:`~repro.analysis.records.PacketRecords`
-        chunk for the online trackers and releases them, so a run's peak
-        memory holds one day, not the horizon.  Streaming runs carry
+        chunk for the online trackers and releases them, so no packet
+        outlives its day.  Streaming runs carry
         events, not records, so the day's ``origin`` column is dropped.
         """
         from repro.analysis.records import PacketRecords

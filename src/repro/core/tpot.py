@@ -4,14 +4,14 @@ The paper's Appendix B setup, reproduced stage by stage:
 
 1. an access router forwards honeyprefix traffic to a **DNAT gateway**,
    which rewrites every destination to the prefix's first address (``::1``)
-   plus a fresh source port, logging ``(timestamp, original dst, source
-   port)`` so original destinations can be recovered from T-Pot logs;
+   plus a source port allocated per distinct flow, and reverse-translates
+   each reply so it appears to come from the address the scanner probed;
 2. a **reverse proxy** performs static 6-to-4 translation to the T-Pot
    instance's IPv4 address and routes by protocol/port to the right
    container;
 3. the **T-Pot instance** runs the containers of Table 5 (cowrie, snare,
    dionaea, ...), each answering on its ports with a service banner and
-   logging the interaction.
+   counting the interaction (``tpot.interactions``).
 
 Each T-Pot instance can only bind a single IPv4 address — the constraint
 that forced the two-stage design in the first place.
@@ -19,14 +19,16 @@ that forced the two-stage design in the first place.
 The gateway has two entry points sharing one NAT state: per-packet
 :meth:`DnatGateway.handle` (the reference path) and columnar
 :meth:`DnatGateway.handle_batch`, which rewrites destinations, allocates
-source ports per distinct flow, appends the NAT log as columns
-(:class:`DnatLog`) and emits all container replies as one batch.
+source ports per distinct flow and emits all container replies as one
+batch.  Unlike the paper's gateway it keeps no NAT log: replies are
+sourced from the probed destination itself, and no output needs original
+destinations recovered from T-Pot's logs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -104,137 +106,6 @@ TPOT2_CONTAINERS: tuple[Container, ...] = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class DnatLogEntry:
-    """One NAT-table record: enough to recover original destinations."""
-
-    timestamp: float
-    original_dst: int
-    source_port: int
-
-
-class DnatLog:
-    """The gateway's NAT log, stored columnar, read like a list.
-
-    Scalar appends accumulate in plain-list segments; the batch path
-    appends whole column segments (timestamps float64, destination halves
-    uint64, ports int64) without materializing an entry object per flow.
-    Reads — indexing, iteration, ``reversed``, equality against lists —
-    materialize :class:`DnatLogEntry` values on demand, so every existing
-    consumer (tests, examples, T-Pot log joins) sees the familiar list.
-    """
-
-    __slots__ = ("_segments", "_len")
-
-    def __init__(self) -> None:
-        # Each segment is ("rows", [DnatLogEntry, ...]) or
-        # ("cols", (ts, dst_hi, dst_lo, ports)).
-        self._segments: list[tuple[str, object]] = []
-        self._len = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    def append(self, entry: DnatLogEntry) -> None:
-        if not self._segments or self._segments[-1][0] != "rows":
-            self._segments.append(("rows", []))
-        self._segments[-1][1].append(entry)
-        self._len += 1
-
-    def extend_columns(self, ts: np.ndarray, dst_hi: np.ndarray,
-                       dst_lo: np.ndarray, ports: np.ndarray) -> None:
-        """Append one flow-column segment (the batch path's bulk append)."""
-        if len(ts) == 0:
-            return
-        self._segments.append(("cols", (
-            np.asarray(ts, dtype=np.float64),
-            np.asarray(dst_hi, dtype=np.uint64),
-            np.asarray(dst_lo, dtype=np.uint64),
-            np.asarray(ports, dtype=np.int64),
-        )))
-        self._len += len(ts)
-
-    @staticmethod
-    def _seg_len(seg: tuple[str, object]) -> int:
-        kind, data = seg
-        return len(data) if kind == "rows" else len(data[0])
-
-    @staticmethod
-    def _seg_entry(seg: tuple[str, object], i: int) -> DnatLogEntry:
-        kind, data = seg
-        if kind == "rows":
-            return data[i]
-        ts, hi, lo, ports = data
-        return DnatLogEntry(float(ts[i]),
-                            (int(hi[i]) << 64) | int(lo[i]), int(ports[i]))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(self)[i]
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("DnatLog index out of range")
-        for seg in self._segments:
-            n = self._seg_len(seg)
-            if i < n:
-                return self._seg_entry(seg, i)
-            i -= n
-        raise IndexError("DnatLog index out of range")
-
-    def __iter__(self) -> Iterator[DnatLogEntry]:
-        for seg in self._segments:
-            for i in range(self._seg_len(seg)):
-                yield self._seg_entry(seg, i)
-
-    def __reversed__(self) -> Iterator[DnatLogEntry]:
-        for seg in reversed(self._segments):
-            for i in range(self._seg_len(seg) - 1, -1, -1):
-                yield self._seg_entry(seg, i)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, DnatLog):
-            return list(self) == list(other)
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"DnatLog({len(self)} entries)"
-
-    def last_match(self, timestamp: float, source_port: int) -> int | None:
-        """Latest-appended original destination with this source port at or
-        before ``timestamp`` — vectorized per column segment."""
-        for seg in reversed(self._segments):
-            kind, data = seg
-            if kind == "rows":
-                for entry in reversed(data):
-                    if (entry.source_port == source_port
-                            and entry.timestamp <= timestamp):
-                        return entry.original_dst
-            else:
-                ts, hi, lo, ports = data
-                hit = np.nonzero((ports == source_port) & (ts <= timestamp))[0]
-                if len(hit):
-                    i = int(hit[-1])
-                    return (int(hi[i]) << 64) | int(lo[i])
-        return None
-
-
-@dataclass(frozen=True, slots=True)
-class InteractionLog:
-    """One T-Pot container interaction (what T-Pot's own logs record)."""
-
-    timestamp: float
-    container: str
-    src: int
-    proto: int
-    port: int
-    #: T-Pot sees the *translated* destination; analysis joins the NAT log.
-    translated_dst: int
-    data: bytes = b""
-
-
 class TPotInstance:
     """One T-Pot: a single-address honeypot running Table 5 containers."""
 
@@ -243,7 +114,6 @@ class TPotInstance:
         self.name = name
         self.containers = containers
         self.ipv4_address = ipv4_address
-        self.interactions: list[InteractionLog] = []
         self._m_interactions = get_registry().counter("tpot.interactions")
         surface: dict[tuple[int, int], Container] = {}
         for container in containers:
@@ -253,7 +123,6 @@ class TPotInstance:
                 surface.setdefault((UDP, port), container)
         self._surface = surface
         self._port_luts: dict[int, np.ndarray] = {}
-        self.container_names = tuple(c.name for c in self.containers)
 
     def listens(self, proto: int, port: int) -> bool:
         return (proto, port) in self._surface
@@ -279,10 +148,9 @@ class TPotInstance:
             self._port_luts[proto] = lut
         return lut
 
-    def log_interactions(self, entries: list[InteractionLog]) -> None:
-        """Record a batch of interactions (the gateway's columnar path)."""
-        self.interactions.extend(entries)
-        self._m_interactions.inc(len(entries))
+    def count_interactions(self, n: int) -> None:
+        """Count ``n`` interactions answered by the gateway's columnar path."""
+        self._m_interactions.inc(n)
 
     def handle(self, pkt: Packet) -> list[Packet]:
         """Process a (translated) packet; return the response packets."""
@@ -298,10 +166,6 @@ class TPotInstance:
             if pkt.flags & TcpFlags.ACK and not pkt.payload:
                 # Handshake completion: high-interaction pots speak first.
                 self._m_interactions.inc()
-                self.interactions.append(InteractionLog(
-                    pkt.timestamp, container.name, pkt.src, TCP, pkt.dport,
-                    pkt.dst,
-                ))
                 if container.banner:
                     return [tcp_segment(
                         pkt.timestamp, pkt.dst, pkt.src, pkt.dport, pkt.sport,
@@ -311,10 +175,6 @@ class TPotInstance:
                 return []
             if pkt.payload:
                 self._m_interactions.inc()
-                self.interactions.append(InteractionLog(
-                    pkt.timestamp, container.name, pkt.src, TCP, pkt.dport,
-                    pkt.dst, data=pkt.payload,
-                ))
                 return [tcp_segment(
                     pkt.timestamp, pkt.dst, pkt.src, pkt.dport, pkt.sport,
                     TcpFlags.ACK, seq=1, ack=pkt.seq + len(pkt.payload),
@@ -322,22 +182,26 @@ class TPotInstance:
             return []
         # UDP: answer with a generic service response.
         self._m_interactions.inc()
-        self.interactions.append(InteractionLog(
-            pkt.timestamp, container.name, pkt.src, UDP, pkt.dport,
-            pkt.dst, data=pkt.payload,
-        ))
         return [udp_datagram(
             pkt.timestamp, pkt.dst, pkt.src, pkt.dport, pkt.sport,
             payload=b"\x00",
         )]
 
 
+def _flow_key(src: int, dst: int, sport: int, is_tcp: bool) -> int:
+    """One gateway flow as one int: ``src | dst | sport | is-TCP``.
+
+    Only TCP and UDP reach the relay, so one protocol bit suffices.
+    """
+    return (src << 145) | (dst << 17) | (sport << 1) | int(is_tcp)
+
+
 class DnatGateway:
     """The access-router DNAT stage fronting one T-Pot honeyprefix.
 
-    Rewrites every in-prefix destination to ``prefix::1`` with a fresh
-    source port, keeps the NAT log, answers ICMP for the whole (aliased)
-    prefix itself, and reverse-translates T-Pot responses on the way out.
+    Rewrites every in-prefix destination to ``prefix::1`` with a source
+    port allocated per flow, answers ICMP for the whole (aliased) prefix
+    itself, and reverse-translates T-Pot responses on the way out.
     """
 
     def __init__(
@@ -345,27 +209,16 @@ class DnatGateway:
         prefix: IPv6Prefix,
         tpot: TPotInstance,
         transmit: Callable[[Packet], None] | None = None,
-        max_nat_entries: int = 1_000_000,
     ):
         self.prefix = prefix
         self.tpot = tpot
         self._transmit = transmit or (lambda pkt: None)
         self._transmit_batch: Callable[[WireBatch], None] | None = None
-        self.nat_log = DnatLog()
-        self.max_nat_entries = max_nat_entries
         self._next_port = 32_768
-        #: (scanner addr, assigned source port) -> original destination.
-        self._flows_d: dict[tuple[int, int], int] = {}
-        #: (scanner addr, scanner port, original dst, proto) -> NAT port,
-        #: so every packet of one flow reuses the same translation.
-        self._flow_ports_d: dict[tuple[int, int, int, int], int] = {}
-        #: Full (src, dst, sport, proto) key of every flow ever allocated,
-        #: packed into one int — exact membership mirror of _flow_ports,
-        #: testable without building Python key tuples or syncing dicts.
-        self._flow_seen: set[int] = set()
-        #: Column blocks of flows the batch path allocated whose dict
-        #: entries have not been materialized yet (see _sync_flows).
-        self._pending_flows: list[tuple] = []
+        #: Packed flow key (see :func:`_flow_key`) -> NAT source port, so
+        #: every packet of one flow reuses the same translation.  One entry
+        #: per distinct flow keeps ``tpot.gateway.nat_entries`` exact.
+        self._flows: dict[int, int] = {}
         self.rx_count = 0
         self.tx_count = 0
         registry = get_registry()
@@ -427,67 +280,29 @@ class DnatGateway:
             return  # closed port: captured upstream, never answered
         self._relay(pkt, self._send)
 
-    @property
-    def _flows(self) -> dict:
-        if self._pending_flows:
-            self._sync_flows()
-        return self._flows_d
-
-    @property
-    def _flow_ports(self) -> dict:
-        if self._pending_flows:
-            self._sync_flows()
-        return self._flow_ports_d
-
-    def _sync_flows(self) -> None:
-        """Materialize dict entries for flows the batch path allocated —
-        deferred until something actually consults the dicts (the scalar
-        relay, or state inspection), so pure-probe traffic never pays for
-        Python key tuples."""
-        pending, self._pending_flows = self._pending_flows, []
-        for shi, slo, sp, dhi, dlo, pr, ports in pending:
-            src128 = [(h << 64) | l
-                      for h, l in zip(shi.tolist(), slo.tolist())]
-            dst128 = [(h << 64) | l
-                      for h, l in zip(dhi.tolist(), dlo.tolist())]
-            port_list = ports.tolist()
-            self._flow_ports_d.update(zip(
-                zip(src128, sp.tolist(), dst128, pr.tolist()), port_list))
-            self._flows_d.update(zip(zip(src128, port_list), dst128))
-
     def _relay(self, pkt: Packet, emit: Callable[[Packet], None]) -> None:
         """DNAT-forward one open-port packet to T-Pot, emitting each reply.
 
         One implementation serves the scalar path and the batch path's
         per-row fallback — there is exactly one NAT state machine.
         """
-        flow_key = (pkt.src, pkt.sport, pkt.dst, pkt.proto)
-        nat_port = self._flow_ports.get(flow_key)
+        key = _flow_key(pkt.src, pkt.dst, pkt.sport, pkt.proto == TCP)
+        nat_port = self._flows.get(key)
         if nat_port is None:
-            nat_port = self._assign_port()
-            self._flow_ports[flow_key] = nat_port
-            self._flow_seen.add(
-                (pkt.src << 145) | (pkt.dst << 17) | (pkt.sport << 1)
-                | (1 if pkt.proto == TCP else 0))
+            nat_port = self._flows[key] = self._assign_port()
             self._m_nat.inc()
-            if len(self.nat_log) < self.max_nat_entries:
-                self.nat_log.append(
-                    DnatLogEntry(pkt.timestamp, pkt.dst, nat_port)
-                )
-            self._flows[(pkt.src, nat_port)] = pkt.dst
         translated = Packet(
             timestamp=pkt.timestamp, src=pkt.src, dst=self.target_address,
             proto=pkt.proto, sport=nat_port, dport=pkt.dport,
             flags=pkt.flags, payload=pkt.payload, seq=pkt.seq, ack=pkt.ack,
         )
         for response in self.tpot.handle(translated):
-            # response.dst is the scanner, response.dport the NAT port we
-            # assigned; the flow table gives back the address the scanner
-            # actually probed so the reply appears to come from it.
-            original_dst = self._flows.get((response.dst, response.dport))
+            # Reverse translation: the reply appears to come from the
+            # address the scanner probed.  Taken from the packet itself,
+            # not looked up by NAT port, which wraps and gets reused.
             emit(Packet(
                 timestamp=response.timestamp,
-                src=original_dst if original_dst is not None else response.src,
+                src=pkt.dst,
                 dst=response.dst,
                 proto=response.proto,
                 sport=response.sport,
@@ -555,9 +370,7 @@ class DnatGateway:
                 self._relay(wire.packet_at(i),
                             lambda p, _i=i: out.append_packet(_i, p))
             return
-        # Flow allocation over distinct (src, sport, dst, proto) keys, in
-        # first-appearance order — the order the scalar path would assign
-        # ports and append NAT log entries in.
+        # Flow allocation over distinct (src, sport, dst, proto) keys.
         cols = (wire.src_hi[rows], wire.src_lo[rows],
                 wire.sport[rows].astype(np.uint64),
                 wire.dst_hi[rows], wire.dst_lo[rows],
@@ -568,9 +381,8 @@ class DnatGateway:
         # Representative row of each distinct flow, in first-appearance
         # order — the order the scalar path would assign ports in.
         rep = rows[first[np.argsort(first, kind="stable")]]
-        # The whole (src, dst, sport, proto) key packs into one int, so
-        # set membership against _flow_seen is exact — no tuple keys, no
-        # dict materialization on the hot path.
+        # _flow_key over columns: src << 145 is (src_hi << 209) | (src_lo
+        # << 145), and likewise for dst.
         lowbits = ((wire.sport[rep].astype(np.int64) << 1)
                    | (wire.proto[rep] == np.uint8(TCP)).astype(np.int64))
         packed = [(sh << 209) | (sl << 145) | (dh << 81) | (dl << 17) | l
@@ -578,9 +390,9 @@ class DnatGateway:
                       wire.src_hi[rep].tolist(), wire.src_lo[rep].tolist(),
                       wire.dst_hi[rep].tolist(), wire.dst_lo[rep].tolist(),
                       lowbits.tolist())]
-        seen = self._flow_seen
+        flows = self._flows
         new_pos = np.fromiter(
-            (i for i, p in enumerate(packed) if p not in seen),
+            (i for i, p in enumerate(packed) if p not in flows),
             dtype=np.int64)
         n_new = len(new_pos)
         if n_new:
@@ -590,24 +402,11 @@ class DnatGateway:
             span = 61_000 - 32_768
             ports = (start + np.arange(n_new)) % span + 32_768
             self._next_port = (start + n_new) % span + 32_768
-            new_rep = rep[new_pos]
-            self._pending_flows.append((
-                wire.src_hi[new_rep], wire.src_lo[new_rep],
-                wire.sport[new_rep], wire.dst_hi[new_rep],
-                wire.dst_lo[new_rep], wire.proto[new_rep], ports))
-            seen.update(packed[i] for i in new_pos.tolist())
+            flows.update(zip((packed[i] for i in new_pos.tolist()),
+                             ports.tolist()))
             self._m_nat.inc(n_new)
-            log_room = self.max_nat_entries - len(self.nat_log)
-            if log_room > 0:
-                logged = new_rep[:log_room]
-                self.nat_log.extend_columns(
-                    wire.ts[logged],
-                    wire.dst_hi[logged], wire.dst_lo[logged],
-                    ports[:log_room],
-                )
         # Replies are NAT-invisible: sourced from the address the scanner
-        # probed, back to its real port — the reverse translation the
-        # scalar path performs via the flow table, precomputed.
+        # probed, back to its real port, as in the scalar relay.
         tcp_idx = rows[tcp_sel]
         if len(tcp_idx):
             out.append_block(
@@ -620,23 +419,7 @@ class DnatGateway:
             )
         udp_idx = rows[~tcp_sel]
         if len(udp_idx):
-            names = self.tpot.container_names
-            target = self.target_address
-            entries = [
-                InteractionLog(
-                    t, names[c], (s_hi << 64) | s_lo, UDP, p, target,
-                    data=b"" if pid < 0 else wire.payloads[pid],
-                )
-                for t, c, s_hi, s_lo, p, pid in zip(
-                    wire.ts[udp_idx].tolist(),
-                    udp_lut[wire.dport[udp_idx]].tolist(),
-                    wire.src_hi[udp_idx].tolist(),
-                    wire.src_lo[udp_idx].tolist(),
-                    wire.dport[udp_idx].tolist(),
-                    wire.payload_id[udp_idx].tolist(),
-                )
-            ]
-            self.tpot.log_interactions(entries)
+            self.tpot.count_interactions(len(udp_idx))
             out.append_block(
                 udp_idx, wire.ts[udp_idx],
                 wire.dst_hi[udp_idx], wire.dst_lo[udp_idx],
@@ -645,6 +428,3 @@ class DnatGateway:
                 payload_id=out.intern(b"\x00"),
             )
 
-    def recover_destination(self, timestamp: float, source_port: int) -> int | None:
-        """Join a T-Pot log line back to its original IPv6 destination."""
-        return self.nat_log.last_match(timestamp, source_port)

@@ -12,6 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# The BSTM fits behind Table 4 and Fig 7 need scipy.optimize, which
+# repro.analysis.bstm imports only on first use so that simulating never
+# pays for it.  A process that imports the experiments is going to fit,
+# so it pays here, at import, not inside the first section it renders.
+import scipy.optimize  # noqa: F401
 
 from repro._util import DAY
 from repro.analysis.effects import (

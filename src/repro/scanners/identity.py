@@ -9,7 +9,7 @@ AlphaStrike-style operations rotated across an entire /30, CERNET used just
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,7 +79,6 @@ class SourceAllocator:
             self._pool = []
         self._session_addr: int | None = None
         self._pool_cols: tuple[np.ndarray, np.ndarray] | None = None
-        self.used: set[int] = set(self._pool)
 
     def _build_pool(self) -> list[int]:
         """Build the SMALL_POOL address set, clustering into /64 subnets
@@ -113,9 +112,8 @@ class SourceAllocator:
     def new_session(self) -> None:
         """Start a new scan session (PER_SESSION modes pick a new source)."""
         if self.identity.allocation is AllocationMode.PER_SESSION:
-            addr = self.identity.source_prefix.random_address(self._rng).value
-            self._session_addr = addr
-            self.used.add(addr)
+            self._session_addr = (
+                self.identity.source_prefix.random_address(self._rng).value)
 
     def target_slice(self) -> list[int] | None:
         """A per-target worker slice of the pool, or None for no slicing."""
@@ -135,8 +133,7 @@ class SourceAllocator:
         per packet.  ``rng`` overrides the allocator's own stream for the
         random modes, which lets :class:`~repro.scanners.agent.ScannerAgent`
         draw packet contents from a per-day child generator (see
-        ``_day_plan``).  PER_PACKET draws feed :attr:`used` so blocklist
-        accounting sees every source.
+        ``_day_plan``).
         """
         rng = self._rng if rng is None else rng
         mode = self.identity.allocation
@@ -157,11 +154,7 @@ class SourceAllocator:
                             dtype=np.uint64),
                     np.full(n, addr & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64))
         # PER_PACKET
-        hi, lo = random_addresses_u64(self.identity.source_prefix, rng, n)
-        self.used.update(
-            ((hi.astype(object) << 64) | lo.astype(object)).tolist()
-        )
-        return hi, lo
+        return random_addresses_u64(self.identity.source_prefix, rng, n)
 
     def _pool_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """The SMALL_POOL addresses as cached (hi, lo) columns."""

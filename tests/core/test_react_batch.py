@@ -5,7 +5,7 @@ The contract under test: ``Twinklenet.handle_batch`` and
 counters to feeding the same packets one by one through ``handle``.
 Traffic is randomized per test (addresses, ports, flags, interleavings)
 and every comparison is exact — replies as full ``Packet`` values in
-order, session tables, NAT/interaction logs, metric snapshots.
+order, session tables, NAT flow tables, metric snapshots.
 """
 
 import numpy as np
@@ -14,8 +14,6 @@ import pytest
 from repro.core.honeyprefix import HoneyprefixConfig, IcmpMode, deploy_addresses
 from repro.core.tpot import (
     DnatGateway,
-    DnatLog,
-    DnatLogEntry,
     TPOT1_CONTAINERS,
     TPotInstance,
 )
@@ -385,8 +383,8 @@ def _random_tpot_traffic(rng, n):
 
 
 def _gateway_state(gw):
-    return (list(gw.nat_log), gw._flow_ports, gw._flows, gw._next_port,
-            gw.rx_count, gw.tx_count, gw.tpot.interactions)
+    return (list(gw._flows.items()), gw._next_port, gw.rx_count,
+            gw.tx_count)
 
 
 class TestTPotEquivalence:
@@ -404,8 +402,8 @@ class TestTPotEquivalence:
         assert _gateway_state(gw_b) == _gateway_state(gw_s)
         assert reg_b.snapshot()["counters"] == reg_s.snapshot()["counters"]
 
-    def test_nat_log_order_and_port_allocation(self):
-        """The columnar NAT log records flows in first-packet order with
+    def test_port_allocation_order(self):
+        """The columnar path allocates flows in first-packet order with
         the same sequential port assignment as the scalar path."""
         rng = np.random.default_rng(9)
         gw_s, _, _, _ = _make_gateway()
@@ -419,10 +417,10 @@ class TestTPotEquivalence:
         for pkt in pkts:
             gw_s.handle(pkt)
         gw_b.handle_batch(WireBatch.from_packets(pkts))
-        assert list(gw_b.nat_log) == list(gw_s.nat_log)
+        assert list(gw_b._flows.items()) == list(gw_s._flows.items())
         assert gw_b._next_port == gw_s._next_port
-        assert [e.source_port for e in gw_b.nat_log] == list(
-            range(32_768, 32_768 + len(gw_b.nat_log)))
+        assert list(gw_b._flows.values()) == list(
+            range(32_768, 32_768 + len(gw_b._flows)))
 
     def test_handshake_traffic_uses_exact_fallback(self):
         """Batches containing non-SYN TCP (handshake completion, data) drop
@@ -446,21 +444,6 @@ class TestTPotEquivalence:
         assert any(p.payload.startswith(b"SSH-2.0-OpenSSH") for p in out_b)
         assert _gateway_state(gw_b) == _gateway_state(gw_s)
         assert reg_b.snapshot()["counters"] == reg_s.snapshot()["counters"]
-
-    def test_recover_destination_spans_segment_kinds(self):
-        """last_match searches columnar and scalar NAT log segments alike."""
-        gw, _, _, _ = _make_gateway()
-        scalar_dst = TPOT_PREFIX.network | 5
-        gw.handle(tcp_segment(1.0, SRC_NET | 1, scalar_dst, 5000, 22,
-                              TcpFlags.SYN, seq=1))
-        batch_dst = TPOT_PREFIX.network | 9
-        gw.handle_batch(WireBatch.from_packets([
-            tcp_segment(2.0, SRC_NET | 2, batch_dst, 6000, 80,
-                        TcpFlags.SYN, seq=1)]))
-        ports = [e.source_port for e in gw.nat_log]
-        assert gw.recover_destination(5.0, ports[0]) == scalar_dst
-        assert gw.recover_destination(5.0, ports[1]) == batch_dst
-        assert gw.recover_destination(0.5, ports[0]) is None
 
 
 def _tpot_rows_reference(gateway, sub):
@@ -525,9 +508,15 @@ class TestScenarioReactParity:
                 tpot_hitlist_offset_days=5, tpot_tls_offset_days=7,
                 udp_hitlist_offset_days=2, withdraw_after_days=9,
             )
-            scenario = PaperScenario(config)
-            for day in range(14):
-                scenario.run_day(day)
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                scenario = PaperScenario(config)
+                for day in range(14):
+                    scenario.run_day(day)
+            scenario.tpot_counters = {
+                name: value
+                for name, value in registry.snapshot()["counters"].items()
+                if name.startswith("tpot.")}
             return scenario
 
         batch = _run()
@@ -560,30 +549,6 @@ class TestScenarioReactParity:
         assert set(nta_b.gateways) == set(nta_s.gateways)
         for name in nta_b.gateways:
             gw_b, gw_s = nta_b.gateways[name], nta_s.gateways[name]
-            assert list(gw_b.nat_log) == list(gw_s.nat_log)
-            assert gw_b._next_port == gw_s._next_port
-            assert gw_b.rx_count == gw_s.rx_count
-            assert gw_b.tx_count == gw_s.tx_count
-            assert gw_b.tpot.interactions == gw_s.tpot.interactions
-
-
-class TestDnatLog:
-    def test_list_semantics(self):
-        log = DnatLog()
-        assert log == [] and len(log) == 0 and not log
-        entries = [DnatLogEntry(float(i), 100 + i, 32768 + i) for i in range(3)]
-        for e in entries:
-            log.append(e)
-        log.extend_columns(
-            np.asarray([3.0, 4.0]), np.asarray([0, 0], dtype=np.uint64),
-            np.asarray([200, 201], dtype=np.uint64),
-            np.asarray([40000, 40001]))
-        entries += [DnatLogEntry(3.0, 200, 40000), DnatLogEntry(4.0, 201, 40001)]
-        assert len(log) == 5
-        assert list(log) == entries
-        assert list(reversed(log)) == entries[::-1]
-        assert log[0] == entries[0] and log[-1] == entries[-1]
-        assert log[1:3] == entries[1:3]
-        assert log == entries
-        with pytest.raises(IndexError):
-            log[5]
+            assert _gateway_state(gw_b) == _gateway_state(gw_s)
+        assert batch.tpot_counters["tpot.interactions"] > 0
+        assert batch.tpot_counters == scalar.tpot_counters

@@ -1,4 +1,4 @@
-"""Tests for the T-Pot stack: containers, DNAT gateway, log recovery."""
+"""Tests for the T-Pot stack: containers, DNAT gateway, reply translation."""
 
 import pytest
 
@@ -9,6 +9,7 @@ from repro.core.tpot import (
     TPotInstance,
 )
 from repro.net.addr import IPv6Prefix
+from repro.net.batch import PacketBatch, WireBatch
 from repro.net.packet import (
     ICMPV6,
     TCP,
@@ -19,13 +20,25 @@ from repro.net.packet import (
     tcp_segment,
     udp_datagram,
 )
+from repro.obs import MetricsRegistry, use_registry
 
 PREFIX = IPv6Prefix.parse("2001:db8:300::/48")
 SRC = IPv6Prefix.parse("2001:db8:f00::/48").network | 5
 
 
 @pytest.fixture
-def stack():
+def registry():
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        yield registry
+
+
+def _count(registry, name):
+    return registry.snapshot()["counters"].get(name, 0)
+
+
+@pytest.fixture
+def stack(registry):
     tpot = TPotInstance("tpot1", TPOT1_CONTAINERS)
     out = []
     gateway = DnatGateway(PREFIX, tpot, transmit=out.append)
@@ -56,32 +69,34 @@ class TestContainers:
 
 
 class TestTPotInteraction:
-    def test_handshake_then_banner(self):
+    def test_handshake_then_banner(self, registry):
         tpot = TPotInstance("tpot1", TPOT1_CONTAINERS)
         target = PREFIX.network | 1
         synack = tpot.handle(tcp_segment(1.0, SRC, target, 4000, 22,
                                          TcpFlags.SYN, seq=9))
         assert TcpFlags(synack[0].flags) == TcpFlags.SYN | TcpFlags.ACK
+        assert _count(registry, "tpot.interactions") == 0
         banner = tpot.handle(tcp_segment(1.1, SRC, target, 4000, 22,
                                          TcpFlags.ACK, seq=10))
         assert banner and banner[0].payload.startswith(b"SSH-2.0")
-        assert tpot.interactions[0].container == "cowrie"
+        assert _count(registry, "tpot.interactions") == 1
 
-    def test_data_logged(self):
+    def test_data_logged(self, registry):
         tpot = TPotInstance("tpot1", TPOT1_CONTAINERS)
         target = PREFIX.network | 1
-        tpot.handle(tcp_segment(1.0, SRC, target, 4000, 80,
-                                TcpFlags.PSH | TcpFlags.ACK,
-                                payload=b"GET / HTTP/1.1"))
-        assert tpot.interactions[-1].data == b"GET / HTTP/1.1"
-        assert tpot.interactions[-1].container == "snare"
+        ack = tpot.handle(tcp_segment(1.0, SRC, target, 4000, 80,
+                                      TcpFlags.PSH | TcpFlags.ACK, seq=3,
+                                      payload=b"GET / HTTP/1.1"))
+        assert TcpFlags(ack[0].flags) == TcpFlags.ACK
+        assert ack[0].ack == 3 + len(b"GET / HTTP/1.1")
+        assert _count(registry, "tpot.interactions") == 1
 
-    def test_udp_interaction(self):
+    def test_udp_interaction(self, registry):
         tpot = TPotInstance("tpot1", TPOT1_CONTAINERS)
         out = tpot.handle(udp_datagram(1.0, SRC, PREFIX.network | 1,
                                        4000, 53, b"q"))
         assert out
-        assert tpot.interactions[-1].container == "ddospot"
+        assert _count(registry, "tpot.interactions") == 1
 
     def test_closed_port_no_response(self):
         tpot = TPotInstance("tpot1", TPOT1_CONTAINERS)
@@ -96,15 +111,12 @@ class TestDnatGateway:
         assert out[-1].sport == int(IcmpType.ECHO_REPLY)
         assert out[-1].src == PREFIX.network | 0xBEEF
 
-    def test_dnat_translates_and_logs(self, stack):
-        gateway, tpot, out = stack
+    def test_dnat_translates_and_logs(self, stack, registry):
+        gateway, _, out = stack
         original = PREFIX.network | 0x1234
         gateway.handle(tcp_segment(5.0, SRC, original, 4000, 22,
                                    TcpFlags.SYN))
-        entry = gateway.nat_log[0]
-        assert entry.original_dst == original
-        # T-Pot saw the translated ::1 destination.
-        assert tpot is gateway.tpot
+        assert _count(registry, "tpot.gateway.nat_entries") == 1
         assert out[-1].src == original  # reply un-translated
 
     def test_reply_restores_scanner_port(self, stack):
@@ -114,29 +126,23 @@ class TestDnatGateway:
         assert out[-1].dport == 4321
         assert out[-1].dst == SRC
 
-    def test_flow_reuses_nat_port(self, stack):
+    def test_flow_reuses_nat_port(self, stack, registry):
         gateway, _, out = stack
         target = PREFIX.network | 7
         gateway.handle(tcp_segment(5.0, SRC, target, 4321, 22, TcpFlags.SYN))
         gateway.handle(tcp_segment(5.1, SRC, target, 4321, 22, TcpFlags.ACK,
                                    seq=1))
-        assert len(gateway.nat_log) == 1
+        assert _count(registry, "tpot.gateway.nat_entries") == 1
+        assert len(gateway._flows) == 1
+        assert gateway._next_port == 32_769
 
-    def test_recover_destination(self, stack):
-        gateway, _, _ = stack
-        target = PREFIX.network | 0xAA
-        gateway.handle(tcp_segment(5.0, SRC, target, 4321, 22, TcpFlags.SYN))
-        port = gateway.nat_log[0].source_port
-        assert gateway.recover_destination(6.0, port) == target
-        assert gateway.recover_destination(4.0, port) is None
-        assert gateway.recover_destination(6.0, 1) is None
-
-    def test_closed_port_captured_but_silent(self, stack):
+    def test_closed_port_captured_but_silent(self, stack, registry):
         gateway, _, out = stack
         gateway.handle(tcp_segment(5.0, SRC, PREFIX.network | 1, 4000, 9999,
                                    TcpFlags.SYN))
         assert out == []
-        assert gateway.nat_log == []
+        assert gateway.rx_count == 1
+        assert _count(registry, "tpot.gateway.nat_entries") == 0
 
     def test_out_of_prefix_ignored(self, stack):
         gateway, _, out = stack
@@ -149,3 +155,47 @@ class TestDnatGateway:
         assert gateway.responds(PREFIX.network | 5, TCP, 22)
         assert not gateway.responds(PREFIX.network | 5, TCP, 9999)
         assert not gateway.responds(42, ICMPV6, None)
+
+
+class TestNatPortWrap:
+    """The NAT port counter wraps after 28,232 flows, so two live flows
+    can share a port; a reply must still come from its own flow's
+    destination, not from whichever flow took the port last."""
+
+    DST1 = PREFIX.network | 0x11
+    DST2 = PREFIX.network | 0x22
+
+    def _wrap(self, gateway):
+        gateway.handle(tcp_segment(1.0, SRC, self.DST1, 4000, 22,
+                                   TcpFlags.SYN))
+        # Enough distinct flows from the same scanner to bring the port
+        # counter back to flow 1's port (batch path: one column block).
+        n = (61_000 - 32_768) - 1
+        gateway.handle_batch(PacketBatch.from_packets(
+            tcp_segment(2.0, SRC, PREFIX.network | 0x33, 10_000 + i, 80,
+                        TcpFlags.SYN)
+            for i in range(n)))
+        assert gateway._next_port == 32_768
+        gateway.handle(tcp_segment(3.0, SRC, self.DST2, 5000, 22,
+                                   TcpFlags.SYN))
+        assert gateway._next_port == 32_769  # DST2's flow reuses the port
+
+    def _ack(self):
+        return tcp_segment(4.0, SRC, self.DST1, 4000, 22, TcpFlags.ACK, seq=1)
+
+    def test_scalar_reply_sourced_from_own_flow(self, stack):
+        gateway, _, out = stack
+        self._wrap(gateway)
+        gateway.handle(self._ack())
+        assert out[-1].payload.startswith(b"SSH-2.0")
+        assert out[-1].src == self.DST1
+        assert out[-1].dport == 4000
+
+    def test_batch_fallback_reply_sourced_from_own_flow(self, stack):
+        gateway, _, out = stack
+        self._wrap(gateway)
+        replies = gateway.handle_batch(WireBatch.from_packets([self._ack()]))
+        (banner,) = replies.to_packets()
+        assert banner.payload.startswith(b"SSH-2.0")
+        assert banner.src == self.DST1
+        assert out[-1] == banner

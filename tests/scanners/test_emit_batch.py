@@ -160,7 +160,8 @@ class TestAllocatorModes:
         assert len(batch) > 0
         sources = {(int(h) << 64) | int(l)
                    for h, l in zip(batch.src_hi, batch.src_lo)}
-        assert sources <= agent.allocator.used
+        prefix = agent.allocator.identity.source_prefix
+        assert all(src in prefix for src in sources)
         if allocation is AllocationMode.FIXED:
             assert len(sources) == 1
         elif allocation is AllocationMode.SMALL_POOL:

@@ -78,9 +78,9 @@ class TestHoneypotInteraction:
     def test_twinklenet_responded(self, small_result):
         assert small_result.scenario.telescope.response_count > 0
 
-    def test_tpot_nat_log_populated(self, small_result):
+    def test_tpot_gateway_replied(self, small_result):
         gateways = small_result.scenario.telescope.gateways
-        assert any(g.nat_log for g in gateways.values())
+        assert any(g.tx_count for g in gateways.values())
 
     def test_hitlist_published_entries(self, small_result):
         entries = small_result.scenario.fabric.hitlist.entries()

@@ -4,13 +4,17 @@ Every name a ``repro`` module lists in ``__all__`` must resolve, so an
 export left behind when its code is deleted fails here rather than only
 under ``from repro.x import *``.  And the per-packet ``*_reference``
 oracles live in ``tests/``: the package neither defines one nor imports
-anything from ``tests``.
+anything from ``tests``.  Simulating does not import scipy, which only
+the BSTM fits need.
 """
 
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -67,3 +71,19 @@ class TestOraclesStayInTests:
                 and _is_tests(node.module))
         ]
         assert offenders == []
+
+
+def test_simulation_path_does_not_import_scipy():
+    """scipy costs about half a second at start-up; every run, bench
+    child and service worker would pay it if a simulation-path module
+    imported it.  A fresh interpreter, since this one may have it."""
+    code = ("import sys, repro.sim, repro.exec, repro.service, "
+            "repro.observatory; "
+            "print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
