@@ -12,7 +12,10 @@ Top-level convenience surface.  The subpackages are the real API:
 * :mod:`repro.sim` — the event engine, fabric, paper scenario, CDN model,
 * :mod:`repro.experiments` — one driver per paper table/figure (the
   registry is ``repro.experiments.EXPERIMENTS``; importing it imports
-  scipy, which the simulation path never needs).
+  scipy, which the simulation path never needs).  Of the CLI
+  subcommands only ``list``, ``experiment`` and a batch ``run`` load
+  it; ``serve``, ``observe`` and ``run --stream``/``--observe`` start
+  without it.
 """
 
 from repro.sim import ScenarioConfig, run_scenario

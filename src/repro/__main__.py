@@ -36,6 +36,13 @@ invocation):
 
 ``experiment`` takes ``--jobs N`` to render report sections in ``N``
 worker processes (the report bytes do not depend on N).
+
+Only ``list``, ``experiment`` and a batch ``run`` (its five headline
+tables) import :mod:`repro.experiments`, and with it scipy; each does so
+inside the function that renders.  ``serve``, ``observe`` and
+``run --stream``/``--observe`` never load the report layer, so the
+service binds its socket (and forks its pool workers) with only the
+simulation, cache and observability modules imported.
 """
 
 from __future__ import annotations
@@ -44,7 +51,6 @@ import argparse
 import os
 import sys
 
-from repro.experiments import EXPERIMENTS
 from repro.obs import (
     Journal,
     MetricsRegistry,
@@ -338,6 +344,8 @@ def _run(args) -> int:
                   f"{summary['records']} telescope records in "
                   f"{summary['directory']}", file=sys.stderr)
         return 0
+    from repro.experiments import EXPERIMENTS
+
     for key in ("table1", "table3", "fig5", "fig9", "table4"):
         fn, _ = EXPERIMENTS[key]
         print()
@@ -417,6 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "list":
+        from repro.experiments import EXPERIMENTS
         from repro.experiments.report import JOBS_AWARE, STREAM_ELIGIBLE
 
         if args.json:

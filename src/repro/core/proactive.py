@@ -84,8 +84,8 @@ class ProactiveTelescope:
         self.gateways: dict[str, DnatGateway] = {}
         self._domain_counter = itertools.count(1)
         self.response_count = 0
-        #: Cached honeyprefix /48 key column for handle_batch; invalidated
-        #: whenever a deploy adds a honeyprefix.
+        #: Cached sorted honeyprefix /48 key column (the high 64 bits) for
+        #: handle_batch; invalidated whenever a deploy adds a honeyprefix.
         self._hp_keys_hi: np.ndarray | None = None
 
         def _count_tx(_pkt: Packet) -> None:
@@ -299,9 +299,13 @@ class ProactiveTelescope:
         """Receive a batch of unsolicited packets: capture, then react.
 
         The batch is captured as one numpy chunk and split by honeyprefix
-        /48 truncation keys; each honeyprefix's slice goes to its DNAT
-        gateway (T-Pot prefixes) or to Twinklenet.  Rows outside every
-        honeyprefix are control space: pure darknet.
+        /48 truncation keys in one pass: a ``searchsorted`` against the
+        sorted key column finds each row's honeyprefix, and a stable sort
+        of the hit rows by key makes every honeyprefix's rows one
+        contiguous run, in arrival order.  Each honeyprefix's slice goes,
+        in ascending key order, to its DNAT gateway (T-Pot prefixes) or to
+        Twinklenet.  Rows outside every honeyprefix are control space:
+        pure darknet.
         """
         if len(batch) == 0:
             return
@@ -311,19 +315,36 @@ class ProactiveTelescope:
         if not self._hp_by_48:
             return
         with stage("telescope.react", telescope=self.name):
-            shift = np.uint64(16)  # /48 keeps 48 of hi's 64 bits
-            hi48 = (batch.dst_hi >> shift) << shift
             if self._hp_keys_hi is None:
-                self._hp_keys_hi = np.fromiter(
+                self._hp_keys_hi = np.sort(np.fromiter(
                     (key >> 64 for key in self._hp_by_48),
                     dtype=np.uint64, count=len(self._hp_by_48),
-                )
-            hit = np.isin(hi48, self._hp_keys_hi)
-            if not hit.any():
+                ))
+            keys = self._hp_keys_hi
+            # Each row's candidate is the last key at or below its dst_hi;
+            # the row is in that /48 iff the two share hi's top 48 bits
+            # (a key's low 16 are zero).  A row below every key gets slot
+            # -1, whose key (the largest) cannot match it either.  The
+            # in-place steps and early deletes keep the transient at about
+            # two int64 columns of the largest daily batch.
+            slot = np.searchsorted(keys, batch.dst_hi, side="right")
+            slot -= 1
+            diff = keys[slot]
+            diff ^= batch.dst_hi
+            rows = np.flatnonzero(diff < np.uint64(1 << 16))
+            del diff
+            if len(rows) == 0:
                 return  # control space: pure darknet
-            for key_hi in np.unique(hi48[hit]):
-                hp = self._hp_by_48[int(key_hi) << 64]
-                sub = batch.select(hi48 == key_hi)
+            groups = slot[rows]
+            del slot
+            order = np.argsort(groups, kind="stable")
+            rows, groups = rows[order], groups[order]
+            starts = np.flatnonzero(np.diff(groups, prepend=-1))
+            parts = zip(np.split(rows, starts[1:]), groups[starts].tolist())
+            del order, groups
+            for part, group in parts:
+                hp = self._hp_by_48[int(keys[group]) << 64]
+                sub = batch.select(part)
                 if hp.config.tpot:
                     self.gateways[hp.name].handle_batch(sub)
                 else:

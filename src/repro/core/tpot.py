@@ -51,6 +51,10 @@ from repro.net.packet import (
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
+#: Every NAT source port the gateway hands out, 32768-60999.  Flow tables
+#: store these shared int objects instead of a fresh int per flow.
+_NAT_PORTS = tuple(range(32_768, 61_000))
+
 
 @dataclass(frozen=True, slots=True)
 class Container:
@@ -246,7 +250,7 @@ class DnatGateway:
         return self.prefix.network | 1
 
     def _assign_port(self) -> int:
-        port = self._next_port
+        port = _NAT_PORTS[self._next_port - 32_768]
         self._next_port += 1
         if self._next_port > 60_999:
             self._next_port = 32_768
@@ -399,11 +403,11 @@ class DnatGateway:
             # _assign_port hands out sequential ports wrapping from 60999
             # back to 32768 — arange-modulo reproduces the series exactly.
             start = self._next_port - 32_768
-            span = 61_000 - 32_768
-            ports = (start + np.arange(n_new)) % span + 32_768
+            span = len(_NAT_PORTS)
+            slots = (start + np.arange(n_new)) % span
             self._next_port = (start + n_new) % span + 32_768
             flows.update(zip((packed[i] for i in new_pos.tolist()),
-                             ports.tolist()))
+                             map(_NAT_PORTS.__getitem__, slots.tolist())))
             self._m_nat.inc(n_new)
         # Replies are NAT-invisible: sourced from the address the scanner
         # probed, back to its real port, as in the scalar relay.

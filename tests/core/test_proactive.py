@@ -1,5 +1,8 @@
 """Tests for the proactive telescope orchestrator."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro._util import DAY
@@ -165,6 +168,84 @@ class TestDataPlane:
     def test_control_space_is_silent(self, telescope):
         _send(telescope, icmp_echo_request(2000.0, SRC, COVERING.network | 1))
         assert telescope.response_count == 0
+
+
+def _route_reference(telescope, batch):
+    """Per-key mask loop: each deployed /48's rows, in ascending key
+    order, as ``(honeyprefix name, sub-batch)``."""
+    hi48 = (batch.dst_hi >> np.uint64(16)) << np.uint64(16)
+    by_key = {key >> 64: hp for key, hp in telescope._hp_by_48.items()}
+    routed = []
+    for key in sorted(by_key):
+        mask = hi48 == np.uint64(key)
+        if mask.any():
+            routed.append((by_key[key].name, batch.select(mask)))
+    return routed
+
+
+def _columns(batch):
+    return [getattr(batch, f.name) for f in dataclasses.fields(batch)]
+
+
+class TestRouting:
+    def test_sub_batches_match_per_key_masks(self, telescope, configs):
+        """One mixed batch — T-Pot and Twinklenet honeyprefixes deployed
+        out of key order, plus control space below, between and above
+        them — reaches each honeyprefix as the rows a per-key mask
+        selects, in ascending key order and arrival order."""
+        slots = {"H_TPot2": 9, "H_Alias": 1, "H_TPot1": 5, "H_TCP": 3,
+                 "H_Com": 7}
+        for name, i in slots.items():
+            telescope.deploy(configs[name], _slot(i), at=1000.0)
+        routed = []
+        for name, gateway in telescope.gateways.items():
+            gateway.handle_batch = (
+                lambda sub, _name=name: routed.append((_name, sub)))
+        telescope.twinklenet.handle_batch = (
+            lambda sub, owner_hint=None: routed.append(
+                (owner_hint.name, sub)))
+
+        rng = np.random.default_rng(4)
+        n = 600
+        # Deployed slots plus control space: below every key (slot 0 of
+        # the covering prefix), between keys and above every key.
+        nets = [COVERING.network, *(_slot(i).network for i in range(12))]
+        pick = rng.integers(0, len(nets), n)
+        dst_hi = np.array([nets[k] >> 64 for k in pick.tolist()],
+                          dtype=np.uint64)
+        dst_hi |= rng.integers(0, 1 << 16, n).astype(np.uint64)
+        batch = PacketBatch.from_columns(
+            ts=np.sort(rng.uniform(2000.0, 3000.0, n)),
+            src_hi=np.full(n, SRC >> 64, dtype=np.uint64),
+            src_lo=rng.integers(1, 1 << 32, n).astype(np.uint64),
+            dst_hi=dst_hi, dst_lo=rng.integers(0, 1 << 62, n),
+            proto=np.full(n, TCP), sport=rng.integers(1024, 65536, n),
+            dport=rng.choice([22, 80, 443], n), origin=np.arange(n))
+        expected = _route_reference(telescope, batch)
+        telescope.handle_batch(batch)
+
+        assert [name for name, _ in routed] == [
+            name for name, _ in expected]
+        assert {name for name, _ in routed} == set(slots)
+        for (_, got), (_, want) in zip(routed, expected):
+            for col_got, col_want in zip(_columns(got), _columns(want)):
+                assert col_got.dtype == col_want.dtype
+                assert np.array_equal(col_got, col_want)
+        assert len(telescope.capturer) == n
+
+    def test_control_space_only_routes_nothing(self, telescope, configs):
+        telescope.deploy(configs["H_TPot1"], _slot(5), at=1000.0)
+        routed = []
+        telescope.gateways["H_TPot1"].handle_batch = routed.append
+        batch = PacketBatch.from_packets([
+            tcp_segment(2000.0, SRC, COVERING.network | 1, 4000, 22,
+                        TcpFlags.SYN),
+            tcp_segment(2001.0, SRC, _slot(9).network | 1, 4000, 22,
+                        TcpFlags.SYN),
+        ])
+        telescope.handle_batch(batch)
+        assert routed == []
+        assert len(telescope.capturer) == 2
 
 
 class TestOracles:

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.honeyprefix import HoneyprefixConfig, IcmpMode, deploy_addresses
 from repro.core.tpot import (
+    _NAT_PORTS,
     DnatGateway,
     TPOT1_CONTAINERS,
     TPotInstance,
@@ -421,6 +422,29 @@ class TestTPotEquivalence:
         assert gw_b._next_port == gw_s._next_port
         assert list(gw_b._flows.values()) == list(
             range(32_768, 32_768 + len(gw_b._flows)))
+        # One shared int object per port value, not a fresh one per flow.
+        for gw in (gw_s, gw_b):
+            assert all(port is _NAT_PORTS[port - 32_768]
+                       for port in gw._flows.values())
+
+    def test_port_wrap_reuses_shared_ports(self):
+        """Allocation wraps from 60999 back to 32768 identically on both
+        paths, still handing out the shared port objects."""
+        gw_s, _, _, _ = _make_gateway()
+        gw_b, _, _, _ = _make_gateway()
+        gw_s._next_port = gw_b._next_port = 60_995
+        pkts = [tcp_segment(1.0 + i * 0.1, SRC_NET | (i + 1),
+                            TPOT_PREFIX.network | 1, 5000, 22, TcpFlags.SYN)
+                for i in range(10)]
+        for pkt in pkts:
+            gw_s.handle(pkt)
+        gw_b.handle_batch(WireBatch.from_packets(pkts))
+        expected = [*range(60_995, 61_000), *range(32_768, 32_773)]
+        for gw in (gw_s, gw_b):
+            assert list(gw._flows.values()) == expected
+            assert gw._next_port == 32_773
+            assert all(port is _NAT_PORTS[port - 32_768]
+                       for port in gw._flows.values())
 
     def test_handshake_traffic_uses_exact_fallback(self):
         """Batches containing non-SYN TCP (handshake completion, data) drop

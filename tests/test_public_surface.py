@@ -5,7 +5,8 @@ export left behind when its code is deleted fails here rather than only
 under ``from repro.x import *``.  And the per-packet ``*_reference``
 oracles live in ``tests/``: the package neither defines one nor imports
 anything from ``tests``.  Simulating does not import scipy, which only
-the BSTM fits need.
+the BSTM fits need, and the CLI and the service start without the
+report layer (``repro.experiments``).
 """
 
 import ast
@@ -73,17 +74,35 @@ class TestOraclesStayInTests:
         assert offenders == []
 
 
-def test_simulation_path_does_not_import_scipy():
-    """scipy costs about half a second at start-up; every run, bench
-    child and service worker would pay it if a simulation-path module
-    imported it.  A fresh interpreter, since this one may have it."""
-    code = ("import sys, repro.sim, repro.exec, repro.service, "
-            "repro.observatory; "
-            "print(sorted(m for m in sys.modules "
-            "if m.partition('.')[0] == 'scipy'))")
+def _fresh_imports(modules: str, packages: tuple[str, ...]) -> list[str]:
+    """The modules of ``packages`` loaded once a fresh interpreter has
+    imported ``modules`` (this one may already have them)."""
+    code = (f"import sys, {modules}; packages = {packages!r}; "
+            "print(sorted(m for m in sys.modules for p in packages "
+            "if m == p or m.startswith(p + '.')))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    return ast.literal_eval(proc.stdout.strip())
+
+
+def test_simulation_path_does_not_import_scipy():
+    """scipy costs about half a second at start-up; every run, bench
+    child and service worker would pay it if a simulation-path module
+    imported it."""
+    loaded = _fresh_imports(
+        "repro.sim, repro.exec, repro.service, repro.observatory",
+        ("scipy",))
+    assert loaded == []
+
+
+def test_cli_and_service_start_without_report_layer():
+    """``repro serve`` renders no report section, so importing the CLI
+    and the service must load neither the experiment drivers nor (through
+    them) scipy; only the subcommands that render import them."""
+    loaded = _fresh_imports(
+        "repro.__main__, repro.service",
+        ("scipy", "repro.experiments"))
+    assert loaded == []
 
