@@ -1,23 +1,29 @@
 """Packet capture into analysis-ready columnar records.
 
 ``PacketCapturer`` is the telescope's packet-capture stage:
-:meth:`PacketCapturer.capture_batch` appends each batch's analysis-relevant
-columns (timestamps, src/dst split into uint64 halves, protocol, ports) as
-one numpy chunk.  ``to_records()`` freezes the chunks, in arrival order, into
-:class:`repro.analysis.records.PacketRecords`.
+:meth:`PacketCapturer.capture_batch` copies each batch's analysis-relevant
+columns (timestamps, src/dst split into uint64 halves, protocol, ports)
+into one growable columnar store, in arrival order, and ``to_records()``
+hands the store's columns out as
+:class:`repro.analysis.records.PacketRecords` without copying them.
 
 The capturer is also the *provenance boundary*: a batch arriving with the
-ground-truth ``origin`` column (the emitting agent's id) keeps it in its
-chunk, but the frozen records never carry it — a real telescope cannot see
-who sent a packet.  The freeze fills ``origin`` as one int32 column aligned
-row for row with the records (:data:`~repro.net.batch.UNKNOWN_ORIGIN` on
-rows that arrived without one), and :meth:`PacketCapturer.to_truth` serves
-it for detection scoring.
+ground-truth ``origin`` column (the emitting agent's id) keeps it in the
+store's ``origin`` column, but the frozen records never carry it — a real
+telescope cannot see who sent a packet.  Rows that arrived without one
+read :data:`~repro.net.batch.UNKNOWN_ORIGIN`, and
+:meth:`PacketCapturer.to_truth` serves the column, aligned row for row
+with the records, for detection scoring.
 
-Two storages, picked by the run mode: a batch run retains every chunk
-until the freeze, and a streaming run drains the buffer at each day
-boundary (:meth:`PacketCapturer.drain_day_records`), so it never holds
-more than one day.
+Each captured row lives in one place.  The store's arrays are
+preallocated and grow in place by at least an eighth at a time, so a
+capture copies only its own rows.  A freeze trims the store and hands
+its arrays out; the capturer then keeps them as its frozen prefix and
+starts a fresh store, so no array that was handed out is ever resized or
+written again.  A batch run retains the store until the freeze, and a
+streaming run drains it at each day boundary
+(:meth:`PacketCapturer.drain_day_records`, which returns the day's
+records and their ``origin``), so it never holds more than one day.
 """
 
 from __future__ import annotations
@@ -31,26 +37,40 @@ from repro.obs import get_registry
 CAPTURE_COLUMNS = ("ts", "src_hi", "src_lo", "dst_hi", "dst_lo",
                    "proto", "sport", "dport")
 
+#: The store's columns: the eight capture columns, then ``origin``.
 _COLUMN_DTYPES = {
     "ts": np.float64,
     "src_hi": np.uint64, "src_lo": np.uint64,
     "dst_hi": np.uint64, "dst_lo": np.uint64,
     "proto": np.uint8, "sport": np.uint16, "dport": np.uint16,
+    "origin": np.int32,
 }
+
+#: Capacity growth factor of the store.  Small enough that the unused
+#: tail stays an eighth of the rows at most (the same peak as growing to
+#: the exact size), large enough that many small captures cost few
+#: reallocations.
+_GROWTH = 1.125
+
+
+def _empty_columns() -> dict[str, np.ndarray]:
+    return {col: np.empty(0, dtype=dtype)
+            for col, dtype in _COLUMN_DTYPES.items()}
 
 
 class PacketCapturer:
-    """Columnar packet capture into in-memory chunks."""
+    """Columnar packet capture into one growable in-memory store."""
 
     def __init__(self, name: str = "capture"):
         self.name = name
-        #: Captured batches in arrival order, ``origin`` included when the
-        #: batch arrived with one.
-        self._chunks: list[PacketBatch] = []
+        #: The store: one array per column, the first ``_size`` rows
+        #: filled.  Only this dict references the arrays between calls,
+        #: which is what lets them grow in place.
+        self._columns = _empty_columns()
+        self._size = 0
         #: The last freeze's records and their aligned ``origin`` column:
-        #: a freeze consumes the chunk buffer (releasing per-chunk
-        #: references), so repeated freezes serve — and later captures
-        #: extend — this cached prefix.
+        #: the arrays a freeze handed out, never written again, which
+        #: repeated freezes serve and a later freeze extends.
         self._frozen = None
         self._frozen_origin = None
         self._packet_metric = get_registry().counter(
@@ -59,107 +79,163 @@ class PacketCapturer:
 
     def __len__(self) -> int:
         frozen = len(self._frozen) if self._frozen is not None else 0
-        return frozen + sum(len(c) for c in self._chunks)
+        return frozen + self._size
+
+    # -- the store ----------------------------------------------------------
+
+    def _reserve(self, extra: int) -> None:
+        """Make room for ``extra`` more rows.
+
+        A fresh store is allocated at the size asked for.  A filled one
+        grows by at least :data:`_GROWTH`, in place when no view of it is
+        alive (``resize`` refuses otherwise, and the rows are copied into
+        a new array, leaving every view valid).
+        """
+        needed = self._size + extra
+        capacity = len(self._columns["ts"])
+        if needed <= capacity:
+            return
+        if self._size == 0:
+            self._columns = {col: np.empty(needed, dtype=dtype)
+                             for col, dtype in _COLUMN_DTYPES.items()}
+            return
+        capacity = max(needed, int(capacity * _GROWTH))
+        for col in _COLUMN_DTYPES:
+            try:
+                self._columns[col].resize(capacity, refcheck=True)
+            except ValueError:
+                grown = np.empty(capacity, dtype=_COLUMN_DTYPES[col])
+                grown[:self._size] = self._columns[col][:self._size]
+                self._columns[col] = grown
+
+    def _append(self, batch: PacketBatch) -> PacketBatch:
+        """Copy ``batch`` into the store; returns the stored rows (views)."""
+        start = self._size
+        end = start + len(batch)
+        self._reserve(len(batch))
+        columns = self._columns
+        for col in CAPTURE_COLUMNS:
+            columns[col][start:end] = getattr(batch, col)
+        columns["origin"][start:end] = (UNKNOWN_ORIGIN if batch.origin is None
+                                        else batch.origin)
+        self._size = end
+        return PacketBatch(
+            **{col: columns[col][start:end] for col in CAPTURE_COLUMNS},
+            origin=(None if batch.origin is None
+                    else columns["origin"][start:end]),
+        )
+
+    def _take(self) -> dict[str, np.ndarray]:
+        """Hand out the store's filled rows, trimmed in place where no view
+        is alive, and start a fresh store."""
+        size = self._size
+        columns = self._columns
+        self._columns = _empty_columns()
+        self._size = 0
+        for col in _COLUMN_DTYPES:
+            try:
+                columns[col].resize(size, refcheck=True)
+            except ValueError:
+                columns[col] = columns[col][:size]
+        return columns
 
     # -- capture ----------------------------------------------------------
 
-    def capture_batch(self, batch: PacketBatch | WireBatch) -> None:
-        """Record a whole columnar batch as one chunk.
+    def capture_batch(self, batch: PacketBatch | WireBatch) -> PacketBatch:
+        """Append a whole columnar batch to the store.
 
         Accepts the eight capture columns as a :class:`PacketBatch`; a
         honeypot reply :class:`WireBatch` is captured through its capture
         columns (transport detail is not part of the record format).
+        Returns the stored rows as a batch of views into the store
+        (``origin`` included when the batch carried one), so a caller can
+        drop its own copy and read the rows from here.  Holding the views
+        across later captures is correct but makes the store copy when it
+        grows.
         """
         if isinstance(batch, WireBatch):
             batch = batch.as_packet_batch()
         if len(batch) == 0:
-            return
+            return batch
         self._packet_metric.inc(len(batch))
-        self._chunks.append(batch)
+        return self._append(batch)
 
     # -- chunk transfer (checkpoint capture + restore) ----------------------
 
     def chunks(self) -> list[PacketBatch]:
-        """Every captured row as batches in arrival order, the frozen
-        prefix (if any) first — what a checkpoint stores."""
-        if self._frozen is None:
-            return list(self._chunks)
-        return [self._frozen_batch(), *self._chunks]
+        """Every captured row as origin-bearing batches in arrival order,
+        the frozen prefix (if any) first — what a checkpoint stores.  The
+        batches share the capturer's arrays."""
+        chunks = []
+        if self._frozen is not None:
+            frozen = self._frozen
+            chunks.append(PacketBatch(
+                **{col: getattr(frozen, col) for col in CAPTURE_COLUMNS},
+                origin=self._frozen_origin,
+            ))
+        if self._size:
+            chunks.append(PacketBatch(
+                **{col: self._columns[col][:self._size]
+                   for col in _COLUMN_DTYPES}))
+        return chunks
 
     def extend_chunks(self, chunks) -> None:
         """Append transferred chunks in arrival order (the checkpoint
         restore side).  Does not advance the capture metrics counter:
         transferred rows were counted where they were captured."""
-        self._chunks.extend(chunks)
+        chunks = [c for c in chunks if len(c)]
+        self._reserve(sum(len(c) for c in chunks))
+        for chunk in chunks:
+            self._append(chunk)
 
     def drain_day_records(self):
-        """Freeze and drop everything buffered since the last drain.
+        """Hand out and drop everything captured since the last drain.
 
-        The streaming-analysis path: each day boundary converts the day's
-        chunks into one :class:`~repro.analysis.records.PacketRecords`
-        chunk for the online trackers and releases them, so no packet
-        outlives its day.  Streaming runs carry
-        events, not records, so the day's ``origin`` column is dropped.
+        The streaming-analysis path: each day boundary hands the day's
+        rows to the online trackers as one
+        :class:`~repro.analysis.records.PacketRecords` chunk and its
+        aligned int32 ``origin`` column, straight from the store's arrays,
+        and starts a fresh store, so no packet outlives its day.  Returns
+        ``(records, origin)``.
         """
         from repro.analysis.records import PacketRecords
 
-        if not self._chunks:
-            return PacketRecords.empty()
-        return self._freeze_chunks()[0]
+        if not self._size:
+            return PacketRecords.empty(), np.empty(0, dtype=np.int32)
+        columns = self._take()
+        origin = columns.pop("origin")
+        return PacketRecords(**columns), origin
 
     # -- freeze -------------------------------------------------------------
 
-    def _frozen_batch(self) -> PacketBatch:
-        """The cached freeze as one origin-bearing batch (shared arrays)."""
-        return PacketBatch(
-            **{col: getattr(self._frozen, col) for col in CAPTURE_COLUMNS},
-            origin=self._frozen_origin,
-        )
+    def _freeze(self) -> None:
+        """Fold the store into the frozen prefix.
 
-    def _freeze_chunks(self, prefix=None):
-        """``prefix`` (if any) followed by every buffered chunk, in arrival
-        order, as one :class:`~repro.analysis.records.PacketRecords` and its
-        aligned int32 ``origin`` column.
-
-        Columns are preallocated at the final size and filled chunk by
-        chunk, each chunk reference released as soon as it is copied; the
-        chunk buffer is empty afterwards.
+        The first freeze hands the store's own arrays out; a later one
+        concatenates the frozen prefix and the new rows into fresh
+        arrays, leaving the earlier freeze's arrays untouched.
         """
         from repro.analysis.records import PacketRecords
 
-        chunks = self._chunks
-        self._chunks = []
-        if prefix is not None:
-            chunks.insert(0, prefix)
-        total = sum(len(c) for c in chunks)
-        out = {col: np.empty(total, dtype=dtype)
-               for col, dtype in _COLUMN_DTYPES.items()}
-        origin = np.empty(total, dtype=np.int32)
-        position = 0
-        for i in range(len(chunks)):
-            chunk = chunks[i]
-            chunks[i] = None
-            end = position + len(chunk)
-            for col in CAPTURE_COLUMNS:
-                out[col][position:end] = getattr(chunk, col)
-            origin[position:end] = (UNKNOWN_ORIGIN if chunk.origin is None
-                                    else chunk.origin)
-            position = end
-        return PacketRecords(**out), origin
-
-    def _freeze(self) -> None:
-        """Fold buffered chunks into the cached freeze."""
-        if self._chunks:
-            prefix = None if self._frozen is None else self._frozen_batch()
-            self._frozen, self._frozen_origin = self._freeze_chunks(prefix)
+        if not self._size:
+            return
+        columns = self._take()
+        if self._frozen is not None:
+            prefix = {col: getattr(self._frozen, col)
+                      for col in CAPTURE_COLUMNS}
+            prefix["origin"] = self._frozen_origin
+            for col in _COLUMN_DTYPES:
+                columns[col] = np.concatenate([prefix[col], columns[col]])
+        self._frozen_origin = columns.pop("origin")
+        self._frozen = PacketRecords(**columns)
 
     def to_records(self):
         """Freeze into :class:`repro.analysis.records.PacketRecords`.
 
-        The output columns are preallocated once, not built by eight
-        full-size ``np.concatenate`` calls.  The chunk buffer is consumed
-        into a cached frozen prefix, so repeated freezes (and captures
-        after a freeze) remain valid.
+        The records' columns are the store's arrays, trimmed and handed
+        out without a copy.  Repeated freezes serve the cached frozen
+        prefix, and captures after a freeze go to a fresh store that the
+        next freeze appends to it.
         """
         # Imported here to keep core importable without the analysis stack.
         from repro.analysis.records import PacketRecords

@@ -298,20 +298,23 @@ class ProactiveTelescope:
     def handle_batch(self, batch: PacketBatch) -> None:
         """Receive a batch of unsolicited packets: capture, then react.
 
-        The batch is captured as one numpy chunk and split by honeyprefix
-        /48 truncation keys in one pass: a ``searchsorted`` against the
-        sorted key column finds each row's honeyprefix, and a stable sort
-        of the hit rows by key makes every honeyprefix's rows one
-        contiguous run, in arrival order.  Each honeyprefix's slice goes,
-        in ascending key order, to its DNAT gateway (T-Pot prefixes) or to
-        Twinklenet.  Rows outside every honeyprefix are control space:
-        pure darknet.
+        The batch is copied into the capture store, and the stored rows
+        are what gets routed, so the argument itself is dropped at once
+        (freeing it when the caller passed its only reference, as
+        :meth:`~repro.sim.scenario.PaperScenario.dispatch_batch` does).
+        The rows are split by honeyprefix /48 truncation keys in one
+        pass: a ``searchsorted`` against the sorted key column finds each
+        row's honeyprefix, and a stable sort of the hit rows by key makes
+        every honeyprefix's rows one contiguous run, in arrival order.
+        Each honeyprefix's slice goes, in ascending key order, to its DNAT
+        gateway (T-Pot prefixes) or to Twinklenet.  Rows outside every
+        honeyprefix are control space: pure darknet.
         """
         if len(batch) == 0:
             return
         with stage("telescope.capture", telescope=self.name,
                    packets=len(batch)):
-            self.capturer.capture_batch(batch)
+            batch = self.capturer.capture_batch(batch)
         if not self._hp_by_48:
             return
         with stage("telescope.react", telescope=self.name):

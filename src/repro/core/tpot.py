@@ -55,6 +55,9 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 #: store these shared int objects instead of a fresh int per flow.
 _NAT_PORTS = tuple(range(32_768, 61_000))
 
+#: Flows whose NAT keys :meth:`DnatGateway._react_batch` packs at once.
+_PACK_FLOWS = 8192
+
 
 @dataclass(frozen=True, slots=True)
 class Container:
@@ -386,19 +389,27 @@ class DnatGateway:
         # order — the order the scalar path would assign ports in.
         rep = rows[first[np.argsort(first, kind="stable")]]
         # _flow_key over columns: src << 145 is (src_hi << 209) | (src_lo
-        # << 145), and likewise for dst.
-        lowbits = ((wire.sport[rep].astype(np.int64) << 1)
-                   | (wire.proto[rep] == np.uint8(TCP)).astype(np.int64))
-        packed = [(sh << 209) | (sl << 145) | (dh << 81) | (dl << 17) | l
-                  for sh, sl, dh, dl, l in zip(
-                      wire.src_hi[rep].tolist(), wire.src_lo[rep].tolist(),
-                      wire.dst_hi[rep].tolist(), wire.dst_lo[rep].tolist(),
-                      lowbits.tolist())]
+        # << 145), and likewise for dst.  Keys are packed a block of flows
+        # at a time: the per-flow Python ints of a whole day cost about
+        # 250 bytes a flow while they live, and only new flows' keys are
+        # kept.  The flows are distinct, so blocks cannot see each
+        # other's keys.
         flows = self._flows
-        new_pos = np.fromiter(
-            (i for i, p in enumerate(packed) if p not in flows),
-            dtype=np.int64)
-        n_new = len(new_pos)
+        new_keys = []
+        for lo in range(0, len(rep), _PACK_FLOWS):
+            block = rep[lo:lo + _PACK_FLOWS]
+            lowbits = ((wire.sport[block].astype(np.int64) << 1)
+                       | (wire.proto[block] == np.uint8(TCP)).astype(np.int64))
+            new_keys += [
+                key for key in (
+                    (sh << 209) | (sl << 145) | (dh << 81) | (dl << 17) | l
+                    for sh, sl, dh, dl, l in zip(
+                        wire.src_hi[block].tolist(),
+                        wire.src_lo[block].tolist(),
+                        wire.dst_hi[block].tolist(),
+                        wire.dst_lo[block].tolist(), lowbits.tolist()))
+                if key not in flows]
+        n_new = len(new_keys)
         if n_new:
             # _assign_port hands out sequential ports wrapping from 60999
             # back to 32768 — arange-modulo reproduces the series exactly.
@@ -406,7 +417,7 @@ class DnatGateway:
             span = len(_NAT_PORTS)
             slots = (start + np.arange(n_new)) % span
             self._next_port = (start + n_new) % span + 32_768
-            flows.update(zip((packed[i] for i in new_pos.tolist()),
+            flows.update(zip(new_keys,
                              map(_NAT_PORTS.__getitem__, slots.tolist())))
             self._m_nat.inc(n_new)
         # Replies are NAT-invisible: sourced from the address the scanner

@@ -377,7 +377,7 @@ class WireBuilder:
     *originating input row index*; scalar fallback paths append single
     rows.  ``build()`` stably sorts everything by that index, restoring the
     exact reply order of the per-packet reference (each input row emits at
-    most one reply, so row order is reply order).
+    most one reply, so row order is reply order), and is called once.
     """
 
     def __init__(self) -> None:
@@ -485,11 +485,15 @@ class WireBuilder:
             self._rows = []
         if not self._blocks:
             return WireBatch.empty()
-        cols = {name: np.concatenate([b[name] for b in self._blocks])
-                for name in self._blocks[0]}
-        order = np.argsort(cols.pop("idx"), kind="stable")
-        return WireBatch(**{name: col[order] for name, col in cols.items()},
-                         payloads=tuple(self._payloads))
+        # Consumes the blocks one column at a time, each block's copy
+        # released once gathered, so a whole day's replies are held about
+        # once plus one column, not three times.
+        blocks, self._blocks = self._blocks, []
+        order = np.argsort(np.concatenate([b.pop("idx") for b in blocks]),
+                           kind="stable")
+        cols = {name: np.concatenate([b.pop(name) for b in blocks])[order]
+                for name in list(blocks[0])}
+        return WireBatch(**cols, payloads=tuple(self._payloads))
 
 
 def probe_batch(ts, src_hi, src_lo, dst_hi, dst_lo, proto, sport, dport,

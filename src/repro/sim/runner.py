@@ -186,8 +186,13 @@ def run_scenario(
       and observatory files end with day N.  It is the test hook for
       kill/resume equivalence.
 
-    Capture storage (changes what is held, never what is computed): a
-    batch run retains every capture until the freeze, while
+    Capture storage (changes what is held, never what is computed): each
+    telescope's :class:`~repro.core.capture.PacketCapturer` holds every
+    captured row once, in one growable store.  A batch run retains it
+    until the freeze, which hands the store's arrays out as the records
+    without copying a row, so the peak is set inside the largest day
+    (its emitted, dispatched and captured rows and the honeypots'
+    replies), not by a second copy of the whole capture.
     ``stream_analysis=True`` runs the scan detectors *during* the day
     loop: each day's captures are drained into per-telescope
     :class:`~repro.analysis.streaming.StreamAnalyzer` instances and
@@ -199,8 +204,8 @@ def run_scenario(
     session timeout keeps its session and its distinct targets open)
     and the closed scan events the result returns.  At a flat daily
     volume (``benchmarks/test_microbench_streaming.py``, 5e-3) doubling
-    the horizon from 8 to 16 days takes the tracemalloc peak from 74 to
-    127 MB; at day 16 the flow tables hold 41 MB (314k flows) and the
+    the horizon from 8 to 16 days takes the tracemalloc peak from 66 to
+    118 MB; at day 16 the flow tables hold 41 MB (314k flows) and the
     open sessions 19 MB.  Both modes run the same session kernel
     (:class:`~repro.analysis.scandetect.SessionTracker`), fed a day at a
     time here and the whole run at once by ``detect_scans``, so the
@@ -373,7 +378,9 @@ def _feed_streams(scenario, streams, journal, day: int,
     """
     drained = {} if observatory is not None else None
     for name, cap in scenario.capturers.items():
-        records = cap.drain_day_records()
+        # Streaming detection scores no truth yet: the day's origin
+        # column is dropped with the records.
+        records, _ = cap.drain_day_records()
         closed = streams[name].feed(records, now=(day + 1) * DAY)
         journal.emit(
             "stream_detection", day=day, telescope=name,

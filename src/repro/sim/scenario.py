@@ -457,19 +457,35 @@ class PaperScenario:
 
     # -- packet dispatch ---------------------------------------------------------
 
-    def dispatch_batch(self, batch: PacketBatch) -> None:
-        """Route a whole emission batch to whichever telescopes own it.
+    def dispatch_batch(self, batch: PacketBatch) -> int:
+        """Route a whole emission batch to whichever telescopes own it;
+        returns its row count.
 
         Telescope membership and the live-/48 exclusion are mask
         operations on ``dst_hi`` (every routed prefix here is /48 or
         shorter, so the low half never matters), and
         :class:`DispatchCounters` update from mask sums.
+
+        Rows are released as soon as nothing needs them.  The batch goes
+        once :meth:`dispatch_parts` has split it (when the caller keeps no
+        reference of its own, as :meth:`run_day` keeps none).  Each
+        telescope's sub-batch is referenced only by its handler's
+        argument, so it goes when the handler returns, or earlier if the
+        handler lets its argument go once it has copied the rows into
+        its capture store.
         """
-        if len(batch) == 0:
-            return
-        with stage("scenario.dispatch", packets=len(batch)):
-            for handler, sub in self.dispatch_parts(batch):
-                handler(sub)
+        n = len(batch)
+        if n == 0:
+            return 0
+        with stage("scenario.dispatch", packets=n):
+            parts = self.dispatch_parts(batch)
+            del batch
+            parts.reverse()
+            while parts:
+                handler = parts[-1][0]
+                # No name here holds the sub-batch: only the call does.
+                handler(parts.pop()[1])
+        return n
 
     def dispatch_parts(
         self, batch: PacketBatch,
@@ -538,16 +554,22 @@ class PaperScenario:
 
     def _run_day_impl(self, day: int) -> int:
         day_start, day_end = self.begin_day(day)
+        # No frame here keeps the day batch: dispatch_batch holds the only
+        # reference and drops it once the batch is split.
+        emitted = self.dispatch_batch(self._emit_day(day_start, day_end))
+        self._last_poll = day_end
+        return emitted
+
+    def _emit_day(self, day_start: float, day_end: float) -> PacketBatch:
+        """Every agent's poll and emit, in agent order, as one batch; the
+        per-agent batches die with this frame once concatenated."""
         batches = []
         for agent in self.agents:
             agent.poll_feeds(self._last_poll, day_end)
             batch = agent.emit_day_batch(day_start, day_end)
             if len(batch):
                 batches.append(batch)
-        batch = PacketBatch.concat(batches)
-        self.dispatch_batch(batch)
-        self._last_poll = day_end
-        return len(batch)
+        return PacketBatch.concat(batches)
 
     def replay_day(self, day: int) -> None:
         """Fast-forward one day without emitting or dispatching packets.
