@@ -14,11 +14,11 @@ import numpy as np
 
 from repro.analysis.records import PacketRecords
 from repro.net.addr import (
+    find_keys,
+    group_keys,
     mask_u64,
-    member_mask_u64,
     pack_key_u64,
     split_u64,
-    unique_pairs_u64,
 )
 
 #: The aggregation levels used in §5.1.
@@ -62,7 +62,7 @@ def _shared_src_mask(records: PacketRecords, shared: set[int],
         # Truncated shared values live entirely in the hi half.
         return np.isin(packed, shared_hi)
     mhi, mlo = mask_u64(records.src_hi, records.src_lo, prefix_length)
-    return member_mask_u64(mhi, mlo, shared_hi, shared_lo)
+    return find_keys((shared_hi, shared_lo), (mhi, mlo)) >= 0
 
 
 def _traffic_share(records: PacketRecords, shared: set[int],
@@ -78,9 +78,9 @@ def _dest_share(records: PacketRecords, shared: set[int],
     if len(records) == 0 or not shared:
         return 0.0
     member = _shared_src_mask(records, shared, prefix_length)
-    n_all = len(unique_pairs_u64(records.dst_hi, records.dst_lo)[0])
-    n_shared = len(unique_pairs_u64(records.dst_hi[member],
-                                    records.dst_lo[member])[0])
+    n_all = len(group_keys((records.dst_hi, records.dst_lo))[1])
+    n_shared = len(group_keys((records.dst_hi[member],
+                               records.dst_lo[member]))[1])
     return n_shared / n_all if n_all else 0.0
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from repro._util import DAY
 from repro.net.addr import (
     IPv6Prefix,
+    group_keys,
     mask_u64,
     pack_key_u64,
     prefix_groups_u64,
@@ -175,7 +176,7 @@ class PacketRecords:
         key, lo = self._agg_key(self.src_hi, self.src_lo, prefix_len)
         if lo is None:
             return len(np.unique(key))
-        return len(unique_pairs_u64(key, lo)[0])
+        return len(group_keys((key, lo))[1])
 
     def unique_destinations(self, prefix_len: int = 128) -> int:
         """Count distinct destination /``prefix_len`` subnets."""
@@ -184,7 +185,7 @@ class PacketRecords:
         key, lo = self._agg_key(self.dst_hi, self.dst_lo, prefix_len)
         if lo is None:
             return len(np.unique(key))
-        return len(unique_pairs_u64(key, lo)[0])
+        return len(group_keys((key, lo))[1])
 
     def source_set(self, prefix_len: int = 128) -> set[int]:
         """The set of source subnets (as truncated 128-bit ints)."""

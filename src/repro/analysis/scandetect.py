@@ -55,7 +55,7 @@ import numpy as np
 
 from repro._util import check_positive
 from repro.analysis.records import PacketRecords
-from repro.net.addr import mask_u64
+from repro.net.addr import find_keys, group_keys, mask_u64, run_starts
 from repro.obs import get_journal, get_registry, stage
 
 #: Paper's scan definition parameters.
@@ -94,87 +94,24 @@ def _validate(min_targets: int, timeout: float) -> None:
 
 _NEG_INF = float("-inf")
 
-#: Multiplier of the pair hash.  Odd, so ``hi * _MIX`` is a bijection on
-#: 64-bit words: two pairs with equal ``hi`` never collide.
-_MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _firsts(sorted_values: np.ndarray) -> np.ndarray:
-    """True where a sorted column starts a run of equal values."""
-    first = np.empty(len(sorted_values), dtype=bool)
-    first[:1] = True
-    np.not_equal(sorted_values[1:], sorted_values[:-1], out=first[1:])
-    return first
-
-
 def dense_pairs(hi: np.ndarray, lo: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense ids for (hi, lo) uint64 pairs.
 
     Returns ``(ids, u_hi, u_lo)``: one id per distinct pair, with
-    ``u_hi[ids] == hi`` and ``u_lo[ids] == lo``.  Sorts a 64-bit hash of
-    each pair — one single-key argsort instead of a two-key lexsort — and
-    checks every run of equal hashes for a second distinct pair; a
-    collision falls back to the exact lexsort.  Ids follow hash order,
-    not address order.
+    ``u_hi[ids] == hi`` and ``u_lo[ids] == lo``.  The two-column case of
+    :func:`~repro.net.addr.group_keys`; ids follow hash order, not
+    address order.
     """
-    hashes = hi * _MIX
-    hashes ^= lo
-    order = np.argsort(hashes)
-    first = _firsts(hashes[order])
-    del hashes  # one word per row; the index's peak is these temporaries
-    sorted_ids = np.cumsum(first)
-    sorted_ids -= 1
-    u_hi, u_lo = hi[order[first]], lo[order[first]]
-    # Equal hashes and equal ``hi`` imply equal ``lo`` (the hash is
-    # invertible given ``hi``), so a collision is a hash run whose ``hi``
-    # differs.
-    if not np.array_equal(hi[order], u_hi[sorted_ids]):
-        order = np.lexsort((lo, hi))
-        first = _firsts(hi[order]) | _firsts(lo[order])
-        sorted_ids = np.cumsum(first) - 1
-        u_hi, u_lo = hi[order[first]], lo[order[first]]
-    ids = np.empty(len(hi), dtype=np.int64)
-    ids[order] = sorted_ids
-    return ids, u_hi, u_lo
+    ids, rep = group_keys((hi, lo))
+    return ids, hi[rep], lo[rep]
 
 
 def find_pairs(table_hi: np.ndarray, table_lo: np.ndarray,
                q_hi: np.ndarray, q_lo: np.ndarray) -> np.ndarray:
-    """Row of each query pair in a table of distinct pairs, or -1.
-
-    A binary search over the table's sorted pair hashes, confirmed on
-    ``hi`` (equal hashes and equal ``hi`` imply equal ``lo``).  Most
-    carried targets are not in the day's table, so a bitmap over the
-    table's hashes first rejects nearly every miss.  A hash shared by two
-    table rows falls back to :func:`dense_pairs` over table and queries
-    together.
-    """
-    hashes = table_hi * _MIX
-    hashes ^= table_lo
-    order = np.argsort(hashes)
-    hashes = hashes[order]
-    if np.any(hashes[1:] == hashes[:-1]):
-        rows = len(table_hi)
-        ids, u_hi, _ = dense_pairs(np.concatenate([table_hi, q_hi]),
-                                   np.concatenate([table_lo, q_lo]))
-        row_of = np.full(len(u_hi), -1, dtype=np.int64)
-        row_of[ids[:rows]] = np.arange(rows)
-        return row_of[ids[rows:]]
-    q_hash = q_hi * _MIX
-    q_hash ^= q_lo
-    # About 16 bitmap slots per table row: a miss passes with p <= 1/16.
-    shift = np.uint64(64 - max(10, (16 * len(hashes)).bit_length()))
-    marked = np.zeros(1 << (64 - int(shift)), dtype=bool)
-    marked[(hashes * _MIX) >> shift] = True
-    found = np.full(len(q_hi), -1, dtype=np.int64)
-    maybe = np.flatnonzero(marked[(q_hash * _MIX) >> shift])
-    at = np.searchsorted(hashes, q_hash[maybe])
-    at[at == len(hashes)] = 0
-    row = order[at]
-    hit = (hashes[at] == q_hash[maybe]) & (table_hi[row] == q_hi[maybe])
-    found[maybe[hit]] = row[hit]
-    return found
+    """Row of each query pair in a table of distinct pairs, or -1: the
+    two-column case of :func:`~repro.net.addr.find_keys`."""
+    return find_keys((table_hi, table_lo), (q_hi, q_lo))
 
 
 def _csr_take(offsets: np.ndarray, rows: np.ndarray
@@ -204,7 +141,7 @@ def _sessions(kid: np.ndarray, index: "DayIndex", id_bound: int,
     order = np.argsort(kid * n + index.rank)
     kk = kid[order]
     t = index.ts[order]
-    new_seg = _firsts(kk)
+    new_seg = run_starts(kk)
     new_seg[1:] |= t[1:] - t[:-1] > timeout
     starts = np.flatnonzero(new_seg)
     ends = np.append(starts[1:], n) - 1
@@ -260,7 +197,7 @@ class DayIndex:
         sources in (hi, lo) order (``key_lo`` is zero at lengths <= 64)."""
         if length not in self._levels:
             hi, lo = mask_u64(self.src_hi, self.src_lo, length)
-            first = _firsts(hi) | _firsts(lo)
+            first = run_starts(hi) | run_starts(lo)
             self._levels[length] = (np.cumsum(first) - 1,
                                     hi[first], lo[first])
         return self._levels[length]
@@ -419,7 +356,7 @@ class SessionTracker:
             kid_of_sid[index.sid], index, id_bound, timeout)
         n_segs = len(starts)
         seg_packets = np.diff(starts, append=n)
-        group_first = _firsts(seg_kid)
+        group_first = run_starts(seg_kid)
         key_seg = np.flatnonzero(group_first)  # first segment of each kid
         # Only a group's final segment can reach past the horizon's
         # timeout window: any other is followed by a > timeout gap.
@@ -459,7 +396,7 @@ class SessionTracker:
             start_ts[merged_seg] = carry.start[merged]
             seg_packets[merged_seg] += carry.packets[merged]
         codes.sort()
-        codes = codes[_firsts(codes)]
+        codes = codes[run_starts(codes)]
         code_seg = codes // id_bound
         uniq = np.bincount(code_seg, minlength=n_segs)
 

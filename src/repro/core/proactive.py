@@ -39,7 +39,7 @@ from repro.dns.registry import Registrar
 from repro.dns.reverse import ReverseZone
 from repro.hitlist.categories import HitlistCategory
 from repro.hitlist.service import HitlistService
-from repro.net.addr import IPv6Prefix
+from repro.net.addr import IPv6Prefix, run_starts
 from repro.net.batch import PacketBatch, WireBatch
 from repro.net.packet import TCP, UDP, Packet
 from repro.obs import get_journal, stage
@@ -338,11 +338,14 @@ class ProactiveTelescope:
             del diff
             if len(rows) == 0:
                 return  # control space: pure darknet
-            groups = slot[rows]
+            # The narrowest dtype that holds a slot: numpy's stable sort
+            # is a radix sort up to 16 bits, several times faster than
+            # its merge sort of int64.
+            groups = slot[rows].astype(np.min_scalar_type(len(keys)))
             del slot
             order = np.argsort(groups, kind="stable")
             rows, groups = rows[order], groups[order]
-            starts = np.flatnonzero(np.diff(groups, prepend=-1))
+            starts = np.flatnonzero(run_starts(groups))
             parts = zip(np.split(rows, starts[1:]), groups[starts].tolist())
             del order, groups
             for part, group in parts:

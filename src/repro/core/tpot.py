@@ -32,7 +32,13 @@ from typing import Callable
 
 import numpy as np
 
-from repro.net.addr import IPv6Prefix, group_ids_cols, mask_u64
+from repro.net.addr import (
+    IPv6Prefix,
+    KeyIndex,
+    group_keys,
+    key_hashes,
+    mask_u64,
+)
 from repro.net.batch import PacketBatch, WireBatch, WireBuilder, as_wire
 from repro.obs import get_registry
 from repro.net.packet import (
@@ -51,12 +57,10 @@ from repro.net.packet import (
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
-#: Every NAT source port the gateway hands out, 32768-60999.  Flow tables
-#: store these shared int objects instead of a fresh int per flow.
-_NAT_PORTS = tuple(range(32_768, 61_000))
-
-#: Flows whose NAT keys :meth:`DnatGateway._react_batch` packs at once.
-_PACK_FLOWS = 8192
+#: The NAT source ports the gateway hands out, in order: 32768-60999,
+#: then around again.
+_FIRST_NAT_PORT = 32_768
+_NAT_PORT_SPAN = 61_000 - _FIRST_NAT_PORT
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,12 +199,81 @@ class TPotInstance:
         )]
 
 
-def _flow_key(src: int, dst: int, sport: int, is_tcp: bool) -> int:
-    """One gateway flow as one int: ``src | dst | sport | is-TCP``.
+class NatTable:
+    """The gateway's NAT flows as packed columns, in allocation order.
 
-    Only TCP and UDP reach the relay, so one protocol bit suffices.
+    A flow is ``(src, dst, sport, is-TCP)``: four uint64 address words and
+    one uint32 word ``sport << 1 | is_tcp`` (only TCP and UDP reach the
+    relay, so one protocol bit suffices).  Its NAT source port is a
+    uint16.  A :class:`~repro.net.addr.KeyIndex` keeps the keys' hashes
+    sorted between calls, so each lookup is a binary search over the
+    flows already allocated.  One row per distinct flow keeps
+    ``tpot.gateway.nat_entries`` exact.
     """
-    return (src << 145) | (dst << 17) | (sport << 1) | int(is_tcp)
+
+    #: The key columns' dtypes, then the NAT port's.
+    _DTYPES = (np.uint64, np.uint64, np.uint64, np.uint64, np.uint32,
+               np.uint16)
+
+    def __init__(self):
+        #: The five key columns, then the ports; the first ``_size`` rows
+        #: are flows.
+        self._columns = [np.empty(0, dtype=dtype) for dtype in self._DTYPES]
+        self._size = 0
+        self._index = KeyIndex()
+
+    def __len__(self) -> int:
+        return self._size
+
+    def keys(self) -> tuple[np.ndarray, ...]:
+        """The allocated flows' key columns."""
+        return tuple(col[:self._size] for col in self._columns[:-1])
+
+    def items(self) -> list[tuple[tuple[int, int, int, bool], int]]:
+        """``((src, dst, sport, is_tcp), nat_port)`` per flow, in
+        allocation order."""
+        src_hi, src_lo, dst_hi, dst_lo, word, port = (
+            col[:self._size].tolist() for col in self._columns)
+        return [(((sh << 64) | sl, (dh << 64) | dl, w >> 1, bool(w & 1)), p)
+                for sh, sl, dh, dl, w, p in zip(
+                    src_hi, src_lo, dst_hi, dst_lo, word, port)]
+
+    def allocate(self, cols, next_port: int) -> tuple[np.ndarray, int]:
+        """NAT ports of the distinct flows ``cols``, in the given order.
+
+        Flows not in the table yet are added in that order, with
+        sequential ports from ``next_port`` that wrap from 60999 back to
+        32768.  Returns ``(ports, n_new)``.
+        """
+        hashes = key_hashes(cols)
+        rows = self._index.find(self.keys(), cols, hashes)
+        new = np.flatnonzero(rows < 0)
+        if len(new):
+            start = self._size
+            ports = ((next_port - _FIRST_NAT_PORT + np.arange(len(new)))
+                     % _NAT_PORT_SPAN + _FIRST_NAT_PORT)
+            self._append([col[new] for col in cols] + [ports])
+            rows[new] = np.arange(start, self._size)
+            self._index.add(hashes[new], rows[new])
+        return self._columns[-1][rows], len(new)
+
+    def _append(self, values) -> None:
+        """Append rows, one array per column, growing the columns by at
+        least an eighth: in place, unless a view of one is alive."""
+        end = self._size + len(values[0])
+        columns = self._columns
+        if end > len(columns[0]):
+            capacity = max(end, len(columns[0]) * 9 // 8)
+            for i in range(len(columns)):
+                try:
+                    columns[i].resize(capacity)
+                except ValueError:
+                    grown = np.empty(capacity, dtype=columns[i].dtype)
+                    grown[:self._size] = columns[i][:self._size]
+                    columns[i] = grown
+        for col, column_values in zip(columns, values):
+            col[self._size:end] = column_values
+        self._size = end
 
 
 class DnatGateway:
@@ -221,11 +294,10 @@ class DnatGateway:
         self.tpot = tpot
         self._transmit = transmit or (lambda pkt: None)
         self._transmit_batch: Callable[[WireBatch], None] | None = None
-        self._next_port = 32_768
-        #: Packed flow key (see :func:`_flow_key`) -> NAT source port, so
-        #: every packet of one flow reuses the same translation.  One entry
-        #: per distinct flow keeps ``tpot.gateway.nat_entries`` exact.
-        self._flows: dict[int, int] = {}
+        self._next_port = _FIRST_NAT_PORT
+        #: Every flow's NAT source port, so every packet of one flow
+        #: reuses the same translation.
+        self._flows = NatTable()
         self.rx_count = 0
         self.tx_count = 0
         registry = get_registry()
@@ -252,12 +324,15 @@ class DnatGateway:
         """The ``::1`` address all flows are translated to."""
         return self.prefix.network | 1
 
-    def _assign_port(self) -> int:
-        port = _NAT_PORTS[self._next_port - 32_768]
-        self._next_port += 1
-        if self._next_port > 60_999:
-            self._next_port = 32_768
-        return port
+    def _nat_ports(self, cols) -> np.ndarray:
+        """NAT ports of distinct flows in first-packet order, allocating
+        the new ones: the one NAT state machine of both paths."""
+        ports, n_new = self._flows.allocate(cols, self._next_port)
+        if n_new:
+            self._next_port = ((self._next_port - _FIRST_NAT_PORT + n_new)
+                               % _NAT_PORT_SPAN + _FIRST_NAT_PORT)
+            self._m_nat.inc(n_new)
+        return ports
 
     def responds(self, address: int, proto: int, port: int | None) -> bool:
         """Responsiveness oracle: aliased ICMP + T-Pot's port surface."""
@@ -293,11 +368,13 @@ class DnatGateway:
         One implementation serves the scalar path and the batch path's
         per-row fallback — there is exactly one NAT state machine.
         """
-        key = _flow_key(pkt.src, pkt.dst, pkt.sport, pkt.proto == TCP)
-        nat_port = self._flows.get(key)
-        if nat_port is None:
-            nat_port = self._flows[key] = self._assign_port()
-            self._m_nat.inc()
+        nat_port = int(self._nat_ports((
+            np.array([pkt.src >> 64], dtype=np.uint64),
+            np.array([pkt.src & _U64], dtype=np.uint64),
+            np.array([pkt.dst >> 64], dtype=np.uint64),
+            np.array([pkt.dst & _U64], dtype=np.uint64),
+            np.array([pkt.sport << 1 | (pkt.proto == TCP)],
+                     dtype=np.uint32)))[0])
         translated = Packet(
             timestamp=pkt.timestamp, src=pkt.src, dst=self.target_address,
             proto=pkt.proto, sport=nat_port, dport=pkt.dport,
@@ -377,49 +454,17 @@ class DnatGateway:
                 self._relay(wire.packet_at(i),
                             lambda p, _i=i: out.append_packet(_i, p))
             return
-        # Flow allocation over distinct (src, sport, dst, proto) keys.
+        # Flow allocation over distinct (src, dst, sport, is-TCP) keys.
         cols = (wire.src_hi[rows], wire.src_lo[rows],
-                wire.sport[rows].astype(np.uint64),
                 wire.dst_hi[rows], wire.dst_lo[rows],
-                wire.proto[rows].astype(np.uint64))
-        ids, n_groups = group_ids_cols(cols)
-        first = np.full(n_groups, len(rows), dtype=np.int64)
+                (wire.sport[rows].astype(np.uint32) << 1) | tcp_sel)
+        ids, rep = group_keys(cols)
+        first = np.full(len(rep), len(rows), dtype=np.int64)
         np.minimum.at(first, ids, np.arange(len(rows), dtype=np.int64))
-        # Representative row of each distinct flow, in first-appearance
-        # order — the order the scalar path would assign ports in.
-        rep = rows[first[np.argsort(first, kind="stable")]]
-        # _flow_key over columns: src << 145 is (src_hi << 209) | (src_lo
-        # << 145), and likewise for dst.  Keys are packed a block of flows
-        # at a time: the per-flow Python ints of a whole day cost about
-        # 250 bytes a flow while they live, and only new flows' keys are
-        # kept.  The flows are distinct, so blocks cannot see each
-        # other's keys.
-        flows = self._flows
-        new_keys = []
-        for lo in range(0, len(rep), _PACK_FLOWS):
-            block = rep[lo:lo + _PACK_FLOWS]
-            lowbits = ((wire.sport[block].astype(np.int64) << 1)
-                       | (wire.proto[block] == np.uint8(TCP)).astype(np.int64))
-            new_keys += [
-                key for key in (
-                    (sh << 209) | (sl << 145) | (dh << 81) | (dl << 17) | l
-                    for sh, sl, dh, dl, l in zip(
-                        wire.src_hi[block].tolist(),
-                        wire.src_lo[block].tolist(),
-                        wire.dst_hi[block].tolist(),
-                        wire.dst_lo[block].tolist(), lowbits.tolist()))
-                if key not in flows]
-        n_new = len(new_keys)
-        if n_new:
-            # _assign_port hands out sequential ports wrapping from 60999
-            # back to 32768 — arange-modulo reproduces the series exactly.
-            start = self._next_port - 32_768
-            span = len(_NAT_PORTS)
-            slots = (start + np.arange(n_new)) % span
-            self._next_port = (start + n_new) % span + 32_768
-            flows.update(zip(new_keys,
-                             map(_NAT_PORTS.__getitem__, slots.tolist())))
-            self._m_nat.inc(n_new)
+        # The first row of each distinct flow, in first-appearance order:
+        # the order the scalar path would assign ports in.
+        first.sort()
+        self._nat_ports(tuple(col[first] for col in cols))
         # Replies are NAT-invisible: sourced from the address the scanner
         # probed, back to its real port, as in the scalar relay.
         tcp_idx = rows[tcp_sel]

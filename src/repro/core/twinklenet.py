@@ -41,11 +41,9 @@ import numpy as np
 from repro.core.honeyprefix import Honeyprefix
 from repro.net.addr import (
     aggregate,
-    group_ids_cols,
-    lookup_pos_u64,
+    find_keys,
+    group_keys,
     mask_u64,
-    member_mask_cols,
-    member_mask_u64,
     split_u64,
 )
 from repro.net.batch import PacketBatch, WireBatch, WireBuilder, as_wire
@@ -78,6 +76,22 @@ NTP_PORT = 123
 _U64 = 0xFFFFFFFFFFFFFFFF
 #: ins value larger than any live session's — argmin sentinel.
 _INS_SENTINEL = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def _by_owner(owner: np.ndarray, rows: np.ndarray
+              ) -> Iterator[tuple[int, np.ndarray]]:
+    """``(position, its rows)`` per owning honeyprefix of ``rows``, in
+    ascending position order.  One min/max pass decides the common case,
+    every row under one owner (the telescope's owner hint)."""
+    owners = owner[rows]
+    if len(owners) == 0:
+        return
+    first = owners.min()
+    if first == owners.max():
+        yield int(first), rows
+        return
+    for pos in np.unique(owners).tolist():
+        yield pos, rows[owners == pos]
 
 
 @dataclass
@@ -117,9 +131,8 @@ class SessionTable:
 
     * scalar ops go through a side dict mapping the key tuple to its slot
       (O(1), keeps the per-packet reference path fast);
-    * :meth:`match` resolves a whole column of keys at once by lexsorting
-      table + query keys together (the sorted-packed-key/searchsorted
-      lookup, via :func:`~repro.net.addr.group_ids_cols`).
+    * :meth:`match` resolves a whole column of keys at once through the
+      hashed composite-key lookup :func:`~repro.net.addr.find_keys`.
 
     ``ins`` is a monotonically increasing insertion sequence; it survives
     re-SYN overwrites, so oldest-``ins`` eviction reproduces the scalar
@@ -285,22 +298,9 @@ class SessionTable:
         if self._size == 0 or n_query == 0:
             return out
         live_slots = np.nonzero(self.live[:self._high])[0]
-        # Single-column pre-filter: a key can only match if its probed
-        # address (the most discriminating component) is in the table at
-        # all — scanner floods probe fresh addresses, so this usually
-        # empties the query before the six-column sort.
-        cand = np.isin(np.asarray(cols[4], dtype=np.uint64),
-                       self.local_lo[live_slots])
-        if not cand.any():
-            return out
-        sub = np.nonzero(cand)[0]
-        table_cols = self._key_cols(live_slots)
-        all_cols = [np.concatenate([t, np.asarray(q, dtype=np.uint64)[sub]])
-                    for t, q in zip(table_cols, cols)]
-        ids, n_groups = group_ids_cols(all_cols)
-        slot_of_group = np.full(n_groups, -1, dtype=np.int64)
-        slot_of_group[ids[:len(live_slots)]] = live_slots
-        out[sub] = slot_of_group[ids[len(live_slots):]]
+        rows = find_keys(self._key_cols(live_slots), cols)
+        hit = rows >= 0
+        out[hit] = live_slots[rows[hit]]
         return out
 
     def local_lo_overlap(self, lo: np.ndarray) -> bool:
@@ -457,10 +457,10 @@ class Twinklenet:
         best = np.full(len(dst_hi), sentinel, dtype=np.int64)
         for length in self._owner_lengths:
             set_hi, set_lo, set_pos = self._owner_cols[length]
-            hi, lo = mask_u64(dst_hi, dst_lo, length)
-            pos = lookup_pos_u64(hi, lo, set_hi, set_lo, set_pos)
-            hit = pos >= 0
-            best[hit] = np.minimum(best[hit], pos[hit])
+            rows = find_keys((set_hi, set_lo),
+                             mask_u64(dst_hi, dst_lo, length))
+            hit = rows >= 0
+            best[hit] = np.minimum(best[hit], set_pos[rows[hit]])
         best[best == sentinel] = -1
         return best
 
@@ -654,16 +654,15 @@ class Twinklenet:
         if not req.any():
             return
         ok = np.zeros(len(wire), dtype=bool)
-        for pos in np.unique(owner[req]).tolist():
+        for pos, rows in _by_owner(owner, np.flatnonzero(req)):
             hp = self.config.honeyprefixes[pos]
-            rows = np.nonzero(req & (owner == pos))[0]
             if hp.config.aliased:
                 # Aliased prefixes answer ICMP everywhere they own.
                 ok[rows] = True
             else:
                 set_hi, set_lo = hp.icmp_address_columns()
-                hit = member_mask_u64(wire.dst_hi[rows], wire.dst_lo[rows],
-                                      set_hi, set_lo)
+                hit = find_keys((set_hi, set_lo),
+                                (wire.dst_hi[rows], wire.dst_lo[rows])) >= 0
                 ok[rows[hit]] = True
         idx = np.nonzero(ok)[0]
         if len(idx) == 0:
@@ -683,15 +682,14 @@ class Twinklenet:
         if not udp.any():
             return
         bound = np.zeros(len(wire), dtype=bool)
-        for pos in np.unique(owner[udp]).tolist():
+        for pos, rows in _by_owner(owner, np.flatnonzero(udp)):
             hp = self.config.honeyprefixes[pos]
             set_hi, set_lo, set_ports = hp.binding_columns(UDP)
             if len(set_hi) == 0:
                 continue
-            rows = np.nonzero(udp & (owner == pos))[0]
-            hit = member_mask_cols(
-                (wire.dst_hi[rows], wire.dst_lo[rows], wire.dport[rows]),
-                (set_hi, set_lo, set_ports))
+            hit = find_keys(
+                (set_hi, set_lo, set_ports),
+                (wire.dst_hi[rows], wire.dst_lo[rows], wire.dport[rows])) >= 0
             bound[rows[hit]] = True
         dns = np.nonzero(bound & (wire.dport == np.uint16(DNS_PORT)))[0]
         if len(dns):
@@ -741,17 +739,16 @@ class Twinklenet:
         ts = wire.ts[tcp_rows]
         # Eligibility: an exact (address, port) binding on the owner.
         elig = np.zeros(len(tcp_rows), dtype=bool)
-        sub_owner = owner[tcp_rows]
-        for pos in np.unique(sub_owner).tolist():
+        for pos, rows in _by_owner(owner[tcp_rows],
+                                   np.arange(len(tcp_rows))):
             hp = self.config.honeyprefixes[pos]
             set_hi, set_lo, set_ports = hp.binding_columns(TCP)
             if len(set_hi) == 0:
                 continue
-            rows = np.nonzero(sub_owner == pos)[0]
             sel = tcp_rows[rows]
-            hit = member_mask_cols(
-                (wire.dst_hi[sel], wire.dst_lo[sel], wire.dport[sel]),
-                (set_hi, set_lo, set_ports))
+            hit = find_keys(
+                (set_hi, set_lo, set_ports),
+                (wire.dst_hi[sel], wire.dst_lo[sel], wire.dport[sel])) >= 0
             elig[rows[hit]] = True
         timeout = self.config.session_timeout
         pos = 0
@@ -815,13 +812,14 @@ class Twinklenet:
         cap = self.config.max_sessions
         # Flood fast path: when the probed addresses are pairwise distinct
         # and none is currently tracked, every key is distinct and absent
-        # (two single-column sorts prove it) — skip the six-column
-        # grouping and match sorts and go straight to the bulk insert.
+        # (two single-column sorts prove it) — skip the composite-key
+        # grouping and match and go straight to the bulk insert.
         if (len(np.unique(cols[4])) == len(idx)
                 and not self._table.local_lo_overlap(cols[4])):
             self._insert_only_segment(wire, idx, cols, ts_seg, cap, out)
             return
-        ids, n_groups = group_ids_cols(cols)
+        ids, rep = group_keys(cols)
+        n_groups = len(rep)
         arange = np.arange(len(idx), dtype=np.int64)
         first = np.full(n_groups, len(idx), dtype=np.int64)
         np.minimum.at(first, ids, arange)

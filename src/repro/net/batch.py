@@ -35,6 +35,15 @@ PROBE_UDP_PAYLOAD = b"\x00\x01"
 #: concatenated from parts with and without provenance).
 UNKNOWN_ORIGIN = -1
 
+#: Every :class:`PacketBatch` column and its dtype, ``origin`` last.
+_COLUMN_DTYPES = {
+    "ts": np.float64,
+    "src_hi": np.uint64, "src_lo": np.uint64,
+    "dst_hi": np.uint64, "dst_lo": np.uint64,
+    "proto": np.uint8, "sport": np.uint16, "dport": np.uint16,
+    "origin": np.int32,
+}
+
 
 @dataclass(frozen=True)
 class PacketBatch:
@@ -92,6 +101,14 @@ class PacketBatch:
         return cls.from_columns([], [], [], [], [], [], [], [])
 
     @classmethod
+    def allocate(cls, n: int, origin: bool) -> "PacketBatch":
+        """``n`` rows of uninitialized columns for an emitter to fill,
+        with an ``origin`` column when ``origin`` is true."""
+        return cls(**{name: np.empty(n, dtype=dtype)
+                      for name, dtype in _COLUMN_DTYPES.items()
+                      if origin or name != "origin"})
+
+    @classmethod
     def from_packets(cls, packets: Iterable[Packet]) -> "PacketBatch":
         cols: tuple[list, ...] = ([], [], [], [], [], [], [], [])
         for p in packets:
@@ -137,6 +154,12 @@ class PacketBatch:
 
     def __len__(self) -> int:
         return len(self.ts)
+
+    def rows(self, start: int, stop: int) -> "PacketBatch":
+        """Rows ``start:stop`` as views: writing them writes this batch."""
+        return PacketBatch(**{
+            name: None if col is None else col[start:stop]
+            for name, col in vars(self).items()})
 
     def select(self, mask: np.ndarray) -> "PacketBatch":
         """New batch containing the rows where ``mask`` is True (or the rows
@@ -504,12 +527,17 @@ def probe_batch(ts, src_hi, src_lo, dst_hi, dst_lo, proto, sport, dport,
     in ``sport`` and a zero identifier in ``dport`` regardless of what the
     sampler drew.  ``origin`` is the optional provenance column.
     """
-    proto = np.asarray(proto, dtype=np.uint8)
-    sport = np.asarray(sport, dtype=np.uint16).copy()
-    dport = np.asarray(dport, dtype=np.uint16).copy()
-    icmp = proto == np.uint8(ICMPV6)
-    sport[icmp] = np.uint16(int(IcmpType.ECHO_REQUEST))
-    dport[icmp] = np.uint16(0)
-    return PacketBatch.from_columns(
-        ts, src_hi, src_lo, dst_hi, dst_lo, proto, sport, dport, origin
-    )
+    batch = PacketBatch.from_columns(
+        ts, src_hi, src_lo, dst_hi, dst_lo, proto,
+        np.array(sport, dtype=np.uint16), np.array(dport, dtype=np.uint16),
+        origin)
+    normalize_probes(batch)
+    return batch
+
+
+def normalize_probes(batch: PacketBatch) -> None:
+    """The probe invariants of :func:`probe_batch`, applied to ``batch``'s
+    own columns in place."""
+    icmp = np.flatnonzero(batch.proto == np.uint8(ICMPV6))
+    batch.sport[icmp] = np.uint16(int(IcmpType.ECHO_REQUEST))
+    batch.dport[icmp] = np.uint16(0)

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro._util import DAY, make_rng
 from repro.net.addr import IPv6Prefix, split_u64
-from repro.net.batch import PacketBatch, probe_batch
+from repro.net.batch import PacketBatch, normalize_probes
 from repro.obs import get_journal, get_registry, stage
 from repro.scanners.identity import ScannerIdentity, SourceAllocator
 from repro.scanners.strategies import ProbeBatch, Strategy
@@ -219,42 +219,63 @@ class ScannerAgent:
         :attr:`packets_emitted` by the planned counts matches an emitting
         run exactly.
         """
-        self.allocator.new_session()
-        plans, _pkt_seed = self._day_plan(day_start, day_end)
+        plans, _pkt_seed = self.plan_day(day_start, day_end)
         for session, n, _lo, _hi in plans:
             session.packets_sent += n
             self.packets_emitted += n
         self._retire_sessions(day_end)
 
-    def emit_day_batch(self, day_start: float, day_end: float) -> PacketBatch:
+    def plan_day(self, day_start: float, day_end: float
+                 ) -> tuple[list[tuple[ScanSession, int, float, float]],
+                            np.random.SeedSequence]:
+        """This day's draws from the agent's main stream: the session's
+        source rotation and :meth:`_day_plan`.  Returns the plan that
+        :meth:`emit_day_batch` emits."""
+        self.allocator.new_session()
+        return self._day_plan(day_start, day_end)
+
+    def emit_day_batch(self, day_start: float, day_end: float,
+                       plan=None, out: PacketBatch | None = None
+                       ) -> PacketBatch:
         """Emit this day's probes across all active sessions as one batch.
 
-        Draws the per-session Poisson counts (:meth:`_day_plan`), then
-        each session's timestamps, targets, sources, and sport draws
+        Draws the day's plan (:meth:`plan_day`) unless ``plan`` is given,
+        then each session's timestamps, targets, sources, and sport draws
         straight into one set of day columns.  A day that plans nothing
         returns an empty batch at once, after the same stream draws and
         session retirement as any other day.
+
+        The day loop plans every agent first and hands each its ``plan``
+        and ``out``, its rows of the day's columns
+        (:meth:`~repro.sim.scenario.PaperScenario.run_day`); the agent
+        fills and returns ``out``, leaving the ICMP normalization of
+        :func:`~repro.net.batch.normalize_probes` to the day loop, which
+        runs it once per day.  Without ``out`` the batch is the agent's
+        own and comes back normalized.
         """
-        self.allocator.new_session()
-        plans, pkt_seed = self._day_plan(day_start, day_end)
+        plans, pkt_seed = (self.plan_day(day_start, day_end)
+                           if plan is None else plan)
         batch = _NO_PACKETS
         if plans:
             with stage("scenario.emit", agent=self.agent_id,
                        asn=self.identity.asn, sessions=len(plans)) as span:
-                batch = self._emit_plans(plans,
-                                         np.random.default_rng(pkt_seed))
+                batch = out
+                if batch is None:
+                    batch = PacketBatch.allocate(
+                        sum(n for _, n, _, _ in plans),
+                        origin=self.agent_id >= 0)
+                self._emit_plans(plans, np.random.default_rng(pkt_seed),
+                                 batch)
+                if out is None:
+                    normalize_probes(batch)
             span.set(packets=len(batch))
         self._retire_sessions(day_end)
         return batch
 
-    def _emit_plans(self, plans, pkt_rng) -> PacketBatch:
-        total = sum(n for _, n, _, _ in plans)
-        ts = np.empty(total, dtype=np.float64)
-        src_hi, src_lo, dst_hi, dst_lo = (
-            np.empty(total, dtype=np.uint64) for _ in range(4))
-        proto = np.empty(total, dtype=np.uint8)
-        sport = np.empty(total, dtype=np.uint16)
-        dport = np.empty(total, dtype=np.uint16)
+    def _emit_plans(self, plans, pkt_rng, out: PacketBatch) -> None:
+        ts, src_hi, src_lo = out.ts, out.src_hi, out.src_lo
+        dst_hi, dst_lo = out.dst_hi, out.dst_lo
+        proto, sport, dport = out.proto, out.sport, out.dport
         start = 0
         for session, n, lo, hi in plans:
             rows = slice(start, start + n)
@@ -272,8 +293,6 @@ class ScannerAgent:
                                            dtype=np.uint16)
             session.packets_sent += n
             start += n
-        self.packets_emitted += total
-        origin = (np.full(total, self.agent_id, dtype=np.int32)
-                  if self.agent_id >= 0 else None)
-        return probe_batch(ts, src_hi, src_lo, dst_hi, dst_lo, proto, sport,
-                           dport, origin=origin)
+        self.packets_emitted += start
+        if out.origin is not None:
+            out.origin.fill(self.agent_id)

@@ -103,6 +103,10 @@ class AddressWindow:
         return max(levels)
 
 
+#: The protocol of each :meth:`ProtocolProfile.sample_batch` choice.
+_PROTOCOLS = np.array([ICMPV6, TCP, UDP], dtype=np.uint8)
+
+
 @dataclass(frozen=True)
 class ProtocolProfile:
     """A scanner's protocol mix for generic (non-source-specific) probes.
@@ -147,22 +151,22 @@ class ProtocolProfile:
         uniformly from its protocol's port list.  The protocol draw is
         ``Generator.choice(3, size=n, p=...)`` without its per-call setup:
         the same uniforms, the same CDF, the same stream position after.
+        The CDF's last entry is 1 and a uniform is below it, so the index
+        is the count of the first two entries at or below the uniform.
         """
-        choice = self._cdf.searchsorted(rng.random(n), side="right")
-        proto = np.full(n, ICMPV6, dtype=np.uint8)
+        u = rng.random(n)
+        choice = (u >= self._cdf[0]).view(np.uint8)
+        choice += u >= self._cdf[1]
+        proto = _PROTOCOLS[choice]
         dport = np.zeros(n, dtype=np.uint16)
-        tcp = choice == 1
-        k = int(tcp.sum())
-        if k:
-            proto[tcp] = TCP
+        tcp = np.flatnonzero(choice == 1)
+        if len(tcp):
             dport[tcp] = self._tcp_ports[rng.integers(len(self._tcp_ports),
-                                                      size=k)]
-        udp = choice == 2
-        k = int(udp.sum())
-        if k:
-            proto[udp] = UDP
+                                                      size=len(tcp))]
+        udp = np.flatnonzero(choice == 2)
+        if len(udp):
             dport[udp] = self._udp_ports[rng.integers(len(self._udp_ports),
-                                                      size=k)]
+                                                      size=len(udp))]
         return proto, dport
 
 

@@ -198,14 +198,15 @@ def run_scenario(
     :class:`~repro.analysis.streaming.StreamAnalyzer` instances and
     released, so no packet outlives its day.  Peak memory still grows
     with the horizon through state that outlives a day: the T-Pot
-    gateways' flow tables (one entry, about 130 bytes, per distinct
-    flow, which keeps ``tpot.gateway.nat_entries`` exact), the target
-    sets of open scan sessions (a source that never idles for the
-    session timeout keeps its session and its distinct targets open)
-    and the closed scan events the result returns.  At a flat daily
-    volume (``benchmarks/test_microbench_streaming.py``, 5e-3) doubling
-    the horizon from 8 to 16 days takes the tracemalloc peak from 66 to
-    118 MB; at day 16 the flow tables hold 41 MB (314k flows) and the
+    gateways' flow tables (one packed row, about 57 bytes with its
+    index entry, per distinct flow, which keeps
+    ``tpot.gateway.nat_entries`` exact), the target sets of open scan
+    sessions (a source that never idles for the session timeout keeps
+    its session and its distinct targets open) and the closed scan
+    events the result returns.  At a flat daily volume
+    (``benchmarks/test_microbench_streaming.py``, 5e-3) doubling the
+    horizon from 8 to 16 days takes the tracemalloc peak from 61 to
+    107 MB; at day 16 the flow tables hold 17.7 MB (314k flows) and the
     open sessions 19 MB.  Both modes run the same session kernel
     (:class:`~repro.analysis.scandetect.SessionTracker`), fed a day at a
     time here and the whole run at once by ``detect_scans``, so the

@@ -22,7 +22,7 @@ from repro.core.honeyprefix import Honeyprefix, standard_configs
 from repro.core.proactive import ProactiveTelescope
 from repro.datasets.asdb import AsCategory, AsRecord
 from repro.net.addr import IPv6Prefix
-from repro.net.batch import PacketBatch
+from repro.net.batch import PacketBatch, normalize_probes
 from repro.obs import get_journal, stage
 from repro.routing.speaker import BgpSpeaker
 from repro.scanners.agent import ScannerAgent
@@ -542,10 +542,10 @@ class PaperScenario:
     def run_day(self, day: int) -> int:
         """Simulate day ``day``; returns the number of packets dispatched.
 
-        Runs the engine through the day, then every agent's poll and emit
-        in agent order, then one dispatch of the whole population's rows:
-        each agent's batch arrives stamped with its origin, so the one
-        concatenated batch carries the rows in agent order."""
+        Runs the engine through the day, then every agent's poll and plan
+        in agent order, then every agent's emission into its rows of one
+        day batch, stamped with its origin, then one dispatch of the
+        whole population's rows."""
         with stage("scenario.run_day", day=day) as span:
             emitted = self._run_day_impl(day)
         span.set(emitted=emitted)
@@ -561,15 +561,27 @@ class PaperScenario:
         return emitted
 
     def _emit_day(self, day_start: float, day_end: float) -> PacketBatch:
-        """Every agent's poll and emit, in agent order, as one batch; the
-        per-agent batches die with this frame once concatenated."""
-        batches = []
+        """Every agent's poll and plan, in agent order, then one set of day
+        columns that each agent emits its rows into, in agent order.
+
+        An agent's plan and rows depend on its own streams only, and only
+        polls write journal records, so planning every agent before any
+        emits changes no draw and no record.  The ICMP normalization runs
+        once over the whole day.
+        """
+        plans = []
         for agent in self.agents:
             agent.poll_feeds(self._last_poll, day_end)
-            batch = agent.emit_day_batch(day_start, day_end)
-            if len(batch):
-                batches.append(batch)
-        return PacketBatch.concat(batches)
+            plans.append(agent.plan_day(day_start, day_end))
+        sizes = [sum(n for _, n, _, _ in plan[0]) for plan in plans]
+        day = PacketBatch.allocate(sum(sizes), origin=True)
+        start = 0
+        for agent, plan, size in zip(self.agents, plans, sizes):
+            agent.emit_day_batch(day_start, day_end, plan,
+                                 day.rows(start, start + size))
+            start += size
+        normalize_probes(day)
+        return day
 
     def replay_day(self, day: int) -> None:
         """Fast-forward one day without emitting or dispatching packets.

@@ -12,19 +12,14 @@ import numpy as np
 import pytest
 
 from repro.core.honeyprefix import HoneyprefixConfig, IcmpMode, deploy_addresses
-from repro.core.tpot import (
-    _NAT_PORTS,
-    DnatGateway,
-    TPOT1_CONTAINERS,
-    TPotInstance,
-)
+from repro.core.tpot import DnatGateway, TPOT1_CONTAINERS, TPotInstance
 from repro.core.twinklenet import (
     DNS_SERVFAIL_PAYLOAD,
     NTP_KOD_PAYLOAD,
     Twinklenet,
     TwinklenetConfig,
 )
-from repro.net.addr import IPv6Prefix, member_mask_cols, member_mask_u64
+from repro.net.addr import IPv6Prefix
 from repro.net.batch import WireBatch
 from repro.net.packet import (
     ICMPV6,
@@ -38,6 +33,10 @@ from repro.net.packet import (
     udp_datagram,
 )
 from repro.obs import MetricsRegistry, use_registry
+from tests.net.reference import (
+    member_mask_cols_reference,
+    member_mask_u64_reference,
+)
 
 PREFIX = IPv6Prefix.parse("2001:db8:200::/48")
 ALIASED_PREFIX = IPv6Prefix.parse("2001:db8:201::/48")
@@ -384,7 +383,7 @@ def _random_tpot_traffic(rng, n):
 
 
 def _gateway_state(gw):
-    return (list(gw._flows.items()), gw._next_port, gw.rx_count,
+    return (gw._flows.items(), gw._next_port, gw.rx_count,
             gw.tx_count)
 
 
@@ -418,18 +417,19 @@ class TestTPotEquivalence:
         for pkt in pkts:
             gw_s.handle(pkt)
         gw_b.handle_batch(WireBatch.from_packets(pkts))
-        assert list(gw_b._flows.items()) == list(gw_s._flows.items())
+        flows = gw_b._flows.items()
+        assert flows == gw_s._flows.items()
         assert gw_b._next_port == gw_s._next_port
-        assert list(gw_b._flows.values()) == list(
+        assert [port for _, port in flows] == list(
             range(32_768, 32_768 + len(gw_b._flows)))
-        # One shared int object per port value, not a fresh one per flow.
-        for gw in (gw_s, gw_b):
-            assert all(port is _NAT_PORTS[port - 32_768]
-                       for port in gw._flows.values())
+        # First-packet order: the 30 packets are 30 distinct flows.
+        assert [(src & 0xFF, dst & 0xFF, sport, tcp)
+                for (src, dst, sport, tcp), _ in flows] == [
+            (i % 5 + 1, i % 3 + 1, 5000 + i % 2, True) for i in range(30)]
 
     def test_port_wrap_reuses_shared_ports(self):
         """Allocation wraps from 60999 back to 32768 identically on both
-        paths, still handing out the shared port objects."""
+        paths."""
         gw_s, _, _, _ = _make_gateway()
         gw_b, _, _, _ = _make_gateway()
         gw_s._next_port = gw_b._next_port = 60_995
@@ -441,10 +441,9 @@ class TestTPotEquivalence:
         gw_b.handle_batch(WireBatch.from_packets(pkts))
         expected = [*range(60_995, 61_000), *range(32_768, 32_773)]
         for gw in (gw_s, gw_b):
-            assert list(gw._flows.values()) == expected
+            assert [port for _, port in gw._flows.items()] == expected
             assert gw._next_port == 32_773
-            assert all(port is _NAT_PORTS[port - 32_768]
-                       for port in gw._flows.values())
+        assert gw_b._flows.items() == gw_s._flows.items()
 
     def test_handshake_traffic_uses_exact_fallback(self):
         """Batches containing non-SYN TCP (handshake completion, data) drop
@@ -500,13 +499,13 @@ def _twinklenet_rows_reference(pot, sub, owner_hint):
         need |= icmp
     elif icmp.any():
         set_hi, set_lo = hp.icmp_address_columns()
-        need |= icmp & member_mask_u64(sub.dst_hi, sub.dst_lo,
-                                       set_hi, set_lo)
+        need |= icmp & member_mask_u64_reference(sub.dst_hi, sub.dst_lo,
+                                                 set_hi, set_lo)
     udp = in_pref & (sub.proto == np.uint8(UDP))
     if udp.any():
         set_hi, set_lo, set_ports = hp.binding_columns(UDP)
         if len(set_hi):
-            need |= udp & member_mask_cols(
+            need |= udp & member_mask_cols_reference(
                 (sub.dst_hi, sub.dst_lo, sub.dport),
                 (set_hi, set_lo, set_ports))
     idx = np.nonzero(need)[0]

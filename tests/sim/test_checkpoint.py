@@ -197,6 +197,19 @@ class TestHoneypotHeavyResume:
         assert journal == base_journal
 
 
+class TestCheckpointContents:
+    def test_no_reply_path_state_is_pickled(self, tmp_path):
+        """A checkpoint holds captures, counters and the journal, never a
+        honeypot: the T-Pot flow tables and Twinklenet sessions are not
+        resumed state, so reshaping them leaves the checkpoint layout and
+        ``CHECKPOINT_PROTOCOL`` as they are."""
+        config = _honeypot_heavy_config()
+        with pytest.raises(SimulationAborted):
+            _run(tmp_path, config, cadence=5, abort_after_day=5)
+        raw = checkpoint_path(tmp_path, config, "batch").read_bytes()
+        assert b"repro.core" not in raw
+
+
 class TestResumeCadence:
     def test_resume_with_new_cadence_checkpoints_on_multiples(
             self, tmp_path):

@@ -1,9 +1,8 @@
 """The day loop holds a day's packets once.
 
-The per-agent batches die once concatenated, and the concatenated day
-batch dies once ``dispatch_parts`` has split it: when the NT-A handler
-runs, only the telescopes' sub-batches (and the capture stores) hold the
-day's rows.
+Every agent emits into its rows of one day batch, and the day batch dies
+once ``dispatch_parts`` has split it: when the NT-A handler runs, only
+the telescopes' sub-batches (and the capture stores) hold the day's rows.
 """
 
 import weakref
@@ -23,21 +22,22 @@ CONFIG = dict(seed=11, duration_days=DAYS, volume_scale=1e-4, n_tail=20,
 
 def test_day_batches_released_before_handlers(monkeypatch):
     emitted, days = [], []
-    concat = PacketBatch.concat
+    allocate = PacketBatch.allocate
     emit = ScannerAgent.emit_day_batch
 
-    def spy_concat(parts):
-        batch = concat(parts)
-        days.append(weakref.ref(batch))
+    def spy_allocate(n, origin):
+        batch = allocate(n, origin)
+        days.append([weakref.ref(batch)]
+                    + [weakref.ref(col) for col in vars(batch).values()])
         return batch
 
-    def spy_emit(self, day_start, day_end):
-        batch = emit(self, day_start, day_end)
+    def spy_emit(self, *args):
+        batch = emit(self, *args)
         if len(batch):
             emitted.append(weakref.ref(batch))
         return batch
 
-    monkeypatch.setattr(PacketBatch, "concat", staticmethod(spy_concat))
+    monkeypatch.setattr(PacketBatch, "allocate", staticmethod(spy_allocate))
     monkeypatch.setattr(ScannerAgent, "emit_day_batch", spy_emit)
 
     scenario = PaperScenario(ScenarioConfig(**CONFIG))
@@ -45,7 +45,7 @@ def test_day_batches_released_before_handlers(monkeypatch):
     entered = []
 
     def spy_handle(batch):
-        entered.append((days[-1]() is None,
+        entered.append(([ref() is None for ref in days[-1]],
                         [ref() is None for ref in emitted]))
         emitted.clear()
         return handle(batch)
@@ -58,6 +58,7 @@ def test_day_batches_released_before_handlers(monkeypatch):
     # Day 0 of this config routes nothing to NT-A.
     assert len(entered) >= DAYS - 1
     for call, (day_dead, agents_dead) in enumerate(entered):
-        assert day_dead, f"NT-A call {call}: the day batch is alive"
+        assert all(day_dead), (
+            f"NT-A call {call}: the day batch or a column of it is alive")
         assert agents_dead and all(agents_dead), (
-            f"NT-A call {call}: a per-agent batch is alive")
+            f"NT-A call {call}: an agent's rows are alive")
