@@ -27,12 +27,13 @@ invocation):
 * ``--journal[=FILE]`` — append the run-provenance journal (manifest,
   per-day progress, session/honeyprefix lifecycle, detection summaries)
   to ``FILE`` (default ``journal.jsonl``);
-* ``--cache[=DIR]`` — reuse/store the scenario result in an on-disk cache
-  (default ``.cache``); ``--no-cache`` ignores any configured cache;
-* ``--checkpoint[=DIR]`` — save a resumable engine-state checkpoint every
-  ``--checkpoint-every`` days (default dir ``.checkpoints``), one file
-  per config and run mode; a rerun picks up from its mode's last usable
-  checkpoint instead of starting at day zero.
+* ``--cache[=DIR]`` — run through the on-disk run store in ``DIR``
+  (default ``.cache``), one entry per config and run mode (batch,
+  ``--stream`` or observe): a finished entry is served without
+  simulating, a checkpoint is resumed, and a finished run is stored;
+* ``--checkpoint-every N`` — also write a checkpoint into the store every
+  N days (into ``.cache`` when ``--cache`` is absent), so a rerun of a
+  killed run picks up from its last checkpoint instead of day zero.
 
 ``experiment`` takes ``--jobs N`` to render report sections in ``N``
 worker processes (the report bytes do not depend on N).
@@ -61,16 +62,13 @@ from repro.obs import (
     stage,
 )
 from repro.sim import ScenarioConfig, run_scenario
-from repro.sim.runner import DEFAULT_CHECKPOINT_EVERY
 
 #: --journal without a path appends here.
 DEFAULT_JOURNAL_PATH = "journal.jsonl"
 
-#: --cache without a directory uses this.
+#: --cache without a directory (or --checkpoint-every without --cache)
+#: uses this.
 DEFAULT_CACHE_DIR = ".cache"
-
-#: --checkpoint without a directory uses this.
-DEFAULT_CHECKPOINT_DIR = ".checkpoints"
 
 #: --observe / the observe subcommand write observer day files here.
 DEFAULT_OBSERVE_DIR = "data"
@@ -143,21 +141,14 @@ def _build_parser() -> argparse.ArgumentParser:
                             f"FILE (default {DEFAULT_JOURNAL_PATH})")
         p.add_argument("--cache", nargs="?", const=DEFAULT_CACHE_DIR,
                        default=None, metavar="DIR",
-                       help="load/store the scenario result via the on-disk "
-                            f"cache in DIR (default {DEFAULT_CACHE_DIR})")
-        p.add_argument("--no-cache", action="store_true",
-                       help="ignore any configured cache and simulate")
-        p.add_argument("--checkpoint", nargs="?",
-                       const=DEFAULT_CHECKPOINT_DIR, default=None,
-                       metavar="DIR",
-                       help="save a resumable checkpoint every "
-                            "--checkpoint-every days into DIR and resume "
-                            "from it on a rerun (default "
-                            f"{DEFAULT_CHECKPOINT_DIR})")
+                       help="serve, resume and store the run via the "
+                            f"on-disk run store in DIR (default "
+                            f"{DEFAULT_CACHE_DIR})")
         p.add_argument("--checkpoint-every", type=_positive_int,
-                       default=DEFAULT_CHECKPOINT_EVERY, metavar="DAYS",
-                       help="checkpoint cadence in days (default "
-                            f"{DEFAULT_CHECKPOINT_EVERY})")
+                       default=None, metavar="DAYS",
+                       help="write a resumable checkpoint into the run "
+                            "store every DAYS days (into "
+                            f"{DEFAULT_CACHE_DIR} without --cache)")
 
     run_p = sub.add_parser("run", help="run the scenario, print headlines")
     run_p.add_argument("--stream", action="store_true",
@@ -219,17 +210,11 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--journals", default=None, metavar="DIR",
                          help="run-journal directory (default "
                               "<cache>/journals)")
-    serve_p.add_argument("--checkpoint", nargs="?",
-                         const=DEFAULT_CHECKPOINT_DIR, default=None,
-                         metavar="DIR",
-                         help="checkpoint in-flight runs every "
-                              "--checkpoint-every days so a killed service "
-                              "resumes instead of recomputing (default dir "
-                              f"{DEFAULT_CHECKPOINT_DIR})")
     serve_p.add_argument("--checkpoint-every", type=_positive_int,
-                         default=DEFAULT_CHECKPOINT_EVERY, metavar="DAYS",
-                         help="checkpoint cadence in days (default "
-                              f"{DEFAULT_CHECKPOINT_EVERY})")
+                         default=None, metavar="DAYS",
+                         help="checkpoint in-flight runs into the cache "
+                              "every DAYS days so a killed service resumes "
+                              "instead of recomputing")
     serve_p.add_argument("--observatory", default=None, metavar="DIR",
                          help="expose the observatory directory at "
                               "GET /observatory (SSE tail) and "
@@ -245,41 +230,19 @@ def _config(args) -> ScenarioConfig:
 
 
 def _cache_dir(args):
-    return None if args.no_cache else args.cache
+    """The run store directory: ``--cache``, or the default one when only
+    ``--checkpoint-every`` asks for a store."""
+    if args.cache is None and args.checkpoint_every is not None:
+        return DEFAULT_CACHE_DIR
+    return args.cache
 
 
-def _streams(args) -> bool:
-    """Whether the requested run drains its captures daily: ``--stream``,
-    ``run --observe`` (which implies it), or an ``observe`` run."""
-    if args.command == "observe":
-        return not args.summary_only
-    return (getattr(args, "stream", False)
-            or getattr(args, "observe", None) is not None)
-
-
-def _mode_conflict(args) -> str | None:
-    """The refused option combination (a streaming run with a cache) as
-    a one-line message, or None when the requested mode set is coherent.
-
-    The refusal keeps the CLI contract: one ``error:`` line on stderr,
-    exit status 2, no traceback.
-    """
-    if _streams(args) and _cache_dir(args) is not None:
-        return ("--stream is incompatible with --cache (streaming runs "
-                "produce no record bundle to cache)")
-    return None
-
-
-def _scenario(args) -> object:
+def _scenario(args, **modes) -> object:
     print(f"running scenario: {args.days} days, scale {args.scale}, "
           f"seed {args.seed} ...", file=sys.stderr)
     return run_scenario(
         _config(args), cache_dir=_cache_dir(args),
-        checkpoint_dir=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        stream_analysis=getattr(args, "stream", False),
-        observe_dir=getattr(args, "observe", None),
-    )
+        checkpoint_every=args.checkpoint_every, **modes)
 
 
 def _render_stream_summary(result) -> str:
@@ -308,11 +271,7 @@ def _observe(args) -> int:
     from repro.observatory import DriftReport, list_day_files
 
     if not args.summary_only:
-        result = run_scenario(
-            _config(args), checkpoint_dir=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            observe_dir=args.data,
-        )
+        result = _scenario(args, observe_dir=args.data)
         summary = result.observatory
         print(f"observatory: {summary['days']} day files, "
               f"{summary['records']} telescope records in {args.data}",
@@ -334,8 +293,9 @@ def _observe(args) -> int:
 def _run(args) -> int:
     """The ``run`` subcommand: the scenario, then its headline tables (or
     the streaming summary when the run drained its captures daily)."""
-    result = _scenario(args)
-    if _streams(args):
+    result = _scenario(args, stream_analysis=args.stream,
+                       observe_dir=args.observe)
+    if result.streaming is not None:
         print()
         print(_render_stream_summary(result))
         if result.observatory is not None:
@@ -394,7 +354,6 @@ def _serve(args) -> int:
     service = ScenarioService(
         args.cache, jobs=args.jobs, queue_limit=args.queue_limit,
         max_cache_bytes=args.cache_budget, journals_dir=args.journals,
-        checkpoint_dir=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         observatory_dir=args.observatory,
     )
@@ -467,10 +426,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "serve":
         return _serve(args)
 
-    conflict = _mode_conflict(args)
-    if conflict is not None:
-        print(f"error: {conflict}", file=sys.stderr)
-        return 2
     if args.command == "experiment":
         # Resolved before any layer is installed: an unknown id exits 2
         # without a metrics snapshot or trace table.

@@ -162,10 +162,10 @@ class PacketCapturer:
 
     # -- chunk transfer (checkpoint capture + restore) ----------------------
 
-    def chunks(self) -> list[PacketBatch]:
-        """Every captured row as origin-bearing batches in arrival order,
-        the frozen prefix (if any) first — what a checkpoint stores.  The
-        batches share the capturer's arrays."""
+    def chunks(self, start: int = 0) -> list[PacketBatch]:
+        """Every captured row from row ``start`` on as origin-bearing
+        batches in arrival order, the frozen prefix (if any) first — what
+        a checkpoint stores.  The batches share the capturer's arrays."""
         chunks = []
         if self._frozen is not None:
             frozen = self._frozen
@@ -177,7 +177,12 @@ class PacketCapturer:
             chunks.append(PacketBatch(
                 **{col: self._columns[col][:self._size]
                    for col in _COLUMN_DTYPES}))
-        return chunks
+        tail = []
+        for chunk in chunks:
+            if start < len(chunk):
+                tail.append(chunk.rows(start, len(chunk)) if start else chunk)
+            start = max(0, start - len(chunk))
+        return tail
 
     def extend_chunks(self, chunks) -> None:
         """Append transferred chunks in arrival order (the checkpoint

@@ -5,14 +5,15 @@ data-parallel + artifact-cache tier:
 
 * :mod:`repro.exec.pool` — :func:`run_experiments`, the process-pool
   experiment scheduler (``python -m repro experiment all --jobs N``);
-* :mod:`repro.exec.cache` — :class:`ScenarioCache`, the content-addressed
-  on-disk store of frozen scenario results (``--cache DIR``);
+* :mod:`repro.exec.cache` — :class:`ScenarioCache`, the one on-disk run
+  store (``--cache DIR``): one checksummed entry per config and run mode,
+  a finished result or, with ``--checkpoint-every N``, a checkpoint that
+  the next run of that config and mode resumes from;
 * :mod:`repro.exec.parallel` — :func:`parallel_map`, the deterministic
   fan-out primitive shared with the jobs-aware experiment drivers
   (``table4``/``fig7``/``fig8``/``fig10``);
-* the checkpoint layer in :mod:`repro.exec.freeze` —
-  :func:`save_checkpoint`/:func:`load_checkpoint`, resumable engine-state
-  snapshots at day boundaries, one file per run mode (``--checkpoint``).
+* :mod:`repro.exec.freeze` — :func:`freeze_result`, the picklable slice
+  of a run that workers receive and the store keeps.
 
 All of them uphold one determinism contract: output bytes depend only on the
 configuration (seeds included), never on ``jobs``, worker identity, or
@@ -29,14 +30,8 @@ from repro.exec.cache import (
 from repro.exec.freeze import (
     FrozenFabric,
     FrozenScenario,
-    ScenarioCheckpoint,
-    capture_checkpoint,
-    checkpoint_path,
     freeze_result,
     freeze_scenario,
-    load_checkpoint,
-    restore_checkpoint,
-    save_checkpoint,
 )
 from repro.exec.parallel import parallel_map, process_context
 from repro.exec.pool import (
@@ -53,18 +48,12 @@ __all__ = [
     "FrozenFabric",
     "FrozenScenario",
     "ScenarioCache",
-    "ScenarioCheckpoint",
     "UnknownExperimentError",
-    "capture_checkpoint",
-    "checkpoint_path",
     "freeze_result",
     "freeze_scenario",
-    "load_checkpoint",
     "parallel_map",
     "partition_ids",
     "process_context",
     "resolve_ids",
-    "restore_checkpoint",
     "run_experiments",
-    "save_checkpoint",
 ]

@@ -136,6 +136,19 @@ class RunManifest:
         }
 
 
+#: One encoder for every record line (``json.dumps`` would build a new
+#: encoder per call).
+_ENCODER = json.JSONEncoder(sort_keys=True, default=repr)
+
+
+def _encode_record(record_type: str, fields: dict) -> str:
+    """Validate one record and encode it as its journal line (no
+    newline): sorted-key JSON with the ``v`` and ``type`` fields."""
+    validate_record(dict(fields, v=JOURNAL_SCHEMA_VERSION, type=record_type))
+    return _ENCODER.encode(
+        {"v": JOURNAL_SCHEMA_VERSION, "type": record_type, **fields})
+
+
 class Journal:
     """Append-only JSONL journal writer."""
 
@@ -155,12 +168,11 @@ class Journal:
 
     def emit(self, record_type: str, **fields) -> None:
         """Append one record; validates the type and required fields."""
-        validate_record(dict(fields, v=JOURNAL_SCHEMA_VERSION,
-                             type=record_type))
-        line = json.dumps(
-            {"v": JOURNAL_SCHEMA_VERSION, "type": record_type, **fields},
-            sort_keys=True, default=repr,
-        )
+        self.write_line(_encode_record(record_type, fields))
+
+    def write_line(self, line: str) -> None:
+        """Append one already-encoded record line (no newline): how a
+        resumed run replays the stored journal of its checkpoint."""
         self._stream.write(line + "\n")
         self.records_written += 1
 
@@ -188,46 +200,34 @@ class NullJournal(Journal):
     def emit(self, record_type: str, **fields) -> None:
         pass
 
+    def write_line(self, line: str) -> None:
+        pass
+
     def close(self) -> None:
         pass
 
 
 class RecordingJournal(Journal):
-    """A journal that buffers every record and forwards it to ``inner``.
+    """A journal that keeps every record line and forwards it to ``inner``.
 
     Checkpointing builds on this: the runner wraps the active journal in a
-    recorder for the duration of a run; a checkpoint then carries every
-    record emitted so far, and a resumed run replays them through the
-    fresh journal, keeping the resumed journal byte-identical to an
-    uninterrupted one.  Records are stored as ``(record_type, fields)``
-    pairs.
+    recorder for the duration of a run; a checkpoint then stores
+    :attr:`lines`, and a resumed run writes them back through
+    :meth:`Journal.write_line`, keeping the resumed journal byte-identical
+    to an uninterrupted one.  Each record is encoded once, here.
     """
 
     enabled = True
 
     def __init__(self, inner: Journal):
         self.inner = inner
-        self.records: list[tuple] = []
+        self.lines: list[str] = []
         self.records_written = 0
 
-    def emit(self, record_type: str, **fields) -> None:
-        validate_record(dict(fields, v=JOURNAL_SCHEMA_VERSION,
-                             type=record_type))
-        self.records.append((record_type, dict(fields)))
+    def write_line(self, line: str) -> None:
+        self.lines.append(line)
         self.records_written += 1
-        self.inner.emit(record_type, **fields)
-
-    def plain_records(self) -> list[tuple]:
-        """The buffered records as ``(type, fields)`` pairs (copies), the
-        form checkpoints store and :func:`replay` consumes."""
-        return [(rtype, dict(fields)) for rtype, fields in self.records]
-
-    def replay(self, records) -> None:
-        """Re-emit previously recorded ``(type, fields)`` pairs through
-        this journal (they are forwarded *and* re-buffered, so a later
-        checkpoint still carries the full history)."""
-        for record_type, fields in records:
-            self.emit(record_type, **fields)
+        self.inner.write_line(line)
 
     def flush(self) -> None:
         self.inner.flush()

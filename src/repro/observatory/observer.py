@@ -78,6 +78,14 @@ class ObservatoryError(ValueError):
     """An observer record, day file, or data directory is invalid."""
 
 
+def _replace_file(path: Path, payload: bytes) -> None:
+    """Write ``path`` atomically (write-then-rename), so a kill can never
+    leave it torn."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(payload)
+    os.replace(tmp, path)
+
+
 def day_file_path(directory, day: int) -> Path:
     return Path(directory) / DAY_FILE_FORMAT.format(day=day)
 
@@ -201,7 +209,11 @@ class Observatory:
 
     def __init__(self, directory, config=None, *, start_day: int = 0,
                  state: ObservatoryState | None = None,
-                 levels: tuple[int, ...] = SCAN_LEVELS):
+                 levels: tuple[int, ...] = SCAN_LEVELS,
+                 day_files: dict | None = None):
+        """``day_files`` (file name -> bytes) are written into the
+        directory before the stream is rebuilt from the day files: how a
+        run served from the store restores a finished observatory."""
         self.directory = Path(directory)
         self.levels = levels
         self._registry = get_registry()
@@ -221,6 +233,8 @@ class Observatory:
         self.state = state
         self.directory.mkdir(parents=True, exist_ok=True)
         self._check_manifest(config)
+        for name, payload in (day_files or {}).items():
+            _replace_file(self.directory / name, payload)
         self._stream = self._open_stream(start_day)
 
     # -- directory plumbing ------------------------------------------------
@@ -290,10 +304,8 @@ class Observatory:
             record = self._build_record(day, scenario, streams, drained)
             validate_observer(record)
             line = observer_line(record)
-            path = day_file_path(self.directory, day)
-            tmp = path.with_suffix(".json.tmp")
-            tmp.write_text(line)
-            os.replace(tmp, path)
+            _replace_file(day_file_path(self.directory, day),
+                          line.encode())
             self._stream.write(line)
             self.state.next_day = day + 1
         self._registry.counter("observatory.days").inc()
@@ -395,8 +407,8 @@ class Observatory:
 
     def checkpoint_state(self) -> ObservatoryState:
         """The cursor to embed in a scenario checkpoint.  Returned live:
-        ``save_checkpoint`` pickles it synchronously, before the next
-        day's observation can mutate it."""
+        ``ScenarioCache.checkpoint`` pickles it synchronously, before the
+        next day's observation can mutate it."""
         return self.state
 
     def finish(self) -> dict:

@@ -25,8 +25,9 @@ Request lifecycle
   admission fails with :class:`AdmissionFull` instead of queueing
   unboundedly.
 
-The run id is the cache entry key (``<repro version>-<config hash>``), so
-ids are stable across service restarts and shared between tenants.
+The run id is the cache entry key
+(``<repro version>-<config hash>-batch``), so ids are stable across
+service restarts and shared between tenants.
 
 Workers journal to ``journals/<run_id>.jsonl`` (line-buffered), which the
 progress stream tails; each worker ships its metrics snapshot back and the
@@ -39,10 +40,11 @@ every registered run's entry — an in-flight or just-completed run can
 never lose its artifacts to the sweep that its own store triggered.
 
 Shutdown: ``close(drain=True)`` stops admitting, then waits for in-flight
-runs to finish.  ``close(drain=False)`` abandons queued work; runs
-launched with a ``checkpoint_dir`` have their cadence checkpoints on
-disk, so a later service resumes from them instead of recomputing from
-day zero.
+runs to finish.  ``close(drain=False)`` abandons queued work; a run's
+checkpoint (written every ``checkpoint_every`` days) is a mid-run entry
+of its own key in the cache, so a later service resumes it instead of
+recomputing from day zero.  A checkpoint is not warm: ``submit`` reports
+the config cold and schedules the resume.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from repro.obs import (
     use_journal,
     use_registry,
 )
-from repro.sim.runner import DEFAULT_CHECKPOINT_EVERY
 from repro.sim.scenario import ScenarioConfig
 
 
@@ -133,16 +134,16 @@ class RunState:
 
 
 def _execute_run(config_fields: dict, cache_dir: str, journal_path: str,
-                 checkpoint_dir, checkpoint_every: int) -> dict:
+                 checkpoint_every: int | None) -> dict:
     """Worker entry point: one journaled, cached ``run_scenario``.
 
     Module-level and picklable.  Installs a fresh registry and a
     line-buffered journal (the parent tails the file while this runs),
     then runs the scenario through the shared cache so the result lands
-    as a verified entry.  A checkpointed run always resumes: a worker
-    re-dispatched after a crash fast-forwards from the last cadence
-    checkpoint and replays the journal history, keeping the progress
-    stream byte-compatible with an uninterrupted run.
+    as a verified entry.  A run always resumes its config's checkpoint:
+    a worker re-dispatched after a crash fast-forwards from the last
+    cadence checkpoint and replays the journal history, keeping the
+    progress stream byte-compatible with an uninterrupted run.
     """
     from repro.sim.runner import run_scenario
 
@@ -153,7 +154,6 @@ def _execute_run(config_fields: dict, cache_dir: str, journal_path: str,
         with use_registry(registry), use_journal(journal):
             result = run_scenario(
                 config, cache_dir=cache_dir,
-                checkpoint_dir=checkpoint_dir,
                 checkpoint_every=checkpoint_every,
             )
         return {
@@ -175,8 +175,7 @@ class ScenarioService:
         queue_limit: int = 32,
         max_cache_bytes: int | None = None,
         journals_dir: str | os.PathLike | None = None,
-        checkpoint_dir: str | os.PathLike | None = None,
-        checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
+        checkpoint_every: int | None = None,
         observatory_dir: str | os.PathLike | None = None,
     ):
         self.cache = ScenarioCache(cache_dir, max_bytes=max_cache_bytes)
@@ -186,9 +185,7 @@ class ScenarioService:
             journals_dir if journals_dir is not None
             else Path(cache_dir) / "journals"
         )
-        self.checkpoint_dir = (
-            str(checkpoint_dir) if checkpoint_dir is not None else None
-        )
+        #: Cadence of the runs' checkpoints into the cache (None: none).
         self.checkpoint_every = checkpoint_every
         #: Observatory directory exposed at ``GET /observatory`` (live
         #: SSE tail) and ``GET /observatory/<day>``; None leaves the
@@ -266,7 +263,7 @@ class ScenarioService:
                 self._runs[run_id] = run
                 run.future = self._pool.submit(
                     _execute_run, fields, str(self.cache.root), journal_path,
-                    self.checkpoint_dir, self.checkpoint_every,
+                    self.checkpoint_every,
                 )
                 run.future.add_done_callback(
                     lambda future, rid=run_id: self._on_done(rid, future)
@@ -430,8 +427,8 @@ class ScenarioService:
 
         ``drain=True`` completes every in-flight run first (their results
         land in the cache and every waiter wakes).  ``drain=False``
-        cancels queued runs and abandons running ones — with a
-        ``checkpoint_dir`` configured their cadence checkpoints survive
+        cancels queued runs and abandons running ones — with
+        ``checkpoint_every`` set their last checkpoints stay in the cache
         for a resumed service to pick up.
         """
         with self._lock:

@@ -133,17 +133,12 @@ class ScenarioResult:
         return {"NT-A": self.nta, "NT-B": self.ntb, "NT-C": self.ntc}
 
 
-#: Checkpoints land every this many days unless overridden.
-DEFAULT_CHECKPOINT_EVERY = 10
-
-
 def run_scenario(
     config: ScenarioConfig | None = None,
     progress: bool = False,
     cache_dir=None,
     *,
-    checkpoint_dir=None,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
+    checkpoint_every: int | None = None,
     abort_after_day: int | None = None,
     stream_analysis: bool = False,
     observe_dir=None,
@@ -158,33 +153,40 @@ def run_scenario(
     active, the run opens with its ``run_manifest`` (config hash + seed +
     package version) and closes with a ``run_end`` summary.
 
-    With ``cache_dir``, the run goes through the on-disk
-    :class:`~repro.exec.cache.ScenarioCache`: a verified entry for this
-    exact config (hash covers every field) and package version is loaded
-    instead of simulating — skipping ``scenario.build``/``scenario.run``
-    entirely — and a miss simulates as usual, then stores the frozen
-    bundle.  The returned result renders every experiment byte-identically
-    either way; the journal records ``cache_hit``/``cache_store`` so a
-    warm run is auditable from its artifacts.
+    The run mode is ``batch``, ``stream`` (``stream_analysis``) or
+    ``observe`` (``observe_dir``).  With ``cache_dir``, the run goes
+    through the on-disk run store, :class:`~repro.exec.cache.ScenarioCache`,
+    which keeps one checksummed entry per config (the hash covers every
+    field), package version and mode:
 
-    Execution modes (all byte-identical in records, counters, and journal
-    — the non-negotiable determinism contract):
+    * a verified *completed* entry is loaded instead of simulating —
+      ``scenario.build``/``scenario.run`` never run.  A warm stream run
+      returns the stored :class:`~repro.analysis.streaming.StreamSummary`
+      per telescope; a warm observe run also writes the stored day files
+      into ``observe_dir`` and rebuilds ``observations.jsonl`` and the
+      index from them;
+    * a verified *mid-run* entry (a checkpoint) is resumed: the covered
+      days are fast-forwarded without re-emitting a single packet, the
+      captured chunks, counters, analyzers and observer cursor are
+      restored, and the journal lines written before the checkpoint are
+      replayed verbatim.  An observe checkpoint whose ``observe_dir``
+      lacks a day file before it is not resumed;
+    * otherwise the run simulates from day zero.
 
-    * ``checkpoint_dir`` saves a resumable engine-state checkpoint every
-      ``checkpoint_every`` days, one file per config and run mode
-      (batch, stream or observe).  A run with ``checkpoint_dir`` always
-      resumes from a usable checkpoint of its own mode: the covered days
-      are fast-forwarded without re-emitting a single packet, and the
-      journal records emitted before the checkpoint are replayed
-      verbatim into the active journal.  With no usable checkpoint (none
-      yet, torn, stale, or an observe checkpoint whose ``observe_dir``
-      lacks a day file before it) the run starts at day zero; a verified
-      ``cache_dir`` entry is loaded in preference to any checkpoint.
-    * ``abort_after_day=N`` raises :class:`SimulationAborted` once day N
-      has completed (fed to the analyzers and the observatory, and
-      checkpointed if N + 1 is a cadence day): an aborted run's journal
-      and observatory files end with day N.  It is the test hook for
-      kill/resume equivalence.
+    A run that finishes stores its completed entry, which replaces any
+    checkpoint of its mode; the journal records ``cache_hit`` or
+    ``cache_store`` so a run is auditable from its artifacts.
+    ``checkpoint_every=K`` (which needs ``cache_dir``) writes a mid-run
+    entry at every day boundary that is a multiple of K.  Every mode and
+    store state yields the same records, ``origin``, counters, journal,
+    stream summaries and observer files: the determinism contract
+    (``tests/sim/test_mode_matrix.py``).
+
+    ``abort_after_day=N`` raises :class:`SimulationAborted` once day N
+    has completed (fed to the analyzers and the observatory, and
+    checkpointed if N + 1 is a cadence day): an aborted run's journal and
+    observatory files end with day N.  It is the test hook for kill/resume
+    equivalence.
 
     Capture storage (changes what is held, never what is computed): each
     telescope's :class:`~repro.core.capture.PacketCapturer` holds every
@@ -212,107 +214,98 @@ def run_scenario(
     time here and the whole run at once by ``detect_scans``, so the
     result's :attr:`ScenarioResult.streaming` summaries carry events
     element-identical to batch detection over the batch records; the
-    record columns come back empty.  Streaming composes with
-    ``checkpoint_dir`` (open analyzer state rides in the checkpoint); it
-    is incompatible with ``cache_dir`` (the cache stores record bundles),
-    the one refused combination.
+    record columns come back empty.
 
     ``observe_dir`` adds the longitudinal observatory
     (:mod:`repro.observatory`) to a streaming run, and turns streaming on
     by itself: one validated, bit-reproducible observer JSON record per
     simulated day (scan-event rates, new-source discovery, tactic mix,
     honeyprefix reaction latency) written into the directory, mirrored to
-    ``observations.jsonl``, and indexed at the end.  It composes with
-    ``checkpoint_dir`` (the observer cursor rides in the checkpoint).
+    ``observations.jsonl``, and indexed at the end.
     """
     config = config if config is not None else ScenarioConfig()
+    if checkpoint_every is not None and cache_dir is None:
+        raise TypeError("checkpoint_every writes checkpoints into the run "
+                        "store: pass cache_dir too")
     # Observer records are derived from the streaming day drain.
     stream_analysis = stream_analysis or observe_dir is not None
-    if stream_analysis and cache_dir is not None:
-        raise ValueError(
-            "stream_analysis runs produce no record bundle to cache; "
-            "drop cache_dir or stream_analysis")
     mode = ("observe" if observe_dir is not None
             else "stream" if stream_analysis else "batch")
     registry = get_registry()
-    cache = None
+    cache = stored = None
     if cache_dir is not None:
         from repro.exec.cache import ScenarioCache
 
         cache = ScenarioCache(cache_dir)
+        stored = cache.read(config, mode)
+    resume = stored if stored is not None and not stored.complete else None
+    if resume is not None and observe_dir is not None:
+        # The observatory rebuilds observations.jsonl from the day files
+        # before the checkpoint; without all of them (say, a fresh
+        # directory) the run starts over.
+        from repro.observatory import day_file_path
 
-    checkpoint = None
-    if checkpoint_dir is not None:
-        from repro.exec.freeze import load_checkpoint
-
-        checkpoint = load_checkpoint(checkpoint_dir, config, mode)
-        if (checkpoint is not None and cache is not None
-                and cache.probe(config)):
-            # A completed run leaves its last cadence checkpoint behind;
-            # its verified cache entry is the cheaper way to the result.
-            checkpoint = None
-        if checkpoint is not None and observe_dir is not None:
-            # The observatory rebuilds observations.jsonl from the day
-            # files before the checkpoint; without all of them (say, a
-            # fresh directory) the run starts over.
-            from repro.observatory import day_file_path
-
-            if not all(day_file_path(observe_dir, day).exists()
-                       for day in range(checkpoint.next_day)):
-                checkpoint = None
+        if not all(day_file_path(observe_dir, day).exists()
+                   for day in range(resume.next_day)):
+            resume = None
 
     streams = None
     if stream_analysis:
         from repro.analysis.streaming import StreamAnalyzer
 
-        streams = (checkpoint.streaming if checkpoint is not None
+        streams = (resume.streams if resume is not None
                    else {name: StreamAnalyzer(name)
                          for name in ("NT-A", "NT-B", "NT-C")})
 
     # With checkpointing on, wrap the active journal in a recorder for the
-    # duration of the run: checkpoints then carry every record emitted so
+    # duration of the run: checkpoints then carry every line written so
     # far, and a resumed run replays them for a byte-identical journal.
     previous_journal = None
-    if checkpoint_dir is not None:
-        recorder = RecordingJournal(inner=get_journal())
-        previous_journal = set_journal(recorder)
+    if checkpoint_every is not None:
+        previous_journal = set_journal(RecordingJournal(inner=get_journal()))
     observatory = None
     try:
         journal = get_journal()
-        if checkpoint is None:
+        if resume is None:
             # The manifest opens the journal whether the run simulates or
-            # loads from cache: a warm run stays auditable from artifacts.
+            # loads from the store: a warm run stays auditable.
             journal.emit(
                 "run_manifest",
                 **RunManifest.from_config(config).to_record_fields())
-            if cache is not None:
-                with stage("run_scenario.cached",
-                           days=config.duration_days, seed=config.seed):
-                    cached = cache.load(config)
-                if cached is not None:
-                    return cached
         else:
-            # Resuming mid-run: the checkpoint's records (the original
-            # manifest included) are the journal's opening lines, and the
-            # cache is only consulted for storage at the end.
-            journal.replay(checkpoint.journal_records)
-        start_day = checkpoint.next_day if checkpoint is not None else 0
+            # The checkpoint's lines (the original manifest included) are
+            # the journal's opening lines.
+            for line in resume.journal:
+                journal.write_line(line)
+        if stored is not None and stored.complete:
+            result = stored.result()
+            if observe_dir is not None:
+                from repro.observatory import Observatory, ObservatoryState
+
+                days = config.duration_days
+                result.observatory = Observatory(
+                    observe_dir, config, start_day=days,
+                    state=ObservatoryState(
+                        next_day=days,
+                        records_total=stored.observatory["records"]),
+                    day_files=stored.day_files,
+                ).finish()
+            return result
+        start_day = resume.next_day if resume is not None else 0
 
         if observe_dir is not None:
             from repro.observatory import Observatory
 
             observatory = Observatory(
                 observe_dir, config, start_day=start_day,
-                state=(checkpoint.observatory
-                       if checkpoint is not None else None),
+                state=resume.observatory if resume is not None else None,
             )
 
         with stage("run_scenario", days=config.duration_days,
                    seed=config.seed):
             scenario = _simulate(
-                config, checkpoint, start_day, progress=progress,
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_every=checkpoint_every,
+                config, resume, start_day, progress=progress,
+                cache=cache, mode=mode, checkpoint_every=checkpoint_every,
                 abort_after_day=abort_after_day, streams=streams,
                 observatory=observatory,
             )
@@ -359,7 +352,7 @@ def run_scenario(
         # leaves, which resume is built to heal.
         if observatory is not None:
             observatory.close()
-        if checkpoint_dir is not None:
+        if checkpoint_every is not None:
             set_journal(previous_journal)
 
 
@@ -394,29 +387,31 @@ def _feed_streams(scenario, streams, journal, day: int,
         observatory.observe_day(day, scenario, streams, drained)
 
 
-def _simulate(config, checkpoint, start_day, *, progress,
-              checkpoint_dir, checkpoint_every, abort_after_day,
-              streams=None, observatory=None):
+def _simulate(config, resume, start_day, *, progress, cache, mode,
+              checkpoint_every, abort_after_day, streams=None,
+              observatory=None):
     """Build (or rebuild-and-fast-forward) the scenario and run its days;
     returns the run scenario."""
     registry = get_registry()
     journal = get_journal()
     duration = config.duration_days
-    cadence = max(1, checkpoint_every)
     chash = config_hash(config)
 
     with stage("scenario.build"):
         scenario = PaperScenario(config)
-        if checkpoint is not None:
-            from repro.exec.freeze import restore_checkpoint
-
-            restore_checkpoint(scenario, checkpoint)
+        if resume is not None:
+            for name, chunks in resume.captures.items():
+                scenario.capturers[name].extend_chunks(chunks)
+            c = scenario.counters
+            (c.nta, c.ntb, c.ntc, c.live_dropped, c.unrouted) = \
+                resume.manifest["counters"]
         if start_day:
             with use_journal(None):
                 for day in range(start_day):
                     scenario.replay_day(day)
     sample_peak_rss(registry, stage="build")
 
+    persisted = resume.manifest if resume is not None else None
     with stage("scenario.run"):
         for day in range(start_day, duration):
             emitted = scenario.run_day(day)
@@ -428,24 +423,18 @@ def _simulate(config, checkpoint, start_day, *, progress,
                 _feed_streams(scenario, streams, journal, day,
                               observatory=observatory)
             next_day = day + 1
-            if (checkpoint_dir is not None and next_day < duration
-                    and next_day % cadence == 0):
-                # The record goes out *before* the file is written so the
+            if (checkpoint_every is not None and next_day < duration
+                    and next_day % max(1, checkpoint_every) == 0):
+                # The record goes out *before* the entry is written so the
                 # checkpoint carries its own record and a resumed journal
                 # replays it in place.
-                from repro.exec.freeze import (capture_checkpoint,
-                                               save_checkpoint)
-
                 journal.emit("checkpoint", day=next_day, config_hash=chash)
-                save_checkpoint(
-                    checkpoint_dir,
-                    capture_checkpoint(
-                        scenario, next_day, journal.plain_records(),
-                        streaming=streams,
-                        observatory=(observatory.checkpoint_state()
-                                     if observatory is not None else None)),
-                    config,
-                )
+                persisted = cache.checkpoint(
+                    scenario, mode, next_day, journal.lines,
+                    streams=streams,
+                    cursor=(observatory.checkpoint_state()
+                            if observatory is not None else None),
+                    previous=persisted)
             if abort_after_day is not None and day >= abort_after_day:
                 raise SimulationAborted(f"aborted after day {day}")
     return scenario

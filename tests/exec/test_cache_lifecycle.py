@@ -1,21 +1,26 @@
 """Cache lifecycle: fault injection, size accounting, LRU eviction, pins.
 
-The fault-injection property under test: flipping *any* byte of *any*
+The fault-injection properties under test: flipping *any* byte of *any*
 file in a stored entry must surface as a verification failure — the load
 reports a miss and the caller transparently re-simulates; corrupt arrays
 are never served.  Offsets are sampled property-style (both ends of every
 file plus seeded random interior positions) because hashing the entry
-once per byte would take minutes for zero extra coverage.
+once per byte would take minutes for zero extra coverage.  And a write
+that runs out of space (the store's file writer raising ``ENOSPC``)
+reaches the caller, removes its temp files and leaves the previous entry
+verifiable.
 """
 
+import errno
 import os
 
 import numpy as np
 import pytest
 
+from repro.exec import cache as cache_module
 from repro.exec.cache import PINS_FILE, ScenarioCache
 from repro.obs import MetricsRegistry, use_registry
-from repro.sim import ScenarioConfig, run_scenario
+from repro.sim import ScenarioConfig, SimulationAborted, run_scenario
 
 TINY = ScenarioConfig(seed=13, duration_days=3, volume_scale=1e-5, n_tail=2)
 
@@ -34,6 +39,26 @@ def warm_cache(tmp_path, tiny_result):
 
 def _entry_files(entry):
     return sorted(p for p in entry.iterdir() if p.is_file())
+
+
+def _disk_full_after(monkeypatch, writes: int) -> None:
+    """Let the store write ``writes`` files, then run out of space: the
+    next file gets a few bytes and the writer raises ``ENOSPC``."""
+    real = cache_module._write_file
+    done = []
+
+    def write(path, payload):
+        if len(done) == writes:
+            path.write_bytes(b"partial")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        done.append(path)
+        return real(path, payload)
+
+    monkeypatch.setattr(cache_module, "_write_file", write)
+
+
+def _temp_files(root):
+    return [p for p in root.rglob("*") if p.name.endswith(".tmp")]
 
 
 class TestFaultInjection:
@@ -78,6 +103,48 @@ class TestFaultInjection:
         assert counters["scenario.cache.stores"] == 1
         assert np.array_equal(rerun.nta.ts, tiny_result.nta.ts)
         assert cache.load(TINY) is not None  # the entry was repaired
+
+
+class TestFullDisk:
+    @pytest.mark.parametrize("writes", [0, 1, 2])
+    def test_checkpoint_out_of_space_keeps_the_previous_one(
+            self, tmp_path, monkeypatch, writes):
+        config = ScenarioConfig(seed=13, duration_days=6,
+                                volume_scale=1e-5, n_tail=2)
+        with pytest.raises(SimulationAborted):
+            run_scenario(config, cache_dir=tmp_path, checkpoint_every=2,
+                         abort_after_day=2)
+        store = ScenarioCache(tmp_path)
+        before = sorted(p.name for p in _entry_files(store.entry_dir(config)))
+        assert store.read(config).next_day == 2
+
+        _disk_full_after(monkeypatch, writes)
+        with pytest.raises(OSError) as info:
+            run_scenario(config, cache_dir=tmp_path, checkpoint_every=2)
+        assert info.value.errno == errno.ENOSPC
+        assert _temp_files(tmp_path) == []
+        assert sorted(
+            p.name for p in _entry_files(store.entry_dir(config))) == before
+        assert store.read(config).next_day == 2
+
+        monkeypatch.undo()
+        resumed = run_scenario(config, cache_dir=tmp_path)
+        direct = run_scenario(config)
+        assert np.array_equal(resumed.nta.src_lo, direct.nta.src_lo)
+        assert np.array_equal(resumed.truth["NT-A"], direct.truth["NT-A"])
+
+    def test_store_out_of_space_keeps_the_previous_entry(
+            self, warm_cache, tiny_result, monkeypatch):
+        entry = warm_cache.entry_dir(TINY)
+        before = {p.name: p.read_bytes() for p in _entry_files(entry)}
+        _disk_full_after(monkeypatch, 3)
+        with pytest.raises(OSError) as info:
+            warm_cache.store(tiny_result)
+        assert info.value.errno == errno.ENOSPC
+        assert _temp_files(warm_cache.root) == []
+        assert {p.name: p.read_bytes() for p in _entry_files(entry)} == before
+        assert warm_cache.probe(TINY)
+        assert warm_cache.load(TINY) is not None
 
 
 class TestSizeAccounting:
@@ -162,6 +229,20 @@ class TestEviction:
         assert keys[1] not in evicted
         assert (tmp_path / keys[1]).is_dir()
         assert sorted(evicted) == sorted([keys[0], keys[2]])
+
+    def test_only_entries_are_evicted(self, warm_cache, tmp_path):
+        """A directory that is not an entry (the service's journals) is
+        never evicted; an entry of an older layout, keyed without a mode,
+        still is."""
+        (tmp_path / "journals").mkdir()
+        (tmp_path / "journals" / "run.jsonl").write_text("{}\n")
+        legacy = tmp_path / "1.1.0-0123456789abcdef"
+        legacy.mkdir()
+        (legacy / "manifest.json").write_text("{}")
+        warm_cache.max_bytes = 0
+        assert sorted(warm_cache.evict()) == sorted(
+            [legacy.name, warm_cache.key(TINY)])
+        assert (tmp_path / "journals" / "run.jsonl").is_file()
 
     def test_no_budget_means_no_eviction(self, tmp_path, tiny_result,
                                          monkeypatch):

@@ -110,28 +110,35 @@ class TestPoll:
 
 
 class TestCrashTolerance:
-    """A killed checkpointed run, streamed while dead, resumed in place."""
+    """A killed checkpointed run, streamed while dead, resumed in place.
+
+    Each run works in its own directory with the store at the relative
+    path ``ckpt``, so the ``cache_store`` record names the same path in
+    every journal."""
 
     @pytest.fixture(scope="class")
     def baseline(self, tmp_path_factory):
         """Uninterrupted checkpointed run: the golden journal bytes."""
         root = tmp_path_factory.mktemp("tail-base")
         journal_path = root / "journal.jsonl"
-        with use_journal(Journal(str(journal_path))) as journal:
-            run_scenario(_config(), checkpoint_dir=root / "ckpt",
-                         checkpoint_every=CADENCE)
-            journal.close()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.chdir(root)
+            with use_journal(Journal(str(journal_path))) as journal:
+                run_scenario(_config(), cache_dir="ckpt",
+                             checkpoint_every=CADENCE)
+                journal.close()
         return journal_path.read_bytes()
 
     def test_killed_run_streams_then_resumes_byte_compatibly(
-            self, tmp_path, baseline):
+            self, tmp_path, baseline, monkeypatch):
         journal_path = tmp_path / "journal.jsonl"
-        ckpt = tmp_path / "ckpt"
+        ckpt = "ckpt"
+        monkeypatch.chdir(tmp_path)
 
         # Phase 1: the run dies after day 5 (last checkpoint: day 4).
         with use_journal(Journal(str(journal_path))) as journal:
             with pytest.raises(SimulationAborted):
-                run_scenario(_config(), checkpoint_dir=ckpt,
+                run_scenario(_config(), cache_dir=ckpt,
                              checkpoint_every=CADENCE,
                              abort_after_day=ABORT_AFTER)
             journal.close()
@@ -155,12 +162,12 @@ class TestCrashTolerance:
         # truncates and replays history, so the first `tail.offset` bytes
         # are rewritten byte-identically and the tail just continues.
         with use_journal(Journal(str(journal_path))) as journal:
-            run_scenario(_config(), checkpoint_dir=ckpt,
+            run_scenario(_config(), cache_dir=ckpt,
                          checkpoint_every=CADENCE)
             journal.close()
         rest = tail.poll()
         assert first + rest == baseline_records
-        assert rest[-1]["type"] == "run_end"
+        assert [r["type"] for r in rest[-2:]] == ["run_end", "cache_store"]
 
         # The recovered journal is byte-identical to the uninterrupted
         # run's — and its head matches what the dead run had written.

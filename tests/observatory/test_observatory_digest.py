@@ -10,15 +10,16 @@ same way still fails.
 """
 
 import hashlib
+import json
 import pickle
 from pathlib import Path
 
 import pytest
 
-from repro.exec.freeze import (
-    CHECKPOINT_PROTOCOL,
-    checkpoint_path,
-    load_checkpoint,
+from repro.exec.cache import (
+    CACHE_SCHEMA_VERSION,
+    ScenarioCache,
+    _manifest_digest,
 )
 from repro.observatory import list_day_files
 from repro.sim import ScenarioConfig, SimulationAborted, run_scenario
@@ -118,15 +119,16 @@ def test_seed7_observations_digest(tmp_path):
 def test_killed_and_resumed_digests(tmp_path):
     data, ckpt = tmp_path / "data", tmp_path / "ckpt"
     with pytest.raises(SimulationAborted):
-        observe(data, checkpoint_dir=ckpt, checkpoint_every=3,
+        observe(data, cache_dir=ckpt, checkpoint_every=3,
                 abort_after_day=4)
-    result = observe(data, checkpoint_dir=ckpt, checkpoint_every=3)
+    result = observe(data, cache_dir=ckpt, checkpoint_every=3)
     assert digests(data, result) == GOLDEN
 
 
 def _previous_layout(tracker) -> None:
     """Rewrite a tracker's pickled state into the per-session list layout
-    that checkpoint protocol 3 stored."""
+    that checkpoint protocol 3 stored (before checkpoints joined the
+    store)."""
     state = tracker.__dict__
     sessions = state.pop("_open")
     keys = (sessions.k_hi.tolist()
@@ -141,25 +143,33 @@ def _previous_layout(tracker) -> None:
 
 
 def test_previous_layout_checkpoint_is_refused(tmp_path):
-    """A checkpoint in the old tracker layout is ignored rather than
-    unpickled into the new code; the resume then runs from day zero and
-    still reproduces the serial run byte for byte."""
+    """A checkpoint in the old tracker layout, sealed under an older
+    store version with valid checksums, is ignored rather than unpickled
+    into the new code; the resume then runs from day zero and still
+    reproduces the serial run byte for byte."""
     data, ckpt = tmp_path / "data", tmp_path / "ckpt"
     with pytest.raises(SimulationAborted):
-        observe(data, checkpoint_dir=ckpt, checkpoint_every=3,
+        observe(data, cache_dir=ckpt, checkpoint_every=3,
                 abort_after_day=4)
-    path = checkpoint_path(ckpt, CONFIG, "observe")
-    checkpoint = pickle.loads(path.read_bytes())
-    assert checkpoint.protocol == CHECKPOINT_PROTOCOL
+    store = ScenarioCache(ckpt)
+    entry = store.entry_dir(CONFIG, "observe")
+    checkpoint = store.read(CONFIG, "observe")
     assert any(tracker.open_sessions
-               for analyzer in checkpoint.streaming.values()
+               for analyzer in checkpoint.streams.values()
                for tracker in analyzer.trackers.values())
-    for analyzer in checkpoint.streaming.values():
+    for analyzer in checkpoint.streams.values():
         for tracker in analyzer.trackers.values():
             _previous_layout(tracker)
-    checkpoint.protocol = 3
-    path.write_bytes(pickle.dumps(checkpoint))
+    state = entry / "state.00003.pkl"
+    state.write_bytes(pickle.dumps({"streams": checkpoint.streams,
+                                    "observatory": checkpoint.observatory}))
+    manifest = json.loads((entry / "manifest.json").read_text())
+    del manifest["manifest_sha256"]
+    manifest["files"][state.name] = _sha256(state.read_bytes())
+    manifest["cache_schema"] = CACHE_SCHEMA_VERSION - 1
+    manifest["manifest_sha256"] = _manifest_digest(manifest)
+    (entry / "manifest.json").write_text(json.dumps(manifest))
 
-    assert load_checkpoint(ckpt, CONFIG, "observe") is None
-    result = observe(data, checkpoint_dir=ckpt, checkpoint_every=3)
+    assert store.read(CONFIG, "observe") is None
+    result = observe(data, cache_dir=ckpt, checkpoint_every=3)
     assert digests(data, result) == GOLDEN

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.exec.freeze import load_checkpoint
+from repro.exec.cache import ScenarioCache
 from repro.obs import Journal, MetricsRegistry, use_journal, use_registry
 from repro.observatory import Observatory, ObservatoryError, ObservatoryState
 from repro.sim import ScenarioConfig, SimulationAborted, run_scenario
@@ -46,7 +46,7 @@ class TestByteIdentity:
         buffer = io.StringIO()
         with use_journal(Journal(buffer)):
             with pytest.raises(SimulationAborted):
-                run_observatory(data, checkpoint_dir=tmp_path / "ckpt",
+                run_observatory(data, cache_dir=tmp_path / "ckpt",
                                 checkpoint_every=CADENCE,
                                 abort_after_day=ABORT_AFTER)
         records = [json.loads(line)
@@ -68,14 +68,14 @@ class TestByteIdentity:
         data = tmp_path / "data"
         ckpt = tmp_path / "ckpt"
         with pytest.raises(SimulationAborted):
-            run_observatory(data, checkpoint_dir=ckpt,
+            run_observatory(data, cache_dir=ckpt,
                             checkpoint_every=CADENCE,
                             abort_after_day=ABORT_AFTER)
         # The realistic crash artifact: a torn final observations line.
         with open(data / "observations.jsonl", "ab") as stream:
             stream.write(b'{"v": 1, "type": "observer", "da')
 
-        result = run_observatory(data, checkpoint_dir=ckpt,
+        result = run_observatory(data, cache_dir=ckpt,
                                  checkpoint_every=CADENCE)
         assert result.observatory["days"] == OBS_CONFIG.duration_days
         # The resume healed the torn line: every file byte-identical,
@@ -92,14 +92,14 @@ class TestByteIdentity:
         golden, _ = serial_observatory
         ckpt = tmp_path / "ckpt"
         with pytest.raises(SimulationAborted):
-            run_observatory(tmp_path / "first", checkpoint_dir=ckpt,
+            run_observatory(tmp_path / "first", cache_dir=ckpt,
                             checkpoint_every=CADENCE,
                             abort_after_day=ABORT_AFTER)
-        assert load_checkpoint(ckpt, OBS_CONFIG, "observe").next_day \
+        assert ScenarioCache(ckpt).read(OBS_CONFIG, "observe").next_day \
             == CADENCE
         registry = MetricsRegistry()
         with use_registry(registry):
-            run_observatory(tmp_path / "fresh", checkpoint_dir=ckpt,
+            run_observatory(tmp_path / "fresh", cache_dir=ckpt,
                             checkpoint_every=CADENCE)
         simulated = registry.snapshot()["timings"]["scenario.run_day"]
         assert simulated["count"] == OBS_CONFIG.duration_days

@@ -21,7 +21,7 @@ from repro.scanners.strategies import (
     ZoneFileWatcher,
     address_list_sampler,
 )
-from repro.sim import ScenarioConfig, run_scenario
+from repro.sim import ScenarioConfig, SimulationAborted, run_scenario
 from repro.tlsca.cert import Certificate
 from repro.tlsca.ctlog import CtLog
 from tests.scanners.reference import (
@@ -285,11 +285,13 @@ def test_frozen_scenario_and_checkpoint_carry_no_view(tmp_path):
                             phase3_day=3, specific_start_day=3,
                             tls_offset_days=1, hitlist_first_cycle_day=1,
                             hitlist_cycle_days=1)
-    result = run_scenario(config, checkpoint_dir=tmp_path / "ckpt",
-                          checkpoint_every=2, cache_dir=tmp_path / "cache")
+    with pytest.raises(SimulationAborted):
+        run_scenario(config, cache_dir=tmp_path / "ckpt",
+                     checkpoint_every=2, abort_after_day=2)
+    result = run_scenario(config, cache_dir=tmp_path / "cache")
     blobs = [pickle.dumps(freeze_scenario(result.scenario))]
     blobs += [p.read_bytes() for p in tmp_path.rglob("*")
-              if p.is_file() and p.suffix in (".ckpt", ".pkl")]
+              if p.is_file() and p.suffix == ".pkl"]
     assert len(blobs) >= 3
     for blob in blobs:
         for name in VIEW_TYPES:

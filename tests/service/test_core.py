@@ -3,15 +3,24 @@
 The dedupe contract under test is the acceptance criterion: N clients
 posting one config concurrently produce **exactly one** underlying run —
 one ``run_end`` in the journal, ``scenario.cache.stores == 1`` in the
-merged telemetry — and every client reads byte-identical results.
+merged telemetry — and every client reads byte-identical results.  A
+killed worker's checkpoint is a mid-run entry of the run's own key: the
+next submit is cold, resumes it, and serves an uninterrupted run's bytes.
 """
 
+import errno
+import io
+import json
+import os
 import threading
+import zipfile
+from pathlib import Path
 
 import pytest
 
+from repro.exec import cache as cache_module
 from repro.exec.cache import ScenarioCache
-from repro.obs import read_journal
+from repro.obs import Journal, read_journal, use_journal
 from repro.service import (
     AdmissionFull,
     ResultUnavailable,
@@ -19,7 +28,7 @@ from repro.service import (
     ServiceClosed,
     UnknownRun,
 )
-from repro.sim import ScenarioConfig
+from repro.sim import ScenarioConfig, SimulationAborted, run_scenario
 
 from tests.service.conftest import TINY, assert_results_identical
 
@@ -199,3 +208,98 @@ class TestShutdown:
         service.close()
         with pytest.raises(ServiceClosed):
             service.submit(TINY)
+
+
+#: Six days at cadence two: a kill after day 3 leaves the day-4
+#: checkpoint, so a resume simulates the last two days only.
+RESUMABLE = ScenarioConfig(seed=3, duration_days=6, volume_scale=1e-5,
+                           n_tail=2)
+CADENCE = 2
+
+
+def _leave_checkpoint(cache_dir, config=RESUMABLE):
+    """A mid-run entry, as a worker killed after day 3 leaves it."""
+    with pytest.raises(SimulationAborted):
+        run_scenario(config, cache_dir=cache_dir, checkpoint_every=CADENCE,
+                     abort_after_day=3)
+
+
+def _payloads(entry):
+    """Every payload of an entry by file name; an ``.npz`` as its member
+    bytes, because the zip container stamps its write time."""
+    out = {}
+    for name in json.loads((entry / "manifest.json").read_text())["files"]:
+        if name.endswith(".npz"):
+            with zipfile.ZipFile(entry / name) as archive:
+                out[name] = {member: archive.read(member)
+                             for member in archive.namelist()}
+        else:
+            out[name] = (entry / name).read_bytes()
+    return out
+
+
+class TestCheckpointResume:
+    def test_killed_run_resumes_cold_and_serves_uninterrupted_bytes(
+            self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        _leave_checkpoint(cache_dir)
+        assert not ScenarioCache(cache_dir).probe(RESUMABLE)
+        with ScenarioService(cache_dir, jobs=1,
+                             checkpoint_every=CADENCE) as service:
+            run, outcome = service.submit(RESUMABLE)
+            assert outcome == "created" and not run.warm
+            service.wait(run.run_id, timeout=120)
+            assert run.status == "done"
+            snapshot = service.metrics_snapshot()
+            assert snapshot["timings"]["scenario.run_day"]["count"] == 2
+            served = service.result_entry(run.run_id)
+            journal = Path(run.journal_path).read_text()
+
+        twin_dir = tmp_path / "twin"
+        buffer = io.StringIO()
+        with use_journal(Journal(buffer)):
+            run_scenario(RESUMABLE, cache_dir=twin_dir,
+                         checkpoint_every=CADENCE)
+        twin = ScenarioCache(twin_dir).entry_dir(RESUMABLE)
+        assert served.name == twin.name
+        assert _payloads(served) == _payloads(twin)
+        assert (journal.replace(str(cache_dir), "STORE")
+                == buffer.getvalue().replace(str(twin_dir), "STORE"))
+
+    def test_sweep_keeps_the_in_flight_checkpoint(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        other = ScenarioConfig(seed=4, duration_days=6, volume_scale=1e-5,
+                               n_tail=2)
+        _leave_checkpoint(cache_dir)
+        _leave_checkpoint(cache_dir, other)
+        store = ScenarioCache(cache_dir)
+        with ScenarioService(cache_dir, jobs=1, max_cache_bytes=1,
+                             checkpoint_every=CADENCE) as service:
+            run, outcome = service.submit(RESUMABLE)
+            assert outcome == "created"
+            assert service.sweep_cache() == [store.key(other)]
+            assert store.entry_dir(RESUMABLE).is_dir()
+            service.wait(run.run_id, timeout=120)
+            assert run.status == "done"
+            assert store.probe(RESUMABLE)
+
+
+class TestFullDisk:
+    def test_store_out_of_space_fails_the_run(self, tmp_path, monkeypatch):
+        """The worker's store raises ENOSPC: the run is marked failed,
+        and no temp file is left in the cache."""
+        def full(path, payload):
+            path.write_bytes(b"partial")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        # Workers fork when the service starts, so they inherit the patch.
+        monkeypatch.setattr(cache_module, "_write_file", full)
+        with ScenarioService(tmp_path / "cache", jobs=1) as service:
+            run, _ = service.submit(TINY)
+            service.wait(run.run_id, timeout=120)
+            assert run.status == "failed"
+            assert "No space left" in run.error
+            assert service.metrics_snapshot()["counters"][
+                "service.failed"] == 1
+        assert [p for p in (tmp_path / "cache").rglob("*")
+                if p.name.endswith(".tmp")] == []

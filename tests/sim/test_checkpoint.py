@@ -1,15 +1,17 @@
 """Checkpoint/resume equivalence: a run killed mid-horizon and resumed
 must be byte-identical — journal, capture records, counters, ground
-truth — to one that ran uninterrupted.  A run with a checkpoint
-directory resumes by itself, from the checkpoint of its own mode (batch,
-stream or observe); the three modes' files sit side by side.
+truth — to one that ran uninterrupted.  A checkpoint is a mid-run entry
+of the run store, one per config and mode (batch, stream or observe); a
+run with a store resumes by itself from its own mode's entry, and the
+three modes' entries sit side by side.
 
 The kill is simulated with ``run_scenario(abort_after_day=...)``, which
 raises :class:`SimulationAborted` at the same point a real SIGKILL
 between day windows would land: the last cadence checkpoint is on disk,
 nothing after it is.  The uninterrupted baseline also runs *with*
 checkpointing enabled so both journals carry the same ``checkpoint``
-records.
+records; journals are compared with the store's directory (named by
+the ``cache_store`` record) replaced by a placeholder.
 """
 
 import io
@@ -20,7 +22,7 @@ import pytest
 
 from pathlib import Path
 
-from repro.exec.freeze import checkpoint_path, load_checkpoint
+from repro.exec.cache import ScenarioCache
 from repro.obs import Journal, MetricsRegistry, use_journal, use_registry
 from repro.sim import ScenarioConfig, SimulationAborted, run_scenario
 
@@ -49,22 +51,31 @@ def _honeypot_heavy_config():
                           tpot_tls_offset_days=5)
 
 
-def _run(checkpoint_dir, config=None, cadence=CADENCE, **kwargs):
-    """One journaled run; returns (result, journal text)."""
+def _run(cache_dir, config=None, cadence=CADENCE, **kwargs):
+    """One journaled, checkpointed run; returns (result, journal text
+    with the store directory replaced by ``STORE``)."""
     buffer = io.StringIO()
     with use_journal(Journal(buffer)):
-        result = run_scenario(config or _config(),
-                              checkpoint_dir=checkpoint_dir,
+        result = run_scenario(config or _config(), cache_dir=cache_dir,
                               checkpoint_every=cadence, **kwargs)
-    return result, buffer.getvalue()
+    return result, buffer.getvalue().replace(str(cache_dir), "STORE")
 
 
-def _counted_run(checkpoint_dir, **kwargs):
+def _stored(cache_dir, mode="batch", config=None):
+    """The verified entry of ``config`` in ``mode``, or None."""
+    return ScenarioCache(cache_dir).read(config or _config(), mode)
+
+
+def _entry(cache_dir, mode="batch", config=None):
+    return ScenarioCache(cache_dir).entry_dir(config or _config(), mode)
+
+
+def _counted_run(cache_dir, **kwargs):
     """:func:`_run` under a fresh registry; returns (result, journal text,
     number of days simulated rather than fast-forwarded)."""
     registry = MetricsRegistry()
     with use_registry(registry):
-        result, journal = _run(checkpoint_dir, **kwargs)
+        result, journal = _run(cache_dir, **kwargs)
     timings = registry.snapshot()["timings"]
     days = timings.get("scenario.run_day", {}).get("count", 0)
     return result, journal, days
@@ -129,12 +140,15 @@ class TestAbort:
     def test_abort_leaves_the_cadence_checkpoint(self, tmp_path):
         with pytest.raises(SimulationAborted):
             _run(tmp_path, abort_after_day=5)
-        checkpoint = load_checkpoint(tmp_path, _config(), "batch")
-        assert checkpoint is not None
+        checkpoint = _stored(tmp_path)
+        assert checkpoint is not None and not checkpoint.complete
         # day 5 completed, so the last cadence boundary <= 6 is day 4.
         assert checkpoint.next_day == CADENCE
-        assert checkpoint.journal_records[0][0] == "run_manifest"
-        assert checkpoint.journal_records[-1][0] == "checkpoint"
+        types = [json.loads(line)["type"] for line in checkpoint.journal]
+        assert types[0] == "run_manifest"
+        assert types[-1] == "checkpoint"
+        # A checkpoint is not a warm entry.
+        assert not ScenarioCache(tmp_path).probe(_config())
 
 
 class TestResumeSerial:
@@ -158,25 +172,26 @@ class TestResumeSerial:
         base_result, base_journal = baseline
         other = ScenarioConfig(seed=23, duration_days=DAYS,
                                volume_scale=1e-4, n_tail=20)
-        buffer = io.StringIO()
-        with use_journal(Journal(buffer)):
-            with pytest.raises(SimulationAborted):
-                run_scenario(other, checkpoint_dir=tmp_path,
-                             checkpoint_every=CADENCE, abort_after_day=5)
-        assert load_checkpoint(tmp_path, _config(), "batch") is None
+        with pytest.raises(SimulationAborted):
+            _run(tmp_path, other, abort_after_day=5)
+        assert _stored(tmp_path, config=other) is not None
+        assert _stored(tmp_path) is None
         result, journal = _run(tmp_path)
         _assert_identical(base_result, result)
         assert journal == base_journal
 
-    def test_cache_entry_beats_leftover_checkpoint(self, baseline,
+    def test_finished_run_replaces_its_checkpoint(self, baseline,
                                                   tmp_path):
-        """A completed run leaves its last cadence checkpoint behind; a
-        rerun with a verified cache entry loads the entry instead of
-        resuming."""
-        ckpt, cache = tmp_path / "ckpt", tmp_path / "cache"
-        _run(ckpt, cache_dir=cache)
-        assert load_checkpoint(ckpt, _config(), "batch") is not None
-        result, journal, days = _counted_run(ckpt, cache_dir=cache)
+        """A run that finishes leaves one completed entry and no
+        checkpoint files; a rerun is served from it and never
+        simulates."""
+        _run(tmp_path)
+        stored = _stored(tmp_path)
+        assert stored.complete
+        names = {p.name for p in _entry(tmp_path).iterdir()}
+        assert not any(name.startswith(("captures.", "journal."))
+                       for name in names), names
+        result, journal, days = _counted_run(tmp_path)
         assert days == 0
         assert [json.loads(line)["type"] for line in journal.splitlines()] \
             == ["run_manifest", "cache_hit"]
@@ -201,13 +216,15 @@ class TestCheckpointContents:
     def test_no_reply_path_state_is_pickled(self, tmp_path):
         """A checkpoint holds captures, counters and the journal, never a
         honeypot: the T-Pot flow tables and Twinklenet sessions are not
-        resumed state, so reshaping them leaves the checkpoint layout and
-        ``CHECKPOINT_PROTOCOL`` as they are."""
+        resumed state, so reshaping them leaves the entry layout and
+        ``CACHE_SCHEMA_VERSION`` as they are."""
         config = _honeypot_heavy_config()
         with pytest.raises(SimulationAborted):
             _run(tmp_path, config, cadence=5, abort_after_day=5)
-        raw = checkpoint_path(tmp_path, config, "batch").read_bytes()
-        assert b"repro.core" not in raw
+        files = list(_entry(tmp_path, config=config).iterdir())
+        assert any(path.name.startswith("captures.") for path in files)
+        for path in files:
+            assert b"repro.core" not in path.read_bytes(), path.name
 
 
 class TestResumeCadence:
@@ -216,32 +233,55 @@ class TestResumeCadence:
         """Resuming at day 5 with cadence 4 checkpoints at day 8 (a
         cadence multiple), not at ``resume day + cadence``."""
         with pytest.raises(SimulationAborted):
-            run_scenario(_config(), checkpoint_dir=tmp_path,
-                         checkpoint_every=5, abort_after_day=6)
-        buffer = io.StringIO()
-        with use_journal(Journal(buffer)):
-            run_scenario(_config(), checkpoint_dir=tmp_path,
-                         checkpoint_every=4)
-        records = [json.loads(line)
-                   for line in buffer.getvalue().splitlines()]
+            _run(tmp_path, cadence=5, abort_after_day=6)
+        _, journal = _run(tmp_path, cadence=4)
+        records = [json.loads(line) for line in journal.splitlines()]
         assert [r["day"] for r in records if r["type"] == "checkpoint"] \
             == [5, 8]
 
 
 class TestTornCheckpoint:
-    """A kill can leave a half-written checkpoint file behind; a resume
-    must then either ignore it or load the last good one, and the bytes
-    still match the uninterrupted run."""
+    """A kill can leave a torn file behind, and a disk can flip a byte; a
+    resume must then either refuse the entry or load the last good one,
+    and the bytes still match the uninterrupted run."""
 
     def test_truncated_checkpoint_is_ignored(self, baseline, tmp_path):
         base_result, base_journal = baseline
         with pytest.raises(SimulationAborted):
             _run(tmp_path, abort_after_day=5)
-        path = checkpoint_path(tmp_path, _config(), "batch")
+        path = _entry(tmp_path) / f"captures.{CADENCE:05d}.pkl"
         data = path.read_bytes()
         path.write_bytes(data[:len(data) // 2])
-        assert load_checkpoint(tmp_path, _config(), "batch") is None
+        assert _stored(tmp_path) is None
         resumed, journal = _run(tmp_path)
+        _assert_identical(base_result, resumed)
+        assert journal == base_journal
+
+    def test_flipped_byte_in_captures_is_unusable(self, baseline,
+                                                  tmp_path):
+        """One flipped byte inside NT-A's first captured chunk of the
+        day-8 checkpoint (kept in its day-4 segment) makes the checkpoint
+        unusable: the rerun simulates from day zero and matches the
+        uninterrupted run, instead of resuming corrupt rows."""
+        base_result, base_journal = baseline
+        with pytest.raises(SimulationAborted):
+            _run(tmp_path, abort_after_day=9)
+        checkpoint = _stored(tmp_path)
+        assert checkpoint.next_day == 2 * CADENCE
+        chunk = checkpoint.captures["NT-A"][0]
+        assert len(chunk) > 0
+        path = _entry(tmp_path) / f"captures.{CADENCE:05d}.pkl"
+        data = bytearray(path.read_bytes())
+        at = bytes(data).index(chunk.src_lo.tobytes()) + 8 * (len(chunk) // 2)
+        data[at] ^= 0x01
+        path.write_bytes(bytes(data))
+
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            assert _stored(tmp_path) is None
+        assert registry.snapshot()["counters"]["scenario.cache.invalid"] == 1
+        resumed, journal, days = _counted_run(tmp_path)
+        assert days == DAYS
         _assert_identical(base_result, resumed)
         assert journal == base_journal
 
@@ -250,22 +290,26 @@ class TestTornCheckpoint:
         base_result, base_journal = baseline
         with pytest.raises(SimulationAborted):
             _run(tmp_path, abort_after_day=5)
-        path = checkpoint_path(tmp_path, _config(), "batch")
-        # A kill during write-then-rename: the temp file is torn, the
-        # renamed checkpoint beside it is intact.
-        data = path.read_bytes()
-        path.with_suffix(".ckpt.tmp").write_bytes(data[:len(data) // 2])
-        checkpoint = load_checkpoint(tmp_path, _config(), "batch")
+        entry = _entry(tmp_path)
+        name = f"captures.{CADENCE:05d}.pkl"
+        # A kill during the next write: its temp file is torn, the
+        # committed entry beside it is intact.
+        data = (entry / name).read_bytes()
+        (entry / f".{name}.99999.tmp").write_bytes(data[:len(data) // 2])
+        checkpoint = _stored(tmp_path)
         assert checkpoint is not None and checkpoint.next_day == CADENCE
         resumed, journal = _run(tmp_path)
         _assert_identical(base_result, resumed)
         _assert_same_emission_accounting(base_result, resumed)
         assert journal == base_journal
+        # The finished run's commit swept the stray file.
+        assert sorted(p.name for p in entry.iterdir()
+                      if p.name.endswith(".tmp")) == []
 
 
 class TestModeKeyedCheckpoints:
     """Batch, stream and observe runs of one config checkpoint into one
-    directory side by side; a rerun resumes its own mode's checkpoint
+    store side by side; a rerun resumes its own mode's checkpoint
     without being asked and simulates only the days after it."""
 
     def test_three_modes_share_a_directory(self, baseline, stream_baseline,
@@ -277,7 +321,7 @@ class TestModeKeyedCheckpoints:
             with pytest.raises(SimulationAborted):
                 _run(ckpt, abort_after_day=5, **kwargs)
         for mode in modes:
-            checkpoint = load_checkpoint(ckpt, _config(), mode)
+            checkpoint = _stored(ckpt, mode)
             assert checkpoint is not None and checkpoint.next_day == CADENCE
 
         batch, journal, days = _counted_run(ckpt)
@@ -302,13 +346,12 @@ class TestModeKeyedCheckpoints:
 
     def test_renamed_checkpoint_of_another_mode_is_unusable(
             self, stream_baseline, tmp_path):
-        """A batch checkpoint renamed to the stream file is refused by its
-        fields, and the streaming rerun starts from day zero."""
+        """A batch checkpoint renamed to the stream entry is refused by
+        its manifest, and the streaming rerun starts from day zero."""
         with pytest.raises(SimulationAborted):
             _run(tmp_path, abort_after_day=5)
-        checkpoint_path(tmp_path, _config(), "batch").rename(
-            checkpoint_path(tmp_path, _config(), "stream"))
-        assert load_checkpoint(tmp_path, _config(), "stream") is None
+        _entry(tmp_path).rename(_entry(tmp_path, "stream"))
+        assert _stored(tmp_path, "stream") is None
         stream, journal, days = _counted_run(tmp_path, stream_analysis=True)
         assert days == DAYS
         _assert_same_events(stream_baseline[0], stream)

@@ -8,11 +8,12 @@ checkpoint carries open sessions over the boundary.
 """
 
 import io
+import json
 
 import pytest
 
 from repro.analysis.scandetect import detect_scans
-from repro.exec.freeze import load_checkpoint
+from repro.exec.cache import ScenarioCache
 from repro.obs import Journal, MetricsRegistry, use_journal, use_registry
 from repro.sim import ScenarioConfig, SimulationAborted, run_scenario
 from tests.analysis.reference import detect_scans_reference
@@ -29,11 +30,17 @@ def _config():
                           withdraw_after_days=5)
 
 
-def _stream_run(**kwargs):
+def _stream_run(cache_dir=None, **kwargs):
+    """One journaled streaming run; returns (result, journal text with
+    the store directory replaced by ``STORE``)."""
     buffer = io.StringIO()
     with use_journal(Journal(buffer)):
-        result = run_scenario(_config(), stream_analysis=True, **kwargs)
-    return result, buffer.getvalue()
+        result = run_scenario(_config(), stream_analysis=True,
+                              cache_dir=cache_dir, **kwargs)
+    journal = buffer.getvalue()
+    if cache_dir is not None:
+        journal = journal.replace(str(cache_dir), "STORE")
+    return result, journal
 
 
 def _assert_same_events(a, b):
@@ -88,35 +95,45 @@ class TestStreamingCheckpoint:
     def test_kill_and_resume_carries_open_sessions(self, stream, tmp_path):
         base, base_journal = stream
         with pytest.raises(SimulationAborted):
-            _stream_run(checkpoint_dir=tmp_path, checkpoint_every=CADENCE,
+            _stream_run(tmp_path, checkpoint_every=CADENCE,
                         abort_after_day=5)
-        checkpoint = load_checkpoint(tmp_path, _config(), "stream")
-        assert checkpoint is not None
-        assert checkpoint.streaming is not None
-        carried = sum(a.open_sessions
-                      for a in checkpoint.streaming.values())
+        checkpoint = ScenarioCache(tmp_path).read(_config(), "stream")
+        assert checkpoint is not None and not checkpoint.complete
+        assert checkpoint.streams is not None
+        carried = sum(a.open_sessions for a in checkpoint.streams.values())
         assert carried > 0  # sessions genuinely cross the boundary
-        resumed, journal = _stream_run(checkpoint_dir=tmp_path,
-                                       checkpoint_every=CADENCE)
+        resumed, journal = _stream_run(tmp_path, checkpoint_every=CADENCE)
         _assert_same_events(base, resumed)
 
     def test_resumed_equals_uninterrupted_with_checkpointing(self, tmp_path):
         base, base_journal = _stream_run(
-            checkpoint_dir=tmp_path / "base", checkpoint_every=CADENCE)
+            tmp_path / "base", checkpoint_every=CADENCE)
         with pytest.raises(SimulationAborted):
-            _stream_run(checkpoint_dir=tmp_path / "kill",
-                        checkpoint_every=CADENCE, abort_after_day=5)
-        resumed, journal = _stream_run(checkpoint_dir=tmp_path / "kill",
+            _stream_run(tmp_path / "kill", checkpoint_every=CADENCE,
+                        abort_after_day=5)
+        resumed, journal = _stream_run(tmp_path / "kill",
                                        checkpoint_every=CADENCE)
         _assert_same_events(base, resumed)
         assert journal == base_journal
 
 
 class TestModeGuards:
-    def test_stream_rejects_cache(self, tmp_path):
-        with pytest.raises(ValueError, match="cache"):
+    def test_stream_composes_with_cache(self, stream, tmp_path):
+        """A streaming run stores its summaries; the warm rerun returns
+        them without simulating a day."""
+        base, _ = stream
+        cold, _ = _stream_run(tmp_path)
+        _assert_same_events(base, cold)
+        warm, journal = _stream_run(tmp_path)
+        _assert_same_events(base, warm)
+        assert len(warm.nta) == len(warm.ntb) == len(warm.ntc) == 0
+        assert [json.loads(line)["type"] for line in journal.splitlines()] \
+            == ["run_manifest", "cache_hit"]
+
+    def test_checkpoint_every_needs_a_store(self):
+        with pytest.raises(TypeError, match="cache_dir"):
             run_scenario(_config(), stream_analysis=True,
-                         cache_dir=tmp_path)
+                         checkpoint_every=CADENCE)
 
 
 class TestPeakRssGauge:

@@ -1,5 +1,7 @@
 """Tests for repro._util, the wordlist, and the CLI."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,13 @@ from repro._util import (
     week_of,
     weighted_choice,
 )
-from repro.__main__ import _build_parser, main
+from repro.__main__ import DEFAULT_CACHE_DIR, _build_parser, main
 from repro.core.wordlists import COMMON_SUBDOMAINS_HEAD, common_subdomains
-from repro.sim.runner import DEFAULT_CHECKPOINT_EVERY
+from repro.sim import run_scenario
+
+#: The runner's checkpoint cadence when none is asked for.
+RUNNER_CADENCE = inspect.signature(run_scenario).parameters[
+    "checkpoint_every"].default
 
 
 class TestRng:
@@ -211,25 +217,36 @@ class TestCliListJson:
 
 
 class TestCliModeConflicts:
-    """Every mutually-exclusive mode combo: one clean error line, exit 2."""
+    """The run modes and the run store compose: a streaming or observe
+    run with ``--cache`` succeeds, and its warm rerun prints the same
+    headline without simulating.  Flags that no longer exist are
+    refused cleanly."""
 
-    CONFLICTS = [
-        (["run", "--stream", "--cache"], "--stream is incompatible"),
-        (["observe", "--cache"], "--stream is incompatible with --cache"),
-        (["run", "--observe", "--cache"],
-         "--stream is incompatible with --cache"),
+    TINY = ["--days", "2", "--scale", "1e-6", "--tail", "2"]
+    COMPOSED = [
+        (["run", "--stream"], "Streaming scan summary"),
+        (["observe", "--data", "{data}"], "drift"),
+        (["run", "--observe", "{data}"], "Streaming scan summary"),
     ]
 
-    @pytest.mark.parametrize("argv,message", CONFLICTS,
-                             ids=[" ".join(c[0]) for c in CONFLICTS])
-    def test_conflict_refused_cleanly(self, capsys, argv, message):
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""  # nothing ran
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1  # one line, no traceback
-        assert lines[0].startswith("error: ")
-        assert message in lines[0]
+    @pytest.mark.parametrize("argv,headline", COMPOSED, ids=[
+        "run --stream --cache", "observe --cache", "run --observe --cache"])
+    def test_mode_composes_with_cache(self, capsys, tmp_path, argv,
+                                      headline):
+        argv = [arg.format(data=tmp_path / "data") for arg in argv]
+        command = [*argv, "--cache", str(tmp_path / "store"), *self.TINY]
+        journals = []
+        outputs = []
+        for run in ("cold", "warm"):
+            journal = tmp_path / f"{run}.jsonl"
+            assert main([*command, "--journal", str(journal)]) == 0
+            outputs.append(capsys.readouterr().out)
+            journals.append(journal.read_text())
+        assert headline.lower() in outputs[0].lower()
+        assert outputs[1] == outputs[0]
+        assert '"type": "cache_store"' in journals[0]
+        assert '"type": "cache_hit"' in journals[1]
+        assert '"type": "day"' not in journals[1]
 
     def test_resume_flag_rejected(self, capsys):
         """Checkpointed runs resume by themselves; there is no ``--resume``
@@ -241,16 +258,37 @@ class TestCliModeConflicts:
         assert captured.out == ""
         assert "unrecognized arguments: --resume" in captured.err
 
-    def test_stream_composes_with_no_cache(self, capsys):
-        """--no-cache defuses the --cache conflict instead of refusing."""
-        assert main(["run", "--stream", "--cache", "--no-cache",
-                     "--days", "2", "--scale", "1e-6", "--tail", "2"]) == 0
-        assert "Streaming scan summary" in capsys.readouterr().out
+    @pytest.mark.parametrize("flag", ["--no-cache", "--checkpoint"])
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    def test_removed_store_flags_rejected(self, capsys, command, flag):
+        """Checkpoints live in the run store, so there is no separate
+        checkpoint directory flag (``--checkpoint DIR`` now reads as an
+        abbreviated ``--checkpoint-every`` and fails its type check), and
+        no flag to defuse ``--cache``."""
+        with pytest.raises(SystemExit) as info:
+            _build_parser().parse_args([command, flag, ".checkpoints"])
+        assert info.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert "error:" in error and flag in error
+
+    def test_checkpoint_every_defaults_the_store(self, capsys, tmp_path,
+                                                 monkeypatch):
+        """``--checkpoint-every`` without ``--cache`` writes into the
+        default store directory, which then serves the rerun."""
+        monkeypatch.chdir(tmp_path)
+        command = ["run", "--stream", "--checkpoint-every", "1", *self.TINY]
+        assert main(command) == 0
+        cold = capsys.readouterr().out
+        assert len(list((tmp_path / DEFAULT_CACHE_DIR).iterdir())) == 1
+        assert main([*command, "--journal", "warm.jsonl"]) == 0
+        assert capsys.readouterr().out == cold
+        assert '"type": "cache_hit"' in (tmp_path / "warm.jsonl").read_text()
 
 
 class TestCliCheckpointEvery:
-    """``--checkpoint-every`` defaults to the runner's cadence and refuses
-    a cadence below one day at parse time on every subcommand."""
+    """``--checkpoint-every`` defaults to the runner's (no checkpoints)
+    and refuses a cadence below one day at parse time on every
+    subcommand."""
 
     COMMANDS = (["run"], ["experiment", "table1"], ["observe"], ["serve"])
 
@@ -258,7 +296,7 @@ class TestCliCheckpointEvery:
                              ids=[c[0] for c in COMMANDS])
     def test_default_is_the_runner_cadence(self, command):
         args = _build_parser().parse_args(command)
-        assert args.checkpoint_every == DEFAULT_CHECKPOINT_EVERY
+        assert args.checkpoint_every == RUNNER_CADENCE
 
     @pytest.mark.parametrize("command", COMMANDS,
                              ids=[c[0] for c in COMMANDS])
@@ -275,7 +313,7 @@ class TestCliCheckpointEvery:
 
         service = ScenarioService(tmp_path / "cache")
         try:
-            assert service.checkpoint_every == DEFAULT_CHECKPOINT_EVERY
+            assert service.checkpoint_every == RUNNER_CADENCE
         finally:
             service.close()
 
