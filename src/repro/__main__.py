@@ -10,9 +10,10 @@ Subcommands:
   new-scanner discovery, tactic mix, honeyprefix reaction latency),
   then print the rolling drift/changepoint report over the day files,
 * ``serve`` — run the multi-tenant scenario service: an asyncio HTTP API
-  where clients POST a ``ScenarioConfig`` JSON to ``/runs``, identical
-  configs dedupe onto one in-flight run, warm configs are served from the
-  scenario cache, progress streams as Server-Sent Events, and
+  where clients POST a ``ScenarioConfig`` JSON (and optionally a run
+  ``"mode"``) to ``/runs``, identical requests dedupe onto one in-flight
+  run, warm ones are served from the run store, progress (and an observe
+  run's day records) streams as Server-Sent Events, and
   ``/metrics``/``/traces`` are the ops surface (see
   ``docs/ARCHITECTURE.md``, "Scenario service").
 
@@ -215,10 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="checkpoint in-flight runs into the cache "
                               "every DAYS days so a killed service resumes "
                               "instead of recomputing")
-    serve_p.add_argument("--observatory", default=None, metavar="DIR",
-                         help="expose the observatory directory at "
-                              "GET /observatory (SSE tail) and "
-                              "GET /observatory/<day>")
     return parser
 
 
@@ -355,7 +352,6 @@ def _serve(args) -> int:
         args.cache, jobs=args.jobs, queue_limit=args.queue_limit,
         max_cache_bytes=args.cache_budget, journals_dir=args.journals,
         checkpoint_every=args.checkpoint_every,
-        observatory_dir=args.observatory,
     )
     server = ScenarioServer(service, host=args.host, port=args.port)
 

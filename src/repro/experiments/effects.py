@@ -171,6 +171,9 @@ def fig7(result: ScenarioResult,
     tasks = []
     kept = []
     for name in names:
+        # A honeyprefix deployed after the run's horizon has no records.
+        if name not in result.honeyprefixes:
+            continue
         records = result.honeyprefix_records(name)
         if len(records) == 0:
             continue
@@ -179,7 +182,7 @@ def fig7(result: ScenarioResult,
                       result.start, result.end, "packets", None, 0.05,
                       rng_seed))
     estimates = parallel_map(estimate_effect, tasks, jobs=jobs)
-    n_days = max(len(e.impact.pointwise) for e in estimates)
+    n_days = max((len(e.impact.pointwise) for e in estimates), default=0)
     matrix = pointwise_effect_matrix(estimates, n_days)
     convergence = {
         name: convergence_day(est.impact.pointwise)
@@ -257,6 +260,8 @@ def fig8(result: ScenarioResult,
     tasks = []
     kept = []
     for name in names:
+        if name not in result.honeyprefixes:
+            continue
         records = result.honeyprefix_records(name)
         if len(records) == 0:
             continue

@@ -36,8 +36,8 @@ class RetractionResult:
 def s531_retraction(result: ScenarioResult,
                     name: str = "H_BGP2") -> RetractionResult:
     """Measure scanning before/after the honeyprefix withdrawal."""
-    hp = result.honeyprefixes[name]
-    if hp.withdrawn_at is None:
+    hp = result.honeyprefixes.get(name)
+    if hp is None or hp.withdrawn_at is None:
         raise ValueError(
             f"{name} was never withdrawn (scenario horizon too short?)"
         )

@@ -1,13 +1,14 @@
 """The scenario service: a multi-tenant async API over the scenario cache.
 
-The simulator as a queryable measurement platform (ROADMAP open item 1):
-clients POST a :class:`~repro.sim.scenario.ScenarioConfig`, identical
-configs dedupe onto one in-flight run keyed by the config hash, warm
-configs are served straight from the content-addressed
-:class:`~repro.exec.cache.ScenarioCache`, cold runs are scheduled on a
-bounded process pool, progress streams from the run journal, and
-``/metrics`` + ``/traces`` expose the :mod:`repro.obs` registries as the
-ops surface.
+The simulator as a queryable measurement platform: clients POST a
+:class:`~repro.sim.scenario.ScenarioConfig` and a run mode (``batch``,
+``stream`` or ``observe``), identical requests dedupe onto one in-flight
+run keyed by the run store's entry key, warm ones are served straight
+from the content-addressed :class:`~repro.exec.cache.ScenarioCache`, cold
+runs are scheduled on a bounded process pool, progress (and an observe
+run's day records) streams from the run's own files, and ``/metrics`` +
+``/traces`` expose the :mod:`repro.obs` registries as the ops surface.
+A run is the service's only resource.
 
 * :mod:`repro.service.core` — :class:`ScenarioService`, the transport-
   agnostic, thread-safe run registry (dedupe, admission, warm tier,
@@ -15,10 +16,10 @@ ops surface.
 * :mod:`repro.service.http` — :class:`ScenarioServer`, the stdlib
   asyncio HTTP/1.1 front end (``python -m repro serve``);
 * :mod:`repro.service.client` — :class:`ServiceClient`, the blocking
-  stdlib client (tests, load generator, CI smoke).
+  stdlib client (tests, load generator).
 
 Headline guarantee: a result fetched through the service is byte-
-identical to a direct ``run_scenario(config)`` for the same config —
+identical to a direct ``run_scenario(config)`` in the same mode —
 the service only ever serves verified cache entries produced by
 ``run_scenario`` itself.
 """
@@ -26,6 +27,7 @@ the service only ever serves verified cache entries produced by
 from repro.service.client import RunFailed, ServiceClient, ServiceClientError
 from repro.service.core import (
     AdmissionFull,
+    PoolBroken,
     ResultUnavailable,
     RunState,
     ScenarioService,
@@ -38,6 +40,7 @@ from repro.service.http import ScenarioServer
 
 __all__ = [
     "AdmissionFull",
+    "PoolBroken",
     "ResultUnavailable",
     "RunFailed",
     "RunState",

@@ -1,8 +1,8 @@
 """Blocking stdlib client for the scenario service.
 
 A thin ``http.client`` wrapper speaking the service's one-request-per-
-connection dialect.  Used by the tests, the load-generator benchmark, and
-the CI smoke job; it is also the reference for how an analyst's tooling
+connection dialect.  Used by the tests and the load-generator
+microbenchmark; it is also the reference for how an analyst's tooling
 would consume the API.
 
 :meth:`ServiceClient.fetch_result` closes the byte-equality loop: it
@@ -76,12 +76,15 @@ class ServiceClient:
     def healthz(self) -> bool:
         return self._json("GET", "/healthz")[1].get("ok", False)
 
-    def submit(self, config) -> dict:
-        """POST a config (ScenarioConfig or field dict); returns the run
-        view with its ``outcome`` (created/deduped/warm)."""
+    def submit(self, config, mode: str | None = None) -> dict:
+        """POST a config (ScenarioConfig or field dict), in ``mode``
+        (``batch`` when None); returns the run view with its ``outcome``
+        (created/deduped/warm)."""
         from dataclasses import asdict, is_dataclass
 
         payload = asdict(config) if is_dataclass(config) else dict(config)
+        if mode is not None:
+            payload["mode"] = mode
         return self._json("POST", "/runs", payload)[1]
 
     def status(self, run_id: str) -> dict:
@@ -103,62 +106,35 @@ class ServiceClient:
                                    f"after {timeout}s")
             time.sleep(poll_interval)
 
+    def _events(self, path: str):
+        """Yield the records of one SSE stream as dicts."""
+        connection = http.client.HTTPConnection(
+            self.host, self.port, timeout=self.timeout)
+        try:
+            connection.request("GET", path)
+            response = connection.getresponse()
+            if response.status >= 400:
+                data = response.read()
+                try:
+                    message = json.loads(data).get("error", "")
+                except ValueError:
+                    message = data.decode(errors="replace")
+                raise ServiceClientError(response.status, message)
+            for raw in response:
+                line = raw.strip()
+                if line.startswith(b"data: "):
+                    yield json.loads(line[len(b"data: "):].decode())
+        finally:
+            connection.close()
+
     def stream_progress(self, run_id: str):
-        """Yield journal records from the SSE progress stream as dicts."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout)
-        try:
-            connection.request("GET", f"/runs/{run_id}/progress")
-            response = connection.getresponse()
-            if response.status >= 400:
-                data = response.read()
-                try:
-                    message = json.loads(data).get("error", "")
-                except ValueError:
-                    message = data.decode(errors="replace")
-                raise ServiceClientError(response.status, message)
-            for raw in response:
-                line = raw.strip()
-                if line.startswith(b"data: "):
-                    yield json.loads(line[len(b"data: "):].decode())
-        finally:
-            connection.close()
+        """Yield journal records from the SSE progress stream."""
+        return self._events(f"/runs/{run_id}/progress")
 
-    # -- observatory -------------------------------------------------------
-
-    def observatory_day(self, day: int) -> dict:
-        """One validated observer day record (404 → ServiceClientError)."""
-        return self._json("GET", f"/observatory/{day}")[1]
-
-    def observatory_index(self) -> list:
-        """The per-day sha256 index records."""
-        return self._json("GET", "/observatory/index")[1]
-
-    def stream_observatory(self):
-        """Yield observer records from the SSE observatory stream.
-
-        The server closes the stream after the ``observatory_end``
-        marker, so iteration ends there; concatenating the yielded
-        ``observer`` records reconstructs the on-disk day files.
-        """
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout)
-        try:
-            connection.request("GET", "/observatory")
-            response = connection.getresponse()
-            if response.status >= 400:
-                data = response.read()
-                try:
-                    message = json.loads(data).get("error", "")
-                except ValueError:
-                    message = data.decode(errors="replace")
-                raise ServiceClientError(response.status, message)
-            for raw in response:
-                line = raw.strip()
-                if line.startswith(b"data: "):
-                    yield json.loads(line[len(b"data: "):].decode())
-        finally:
-            connection.close()
+    def stream_observations(self, run_id: str):
+        """Yield an observe run's observer records as it writes them;
+        their ``observer`` records are its day files' records."""
+        return self._events(f"/runs/{run_id}/observations")
 
     def metrics(self) -> dict:
         return self._json("GET", "/metrics")[1]
@@ -192,20 +168,23 @@ class ServiceClient:
     def fetch_result(self, run_id: str, config, dest_root):
         """The run's :class:`~repro.sim.runner.ScenarioResult`, verified.
 
-        Downloads the entry, then loads it through ``ScenarioCache`` so
-        the client re-checks every artifact's SHA-256 against the
-        manifest before deserializing — end-to-end integrity, and the
-        same arrays a direct ``run_scenario(config)`` returns.
+        Downloads the entry, then loads it through ``ScenarioCache``, in
+        the run mode its manifest records, so the client re-checks every
+        artifact's SHA-256 against the manifest before deserializing —
+        end-to-end integrity, and the same arrays (or stream summaries) a
+        direct ``run_scenario(config)`` in that mode returns.
         """
         from repro.exec.cache import ScenarioCache
 
-        self.download_result(run_id, dest_root)
+        entry = self.download_result(run_id, dest_root)
+        mode = json.loads((entry / "manifest.json").read_text()).get("mode")
         local = ScenarioCache(dest_root)
-        if local.key(config) != run_id:
+        if local.key(config, mode) != run_id:
             raise ServiceClientError(
                 409, f"run id {run_id} does not match the local key for "
-                     f"this config ({local.key(config)}): version skew?")
-        result = local.load(config)
+                     f"this config ({local.key(config, mode)}): version "
+                     "skew?")
+        result = local.load(config, mode)
         if result is None:
             raise ServiceClientError(
                 502, "downloaded entry failed verification")

@@ -12,27 +12,32 @@ into the cache) and serves the verified cache entry's bytes.
 
 Request lifecycle
 -----------------
-``submit(config)`` resolves, under one lock, to exactly one of:
+``submit(config, mode)`` resolves, under one lock, to exactly one of:
 
-* **deduped** — a run for this config hash is already registered (queued,
-  running, or done): the caller shares it.  Identical configs collapse
-  onto one in-flight run, however many clients post them concurrently.
-* **warm** — the cache holds a fully verified entry for this config: a
-  completed run record is registered without simulating anything.
-* **created** — a cold config: the run is scheduled on a bounded process
+* **deduped** — a run for this config hash and mode is already registered
+  (queued, running, or done): the caller shares it.  Identical requests
+  collapse onto one in-flight run, however many clients post them
+  concurrently.
+* **warm** — the cache holds a fully verified entry for this config and
+  mode: a completed run record is registered without simulating anything.
+* **created** — a cold request: the run is scheduled on a bounded process
   pool (the :func:`repro.exec.parallel.process_context` workers every
   in-repo fan-out uses).  When ``queue_limit`` runs are already pending,
   admission fails with :class:`AdmissionFull` instead of queueing
   unboundedly.
 
-The run id is the cache entry key
-(``<repro version>-<config hash>-batch``), so ids are stable across
-service restarts and shared between tenants.
+The mode is one of the store's :data:`~repro.exec.cache.MODES`:
+``batch`` (the default), ``stream`` or ``observe``.  The run id is the
+cache entry key (``<repro version>-<config hash>-<mode>``), so ids are
+stable across service restarts and shared between tenants.
 
 Workers journal to ``journals/<run_id>.jsonl`` (line-buffered), which the
-progress stream tails; each worker ships its metrics snapshot back and the
-service folds it into its own registry (the ``/metrics`` ops surface),
-so ``scenario.cache.stores`` counts cache writes across every worker.
+progress stream tails; an observe run writes its observatory directory
+beside it, ``journals/<run_id>/``, whose ``observations.jsonl`` the
+observations stream tails.  Each worker ships its metrics snapshot back
+and the service folds it into its own registry (the ``/metrics`` ops
+surface), so ``scenario.cache.stores`` counts cache writes across every
+worker.
 
 Cache lifecycle: after each completed run (and on demand) the service
 sweeps the cache against its byte budget, protecting pinned entries and
@@ -45,17 +50,26 @@ checkpoint (written every ``checkpoint_every`` days) is a mid-run entry
 of its own key in the cache, so a later service resumes it instead of
 recomputing from day zero.  A checkpoint is not warm: ``submit`` reports
 the config cold and schedules the resume.
+
+A pool worker that dies (killed, out of memory) breaks the pool: its run
+fails with ``BrokenProcessPool``, and every later cold ``submit`` raises
+:class:`PoolBroken` without registering a run.  The pool is never
+rebuilt (see ``__init__``), so :attr:`ScenarioService.healthy` turns
+false and the process should be restarted; a restarted service resumes
+the run from its last checkpoint.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import CancelledError, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
-from repro.exec.cache import ScenarioCache
+from repro.exec.cache import MODES, ScenarioCache
 from repro.exec.parallel import process_context
 from repro.obs import (
     Journal,
@@ -78,6 +92,10 @@ class AdmissionFull(ServiceError):
 
 class ServiceClosed(ServiceError):
     """The service is draining and admits no new runs."""
+
+
+class PoolBroken(ServiceError):
+    """A pool worker died; the service must be restarted to run again."""
 
 
 class UnknownRun(KeyError):
@@ -111,9 +129,10 @@ class RunState:
     config: dict
     config_hash: str
     status: str  # "pending" | "done" | "failed"
+    journal_path: str
+    mode: str = "batch"
     warm: bool = False
     error: str | None = None
-    journal_path: str | None = None
     packets: int | None = None
     done_event: threading.Event = field(default_factory=threading.Event)
     future: object = None
@@ -134,13 +153,15 @@ class RunState:
 
 
 def _execute_run(config_fields: dict, cache_dir: str, journal_path: str,
-                 checkpoint_every: int | None) -> dict:
+                 checkpoint_every: int | None, mode: str,
+                 observe_dir: str) -> dict:
     """Worker entry point: one journaled, cached ``run_scenario``.
 
     Module-level and picklable.  Installs a fresh registry and a
     line-buffered journal (the parent tails the file while this runs),
-    then runs the scenario through the shared cache so the result lands
-    as a verified entry.  A run always resumes its config's checkpoint:
+    then runs the scenario in ``mode`` through the shared cache so the
+    result lands as a verified entry; an observe run writes its day files
+    into ``observe_dir``.  A run always resumes its checkpoint:
     a worker re-dispatched after a crash fast-forwards from the last
     cadence checkpoint and replays the journal history, keeping the
     progress stream byte-compatible with an uninterrupted run.
@@ -155,11 +176,13 @@ def _execute_run(config_fields: dict, cache_dir: str, journal_path: str,
             result = run_scenario(
                 config, cache_dir=cache_dir,
                 checkpoint_every=checkpoint_every,
+                stream_analysis=mode == "stream",
+                observe_dir=observe_dir if mode == "observe" else None,
             )
-        return {
-            "telemetry": registry.snapshot(),
-            "packets": len(result.nta) + len(result.ntb) + len(result.ntc),
-        }
+        packets = (sum(s.records_in for s in result.streaming.values())
+                   if result.streaming is not None
+                   else sum(map(len, result.telescopes().values())))
+        return {"telemetry": registry.snapshot(), "packets": packets}
     finally:
         journal.close()
 
@@ -176,7 +199,6 @@ class ScenarioService:
         max_cache_bytes: int | None = None,
         journals_dir: str | os.PathLike | None = None,
         checkpoint_every: int | None = None,
-        observatory_dir: str | os.PathLike | None = None,
     ):
         self.cache = ScenarioCache(cache_dir, max_bytes=max_cache_bytes)
         self.jobs = max(1, int(jobs))
@@ -187,12 +209,6 @@ class ScenarioService:
         )
         #: Cadence of the runs' checkpoints into the cache (None: none).
         self.checkpoint_every = checkpoint_every
-        #: Observatory directory exposed at ``GET /observatory`` (live
-        #: SSE tail) and ``GET /observatory/<day>``; None leaves the
-        #: endpoints unconfigured (404).
-        self.observatory_dir = (
-            Path(observatory_dir) if observatory_dir is not None else None
-        )
         #: The service's own ops registry/tracer — the ``/metrics`` and
         #: ``/traces`` surfaces.  Worker snapshots are merged in.
         self.registry = MetricsRegistry()
@@ -212,15 +228,20 @@ class ScenarioService:
 
     # -- admission ---------------------------------------------------------
 
-    def submit(self, payload) -> tuple[RunState, str]:
-        """Register (or join) the run for one config.
+    def submit(self, payload, mode: str = "batch") -> tuple[RunState, str]:
+        """Register (or join) the run for one config in one run mode.
 
         Returns ``(run, outcome)`` with outcome one of ``"created"``
         (cold, scheduled now), ``"deduped"`` (joined an existing run), or
-        ``"warm"`` (served straight from the verified cache).
+        ``"warm"`` (served straight from the verified cache).  An unknown
+        mode raises ``ValueError``; a broken pool raises
+        :class:`PoolBroken`, and no run is registered.
         """
         config = coerce_config(payload)
-        run_id = self.cache.key(config)
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {', '.join(MODES)}, "
+                             f"got {mode!r}")
+        run_id = self.cache.key(config, mode)
         self.registry.counter("service.requests").inc()
         with self.tracer.span("service.submit", run_id=run_id) as span:
             with self._lock:
@@ -231,14 +252,14 @@ class ScenarioService:
                     self.registry.counter("service.deduped").inc()
                     span.set(outcome="deduped")
                     return run, "deduped"
-                fields = asdict(config)
-                chash = config_hash(config)
-                if self.cache.probe(config):
-                    run = RunState(
-                        run_id=run_id, config=fields, config_hash=chash,
-                        status="done", warm=True,
-                        journal_path=self._journal_path(run_id),
-                    )
+                run = RunState(
+                    run_id=run_id, config=asdict(config),
+                    config_hash=config_hash(config), status="pending",
+                    mode=mode,
+                    journal_path=str(self.journals_dir / f"{run_id}.jsonl"),
+                )
+                if self.cache.probe(config, mode):
+                    run.status, run.warm = "done", True
                     run.done_event.set()
                     self._runs[run_id] = run
                     self.registry.counter("service.warm_hits").inc()
@@ -255,33 +276,38 @@ class ScenarioService:
                         f"{self.queue_limit}); retry later"
                     )
                 self.journals_dir.mkdir(parents=True, exist_ok=True)
-                journal_path = self._journal_path(run_id)
-                run = RunState(
-                    run_id=run_id, config=fields, config_hash=chash,
-                    status="pending", journal_path=journal_path,
-                )
+                try:
+                    run.future = self._pool.submit(
+                        _execute_run, run.config, str(self.cache.root),
+                        run.journal_path, self.checkpoint_every, mode,
+                        str(self.journals_dir / run_id),
+                    )
+                except BrokenProcessPool as error:
+                    span.set(outcome="broken")
+                    raise PoolBroken(
+                        "a pool worker died; restart the service") from error
                 self._runs[run_id] = run
-                run.future = self._pool.submit(
-                    _execute_run, fields, str(self.cache.root), journal_path,
-                    self.checkpoint_every,
-                )
-                run.future.add_done_callback(
-                    lambda future, rid=run_id: self._on_done(rid, future)
-                )
                 self.registry.counter("service.cold_runs").inc()
                 self.registry.gauge("service.pending").set(pending + 1)
                 span.set(outcome="created")
-                return run, "created"
+        # Outside the lock: a future that is already done runs the
+        # callback right here, and the callback takes the lock.
+        run.future.add_done_callback(
+            lambda future, run=run: self._on_done(run, future))
+        return run, "created"
 
-    def _journal_path(self, run_id: str) -> str:
-        return str(self.journals_dir / f"{run_id}.jsonl")
+    @property
+    def healthy(self) -> bool:
+        """False once a pool worker died, busy or idle: the process must
+        be restarted.  (The executor marks itself broken as soon as it
+        sees the death, before it fails the pending futures.)"""
+        return not self._pool._broken
 
-    def _on_done(self, run_id: str, future) -> None:
+    def _on_done(self, run: RunState, future) -> None:
         with self._lock:
-            run = self._runs.get(run_id)
-            if run is None:
-                return
-            error = future.exception()
+            error = (CancelledError("the service closed before the run "
+                                    "started") if future.cancelled()
+                     else future.exception())
             if error is not None:
                 run.status = "failed"
                 run.error = f"{type(error).__name__}: {error}"
@@ -308,13 +334,13 @@ class ScenarioService:
         with self._lock:
             run = self._runs.get(run_id)
         if run is None:
-            raise UnknownRun(run_id)
+            raise UnknownRun(f"unknown run {run_id}")
         return run
 
     def status(self, run_id: str) -> dict:
         run = self.get(run_id)
         running = False
-        if run.status == "pending" and run.journal_path:
+        if run.status == "pending":
             try:
                 running = os.path.getsize(run.journal_path) > 0
             except OSError:
@@ -347,48 +373,23 @@ class ScenarioService:
         return entry
 
     def result_manifest(self, run_id: str) -> dict:
-        import json
-
         entry = self.result_entry(run_id)
         return json.loads((entry / "manifest.json").read_text())
 
     def result_file(self, run_id: str, name: str) -> Path:
         """One artifact file of a completed run, by manifest name."""
-        entry = self.result_entry(run_id)
         manifest = self.result_manifest(run_id)
         if name != "manifest.json" and name not in manifest.get("files", {}):
             raise UnknownRun(f"{run_id} has no artifact {name!r}")
-        return entry / name
+        return self.cache.root / run_id / name
 
-    # -- observatory -------------------------------------------------------
-
-    def _require_observatory(self) -> Path:
-        if self.observatory_dir is None:
-            raise UnknownRun(
-                "no observatory directory configured (serve --observatory)"
-            )
-        return self.observatory_dir
-
-    def observatory_stream_path(self) -> Path:
-        """The live ``observations.jsonl`` the SSE endpoint tails."""
+    def observations_path(self, run_id: str) -> Path:
+        """The live ``observations.jsonl`` of an observe run."""
         from repro.observatory.observer import OBSERVATIONS_NAME
 
-        return self._require_observatory() / OBSERVATIONS_NAME
-
-    def observatory_day(self, day: int) -> dict:
-        """One validated observer day record from the data directory."""
-        from repro.observatory import day_file_path, load_observer_day
-
-        path = day_file_path(self._require_observatory(), day)
-        if not path.is_file():
-            raise UnknownRun(f"no observer record for day {day}")
-        return load_observer_day(path)
-
-    def observatory_index(self) -> list[dict]:
-        """The append-only per-day index (``index.jsonl``) records."""
-        from repro.observatory import read_index
-
-        return read_index(self._require_observatory())
+        if self.get(run_id).mode != "observe":
+            raise UnknownRun(f"{run_id} is not an observe run")
+        return self.journals_dir / run_id / OBSERVATIONS_NAME
 
     # -- cache lifecycle ---------------------------------------------------
 

@@ -5,18 +5,25 @@ framework, no dependencies — exposing :class:`~repro.service.core.
 ScenarioService` to many tenants:
 
 ========================  =================================================
-``GET  /healthz``         liveness probe
-``POST /runs``            body: ``ScenarioConfig`` JSON → ``202`` (created)
-                          or ``200`` (deduped onto an in-flight run / warm
-                          from cache); ``400`` bad config, ``503`` queue
-                          full or draining
+``GET  /healthz``         liveness probe; ``503`` once a pool worker died
+                          (the process must be restarted)
+``POST /runs``            body: ``ScenarioConfig`` JSON plus an optional
+                          ``"mode"`` (``batch``, the default, ``stream`` or
+                          ``observe``) → ``202`` (created) or ``200``
+                          (deduped onto a registered run / warm from
+                          cache); ``400`` bad config or mode, ``503``
+                          queue full, draining or pool broken
 ``GET  /runs``            all registered runs
 ``GET  /runs/{id}``       one run's status
 ``GET  /runs/{id}/progress``  Server-Sent Events stream of the run's
-                          journal records (one ``data:`` event per record,
-                          ends at ``run_end``)
-``GET  /runs/{id}/result``    the verified entry manifest + artifact list
-``GET  /runs/{id}/result/{file}``  raw artifact bytes (npz/pkl/manifest) —
+                          journal records (one ``data:`` event per record)
+``GET  /runs/{id}/observations``  observe runs: Server-Sent Events stream
+                          of the observer day records as the run writes
+                          them (one ``data:`` event per record)
+``GET  /runs/{id}/result``    the verified entry manifest (a SHA-256 per
+                          file) + artifact list
+``GET  /runs/{id}/result/{file}``  raw artifact bytes (records, stream
+                          summaries, observer day files, manifest) —
                           exactly the bytes the cache verified, which is
                           what makes service results bit-identical to a
                           direct ``run_scenario``
@@ -24,13 +31,9 @@ ScenarioService` to many tenants:
 ``DELETE /runs/{id}/pin``     unpin it
 ``GET  /metrics``         the service registry snapshot (ops surface)
 ``GET  /traces``          exported trace spans
-``GET  /observatory``     Server-Sent Events tail of the observatory's
-                          ``observations.jsonl`` (one ``data:`` event per
-                          observer record, ends at ``observatory_end``);
-                          404 unless ``serve --observatory DIR`` is set
-``GET  /observatory/index``  the per-day sha256 index records
-``GET  /observatory/{day}``  one validated observer day record
 ========================  =================================================
+
+Both event streams end once the run is terminal and its file is drained.
 
 Responses carry ``Connection: close`` (one request per connection): every
 client in this repo — tests, the load generator, curl — speaks that
@@ -47,10 +50,9 @@ import threading
 from pathlib import Path
 
 from repro.service.core import (
-    AdmissionFull,
     ResultUnavailable,
     ScenarioService,
-    ServiceClosed,
+    ServiceError,
     UnknownRun,
 )
 
@@ -58,8 +60,13 @@ from repro.service.core import (
 #: purely defensive).
 MAX_BODY_BYTES = 1 << 20
 
-#: How often the SSE stream polls the run journal for new records.
+#: How often an SSE stream polls its file for new records.
 PROGRESS_POLL_S = 0.05
+
+_SSE_HEAD = (b"HTTP/1.1 200 OK\r\n"
+             b"Content-Type: text/event-stream\r\n"
+             b"Cache-Control: no-cache\r\n"
+             b"Connection: close\r\n\r\n")
 
 
 class _HttpError(Exception):
@@ -73,6 +80,18 @@ _REASONS = {200: "OK", 202: "Accepted", 204: "No Content",
             400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
             410: "Gone", 413: "Payload Too Large", 500: "Internal Server Error",
             503: "Service Unavailable"}
+
+
+def _as_http_error(error: Exception) -> _HttpError:
+    """The response for a service exception: a missing run or artifact
+    is 404, an evicted entry 410, a run not (successfully) done 404."""
+    if isinstance(error, _HttpError):
+        return error
+    if isinstance(error, UnknownRun):
+        return _HttpError(404, error.args[0])
+    if isinstance(error, ResultUnavailable):
+        return _HttpError(410 if "evicted" in str(error) else 404, str(error))
+    return _HttpError(500, f"{type(error).__name__}: {error}")
 
 
 def _response_bytes(status: int, body: bytes, content_type: str) -> bytes:
@@ -171,11 +190,8 @@ class ScenarioServer:
                 return
             try:
                 await self._route(method, path, body, writer)
-            except _HttpError as error:
-                await self._send_error(writer, error)
             except Exception as error:  # noqa: BLE001 — keep serving
-                await self._send_error(writer, _HttpError(
-                    500, f"{type(error).__name__}: {error}"))
+                await self._send_error(writer, _as_http_error(error))
         finally:
             try:
                 writer.close()
@@ -229,8 +245,15 @@ class ScenarioServer:
     async def _route(self, method: str, path: str, body: bytes,
                      writer) -> None:
         parts = [p for p in path.split("/") if p]
+        # ``/runs/{id}/<sub...>``: the run id and the parts after it.
+        run_id, sub = ((parts[1], parts[2:])
+                       if len(parts) > 1 and parts[0] == "runs"
+                       else (None, None))
 
         if path == "/healthz" and method == "GET":
+            if not self.service.healthy:
+                raise _HttpError(503, "a pool worker died; restart the "
+                                      "service")
             await self._send(writer, 200, {"ok": True})
         elif path == "/metrics" and method == "GET":
             snapshot = await self._in_thread(self.service.metrics_snapshot)
@@ -241,30 +264,23 @@ class ScenarioServer:
             await self._submit(body, writer)
         elif path == "/runs" and method == "GET":
             await self._send(writer, 200, self.service.runs())
-        elif len(parts) == 2 and parts[0] == "runs" and method == "GET":
-            await self._send(writer, 200, self._status(parts[1]))
-        elif (len(parts) == 3 and parts[0] == "runs"
-                and parts[2] == "progress" and method == "GET"):
-            await self._stream_progress(parts[1], writer)
-        elif (len(parts) == 3 and parts[0] == "runs"
-                and parts[2] == "result" and method == "GET"):
-            await self._result_manifest(parts[1], writer)
-        elif (len(parts) == 4 and parts[0] == "runs"
-                and parts[2] == "result" and method == "GET"):
-            await self._result_file(parts[1], parts[3], writer)
-        elif path == "/observatory" and method == "GET":
-            await self._stream_observatory(writer)
-        elif path == "/observatory/index" and method == "GET":
-            records = await self._in_thread(self._observatory_index)
-            await self._send(writer, 200, records)
-        elif (len(parts) == 2 and parts[0] == "observatory"
-                and method == "GET"):
-            record = await self._in_thread(self._observatory_day, parts[1])
-            await self._send(writer, 200, record)
-        elif (len(parts) == 3 and parts[0] == "runs" and parts[2] == "pin"
-                and method in ("POST", "DELETE")):
-            self._pin(parts[1], unpin=method == "DELETE")
-            await self._send(writer, 200, {"run_id": parts[1],
+        elif sub == [] and method == "GET":
+            await self._send(writer, 200, self.service.status(run_id))
+        elif sub == ["progress"] and method == "GET":
+            run = self.service.get(run_id)
+            await self._stream_sse(run, run.journal_path, writer)
+        elif sub == ["observations"] and method == "GET":
+            await self._stream_sse(self.service.get(run_id),
+                                   self.service.observations_path(run_id),
+                                   writer)
+        elif sub == ["result"] and method == "GET":
+            await self._result_manifest(run_id, writer)
+        elif sub and len(sub) == 2 and sub[0] == "result" and method == "GET":
+            await self._result_file(run_id, sub[1], writer)
+        elif sub == ["pin"] and method in ("POST", "DELETE"):
+            (self.service.unpin if method == "DELETE"
+             else self.service.pin)(run_id)
+            await self._send(writer, 200, {"run_id": run_id,
                                            "pinned": method == "POST"})
         else:
             raise _HttpError(404 if method == "GET" else 405,
@@ -277,13 +293,14 @@ class ScenarioServer:
             payload = json.loads(body.decode("utf-8")) if body else {}
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise _HttpError(400, f"body is not JSON: {error}") from error
+        mode = (payload.pop("mode", "batch") if isinstance(payload, dict)
+                else "batch")
         try:
-            run, outcome = await self._in_thread(self.service.submit, payload)
+            run, outcome = await self._in_thread(
+                self.service.submit, payload, mode)
         except (TypeError, ValueError) as error:
             raise _HttpError(400, f"bad config: {error}") from error
-        except AdmissionFull as error:
-            raise _HttpError(503, str(error)) from error
-        except ServiceClosed as error:
+        except ServiceError as error:  # queue full, draining, pool broken
             raise _HttpError(503, str(error)) from error
         status = 202 if outcome == "created" else 200
         await self._send(writer, status, {
@@ -295,39 +312,20 @@ class ScenarioServer:
             },
         })
 
-    def _status(self, run_id: str) -> dict:
-        try:
-            return self.service.status(run_id)
-        except UnknownRun as error:
-            raise _HttpError(404, f"unknown run {run_id}") from error
+    async def _stream_sse(self, run, path, writer) -> None:
+        """SSE: one ``data:`` event per JSON line of ``path``, until the
+        run is terminal and the file is drained.
 
-    def _pin(self, run_id: str, unpin: bool) -> None:
-        try:
-            (self.service.unpin if unpin else self.service.pin)(run_id)
-        except UnknownRun as error:
-            raise _HttpError(404, f"unknown run {run_id}") from error
-
-    async def _stream_progress(self, run_id: str, writer) -> None:
-        """SSE: one ``data:`` event per journal record, until run_end."""
+        Stopping at a record instead would truncate the stream
+        nondeterministically: ``cache_store`` trails ``run_end`` in the
+        journal.  Each payload is the record re-serialized with sorted
+        keys, which for observer records is its day file's line.
+        """
         from repro.obs import JournalTail
 
-        try:
-            run = self.service.get(run_id)
-        except UnknownRun as error:
-            raise _HttpError(404, f"unknown run {run_id}") from error
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: text/event-stream\r\n"
-            b"Cache-Control: no-cache\r\n"
-            b"Connection: close\r\n\r\n"
-        )
+        writer.write(_SSE_HEAD)
         await writer.drain()
-        if run.journal_path is None:
-            return
-        # The stream ends only when the run is terminal AND the journal
-        # is drained: cache_store trails run_end, so stopping at run_end
-        # would truncate the stream nondeterministically.
-        tail = JournalTail(run.journal_path)
+        tail = JournalTail(str(path))
         while True:
             done = run.done_event.is_set()
             records = await self._in_thread(tail.poll)
@@ -340,59 +338,8 @@ class ScenarioServer:
                 return
             await asyncio.sleep(PROGRESS_POLL_S)
 
-    def _observatory_index(self) -> list:
-        try:
-            return self.service.observatory_index()
-        except UnknownRun as error:
-            raise _HttpError(404, error.args[0]) from error
-
-    def _observatory_day(self, day_text: str) -> dict:
-        try:
-            day = int(day_text)
-        except ValueError as error:
-            raise _HttpError(400, f"bad day {day_text!r}") from error
-        try:
-            return self.service.observatory_day(day)
-        except UnknownRun as error:
-            raise _HttpError(404, error.args[0]) from error
-
-    async def _stream_observatory(self, writer) -> None:
-        """SSE: one ``data:`` event per observer record, tailing the live
-        ``observations.jsonl`` until its ``observatory_end`` marker.
-
-        Each event's payload is byte-identical to the record's line in
-        the day files (same ``sort_keys`` serialization), so a client
-        concatenating the stream reconstructs the on-disk records.
-        """
-        from repro.obs import JournalTail
-
-        try:
-            path = self.service.observatory_stream_path()
-        except UnknownRun as error:
-            raise _HttpError(404, error.args[0]) from error
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: text/event-stream\r\n"
-            b"Cache-Control: no-cache\r\n"
-            b"Connection: close\r\n\r\n"
-        )
-        await writer.drain()
-        tail = JournalTail(str(path))
-        while True:
-            records = await self._in_thread(tail.poll)
-            done = False
-            for record in records:
-                done = done or record.get("type") == "observatory_end"
-                event = "data: " + json.dumps(record, sort_keys=True) + "\n\n"
-                writer.write(event.encode())
-            if records:
-                await writer.drain()
-            if done:
-                return
-            await asyncio.sleep(PROGRESS_POLL_S)
-
     async def _result_manifest(self, run_id: str, writer) -> None:
-        manifest = await self._in_thread(self._manifest_or_error, run_id)
+        manifest = await self._in_thread(self.service.result_manifest, run_id)
         files = sorted(manifest.get("files", {}))
         await self._send(writer, 200, {
             "run_id": run_id,
@@ -402,27 +349,14 @@ class ScenarioServer:
             },
         })
 
-    def _manifest_or_error(self, run_id: str) -> dict:
-        try:
-            return self.service.result_manifest(run_id)
-        except UnknownRun as error:
-            raise _HttpError(404, f"unknown run {run_id}") from error
-        except ResultUnavailable as error:
-            status = 410 if "evicted" in str(error) else 404
-            raise _HttpError(status, str(error)) from error
-
     async def _result_file(self, run_id: str, name: str, writer) -> None:
         if "/" in name or name.startswith("."):
             raise _HttpError(400, "bad artifact name")
+
         def read() -> bytes:
+            path: Path = self.service.result_file(run_id, name)
             try:
-                path: Path = self.service.result_file(run_id, name)
                 return path.read_bytes()
-            except UnknownRun as error:
-                raise _HttpError(404, str(error)) from error
-            except ResultUnavailable as error:
-                status = 410 if "evicted" in str(error) else 404
-                raise _HttpError(status, str(error)) from error
             except OSError as error:
                 raise _HttpError(410, f"artifact unreadable: {error}") from error
 

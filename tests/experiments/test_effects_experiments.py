@@ -123,3 +123,36 @@ class TestSeasonalEffects:
         )
         assert estimate.significant
         assert estimate.aes > 0
+
+
+class TestShortHorizon:
+    """A run that ends before a honeyprefix is deployed: its name is
+    skipped, as an empty honeyprefix is, and the figures still render."""
+
+    @pytest.fixture(scope="class")
+    def short_result(self):
+        from repro.sim import ScenarioConfig, run_scenario
+
+        return run_scenario(ScenarioConfig(duration_days=12,
+                                           volume_scale=1e-4, n_tail=20))
+
+    def test_undeployed_names_are_skipped(self, short_result):
+        assert "H_Com" not in short_result.honeyprefixes
+        for figure in (fig7, fig8):
+            result = figure(short_result)
+            assert "H_Com" not in result.names
+            assert result.render()
+
+    def test_retraction_of_an_undeployed_name_is_skipped(self,
+                                                          short_result):
+        """``experiment all`` renders a ValueError as a skipped section."""
+        from repro.experiments import s531_retraction
+
+        with pytest.raises(ValueError, match="never withdrawn"):
+            s531_retraction(short_result, name="H_Com")
+
+    def test_fig7_renders_with_no_name_kept(self, short_result):
+        result = fig7(short_result, names=("H_Com",))
+        assert result.names == []
+        assert result.matrix.shape == (0, 0)
+        assert result.render().startswith("Fig 7")

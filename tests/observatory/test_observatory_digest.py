@@ -21,7 +21,7 @@ from repro.exec.cache import (
     ScenarioCache,
     _manifest_digest,
 )
-from repro.observatory import list_day_files
+from repro.observatory import list_day_files, read_observations
 from repro.sim import ScenarioConfig, SimulationAborted, run_scenario
 
 CONFIG = ScenarioConfig(seed=29, duration_days=8, volume_scale=1e-3,
@@ -111,9 +111,13 @@ def test_digests(tmp_path):
 
 
 def test_seed7_observations_digest(tmp_path):
+    """The pinned stream, and one day file per day that validates."""
     run_scenario(SEED7_CONFIG, observe_dir=tmp_path / "data")
     observations = (tmp_path / "data" / "observations.jsonl").read_bytes()
     assert _sha256(observations) == SEED7_OBSERVATIONS_SHA256
+    records = read_observations(tmp_path / "data")  # validates each file
+    assert [r["day"] for r in records] == list(range(20))
+    assert len(list_day_files(tmp_path / "data")) == 20
 
 
 def test_killed_and_resumed_digests(tmp_path):

@@ -13,7 +13,6 @@ import io
 import json
 import os
 import threading
-import zipfile
 from pathlib import Path
 
 import pytest
@@ -203,6 +202,27 @@ class TestShutdown:
         assert run.status == "done"
         assert service.result_entry(run.run_id).is_dir()
 
+    def test_close_without_drain_fails_the_cancelled_runs(self, tmp_path):
+        """``close(drain=False)`` cancels the runs still queued: each ends
+        failed and wakes its waiters, so ``wait()`` without a timeout
+        returns.  The running ones finish in the abandoned pool."""
+        configs = [ScenarioConfig(seed=seed, duration_days=60,
+                                  volume_scale=1e-4, n_tail=2)
+                   for seed in range(10, 14)]
+        service = ScenarioService(tmp_path / "cache", jobs=1)
+        runs = [service.submit(config)[0] for config in configs]
+        service.close(drain=False)
+        # The pool cancels from its manager thread, after close returns.
+        for run in runs:
+            assert run.done_event.wait(120), run.run_id
+        cancelled = [run for run in runs if run.future.cancelled()]
+        assert cancelled
+        for run in cancelled:
+            assert run.status == "failed"
+            assert run.error.startswith("CancelledError")
+            assert service.wait(run.run_id) is run
+        assert all(view["state"] != "pending" for view in service.runs())
+
     def test_submit_after_close_refused(self, tmp_path):
         service = ScenarioService(tmp_path / "cache", jobs=1)
         service.close()
@@ -225,17 +245,12 @@ def _leave_checkpoint(cache_dir, config=RESUMABLE):
 
 
 def _payloads(entry):
-    """Every payload of an entry by file name; an ``.npz`` as its member
-    bytes, because the zip container stamps its write time."""
-    out = {}
-    for name in json.loads((entry / "manifest.json").read_text())["files"]:
-        if name.endswith(".npz"):
-            with zipfile.ZipFile(entry / name) as archive:
-                out[name] = {member: archive.read(member)
-                             for member in archive.namelist()}
-        else:
-            out[name] = (entry / name).read_bytes()
-    return out
+    """Every payload of an entry by file name, as bytes.  An ``.npz``
+    compares whole: numpy stamps each zip member with the fixed date
+    1980-01-01, so two writes of the same arrays are the same bytes."""
+    return {name: (entry / name).read_bytes()
+            for name in json.loads(
+                (entry / "manifest.json").read_text())["files"]}
 
 
 class TestCheckpointResume:

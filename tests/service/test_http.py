@@ -7,19 +7,27 @@ and verify the reconstructed result is byte-identical to a direct
 """
 
 import json
+import os
+import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+from repro.exec.cache import ScenarioCache
 from repro.service import (
     ScenarioServer,
     ScenarioService,
     ServiceClient,
     ServiceClientError,
 )
+from repro.sim import ScenarioConfig
 
 from tests.service.conftest import TINY, assert_results_identical
 
@@ -186,57 +194,176 @@ class TestErrors:
 
 
 class TestObservatory:
-    """The observatory surfaces: day files, index, and the live SSE tail."""
+    """An observe run's live day tail and its day files, under its run."""
 
-    def test_unconfigured_observatory_is_404(self, client):
-        for probe in (lambda: client.observatory_day(0),
-                      lambda: client.observatory_index(),
-                      lambda: list(client.stream_observatory())):
+    def test_unconfigured_observatory_is_404(self, server, client):
+        """Only an observe run has an observatory to stream."""
+        view = client.submit(TINY)
+        with pytest.raises(ServiceClientError) as info:
+            list(client.stream_observations(view["run_id"]))
+        assert info.value.status == 404
+        with pytest.raises(ServiceClientError) as info:
+            list(client.stream_observations("no-such-run"))
+        assert info.value.status == 404
+        client.wait(view["run_id"], timeout=120)
+
+    def test_unknown_mode_is_400(self, client):
+        for mode in ("observatory", "", 3):
             with pytest.raises(ServiceClientError) as info:
-                probe()
-            assert info.value.status == 404
+                client.submit(TINY, mode=mode)
+            assert info.value.status == 400
+            assert "mode must be one of" in str(info.value)
 
-    def test_live_stream_concatenates_to_day_files(self, tmp_path):
-        """Acceptance: SSE over a *live* observatory run yields exactly
-        the records the on-disk day files hold afterwards."""
-        import threading
+    def test_live_stream_concatenates_to_day_files(self, server, client):
+        """Acceptance: SSE attached to a *live* observe run yields exactly
+        the records of the day files it writes beside its journal, and
+        the entry serves those day files under manifest checksums."""
+        import hashlib
 
         from repro.observatory import read_observations
-        from repro.sim import run_scenario
 
-        data = tmp_path / "data"
-        server = ScenarioServer(
-            ScenarioService(tmp_path / "cache", observatory_dir=data),
-            port=0).start()
+        view = client.submit(TINY, mode="observe")
+        assert view["outcome"] == "created"
+        run_id = view["run_id"]
+        assert run_id.endswith("-observe")
+        streamed = list(client.stream_observations(run_id))
+        assert client.status(run_id)["state"] == "done"
+        assert streamed[-1]["type"] == "observatory_end"
+        observers = [r for r in streamed if r["type"] == "observer"]
+        data = server.service.journals_dir / run_id
+        assert observers == read_observations(data)
+        assert [r["day"] for r in observers] \
+            == list(range(TINY.duration_days))
+
+        files = client.result_manifest(run_id)["manifest"]["files"]
+        day_files = sorted(n for n in files if n.startswith("observer-"))
+        assert len(day_files) == TINY.duration_days
+        for name in day_files:
+            _status, payload = client._request(
+                "GET", f"/runs/{run_id}/result/{name}")
+            assert payload == (data / name).read_bytes()
+            assert hashlib.sha256(payload).hexdigest() == files[name]
+
+
+#: Long enough (about a second and a half) that a kill lands mid-run.
+KILLABLE = ScenarioConfig(seed=3, duration_days=120, volume_scale=1e-4,
+                          n_tail=2)
+KILL_CADENCE = 5
+
+
+class TestKilledWorker:
+    """A pool worker SIGKILLed mid-run breaks the pool for good: the run
+    fails, nothing is left pending, the service answers 503 until it is
+    restarted, and a restarted service resumes the run from its last
+    mid-run entry."""
+
+    def test_kill_fails_the_run_and_a_restart_resumes(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        server = ScenarioServer(ScenarioService(
+            cache_dir, jobs=1, checkpoint_every=KILL_CADENCE), port=0).start()
+        service = server.service
         try:
             client = ServiceClient("127.0.0.1", server.port)
-            runner = threading.Thread(
-                target=run_scenario, args=(TINY,),
-                kwargs={"stream_analysis": True, "observe_dir": data},
-            )
-            runner.start()
-            try:
-                # Attached before/while the run writes: the tail follows
-                # the live observations.jsonl and ends at the marker.
-                streamed = list(client.stream_observatory())
-            finally:
-                runner.join(timeout=120)
-            assert streamed[-1]["type"] == "observatory_end"
-            observers = [r for r in streamed if r["type"] == "observer"]
-            assert observers == read_observations(data)
-            assert [r["day"] for r in observers] \
-                == list(range(TINY.duration_days))
+            run_id = client.submit(KILLABLE)["run_id"]
+            journal = service.get(run_id).journal_path
+            deadline = time.monotonic() + 60
+            # Two checkpoint records: the first checkpoint is committed.
+            while _text(journal).count('"type": "checkpoint"') < 2:
+                assert time.monotonic() < deadline, "no checkpoint written"
+                time.sleep(0.002)
+            (worker,) = service._pool._processes
+            os.kill(worker, signal.SIGKILL)
 
-            # The per-day and index endpoints agree with the stream.
-            assert client.observatory_day(0) == observers[0]
-            index = client.observatory_index()
-            assert [e["day"] for e in index] \
-                == list(range(TINY.duration_days))
-            with pytest.raises(ServiceClientError) as info:
-                client.observatory_day(TINY.duration_days)
-            assert info.value.status == 404
-            with pytest.raises(ServiceClientError) as info:
-                client.observatory_day("latest")
-            assert info.value.status == 400
+            run = service.wait(run_id, timeout=60)
+            assert run.status == "failed"
+            assert "BrokenProcessPool" in run.error
+            assert not service.healthy
+            for request in (client.healthz, lambda: client.submit(KILLABLE),
+                            lambda: client.submit({"seed": 4})):
+                with pytest.raises(ServiceClientError) as info:
+                    request()
+                assert info.value.status == 503
+            assert [view["state"] for view in service.runs()] == ["failed"]
         finally:
             server.stop()
+
+        store = ScenarioCache(cache_dir)
+        entry = store.entry_dir(KILLABLE)
+        resumed_from = json.loads(
+            (entry / "manifest.json").read_text())["next_day"]
+        assert KILL_CADENCE <= resumed_from < KILLABLE.duration_days
+        with ScenarioService(cache_dir, jobs=1,
+                             checkpoint_every=KILL_CADENCE) as restarted:
+            assert restarted.healthy
+            run, outcome = restarted.submit(KILLABLE)
+            assert outcome == "created"
+            restarted.wait(run.run_id, timeout=120)
+            assert run.status == "done"
+            timings = restarted.metrics_snapshot()["timings"]
+            assert (timings["scenario.run_day"]["count"]
+                    == KILLABLE.duration_days - resumed_from)
+        manifest = json.loads((entry / "manifest.json").read_text())
+        assert manifest["next_day"] == KILLABLE.duration_days
+        assert (sorted(p.name for p in entry.iterdir())
+                == sorted([*manifest["files"], "manifest.json"]))
+
+    def test_idle_worker_death_fails_healthz(self, server, client):
+        assert client.healthz()
+        os.kill(next(iter(server.service._pool._processes)), signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while server.service.healthy:
+            assert time.monotonic() < deadline, "the death went unseen"
+            time.sleep(0.01)
+        with pytest.raises(ServiceClientError) as info:
+            client.healthz()
+        assert info.value.status == 503
+        assert server.service.runs() == []
+
+
+class TestServeCommand:
+    def test_sigterm_drains_the_in_flight_run(self, tmp_path):
+        """``python -m repro serve --port 0``: a SIGTERM with a run in
+        flight lets the run finish, the process exits 0, and the run's
+        entry verifies."""
+        import repro
+
+        src = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        cache_dir = tmp_path / "cache"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--cache", str(cache_dir), "--jobs", "1"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True)
+        try:
+            port = None
+            while port is None:
+                line = proc.stderr.readline()
+                assert line, "serve exited before it listened"
+                found = re.search(r" on http://[\d.]+:(\d+)", line)
+                port = int(found.group(1)) if found else None
+            view = ServiceClient("127.0.0.1", port).submit(KILLABLE)
+            assert view["outcome"] == "created"
+            journal = cache_dir / "journals" / f"{view['run_id']}.jsonl"
+            deadline = time.monotonic() + 60
+            while '"type": "day"' not in _text(journal):
+                assert time.monotonic() < deadline, "the run never started"
+                time.sleep(0.002)
+            proc.send_signal(signal.SIGTERM)
+            _out, err = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0, err
+        assert '"type": "run_end"' in _text(journal)
+        assert ScenarioCache(cache_dir).probe(KILLABLE)
+
+
+def _text(path) -> str:
+    try:
+        with open(path) as stream:
+            return stream.read()
+    except FileNotFoundError:
+        return ""

@@ -12,6 +12,11 @@ The digests were computed by the code before checkpoints joined the run
 store, from runs with no store.  A warm run never simulates: its journal
 is the manifest and one ``cache_hit``.
 
+The service row runs each mode through ``POST /runs``: cold on two
+workers, deduped, then warm from a restarted service over the same store.
+What the service serves and writes must reproduce the same pinned
+digests.
+
 The last test drives the report path through the CLI — ``experiment all
 --jobs 2 --cache`` cold, then warm — and checks the store's journal
 records.
@@ -28,6 +33,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.obs import Journal, MetricsRegistry, use_journal, use_registry
+from repro.service import ScenarioServer, ScenarioService, ServiceClient
 from repro.sim import ScenarioConfig, SimulationAborted, run_scenario
 
 CONFIG = ScenarioConfig(seed=31, duration_days=12, volume_scale=1e-4,
@@ -223,6 +229,57 @@ class TestModeMatrix:
         assert days == CONFIG.duration_days - resumed_at
         assert "checkpoint" in _types(journal)
         assert digests(result, journal, observe_dir) == PINNED[mode]
+
+    def test_service_cold_deduped_then_warm(self, mode, tmp_path):
+        """One mode through the service: the cold run's progress stream
+        is the whole journal in order, a second POST joins it, a restarted
+        service answers warm, and the fetched results, the run's journal
+        and an observe run's directory (``journals/<run id>/``) reproduce
+        the pinned digests; the served day files are the pinned ones."""
+        store = tmp_path / "store"
+        server = ScenarioServer(ScenarioService(store, jobs=2),
+                                port=0).start()
+        try:
+            client = ServiceClient("127.0.0.1", server.port)
+            view = client.submit(CONFIG, mode=mode)
+            assert view["outcome"] == "created"
+            run_id = view["run_id"]
+            assert run_id.endswith(f"-{mode}")
+            types = [r["type"] for r in client.stream_progress(run_id)]
+            assert types[0] == "run_manifest"
+            assert types.count("day") == CONFIG.duration_days
+            assert types.count("run_end") == 1
+            assert types[-1] == "cache_store"
+            assert client.status(run_id)["state"] == "done"
+            assert client.submit(CONFIG, mode=mode)["outcome"] == "deduped"
+            journal = Path(
+                server.service.get(run_id).journal_path).read_text()
+            observe_dir = (server.service.journals_dir / run_id
+                           if mode == "observe" else None)
+            cold = client.fetch_result(run_id, CONFIG, tmp_path / "cold")
+            assert digests(cold, journal, observe_dir) == PINNED[mode]
+        finally:
+            server.stop()
+
+        server = ScenarioServer(ScenarioService(store, jobs=1),
+                                port=0).start()
+        try:
+            client = ServiceClient("127.0.0.1", server.port)
+            view = client.submit(CONFIG, mode=mode)
+            assert (view["run_id"], view["outcome"]) == (run_id, "warm")
+            counters = client.metrics()["counters"]
+            assert counters["service.warm_hits"] == 1
+            assert "service.cold_runs" not in counters
+            warm = client.fetch_result(run_id, CONFIG, tmp_path / "warm")
+            assert digests(warm, journal, observe_dir) == PINNED[mode]
+            files = client.result_manifest(run_id)["manifest"]["files"]
+            pinned = PINNED[mode]["observe"] or {}
+            assert ({n: sha for n, sha in files.items()
+                     if n.startswith("observer-")}
+                    == {n: sha for n, sha in pinned.items()
+                        if n.startswith("observer-")})
+        finally:
+            server.stop()
 
 
 def test_experiment_all_cold_store_then_warm_hit(tmp_path, monkeypatch,
