@@ -68,11 +68,11 @@ def test_twinklenet_throughput(benchmark, ping_burst):
     config = HoneyprefixConfig(name="bench", aliased=True,
                                icmp_mode=IcmpMode.FULL)
     hp = deploy_addresses(config, PREFIX, rng=0)
-    pot = Twinklenet(TwinklenetConfig([hp]))
+    pot = Twinklenet(TwinklenetConfig())
 
     def drain():
         for pkt in ping_burst:
-            pot.handle(pkt)
+            pot.handle(pkt, hp)
 
     benchmark(drain)
     assert pot.tx_count > 0

@@ -94,25 +94,6 @@ def _validate(min_targets: int, timeout: float) -> None:
 
 _NEG_INF = float("-inf")
 
-def dense_pairs(hi: np.ndarray, lo: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense ids for (hi, lo) uint64 pairs.
-
-    Returns ``(ids, u_hi, u_lo)``: one id per distinct pair, with
-    ``u_hi[ids] == hi`` and ``u_lo[ids] == lo``.  The two-column case of
-    :func:`~repro.net.addr.group_keys`; ids follow hash order, not
-    address order.
-    """
-    ids, rep = group_keys((hi, lo))
-    return ids, hi[rep], lo[rep]
-
-
-def find_pairs(table_hi: np.ndarray, table_lo: np.ndarray,
-               q_hi: np.ndarray, q_lo: np.ndarray) -> np.ndarray:
-    """Row of each query pair in a table of distinct pairs, or -1: the
-    two-column case of :func:`~repro.net.addr.find_keys`."""
-    return find_keys((table_hi, table_lo), (q_hi, q_lo))
-
 
 def _csr_take(offsets: np.ndarray, rows: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
@@ -174,21 +155,22 @@ class DayIndex:
         self.rank = np.empty(n, dtype=np.int64)
         self.rank[np.argsort(records.ts, kind="stable")] = np.arange(n)
 
-        sid, s_hi, s_lo = dense_pairs(records.src_hi, records.src_lo)
+        sid, rep = group_keys((records.src_hi, records.src_lo))
+        s_hi, s_lo = records.src_hi[rep], records.src_lo[rep]
         by_address = np.lexsort((s_lo, s_hi))
         self.src_hi, self.src_lo = s_hi[by_address], s_lo[by_address]
         renumber = np.empty(len(by_address), dtype=np.int64)
         renumber[by_address] = np.arange(len(by_address))
         self.sid = renumber[sid]
 
-        self.did, self.dst_hi, self.dst_lo = dense_pairs(records.dst_hi,
-                                                         records.dst_lo)
+        self.did, rep = group_keys((records.dst_hi, records.dst_lo))
+        self.dst_hi, self.dst_lo = records.dst_hi[rep], records.dst_lo[rep]
         self._levels: dict[int, tuple] = {}
 
     def destination_ids(self, hi: np.ndarray, lo: np.ndarray
                         ) -> np.ndarray:
         """The id of each (hi, lo) destination in this chunk, or -1."""
-        return find_pairs(self.dst_hi, self.dst_lo, hi, lo)
+        return find_keys((self.dst_hi, self.dst_lo), (hi, lo))
 
     def level(self, length: int
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -367,7 +349,7 @@ class SessionTracker:
         # Otherwise it is idle: it closes if its source is in this chunk
         # (the gap already exceeded the timeout) or if the horizon has
         # moved a timeout past it, and stays open if not.
-        kid_of_open = (find_pairs(key_hi, key_lo, carry.k_hi, carry.k_lo)
+        kid_of_open = (find_keys((key_hi, key_lo), (carry.k_hi, carry.k_lo))
                        if len(carry) else np.empty(0, dtype=np.int64))
         present = np.flatnonzero(kid_of_open >= 0)
         first_seg = key_seg[kid_of_open[present]]

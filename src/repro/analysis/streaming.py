@@ -28,8 +28,6 @@ from repro.analysis.scandetect import (
     DayIndex,
     ScanEvent,
     SessionTracker,
-    dense_pairs,
-    find_pairs,
 )
 
 __all__ = [
@@ -38,8 +36,6 @@ __all__ = [
     "SessionTracker",
     "StreamAnalyzer",
     "StreamSummary",
-    "dense_pairs",
-    "find_pairs",
 ]
 
 #: The paper's three source-aggregation levels, in report order.

@@ -158,8 +158,7 @@ class Honeyprefix:
     # Binding-column cache state.  Deliberately *unannotated* class
     # attributes — annotated names would become dataclass fields and change
     # the generated __init__/__eq__.  The version bumps on every
-    # add_responsive; the cached columns rebuild lazily when stale — the
-    # same idiom as Twinklenet's owner index.
+    # add_responsive; the cached columns rebuild lazily when stale.
     _bind_version = 0
     _bind_cache = None
 

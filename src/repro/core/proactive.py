@@ -40,8 +40,8 @@ from repro.dns.reverse import ReverseZone
 from repro.hitlist.categories import HitlistCategory
 from repro.hitlist.service import HitlistService
 from repro.net.addr import IPv6Prefix, run_starts
-from repro.net.batch import PacketBatch, WireBatch
-from repro.net.packet import TCP, UDP, Packet
+from repro.net.batch import PacketBatch
+from repro.net.packet import TCP, UDP
 from repro.obs import get_journal, stage
 from repro.routing.speaker import BgpSpeaker
 from repro.tlsca.acme import AcmeClient
@@ -88,17 +88,6 @@ class ProactiveTelescope:
         #: handle_batch; invalidated whenever a deploy adds a honeyprefix.
         self._hp_keys_hi: np.ndarray | None = None
 
-        def _count_tx(_pkt: Packet) -> None:
-            self.response_count += 1
-
-        def _count_tx_batch(replies: WireBatch) -> None:
-            self.response_count += len(replies)
-
-        self.twinklenet.set_transmit(_count_tx)
-        self.twinklenet.set_transmit_batch(_count_tx_batch)
-        self._count_tx = _count_tx
-        self._count_tx_batch = _count_tx_batch
-
     # -- deployment ------------------------------------------------------
 
     def deploy(
@@ -118,6 +107,9 @@ class ProactiveTelescope:
             raise ValueError(
                 f"{prefix} is outside the telescope's {self.covering_prefix}"
             )
+        if prefix.length != 48:
+            # handle_batch routes whole /48s, and the honeypots trust it.
+            raise ValueError(f"a honeyprefix is one /48, got {prefix}")
         hp = deploy_addresses(config, prefix, self._rng)
         hp.deployed_at = at
         self.honeyprefixes.append(hp)
@@ -132,8 +124,6 @@ class ProactiveTelescope:
             self._deploy_domains(hp, at)
         if config.tpot:
             self._deploy_tpot(hp, at)
-        else:
-            self.twinklenet.config.honeyprefixes.append(hp)
         if config.rdns:
             self._deploy_rdns(hp, at)
 
@@ -208,8 +198,7 @@ class ProactiveTelescope:
     def _deploy_tpot(self, hp: Honeyprefix, at: float) -> None:
         containers = TPOT1_CONTAINERS if hp.config.tpot == 1 else TPOT2_CONTAINERS
         tpot = TPotInstance(f"tpot{hp.config.tpot}", containers)
-        gateway = DnatGateway(hp.prefix, tpot, transmit=self._count_tx)
-        gateway.set_transmit_batch(self._count_tx_batch)
+        gateway = DnatGateway(hp.prefix, tpot)
         self.gateways[hp.name] = gateway
         # Mirror the T-Pot port surface onto the honeyprefix's responsive
         # map so hitlist probing and tactic attribution see it.
@@ -307,8 +296,11 @@ class ProactiveTelescope:
         row's honeyprefix, and a stable sort of the hit rows by key makes
         every honeyprefix's rows one contiguous run, in arrival order.
         Each honeyprefix's slice goes, in ascending key order, to its DNAT
-        gateway (T-Pot prefixes) or to Twinklenet.  Rows outside every
-        honeyprefix are control space: pure darknet.
+        gateway (T-Pot prefixes) or to Twinklenet with the honeyprefix
+        itself: this is the only place that decides which honeyprefix
+        owns a destination.  The replies they return are counted in
+        ``response_count``.  Rows outside every honeyprefix are control
+        space: pure darknet.
         """
         if len(batch) == 0:
             return
@@ -352,9 +344,10 @@ class ProactiveTelescope:
                 hp = self._hp_by_48[int(keys[group]) << 64]
                 sub = batch.select(part)
                 if hp.config.tpot:
-                    self.gateways[hp.name].handle_batch(sub)
+                    replies = self.gateways[hp.name].handle_batch(sub)
                 else:
-                    self.twinklenet.handle_batch(sub, owner_hint=hp)
+                    replies = self.twinklenet.handle_batch(sub, hp)
+                self.response_count += len(replies)
 
     # -- hitlist oracle ------------------------------------------------------
 

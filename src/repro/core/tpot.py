@@ -28,17 +28,10 @@ destinations recovered from T-Pot's logs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from repro.net.addr import (
-    IPv6Prefix,
-    KeyIndex,
-    group_keys,
-    key_hashes,
-    mask_u64,
-)
+from repro.net.addr import IPv6Prefix, KeyIndex, group_keys, key_hashes
 from repro.net.batch import PacketBatch, WireBatch, WireBuilder, as_wire
 from repro.obs import get_registry
 from repro.net.packet import (
@@ -279,21 +272,16 @@ class NatTable:
 class DnatGateway:
     """The access-router DNAT stage fronting one T-Pot honeyprefix.
 
-    Rewrites every in-prefix destination to ``prefix::1`` with a source
-    port allocated per flow, answers ICMP for the whole (aliased) prefix
-    itself, and reverse-translates T-Pot responses on the way out.
+    Rewrites every destination to ``prefix::1`` with a source port
+    allocated per flow, answers ICMP for the whole (aliased) prefix
+    itself, and reverse-translates T-Pot responses on the way out.  The
+    proactive telescope hands it only its own prefix's rows, so it does
+    not check membership again.
     """
 
-    def __init__(
-        self,
-        prefix: IPv6Prefix,
-        tpot: TPotInstance,
-        transmit: Callable[[Packet], None] | None = None,
-    ):
+    def __init__(self, prefix: IPv6Prefix, tpot: TPotInstance):
         self.prefix = prefix
         self.tpot = tpot
-        self._transmit = transmit or (lambda pkt: None)
-        self._transmit_batch: Callable[[WireBatch], None] | None = None
         self._next_port = _FIRST_NAT_PORT
         #: Every flow's NAT source port, so every packet of one flow
         #: reuses the same translation.
@@ -304,20 +292,6 @@ class DnatGateway:
         self._m_rx = registry.counter("tpot.gateway.rx")
         self._m_tx = registry.counter("tpot.gateway.tx")
         self._m_nat = registry.counter("tpot.gateway.nat_entries")
-
-    def set_transmit(self, transmit: Callable[[Packet], None]) -> None:
-        self._transmit = transmit
-
-    def set_transmit_batch(
-            self, transmit: Callable[[WireBatch], None]) -> None:
-        """Columnar transmit: :meth:`handle_batch` hands its whole reply
-        batch to this callback instead of materializing per-packet."""
-        self._transmit_batch = transmit
-
-    def _send(self, pkt: Packet) -> None:
-        self.tx_count += 1
-        self._m_tx.inc()
-        self._transmit(pkt)
 
     @property
     def target_address(self) -> int:
@@ -335,9 +309,8 @@ class DnatGateway:
         return ports
 
     def responds(self, address: int, proto: int, port: int | None) -> bool:
-        """Responsiveness oracle: aliased ICMP + T-Pot's port surface."""
-        if address not in self.prefix:
-            return False
+        """Responsiveness oracle for an ``address`` in the prefix: aliased
+        ICMP + T-Pot's port surface."""
         if proto == ICMPV6:
             return True
         return port is not None and self.tpot.listens(proto, port)
@@ -348,22 +321,24 @@ class DnatGateway:
         self.rx_count += n
         self._m_rx.inc(n)
 
-    def handle(self, pkt: Packet) -> None:
-        """Process one packet arriving for the honeyprefix."""
+    def handle(self, pkt: Packet) -> list[Packet]:
+        """Process one packet arriving for the honeyprefix; return the
+        replies."""
         self.rx_count += 1
         self._m_rx.inc()
-        if pkt.dst not in self.prefix:
-            return
+        replies = []  # a closed port is captured upstream, never answered
         if pkt.proto == ICMPV6:
             if pkt.is_icmp_echo_request:
-                self._send(icmp_echo_reply(pkt))
-            return
-        if not self.tpot.listens(pkt.proto, pkt.dport):
-            return  # closed port: captured upstream, never answered
-        self._relay(pkt, self._send)
+                replies = [icmp_echo_reply(pkt)]
+        elif self.tpot.listens(pkt.proto, pkt.dport):
+            replies = self._relay(pkt)
+        if replies:
+            self.tx_count += len(replies)
+            self._m_tx.inc(len(replies))
+        return replies
 
-    def _relay(self, pkt: Packet, emit: Callable[[Packet], None]) -> None:
-        """DNAT-forward one open-port packet to T-Pot, emitting each reply.
+    def _relay(self, pkt: Packet) -> list[Packet]:
+        """DNAT-forward one open-port packet to T-Pot; return its replies.
 
         One implementation serves the scalar path and the batch path's
         per-row fallback — there is exactly one NAT state machine.
@@ -380,23 +355,22 @@ class DnatGateway:
             proto=pkt.proto, sport=nat_port, dport=pkt.dport,
             flags=pkt.flags, payload=pkt.payload, seq=pkt.seq, ack=pkt.ack,
         )
-        for response in self.tpot.handle(translated):
-            # Reverse translation: the reply appears to come from the
-            # address the scanner probed.  Taken from the packet itself,
-            # not looked up by NAT port, which wraps and gets reused.
-            emit(Packet(
-                timestamp=response.timestamp,
-                src=pkt.dst,
-                dst=response.dst,
-                proto=response.proto,
-                sport=response.sport,
-                # Restore the scanner's real source port.
-                dport=pkt.sport,
-                flags=response.flags,
-                payload=response.payload,
-                seq=response.seq,
-                ack=response.ack,
-            ))
+        # Reverse translation: the reply appears to come from the address
+        # the scanner probed, back to its real source port.  Taken from
+        # the packet itself, not looked up by NAT port, which wraps and
+        # gets reused.
+        return [Packet(
+            timestamp=response.timestamp,
+            src=pkt.dst,
+            dst=response.dst,
+            proto=response.proto,
+            sport=response.sport,
+            dport=pkt.sport,
+            flags=response.flags,
+            payload=response.payload,
+            seq=response.seq,
+            ack=response.ack,
+        ) for response in self.tpot.handle(translated)]
 
     # -- columnar path ---------------------------------------------------
 
@@ -414,20 +388,11 @@ class DnatGateway:
         if len(replies):
             self.tx_count += len(replies)
             self._m_tx.inc(len(replies))
-            if self._transmit_batch is not None:
-                self._transmit_batch(replies)
-            else:
-                for pkt in replies.to_packets():
-                    self._transmit(pkt)
         return replies
 
     def _react_batch(self, wire: WireBatch, out: WireBuilder) -> None:
-        hi, lo = mask_u64(wire.dst_hi, wire.dst_lo, self.prefix.length)
-        in_pref = ((hi == np.uint64((self.prefix.network >> 64) & _U64))
-                   & (lo == np.uint64(self.prefix.network & _U64)))
         # ICMP: the gateway answers echo everywhere in the aliased prefix.
-        echo = np.nonzero(
-            in_pref & icmp_echo_request_mask(wire.proto, wire.sport))[0]
+        echo = np.flatnonzero(icmp_echo_request_mask(wire.proto, wire.sport))
         if len(echo):
             out.append_block(
                 echo, wire.ts[echo],
@@ -441,9 +406,8 @@ class DnatGateway:
         udp_lut = self.tpot.port_lut(UDP)
         is_tcp = wire.proto == np.uint8(TCP)
         is_udp = wire.proto == np.uint8(UDP)
-        open_mask = in_pref & ((is_tcp & (tcp_lut[wire.dport] >= 0))
-                               | (is_udp & (udp_lut[wire.dport] >= 0)))
-        rows = np.nonzero(open_mask)[0]
+        rows = np.flatnonzero((is_tcp & (tcp_lut[wire.dport] >= 0))
+                              | (is_udp & (udp_lut[wire.dport] >= 0)))
         if len(rows) == 0:
             return
         tcp_sel = is_tcp[rows]
@@ -451,8 +415,8 @@ class DnatGateway:
             # Handshake completions / data segments in the batch (test
             # traffic, not probes): run the shared NAT relay row by row.
             for i in rows.tolist():
-                self._relay(wire.packet_at(i),
-                            lambda p, _i=i: out.append_packet(_i, p))
+                for reply in self._relay(wire.packet_at(i)):
+                    out.append_packet(i, reply)
             return
         # Flow allocation over distinct (src, dst, sport, is-TCP) keys.
         cols = (wire.src_hi[rows], wire.src_lo[rows],

@@ -2,7 +2,9 @@
 
 Python port of the paper's Go implementation (Appendix D).  A single
 instance handles packets for any number of non-contiguous subnets and
-addresses (IP aliasing) and interacts per Table 7:
+addresses (IP aliasing).  It keeps no prefix table of its own: the
+proactive telescope routes each packet to its honeyprefix and passes
+that honeyprefix in with it.  Interactions follow Table 7:
 
 =============== =============================== ===============================
 protocol        request                         response
@@ -33,19 +35,13 @@ Two entry points share one state machine:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from repro.core.honeyprefix import Honeyprefix
-from repro.net.addr import (
-    aggregate,
-    find_keys,
-    group_keys,
-    mask_u64,
-    split_u64,
-)
+from repro.net.addr import find_keys, group_keys
 from repro.net.batch import PacketBatch, WireBatch, WireBuilder, as_wire
 from repro.obs import get_registry
 from repro.net.packet import (
@@ -78,22 +74,6 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 _INS_SENTINEL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-def _by_owner(owner: np.ndarray, rows: np.ndarray
-              ) -> Iterator[tuple[int, np.ndarray]]:
-    """``(position, its rows)`` per owning honeyprefix of ``rows``, in
-    ascending position order.  One min/max pass decides the common case,
-    every row under one owner (the telescope's owner hint)."""
-    owners = owner[rows]
-    if len(owners) == 0:
-        return
-    first = owners.min()
-    if first == owners.max():
-        yield int(first), rows
-        return
-    for pos in np.unique(owners).tolist():
-        yield pos, rows[owners == pos]
-
-
 @dataclass
 class TcpSession:
     """State of one half-open/open TCP conversation."""
@@ -110,9 +90,8 @@ class TcpSession:
 
 @dataclass
 class TwinklenetConfig:
-    """Which honeyprefixes (and their bindings) this instance serves."""
+    """Session-table limits of one instance."""
 
-    honeyprefixes: list[Honeyprefix] = field(default_factory=list)
     #: TCP sessions idle longer than this (by packet timestamp) are evicted
     #: — a SYN-only sweep must not grow the session table forever.
     session_timeout: float = 600.0
@@ -346,31 +325,18 @@ class SessionTable:
 
 
 class Twinklenet:
-    """The responder.  Feed packets in via :meth:`handle` (or whole columns
-    via :meth:`handle_batch`); responses are emitted through the
-    ``transmit`` callback (the proactive telescope's reply counter)."""
+    """The responder for every honeyprefix it is handed.  Feed packets in
+    via :meth:`handle` (or whole columns via :meth:`handle_batch`), each
+    with the honeyprefix that owns them; both return the replies."""
 
-    def __init__(
-        self,
-        config: TwinklenetConfig,
-        transmit: Callable[[Packet], None] | None = None,
-    ):
+    def __init__(self, config: TwinklenetConfig):
         self.config = config
-        self._transmit = transmit or (lambda pkt: None)
-        self._transmit_batch: Callable[[WireBatch], None] | None = None
         self._table = SessionTable()
         self.sessions_completed: list[TcpSession] = []
         self.sessions_evicted = 0
         self.rx_count = 0
         self.tx_count = 0
         self._last_sweep = float("-inf")
-        # Truncation-keyed honeyprefix index; rebuilt lazily when the
-        # config's honeyprefix list grows (deploys append to it).
-        self._owner_index: dict[tuple[int, int], tuple[int, Honeyprefix]] = {}
-        self._owner_lengths: list[int] = []
-        self._owner_cols: dict[int, tuple] = {}
-        self._hp_pos: dict[int, int] = {}
-        self._indexed_count = -1
         registry = get_registry()
         self._m_rx = registry.counter("twinklenet.rx")
         self._m_opened = registry.counter("twinklenet.sessions.opened")
@@ -395,106 +361,36 @@ class Twinklenet:
             for key, session in self._table.items()
         }
 
-    def set_transmit(self, transmit: Callable[[Packet], None]) -> None:
-        self._transmit = transmit
-
-    def set_transmit_batch(
-            self, transmit: Callable[[WireBatch], None]) -> None:
-        """Columnar transmit: :meth:`handle_batch` hands its whole reply
-        batch to this callback instead of materializing per-packet."""
-        self._transmit_batch = transmit
-
-    def _send(self, pkt: Packet) -> None:
-        self.tx_count += 1
-        self._transmit(pkt)
-
-    def _rebuild_owner_index(self) -> None:
-        self._owner_index = {}
-        lengths: set[int] = set()
-        for pos, hp in enumerate(self.config.honeyprefixes):
-            key = (hp.prefix.length, hp.prefix.network)
-            self._owner_index.setdefault(key, (pos, hp))
-            lengths.add(hp.prefix.length)
-        self._owner_lengths = sorted(lengths)
-        self._indexed_count = len(self.config.honeyprefixes)
-        self._hp_pos = {id(hp): pos
-                        for pos, hp in enumerate(self.config.honeyprefixes)}
-        # Columnar twin of the index, for the batch owner lookup: per
-        # length, the truncated networks as (hi, lo) columns + positions.
-        self._owner_cols = {}
-        for length in self._owner_lengths:
-            entries = [(net, pos)
-                       for (ln, net), (pos, _hp) in self._owner_index.items()
-                       if ln == length]
-            hi, lo = split_u64(net for net, _ in entries)
-            pos_arr = np.asarray([p for _, p in entries], dtype=np.int64)
-            self._owner_cols[length] = (hi, lo, pos_arr)
-
-    def _owner(self, dst: int) -> Honeyprefix | None:
-        """Honeyprefix serving ``dst``, by truncation-keyed dict lookup.
-
-        One dict probe per distinct deployed prefix length (a handful:
-        honeyprefixes are /48s and longer) replaces the linear scan over
-        every honeyprefix.  When several nested prefixes cover ``dst``, the
-        one listed first in the config wins, matching the original scan.
-        """
-        if len(self.config.honeyprefixes) != self._indexed_count:
-            self._rebuild_owner_index()
-        best: tuple[int, Honeyprefix] | None = None
-        for length in self._owner_lengths:
-            entry = self._owner_index.get((length, aggregate(dst, length)))
-            if entry is not None and (best is None or entry[0] < best[0]):
-                best = entry
-        return best[1] if best else None
-
-    def _owner_pos_batch(self, dst_hi: np.ndarray,
-                         dst_lo: np.ndarray) -> np.ndarray:
-        """Config position of the owning honeyprefix per row, -1 when
-        unowned — the columnar :meth:`_owner` (first-listed wins)."""
-        if len(self.config.honeyprefixes) != self._indexed_count:
-            self._rebuild_owner_index()
-        sentinel = np.iinfo(np.int64).max
-        best = np.full(len(dst_hi), sentinel, dtype=np.int64)
-        for length in self._owner_lengths:
-            set_hi, set_lo, set_pos = self._owner_cols[length]
-            rows = find_keys((set_hi, set_lo),
-                             mask_u64(dst_hi, dst_lo, length))
-            hit = rows >= 0
-            best[hit] = np.minimum(best[hit], set_pos[rows[hit]])
-        best[best == sentinel] = -1
-        return best
-
-    def responds(self, address: int, proto: int, port: int | None) -> bool:
-        """Responsiveness oracle over all served honeyprefixes."""
-        hp = self._owner(address)
-        return hp is not None and hp.responds(address, proto, port)
-
     def note_dark(self, n: int) -> None:
         """Account ``n`` packets that were received but provably could not
         elicit a reply (the columnar fast path skips materializing them)."""
         self.rx_count += n
         self._m_rx.inc(n)
 
-    def handle(self, pkt: Packet) -> None:
-        """Process one incoming packet, possibly emitting responses."""
+    def handle(self, pkt: Packet, hp: Honeyprefix) -> list[Packet]:
+        """Process one packet for its honeyprefix ``hp``; return the
+        replies (at most one)."""
         self.rx_count += 1
         self._m_rx.inc()
-        hp = self._owner(pkt.dst)
-        if hp is None:
-            return
+        reply = None
         if pkt.proto == ICMPV6:
-            self._handle_icmp(pkt, hp)
+            reply = self._handle_icmp(pkt, hp)
         elif pkt.proto == TCP:
-            self._handle_tcp(pkt, hp)
+            reply = self._handle_tcp(pkt, hp)
         elif pkt.proto == UDP:
-            self._handle_udp(pkt, hp)
+            reply = self._handle_udp(pkt, hp)
+        if reply is None:
+            return []
+        self.tx_count += 1
+        return [reply]
 
     # -- ICMP ------------------------------------------------------------
 
-    def _handle_icmp(self, pkt: Packet, hp: Honeyprefix) -> None:
+    def _handle_icmp(self, pkt: Packet, hp: Honeyprefix) -> Packet | None:
         if pkt.is_icmp_echo_request and hp.responds(pkt.dst, ICMPV6, None):
             self._m_reply_icmp.inc()
-            self._send(icmp_echo_reply(pkt))
+            return icmp_echo_reply(pkt)
+        return None
 
     # -- TCP -------------------------------------------------------------
 
@@ -567,25 +463,26 @@ class Twinklenet:
                 return (TcpFlags.ACK, 1, seq + 1)
         return None
 
-    def _handle_tcp(self, pkt: Packet, hp: Honeyprefix) -> None:
+    def _handle_tcp(self, pkt: Packet, hp: Honeyprefix) -> Packet | None:
         self._evict_stale_sessions(pkt.timestamp)
         if not hp.responds(pkt.dst, TCP, pkt.dport):
-            return  # closed port: darknet silence
+            return None  # closed port: darknet silence
         key = self._session_key(pkt.src, pkt.sport, pkt.dst, pkt.dport)
         reply = self._tcp_step(pkt.timestamp, key, pkt.flags, pkt.payload,
                                pkt.seq, pkt.ack)
-        if reply is not None:
-            rflags, rseq, rack = reply
-            self._send(tcp_segment(
-                pkt.timestamp, pkt.dst, pkt.src, pkt.dport, pkt.sport,
-                rflags, seq=rseq, ack=rack,
-            ))
+        if reply is None:
+            return None
+        rflags, rseq, rack = reply
+        return tcp_segment(
+            pkt.timestamp, pkt.dst, pkt.src, pkt.dport, pkt.sport,
+            rflags, seq=rseq, ack=rack,
+        )
 
     # -- UDP -------------------------------------------------------------
 
-    def _handle_udp(self, pkt: Packet, hp: Honeyprefix) -> None:
+    def _handle_udp(self, pkt: Packet, hp: Honeyprefix) -> Packet | None:
         if not hp.responds(pkt.dst, UDP, pkt.dport):
-            return
+            return None
         if pkt.dport == DNS_PORT:
             # SERVFAIL instead of implementing a resolver an attacker could
             # abuse for reflection.  The reply is a well-formed 12-byte DNS
@@ -594,32 +491,29 @@ class Twinklenet:
             txid = pkt.payload[:2].ljust(2, b"\x00")
             payload = txid + DNS_SERVFAIL_PAYLOAD + _DNS_ZERO_COUNTS
             self._m_reply_dns.inc()
-            self._send(udp_datagram(
+            return udp_datagram(
                 pkt.timestamp, pkt.dst, pkt.src, pkt.dport, pkt.sport, payload
-            ))
-        elif pkt.dport == NTP_PORT:
+            )
+        if pkt.dport == NTP_PORT:
             self._m_reply_ntp.inc()
-            self._send(udp_datagram(
+            return udp_datagram(
                 pkt.timestamp, pkt.dst, pkt.src, pkt.dport, pkt.sport,
                 NTP_KOD_PAYLOAD,
-            ))
-        # Other UDP ports bound in future configs: responsive but mute.
+            )
+        return None  # other UDP ports bound in future configs: mute
 
     # -- columnar kernels ------------------------------------------------
 
     def handle_batch(self, batch: PacketBatch | WireBatch,
-                     owner_hint: Honeyprefix | None = None) -> WireBatch:
-        """Process a whole batch; returns the reply batch (row order =
-        input row order, matching the per-packet reference exactly).
+                     hp: Honeyprefix) -> WireBatch:
+        """Process a whole batch for its honeyprefix ``hp``; returns the
+        reply batch (row order = input row order, matching the per-packet
+        reference exactly).
 
         Accepts a probe :class:`PacketBatch` (the telescope fast path) or a
         full :class:`WireBatch` (handshake/payload traffic, e.g. from
         tests).  Dark rows cost only their share of the vectorized masks —
         nothing is materialized per packet on the all-SYN hot path.
-
-        ``owner_hint``: a honeyprefix the caller guarantees owns every row
-        (the telescope slices traffic per deployed /48 before dispatching
-        here); skips the per-row owner lookup.
         """
         wire = as_wire(batch)
         n = len(wire)
@@ -627,44 +521,22 @@ class Twinklenet:
         self._m_rx.inc(n)
         out = WireBuilder()
         if n:
-            if owner_hint is not None:
-                if len(self.config.honeyprefixes) != self._indexed_count:
-                    self._rebuild_owner_index()
-                owner = np.full(n, self._hp_pos[id(owner_hint)],
-                                dtype=np.int64)
-            else:
-                owner = self._owner_pos_batch(wire.dst_hi, wire.dst_lo)
-            if (owner >= 0).any():
-                self._react_icmp_batch(wire, owner, out)
-                self._react_udp_batch(wire, owner, out)
-                self._react_tcp_batch(wire, owner, out)
+            self._react_icmp_batch(wire, hp, out)
+            self._react_udp_batch(wire, hp, out)
+            self._react_tcp_batch(wire, hp, out)
         replies = out.build()
-        if len(replies):
-            self.tx_count += len(replies)
-            if self._transmit_batch is not None:
-                self._transmit_batch(replies)
-            else:
-                for pkt in replies.to_packets():
-                    self._transmit(pkt)
+        self.tx_count += len(replies)
         return replies
 
-    def _react_icmp_batch(self, wire: WireBatch, owner: np.ndarray,
+    def _react_icmp_batch(self, wire: WireBatch, hp: Honeyprefix,
                           out: WireBuilder) -> None:
-        req = icmp_echo_request_mask(wire.proto, wire.sport) & (owner >= 0)
-        if not req.any():
-            return
-        ok = np.zeros(len(wire), dtype=bool)
-        for pos, rows in _by_owner(owner, np.flatnonzero(req)):
-            hp = self.config.honeyprefixes[pos]
-            if hp.config.aliased:
-                # Aliased prefixes answer ICMP everywhere they own.
-                ok[rows] = True
-            else:
-                set_hi, set_lo = hp.icmp_address_columns()
-                hit = find_keys((set_hi, set_lo),
-                                (wire.dst_hi[rows], wire.dst_lo[rows])) >= 0
-                ok[rows[hit]] = True
-        idx = np.nonzero(ok)[0]
+        idx = np.flatnonzero(icmp_echo_request_mask(wire.proto, wire.sport))
+        if len(idx) and not hp.config.aliased:
+            # Aliased prefixes answer ICMP everywhere; the others only on
+            # their ICMP-bound addresses.
+            set_hi, set_lo = hp.icmp_address_columns()
+            idx = idx[find_keys((set_hi, set_lo),
+                                (wire.dst_hi[idx], wire.dst_lo[idx])) >= 0]
         if len(idx) == 0:
             return
         self._m_reply_icmp.inc(len(idx))
@@ -676,22 +548,18 @@ class Twinklenet:
             payload_id=out.translate_ids(wire.payloads, wire.payload_id[idx]),
         )
 
-    def _react_udp_batch(self, wire: WireBatch, owner: np.ndarray,
+    def _react_udp_batch(self, wire: WireBatch, hp: Honeyprefix,
                          out: WireBuilder) -> None:
-        udp = (wire.proto == np.uint8(UDP)) & (owner >= 0)
-        if not udp.any():
+        rows = np.flatnonzero(wire.proto == np.uint8(UDP))
+        if len(rows) == 0:
             return
-        bound = np.zeros(len(wire), dtype=bool)
-        for pos, rows in _by_owner(owner, np.flatnonzero(udp)):
-            hp = self.config.honeyprefixes[pos]
-            set_hi, set_lo, set_ports = hp.binding_columns(UDP)
-            if len(set_hi) == 0:
-                continue
-            hit = find_keys(
-                (set_hi, set_lo, set_ports),
-                (wire.dst_hi[rows], wire.dst_lo[rows], wire.dport[rows])) >= 0
-            bound[rows[hit]] = True
-        dns = np.nonzero(bound & (wire.dport == np.uint16(DNS_PORT)))[0]
+        set_hi, set_lo, set_ports = hp.binding_columns(UDP)
+        if len(set_hi) == 0:
+            return
+        rows = rows[find_keys(
+            (set_hi, set_lo, set_ports),
+            (wire.dst_hi[rows], wire.dst_lo[rows], wire.dport[rows])) >= 0]
+        dns = rows[wire.dport[rows] == np.uint16(DNS_PORT)]
         if len(dns):
             # Vectorized payload selection: one SERVFAIL per distinct query
             # payload (probe batches carry a single constant, so this loop
@@ -711,7 +579,7 @@ class Twinklenet:
                 UDP, wire.dport[dns], wire.sport[dns],
                 payload_id=pid_out,
             )
-        ntp = np.nonzero(bound & (wire.dport == np.uint16(NTP_PORT)))[0]
+        ntp = rows[wire.dport[rows] == np.uint16(NTP_PORT)]
         if len(ntp):
             self._m_reply_ntp.inc(len(ntp))
             out.append_block(
@@ -722,34 +590,30 @@ class Twinklenet:
                 payload_id=out.intern(NTP_KOD_PAYLOAD),
             )
 
-    def _react_tcp_batch(self, wire: WireBatch, owner: np.ndarray,
+    def _react_tcp_batch(self, wire: WireBatch, hp: Honeyprefix,
                          out: WireBuilder) -> None:
         """The TCP kernel: eviction-sweep segmentation around the
         struct-of-arrays session table.
 
-        Every owned TCP row advances the sweep clock (exactly as every
-        scalar ``_handle_tcp`` call does), so the row sequence is cut at
-        sweep fire points and processed segment by segment; within a
-        segment the table state is stable and the all-SYN case — probe
-        traffic — vectorizes fully.
+        Every TCP row advances the sweep clock (exactly as every scalar
+        ``_handle_tcp`` call does), so the row sequence is cut at sweep
+        fire points and processed segment by segment; within a segment
+        the table state is stable and the all-SYN case — probe traffic —
+        vectorizes fully.
         """
-        tcp_rows = np.nonzero((wire.proto == np.uint8(TCP)) & (owner >= 0))[0]
+        tcp_rows = np.flatnonzero(wire.proto == np.uint8(TCP))
         if len(tcp_rows) == 0:
             return
         ts = wire.ts[tcp_rows]
-        # Eligibility: an exact (address, port) binding on the owner.
-        elig = np.zeros(len(tcp_rows), dtype=bool)
-        for pos, rows in _by_owner(owner[tcp_rows],
-                                   np.arange(len(tcp_rows))):
-            hp = self.config.honeyprefixes[pos]
-            set_hi, set_lo, set_ports = hp.binding_columns(TCP)
-            if len(set_hi) == 0:
-                continue
-            sel = tcp_rows[rows]
-            hit = find_keys(
+        # Eligibility: an exact (address, port) binding on the honeyprefix.
+        set_hi, set_lo, set_ports = hp.binding_columns(TCP)
+        if len(set_hi):
+            elig = find_keys(
                 (set_hi, set_lo, set_ports),
-                (wire.dst_hi[sel], wire.dst_lo[sel], wire.dport[sel])) >= 0
-            elig[rows[hit]] = True
+                (wire.dst_hi[tcp_rows], wire.dst_lo[tcp_rows],
+                 wire.dport[tcp_rows])) >= 0
+        else:
+            elig = np.zeros(len(tcp_rows), dtype=bool)
         timeout = self.config.session_timeout
         pos = 0
         scan = 0

@@ -125,19 +125,17 @@ def table7() -> Table7Result:
     )
     hp = deploy_addresses(config, prefix, rng=7)
     hp.record(0.0, Feature.BGP)
-    responses = []
-    twinklenet = Twinklenet(TwinklenetConfig([hp]), transmit=responses.append)
+    twinklenet = Twinklenet(TwinklenetConfig())
     src = IPv6Prefix.parse("2001:db8:aaaa::/48").network | 9
 
     interactions: dict[str, str] = {}
 
     def observe(label: str, pkt) -> None:
-        before = len(responses)
-        twinklenet.handle(pkt)
-        if len(responses) == before:
+        replies = twinklenet.handle(pkt, hp)
+        if not replies:
             interactions[label] = "(silence)"
             return
-        out = responses[-1]
+        out = replies[-1]
         if out.proto == ICMPV6 and out.sport == int(IcmpType.ECHO_REPLY):
             interactions[label] = "ICMPv6 Echo reply"
         elif out.proto == TCP:

@@ -252,6 +252,7 @@ class ScenarioService:
                     self.registry.counter("service.deduped").inc()
                     span.set(outcome="deduped")
                     return run, "deduped"
+                retry = run is not None
                 run = RunState(
                     run_id=run_id, config=asdict(config),
                     config_hash=config_hash(config), status="pending",
@@ -276,6 +277,10 @@ class ScenarioService:
                         f"{self.queue_limit}); retry later"
                     )
                 self.journals_dir.mkdir(parents=True, exist_ok=True)
+                if retry:
+                    # The failed attempt's journal sits at the same path;
+                    # left there, it would read as a retry already running.
+                    Path(run.journal_path).unlink(missing_ok=True)
                 try:
                     run.future = self._pool.submit(
                         _execute_run, run.config, str(self.cache.root),

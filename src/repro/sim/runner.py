@@ -178,9 +178,12 @@ def run_scenario(
     ``cache_store`` so a run is auditable from its artifacts.
     ``checkpoint_every=K`` (which needs ``cache_dir``) writes a mid-run
     entry at every day boundary that is a multiple of K.  Every mode and
-    store state yields the same records, ``origin``, counters, journal,
-    stream summaries and observer files: the determinism contract
-    (``tests/sim/test_mode_matrix.py``).
+    store state yields the same records, ``origin``, dispatch counters,
+    journal, stream summaries and observer files: the determinism
+    contract (``tests/sim/test_mode_matrix.py``).  The honeypots' session
+    and NAT flow tables and their reply counters are not in it: a resumed
+    run replays the covered days without dispatching, so they restart
+    empty at the resume day.
 
     ``abort_after_day=N`` raises :class:`SimulationAborted` once day N
     has completed (fed to the analyzers and the observatory, and

@@ -24,10 +24,8 @@ from repro.analysis.scandetect import detect_scans
 from repro.analysis.streaming import (
     SessionTracker,
     StreamAnalyzer,
-    dense_pairs,
-    find_pairs,
 )
-from repro.net.addr import mask_u64
+from repro.net.addr import find_keys, group_keys, key_hashes, mask_u64
 from repro.net.packet import TCP, UDP, Packet, icmp_echo_request
 from tests.analysis.reference import detect_scans_reference, sorted_by_time
 
@@ -289,6 +287,10 @@ class TestUnsortedAndEdgeChunks:
 
 
 class TestPairIds:
+    """The two-column case of the composite-key kernel, which the session
+    tracker uses for source and destination ids, including pairs built to
+    collide in its 64-bit hash."""
+
     def test_hash_collision_falls_back_to_exact_ids(self):
         """Two distinct pairs built to share the 64-bit pair hash still
         get distinct ids."""
@@ -300,9 +302,11 @@ class TestPairIds:
         lo_col = np.array(lo, dtype=np.uint64)
         hashes = (hi_col * np.uint64(mix)) ^ lo_col
         assert hashes[0] == hashes[1]
-        ids, u_hi, u_lo = dense_pairs(hi_col, lo_col)
+        assert (key_hashes((hi_col, lo_col)) == hashes).all()
+        ids, rep = group_keys((hi_col, lo_col))
         assert ids[0] == ids[2] and len(set(ids.tolist())) == 3
-        assert (u_hi[ids] == hi_col).all() and (u_lo[ids] == lo_col).all()
+        assert (hi_col[rep][ids] == hi_col).all()
+        assert (lo_col[rep][ids] == lo_col).all()
 
     def test_find_pairs_with_a_colliding_table(self):
         """A table holding two pairs with one hash still answers every
@@ -314,7 +318,7 @@ class TestPairIds:
                             dtype=np.uint64)
         q_hi = np.array([2, 1, 7, 3, 1], dtype=np.uint64)
         q_lo = np.array([table_lo[1], 0, 9, 0, 1], dtype=np.uint64)
-        assert find_pairs(table_hi, table_lo, q_hi, q_lo).tolist() == [
+        assert find_keys((table_hi, table_lo), (q_hi, q_lo)).tolist() == [
             1, 0, 2, -1, -1]
 
     def test_find_pairs_random(self):
@@ -327,19 +331,19 @@ class TestPairIds:
         q_lo = rng.integers(0, 60, 400).astype(np.uint64)
         rows = {pair: i for i, pair in enumerate(zip(table_hi.tolist(),
                                                       table_lo.tolist()))}
-        assert find_pairs(table_hi, table_lo, q_hi, q_lo).tolist() == [
+        assert find_keys((table_hi, table_lo), (q_hi, q_lo)).tolist() == [
             rows.get(pair, -1)
             for pair in zip(q_hi.tolist(), q_lo.tolist())]
-        assert find_pairs(table_hi[:0], table_lo[:0], q_hi, q_lo).tolist() \
-            == [-1] * len(q_hi)
+        assert find_keys((table_hi[:0], table_lo[:0]),
+                         (q_hi, q_lo)).tolist() == [-1] * len(q_hi)
 
     def test_random_pairs(self):
         rng = np.random.default_rng(1)
         hi = rng.integers(0, 4, size=500, dtype=np.uint64)
         lo = rng.integers(0, 40, size=500, dtype=np.uint64)
-        ids, u_hi, u_lo = dense_pairs(hi, lo)
-        assert len(u_hi) == len(set(zip(hi.tolist(), lo.tolist())))
-        assert (u_hi[ids] == hi).all() and (u_lo[ids] == lo).all()
+        ids, rep = group_keys((hi, lo))
+        assert len(rep) == len(set(zip(hi.tolist(), lo.tolist())))
+        assert (hi[rep][ids] == hi).all() and (lo[rep][ids] == lo).all()
 
 
 class TestStreamAnalyzer:

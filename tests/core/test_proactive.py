@@ -95,6 +95,14 @@ class TestDeploy:
             telescope.deploy(configs["H_BGP1"],
                              IPv6Prefix.parse("2002::/48"), at=0.0)
 
+    def test_non_48_prefix_rejected(self, telescope, configs):
+        """The /48 is the unit of routing: a longer prefix would have its
+        whole /48 answered by its honeypot."""
+        with pytest.raises(ValueError):
+            telescope.deploy(
+                dataclasses.replace(configs["H_Alias"], announce_length=56),
+                COVERING.subnet_at(0x8000 << 8, 56), at=1000.0)
+
     def test_tpot_deploys_gateway(self, telescope, configs):
         hp = telescope.deploy(configs["H_TPot1"], _slot(6), at=1000.0)
         assert "H_TPot1" in telescope.gateways
@@ -169,6 +177,23 @@ class TestDataPlane:
         _send(telescope, icmp_echo_request(2000.0, SRC, COVERING.network | 1))
         assert telescope.response_count == 0
 
+    def test_honeypots_see_only_their_own_prefix(self, telescope, configs):
+        """The telescope is the one router: Twinklenet and the gateways
+        never receive a row outside the honeyprefix it is routed to."""
+        alias = telescope.deploy(configs["H_Alias"], _slot(1), at=1000.0)
+        tpot = telescope.deploy(configs["H_TPot1"], _slot(2), at=1000.0)
+        for dst in (COVERING.network | 1, _slot(3).network | 1):
+            _send(telescope, icmp_echo_request(2000.0, SRC, dst))
+        assert telescope.twinklenet.rx_count == 0
+        assert telescope.gateways["H_TPot1"].rx_count == 0
+        _send(telescope, icmp_echo_request(2001.0, SRC,
+                                           alias.prefix.network | 5))
+        _send(telescope, icmp_echo_request(2002.0, SRC,
+                                           tpot.prefix.network | 5))
+        assert telescope.twinklenet.rx_count == 1
+        assert telescope.gateways["H_TPot1"].rx_count == 1
+        assert telescope.response_count == 2
+
 
 def _route_reference(telescope, batch):
     """Per-key mask loop: each deployed /48's rows, in ascending key
@@ -198,12 +223,16 @@ class TestRouting:
         for name, i in slots.items():
             telescope.deploy(configs[name], _slot(i), at=1000.0)
         routed = []
+
+        def recorder(name=None):
+            def handle_batch(sub, hp=None):
+                routed.append((name or hp.name, sub))
+                return ()  # no replies
+            return handle_batch
+
         for name, gateway in telescope.gateways.items():
-            gateway.handle_batch = (
-                lambda sub, _name=name: routed.append((_name, sub)))
-        telescope.twinklenet.handle_batch = (
-            lambda sub, owner_hint=None: routed.append(
-                (owner_hint.name, sub)))
+            gateway.handle_batch = recorder(name)
+        telescope.twinklenet.handle_batch = recorder()
 
         rng = np.random.default_rng(4)
         n = 600
@@ -254,6 +283,13 @@ class TestOracles:
         addr = hp.prefix.network | 77
         assert not telescope.responds(addr, ICMPV6, None, at=500.0)
         assert telescope.responds(addr, ICMPV6, None, at=1500.0)
+
+    def test_control_space_never_responds(self, telescope, configs):
+        telescope.deploy(configs["H_TPot1"], _slot(1), at=1000.0)
+        telescope.deploy(configs["H_Alias"], _slot(2), at=1000.0)
+        for addr in (COVERING.network | 9, _slot(3).network | 9):
+            assert not telescope.responds(addr, ICMPV6, None, at=2000.0)
+            assert not telescope.responds(addr, TCP, 22, at=2000.0)
 
     def test_responds_after_withdrawal(self, telescope, configs):
         hp = telescope.deploy(configs["H_Alias"], _slot(1), at=1000.0)

@@ -3,10 +3,14 @@
 The contract under test: ``Twinklenet.handle_batch`` and
 ``DnatGateway.handle_batch`` produce byte-identical replies, state and
 counters to feeding the same packets one by one through ``handle``.
+Twinklenet gets each packet's honeyprefix with it, as the proactive
+telescope routes them.
 Traffic is randomized per test (addresses, ports, flags, interleavings)
 and every comparison is exact — replies as full ``Packet`` values in
 order, session tables, NAT flow tables, metric snapshots.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -40,13 +44,14 @@ from tests.net.reference import (
 
 PREFIX = IPv6Prefix.parse("2001:db8:200::/48")
 ALIASED_PREFIX = IPv6Prefix.parse("2001:db8:201::/48")
+SECOND_PREFIX = IPv6Prefix.parse("2001:db8:202::/48")
 TPOT_PREFIX = IPv6Prefix.parse("2001:db8:300::/48")
 SRC_NET = IPv6Prefix.parse("2001:db8:f00::/48").network
 
 
-def _make_pot(rng, **config_kwargs):
-    """A Twinklenet over one bound and one aliased honeyprefix, plus its
-    private metrics registry and transmit log."""
+def _honeyprefixes(**config_kwargs):
+    """One bound and one aliased honeyprefix, as one Twinklenet serves
+    them."""
     defaults = dict(
         name="hp", icmp_mode=IcmpMode.ADDRESSES,
         tcp_services=(("web", (80, 443)),), udp_ports=(53, 123, 9999),
@@ -58,14 +63,36 @@ def _make_pot(rng, **config_kwargs):
         HoneyprefixConfig(name="hp_alias", aliased=True,
                           icmp_mode=IcmpMode.FULL),
         ALIASED_PREFIX, np.random.default_rng(99))
+    return bound, aliased
+
+
+def _make_pot():
+    """A Twinklenet and its private metrics registry."""
     registry = MetricsRegistry()
-    out = []
     with use_registry(registry):
-        pot = Twinklenet(
-            TwinklenetConfig([bound, aliased],
-                             session_timeout=50.0, max_sessions=64),
-            transmit=out.append)
-    return pot, bound, registry, out
+        pot = Twinklenet(TwinklenetConfig(session_timeout=50.0,
+                                          max_sessions=64))
+    return pot, registry
+
+
+def _route(hps, dst):
+    return next(hp for hp in hps if dst in hp.prefix)
+
+
+def _run_scalar(pot, hps, pkts):
+    """Every packet through ``handle`` with its honeyprefix; the replies."""
+    return [reply for pkt in pkts
+            for reply in pot.handle(pkt, _route(hps, pkt.dst))]
+
+
+def _run_batch(pot, hps, pkts):
+    """Each maximal run of packets under one honeyprefix through
+    ``handle_batch``, in arrival order; the replies."""
+    replies = []
+    for hp, run in itertools.groupby(pkts, lambda p: _route(hps, p.dst)):
+        replies += pot.handle_batch(
+            WireBatch.from_packets(list(run)), hp).to_packets()
+    return replies
 
 
 def _random_traffic(rng, hp, n):
@@ -123,11 +150,6 @@ def _random_traffic(rng, hp, n):
     return pkts
 
 
-def _run_scalar(pot, pkts):
-    for pkt in pkts:
-        pot.handle(pkt)
-
-
 def _state(pot):
     return (pot._sessions, pot.sessions_completed, pot.sessions_evicted,
             pot.rx_count, pot.tx_count, pot._last_sweep)
@@ -137,13 +159,12 @@ class TestTwinklenetEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_randomized_mixed_traffic(self, seed):
         rng = np.random.default_rng(seed)
-        pot_s, hp, reg_s, out_s = _make_pot(rng)
-        pot_b, _, reg_b, out_b = _make_pot(rng)
-        pkts = _random_traffic(rng, hp, 400)
-        _run_scalar(pot_s, pkts)
-        replies = pot_b.handle_batch(WireBatch.from_packets(pkts))
-        assert out_b == out_s  # batch transmit falls back to per-packet
-        assert replies.to_packets() == out_s
+        hps = _honeyprefixes()
+        pot_s, reg_s = _make_pot()
+        pot_b, reg_b = _make_pot()
+        pkts = _random_traffic(rng, hps[0], 400)
+        out_s = _run_scalar(pot_s, hps, pkts)
+        assert _run_batch(pot_b, hps, pkts) == out_s
         assert _state(pot_b) == _state(pot_s)
         assert reg_b.snapshot()["counters"] == reg_s.snapshot()["counters"]
 
@@ -152,14 +173,16 @@ class TestTwinklenetEquivalence:
         """Cutting the same stream into arbitrary batch boundaries changes
         nothing — state carries across handle_batch calls."""
         rng = np.random.default_rng(seed)
-        pot_s, hp, reg_s, out_s = _make_pot(rng)
-        pot_b, _, reg_b, out_b = _make_pot(rng)
-        pkts = _random_traffic(rng, hp, 300)
-        _run_scalar(pot_s, pkts)
+        hps = _honeyprefixes()
+        pot_s, reg_s = _make_pot()
+        pot_b, reg_b = _make_pot()
+        pkts = _random_traffic(rng, hps[0], 300)
+        out_s = _run_scalar(pot_s, hps, pkts)
+        out_b = []
         i = 0
         while i < len(pkts):
             step = int(rng.integers(1, 40))
-            pot_b.handle_batch(WireBatch.from_packets(pkts[i:i + step]))
+            out_b += _run_batch(pot_b, hps, pkts[i:i + step])
             i += step
         assert out_b == out_s
         assert _state(pot_b) == _state(pot_s)
@@ -169,37 +192,36 @@ class TestTwinklenetEquivalence:
         """All-SYN batches (probe traffic) take the vectorized segment and
         still match, including re-SYNs of the same key within a batch."""
         rng = np.random.default_rng(42)
-        pot_s, hp, reg_s, out_s = _make_pot(rng)
-        pot_b, _, reg_b, out_b = _make_pot(rng)
-        addr = next(a for a, b in hp.responsive.items() if (TCP, 80) in b)
+        hps = _honeyprefixes()
+        pot_s, reg_s = _make_pot()
+        pot_b, reg_b = _make_pot()
+        addr = next(a for a, b in hps[0].responsive.items() if (TCP, 80) in b)
         pkts = [
             tcp_segment(float(i) * 0.01, SRC_NET | int(rng.integers(1, 8)),
                         addr, 5000 + int(rng.integers(0, 3)), 80,
                         TcpFlags.SYN, seq=i)
             for i in range(200)
         ]
-        _run_scalar(pot_s, pkts)
-        pot_b.handle_batch(WireBatch.from_packets(pkts))
-        assert out_b == out_s
+        out_s = _run_scalar(pot_s, hps, pkts)
+        assert _run_batch(pot_b, hps, pkts) == out_s
         assert _state(pot_b) == _state(pot_s)
         assert reg_b.snapshot()["counters"] == reg_s.snapshot()["counters"]
 
     def test_idle_eviction_straddles_batch_gap(self):
         """Sessions opened in one batch are sweep-evicted by a later batch
         exactly when the scalar path would evict them."""
-        rng = np.random.default_rng(7)
-        pot_s, hp, _, out_s = _make_pot(rng)
-        pot_b, _, _, out_b = _make_pot(rng)
-        addr = next(a for a, b in hp.responsive.items() if (TCP, 80) in b)
+        hps = _honeyprefixes()
+        pot_s, _ = _make_pot()
+        pot_b, _ = _make_pot()
+        addr = next(a for a, b in hps[0].responsive.items() if (TCP, 80) in b)
         early = [tcp_segment(1.0 + i, SRC_NET | (i + 1), addr, 5000, 80,
                              TcpFlags.SYN, seq=1) for i in range(5)]
         # timeout is 50.0: the late packets trip a sweep that evicts the
         # early sessions (idle > timeout) mid-stream.
         late = [tcp_segment(200.0 + i, SRC_NET | 99, addr, 6000 + i, 80,
                             TcpFlags.SYN, seq=1) for i in range(3)]
-        _run_scalar(pot_s, early + late)
-        pot_b.handle_batch(WireBatch.from_packets(early))
-        pot_b.handle_batch(WireBatch.from_packets(late))
+        out_s = _run_scalar(pot_s, hps, early + late)
+        out_b = _run_batch(pot_b, hps, early) + _run_batch(pot_b, hps, late)
         assert pot_b.sessions_evicted == pot_s.sessions_evicted == 5
         assert _state(pot_b) == _state(pot_s)
         assert out_b == out_s
@@ -207,17 +229,17 @@ class TestTwinklenetEquivalence:
     def test_max_sessions_cap_preserves_eviction_order(self):
         """Overflowing the cap recycles oldest-inserted sessions in the
         same order on both paths."""
-        rng = np.random.default_rng(13)
-        pot_s, hp, _, out_s = _make_pot(rng)
-        pot_b, _, _, out_b = _make_pot(rng)
+        hps = _honeyprefixes()
+        pot_s, _ = _make_pot()
+        pot_b, _ = _make_pot()
         pot_s.config.max_sessions = 8
         pot_b.config.max_sessions = 8
-        addr = next(a for a, b in hp.responsive.items() if (TCP, 80) in b)
+        addr = next(a for a, b in hps[0].responsive.items() if (TCP, 80) in b)
         pkts = [tcp_segment(1.0 + 0.01 * i, SRC_NET | (i % 20 + 1), addr,
                             7000 + i % 3, 80, TcpFlags.SYN, seq=i)
                 for i in range(40)]
-        _run_scalar(pot_s, pkts)
-        pot_b.handle_batch(WireBatch.from_packets(pkts))
+        out_s = _run_scalar(pot_s, hps, pkts)
+        out_b = _run_batch(pot_b, hps, pkts)
         assert list(pot_b._sessions) == list(pot_s._sessions)  # key order
         assert _state(pot_b) == _state(pot_s)
         assert out_b == out_s
@@ -226,12 +248,12 @@ class TestTwinklenetEquivalence:
         """At-cap segments whose victims are untouched by the segment take
         the bulk eviction branch; a segment that re-SYNs a session due for
         eviction must fall back to row order — both match scalar."""
-        rng = np.random.default_rng(17)
-        pot_s, hp, _, out_s = _make_pot(rng)
-        pot_b, _, _, out_b = _make_pot(rng)
+        hps = _honeyprefixes()
+        pot_s, _ = _make_pot()
+        pot_b, _ = _make_pot()
         pot_s.config.max_sessions = 16
         pot_b.config.max_sessions = 16
-        addr = next(a for a, b in hp.responsive.items() if (TCP, 80) in b)
+        addr = next(a for a, b in hps[0].responsive.items() if (TCP, 80) in b)
 
         def syn(ts, host, sport):
             return tcp_segment(ts, SRC_NET | host, addr, sport, 80,
@@ -245,9 +267,10 @@ class TestTwinklenetEquivalence:
         # victim: only row order decides, so the kernel must fall back.
         entangled = [syn(3.0, 9, 5000)] + [
             syn(3.01 + 0.01 * i, 200 + i, 5000) for i in range(10)]
+        out_s, out_b = [], []
         for chunk in (fill, overflow, entangled):
-            _run_scalar(pot_s, chunk)
-            pot_b.handle_batch(WireBatch.from_packets(chunk))
+            out_s += _run_scalar(pot_s, hps, chunk)
+            out_b += _run_batch(pot_b, hps, chunk)
             assert list(pot_b._sessions) == list(pot_s._sessions)
             assert _state(pot_b) == _state(pot_s)
         assert out_b == out_s
@@ -257,12 +280,12 @@ class TestTwinklenetEquivalence:
         whole table holds (scanner flood) wipes and repopulates the table
         exactly like the scalar FIFO, including the insertion-sequence
         numbers consumed by inserts that were evicted again mid-segment."""
-        rng = np.random.default_rng(29)
-        pot_s, hp, reg_s, out_s = _make_pot(rng)
-        pot_b, _, reg_b, out_b = _make_pot(rng)
+        hps = _honeyprefixes()
+        pot_s, reg_s = _make_pot()
+        pot_b, reg_b = _make_pot()
         pot_s.config.max_sessions = 16
         pot_b.config.max_sessions = 16
-        addr = next(a for a, b in hp.responsive.items() if (TCP, 80) in b)
+        addr = next(a for a, b in hps[0].responsive.items() if (TCP, 80) in b)
 
         def syn(ts, host, sport):
             return tcp_segment(ts, SRC_NET | host, addr, sport, 80,
@@ -273,9 +296,10 @@ class TestTwinklenetEquivalence:
         # The follow-up batch evicts by insertion sequence, so it can only
         # match if the flood left the exact scalar bookkeeping behind.
         after = [syn(3.0 + 0.01 * i, 900 + i, 5000) for i in range(4)]
+        out_s, out_b = [], []
         for chunk in (prefill, flood, after):
-            _run_scalar(pot_s, chunk)
-            pot_b.handle_batch(WireBatch.from_packets(chunk))
+            out_s += _run_scalar(pot_s, hps, chunk)
+            out_b += _run_batch(pot_b, hps, chunk)
             assert list(pot_b._sessions) == list(pot_s._sessions)
             assert _state(pot_b) == _state(pot_s)
         assert out_b == out_s
@@ -286,62 +310,113 @@ class TestTwinklenetEquivalence:
         """Sustained all-SYN churn at a small cap with recycled keys,
         split at random batch boundaries, stays state- and reply-exact."""
         rng = np.random.default_rng(seed)
-        pot_s, hp, reg_s, out_s = _make_pot(rng)
-        pot_b, _, reg_b, out_b = _make_pot(rng)
+        hps = _honeyprefixes()
+        pot_s, reg_s = _make_pot()
+        pot_b, reg_b = _make_pot()
         pot_s.config.max_sessions = 12
         pot_b.config.max_sessions = 12
-        addr = next(a for a, b in hp.responsive.items() if (TCP, 80) in b)
+        addr = next(a for a, b in hps[0].responsive.items() if (TCP, 80) in b)
         pkts = [
             tcp_segment(1.0 + 0.01 * i, SRC_NET | int(rng.integers(1, 30)),
                         addr, 5000 + int(rng.integers(0, 2)), 80,
                         TcpFlags.SYN, seq=i)
             for i in range(400)
         ]
-        _run_scalar(pot_s, pkts)
+        out_s = _run_scalar(pot_s, hps, pkts)
+        out_b = []
         i = 0
         while i < len(pkts):
             step = int(rng.integers(1, 60))
-            pot_b.handle_batch(WireBatch.from_packets(pkts[i:i + step]))
+            out_b += _run_batch(pot_b, hps, pkts[i:i + step])
             i += step
         assert list(pot_b._sessions) == list(pot_s._sessions)
         assert _state(pot_b) == _state(pot_s)
         assert reg_b.snapshot()["counters"] == reg_s.snapshot()["counters"]
         assert out_b == out_s
 
+    def test_two_honeyprefixes_share_one_session_table(self):
+        """One Twinklenet serves two bound honeyprefixes in turn.  Their
+        sessions share one table and one ``max_sessions`` FIFO: the second
+        prefix's SYNs recycle the first's oldest sessions, a later re-SYN
+        on the first re-inserts an evicted key and reopens a live one, and
+        rows that alternate between the prefixes interleave their inserts
+        — identically on both paths."""
+        first, _ = _honeyprefixes()
+        second = deploy_addresses(
+            HoneyprefixConfig(name="hp2", icmp_mode=IcmpMode.ADDRESSES,
+                              tcp_services=(("web", (80,)),)),
+            SECOND_PREFIX, np.random.default_rng(98))
+        hps = (first, second)
+        pot_s, reg_s = _make_pot()
+        pot_b, reg_b = _make_pot()
+        pot_s.config.max_sessions = 12
+        pot_b.config.max_sessions = 12
+        addr_a = next(a for a, b in first.responsive.items() if (TCP, 80) in b)
+        addr_b = next(a for a, b in second.responsive.items()
+                      if (TCP, 80) in b)
+
+        def syn(ts, host, addr):
+            return tcp_segment(ts, SRC_NET | host, addr, 5000, 80,
+                               TcpFlags.SYN, seq=host)
+
+        fill_a = [syn(1.0 + 0.01 * i, i + 1, addr_a) for i in range(10)]
+        # Eight keys on the second prefix: the table holds 12, so hosts
+        # 1..6 of the first prefix are recycled.
+        fill_b = [syn(2.0 + 0.01 * i, i + 1, addr_b) for i in range(8)]
+        # Host 1 was evicted (re-insert, recycling again); host 9 is live
+        # (reopen in place).
+        back_a = [syn(3.0, 1, addr_a), syn(3.01, 9, addr_a)]
+        alternating = [syn(4.0 + 0.01 * i, 40 + i,
+                           addr_a if i % 3 else addr_b) for i in range(9)]
+        out_s, out_b = [], []
+        for chunk in (fill_a, fill_b, back_a, alternating):
+            out_s += _run_scalar(pot_s, hps, chunk)
+            out_b += _run_batch(pot_b, hps, chunk)
+            assert list(pot_b._sessions) == list(pot_s._sessions)
+            assert _state(pot_b) == _state(pot_s)
+        locals_ = {local for (_, _, local, _) in pot_b._sessions}
+        assert locals_ == {addr_a, addr_b}
+        assert len(pot_b._sessions) == 12
+        assert pot_b.sessions_evicted == pot_s.sessions_evicted > 0
+        assert out_b == out_s
+        assert reg_b.snapshot()["counters"] == reg_s.snapshot()["counters"]
+
     def test_dns_servfail_exact_bytes(self):
-        rng = np.random.default_rng(3)
-        pot_b, hp, _, _ = _make_pot(rng)
+        hp, _ = _honeyprefixes()
+        pot_b, _ = _make_pot()
         addr = next(a for a, b in hp.responsive.items() if (UDP, 53) in b)
         query = udp_datagram(1.0, SRC_NET | 1, addr, 3333, 53,
                              payload=b"\xab\xcd\x01\x00rest")
-        replies = pot_b.handle_batch(WireBatch.from_packets([query]))
+        replies = pot_b.handle_batch(WireBatch.from_packets([query]), hp)
         pkts = replies.to_packets()
         assert len(pkts) == 1
         assert pkts[0].payload == (
             b"\xab\xcd" + DNS_SERVFAIL_PAYLOAD + b"\x00\x00" * 4)
         # Short query: the TXID is zero-padded to two bytes.
         short = udp_datagram(2.0, SRC_NET | 1, addr, 3333, 53, payload=b"\x7f")
-        pkts = pot_b.handle_batch(WireBatch.from_packets([short])).to_packets()
+        pkts = pot_b.handle_batch(WireBatch.from_packets([short]),
+                                  hp).to_packets()
         assert pkts[0].payload == (
             b"\x7f\x00" + DNS_SERVFAIL_PAYLOAD + b"\x00\x00" * 4)
 
     def test_ntp_kod_exact_bytes(self):
-        rng = np.random.default_rng(3)
-        pot_b, hp, _, _ = _make_pot(rng)
+        hp, _ = _honeyprefixes()
+        pot_b, _ = _make_pot()
         addr = next(a for a, b in hp.responsive.items() if (UDP, 123) in b)
         probe = udp_datagram(1.0, SRC_NET | 1, addr, 123, 123, payload=b"\x23")
-        pkts = pot_b.handle_batch(WireBatch.from_packets([probe])).to_packets()
+        pkts = pot_b.handle_batch(WireBatch.from_packets([probe]),
+                                  hp).to_packets()
         assert len(pkts) == 1
         assert pkts[0].payload == NTP_KOD_PAYLOAD == b"\x24\x00\x00\x00DENY"
 
     def test_aliased_icmp_everywhere_bound_elsewhere(self):
-        rng = np.random.default_rng(5)
-        pot_b, hp, _, _ = _make_pot(rng)
+        hps = _honeyprefixes()
+        pot_b, _ = _make_pot()
         deep = ALIASED_PREFIX.network | 0xABCDEF
-        pkts = pot_b.handle_batch(WireBatch.from_packets([
+        pkts = _run_batch(pot_b, hps, [
             icmp_echo_request(1.0, SRC_NET | 1, deep, payload=b"x"),
             icmp_echo_request(1.1, SRC_NET | 1, PREFIX.network | 0xDEAD),
-        ])).to_packets()
+        ])
         assert len(pkts) == 1
         assert pkts[0].src == deep
         assert pkts[0].sport == int(IcmpType.ECHO_REPLY)
@@ -350,11 +425,14 @@ class TestTwinklenetEquivalence:
 
 def _make_gateway():
     registry = MetricsRegistry()
-    out = []
     with use_registry(registry):
         tpot = TPotInstance("tpot1", TPOT1_CONTAINERS)
-        gateway = DnatGateway(TPOT_PREFIX, tpot, transmit=out.append)
-    return gateway, tpot, registry, out
+        gateway = DnatGateway(TPOT_PREFIX, tpot)
+    return gateway, tpot, registry
+
+
+def _gateway_scalar(gateway, pkts):
+    return [reply for pkt in pkts for reply in gateway.handle(pkt)]
 
 
 def _random_tpot_traffic(rng, n):
@@ -364,21 +442,18 @@ def _random_tpot_traffic(rng, n):
         ts += float(rng.exponential(0.3))
         src = SRC_NET | int(rng.integers(1, 30))
         dst = TPOT_PREFIX.network | int(rng.integers(0, 1 << 16))
-        kind = int(rng.integers(0, 8))
+        kind = int(rng.integers(0, 6))
         if kind == 0:
             pkts.append(icmp_echo_request(ts, src, dst, payload=b"pp"))
         elif kind in (1, 2, 3):
             port = int(rng.choice([22, 80, 443, 25, 9, 9200]))
             pkts.append(tcp_segment(ts, src, dst, 5000 + int(rng.integers(0, 4)),
                                     port, TcpFlags.SYN, seq=int(rng.integers(0, 999))))
-        elif kind in (4, 5):
+        else:
             port = int(rng.choice([53, 69, 161, 9, 5000]))
             pkts.append(udp_datagram(ts, src, dst, 4000, port,
                                      payload=bytes(rng.integers(0, 256, 3,
                                                                 dtype=np.uint8))))
-        else:
-            pkts.append(tcp_segment(ts, src, SRC_NET | 0xFF, 5000, 80,
-                                    TcpFlags.SYN, seq=1))  # out of prefix
     return pkts
 
 
@@ -391,13 +466,11 @@ class TestTPotEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_randomized_probe_traffic(self, seed):
         rng = np.random.default_rng(seed)
-        gw_s, _, reg_s, out_s = _make_gateway()
-        gw_b, _, reg_b, out_b = _make_gateway()
+        gw_s, _, reg_s = _make_gateway()
+        gw_b, _, reg_b = _make_gateway()
         pkts = _random_tpot_traffic(rng, 300)
-        for pkt in pkts:
-            gw_s.handle(pkt)
+        out_s = _gateway_scalar(gw_s, pkts)
         replies = gw_b.handle_batch(WireBatch.from_packets(pkts))
-        assert out_b == out_s
         assert replies.to_packets() == out_s
         assert _gateway_state(gw_b) == _gateway_state(gw_s)
         assert reg_b.snapshot()["counters"] == reg_s.snapshot()["counters"]
@@ -406,16 +479,15 @@ class TestTPotEquivalence:
         """The columnar path allocates flows in first-packet order with
         the same sequential port assignment as the scalar path."""
         rng = np.random.default_rng(9)
-        gw_s, _, _, _ = _make_gateway()
-        gw_b, _, _, _ = _make_gateway()
+        gw_s, _, _ = _make_gateway()
+        gw_b, _, _ = _make_gateway()
         pkts = []
         for i in range(30):
             src = SRC_NET | (i % 5 + 1)
             dst = TPOT_PREFIX.network | (i % 3 + 1)
             pkts.append(tcp_segment(1.0 + i * 0.1, src, dst, 5000 + i % 2,
                                     22, TcpFlags.SYN, seq=i))
-        for pkt in pkts:
-            gw_s.handle(pkt)
+        _gateway_scalar(gw_s, pkts)
         gw_b.handle_batch(WireBatch.from_packets(pkts))
         flows = gw_b._flows.items()
         assert flows == gw_s._flows.items()
@@ -430,14 +502,13 @@ class TestTPotEquivalence:
     def test_port_wrap_reuses_shared_ports(self):
         """Allocation wraps from 60999 back to 32768 identically on both
         paths."""
-        gw_s, _, _, _ = _make_gateway()
-        gw_b, _, _, _ = _make_gateway()
+        gw_s, _, _ = _make_gateway()
+        gw_b, _, _ = _make_gateway()
         gw_s._next_port = gw_b._next_port = 60_995
         pkts = [tcp_segment(1.0 + i * 0.1, SRC_NET | (i + 1),
                             TPOT_PREFIX.network | 1, 5000, 22, TcpFlags.SYN)
                 for i in range(10)]
-        for pkt in pkts:
-            gw_s.handle(pkt)
+        _gateway_scalar(gw_s, pkts)
         gw_b.handle_batch(WireBatch.from_packets(pkts))
         expected = [*range(60_995, 61_000), *range(32_768, 32_773)]
         for gw in (gw_s, gw_b):
@@ -448,9 +519,8 @@ class TestTPotEquivalence:
     def test_handshake_traffic_uses_exact_fallback(self):
         """Batches containing non-SYN TCP (handshake completion, data) drop
         to the shared per-row relay and still match, banners included."""
-        rng = np.random.default_rng(21)
-        gw_s, _, reg_s, out_s = _make_gateway()
-        gw_b, _, reg_b, out_b = _make_gateway()
+        gw_s, _, reg_s = _make_gateway()
+        gw_b, _, reg_b = _make_gateway()
         src = SRC_NET | 2
         dst = TPOT_PREFIX.network | 77
         pkts = [
@@ -460,9 +530,8 @@ class TestTPotEquivalence:
                         seq=11, payload=b"SSH-2.0-client\r\n"),
             udp_datagram(1.3, src, dst, 4000, 53, payload=b"q"),
         ]
-        for pkt in pkts:
-            gw_s.handle(pkt)
-        gw_b.handle_batch(WireBatch.from_packets(pkts))
+        out_s = _gateway_scalar(gw_s, pkts)
+        out_b = gw_b.handle_batch(WireBatch.from_packets(pkts)).to_packets()
         assert out_b == out_s
         assert any(p.payload.startswith(b"SSH-2.0-OpenSSH") for p in out_b)
         assert _gateway_state(gw_b) == _gateway_state(gw_s)
@@ -472,36 +541,32 @@ class TestTPotEquivalence:
 def _tpot_rows_reference(gateway, sub):
     """Per-packet reference for ``DnatGateway.handle_batch``: materialize
     only rows the T-Pot surface can answer, bulk-account the rest."""
-    in_pref = sub.mask_dst_in(gateway.prefix)
-    need = in_pref & (sub.proto == np.uint8(ICMPV6))
+    need = sub.proto == np.uint8(ICMPV6)
     tcp_ports = np.asarray(gateway.tpot.open_ports(TCP), dtype=np.uint16)
     udp_ports = np.asarray(gateway.tpot.open_ports(UDP), dtype=np.uint16)
-    need |= (in_pref & (sub.proto == np.uint8(TCP))
-             & np.isin(sub.dport, tcp_ports))
-    need |= (in_pref & (sub.proto == np.uint8(UDP))
-             & np.isin(sub.dport, udp_ports))
+    need |= (sub.proto == np.uint8(TCP)) & np.isin(sub.dport, tcp_ports)
+    need |= (sub.proto == np.uint8(UDP)) & np.isin(sub.dport, udp_ports)
     idx = np.nonzero(need)[0]
     gateway.note_dark(len(sub) - len(idx))
-    for i in idx:
-        gateway.handle(sub.packet_at(int(i)))
+    return WireBatch.from_packets([
+        reply for i in idx.tolist()
+        for reply in gateway.handle(sub.packet_at(i))])
 
 
-def _twinklenet_rows_reference(pot, sub, owner_hint):
+def _twinklenet_rows_reference(pot, sub, hp):
     """Per-packet reference for ``Twinklenet.handle_batch``: TCP rows always
-    materialize (session table + eviction sweeps need every in-prefix
-    segment); ICMP/UDP rows materialize only when the responsiveness map
-    can answer them."""
-    hp = owner_hint
-    in_pref = sub.mask_dst_in(hp.prefix)
-    need = in_pref & (sub.proto == np.uint8(TCP))
-    icmp = in_pref & (sub.proto == np.uint8(ICMPV6))
+    materialize (session table + eviction sweeps need every segment);
+    ICMP/UDP rows materialize only when the responsiveness map can answer
+    them."""
+    need = sub.proto == np.uint8(TCP)
+    icmp = sub.proto == np.uint8(ICMPV6)
     if hp.config.aliased:
         need |= icmp
     elif icmp.any():
         set_hi, set_lo = hp.icmp_address_columns()
         need |= icmp & member_mask_u64_reference(sub.dst_hi, sub.dst_lo,
                                                  set_hi, set_lo)
-    udp = in_pref & (sub.proto == np.uint8(UDP))
+    udp = sub.proto == np.uint8(UDP)
     if udp.any():
         set_hi, set_lo, set_ports = hp.binding_columns(UDP)
         if len(set_hi):
@@ -510,8 +575,9 @@ def _twinklenet_rows_reference(pot, sub, owner_hint):
                 (set_hi, set_lo, set_ports))
     idx = np.nonzero(need)[0]
     pot.note_dark(len(sub) - len(idx))
-    for i in idx:
-        pot.handle(sub.packet_at(int(i)))
+    return WireBatch.from_packets([
+        reply for i in idx.tolist()
+        for reply in pot.handle(sub.packet_at(i), hp)])
 
 
 class TestScenarioReactParity:

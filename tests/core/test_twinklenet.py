@@ -11,7 +11,6 @@ from repro.core.twinklenet import (
 )
 from repro.net.addr import IPv6Prefix
 from repro.net.packet import (
-    ICMPV6,
     TCP,
     UDP,
     IcmpType,
@@ -32,10 +31,7 @@ def pot(rng):
         tcp_services=(("web", (80, 443)),), udp_ports=(53, 123),
     )
     hp = deploy_addresses(config, PREFIX, rng)
-    responses = []
-    twinklenet = Twinklenet(TwinklenetConfig([hp]),
-                            transmit=responses.append)
-    return twinklenet, hp, responses
+    return Twinklenet(TwinklenetConfig()), hp, []
 
 
 def _tcp_addr(hp):
@@ -49,72 +45,73 @@ def _udp_addr(hp):
 class TestIcmp:
     def test_echo_reply_for_responsive(self, pot):
         twinklenet, hp, responses = pot
-        twinklenet.handle(icmp_echo_request(1.0, SRC, PREFIX.network | 1))
+        responses += twinklenet.handle(
+            icmp_echo_request(1.0, SRC, PREFIX.network | 1), hp)
         assert len(responses) == 1
         assert responses[0].sport == int(IcmpType.ECHO_REPLY)
         assert responses[0].dst == SRC
 
     def test_silence_for_dark_address(self, pot):
         twinklenet, hp, responses = pot
-        twinklenet.handle(icmp_echo_request(1.0, SRC, PREFIX.network | 0xF00))
+        responses += twinklenet.handle(
+            icmp_echo_request(1.0, SRC, PREFIX.network | 0xF00), hp)
         assert responses == []
-
-    def test_silence_outside_honeyprefixes(self, pot):
-        twinklenet, hp, responses = pot
-        twinklenet.handle(icmp_echo_request(1.0, SRC, 42))
-        assert responses == []
-        assert twinklenet.rx_count == 1
 
 
 class TestTcp:
     def test_full_handshake_capture_and_fin(self, pot):
         twinklenet, hp, responses = pot
         addr = _tcp_addr(hp)
-        twinklenet.handle(tcp_segment(1.0, SRC, addr, 5000, 80,
-                                      TcpFlags.SYN, seq=100))
+        responses += twinklenet.handle(
+            tcp_segment(1.0, SRC, addr, 5000, 80, TcpFlags.SYN, seq=100), hp)
         assert TcpFlags(responses[-1].flags) == TcpFlags.SYN | TcpFlags.ACK
         assert responses[-1].ack == 101
-        twinklenet.handle(tcp_segment(1.1, SRC, addr, 5000, 80,
-                                      TcpFlags.ACK, seq=101, ack=1))
-        twinklenet.handle(tcp_segment(1.2, SRC, addr, 5000, 80,
-                                      TcpFlags.PSH | TcpFlags.ACK, seq=101,
-                                      payload=b"GET /"))
+        responses += twinklenet.handle(
+            tcp_segment(1.1, SRC, addr, 5000, 80,
+                        TcpFlags.ACK, seq=101, ack=1), hp)
+        responses += twinklenet.handle(
+            tcp_segment(1.2, SRC, addr, 5000, 80,
+                        TcpFlags.PSH | TcpFlags.ACK, seq=101,
+                        payload=b"GET /"), hp)
         assert TcpFlags(responses[-1].flags) & TcpFlags.FIN
         assert twinklenet.sessions_completed[0].first_data == b"GET /"
 
     def test_midstream_gets_rst(self, pot):
         twinklenet, hp, responses = pot
         addr = _tcp_addr(hp)
-        twinklenet.handle(tcp_segment(1.0, SRC, addr, 6000, 80,
-                                      TcpFlags.ACK, ack=55))
+        responses += twinklenet.handle(
+            tcp_segment(1.0, SRC, addr, 6000, 80, TcpFlags.ACK, ack=55), hp)
         assert TcpFlags(responses[-1].flags) == TcpFlags.RST
         assert responses[-1].seq == 55
 
     def test_closed_port_silence(self, pot):
         twinklenet, hp, responses = pot
-        twinklenet.handle(tcp_segment(1.0, SRC, _tcp_addr(hp), 7000, 8080,
-                                      TcpFlags.SYN))
+        responses += twinklenet.handle(
+            tcp_segment(1.0, SRC, _tcp_addr(hp), 7000, 8080, TcpFlags.SYN), hp)
         assert responses == []
 
 
 class TestUdp:
     def test_dns_servfail(self, pot):
         twinklenet, hp, responses = pot
-        twinklenet.handle(udp_datagram(1.0, SRC, _udp_addr(hp), 9000, 53,
-                                       b"\xab\xcdquery"))
+        responses += twinklenet.handle(
+            udp_datagram(1.0, SRC, _udp_addr(hp), 9000, 53,
+                         b"\xab\xcdquery"), hp)
         assert responses[-1].payload[:2] == b"\xab\xcd"
         assert DNS_SERVFAIL_PAYLOAD in responses[-1].payload
 
     def test_ntp_kiss_of_death(self, pot):
         twinklenet, hp, responses = pot
-        twinklenet.handle(udp_datagram(1.0, SRC, _udp_addr(hp), 9000, 123,
-                                       b"\x23" + b"\x00" * 47))
+        responses += twinklenet.handle(
+            udp_datagram(1.0, SRC, _udp_addr(hp), 9000, 123,
+                         b"\x23" + b"\x00" * 47), hp)
         assert responses[-1].payload == NTP_KOD_PAYLOAD
         assert b"DENY" in responses[-1].payload
 
     def test_unbound_udp_silence(self, pot):
         twinklenet, hp, responses = pot
-        twinklenet.handle(udp_datagram(1.0, SRC, _udp_addr(hp), 9000, 161))
+        responses += twinklenet.handle(
+            udp_datagram(1.0, SRC, _udp_addr(hp), 9000, 161), hp)
         assert responses == []
 
 
@@ -127,77 +124,83 @@ class TestSessionLifecycle:
             tcp_services=(("web", (80,)),),
         )
         hp = deploy_addresses(config, PREFIX, rng)
-        responses = []
-        pot = Twinklenet(
-            TwinklenetConfig([hp], session_timeout=session_timeout,
-                             max_sessions=max_sessions),
-            transmit=responses.append,
-        )
-        return pot, _tcp_addr(hp), responses
+        pot = Twinklenet(TwinklenetConfig(session_timeout=session_timeout,
+                                          max_sessions=max_sessions))
+        return pot, hp, _tcp_addr(hp), []
 
     def test_syn_sweep_leaves_table_bounded(self, rng):
         """10k SYN-only probes (the classic scanner pattern) must not grow
         the session table past the configured cap."""
-        pot, addr, _ = self._tcp_pot(rng, max_sessions=512)
+        pot, hp, addr, responses = self._tcp_pot(rng, max_sessions=512)
         for i in range(10_000):
             src = (0x2620 << 112) | i
-            pot.handle(tcp_segment(i * 0.01, src, addr, 5000, 80,
-                                   TcpFlags.SYN))
+            responses += pot.handle(
+                tcp_segment(i * 0.01, src, addr, 5000, 80, TcpFlags.SYN), hp)
         assert len(pot._sessions) <= 512
         assert pot.sessions_evicted >= 10_000 - 512
 
     def test_idle_sessions_evicted_by_timestamp(self, rng):
-        pot, addr, _ = self._tcp_pot(rng, session_timeout=600.0)
-        pot.handle(tcp_segment(0.0, SRC, addr, 5000, 80, TcpFlags.SYN))
+        pot, hp, addr, responses = self._tcp_pot(
+            rng, session_timeout=600.0)
+        responses += pot.handle(
+            tcp_segment(0.0, SRC, addr, 5000, 80, TcpFlags.SYN), hp)
         assert len(pot._sessions) == 1
         # A later packet (any TCP traffic) drives the idle sweep.
-        pot.handle(tcp_segment(1200.0, SRC + 1, addr, 5001, 80,
-                               TcpFlags.SYN))
+        responses += pot.handle(
+            tcp_segment(1200.0, SRC + 1, addr, 5001, 80, TcpFlags.SYN), hp)
         assert len(pot._sessions) == 1  # only the fresh session remains
         assert pot.sessions_evicted == 1
 
     def test_fin_tears_down_session_with_ack(self, rng):
-        pot, addr, responses = self._tcp_pot(rng)
-        pot.handle(tcp_segment(1.0, SRC, addr, 5000, 80, TcpFlags.SYN,
-                               seq=100))
-        pot.handle(tcp_segment(1.1, SRC, addr, 5000, 80, TcpFlags.ACK,
-                               seq=101, ack=1))
-        pot.handle(tcp_segment(1.2, SRC, addr, 5000, 80,
-                               TcpFlags.FIN | TcpFlags.ACK, seq=101))
+        pot, hp, addr, responses = self._tcp_pot(rng)
+        responses += pot.handle(
+            tcp_segment(1.0, SRC, addr, 5000, 80, TcpFlags.SYN, seq=100), hp)
+        responses += pot.handle(
+            tcp_segment(1.1, SRC, addr, 5000, 80, TcpFlags.ACK,
+                        seq=101, ack=1), hp)
+        responses += pot.handle(
+            tcp_segment(1.2, SRC, addr, 5000, 80,
+                        TcpFlags.FIN | TcpFlags.ACK, seq=101), hp)
         assert pot._sessions == {}
         assert TcpFlags(responses[-1].flags) == TcpFlags.ACK
         assert responses[-1].ack == 102
 
     def test_rst_tears_down_session_silently(self, rng):
-        pot, addr, responses = self._tcp_pot(rng)
-        pot.handle(tcp_segment(1.0, SRC, addr, 5000, 80, TcpFlags.SYN))
+        pot, hp, addr, responses = self._tcp_pot(rng)
+        responses += pot.handle(
+            tcp_segment(1.0, SRC, addr, 5000, 80, TcpFlags.SYN), hp)
         n_before = len(responses)
-        pot.handle(tcp_segment(1.1, SRC, addr, 5000, 80, TcpFlags.RST,
-                               seq=1))
+        responses += pot.handle(
+            tcp_segment(1.1, SRC, addr, 5000, 80, TcpFlags.RST, seq=1), hp)
         assert pot._sessions == {}
         assert len(responses) == n_before  # no reply to the RST
 
     def test_syn_ack_fin_no_payload_leaves_no_session(self, rng):
         """The SYN -> ACK -> FIN pattern (connect scan, no data) used to
         leak one TcpSession forever."""
-        pot, addr, _ = self._tcp_pot(rng)
-        pot.handle(tcp_segment(1.0, SRC, addr, 5000, 80, TcpFlags.SYN))
-        pot.handle(tcp_segment(1.1, SRC, addr, 5000, 80, TcpFlags.ACK,
-                               seq=1, ack=1))
-        pot.handle(tcp_segment(1.2, SRC, addr, 5000, 80,
-                               TcpFlags.FIN | TcpFlags.ACK, seq=1))
+        pot, hp, addr, responses = self._tcp_pot(rng)
+        responses += pot.handle(
+            tcp_segment(1.0, SRC, addr, 5000, 80, TcpFlags.SYN), hp)
+        responses += pot.handle(
+            tcp_segment(1.1, SRC, addr, 5000, 80, TcpFlags.ACK,
+                        seq=1, ack=1), hp)
+        responses += pot.handle(
+            tcp_segment(1.2, SRC, addr, 5000, 80,
+                        TcpFlags.FIN | TcpFlags.ACK, seq=1), hp)
         assert pot._sessions == {}
 
     def test_data_capture_still_works_after_eviction_plumbing(self, rng):
         """The Table 7 capture-then-FIN path is unchanged."""
-        pot, addr, responses = self._tcp_pot(rng)
-        pot.handle(tcp_segment(1.0, SRC, addr, 5000, 80, TcpFlags.SYN,
-                               seq=100))
-        pot.handle(tcp_segment(1.1, SRC, addr, 5000, 80, TcpFlags.ACK,
-                               seq=101, ack=1))
-        pot.handle(tcp_segment(1.2, SRC, addr, 5000, 80,
-                               TcpFlags.PSH | TcpFlags.ACK, seq=101,
-                               payload=b"GET /"))
+        pot, hp, addr, responses = self._tcp_pot(rng)
+        responses += pot.handle(
+            tcp_segment(1.0, SRC, addr, 5000, 80, TcpFlags.SYN, seq=100), hp)
+        responses += pot.handle(
+            tcp_segment(1.1, SRC, addr, 5000, 80, TcpFlags.ACK,
+                        seq=101, ack=1), hp)
+        responses += pot.handle(
+            tcp_segment(1.2, SRC, addr, 5000, 80,
+                        TcpFlags.PSH | TcpFlags.ACK, seq=101,
+                        payload=b"GET /"), hp)
         assert TcpFlags(responses[-1].flags) & TcpFlags.FIN
         assert pot.sessions_completed[0].first_data == b"GET /"
         assert pot._sessions == {}
@@ -206,8 +209,9 @@ class TestSessionLifecycle:
 class TestDnsReply:
     def test_reply_is_wellformed_12_byte_header(self, pot):
         twinklenet, hp, responses = pot
-        twinklenet.handle(udp_datagram(1.0, SRC, _udp_addr(hp), 9000, 53,
-                                       b"\xab\xcdquery"))
+        responses += twinklenet.handle(
+            udp_datagram(1.0, SRC, _udp_addr(hp), 9000, 53,
+                         b"\xab\xcdquery"), hp)
         reply = responses[-1].payload
         assert len(reply) == 12
         assert reply[:2] == b"\xab\xcd"
@@ -219,53 +223,12 @@ class TestDnsReply:
         """Queries shorter than two bytes used to produce a truncated /
         garbage transaction id."""
         twinklenet, hp, responses = pot
-        twinklenet.handle(udp_datagram(1.0, SRC, _udp_addr(hp), 9000, 53,
-                                       query))
+        responses += twinklenet.handle(
+            udp_datagram(1.0, SRC, _udp_addr(hp), 9000, 53, query), hp)
         reply = responses[-1].payload
         assert len(reply) == 12
         assert reply[:2] == query.ljust(2, b"\x00")
         assert reply[2:4] == DNS_SERVFAIL_PAYLOAD
-
-
-class TestOwnerIndex:
-    def test_nested_prefixes_first_listed_wins(self, rng):
-        """With nested honeyprefixes the indexed lookup must match the
-        original linear scan: the first config entry covering the address."""
-        covering = IPv6Prefix.parse("2001:db8:300::/48")
-        nested = IPv6Prefix.parse("2001:db8:300:a000::/52")
-        hp_cover = deploy_addresses(
-            HoneyprefixConfig(name="cover", aliased=True,
-                              icmp_mode=IcmpMode.FULL), covering, rng)
-        hp_nested = deploy_addresses(
-            HoneyprefixConfig(name="nested", announce_length=52,
-                              aliased=True, icmp_mode=IcmpMode.FULL),
-            nested, rng)
-        inside_nested = nested.network | 7
-
-        pot = Twinklenet(TwinklenetConfig([hp_cover, hp_nested]))
-        assert pot._owner(inside_nested) is hp_cover
-        assert pot._owner(covering.network | 1) is hp_cover
-
-        pot = Twinklenet(TwinklenetConfig([hp_nested, hp_cover]))
-        assert pot._owner(inside_nested) is hp_nested
-        assert pot._owner(covering.network | 1) is hp_cover
-        assert pot._owner(IPv6Prefix.parse("2001:db8:999::/48").network) is None
-
-    def test_index_follows_late_deploys(self, rng):
-        """ProactiveTelescope appends honeyprefixes after construction;
-        the index must pick them up."""
-        hp_a = deploy_addresses(
-            HoneyprefixConfig(name="a", aliased=True,
-                              icmp_mode=IcmpMode.FULL), PREFIX, rng)
-        pot = Twinklenet(TwinklenetConfig([hp_a]))
-        assert pot._owner(PREFIX.network | 1) is hp_a
-
-        late_prefix = IPv6Prefix.parse("2001:db8:400::/48")
-        hp_b = deploy_addresses(
-            HoneyprefixConfig(name="b", aliased=True,
-                              icmp_mode=IcmpMode.FULL), late_prefix, rng)
-        pot.config.honeyprefixes.append(hp_b)
-        assert pot._owner(late_prefix.network | 1) is hp_b
 
 
 class TestAliasing:
@@ -281,20 +244,15 @@ class TestAliasing:
                               icmp_mode=IcmpMode.FULL),
             prefix_b, rng,
         )
-        responses = []
-        pot = Twinklenet(TwinklenetConfig([hp_a, hp_b]),
-                         transmit=responses.append)
-        pot.handle(icmp_echo_request(1.0, SRC, prefix_a.network | 77))
-        pot.handle(icmp_echo_request(2.0, SRC, prefix_b.network | 88))
+        pot = Twinklenet(TwinklenetConfig())
+        responses = pot.handle(
+            icmp_echo_request(1.0, SRC, prefix_a.network | 77), hp_a)
+        responses += pot.handle(
+            icmp_echo_request(2.0, SRC, prefix_b.network | 88), hp_b)
         assert len(responses) == 2
-
-    def test_responds_oracle(self, pot):
-        twinklenet, hp, _ = pot
-        assert twinklenet.responds(PREFIX.network | 1, ICMPV6, None)
-        assert not twinklenet.responds(42, ICMPV6, None)
 
     def test_counters(self, pot):
         twinklenet, hp, _ = pot
-        twinklenet.handle(icmp_echo_request(1.0, SRC, PREFIX.network | 1))
+        twinklenet.handle(icmp_echo_request(1.0, SRC, PREFIX.network | 1), hp)
         assert twinklenet.rx_count == 1
         assert twinklenet.tx_count == 1

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,35 @@ class TestAdmissionAndFailure:
             # A failed run does not poison its config hash: retry admits.
             _retry, outcome = service.submit(broken)
             assert outcome == "created"
+
+    def test_queued_retry_of_a_failed_run_reads_pending(self, tmp_path):
+        """A retry queued behind a running run reads ``pending``: the
+        failed attempt's journal, at the retry's own journal path, is
+        cleared when the retry is registered, so it cannot pass for the
+        retry's progress."""
+        broken = ScenarioConfig(seed=3, duration_days=3, volume_scale=1e-5,
+                                n_tail=2, nta_prefix="not-a-prefix")
+        # About two seconds of simulation: long enough to hold the one
+        # worker while the retry is queued behind it.
+        blocker = ScenarioConfig(seed=7, duration_days=100,
+                                 volume_scale=5e-4, n_tail=2)
+        with ScenarioService(tmp_path / "cache", jobs=1) as service:
+            failed, _ = service.submit(broken)
+            service.wait(failed.run_id, timeout=120)
+            assert failed.status == "failed"
+            assert os.path.getsize(failed.journal_path) > 0
+            busy, _ = service.submit(blocker)
+            deadline = time.monotonic() + 60
+            while service.status(busy.run_id)["state"] != "running":
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            retry, outcome = service.submit(broken)
+            assert outcome == "created"
+            assert retry.journal_path == failed.journal_path
+            assert service.status(retry.run_id)["state"] == "pending"
+            assert busy.status == "pending"  # the retry was really queued
+            service.wait(retry.run_id, timeout=120)
+        assert retry.status == "failed"
 
     def test_result_unavailable_while_pending(self, tmp_path):
         with ScenarioService(tmp_path / "cache", jobs=1) as service:

@@ -286,20 +286,24 @@ def test_experiment_all_cold_store_then_warm_hit(tmp_path, monkeypatch,
                                                  capsys):
     """``experiment all --jobs 2 --cache``: the cold run stores and never
     hits, the warm run hits and never simulates a day, and both render
-    the same report."""
+    the report a serial run with no store renders, byte for byte."""
     monkeypatch.chdir(tmp_path)
-    command = ["experiment", "all", "--jobs", "2", "--cache", "store",
-               "--days", "30", "--scale", "1e-4", "--tail", "20"]
-    reports = []
-    for label in ("cold", "warm"):
-        assert main([*command, "--journal", f"{label}.jsonl",
+    serial = ["experiment", "all",
+              "--days", "30", "--scale", "1e-4", "--tail", "20"]
+    command = [*serial, "--jobs", "2", "--cache", "store"]
+    reports = {}
+    for label, argv in (("serial", serial), ("cold", command),
+                        ("warm", command)):
+        assert main([*argv, "--journal", f"{label}.jsonl",
                      "--output", f"report-{label}.txt"]) == 0
         capsys.readouterr()
-        reports.append((tmp_path / f"report-{label}.txt").read_bytes())
-    cold = (tmp_path / "cold.jsonl").read_text()
-    warm = (tmp_path / "warm.jsonl").read_text()
-    assert '"type": "cache_store"' in cold
-    assert '"type": "cache_hit"' in warm
-    assert '"type": "cache_hit"' not in cold
-    assert '"type": "day"' not in warm
-    assert reports[0] == reports[1]
+        reports[label] = (tmp_path / f"report-{label}.txt").read_bytes()
+    journals = {label: (tmp_path / f"{label}.jsonl").read_text()
+                for label in reports}
+    assert '"type": "cache_' not in journals["serial"]
+    assert '"type": "cache_store"' in journals["cold"]
+    assert '"type": "cache_hit"' in journals["warm"]
+    assert '"type": "cache_hit"' not in journals["cold"]
+    assert '"type": "day"' not in journals["warm"]
+    assert reports["cold"] == reports["serial"]
+    assert reports["warm"] == reports["serial"]

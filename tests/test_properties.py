@@ -88,11 +88,8 @@ class TestTwinklenetSafety:
             tcp_services=(("web", (80,)),), udp_ports=(53,),
         )
         hp = deploy_addresses(config, PREFIX, rng=0)
-        responses = []
-        pot = Twinklenet(TwinklenetConfig([hp]),
-                         transmit=responses.append)
-        for pkt in packets:
-            pot.handle(pkt)
+        pot = Twinklenet(TwinklenetConfig())
+        responses = [reply for pkt in packets for reply in pot.handle(pkt, hp)]
         probed = {p.dst for p in packets}
         for response in responses:
             # Every response originates from a probed, responsive address.
@@ -105,11 +102,8 @@ class TestTwinklenetSafety:
         config = HoneyprefixConfig(name="alias", aliased=True,
                                    icmp_mode=IcmpMode.FULL)
         hp = deploy_addresses(config, PREFIX, rng=0)
-        responses = []
-        pot = Twinklenet(TwinklenetConfig([hp]),
-                         transmit=responses.append)
-        for pkt in packets:
-            pot.handle(pkt)
+        pot = Twinklenet(TwinklenetConfig())
+        responses = [reply for pkt in packets for reply in pot.handle(pkt, hp)]
         assert all(r.proto == ICMPV6 for r in responses)
 
 
