@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.honeyprefix import HoneyprefixConfig
 from repro.core.tpot import (
     DnatGateway,
     TPOT1_CONTAINERS,
@@ -144,6 +145,24 @@ class TestDnatGateway:
         assert out == []
         assert gateway.rx_count == 1
         assert _count(registry, "tpot.gateway.nat_entries") == 0
+
+    def test_out_of_prefix_ignored(self, bgp_only_telescope):
+        """The gateway answers ICMP across its whole prefix, so it must
+        never be handed a row outside it: the telescope routes only a
+        honeyprefix's own rows to its gateway."""
+        telescope = bgp_only_telescope
+        telescope.deploy(HoneyprefixConfig(name="tp", tpot=1), PREFIX,
+                         at=0.0)
+        gateway = telescope.gateways["tp"]
+        outside = (PREFIX.network - 1, PREFIX.network + (1 << 80), 42)
+        telescope.handle_batch(PacketBatch.from_packets(
+            [icmp_echo_request(1.0, SRC, dst) for dst in outside]))
+        assert gateway.rx_count == 0
+        assert telescope.response_count == 0
+        telescope.handle_batch(PacketBatch.from_packets(
+            [icmp_echo_request(2.0, SRC, PREFIX.network | 0xBEEF)]))
+        assert gateway.rx_count == 1
+        assert telescope.response_count == 1
 
     def test_responds_oracle(self, stack):
         gateway, _, _ = stack

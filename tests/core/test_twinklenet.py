@@ -10,6 +10,7 @@ from repro.core.twinklenet import (
     TwinklenetConfig,
 )
 from repro.net.addr import IPv6Prefix
+from repro.net.batch import PacketBatch
 from repro.net.packet import (
     TCP,
     UDP,
@@ -56,6 +57,25 @@ class TestIcmp:
         responses += twinklenet.handle(
             icmp_echo_request(1.0, SRC, PREFIX.network | 0xF00), hp)
         assert responses == []
+
+    def test_silence_outside_honeyprefixes(self, bgp_only_telescope):
+        """An aliased honeyprefix answers ICMP anywhere in its /48, yet a
+        packet just outside it, or outside the telescope, never reaches
+        Twinklenet: the telescope routes, and only to a honeyprefix."""
+        telescope = bgp_only_telescope
+        hp = telescope.deploy(
+            HoneyprefixConfig(name="hp", aliased=True,
+                              icmp_mode=IcmpMode.FULL),
+            PREFIX, at=0.0)
+        outside = (PREFIX.network - 1, PREFIX.network + (1 << 80), 42)
+        telescope.handle_batch(PacketBatch.from_packets(
+            [icmp_echo_request(1.0, SRC, dst) for dst in outside]))
+        assert telescope.twinklenet.rx_count == 0
+        assert telescope.response_count == 0
+        telescope.handle_batch(PacketBatch.from_packets(
+            [icmp_echo_request(2.0, SRC, hp.prefix.network | 0xF00)]))
+        assert telescope.twinklenet.rx_count == 1
+        assert telescope.response_count == 1
 
 
 class TestTcp:
