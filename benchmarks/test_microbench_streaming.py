@@ -18,13 +18,15 @@ the horizon at a flat daily volume must not double its peak.  One
 nearly flat-volume config (every honeyprefix, the T-Pots included,
 deployed on day 0 and triggered on day 1; no withdrawal, no later
 hitlist cycle; the busiest day differs by 6% between the horizons) runs
-in streaming mode at H and at 2H days, and the 2H tracemalloc peak
-(interpreter baseline excluded) must stay within :data:`GROWTH_BOUND`
-of the H peak.  What
-still grows is state that outlives a day — the T-Pot gateways' flow
-tables, open scan sessions' target sets and the closed scan events —
-see ``run_scenario``.  A run that keeps its drained days fails the
-gate (:func:`test_growth_gate_catches_retained_days`).  Wall clock is
+at H and at 2H days, and the 2H tracemalloc peak (interpreter baseline
+excluded) must stay within :data:`GROWTH_BOUND` of the H peak.  Two
+gates hold it: one in streaming mode and one in observe mode (the same
+config with ``observe_dir``, which adds the observer and its
+seen-source keys).  What still grows is state that outlives a day — the
+T-Pot gateways' flow tables, open scan sessions' target sets, the
+observer's seen sources and the closed scan events — see
+``run_scenario``.  A run that keeps its drained days fails the gate
+(:func:`test_growth_gate_catches_retained_days`).  Wall clock is
 never measured under tracemalloc, which taxes every allocation.
 
 Manual timing (no ``benchmark`` fixture) so the artifact is produced
@@ -131,21 +133,23 @@ GROWTH_CONFIG = dict(
     hitlist_first_cycle_day=1, hitlist_cycle_days=100_000,
 )
 GROWTH_DAYS = 8
-#: Peak(2H) / peak(H) on GROWTH_CONFIG read 1.73 (73.8 MB -> 127.5 MB;
-#: tracemalloc peaks repeat within 0.01% for a fixed config).  The growth is
-#: the state the ``run_scenario`` docstring lists, about 40% of it the
-#: T-Pot flow tables.  A run that keeps its drained days reads 1.99, and
-#: the 15 -> 30-day run this gate replaced grew 3.1x.
+#: Peak(2H) / peak(H) on GROWTH_CONFIG reads 1.71 in streaming mode
+#: (53.8 MB -> 92.0 MB) and 1.72 in observe mode (55.8 MB -> 95.7 MB);
+#: tracemalloc peaks repeat within 0.01% for a fixed config.  The growth
+#: is the state the ``run_scenario`` docstring lists, much of it the
+#: T-Pot flow tables.  A run that keeps its drained days fails the bound
+#: (it read 1.99), and the 15 -> 30-day run this gate replaced grew 3.1x.
 GROWTH_BOUND = 1.85
 
 _GROWTH_DRIVER = """\
-import io, json, sys, tracemalloc
+import io, json, sys, tempfile, tracemalloc
 
 from repro.analysis import streaming
 from repro.obs import Journal, use_journal
 from repro.sim import ScenarioConfig, run_scenario
 
 config = ScenarioConfig(**json.loads(sys.argv[1]))
+observe = sys.argv[2] == "observe"
 if sys.argv[2] == "keep":
     class KeepingAnalyzer(streaming.StreamAnalyzer):
         # Holds on to every drained day: the retention the gate must catch.
@@ -155,11 +159,13 @@ if sys.argv[2] == "keep":
 
     streaming.StreamAnalyzer = KeepingAnalyzer
 sink = io.StringIO()
-tracemalloc.start()
-with use_journal(Journal(sink)):
-    run_scenario(config, stream_analysis=True)
-peak = tracemalloc.get_traced_memory()[1]
-tracemalloc.stop()
+with tempfile.TemporaryDirectory() as observe_dir:
+    tracemalloc.start()
+    with use_journal(Journal(sink)):
+        run_scenario(config, stream_analysis=True,
+                     observe_dir=observe_dir if observe else None)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
 days = [json.loads(line) for line in sink.getvalue().splitlines()]
 print(json.dumps({
     "tracemalloc_peak_bytes": peak,
@@ -171,20 +177,22 @@ print(json.dumps({
 """
 
 
-def _run_growth_child(days: int, keep: bool = False) -> dict:
+def _run_growth_child(days: int, mode: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     config = dict(GROWTH_CONFIG, duration_days=days)
     proc = subprocess.run(
-        [sys.executable, "-c", _GROWTH_DRIVER, json.dumps(config),
-         "keep" if keep else "drain"],
+        [sys.executable, "-c", _GROWTH_DRIVER, json.dumps(config), mode],
         check=True, capture_output=True, text=True, env=env)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _growth(keep: bool = False) -> tuple[float, dict, dict]:
-    short = _run_growth_child(GROWTH_DAYS, keep)
-    long = _run_growth_child(2 * GROWTH_DAYS, keep)
+def _growth(mode: str = "drain") -> tuple[float, dict, dict]:
+    """Peak growth from H to 2H days: ``mode`` is ``drain`` (streaming),
+    ``observe`` (streaming plus the observer) or ``keep`` (streaming that
+    retains every drained day)."""
+    short = _run_growth_child(GROWTH_DAYS, mode)
+    long = _run_growth_child(2 * GROWTH_DAYS, mode)
     # Flat volume: the busiest day at 2H is within 10% of the one at H
     # (156,453 and 166,295 rows), so the growth is state that outlives a
     # day, not a heavier day.
@@ -211,8 +219,22 @@ def test_streaming_peak_memory_growth():
         f"(bound {GROWTH_BOUND}x)")
 
 
+def test_observe_peak_memory_growth():
+    growth, short, long = _growth("observe")
+    _merge_results({
+        "observe_growth_peak_alloc_bytes": [short["tracemalloc_peak_bytes"],
+                                            long["tracemalloc_peak_bytes"]],
+        "observe_peak_alloc_growth": round(growth, 3),
+    })
+
+    assert growth <= GROWTH_BOUND, (
+        f"observe-mode peak grew {growth:.2f}x from {GROWTH_DAYS} to "
+        f"{2 * GROWTH_DAYS} days at a flat daily volume "
+        f"(bound {GROWTH_BOUND}x)")
+
+
 def test_growth_gate_catches_retained_days():
     """The gate has teeth: a streaming run whose analyzers keep every
     drained day fails it."""
-    growth, _, _ = _growth(keep=True)
+    growth, _, _ = _growth("keep")
     assert growth > GROWTH_BOUND, growth

@@ -38,8 +38,12 @@ carried targets are looked up among the chunk's destination ids (one the
 chunk never saw takes a fresh id) and join the segment's ``(segment,
 destination)`` sort — so the union is counted by the same pass as every
 other segment's targets.  Carried sessions that do not merge close, or
-stay open while a future packet could still extend them.  All of it is
-vectorized; no Python runs per session.
+stay open while a future packet could still extend them.  The next carry
+is rebuilt in one allocation per target column: the sort's codes are
+freed first, then the staying segments' targets and the idle carried
+sessions' targets are taken (``np.take(..., out=)``) straight into their
+slices of it, so the old carry is never joined with a partial copy of
+the new one.  All of it is vectorized; no Python runs per session.
 
 Memory is O(open sessions + one chunk), never O(run) for a chunked feed:
 at each feed boundary any session whose last packet is more than a
@@ -225,14 +229,6 @@ class _OpenSessions:
             np.concatenate([[0], np.cumsum(lengths)]),
             self.t_hi[positions], self.t_lo[positions])
 
-    def extend(self, other: "_OpenSessions") -> "_OpenSessions":
-        joined = {name: np.concatenate([getattr(self, name),
-                                        getattr(other, name)])
-                  for name in ("k_hi", "k_lo", "start", "last", "packets",
-                               "t_hi", "t_lo")}
-        t_off = np.concatenate([self.t_off, self.t_off[-1] + other.t_off[1:]])
-        return _OpenSessions(t_off=t_off, **joined)
-
 
 class SessionTracker:
     """The scan-session kernel at one aggregation length.
@@ -388,14 +384,34 @@ class SessionTracker:
                    start_ts[done], end_ts[done], seg_packets[done],
                    uniq[done])
 
+        # The next carry, built in one allocation: the staying segments'
+        # targets, then the idle carried sessions', each taken straight
+        # into its slice of the new target columns.
+        targets = codes[stays[code_seg]]
+        del codes, code_seg
+        targets %= id_bound
         kept = np.flatnonzero(stays)
-        targets = codes[stays[code_seg]] % id_bound
+        rest = np.flatnonzero(idle)
+        positions, lengths = _csr_take(carry.t_off, rest)
+        split = len(targets)
+        t_hi = np.empty(split + len(positions), dtype=np.uint64)
+        t_lo = np.empty_like(t_hi)
+        # mode="clip" (the indices are in range): the default "raise"
+        # would buffer the output instead of writing ``out`` in place.
+        for out, fresh, held in ((t_hi, dst_hi, carry.t_hi),
+                                 (t_lo, dst_lo, carry.t_lo)):
+            np.take(fresh, targets, out=out[:split], mode="clip")
+            np.take(held, positions, out=out[split:], mode="clip")
+        del targets, positions
         self._open = _OpenSessions(
-            key_hi[seg_kid[kept]], key_lo[seg_kid[kept]], start_ts[kept],
-            end_ts[kept], seg_packets[kept],
-            np.concatenate([[0], np.cumsum(uniq[kept])]),
-            dst_hi[targets], dst_lo[targets],
-        ).extend(carry.take(np.flatnonzero(idle)))
+            np.concatenate([key_hi[seg_kid[kept]], carry.k_hi[rest]]),
+            np.concatenate([key_lo[seg_kid[kept]], carry.k_lo[rest]]),
+            np.concatenate([start_ts[kept], carry.start[rest]]),
+            np.concatenate([end_ts[kept], carry.last[rest]]),
+            np.concatenate([seg_packets[kept], carry.packets[rest]]),
+            np.concatenate([[0], np.cumsum(np.concatenate(
+                [uniq[kept], lengths]))]),
+            t_hi, t_lo)
         self._watermark = horizon
         return len(self._events) - before
 

@@ -39,7 +39,7 @@ from repro.dns.registry import Registrar
 from repro.dns.reverse import ReverseZone
 from repro.hitlist.categories import HitlistCategory
 from repro.hitlist.service import HitlistService
-from repro.net.addr import IPv6Prefix, run_starts
+from repro.net.addr import IPv6Prefix, split_by_48
 from repro.net.batch import PacketBatch
 from repro.net.packet import TCP, UDP
 from repro.obs import get_journal, stage
@@ -291,16 +291,15 @@ class ProactiveTelescope:
         are what gets routed, so the argument itself is dropped at once
         (freeing it when the caller passed its only reference, as
         :meth:`~repro.sim.scenario.PaperScenario.dispatch_batch` does).
-        The rows are split by honeyprefix /48 truncation keys in one
-        pass: a ``searchsorted`` against the sorted key column finds each
-        row's honeyprefix, and a stable sort of the hit rows by key makes
-        every honeyprefix's rows one contiguous run, in arrival order.
-        Each honeyprefix's slice goes, in ascending key order, to its DNAT
-        gateway (T-Pot prefixes) or to Twinklenet with the honeyprefix
-        itself: this is the only place that decides which honeyprefix
-        owns a destination.  The replies they return are counted in
-        ``response_count``.  Rows outside every honeyprefix are control
-        space: pure darknet.
+        The rows are split by honeyprefix /48 in one pass
+        (:func:`~repro.net.addr.split_by_48` over the sorted key column,
+        the split the observer's tactic mix uses too), each honeyprefix's
+        rows in arrival order.  Each honeyprefix's slice goes, in
+        ascending key order, to its DNAT gateway (T-Pot prefixes) or to
+        Twinklenet with the honeyprefix itself: this is the only place
+        that hands a destination to a honeypot.  The replies they return
+        are counted in ``response_count``.  Rows outside every
+        honeyprefix are control space: pure darknet.
         """
         if len(batch) == 0:
             return
@@ -316,31 +315,7 @@ class ProactiveTelescope:
                     dtype=np.uint64, count=len(self._hp_by_48),
                 ))
             keys = self._hp_keys_hi
-            # Each row's candidate is the last key at or below its dst_hi;
-            # the row is in that /48 iff the two share hi's top 48 bits
-            # (a key's low 16 are zero).  A row below every key gets slot
-            # -1, whose key (the largest) cannot match it either.  The
-            # in-place steps and early deletes keep the transient at about
-            # two int64 columns of the largest daily batch.
-            slot = np.searchsorted(keys, batch.dst_hi, side="right")
-            slot -= 1
-            diff = keys[slot]
-            diff ^= batch.dst_hi
-            rows = np.flatnonzero(diff < np.uint64(1 << 16))
-            del diff
-            if len(rows) == 0:
-                return  # control space: pure darknet
-            # The narrowest dtype that holds a slot: numpy's stable sort
-            # is a radix sort up to 16 bits, several times faster than
-            # its merge sort of int64.
-            groups = slot[rows].astype(np.min_scalar_type(len(keys)))
-            del slot
-            order = np.argsort(groups, kind="stable")
-            rows, groups = rows[order], groups[order]
-            starts = np.flatnonzero(run_starts(groups))
-            parts = zip(np.split(rows, starts[1:]), groups[starts].tolist())
-            del order, groups
-            for part, group in parts:
+            for group, part in split_by_48(keys, batch.dst_hi):
                 hp = self._hp_by_48[int(keys[group]) << 64]
                 sub = batch.select(part)
                 if hp.config.tpot:

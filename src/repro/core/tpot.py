@@ -315,12 +315,6 @@ class DnatGateway:
             return True
         return port is not None and self.tpot.listens(proto, port)
 
-    def note_dark(self, n: int) -> None:
-        """Account ``n`` packets that were received but provably could not
-        elicit a reply (the columnar fast path skips materializing them)."""
-        self.rx_count += n
-        self._m_rx.inc(n)
-
     def handle(self, pkt: Packet) -> list[Packet]:
         """Process one packet arriving for the honeyprefix; return the
         replies."""

@@ -361,12 +361,6 @@ class Twinklenet:
             for key, session in self._table.items()
         }
 
-    def note_dark(self, n: int) -> None:
-        """Account ``n`` packets that were received but provably could not
-        elicit a reply (the columnar fast path skips materializing them)."""
-        self.rx_count += n
-        self._m_rx.inc(n)
-
     def handle(self, pkt: Packet, hp: Honeyprefix) -> list[Packet]:
         """Process one packet for its honeyprefix ``hp``; return the
         replies (at most one)."""

@@ -442,6 +442,81 @@ def find_keys(table_cols, query_cols) -> np.ndarray:
     return KeyIndex(key_hashes(table_cols)).find(table_cols, query_cols)
 
 
+class KeySet:
+    """A growing set of composite keys, held as packed uint64 columns.
+
+    ``cols[j][i]`` is column ``j`` of the ``i``-th key added, and a
+    :class:`KeyIndex` over their hashes answers membership.  :meth:`add`
+    hashes and looks up only the keys it is given and appends the new
+    ones, so a set that grows by a day's keys never sorts or hashes what
+    it already holds again.
+    """
+
+    def __init__(self, width: int):
+        self.cols = tuple(np.empty(0, dtype=np.uint64) for _ in range(width))
+        self.index = KeyIndex()
+
+    def __len__(self) -> int:
+        return len(self.cols[0])
+
+    def __getstate__(self) -> tuple:
+        # The index follows from the keys, so a pickle holds the keys
+        # alone: 8 bytes per column and key.
+        return self.cols
+
+    def __setstate__(self, cols: tuple) -> None:
+        self.cols = cols
+        self.index = KeyIndex(key_hashes(cols))
+
+    def add(self, cols) -> int:
+        """Add the distinct keys ``cols``; returns how many were new."""
+        hashes = key_hashes(cols)
+        new = np.flatnonzero(self.index.find(self.cols, cols, hashes) < 0)
+        if len(new):
+            self.index.add(hashes[new], np.arange(len(self),
+                                                  len(self) + len(new)))
+            self.cols = tuple(np.concatenate([held, col[new]])
+                              for held, col in zip(self.cols, cols))
+        return len(new)
+
+
+def split_by_48(keys: np.ndarray, hi: np.ndarray
+                ) -> list[tuple[int, np.ndarray]]:
+    """Split rows by the /48 networks they fall in: ``(slot, rows)`` pairs.
+
+    ``keys`` holds the networks' high halves in ascending order (a /48's
+    low 16 bits are zero) and ``hi`` the rows' address high halves.  One
+    ``searchsorted`` finds each row's candidate, the last key at or below
+    it; the row is in that /48 iff the two share their top 48 bits.  A
+    stable sort of the hit rows by slot then makes every network's rows
+    one run.  Pairs come in ascending key order, each network's rows in
+    row order; networks no row falls in, and rows outside every network,
+    are left out.
+    """
+    if len(keys) == 0 or len(hi) == 0:
+        return []
+    # A row below every key gets slot -1, whose key (the largest) cannot
+    # match it either.  The in-place steps and early deletes keep the
+    # transient at about two int64 columns of ``hi``.
+    slot = np.searchsorted(keys, hi, side="right")
+    slot -= 1
+    diff = keys[slot]
+    diff ^= hi
+    rows = np.flatnonzero(diff < np.uint64(1 << 16))
+    del diff
+    if len(rows) == 0:
+        return []
+    # The narrowest dtype that holds a slot: numpy's stable sort is a
+    # radix sort up to 16 bits, several times faster than its merge sort
+    # of int64.
+    groups = slot[rows].astype(np.min_scalar_type(len(keys)))
+    del slot
+    order = np.argsort(groups, kind="stable")
+    rows, groups = rows[order], groups[order]
+    starts = np.flatnonzero(run_starts(groups))
+    return list(zip(groups[starts].tolist(), np.split(rows, starts[1:])))
+
+
 def unique_pairs_u64(hi: np.ndarray, lo: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Distinct (hi, lo) rows, in ascending (hi, lo) order.

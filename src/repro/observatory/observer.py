@@ -28,8 +28,8 @@ simulation-time values only — never wall clock, hostnames, or paths — so
 the per-day files are byte-identical across uninterrupted and
 killed-and-resumed executions of one config, and an aborted run stops
 after the day it was asked to.  On
-resume the observatory restores its cursor state (seen-source sets,
-cumulative event counts, first-contact times) from the scenario
+resume the observatory restores its cursor state (seen-source key
+columns, cumulative event counts, first-contact times) from the scenario
 checkpoint and rewrites the ``observations.jsonl`` prefix from the
 already-emitted day files, so a torn final line from the kill is healed
 rather than inherited.
@@ -43,10 +43,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from repro._util import DAY
 from repro.analysis.records import PacketRecords
 from repro.analysis.streaming import SCAN_LEVELS
 from repro.analysis.tactics import tactic_combos
+from repro.net.addr import KeySet, split_by_48
 from repro.obs import (
     JOURNAL_SCHEMA_VERSION,
     config_hash,
@@ -194,7 +197,9 @@ class ObservatoryState:
 
     #: First day the observatory still has to emit.
     next_day: int
-    #: telescope -> level -> set of truncated source addresses (as ints).
+    #: telescope -> level -> :class:`~repro.net.addr.KeySet` of the
+    #: truncated sources seen: their high halves at levels <= 64, (hi, lo)
+    #: at /128.
     seen_sources: dict = field(default_factory=dict)
     #: telescope -> level -> cumulative sessions closed through next_day.
     event_counts: dict = field(default_factory=dict)
@@ -202,6 +207,23 @@ class ObservatoryState:
     first_seen: dict = field(default_factory=dict)
     #: Total records drained across all telescopes through next_day.
     records_total: int = 0
+
+
+def _seen_keys(seen, level: int) -> KeySet:
+    """``seen`` as a :class:`KeySet` at ``level``.  A checkpoint written
+    before the seen sources were key columns holds Python sets: high
+    halves as ints at levels <= 64, ``(hi, lo)`` tuples at /128."""
+    if isinstance(seen, KeySet):
+        return seen
+    if level <= 64:
+        cols = (np.fromiter(seen, dtype=np.uint64, count=len(seen)),)
+    else:
+        cols = tuple(np.fromiter((key[half] for key in seen),
+                                 dtype=np.uint64, count=len(seen))
+                     for half in (0, 1))
+    keys = KeySet(len(cols))
+    keys.add(cols)
+    return keys
 
 
 class Observatory:
@@ -221,7 +243,8 @@ class Observatory:
         if state is None:
             state = ObservatoryState(
                 next_day=0,
-                seen_sources={t: {lv: set() for lv in levels}
+                seen_sources={t: {lv: KeySet(1 if lv <= 64 else 2)
+                                  for lv in levels}
                               for t in TELESCOPES},
                 event_counts={t: {lv: 0 for lv in levels}
                               for t in TELESCOPES},
@@ -230,6 +253,10 @@ class Observatory:
             raise ObservatoryError(
                 f"observatory state is at day {state.next_day}, "
                 f"run resumes at day {start_day}")
+        state.seen_sources = {
+            name: {level: _seen_keys(seen, level)
+                   for level, seen in by_level.items()}
+            for name, by_level in state.seen_sources.items()}
         self.state = state
         self.directory.mkdir(parents=True, exist_ok=True)
         self._check_manifest(config)
@@ -344,26 +371,33 @@ class Observatory:
         honeyprefixes = {}
         nta = drained["NT-A"]
         day_end = (day + 1) * DAY
-        for name in sorted(scenario.honeyprefixes):
-            hp = scenario.honeyprefixes[name]
-            # Gate on the deployment *time*, not dict membership: the
-            # engine runs every event up to and including ``day_end``, so
-            # a deploy at exactly ``day_end`` is already in the dict but
-            # only goes live the next day.
-            if hp.deployed_at is None or hp.deployed_at >= day_end:
-                continue
-            selected = (nta.select(nta.mask_dst_in(hp.prefix))
-                        if len(nta) else PacketRecords.empty())
+        # Gate on the deployment *time*, not dict membership: the engine
+        # runs every event up to and including ``day_end``, so a deploy at
+        # exactly ``day_end`` is already in the dict but only goes live
+        # the next day.
+        deployed = {name: hp for name, hp in scenario.honeyprefixes.items()
+                    if hp.deployed_at is not None
+                    and hp.deployed_at < day_end}
+        # Every honeyprefix is one /48, so one split of the day's rows
+        # hands each its probes, in arrival order.
+        by_key = {hp.prefix.network >> 64: name
+                  for name, hp in deployed.items()}
+        keys = np.array(sorted(by_key), dtype=np.uint64)
+        rows_of = {by_key[int(keys[slot])]: rows
+                   for slot, rows in split_by_48(keys, nta.dst_hi)}
+        for name in sorted(deployed):
+            hp = deployed[name]
+            selected = (nta.select(rows_of[name]) if name in rows_of
+                        else PacketRecords.empty())
             if len(selected) and name not in self.state.first_seen:
                 self.state.first_seen[name] = float(selected.ts.min())
-            deployed = hp.deployed_at
+            deployed_at = hp.deployed_at
             first = self.state.first_seen.get(name)
             honeyprefixes[name] = {
-                "deployed_at": deployed,
+                "deployed_at": deployed_at,
                 "first_seen": first,
-                "reaction_s": (first - deployed
-                               if first is not None and deployed is not None
-                               else None),
+                "reaction_s": (first - deployed_at
+                               if first is not None else None),
             }
             if len(selected):
                 hp_combos, hp_sources = day_tactics(selected, hp)
@@ -387,21 +421,14 @@ class Observatory:
 
     def _count_new_sources(self, telescope: str, level: int,
                            analyzer) -> int:
-        """Add the day's distinct sources at ``level`` to the seen set;
+        """Add the day's distinct sources at ``level`` to the seen keys;
         returns how many were new.  Reads them from the analyzer's day
         index rather than re-sorting the drained records."""
         hi, lo = analyzer.day_sources(level)
-        seen = self.state.seen_sources[telescope][level]
-        before = len(seen)
-        if level <= 64:
-            # The masked low half is all zeros: the high half alone
-            # identifies the source, and small ints keep the set cheap.
-            seen.update(hi.tolist())
-        else:
-            # (hi, lo) tuples, not packed 128-bit ints: ``zip`` builds
-            # them in C, and tuple hashing beats bigint construction.
-            seen.update(zip(hi.tolist(), lo.tolist()))
-        return len(seen) - before
+        # The masked low half is all zeros at levels <= 64: the high half
+        # alone identifies the source.
+        return self.state.seen_sources[telescope][level].add(
+            (hi,) if level <= 64 else (hi, lo))
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -207,12 +207,13 @@ def run_scenario(
     index entry, per distinct flow, which keeps
     ``tpot.gateway.nat_entries`` exact), the target sets of open scan
     sessions (a source that never idles for the session timeout keeps
-    its session and its distinct targets open) and the closed scan
-    events the result returns.  At a flat daily volume
+    its session and its distinct targets open), the observer's
+    seen-source key columns in observe mode, and the closed scan events
+    the result returns.  At a flat daily volume
     (``benchmarks/test_microbench_streaming.py``, 5e-3) doubling the
-    horizon from 8 to 16 days takes the tracemalloc peak from 61 to
-    107 MB; at day 16 the flow tables hold 17.7 MB (314k flows) and the
-    open sessions 19 MB.  Both modes run the same session kernel
+    horizon from 8 to 16 days takes the tracemalloc peak from 54 to
+    92 MB (56 to 96 MB in observe mode); at day 16 the flow tables hold
+    17.7 MB (314k flows) and the open sessions 19 MB.  Both modes run the same session kernel
     (:class:`~repro.analysis.scandetect.SessionTracker`), fed a day at a
     time here and the whole run at once by ``detect_scans``, so the
     result's :attr:`ScenarioResult.streaming` summaries carry events

@@ -8,6 +8,8 @@ that capped the paper's subdomain-certificate experiment at 50 names.
 
 from __future__ import annotations
 
+import bisect
+
 from repro._util import WEEK
 from repro.dns.records import validate_name
 from repro.tlsca.cert import Certificate, DEFAULT_VALIDITY
@@ -42,19 +44,17 @@ class CertificateAuthority:
         self.weekly_limit = weekly_limit
         self.validity = validity
         self._issued: list[Certificate] = []
+        #: registered domain -> issue times of its certificates, ascending.
+        self._issue_times: dict[str, list[float]] = {}
         self._next_serial = 1
 
     def issued(self) -> tuple[Certificate, ...]:
         return tuple(self._issued)
 
     def _weekly_count(self, domain: str, at: float) -> int:
-        window_start = at - WEEK
-        return sum(
-            1
-            for cert in self._issued
-            if cert.not_before > window_start
-            and registered_domain(cert.subject) == domain
-        )
+        """Certificates issued for ``domain`` after ``at - WEEK``."""
+        times = self._issue_times.get(domain, [])
+        return len(times) - bisect.bisect_right(times, at - WEEK)
 
     def issue(self, names: list[str], at: float) -> Certificate:
         """Issue a certificate for already-validated ``names``.
@@ -86,6 +86,7 @@ class CertificateAuthority:
         )
         self._next_serial += 1
         self._issued.append(cert)
+        bisect.insort(self._issue_times.setdefault(domain, []), at)
         for log in self.ct_logs:
             log.submit(cert, at)
         return cert

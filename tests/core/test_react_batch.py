@@ -547,7 +547,9 @@ def _tpot_rows_reference(gateway, sub):
     need |= (sub.proto == np.uint8(TCP)) & np.isin(sub.dport, tcp_ports)
     need |= (sub.proto == np.uint8(UDP)) & np.isin(sub.dport, udp_ports)
     idx = np.nonzero(need)[0]
-    gateway.note_dark(len(sub) - len(idx))
+    dark = len(sub) - len(idx)
+    gateway.rx_count += dark
+    gateway._m_rx.inc(dark)
     return WireBatch.from_packets([
         reply for i in idx.tolist()
         for reply in gateway.handle(sub.packet_at(i))])
@@ -574,7 +576,9 @@ def _twinklenet_rows_reference(pot, sub, hp):
                 (sub.dst_hi, sub.dst_lo, sub.dport),
                 (set_hi, set_lo, set_ports))
     idx = np.nonzero(need)[0]
-    pot.note_dark(len(sub) - len(idx))
+    dark = len(sub) - len(idx)
+    pot.rx_count += dark
+    pot._m_rx.inc(dark)
     return WireBatch.from_packets([
         reply for i in idx.tolist()
         for reply in pot.handle(sub.packet_at(i), hp)])

@@ -23,6 +23,7 @@ from repro.net.addr import (
     parse_prefix,
     prefix_groups_u64,
     random_addresses_u64,
+    split_by_48,
     split_u64,
     unique_pairs_u64,
 )
@@ -401,6 +402,35 @@ class TestKeyKernel:
         assert not index.shared
         assert (index.hashes[1:] > index.hashes[:-1]).all()
         assert index.find(cols, cols).tolist() == list(range(500))
+
+
+class TestSplitBy48:
+    """The one-pass /48 split against a mask per network."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_network_masks(self, seed):
+        rng = np.random.default_rng(seed)
+        nets = rng.choice(1 << 20, 9, replace=False).astype(np.uint64)
+        keys = np.sort(rng.choice(nets, 5, replace=False)) << np.uint64(16)
+        # Rows in the kept networks, in others, and below/above all keys.
+        hi = ((rng.choice(np.append(nets, [0, (1 << 20) - 1]), 700)
+               .astype(np.uint64) << np.uint64(16))
+              | rng.integers(0, 1 << 16, 700).astype(np.uint64))
+        parts = split_by_48(keys, hi)
+        expected = [(slot, np.flatnonzero((hi >> np.uint64(16))
+                                          == (key >> np.uint64(16))))
+                    for slot, key in enumerate(keys.tolist())]
+        expected = [(slot, rows) for slot, rows in expected if len(rows)]
+        assert [slot for slot, _ in parts] == [slot for slot, _ in expected]
+        for (_, got), (_, want) in zip(parts, expected):
+            assert np.array_equal(got, want)
+
+    def test_empty_inputs(self):
+        empty = np.empty(0, dtype=np.uint64)
+        some = np.array([5 << 16], dtype=np.uint64)
+        assert split_by_48(empty, some) == []
+        assert split_by_48(some, empty) == []
+        assert split_by_48(some, np.array([9 << 16], dtype=np.uint64)) == []
 
 
 class TestRandomAddresses:

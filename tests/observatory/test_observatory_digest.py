@@ -23,6 +23,7 @@ from repro.exec.cache import (
 )
 from repro.observatory import list_day_files, read_observations
 from repro.sim import ScenarioConfig, SimulationAborted, run_scenario
+from tests.observatory.reference import as_sets
 
 CONFIG = ScenarioConfig(seed=29, duration_days=8, volume_scale=1e-3,
                         n_tail=20, phase1_day=1, phase2_day=2, phase3_day=3,
@@ -175,5 +176,37 @@ def test_previous_layout_checkpoint_is_refused(tmp_path):
     (entry / "manifest.json").write_text(json.dumps(manifest))
 
     assert store.read(CONFIG, "observe") is None
+    result = observe(data, cache_dir=ckpt, checkpoint_every=3)
+    assert digests(data, result) == GOLDEN
+
+
+def test_set_layout_checkpoint_resumes(tmp_path):
+    """A mid-run entry whose observatory state holds its seen sources as
+    Python sets (the layout pickled before they were key columns, under
+    the same store version) resumes into the serial run's bytes."""
+    data, ckpt = tmp_path / "data", tmp_path / "ckpt"
+    with pytest.raises(SimulationAborted):
+        observe(data, cache_dir=ckpt, checkpoint_every=3,
+                abort_after_day=4)
+    store = ScenarioCache(ckpt)
+    entry = store.entry_dir(CONFIG, "observe")
+    checkpoint = store.read(CONFIG, "observe")
+    cursor = checkpoint.observatory
+    cursor.seen_sources = {
+        name: {level: as_sets(keys, level) for level, keys in levels.items()}
+        for name, levels in cursor.seen_sources.items()}
+    assert any(cursor.seen_sources["NT-A"].values())
+    state = entry / "state.00003.pkl"
+    state.write_bytes(pickle.dumps({"streams": checkpoint.streams,
+                                    "observatory": cursor}))
+    manifest = json.loads((entry / "manifest.json").read_text())
+    del manifest["manifest_sha256"]
+    manifest["files"][state.name] = _sha256(state.read_bytes())
+    manifest["manifest_sha256"] = _manifest_digest(manifest)
+    (entry / "manifest.json").write_text(json.dumps(manifest))
+
+    resumed = store.read(CONFIG, "observe")
+    assert resumed is not None and resumed.next_day == 3
+    assert isinstance(resumed.observatory.seen_sources["NT-A"][128], set)
     result = observe(data, cache_dir=ckpt, checkpoint_every=3)
     assert digests(data, result) == GOLDEN

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.exec.cache import ScenarioCache
+from repro.net.addr import KeySet
 from repro.obs import Journal, MetricsRegistry, use_journal, use_registry
 from repro.observatory import Observatory, ObservatoryError, ObservatoryState
 from repro.sim import ScenarioConfig, SimulationAborted, run_scenario
@@ -139,7 +140,8 @@ class TestModeGuards:
     def test_resume_with_missing_day_file_rejected(self, tmp_path):
         state = ObservatoryState(
             next_day=2,
-            seen_sources={t: {lv: set() for lv in (128, 64, 48)}
+            seen_sources={t: {lv: KeySet(1 if lv <= 64 else 2)
+                              for lv in (128, 64, 48)}
                           for t in ("NT-A", "NT-B", "NT-C")},
             event_counts={t: {lv: 0 for lv in (128, 64, 48)}
                           for t in ("NT-A", "NT-B", "NT-C")})

@@ -103,6 +103,35 @@ class TestCa:
         # A week later the window has slid.
         ca.issue(["s3.honey.com"], at=100.0 + WEEK + 10)
 
+    def test_rate_limit_week_boundary(self, env):
+        """The window is ``not_before > at - WEEK``: a certificate issued
+        exactly a week ago no longer counts, one a second later does."""
+        *_, ca, _ = env
+        for i in range(3):
+            ca.issue([f"s{i}.honey.com"], at=100.0 + i)
+        with pytest.raises(RateLimitExceeded):
+            ca.issue(["s3.honey.com"], at=100.0 + WEEK - 1)
+        # Exactly a week after the first: only s1 and s2 still count.
+        ca.issue(["s3.honey.com"], at=100.0 + WEEK)
+        with pytest.raises(RateLimitExceeded):
+            ca.issue(["s4.honey.com"], at=100.0 + WEEK)
+        ca.issue(["s4.honey.com"], at=101.0 + WEEK)
+
+    def test_fifty_certificate_limit(self):
+        """The default limit the paper hit: 50 certificates per
+        registered domain per week, then refusals until the first one
+        leaves the window; other domains are unaffected."""
+        ca = CertificateAuthority()
+        for i in range(50):
+            ca.issue([f"s{i}.honey.com"], at=float(i))
+        with pytest.raises(RateLimitExceeded):
+            ca.issue(["s50.honey.com"], at=60.0)
+        ca.issue(["s0.other.com"], at=60.0)
+        ca.issue(["s50.honey.com"], at=WEEK)  # s0 (at 0.0) left the window
+        with pytest.raises(RateLimitExceeded):
+            ca.issue(["s51.honey.com"], at=WEEK)
+        assert len(ca.issued()) == 52
+
     def test_rate_limit_is_per_domain(self, env):
         registrar, *_ = env
         ca = CertificateAuthority(weekly_limit=1)
