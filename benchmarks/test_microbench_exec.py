@@ -15,7 +15,7 @@ import pathlib
 import tempfile
 import time
 
-from repro.exec import run_experiments
+from repro.exec.pool import run_experiments
 from repro.sim import ScenarioConfig
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"

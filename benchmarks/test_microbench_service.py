@@ -27,7 +27,8 @@ import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.service import ScenarioServer, ScenarioService, ServiceClient
+from repro.service import ScenarioServer, ScenarioService
+from repro.service.client import ServiceClient
 from repro.sim import ScenarioConfig
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"

@@ -1,6 +1,9 @@
 """repro — reproduction of "Unveiling IPv6 Scanning Dynamics" (CoNEXT 2025).
 
-Top-level convenience surface.  The subpackages are the real API:
+Top-level convenience surface.  The subpackages are the real API.  A
+package ``__init__`` re-exports only what its importers run, so that no
+process compiles code it never calls; most subpackages re-export nothing
+and are imported module by module:
 
 * :mod:`repro.core` — proactive/passive telescopes (the paper's system),
 * :mod:`repro.net`, :mod:`repro.routing`, :mod:`repro.dns`,

@@ -265,7 +265,8 @@ def _observe(args) -> int:
     ``--summary-only``) followed by the drift report over its day files."""
     import json
 
-    from repro.observatory import DriftReport, list_day_files
+    from repro.observatory.drift import DriftReport
+    from repro.observatory.index import list_day_files
 
     if not args.summary_only:
         result = _scenario(args, observe_dir=args.data)
@@ -314,7 +315,7 @@ def _run(args) -> int:
 
 def _experiment(args, ids: list[str]) -> int:
     """The ``experiment`` subcommand over already-resolved ``ids``."""
-    from repro.exec import partition_ids, run_experiments
+    from repro.exec.pool import partition_ids, run_experiments
 
     result = _scenario(args) if partition_ids(ids)[1] else None
     print(run_experiments(
@@ -425,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "experiment":
         # Resolved before any layer is installed: an unknown id exits 2
         # without a metrics snapshot or trace table.
-        from repro.exec import UnknownExperimentError, resolve_ids
+        from repro.exec.pool import UnknownExperimentError, resolve_ids
 
         try:
             ids = resolve_ids(args.ids)

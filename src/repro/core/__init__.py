@@ -13,34 +13,3 @@
 * :mod:`repro.core.proactive` — the orchestrator wiring BGP, DNS, TLS,
   hitlist, honeypots, and capture together.
 """
-
-from repro.core.features import Feature, FEATURE_CODES
-from repro.core.honeyprefix import (
-    Honeyprefix,
-    HoneyprefixConfig,
-    IcmpMode,
-    standard_configs,
-)
-from repro.core.twinklenet import Twinklenet, TwinklenetConfig
-from repro.core.tpot import TPotInstance, DnatGateway, TPOT1_CONTAINERS, TPOT2_CONTAINERS
-from repro.core.darknet import DarknetTelescope
-from repro.core.capture import PacketCapturer
-from repro.core.proactive import ProactiveTelescope
-
-__all__ = [
-    "Feature",
-    "FEATURE_CODES",
-    "Honeyprefix",
-    "HoneyprefixConfig",
-    "IcmpMode",
-    "standard_configs",
-    "Twinklenet",
-    "TwinklenetConfig",
-    "TPotInstance",
-    "DnatGateway",
-    "TPOT1_CONTAINERS",
-    "TPOT2_CONTAINERS",
-    "DarknetTelescope",
-    "PacketCapturer",
-    "ProactiveTelescope",
-]

@@ -6,15 +6,3 @@ prefixes here so the analysis pipeline exercises the same joins the paper's
 pipeline performed (including dated snapshots and ASdb's occasional
 misclassifications).
 """
-
-from repro.datasets.asdb import AsCategory, AsDatabase, AsRecord
-from repro.datasets.geodb import GeoDatabase
-from repro.datasets.prefix2as import Prefix2As
-
-__all__ = [
-    "AsCategory",
-    "AsDatabase",
-    "AsRecord",
-    "GeoDatabase",
-    "Prefix2As",
-]

@@ -7,21 +7,3 @@ feeds, resolve the new names, and probe the resulting addresses.  The
 reverse (ip6.arpa) tree is modeled too, since prior work found scanners
 walking it.
 """
-
-from repro.dns.records import RRType, ResourceRecord
-from repro.dns.zone import Zone
-from repro.dns.registry import Registrar, TldRegistry, DomainRegistration
-from repro.dns.resolver import Resolver
-from repro.dns.reverse import ReverseZone, nibble_name
-
-__all__ = [
-    "RRType",
-    "ResourceRecord",
-    "Zone",
-    "Registrar",
-    "TldRegistry",
-    "DomainRegistration",
-    "Resolver",
-    "ReverseZone",
-    "nibble_name",
-]

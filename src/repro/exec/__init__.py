@@ -34,12 +34,6 @@ from repro.exec.freeze import (
     freeze_scenario,
 )
 from repro.exec.parallel import parallel_map, process_context
-from repro.exec.pool import (
-    UnknownExperimentError,
-    partition_ids,
-    resolve_ids,
-    run_experiments,
-)
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -48,12 +42,8 @@ __all__ = [
     "FrozenFabric",
     "FrozenScenario",
     "ScenarioCache",
-    "UnknownExperimentError",
     "freeze_result",
     "freeze_scenario",
     "parallel_map",
-    "partition_ids",
     "process_context",
-    "resolve_ids",
-    "run_experiments",
 ]

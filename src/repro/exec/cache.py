@@ -291,7 +291,7 @@ class ScenarioCache:
             if mode != "batch":
                 payloads["streams.pkl"] = _pickled(frozen.streaming)
             if mode == "observe":
-                from repro.observatory import list_day_files
+                from repro.observatory.index import list_day_files
 
                 summary = frozen.observatory
                 for day, path in list_day_files(summary["directory"]):

@@ -34,20 +34,23 @@ from dataclasses import dataclass, field
 
 from repro.exec.freeze import freeze_result
 from repro.exec.parallel import parallel_map
-from repro.obs import MetricsRegistry, Tracer, get_registry, get_tracer
+from repro.experiments import EXPERIMENTS
+from repro.experiments.report import render_header, render_section
+from repro.obs import (
+    MetricsRegistry,
+    Tracer,
+    get_registry,
+    get_tracer,
+    use_registry,
+    use_tracer,
+)
 from repro.sim.runner import ScenarioResult, run_scenario
-
-# repro.experiments is imported inside functions throughout this module:
-# its jobs-aware drivers import repro.exec.parallel, so a module-scope
-# import here would close an import cycle through the package __init__s.
 
 
 class UnknownExperimentError(KeyError):
     """Raised for experiment ids that are not in the registry."""
 
     def __init__(self, unknown: list[str]):
-        from repro.experiments import EXPERIMENTS
-
         self.unknown = list(unknown)
         super().__init__(
             f"unknown experiment id(s): {', '.join(self.unknown)} "
@@ -60,8 +63,6 @@ class UnknownExperimentError(KeyError):
 
 def resolve_ids(ids) -> list[str]:
     """Expand ``'all'``/None and validate against the registry."""
-    from repro.experiments import EXPERIMENTS
-
     ids = list(EXPERIMENTS) if ids in (None, ["all"], "all") else list(ids)
     unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:
@@ -71,8 +72,6 @@ def resolve_ids(ids) -> list[str]:
 
 def partition_ids(ids) -> tuple[list[str], list[str]]:
     """Split ids into (standalone, scenario-consuming), id order kept."""
-    from repro.experiments import EXPERIMENTS
-
     standalone = [i for i in ids if not EXPERIMENTS[i][1]]
     scenario = [i for i in ids if EXPERIMENTS[i][1]]
     return standalone, scenario
@@ -101,9 +100,6 @@ def _render_in_worker(
     own registry/tracer scoped to this one section, so concurrent workers
     never share mutable telemetry state, and returns plain picklable data.
     """
-    from repro.experiments.report import render_section
-    from repro.obs import use_registry, use_tracer
-
     registry = MetricsRegistry() if want_metrics else None
     tracer = Tracer() if want_trace else None
     with use_registry(registry), use_tracer(tracer):
@@ -132,9 +128,6 @@ def run_experiments(
     :class:`~repro.exec.cache.ScenarioCache`.  Returns the combined
     report; with ``output_path`` also writes it.
     """
-    from repro.experiments import EXPERIMENTS
-    from repro.experiments.report import render_header, render_section
-
     ids = resolve_ids(ids)
     standalone, scenario_ids = partition_ids(ids)
     registry = get_registry()

@@ -7,16 +7,3 @@ categorized lists that hitlist-consuming scanners download.  The paper also
 collaborated with the hitlist maintainers to *manually* insert addresses —
 modeled by :meth:`HitlistService.insert_manual`.
 """
-
-from repro.hitlist.categories import HitlistCategory
-from repro.hitlist.prober import ResponsivenessOracle, Prober
-from repro.hitlist.service import HitlistService, HitlistEntry, HitlistSnapshot
-
-__all__ = [
-    "HitlistCategory",
-    "ResponsivenessOracle",
-    "Prober",
-    "HitlistService",
-    "HitlistEntry",
-    "HitlistSnapshot",
-]

@@ -14,13 +14,6 @@ itself), CLI ``python -m repro observe`` / ``repro run --observe``, and an
 store entry's files.
 """
 
-from repro.observatory.drift import Changepoint, DriftReport, SeriesDrift
-from repro.observatory.index import (
-    list_day_files,
-    read_index,
-    read_observations,
-    update_index,
-)
 from repro.observatory.observer import (
     Observatory,
     ObservatoryError,
@@ -33,19 +26,12 @@ from repro.observatory.observer import (
 )
 
 __all__ = [
-    "Changepoint",
-    "DriftReport",
     "Observatory",
     "ObservatoryError",
     "ObservatoryState",
-    "SeriesDrift",
     "day_file_path",
     "day_tactics",
-    "list_day_files",
     "load_observer_day",
     "observer_line",
-    "read_index",
-    "read_observations",
-    "update_index",
     "validate_observer",
 ]

@@ -10,22 +10,3 @@ paper depends on are modeled here:
 * RPKI-aware upstreams reject announcements without a covering ROA,
 * withdrawals propagate within hours and scanners notice quickly.
 """
-
-from repro.routing.messages import Announcement, Withdrawal
-from repro.routing.rib import Rib, Route
-from repro.routing.speaker import BgpSpeaker
-from repro.routing.collectors import CollectorSystem, RouteCollector
-from repro.routing.rpki import Roa, RoaRegistry, RpkiValidity
-
-__all__ = [
-    "Announcement",
-    "Withdrawal",
-    "Rib",
-    "Route",
-    "BgpSpeaker",
-    "CollectorSystem",
-    "RouteCollector",
-    "Roa",
-    "RoaRegistry",
-    "RpkiValidity",
-]

@@ -15,42 +15,3 @@ characteristics (Tables 3/8, Figures 5/6):
   matching Figs 7/8) and emit per-day Poisson packet batches;
 * **population** — the calibrated default population builder.
 """
-
-from repro.scanners.identity import AllocationMode, ScannerIdentity, SourceAllocator
-from repro.scanners.strategies import (
-    BgpWatcher,
-    CtLogWatcher,
-    HitlistConsumer,
-    ProbeBatch,
-    RdnsWalkerStrategy,
-    Strategy,
-    ZoneFileWatcher,
-)
-from repro.scanners.tga import PatternTga
-from repro.scanners.tga6tree import SixTreeTga
-from repro.scanners.entropy_tga import EntropyTga
-from repro.scanners.tga_eval import TgaEvaluation, evaluate_tgas
-from repro.scanners.agent import ScanSession, ScannerAgent
-from repro.scanners.population import PopulationSpec, build_population
-
-__all__ = [
-    "AllocationMode",
-    "ScannerIdentity",
-    "SourceAllocator",
-    "Strategy",
-    "ProbeBatch",
-    "BgpWatcher",
-    "ZoneFileWatcher",
-    "CtLogWatcher",
-    "HitlistConsumer",
-    "RdnsWalkerStrategy",
-    "PatternTga",
-    "SixTreeTga",
-    "EntropyTga",
-    "TgaEvaluation",
-    "evaluate_tgas",
-    "ScannerAgent",
-    "ScanSession",
-    "PopulationSpec",
-    "build_population",
-]

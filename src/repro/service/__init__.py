@@ -24,7 +24,6 @@ the service only ever serves verified cache entries produced by
 ``run_scenario`` itself.
 """
 
-from repro.service.client import RunFailed, ServiceClient, ServiceClientError
 from repro.service.core import (
     AdmissionFull,
     PoolBroken,
@@ -42,12 +41,9 @@ __all__ = [
     "AdmissionFull",
     "PoolBroken",
     "ResultUnavailable",
-    "RunFailed",
     "RunState",
     "ScenarioServer",
     "ScenarioService",
-    "ServiceClient",
-    "ServiceClientError",
     "ServiceClosed",
     "ServiceError",
     "UnknownRun",

@@ -5,7 +5,6 @@ point used for the longitudinal motivation figures.
 
 from repro.sim.engine import Engine, Event
 from repro.sim.fabric import InternetFabric
-from repro.sim.cdn import CdnVantage, CdnScannerSpec
 from repro.sim.scenario import PaperScenario, ScenarioConfig
 from repro.sim.runner import ScenarioResult, SimulationAborted, run_scenario
 
@@ -13,8 +12,6 @@ __all__ = [
     "Engine",
     "Event",
     "InternetFabric",
-    "CdnVantage",
-    "CdnScannerSpec",
     "PaperScenario",
     "ScenarioConfig",
     "ScenarioResult",

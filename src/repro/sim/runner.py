@@ -14,7 +14,6 @@ from functools import cached_property
 import numpy as np
 
 from repro._util import DAY
-from repro.analysis.asinfo import MetadataJoiner
 from repro.analysis.records import PacketRecords
 from repro.core.honeyprefix import Honeyprefix
 from repro.net.addr import IPv6Prefix
@@ -89,7 +88,10 @@ class ScenarioResult:
         return self.config.duration_days * DAY
 
     @cached_property
-    def joiner(self) -> MetadataJoiner:
+    def joiner(self) -> "MetadataJoiner":
+        # Only the report sections join metadata; a run never does.
+        from repro.analysis.asinfo import MetadataJoiner
+
         fabric = self.scenario.fabric
         return MetadataJoiner(fabric.prefix2as, fabric.asdb, fabric.geodb)
 

@@ -7,19 +7,3 @@ the SAN names and probe the addresses.  The paper observed the first scanner
 7 seconds after issuance.  Let's Encrypt's weekly rate limit — the reason
 only 50 subdomains got certificates — is modeled on the CA.
 """
-
-from repro.tlsca.cert import Certificate
-from repro.tlsca.ctlog import CtLog, CtEntry
-from repro.tlsca.ca import CertificateAuthority, RateLimitExceeded
-from repro.tlsca.acme import AcmeClient, AcmeOrder, ChallengeFailed
-
-__all__ = [
-    "Certificate",
-    "CtLog",
-    "CtEntry",
-    "CertificateAuthority",
-    "RateLimitExceeded",
-    "AcmeClient",
-    "AcmeOrder",
-    "ChallengeFailed",
-]

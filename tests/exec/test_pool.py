@@ -4,10 +4,10 @@ import pickle
 
 import pytest
 
-from repro.exec import (
+from repro.exec.freeze import freeze_result
+from repro.exec.parallel import parallel_map
+from repro.exec.pool import (
     UnknownExperimentError,
-    freeze_result,
-    parallel_map,
     partition_ids,
     resolve_ids,
     run_experiments,

@@ -17,7 +17,7 @@ import hashlib
 import pytest
 
 from bench.workloads import REPORT
-from repro.exec import run_experiments
+from repro.exec.pool import run_experiments
 from repro.experiments import (
     fig1, fig2, fig5, fig9, fig11, fig13, fig14, table1, table3, table6,
 )

@@ -130,7 +130,7 @@ class TestMultiProcessTrace:
     def test_worker_spans_carry_their_process_id(self, tmp_path):
         """A fanned-out report's trace shows each worker as its own
         process: adopted spans keep the worker's pid, not the parent's."""
-        from repro.exec import run_experiments
+        from repro.exec.pool import run_experiments
 
         with use_tracer(Tracer()) as tracer:
             run_experiments(ids=["table2", "table7"], jobs=2)

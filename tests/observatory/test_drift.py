@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.observatory import DriftReport
+from repro.observatory.drift import DriftReport
 
 
 def _step_series(n=30, at=20, base=10.0, shift=8.0, noise=0.5, seed=7):

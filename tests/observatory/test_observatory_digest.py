@@ -21,7 +21,7 @@ from repro.exec.cache import (
     ScenarioCache,
     _manifest_digest,
 )
-from repro.observatory import list_day_files, read_observations
+from repro.observatory.index import list_day_files, read_observations
 from repro.sim import ScenarioConfig, SimulationAborted, run_scenario
 from tests.observatory.reference import as_sets
 

@@ -20,13 +20,15 @@ from repro.observatory import (
     ObservatoryError,
     day_file_path,
     day_tactics,
-    list_day_files,
     load_observer_day,
     observer_line,
+    validate_observer,
+)
+from repro.observatory.index import (
+    list_day_files,
     read_index,
     read_observations,
     update_index,
-    validate_observer,
 )
 from repro.net.addr import prefix_groups_u64
 from repro.observatory import Observatory

@@ -21,12 +21,8 @@ from pathlib import Path
 import pytest
 
 from repro.exec.cache import ScenarioCache
-from repro.service import (
-    ScenarioServer,
-    ScenarioService,
-    ServiceClient,
-    ServiceClientError,
-)
+from repro.service import ScenarioServer, ScenarioService
+from repro.service.client import ServiceClient, ServiceClientError
 from repro.sim import ScenarioConfig
 
 from tests.service.conftest import TINY, assert_results_identical
@@ -220,7 +216,7 @@ class TestObservatory:
         the entry serves those day files under manifest checksums."""
         import hashlib
 
-        from repro.observatory import read_observations
+        from repro.observatory.index import read_observations
 
         view = client.submit(TINY, mode="observe")
         assert view["outcome"] == "created"

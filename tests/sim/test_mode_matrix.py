@@ -8,6 +8,8 @@ its checkpoint.  Every case must reproduce its mode's pinned digests:
 the records, the ``origin`` columns, the dispatch counters, the journal
 (with the store's own ``cache_store``, ``cache_hit`` and ``checkpoint``
 records set aside), the stream summaries and the observatory directory.
+The cold store entry's record and ``origin`` files are pinned byte for
+byte.
 The digests were computed by the code before checkpoints joined the run
 store, from runs with no store.  A warm run never simulates: its journal
 is the manifest and one ``cache_hit``.
@@ -32,8 +34,10 @@ import numpy as np
 import pytest
 
 from repro.__main__ import main
+from repro.exec.cache import ScenarioCache
 from repro.obs import Journal, MetricsRegistry, use_journal, use_registry
-from repro.service import ScenarioServer, ScenarioService, ServiceClient
+from repro.service import ScenarioServer, ScenarioService
+from repro.service.client import ServiceClient
 from repro.sim import ScenarioConfig, SimulationAborted, run_scenario
 
 CONFIG = ScenarioConfig(seed=31, duration_days=12, volume_scale=1e-4,
@@ -130,6 +134,31 @@ PINNED = {
     },
 }
 
+#: The cold store entry's record and ``origin`` files.  numpy dates every
+#: zip member 1980-01-01, so their bytes depend only on the arrays; a
+#: numpy that stamped the write time would fail here.
+EMPTY_NPZ = ("f89c5866ba59d2819a941494cbf1378f"
+             "b4d319a07308fe8147c46f41f54e4340")
+STREAM_FILES = {"nta.npz": EMPTY_NPZ, "ntb.npz": EMPTY_NPZ,
+                "ntc.npz": EMPTY_NPZ}
+STORE_FILES = {
+    "batch": {
+        "nta.npz": ("a7e6f0897f58ee50e8ab28e2b24effb5"
+                    "83de97e9ecc75ecdb9a8244a4d8a4f34"),
+        "ntb.npz": EMPTY_NPZ,
+        "ntc.npz": ("eb98e54c883a07daad4880401ae04f35"
+                    "41d88da90c5960745421fad9a9f6f4f6"),
+        "origin-NT-A.npy": ("a39bede5dc05ab8c2bcab4e49e97729a"
+                            "39395852ab3b485512499ff3c86e83db"),
+        "origin-NT-B.npy": ("040ce28f7590a34af85fbdb8115c90c9"
+                            "a0529a73b047533889c859c2f2c6e627"),
+        "origin-NT-C.npy": ("988ad3c22414b288b9ad6deea78fe43a"
+                            "5374f2c9d6f25dba4341c87def519373"),
+    },
+    "stream": STREAM_FILES,
+    "observe": STREAM_FILES,
+}
+
 
 def _sha(data) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -203,6 +232,10 @@ class TestModeMatrix:
         assert _types(cold_journal)[-1] == "cache_store"
         assert "cache_hit" not in _types(cold_journal)
         assert digests(cold, cold_journal, cold_dir) == PINNED[mode]
+        entry = ScenarioCache(store).entry_dir(CONFIG, mode)
+        assert {path.name: _sha(path.read_bytes())
+                for path in sorted(entry.iterdir())
+                if path.suffix in (".npz", ".npy")} == STORE_FILES[mode]
 
         # Served from the store into a fresh observe directory: nothing
         # is simulated, and every output matches but the journal, which

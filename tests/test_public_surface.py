@@ -6,7 +6,8 @@ under ``from repro.x import *``.  And the per-packet ``*_reference``
 oracles live in ``tests/``: the package neither defines one nor imports
 anything from ``tests``.  Simulating does not import scipy, which only
 the BSTM fits need, and the CLI and the service start without the
-report layer (``repro.experiments``).
+report layer (``repro.experiments``) or the modules only it and the
+standalone tools run.  README's building-blocks example runs as written.
 """
 
 import ast
@@ -14,6 +15,7 @@ import importlib
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -38,8 +40,11 @@ def test_every_export_resolves(name):
 
 
 def test_exports_are_checked():
-    """The walk is not vacuous: it reaches the subpackage ``__init__``s."""
-    assert {"repro.net", "repro.obs", "repro.analysis"} <= set(MODULES)
+    """The walk is not vacuous: it reaches subpackage ``__init__``s that
+    still export names."""
+    exporting = ("repro.obs", "repro.sim", "repro.observatory")
+    assert set(exporting) <= set(MODULES)
+    assert all(importlib.import_module(name).__all__ for name in exporting)
 
 
 def _trees():
@@ -106,3 +111,54 @@ def test_cli_and_service_start_without_report_layer():
         ("scipy", "repro.experiments"))
     assert loaded == []
 
+
+#: Modules that only the report sections, the drift report and the
+#: standalone tools (pcap I/O, TGA evaluation) run.
+REPORT_ONLY = (
+    *(f"repro.analysis.{name}" for name in (
+        "bstm", "effects", "flows", "hilbert", "jaccard", "scope",
+        "blocklist", "addrpatterns", "asinfo")),
+    "repro.sim.cdn",
+    "repro.net.realpcap",
+    "repro.observatory.drift",
+    "repro.scanners.tga6tree",
+    "repro.scanners.entropy_tga",
+    "repro.scanners.tga_eval",
+)
+
+
+def test_run_path_imports_only_what_runs():
+    """A scenario run, an observe run and the run store load no module
+    that only a report section or a standalone tool calls: every bench
+    child and service worker would pay for compiling it at start."""
+    loaded = _fresh_imports(
+        "repro.sim.runner, repro.observatory.observer, repro.exec.cache",
+        REPORT_ONLY)
+    assert loaded == []
+
+
+def test_cli_and_service_import_only_what_runs():
+    """The CLI and the service start without the report-only modules;
+    the service server does not load the client it serves."""
+    loaded = _fresh_imports(
+        "repro.__main__, repro.service.core, repro.service.http",
+        (*REPORT_ONLY, "repro.service.client"))
+    assert loaded == []
+
+
+def _readme_block(heading: str) -> str:
+    """The first fenced python block under ``heading`` in README.md."""
+    text = (SRC.parents[1] / "README.md").read_text()
+    section = text.split(f"\n{heading}\n", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_building_blocks_run():
+    """README's "Building blocks directly" example imports and runs as
+    written."""
+    namespace = {}
+    exec(compile(_readme_block("### Building blocks directly"),
+                 "README.md", "exec"), namespace)
+    hp = namespace["hp"]
+    assert str(hp.prefix) == "2001:db8:9999::/48"
+    assert hp.config.name == "H_TPot1"
