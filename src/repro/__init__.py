@@ -1,9 +1,10 @@
 """repro — reproduction of "Unveiling IPv6 Scanning Dynamics" (CoNEXT 2025).
 
-Top-level convenience surface.  The subpackages are the real API.  A
-package ``__init__`` re-exports only what its importers run, so that no
-process compiles code it never calls; most subpackages re-export nothing
-and are imported module by module:
+The package itself exports only ``__version__``, so importing a
+``repro`` module loads no simulation code it does not import itself; the
+subpackages are the API.  A package ``__init__`` re-exports only what
+its importers run, so that no process compiles code it never calls; most
+subpackages re-export nothing and are imported module by module:
 
 * :mod:`repro.core` — proactive/passive telescopes (the paper's system),
 * :mod:`repro.net`, :mod:`repro.routing`, :mod:`repro.dns`,
@@ -12,17 +13,15 @@ and are imported module by module:
 * :mod:`repro.scanners` — the synthetic scanner ecosystem,
 * :mod:`repro.analysis` — the measurement pipeline (flows, scan detection,
   BSTM causal impact, scope/tactic/geo analyses),
-* :mod:`repro.sim` — the event engine, fabric, paper scenario, CDN model,
+* :mod:`repro.sim` — the event engine, fabric, paper scenario, CDN model
+  (``run_scenario`` and ``ScenarioConfig`` are imported from it),
 * :mod:`repro.experiments` — one driver per paper table/figure (the
   registry is ``repro.experiments.EXPERIMENTS``; importing it imports
   scipy, which the simulation path never needs).  Of the CLI
   subcommands only ``list``, ``experiment`` and a batch ``run`` load
-  it; ``serve``, ``observe`` and ``run --stream``/``--observe`` start
-  without it.
+  it; ``serve``, ``observe`` and ``run --stream`` start without it.
 """
-
-from repro.sim import ScenarioConfig, run_scenario
 
 __version__ = "1.2.0"
 
-__all__ = ["ScenarioConfig", "run_scenario", "__version__"]
+__all__ = ["__version__"]

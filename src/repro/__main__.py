@@ -42,9 +42,9 @@ worker processes (the report bytes do not depend on N).
 Only ``list``, ``experiment`` and a batch ``run`` (its five headline
 tables) import :mod:`repro.experiments`, and with it scipy; each does so
 inside the function that renders.  ``serve``, ``observe`` and
-``run --stream``/``--observe`` never load the report layer, so the
-service binds its socket (and forks its pool workers) with only the
-simulation, cache and observability modules imported.
+``run --stream`` never load the report layer, so the service binds its
+socket (and forks its pool workers) with only the simulation, cache and
+observability modules imported.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ DEFAULT_JOURNAL_PATH = "journal.jsonl"
 #: uses this.
 DEFAULT_CACHE_DIR = ".cache"
 
-#: --observe / the observe subcommand write observer day files here.
+#: The observe subcommand writes observer day files here.
 DEFAULT_OBSERVE_DIR = "data"
 
 
@@ -157,12 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "day loop and release each day's packets, so "
                             "no packet outlives its day; prints "
                             "a streaming scan summary instead of the "
-                            "record-driven tables (--observe implies it)")
-    run_p.add_argument("--observe", nargs="?", const=DEFAULT_OBSERVE_DIR,
-                       default=None, metavar="DIR",
-                       help="stream (as --stream) and emit one schema-"
-                            "versioned observer JSON per simulated day "
-                            f"into DIR (default {DEFAULT_OBSERVE_DIR})")
+                            "record-driven tables")
     add_scenario_args(run_p)
 
     exp_p = sub.add_parser("experiment",
@@ -291,16 +286,10 @@ def _observe(args) -> int:
 def _run(args) -> int:
     """The ``run`` subcommand: the scenario, then its headline tables (or
     the streaming summary when the run drained its captures daily)."""
-    result = _scenario(args, stream_analysis=args.stream,
-                       observe_dir=args.observe)
+    result = _scenario(args, stream_analysis=args.stream)
     if result.streaming is not None:
         print()
         print(_render_stream_summary(result))
-        if result.observatory is not None:
-            summary = result.observatory
-            print(f"observatory: {summary['days']} day files, "
-                  f"{summary['records']} telescope records in "
-                  f"{summary['directory']}", file=sys.stderr)
         return 0
     from repro.experiments import EXPERIMENTS
 

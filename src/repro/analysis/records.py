@@ -1,37 +1,28 @@
 """Columnar packet records: the analysis pipeline's working format.
 
-Addresses are stored as two uint64 columns (hi/lo halves of the 128-bit
-value) so that numpy can mask, compare, and group them without per-packet
-Python objects.  All filtering operations return new views/copies; records
-are immutable once built.
+:class:`PacketRecords` is a :class:`~repro.net.batch.PacketBatch` with no
+``origin`` column — what a telescope observes — plus the analysis
+queries.  Addresses are stored as two uint64 columns (hi/lo halves of the
+128-bit value) so that numpy can mask, compare, and group them without
+per-packet Python objects.  Records are immutable once built, and every
+filtering operation returns new records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from repro._util import DAY
 from repro.net.addr import (
-    IPv6Prefix,
     group_keys,
     mask_u64,
     pack_key_u64,
     prefix_groups_u64,
     unique_pairs_u64,
 )
-from repro.net.packet import Packet
-
-_U64 = 0xFFFFFFFFFFFFFFFF
-
-
-def _prefix_halves(prefix: IPv6Prefix) -> tuple[np.uint64, np.uint64]:
-    return (
-        np.uint64((prefix.network >> 64) & _U64),
-        np.uint64(prefix.network & _U64),
-    )
+from repro.net.batch import CAPTURE_COLUMNS, PacketBatch
 
 
 def distinct_per_group(group: np.ndarray, n_groups: int,
@@ -43,89 +34,14 @@ def distinct_per_group(group: np.ndarray, n_groups: int,
     return np.bincount(pairs // span, minlength=n_groups)
 
 
-@dataclass(frozen=True)
-class PacketRecords:
-    """Immutable columnar packet capture."""
-
-    ts: np.ndarray        # float64
-    src_hi: np.ndarray    # uint64
-    src_lo: np.ndarray    # uint64
-    dst_hi: np.ndarray    # uint64
-    dst_lo: np.ndarray    # uint64
-    proto: np.ndarray     # uint8
-    sport: np.ndarray     # uint16
-    dport: np.ndarray     # uint16
+class PacketRecords(PacketBatch):
+    """Immutable columnar packet capture: a :class:`PacketBatch` whose
+    ``origin`` is None, so the emitting agent never reaches analysis."""
 
     def __post_init__(self) -> None:
-        n = len(self.ts)
-        for name in ("src_hi", "src_lo", "dst_hi", "dst_lo",
-                     "proto", "sport", "dport"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"column {name} length mismatch")
-
-    # -- construction ---------------------------------------------------
-
-    @classmethod
-    def from_columns(cls, ts, src_hi, src_lo, dst_hi, dst_lo,
-                     proto, sport, dport) -> "PacketRecords":
-        return cls(
-            ts=np.asarray(ts, dtype=np.float64),
-            src_hi=np.asarray(src_hi, dtype=np.uint64),
-            src_lo=np.asarray(src_lo, dtype=np.uint64),
-            dst_hi=np.asarray(dst_hi, dtype=np.uint64),
-            dst_lo=np.asarray(dst_lo, dtype=np.uint64),
-            proto=np.asarray(proto, dtype=np.uint8),
-            sport=np.asarray(sport, dtype=np.uint16),
-            dport=np.asarray(dport, dtype=np.uint16),
-        )
-
-    @classmethod
-    def from_packets(cls, packets: Iterable[Packet]) -> "PacketRecords":
-        cols: tuple[list, ...] = ([], [], [], [], [], [], [], [])
-        for p in packets:
-            cols[0].append(p.timestamp)
-            cols[1].append((p.src >> 64) & _U64)
-            cols[2].append(p.src & _U64)
-            cols[3].append((p.dst >> 64) & _U64)
-            cols[4].append(p.dst & _U64)
-            cols[5].append(p.proto)
-            cols[6].append(p.sport)
-            cols[7].append(p.dport)
-        return cls.from_columns(*cols)
-
-    @classmethod
-    def empty(cls) -> "PacketRecords":
-        return cls.from_columns([], [], [], [], [], [], [], [])
-
-    @classmethod
-    def concat(cls, parts: list["PacketRecords"]) -> "PacketRecords":
-        if not parts:
-            return cls.empty()
-        return cls(
-            ts=np.concatenate([p.ts for p in parts]),
-            src_hi=np.concatenate([p.src_hi for p in parts]),
-            src_lo=np.concatenate([p.src_lo for p in parts]),
-            dst_hi=np.concatenate([p.dst_hi for p in parts]),
-            dst_lo=np.concatenate([p.dst_lo for p in parts]),
-            proto=np.concatenate([p.proto for p in parts]),
-            sport=np.concatenate([p.sport for p in parts]),
-            dport=np.concatenate([p.dport for p in parts]),
-        )
-
-    # -- basics ----------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.ts)
-
-    def select(self, mask: np.ndarray) -> "PacketRecords":
-        """New records containing the rows where ``mask`` is True."""
-        return PacketRecords(
-            ts=self.ts[mask],
-            src_hi=self.src_hi[mask], src_lo=self.src_lo[mask],
-            dst_hi=self.dst_hi[mask], dst_lo=self.dst_lo[mask],
-            proto=self.proto[mask], sport=self.sport[mask],
-            dport=self.dport[mask],
-        )
+        super().__post_init__()
+        if self.origin is not None:
+            raise ValueError("packet records carry no origin column")
 
     # -- masks -----------------------------------------------------------
 
@@ -135,16 +51,6 @@ class PacketRecords:
 
     def mask_proto(self, proto: int) -> np.ndarray:
         return self.proto == np.uint8(proto)
-
-    def mask_dst_in(self, prefix: IPv6Prefix) -> np.ndarray:
-        hi, lo = mask_u64(self.dst_hi, self.dst_lo, prefix.length)
-        want_hi, want_lo = _prefix_halves(prefix)
-        return (hi == want_hi) & (lo == want_lo)
-
-    def mask_src_in(self, prefix: IPv6Prefix) -> np.ndarray:
-        hi, lo = mask_u64(self.src_hi, self.src_lo, prefix.length)
-        want_hi, want_lo = _prefix_halves(prefix)
-        return (hi == want_hi) & (lo == want_lo)
 
     # -- address reconstruction -------------------------------------------
 
@@ -246,26 +152,13 @@ class PacketRecords:
 
     def save_npz(self, path) -> None:
         """Persist the columns as a compressed ``.npz`` archive."""
-        np.savez_compressed(
-            path,
-            ts=self.ts, src_hi=self.src_hi, src_lo=self.src_lo,
-            dst_hi=self.dst_hi, dst_lo=self.dst_lo,
-            proto=self.proto, sport=self.sport, dport=self.dport,
-        )
+        np.savez_compressed(path, **{col: getattr(self, col)
+                                     for col in CAPTURE_COLUMNS})
 
     @classmethod
     def load_npz(cls, path) -> "PacketRecords":
         """Load records saved by :meth:`save_npz` (dtypes re-coerced, so a
         hand-built archive with wider integer columns still loads)."""
         with np.load(path) as archive:
-            return cls.from_columns(
-                ts=archive["ts"],
-                src_hi=archive["src_hi"], src_lo=archive["src_lo"],
-                dst_hi=archive["dst_hi"], dst_lo=archive["dst_lo"],
-                proto=archive["proto"], sport=archive["sport"],
-                dport=archive["dport"],
-            )
-
-    #: Back-compat aliases for the pre-cache spelling.
-    save = save_npz
-    load = load_npz
+            return cls.from_columns(**{col: archive[col]
+                                       for col in CAPTURE_COLUMNS})

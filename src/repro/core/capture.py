@@ -1,50 +1,42 @@
 """Packet capture into analysis-ready columnar records.
 
 ``PacketCapturer`` is the telescope's packet-capture stage:
-:meth:`PacketCapturer.capture_batch` copies each batch's analysis-relevant
-columns (timestamps, src/dst split into uint64 halves, protocol, ports)
-into one growable columnar store, in arrival order, and ``to_records()``
-hands the store's columns out as
+:meth:`PacketCapturer.capture_batch` copies each
+:class:`~repro.net.batch.PacketBatch` into one growable columnar store, in
+arrival order, and ``to_records()`` hands the store's columns out as
 :class:`repro.analysis.records.PacketRecords` without copying them.
 
 The capturer is also the *provenance boundary*: a batch arriving with the
 ground-truth ``origin`` column (the emitting agent's id) keeps it in the
 store's ``origin`` column, but the frozen records never carry it — a real
 telescope cannot see who sent a packet.  Rows that arrived without one
-read :data:`~repro.net.batch.UNKNOWN_ORIGIN`, and
+(hand-built packets) read :data:`~repro.net.batch.UNKNOWN_ORIGIN`, and
 :meth:`PacketCapturer.to_truth` serves the column, aligned row for row
 with the records, for detection scoring.
 
 Each captured row lives in one place.  The store's arrays are
 preallocated and grow in place by at least an eighth at a time, so a
 capture copies only its own rows.  A freeze trims the store and hands
-its arrays out; the capturer then keeps them as its frozen prefix and
-starts a fresh store, so no array that was handed out is ever resized or
-written again.  A batch run retains the store until the freeze, and a
-streaming run drains it at each day boundary
-(:meth:`PacketCapturer.drain_day_records`, which returns the day's
-records and their ``origin``), so it never holds more than one day.
+its arrays out; the capturer then keeps them as its frozen prefix, one
+origin-bearing ``PacketBatch``, and starts a fresh store, so no array
+that was handed out is ever resized or written again.  A batch run
+retains the store until the freeze, and a streaming run drains it at
+each day boundary (:meth:`PacketCapturer.drain_day_records`, which
+returns the day's records and their ``origin``), so it never holds more
+than one day.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.net.batch import UNKNOWN_ORIGIN, PacketBatch, WireBatch
+from repro.net.batch import (
+    CAPTURE_COLUMNS,
+    COLUMN_DTYPES,
+    UNKNOWN_ORIGIN,
+    PacketBatch,
+)
 from repro.obs import get_registry
-
-#: Capture column storage order (matches ``PacketRecords``' columns).
-CAPTURE_COLUMNS = ("ts", "src_hi", "src_lo", "dst_hi", "dst_lo",
-                   "proto", "sport", "dport")
-
-#: The store's columns: the eight capture columns, then ``origin``.
-_COLUMN_DTYPES = {
-    "ts": np.float64,
-    "src_hi": np.uint64, "src_lo": np.uint64,
-    "dst_hi": np.uint64, "dst_lo": np.uint64,
-    "proto": np.uint8, "sport": np.uint16, "dport": np.uint16,
-    "origin": np.int32,
-}
 
 #: Capacity growth factor of the store.  Small enough that the unused
 #: tail stays an eighth of the rows at most (the same peak as growing to
@@ -55,7 +47,7 @@ _GROWTH = 1.125
 
 def _empty_columns() -> dict[str, np.ndarray]:
     return {col: np.empty(0, dtype=dtype)
-            for col, dtype in _COLUMN_DTYPES.items()}
+            for col, dtype in COLUMN_DTYPES.items()}
 
 
 class PacketCapturer:
@@ -68,18 +60,16 @@ class PacketCapturer:
         #: which is what lets them grow in place.
         self._columns = _empty_columns()
         self._size = 0
-        #: The last freeze's records and their aligned ``origin`` column:
-        #: the arrays a freeze handed out, never written again, which
-        #: repeated freezes serve and a later freeze extends.
-        self._frozen = None
-        self._frozen_origin = None
+        #: The rows every freeze so far handed out, ``origin`` included:
+        #: arrays never written again, which repeated freezes serve and a
+        #: later freeze extends.
+        self._frozen = PacketBatch.allocate(0, origin=True)
         self._packet_metric = get_registry().counter(
             f"telescope.{name}.packets"
         )
 
     def __len__(self) -> int:
-        frozen = len(self._frozen) if self._frozen is not None else 0
-        return frozen + self._size
+        return len(self._frozen) + self._size
 
     # -- the store ----------------------------------------------------------
 
@@ -97,14 +87,14 @@ class PacketCapturer:
             return
         if self._size == 0:
             self._columns = {col: np.empty(needed, dtype=dtype)
-                             for col, dtype in _COLUMN_DTYPES.items()}
+                             for col, dtype in COLUMN_DTYPES.items()}
             return
         capacity = max(needed, int(capacity * _GROWTH))
-        for col in _COLUMN_DTYPES:
+        for col in COLUMN_DTYPES:
             try:
                 self._columns[col].resize(capacity, refcheck=True)
             except ValueError:
-                grown = np.empty(capacity, dtype=_COLUMN_DTYPES[col])
+                grown = np.empty(capacity, dtype=COLUMN_DTYPES[col])
                 grown[:self._size] = self._columns[col][:self._size]
                 self._columns[col] = grown
 
@@ -132,7 +122,7 @@ class PacketCapturer:
         columns = self._columns
         self._columns = _empty_columns()
         self._size = 0
-        for col in _COLUMN_DTYPES:
+        for col in COLUMN_DTYPES:
             try:
                 columns[col].resize(size, refcheck=True)
             except ValueError:
@@ -141,20 +131,15 @@ class PacketCapturer:
 
     # -- capture ----------------------------------------------------------
 
-    def capture_batch(self, batch: PacketBatch | WireBatch) -> PacketBatch:
+    def capture_batch(self, batch: PacketBatch) -> PacketBatch:
         """Append a whole columnar batch to the store.
 
-        Accepts the eight capture columns as a :class:`PacketBatch`; a
-        honeypot reply :class:`WireBatch` is captured through its capture
-        columns (transport detail is not part of the record format).
         Returns the stored rows as a batch of views into the store
         (``origin`` included when the batch carried one), so a caller can
         drop its own copy and read the rows from here.  Holding the views
         across later captures is correct but makes the store copy when it
         grows.
         """
-        if isinstance(batch, WireBatch):
-            batch = batch.as_packet_batch()
         if len(batch) == 0:
             return batch
         self._packet_metric.inc(len(batch))
@@ -166,17 +151,8 @@ class PacketCapturer:
         """Every captured row from row ``start`` on as origin-bearing
         batches in arrival order, the frozen prefix (if any) first — what
         a checkpoint stores.  The batches share the capturer's arrays."""
-        chunks = []
-        if self._frozen is not None:
-            frozen = self._frozen
-            chunks.append(PacketBatch(
-                **{col: getattr(frozen, col) for col in CAPTURE_COLUMNS},
-                origin=self._frozen_origin,
-            ))
-        if self._size:
-            chunks.append(PacketBatch(
-                **{col: self._columns[col][:self._size]
-                   for col in _COLUMN_DTYPES}))
+        chunks = [self._frozen, PacketBatch(
+            **{col: rows[:self._size] for col, rows in self._columns.items()})]
         tail = []
         for chunk in chunks:
             if start < len(chunk):
@@ -220,43 +196,35 @@ class PacketCapturer:
         concatenates the frozen prefix and the new rows into fresh
         arrays, leaving the earlier freeze's arrays untouched.
         """
-        from repro.analysis.records import PacketRecords
-
         if not self._size:
             return
         columns = self._take()
-        if self._frozen is not None:
-            prefix = {col: getattr(self._frozen, col)
-                      for col in CAPTURE_COLUMNS}
-            prefix["origin"] = self._frozen_origin
-            for col in _COLUMN_DTYPES:
-                columns[col] = np.concatenate([prefix[col], columns[col]])
-        self._frozen_origin = columns.pop("origin")
-        self._frozen = PacketRecords(**columns)
+        if len(self._frozen):
+            columns = {col: np.concatenate([getattr(self._frozen, col), rows])
+                       for col, rows in columns.items()}
+        self._frozen = PacketBatch(**columns)
 
     def to_records(self):
         """Freeze into :class:`repro.analysis.records.PacketRecords`.
 
-        The records' columns are the store's arrays, trimmed and handed
-        out without a copy.  Repeated freezes serve the cached frozen
-        prefix, and captures after a freeze go to a fresh store that the
-        next freeze appends to it.
+        The records' columns are the frozen prefix's arrays, handed out
+        without a copy.  Repeated freezes serve the frozen prefix, and
+        captures after a freeze go to a fresh store that the next freeze
+        appends to it.
         """
         # Imported here to keep core importable without the analysis stack.
         from repro.analysis.records import PacketRecords
 
         self._freeze()
-        return (self._frozen if self._frozen is not None
-                else PacketRecords.empty())
+        return PacketRecords(**{col: getattr(self._frozen, col)
+                                for col in CAPTURE_COLUMNS})
 
     def to_truth(self) -> np.ndarray:
         """The frozen ``origin`` column: the emitting agent's id per row,
         aligned row for row with :meth:`to_records`.
 
-        Rows that arrived without ``origin`` — honeypot responses and
-        hand-built packets — have no provenance and read
-        :data:`~repro.net.batch.UNKNOWN_ORIGIN`.
+        Rows that arrived without ``origin`` (hand-built packets) have no
+        provenance and read :data:`~repro.net.batch.UNKNOWN_ORIGIN`.
         """
         self._freeze()
-        return (self._frozen_origin if self._frozen_origin is not None
-                else np.empty(0, dtype=np.int32))
+        return self._frozen.origin

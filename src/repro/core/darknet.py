@@ -7,13 +7,12 @@ Two deployment styles from §3.1:
   live network's covering prefix (NT-A's and NT-C's /32s) — the monitored
   space is dynamic, shrinking whenever the operator assigns a subnet.
 
-Darknets never respond; they only hand packets to the capturer.
+Darknets never respond; they only capture packets.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
+from repro.core.capture import PacketCapturer
 from repro.net.addr import IPv6Prefix
 from repro.net.batch import PacketBatch
 from repro.obs import stage
@@ -26,13 +25,9 @@ class DarknetTelescope:
         self.name = name
         self.covering_prefix = covering_prefix
         self._assigned: list[IPv6Prefix] = []
-        self._on_batch: Callable[[PacketBatch], None] | None = None
+        self.capturer = PacketCapturer(name=f"{name}-capture")
         self.captured_count = 0
         self.ignored_count = 0
-
-    def set_capture(self, on_batch: Callable[[PacketBatch], None]) -> None:
-        """Install the sink that receives each batch's dark rows."""
-        self._on_batch = on_batch
 
     def assign(self, prefix: IPv6Prefix) -> None:
         """Mark ``prefix`` as in production use — its traffic is not dark."""
@@ -66,8 +61,8 @@ class DarknetTelescope:
     def handle_batch(self, batch: PacketBatch) -> None:
         """Capture the rows of ``batch`` that target monitored dark space.
 
-        A vectorized :meth:`monitors` over the batch; dark rows flow to the
-        capture sink when one is installed.
+        A vectorized :meth:`monitors` over the batch; dark rows go to the
+        telescope's capturer.
         """
         if len(batch) == 0:
             return
@@ -79,5 +74,4 @@ class DarknetTelescope:
             captured = batch.select(dark)
             self.captured_count += len(captured)
             self.ignored_count += len(batch) - len(captured)
-            if self._on_batch is not None:
-                self._on_batch(captured)
+            self.capturer.capture_batch(captured)

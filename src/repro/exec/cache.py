@@ -69,7 +69,8 @@ from repro.obs import RunManifest, get_journal, get_registry, stage
 #: version read as misses.
 #: 2: one ``origin`` array per telescope replaces the truth sidecar tables.
 #: 3: checkpoints are mid-run entries; the key and manifest carry the mode.
-CACHE_SCHEMA_VERSION = 3
+#: 4: observe checkpoints hold their seen sources as key columns, not sets.
+CACHE_SCHEMA_VERSION = 4
 
 #: The telescopes, in capture order, with their record file stems.
 _TELESCOPES = (("NT-A", "nta"), ("NT-B", "ntb"), ("NT-C", "ntc"))

@@ -1,10 +1,14 @@
-"""Struct-of-arrays packet batches: the emission-side columnar format.
+"""Struct-of-arrays packet batches: the one packet table.
 
-A :class:`PacketBatch` carries the same eight columns the capture side
-records (``ts, src_hi, src_lo, dst_hi, dst_lo, proto, sport, dport``) so a
+A :class:`PacketBatch` holds the eight columns a telescope records
+(:data:`CAPTURE_COLUMNS`: ``ts, src_hi, src_lo, dst_hi, dst_lo, proto,
+sport, dport``) plus an optional ground-truth ``origin`` column, so a
 whole day's probes flow from the scanner agents through dispatch and into
 :class:`~repro.core.capture.PacketCapturer` without ever materializing a
-per-packet :class:`~repro.net.packet.Packet` object.
+per-packet :class:`~repro.net.packet.Packet` object.  The capturer's
+frozen captures are the same table:
+:class:`~repro.analysis.records.PacketRecords` is a ``PacketBatch``
+without ``origin`` that adds the analysis queries.
 
 Batches carry *probe semantics*: every TCP row is a bare SYN, every UDP row
 carries the scanner's two-byte payload, and every ICMPv6 row is an Echo
@@ -36,13 +40,16 @@ PROBE_UDP_PAYLOAD = b"\x00\x01"
 UNKNOWN_ORIGIN = -1
 
 #: Every :class:`PacketBatch` column and its dtype, ``origin`` last.
-_COLUMN_DTYPES = {
+COLUMN_DTYPES = {
     "ts": np.float64,
     "src_hi": np.uint64, "src_lo": np.uint64,
     "dst_hi": np.uint64, "dst_lo": np.uint64,
     "proto": np.uint8, "sport": np.uint16, "dport": np.uint16,
     "origin": np.int32,
 }
+
+#: The columns a telescope records: every column but ``origin``.
+CAPTURE_COLUMNS = tuple(COLUMN_DTYPES)[:-1]
 
 
 @dataclass(frozen=True)
@@ -51,11 +58,12 @@ class PacketBatch:
 
     The optional ``origin`` column carries the emitting scanner agent's
     stable id (int32) — ground-truth provenance the real telescopes could
-    never see.  It rides along through dispatch and honeypot reaction into
-    :class:`~repro.core.capture.PacketCapturer`, which freezes it as a
-    separate column aligned with the captured records
+    never see.  It rides along through dispatch into
+    :class:`~repro.core.capture.PacketCapturer`, which serves it beside
+    the frozen records
     (:meth:`~repro.core.capture.PacketCapturer.to_truth`), so the
-    analysis-facing records stay exactly what a telescope observes.
+    analysis-facing records, a subclass without ``origin``, stay exactly
+    what a telescope observes.
     """
 
     ts: np.ndarray        # float64
@@ -83,18 +91,11 @@ class PacketBatch:
     def from_columns(cls, ts, src_hi, src_lo, dst_hi, dst_lo,
                      proto, sport, dport, origin=None) -> "PacketBatch":
         """Build a batch, coercing every column to its canonical dtype."""
-        return cls(
-            ts=np.asarray(ts, dtype=np.float64),
-            src_hi=np.asarray(src_hi, dtype=np.uint64),
-            src_lo=np.asarray(src_lo, dtype=np.uint64),
-            dst_hi=np.asarray(dst_hi, dtype=np.uint64),
-            dst_lo=np.asarray(dst_lo, dtype=np.uint64),
-            proto=np.asarray(proto, dtype=np.uint8),
-            sport=np.asarray(sport, dtype=np.uint16),
-            dport=np.asarray(dport, dtype=np.uint16),
-            origin=(None if origin is None
-                    else np.asarray(origin, dtype=np.int32)),
-        )
+        columns = (ts, src_hi, src_lo, dst_hi, dst_lo, proto, sport, dport,
+                   origin)
+        return cls(**{
+            name: None if col is None else np.asarray(col, dtype=dtype)
+            for (name, dtype), col in zip(COLUMN_DTYPES.items(), columns)})
 
     @classmethod
     def empty(cls) -> "PacketBatch":
@@ -105,7 +106,7 @@ class PacketBatch:
         """``n`` rows of uninitialized columns for an emitter to fill,
         with an ``origin`` column when ``origin`` is true."""
         return cls(**{name: np.empty(n, dtype=dtype)
-                      for name, dtype in _COLUMN_DTYPES.items()
+                      for name, dtype in COLUMN_DTYPES.items()
                       if origin or name != "origin"})
 
     @classmethod
@@ -138,17 +139,8 @@ class PacketBatch:
             ])
         else:
             origin = None
-        return cls(
-            ts=np.concatenate([p.ts for p in parts]),
-            src_hi=np.concatenate([p.src_hi for p in parts]),
-            src_lo=np.concatenate([p.src_lo for p in parts]),
-            dst_hi=np.concatenate([p.dst_hi for p in parts]),
-            dst_lo=np.concatenate([p.dst_lo for p in parts]),
-            proto=np.concatenate([p.proto for p in parts]),
-            sport=np.concatenate([p.sport for p in parts]),
-            dport=np.concatenate([p.dport for p in parts]),
-            origin=origin,
-        )
+        return cls(**{name: np.concatenate([getattr(p, name) for p in parts])
+                      for name in CAPTURE_COLUMNS}, origin=origin)
 
     # -- basics ----------------------------------------------------------
 
@@ -157,32 +149,22 @@ class PacketBatch:
 
     def rows(self, start: int, stop: int) -> "PacketBatch":
         """Rows ``start:stop`` as views: writing them writes this batch."""
-        return PacketBatch(**{
-            name: None if col is None else col[start:stop]
-            for name, col in vars(self).items()})
+        return self.select(slice(start, stop))
 
-    def select(self, mask: np.ndarray) -> "PacketBatch":
-        """New batch containing the rows where ``mask`` is True (or the rows
-        at the given indices)."""
-        return PacketBatch(
-            ts=self.ts[mask],
-            src_hi=self.src_hi[mask], src_lo=self.src_lo[mask],
-            dst_hi=self.dst_hi[mask], dst_lo=self.dst_lo[mask],
-            proto=self.proto[mask], sport=self.sport[mask],
-            dport=self.dport[mask],
-            origin=None if self.origin is None else self.origin[mask],
-        )
+    def select(self, mask) -> "PacketBatch":
+        """A batch of this batch's type holding the rows where ``mask`` is
+        True (or the rows at the given indices, or a slice of views)."""
+        return type(self)(**{
+            name: None if col is None else col[mask]
+            for name, col in vars(self).items()})
 
     # -- provenance -------------------------------------------------------
 
     def with_origin(self, agent_id: int) -> "PacketBatch":
         """A copy of this batch stamped with one emitting agent's id."""
-        return PacketBatch(
-            ts=self.ts, src_hi=self.src_hi, src_lo=self.src_lo,
-            dst_hi=self.dst_hi, dst_lo=self.dst_lo, proto=self.proto,
-            sport=self.sport, dport=self.dport,
-            origin=np.full(len(self), agent_id, dtype=np.int32),
-        )
+        return PacketBatch(**{
+            **vars(self), "origin": np.full(len(self), agent_id,
+                                            dtype=np.int32)})
 
     # -- masks -----------------------------------------------------------
 
@@ -349,20 +331,6 @@ class WireBatch:
 
     def to_packets(self) -> list[Packet]:
         return [self.packet_at(i) for i in range(len(self))]
-
-    def as_packet_batch(self) -> PacketBatch:
-        """The eight capture columns of this batch, shared (no copies).
-
-        Flags, sequence numbers and payloads are transport detail the
-        capture format does not record, exactly as
-        :attr:`~repro.core.capture.CAPTURE_COLUMNS` defines it — so replies
-        can flow through :meth:`PacketCapturer.capture_batch` unchanged.
-        """
-        return PacketBatch(
-            ts=self.ts, src_hi=self.src_hi, src_lo=self.src_lo,
-            dst_hi=self.dst_hi, dst_lo=self.dst_lo, proto=self.proto,
-            sport=self.sport, dport=self.dport,
-        )
 
 
 def as_wire(batch: "PacketBatch | WireBatch") -> WireBatch:

@@ -8,8 +8,8 @@ index`), and drift/changepoint summaries over the resulting daily series
 (:mod:`~repro.observatory.drift`, reusing the BSTM causal-impact engine).
 
 Entry points: ``run_scenario(..., observe_dir=...)`` (which streams by
-itself), CLI ``python -m repro observe`` / ``repro run --observe``, and an
-``observe`` run of the scenario service, whose day records stream from
+itself), CLI ``python -m repro observe``, and an ``observe`` run of the
+scenario service, whose day records stream from
 ``GET /runs/<id>/observations`` and whose day files are served as its
 store entry's files.
 """

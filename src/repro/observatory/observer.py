@@ -209,23 +209,6 @@ class ObservatoryState:
     records_total: int = 0
 
 
-def _seen_keys(seen, level: int) -> KeySet:
-    """``seen`` as a :class:`KeySet` at ``level``.  A checkpoint written
-    before the seen sources were key columns holds Python sets: high
-    halves as ints at levels <= 64, ``(hi, lo)`` tuples at /128."""
-    if isinstance(seen, KeySet):
-        return seen
-    if level <= 64:
-        cols = (np.fromiter(seen, dtype=np.uint64, count=len(seen)),)
-    else:
-        cols = tuple(np.fromiter((key[half] for key in seen),
-                                 dtype=np.uint64, count=len(seen))
-                     for half in (0, 1))
-    keys = KeySet(len(cols))
-    keys.add(cols)
-    return keys
-
-
 class Observatory:
     """Per-day observer emission over one streaming scenario run."""
 
@@ -253,10 +236,6 @@ class Observatory:
             raise ObservatoryError(
                 f"observatory state is at day {state.next_day}, "
                 f"run resumes at day {start_day}")
-        state.seen_sources = {
-            name: {level: _seen_keys(seen, level)
-                   for level, seen in by_level.items()}
-            for name, by_level in state.seen_sources.items()}
         self.state = state
         self.directory.mkdir(parents=True, exist_ok=True)
         self._check_manifest(config)

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro._util import DAY, HOUR, make_rng, spawn_rngs
 from repro.core.darknet import DarknetTelescope
-from repro.core.capture import PacketCapturer
 from repro.core.honeyprefix import Honeyprefix, standard_configs
 from repro.core.proactive import ProactiveTelescope
 from repro.datasets.asdb import AsCategory, AsRecord
@@ -140,15 +139,11 @@ class PaperScenario:
         self.ntc = DarknetTelescope("NT-C", self.ntc_prefix)
         # The university assigned the top half (/33) of NT-C's /32.
         self.ntc.assign(self.ntc_prefix.subnet_at(1, 33))
-        self.ntb_capturer = PacketCapturer("NT-B-capture")
-        self.ntc_capturer = PacketCapturer("NT-C-capture")
-        self.ntb.set_capture(self.ntb_capturer.capture_batch)
-        self.ntc.set_capture(self.ntc_capturer.capture_batch)
         #: Telescope name -> its capturer, in the fixed NT-A/B/C order.
         self.capturers = {
             "NT-A": self.telescope.capturer,
-            "NT-B": self.ntb_capturer,
-            "NT-C": self.ntc_capturer,
+            "NT-B": self.ntb.capturer,
+            "NT-C": self.ntc.capturer,
         }
 
         # -- scanner population ---------------------------------------------

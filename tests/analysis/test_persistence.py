@@ -25,8 +25,8 @@ class TestRecordsPersistence:
     def test_save_load_roundtrip(self, tmp_path, packets):
         records = PacketRecords.from_packets(packets)
         path = tmp_path / "records.npz"
-        records.save(path)
-        loaded = PacketRecords.load(path)
+        records.save_npz(path)
+        loaded = PacketRecords.load_npz(path)
         assert len(loaded) == len(records)
         assert list(src_addresses(loaded)) == list(src_addresses(records))
         assert np.array_equal(loaded.ts, records.ts)
@@ -34,12 +34,8 @@ class TestRecordsPersistence:
 
     def test_empty_roundtrip(self, tmp_path):
         path = tmp_path / "empty.npz"
-        PacketRecords.empty().save(path)
-        assert len(PacketRecords.load(path)) == 0
-
-    def test_save_load_are_npz_aliases(self):
-        assert PacketRecords.save is PacketRecords.save_npz
-        assert PacketRecords.load.__func__ is PacketRecords.load_npz.__func__
+        PacketRecords.empty().save_npz(path)
+        assert len(PacketRecords.load_npz(path)) == 0
 
     def test_hyper_specific_addresses_roundtrip(self, tmp_path):
         """Addresses whose discriminating bits sit below the /48 boundary

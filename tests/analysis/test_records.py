@@ -59,11 +59,6 @@ class TestSelection:
     def test_mask_dst_in(self, records):
         assert int(records.mask_dst_in(PREFIX).sum()) == 3
 
-    def test_mask_src_in(self, records):
-        # ::/120 covers hosts 0..255, so source 300 is excluded.
-        assert int(records.mask_src_in(IPv6Prefix.parse("::/120")).sum()) == 3
-        assert int(records.mask_src_in(IPv6Prefix.parse("::/118")).sum()) == 4
-
     def test_sorted_by_time(self, records):
         ordered = sorted_by_time(records)
         assert list(ordered.ts) == sorted(records.ts)

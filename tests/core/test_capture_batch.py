@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.core.capture import CAPTURE_COLUMNS, PacketCapturer
 from repro.net.addr import IPv6Prefix
-from repro.net.batch import UNKNOWN_ORIGIN, PacketBatch, as_wire
+from repro.net.batch import UNKNOWN_ORIGIN, PacketBatch
 from repro.net.packet import icmp_echo_request
 from repro.obs import use_journal
 from repro.obs.registry import MetricsRegistry, use_registry
@@ -130,7 +130,7 @@ class TestDrainDayRecords:
         assert origin.dtype == np.int32
         assert np.array_equal(origin, np.concatenate(
             [b1.origin, np.full(40, UNKNOWN_ORIGIN)]))
-        assert not hasattr(day, "origin")
+        assert day.origin is None
         assert len(cap) == 0
         assert len(cap.to_records()) == len(cap.to_truth()) == 0
         day, origin = cap.drain_day_records()
@@ -190,7 +190,7 @@ class TestAlignedOrigin:
                 assert np.array_equal(
                     getattr(records, col),
                     np.concatenate([getattr(p, col) for p in parts])), col
-            assert not hasattr(records, "origin")
+            assert records.origin is None
 
 
 def _snapshot(records, origin):
@@ -205,7 +205,7 @@ class TestViewSafety:
     def test_first_freeze_survives_later_work(self):
         rng = np.random.default_rng(7)
         cap = PacketCapturer("v")
-        parts = [_batch(rng, 300), as_wire(_batch(rng, 40, with_origin=False)),
+        parts = [_batch(rng, 300), _batch(rng, 40, with_origin=False),
                  _batch(rng, 200)]
         for part in parts:
             cap.capture_batch(part)
@@ -213,11 +213,11 @@ class TestViewSafety:
         before = _snapshot(records, origin)
 
         # More captures (enough to grow the fresh store several times),
-        # with origin-less wire replies between them.
+        # with origin-less batches between them.
         later = []
         for i in range(12):
             later.append(_batch(rng, 150 + 37 * i))
-            later.append(as_wire(_batch(rng, 9, with_origin=False)))
+            later.append(_batch(rng, 9, with_origin=False))
         for part in later:
             cap.capture_batch(part)
         assert _snapshot(records, origin) == before
@@ -241,7 +241,7 @@ class TestViewSafety:
         moved.extend_chunks(cap.chunks())
         for target in (cap, moved):
             target.capture_batch(_batch(rng, 500))
-            target.capture_batch(as_wire(_batch(rng, 5, with_origin=False)))
+            target.capture_batch(_batch(rng, 5, with_origin=False))
         for target in (cap, moved):
             final, final_origin = target.to_records(), target.to_truth()
             assert _snapshot(records, origin) == before

@@ -19,12 +19,11 @@ def _one(pkt):
 
 class TestDarknet:
     def test_captures_dark_traffic(self):
-        seen = []
         telescope = DarknetTelescope("NT", COVERING)
-        telescope.set_capture(seen.append)
         pkt = icmp_echo_request(1.0, 9, COVERING.network | 5)
         telescope.handle_batch(_one(pkt))
-        assert [p for batch in seen for p in batch.iter_packets()] == [pkt]
+        records = telescope.capturer.to_records()
+        assert list(records.iter_packets()) == [pkt]
         assert telescope.captured_count == 1
 
     def test_ignores_out_of_prefix(self):

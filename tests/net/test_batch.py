@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.net.addr import IPv6Prefix
+from repro.analysis.records import PacketRecords
+from repro.net.addr import IPv6Prefix, aggregate
 from repro.net.batch import PROBE_UDP_PAYLOAD, PacketBatch, probe_batch
 from repro.net.packet import (
     ICMPV6,
@@ -89,6 +90,22 @@ class TestConcatSelect:
         batch = PacketBatch.from_packets(packets)
         mask = batch.mask_dst_in(PREFIX)
         assert mask.tolist() == [True, True, True, False]
+
+    @pytest.mark.parametrize("table", [PacketBatch, PacketRecords])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mask_dst_in_every_length(self, table, seed):
+        """Against ``address in prefix`` at every length /0-/128, with
+        destinations one bit-flip away from the prefix's base address:
+        the one-compare path (/1-/64) and the two-half path alike."""
+        rng = np.random.default_rng(seed)
+        base = int.from_bytes(rng.bytes(16), "big")
+        dsts = [base] + [base ^ (1 << bit) for bit in range(128)]
+        batch = table.from_packets(
+            [icmp_echo_request(0.0, 1, dst) for dst in dsts])
+        for length in range(129):
+            prefix = IPv6Prefix(aggregate(base, length), length)
+            assert batch.mask_dst_in(prefix).tolist() == [
+                dst in prefix for dst in dsts], length
 
 
 class TestProbeSemantics:

@@ -148,10 +148,11 @@ def _previous_layout(tracker) -> None:
 
 
 def test_previous_layout_checkpoint_is_refused(tmp_path):
-    """A checkpoint in the old tracker layout, sealed under an older
-    store version with valid checksums, is ignored rather than unpickled
-    into the new code; the resume then runs from day zero and still
-    reproduces the serial run byte for byte."""
+    """A checkpoint in the old layouts (per-session tracker lists, seen
+    sources as Python sets), sealed under an older store version with
+    valid checksums, is ignored rather than unpickled into the new code;
+    the resume then runs from day zero and still reproduces the serial
+    run byte for byte."""
     data, ckpt = tmp_path / "data", tmp_path / "ckpt"
     with pytest.raises(SimulationAborted):
         observe(data, cache_dir=ckpt, checkpoint_every=3,
@@ -165,32 +166,6 @@ def test_previous_layout_checkpoint_is_refused(tmp_path):
     for analyzer in checkpoint.streams.values():
         for tracker in analyzer.trackers.values():
             _previous_layout(tracker)
-    state = entry / "state.00003.pkl"
-    state.write_bytes(pickle.dumps({"streams": checkpoint.streams,
-                                    "observatory": checkpoint.observatory}))
-    manifest = json.loads((entry / "manifest.json").read_text())
-    del manifest["manifest_sha256"]
-    manifest["files"][state.name] = _sha256(state.read_bytes())
-    manifest["cache_schema"] = CACHE_SCHEMA_VERSION - 1
-    manifest["manifest_sha256"] = _manifest_digest(manifest)
-    (entry / "manifest.json").write_text(json.dumps(manifest))
-
-    assert store.read(CONFIG, "observe") is None
-    result = observe(data, cache_dir=ckpt, checkpoint_every=3)
-    assert digests(data, result) == GOLDEN
-
-
-def test_set_layout_checkpoint_resumes(tmp_path):
-    """A mid-run entry whose observatory state holds its seen sources as
-    Python sets (the layout pickled before they were key columns, under
-    the same store version) resumes into the serial run's bytes."""
-    data, ckpt = tmp_path / "data", tmp_path / "ckpt"
-    with pytest.raises(SimulationAborted):
-        observe(data, cache_dir=ckpt, checkpoint_every=3,
-                abort_after_day=4)
-    store = ScenarioCache(ckpt)
-    entry = store.entry_dir(CONFIG, "observe")
-    checkpoint = store.read(CONFIG, "observe")
     cursor = checkpoint.observatory
     cursor.seen_sources = {
         name: {level: as_sets(keys, level) for level, keys in levels.items()}
@@ -202,11 +177,10 @@ def test_set_layout_checkpoint_resumes(tmp_path):
     manifest = json.loads((entry / "manifest.json").read_text())
     del manifest["manifest_sha256"]
     manifest["files"][state.name] = _sha256(state.read_bytes())
+    manifest["cache_schema"] = CACHE_SCHEMA_VERSION - 1
     manifest["manifest_sha256"] = _manifest_digest(manifest)
     (entry / "manifest.json").write_text(json.dumps(manifest))
 
-    resumed = store.read(CONFIG, "observe")
-    assert resumed is not None and resumed.next_day == 3
-    assert isinstance(resumed.observatory.seen_sources["NT-A"][128], set)
+    assert store.read(CONFIG, "observe") is None
     result = observe(data, cache_dir=ckpt, checkpoint_every=3)
     assert digests(data, result) == GOLDEN

@@ -32,11 +32,7 @@ from repro.observatory.index import (
 )
 from repro.net.addr import prefix_groups_u64
 from repro.observatory import Observatory
-from repro.observatory.observer import (
-    OBSERVATIONS_NAME,
-    TELESCOPES,
-    _seen_keys,
-)
+from repro.observatory.observer import OBSERVATIONS_NAME, TELESCOPES
 from tests.analysis.reference import label_tactics_oracle
 from tests.observatory.reference import SeenSourcesReference, as_sets
 
@@ -243,10 +239,7 @@ class TestSeenSources:
                 new = observatory._count_new_sources("NT-A", level, sources)
                 assert new == oracle.add(level, sources.hi, sources.lo)
                 seen = observatory.state.seen_sources["NT-A"]
-                if day == 5:  # a state pickled as sets, converted
-                    seen[level] = _seen_keys(as_sets(seen[level], level),
-                                             level)
-                elif day == 9:  # what a checkpoint does to the state
+                if day == 9:  # what a checkpoint does to the state
                     observatory.state = pickle.loads(
                         pickle.dumps(observatory.state))
                     seen = observatory.state.seen_sources["NT-A"]

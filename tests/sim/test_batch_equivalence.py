@@ -79,8 +79,8 @@ class TestBatchDeterminism:
         again, _ = _run()
         for cap_a, cap_b in (
             (scenario.telescope.capturer, again.telescope.capturer),
-            (scenario.ntb_capturer, again.ntb_capturer),
-            (scenario.ntc_capturer, again.ntc_capturer),
+            (scenario.ntb.capturer, again.ntb.capturer),
+            (scenario.ntc.capturer, again.ntc.capturer),
         ):
             ra, rb = cap_a.to_records(), cap_b.to_records()
             assert len(ra) == len(rb)

@@ -65,14 +65,14 @@ class TestUnrouted:
     def test_unrouted_counted_nothing_captured(self, scenario, dispatcher):
         before = scenario.counters.unrouted
         captured = (len(scenario.telescope.capturer)
-                    + len(scenario.ntb_capturer)
-                    + len(scenario.ntc_capturer))
+                    + len(scenario.ntb.capturer)
+                    + len(scenario.ntc.capturer))
         _send(scenario, dispatcher,
               [IPv6Prefix.parse("2400:cb00::/32").network | 1])
         assert scenario.counters.unrouted == before + 1
         assert (len(scenario.telescope.capturer)
-                + len(scenario.ntb_capturer)
-                + len(scenario.ntc_capturer)) == captured
+                + len(scenario.ntb.capturer)
+                + len(scenario.ntc.capturer)) == captured
 
 
 class TestNtcAssignedExclusion:
@@ -81,29 +81,29 @@ class TestNtcAssignedExclusion:
         dispatch counter) but never its capture — it is production space."""
         before_ntc = scenario.counters.ntc
         ignored = scenario.ntc.ignored_count
-        captured = len(scenario.ntc_capturer)
+        captured = len(scenario.ntc.capturer)
         assigned = scenario.ntc_prefix.subnet_at(1, 33).network | 9
         _send(scenario, dispatcher, [assigned])
         assert scenario.counters.ntc == before_ntc + 1
         assert scenario.ntc.ignored_count == ignored + 1
-        assert len(scenario.ntc_capturer) == captured
+        assert len(scenario.ntc.capturer) == captured
 
     def test_dark_33_captured(self, scenario, dispatcher):
         before = scenario.ntc.captured_count
-        captured = len(scenario.ntc_capturer)
+        captured = len(scenario.ntc.capturer)
         dark = scenario.ntc_prefix.subnet_at(0, 33).network | 9
         _send(scenario, dispatcher, [dark])
         assert scenario.ntc.captured_count == before + 1
-        assert len(scenario.ntc_capturer) == captured + 1
+        assert len(scenario.ntc.capturer) == captured + 1
 
 
 class TestNtb:
     def test_ntb_captures_whole_48(self, scenario, dispatcher):
         before = scenario.counters.ntb
-        captured = len(scenario.ntb_capturer)
+        captured = len(scenario.ntb.capturer)
         _send(scenario, dispatcher, [scenario.ntb_prefix.network | 3])
         assert scenario.counters.ntb == before + 1
-        assert len(scenario.ntb_capturer) == captured + 1
+        assert len(scenario.ntb.capturer) == captured + 1
 
 
 class TestPathAgreement:

@@ -146,6 +146,14 @@ def test_cli_and_service_import_only_what_runs():
     assert loaded == []
 
 
+def test_observability_imports_no_simulation():
+    """The top-level package exports only ``__version__``, so a process
+    that imports ``repro.obs`` (or anything that imports only it) does
+    not load the simulation stack."""
+    assert repro.__all__ == ["__version__"]
+    assert _fresh_imports("repro.obs", ("repro.sim",)) == []
+
+
 def _readme_block(heading: str) -> str:
     """The first fenced python block under ``heading`` in README.md."""
     text = (SRC.parents[1] / "README.md").read_text()

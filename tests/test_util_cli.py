@@ -226,11 +226,10 @@ class TestCliModeConflicts:
     COMPOSED = [
         (["run", "--stream"], "Streaming scan summary"),
         (["observe", "--data", "{data}"], "drift"),
-        (["run", "--observe", "{data}"], "Streaming scan summary"),
     ]
 
     @pytest.mark.parametrize("argv,headline", COMPOSED, ids=[
-        "run --stream --cache", "observe --cache", "run --observe --cache"])
+        "run --stream --cache", "observe --cache"])
     def test_mode_composes_with_cache(self, capsys, tmp_path, argv,
                                       headline):
         argv = [arg.format(data=tmp_path / "data") for arg in argv]
@@ -248,15 +247,17 @@ class TestCliModeConflicts:
         assert '"type": "cache_hit"' in journals[1]
         assert '"type": "day"' not in journals[1]
 
-    def test_resume_flag_rejected(self, capsys):
-        """Checkpointed runs resume by themselves; there is no ``--resume``
-        flag to accept."""
+    @pytest.mark.parametrize("flag", ["--resume", "--observe"])
+    def test_resume_flag_rejected(self, capsys, flag):
+        """Checkpointed runs resume by themselves, so there is no
+        ``--resume`` flag to accept; an observe run starts as the
+        ``observe`` subcommand, not as ``run --observe``."""
         with pytest.raises(SystemExit) as info:
-            main(["run", "--resume"])
+            main(["run", flag])
         assert info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "unrecognized arguments: --resume" in captured.err
+        assert f"unrecognized arguments: {flag}" in captured.err
 
     @pytest.mark.parametrize("flag", ["--no-cache", "--checkpoint"])
     @pytest.mark.parametrize("command", ["run", "serve"])
@@ -394,20 +395,3 @@ class TestCliObserve:
                      "--data", str(missing)]) == 2
         err = capsys.readouterr().err.strip()
         assert err == f"error: no observer day files in {missing}"
-
-    def test_run_observe_prints_summary(self, capsys, tmp_path):
-        data = tmp_path / "data"
-        assert main(["run", "--stream", f"--observe={data}",
-                     "--days", "2", "--scale", "1e-6", "--tail", "2"]) == 0
-        captured = capsys.readouterr()
-        assert "Streaming scan summary" in captured.out
-        assert "observatory: 2 day files" in captured.err
-
-    def test_run_observe_implies_stream(self, capsys, tmp_path):
-        """``--observe`` without ``--stream`` streams instead of refusing."""
-        data = tmp_path / "data"
-        assert main(["run", f"--observe={data}",
-                     "--days", "2", "--scale", "1e-6", "--tail", "2"]) == 0
-        captured = capsys.readouterr()
-        assert "Streaming scan summary" in captured.out
-        assert "observatory: 2 day files" in captured.err
