@@ -40,9 +40,15 @@ def main() -> None:
 
     scenario = result.scenario
     print()
-    print(f"honeypot responses sent: {scenario.telescope.response_count}")
-    print(f"T-Pot gateway replies:   "
-          f"{sum(g.tx_count for g in scenario.telescope.gateways.values())}")
+    # What a scanner can learn of each honeyprefix: how rich the service
+    # behind its ::1 is at the end (1 = Twinklenet, 2 = T-Pot).
+    print("responsive honeyprefixes (level at ::1, captured rows):")
+    for name, hp in scenario.honeyprefixes.items():
+        level = scenario.telescope.interaction_level(hp.prefix.network | 1,
+                                                     result.end)
+        if level:
+            rows = int(result.nta.mask_dst_in(hp.prefix).sum())
+            print(f"  {name:10s} level {level}  {rows:6d} rows")
     print(f"hitlist entries:         "
           f"{len(scenario.fabric.hitlist.entries())}")
     print(f"certificates in CT log:  {len(scenario.fabric.ct_log)}")

@@ -8,7 +8,7 @@ assigned block — where scanners concentrate their probing — and capture
 what arrives.
 
 This example builds that minimal deployment directly from the library's
-building blocks (no PaperScenario), wires a low-interaction Twinklenet over
+building blocks (no PaperScenario), deploys a low-interaction honeyprefix over
 the /48, registers one domain + certificate, and reports where in the
 block scanners actually probed.
 
@@ -70,7 +70,11 @@ def main() -> None:
     print(f"captured {len(records)} packets from "
           f"{records.unique_sources(128)} sources "
           f"({records.unique_sources(48)} source /48s)")
-    print(f"honeypot responses: {telescope.response_count}")
+    # What scanners can learn: which of their probes found something that
+    # answers (the oracle the hitlist and the scanners read).
+    answered = sum(telescope.responds(p.dst, p.proto, p.dport, p.timestamp)
+                   for p in records.iter_packets())
+    print(f"probes that found a responsive service: {answered}")
     print(f"feature timeline: "
           f"{[(round(t / DAY, 1), f.value) for t, f, _ in hp.timeline]}")
 

@@ -155,13 +155,6 @@ class Honeyprefix:
         times = [t for t, f, _ in self.timeline if f is feature]
         return min(times) if times else None
 
-    # Binding-column cache state.  Deliberately *unannotated* class
-    # attributes — annotated names would become dataclass fields and change
-    # the generated __init__/__eq__.  The version bumps on every
-    # add_responsive; the cached columns rebuild lazily when stale.
-    _bind_version = 0
-    _bind_cache = None
-
     def add_responsive(self, address: int, proto: int, port: int | None) -> None:
         """Mark ``address`` as answering ``proto``/``port``."""
         if address not in self.prefix:
@@ -169,50 +162,6 @@ class Honeyprefix:
                 f"{address:#x} is outside honeyprefix {self.prefix}"
             )
         self.responsive.setdefault(address, set()).add((proto, port))
-        self._bind_version = self._bind_version + 1
-
-    def _binding_columns(self) -> dict:
-        """Columnar view of :attr:`responsive` for the vectorized reply
-        path: ICMP-bound addresses as (hi, lo) u64 columns, TCP/UDP
-        bindings as (hi, lo, port) triples."""
-        cache = self._bind_cache
-        if cache is not None and cache["version"] == self._bind_version:
-            return cache
-        icmp: list[int] = []
-        tcp: list[tuple[int, int]] = []
-        udp: list[tuple[int, int]] = []
-        for addr, bindings in self.responsive.items():
-            for proto, port in bindings:
-                if proto == ICMPV6 and port is None:
-                    icmp.append(addr)
-                elif proto == TCP:
-                    tcp.append((addr, port))
-                elif proto == UDP:
-                    udp.append((addr, port))
-        from repro.net.addr import split_u64
-
-        def _cols(pairs):
-            hi, lo = split_u64(a for a, _ in pairs)
-            ports = np.asarray([p for _, p in pairs], dtype=np.uint16)
-            return hi, lo, ports
-
-        cache = {
-            "version": self._bind_version,
-            "icmp": split_u64(icmp),
-            "tcp": _cols(tcp),
-            "udp": _cols(udp),
-        }
-        # Plain attribute write: Honeyprefix is not a frozen dataclass.
-        self._bind_cache = cache
-        return cache
-
-    def icmp_address_columns(self) -> tuple:
-        """(hi, lo) u64 columns of :meth:`icmp_addresses`."""
-        return self._binding_columns()["icmp"]
-
-    def binding_columns(self, proto: int) -> tuple:
-        """(hi, lo, port) columns of the TCP or UDP bindings."""
-        return self._binding_columns()["tcp" if proto == TCP else "udp"]
 
     def responds(self, address: int, proto: int, port: int | None) -> bool:
         """Does ``address`` answer ``proto``/``port``?

@@ -1,15 +1,17 @@
 """The proactive telescope orchestrator.
 
 Owns the whole deployment from Figure 4: the BGP speaker (BIRD), the
-registrar/ACME clients driving the attraction features, Twinklenet, the
-T-Pot gateways, and the packet capturer.  ``deploy()`` turns a
+registrar/ACME clients driving the attraction features, the T-Pot
+gateways, and the packet capturer.  ``deploy()`` turns a
 :class:`~repro.core.honeyprefix.HoneyprefixConfig` into a live honeyprefix
 and records every feature activation on the honeyprefix's timeline — the
 ground truth that the tactic-attribution analysis (Fig. 11) joins against.
 
 The telescope also implements the hitlist prober's responsiveness oracle,
 so the public hitlist discovers honeyprefix addresses exactly the way the
-real one did.
+real one did.  The oracles (:meth:`ProactiveTelescope.responds`,
+:meth:`ProactiveTelescope.interaction_level`) are how scanners learn what
+answers; the data plane only captures.
 """
 
 from __future__ import annotations
@@ -33,13 +35,12 @@ from repro.core.tpot import (
     TPOT2_CONTAINERS,
     TPotInstance,
 )
-from repro.core.twinklenet import Twinklenet, TwinklenetConfig
 from repro.core.wordlists import common_subdomains
 from repro.dns.registry import Registrar
 from repro.dns.reverse import ReverseZone
 from repro.hitlist.categories import HitlistCategory
 from repro.hitlist.service import HitlistService
-from repro.net.addr import IPv6Prefix, split_by_48
+from repro.net.addr import IPv6Prefix
 from repro.net.batch import PacketBatch
 from repro.net.packet import TCP, UDP
 from repro.obs import get_journal, stage
@@ -76,17 +77,12 @@ class ProactiveTelescope:
         self._rng = make_rng(rng)
         self.subdomain_names = common_subdomains(subdomain_count)
         self.capturer = PacketCapturer(name=f"{name}-capture")
-        self.twinklenet = Twinklenet(TwinklenetConfig())
         self.honeyprefixes: list[Honeyprefix] = []
         #: fast lookup: /48 network int -> honeyprefix (every honeyprefix
         #: occupies a distinct /48 container).
         self._hp_by_48: dict[int, Honeyprefix] = {}
         self.gateways: dict[str, DnatGateway] = {}
         self._domain_counter = itertools.count(1)
-        self.response_count = 0
-        #: Cached sorted honeyprefix /48 key column (the high 64 bits) for
-        #: handle_batch; invalidated whenever a deploy adds a honeyprefix.
-        self._hp_keys_hi: np.ndarray | None = None
 
     # -- deployment ------------------------------------------------------
 
@@ -108,7 +104,7 @@ class ProactiveTelescope:
                 f"{prefix} is outside the telescope's {self.covering_prefix}"
             )
         if prefix.length != 48:
-            # handle_batch routes whole /48s, and the honeypots trust it.
+            # honeyprefix_for resolves whole /48s.
             raise ValueError(f"a honeyprefix is one /48, got {prefix}")
         hp = deploy_addresses(config, prefix, self._rng)
         hp.deployed_at = at
@@ -117,7 +113,6 @@ class ProactiveTelescope:
         if key in self._hp_by_48:
             raise ValueError(f"a honeyprefix already occupies {prefix}")
         self._hp_by_48[key] = hp
-        self._hp_keys_hi = None
 
         self._deploy_bgp(hp, at)
         if config.domains:
@@ -285,44 +280,17 @@ class ProactiveTelescope:
         return self._hp_by_48.get((address >> 80) << 80)
 
     def handle_batch(self, batch: PacketBatch) -> None:
-        """Receive a batch of unsolicited packets: capture, then react.
+        """Receive a batch of unsolicited packets: capture it.
 
-        The batch is copied into the capture store, and the stored rows
-        are what gets routed, so the argument itself is dropped at once
-        (freeing it when the caller passed its only reference, as
-        :meth:`~repro.sim.scenario.PaperScenario.dispatch_batch` does).
-        The rows are split by honeyprefix /48 in one pass
-        (:func:`~repro.net.addr.split_by_48` over the sorted key column,
-        the split the observer's tactic mix uses too), each honeyprefix's
-        rows in arrival order.  Each honeyprefix's slice goes, in
-        ascending key order, to its DNAT gateway (T-Pot prefixes) or to
-        Twinklenet with the honeyprefix itself: this is the only place
-        that hands a destination to a honeypot.  The replies they return
-        are counted in ``response_count``.  Rows outside every
-        honeyprefix are control space: pure darknet.
+        Nothing is answered here.  Scanners learn what responds from the
+        oracles below, so no record, journal line or report depends on a
+        reply.
         """
         if len(batch) == 0:
             return
         with stage("telescope.capture", telescope=self.name,
                    packets=len(batch)):
-            batch = self.capturer.capture_batch(batch)
-        if not self._hp_by_48:
-            return
-        with stage("telescope.react", telescope=self.name):
-            if self._hp_keys_hi is None:
-                self._hp_keys_hi = np.sort(np.fromiter(
-                    (key >> 64 for key in self._hp_by_48),
-                    dtype=np.uint64, count=len(self._hp_by_48),
-                ))
-            keys = self._hp_keys_hi
-            for group, part in split_by_48(keys, batch.dst_hi):
-                hp = self._hp_by_48[int(keys[group]) << 64]
-                sub = batch.select(part)
-                if hp.config.tpot:
-                    replies = self.gateways[hp.name].handle_batch(sub)
-                else:
-                    replies = self.twinklenet.handle_batch(sub, hp)
-                self.response_count += len(replies)
+            self.capturer.capture_batch(batch)
 
     # -- hitlist oracle ------------------------------------------------------
 

@@ -16,14 +16,9 @@ payload file and a checksum of the manifest itself.
   ``observer-NNNNN.json`` day files (observe runs).
 * A **mid-run** entry is a checkpoint: what a resumed run cannot cheaply
   recompute, never the engine queue, RNG states or scanner sessions
-  (``PaperScenario.replay_day`` re-derives those).  Replay dispatches
-  nothing, so the honeypots' state is neither stored nor re-derived:
-  Twinklenet's session table, the T-Pot gateways' NAT flow tables and the
-  reply counters (``response_count``, the honeypots' ``rx``/``tx`` and
-  their metrics) restart empty at the resume day.  They lie outside the
-  determinism contract; no record, journal line or report reads them.
-  Each checkpoint appends ``captures.NNNNN.pkl`` (batch runs: the chunks
-  captured since the previous checkpoint, ``origin`` included) and
+  (``PaperScenario.replay_day`` re-derives those).  Each checkpoint
+  appends ``captures.NNNNN.pkl`` (batch runs: the chunks captured since
+  the previous checkpoint, ``origin`` included) and
   ``journal.NNNNN.jsonl`` (the journal lines since), and stream and
   observe runs write ``state.NNNNN.pkl`` (analyzers and observer cursor)
   whole.  ``NNNNN`` is the checkpoint's ``next_day``, so a checkpoint

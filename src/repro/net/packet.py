@@ -11,8 +11,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 # IANA protocol numbers.
 ICMPV6 = 58
 TCP = 6
@@ -102,28 +100,6 @@ class Packet:
             dport=self.sport,
             payload=b"",
         )
-
-
-# -- vectorized predicates (columnar reply path) ---------------------------
-#
-# The batch honeypot kernels evaluate the same predicates the scalar
-# ``Packet`` properties implement, over whole uint8/uint16 columns at once.
-
-def tcp_syn_mask(flags) -> np.ndarray:
-    """Vectorized :attr:`Packet.is_tcp_syn` over a uint8 flags column."""
-    flags = np.asarray(flags)
-    syn = np.uint8(int(TcpFlags.SYN))
-    ack = np.uint8(int(TcpFlags.ACK))
-    return ((flags & syn) != 0) & ((flags & ack) == 0)
-
-
-def icmp_echo_request_mask(proto, sport) -> np.ndarray:
-    """Vectorized :attr:`Packet.is_icmp_echo_request` over proto/sport
-    columns (``sport`` carries the ICMP type, as everywhere in a batch)."""
-    proto = np.asarray(proto)
-    sport = np.asarray(sport)
-    return ((proto == np.uint8(ICMPV6))
-            & (sport == np.uint16(int(IcmpType.ECHO_REQUEST))))
 
 
 def icmp_echo_request(

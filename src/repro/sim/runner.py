@@ -182,10 +182,7 @@ def run_scenario(
     entry at every day boundary that is a multiple of K.  Every mode and
     store state yields the same records, ``origin``, dispatch counters,
     journal, stream summaries and observer files: the determinism
-    contract (``tests/sim/test_mode_matrix.py``).  The honeypots' session
-    and NAT flow tables and their reply counters are not in it: a resumed
-    run replays the covered days without dispatching, so they restart
-    empty at the resume day.
+    contract (``tests/sim/test_mode_matrix.py``).
 
     ``abort_after_day=N`` raises :class:`SimulationAborted` once day N
     has completed (fed to the analyzers and the observatory, and
@@ -198,8 +195,8 @@ def run_scenario(
     captured row once, in one growable store.  A batch run retains it
     until the freeze, which hands the store's arrays out as the records
     without copying a row, so the peak is set inside the largest day
-    (its emitted, dispatched and captured rows and the honeypots'
-    replies), not by a second copy of the whole capture.
+    (its emitted, dispatched and captured rows), not by a second copy
+    of the whole capture.
     ``stream_analysis=True`` runs the scan detectors *during* the day
     loop: each day's captures are drained into per-telescope
     :class:`~repro.analysis.streaming.StreamAnalyzer` instances and

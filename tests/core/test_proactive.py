@@ -2,13 +2,14 @@
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro._util import DAY
 from repro.core.features import Feature
 from repro.core.honeyprefix import standard_configs
 from repro.core.proactive import MAX_SUBDOMAIN_CERTS, ProactiveTelescope
+from repro.core.tpot import DnatGateway
+from repro.core.twinklenet import Twinklenet
 from repro.dns.registry import Registrar, TldRegistry
 from repro.dns.resolver import Resolver
 from repro.hitlist.categories import HitlistCategory
@@ -162,110 +163,56 @@ class TestDataPlane:
         assert len(telescope.capturer) == 2
 
     def test_twinklenet_answers_for_aliased(self, telescope, configs):
+        """An aliased Twinklenet prefix answers ICMP anywhere in it: its
+        probe is captured, and the oracle scanners read says yes."""
         hp = telescope.deploy(configs["H_Alias"], _slot(1), at=1000.0)
-        _send(telescope, icmp_echo_request(2000.0, SRC,
-                                           hp.prefix.network | 5))
-        assert telescope.response_count == 1
+        dst = hp.prefix.network | 5
+        _send(telescope, icmp_echo_request(2000.0, SRC, dst))
+        assert len(telescope.capturer) == 1
+        assert telescope.responds(dst, ICMPV6, None, at=2000.0)
+        assert telescope.interaction_level(dst, 2000.0) == 1
 
     def test_tpot_path(self, telescope, configs):
+        """A SYN to a T-Pot port is captured, and the gateway's surface
+        answers it at the high interaction level."""
         hp = telescope.deploy(configs["H_TPot1"], _slot(2), at=1000.0)
-        _send(telescope, tcp_segment(2000.0, SRC, hp.prefix.network | 3,
-                                     4000, 22, TcpFlags.SYN))
-        assert telescope.gateways["H_TPot1"].tx_count == 1
+        dst = hp.prefix.network | 3
+        _send(telescope, tcp_segment(2000.0, SRC, dst, 4000, 22,
+                                     TcpFlags.SYN))
+        assert len(telescope.capturer) == 1
+        assert telescope.responds(dst, TCP, 22, at=2000.0)
+        assert not telescope.responds(dst, TCP, 9999, at=2000.0)
+        assert telescope.interaction_level(dst, 2000.0) == 2
 
     def test_control_space_is_silent(self, telescope):
-        _send(telescope, icmp_echo_request(2000.0, SRC, COVERING.network | 1))
-        assert telescope.response_count == 0
+        dst = COVERING.network | 1
+        _send(telescope, icmp_echo_request(2000.0, SRC, dst))
+        assert len(telescope.capturer) == 1
+        assert not telescope.responds(dst, ICMPV6, None, at=2000.0)
+        assert telescope.interaction_level(dst, 2000.0) == 0
 
-    def test_honeypots_see_only_their_own_prefix(self, telescope, configs):
-        """The telescope is the one router: Twinklenet and the gateways
-        never receive a row outside the honeyprefix it is routed to."""
+    def test_honeypots_see_no_rows(self, telescope, configs, monkeypatch):
+        """The data plane hands no row to a honeypot, inside a
+        honeyprefix or outside: every row is captured, and only the
+        oracles speak for the honeypots."""
         alias = telescope.deploy(configs["H_Alias"], _slot(1), at=1000.0)
         tpot = telescope.deploy(configs["H_TPot1"], _slot(2), at=1000.0)
-        for dst in (COVERING.network | 1, _slot(3).network | 1):
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a honeypot was handed a row")
+
+        for owner in (Twinklenet, DnatGateway):
+            monkeypatch.setattr(owner, "handle", refuse)
+            monkeypatch.setattr(owner, "handle_batch", refuse)
+        for dst in (COVERING.network | 1, _slot(3).network | 1,
+                    alias.prefix.network | 5, tpot.prefix.network | 5):
             _send(telescope, icmp_echo_request(2000.0, SRC, dst))
-        assert telescope.twinklenet.rx_count == 0
-        assert telescope.gateways["H_TPot1"].rx_count == 0
-        _send(telescope, icmp_echo_request(2001.0, SRC,
-                                           alias.prefix.network | 5))
-        _send(telescope, icmp_echo_request(2002.0, SRC,
-                                           tpot.prefix.network | 5))
-        assert telescope.twinklenet.rx_count == 1
-        assert telescope.gateways["H_TPot1"].rx_count == 1
-        assert telescope.response_count == 2
-
-
-def _route_reference(telescope, batch):
-    """Per-key mask loop: each deployed /48's rows, in ascending key
-    order, as ``(honeyprefix name, sub-batch)``."""
-    hi48 = (batch.dst_hi >> np.uint64(16)) << np.uint64(16)
-    by_key = {key >> 64: hp for key, hp in telescope._hp_by_48.items()}
-    routed = []
-    for key in sorted(by_key):
-        mask = hi48 == np.uint64(key)
-        if mask.any():
-            routed.append((by_key[key].name, batch.select(mask)))
-    return routed
-
-
-def _columns(batch):
-    return [getattr(batch, f.name) for f in dataclasses.fields(batch)]
+        assert len(telescope.capturer) == 4
 
 
 class TestRouting:
-    def test_sub_batches_match_per_key_masks(self, telescope, configs):
-        """One mixed batch — T-Pot and Twinklenet honeyprefixes deployed
-        out of key order, plus control space below, between and above
-        them — reaches each honeyprefix as the rows a per-key mask
-        selects, in ascending key order and arrival order."""
-        slots = {"H_TPot2": 9, "H_Alias": 1, "H_TPot1": 5, "H_TCP": 3,
-                 "H_Com": 7}
-        for name, i in slots.items():
-            telescope.deploy(configs[name], _slot(i), at=1000.0)
-        routed = []
-
-        def recorder(name=None):
-            def handle_batch(sub, hp=None):
-                routed.append((name or hp.name, sub))
-                return ()  # no replies
-            return handle_batch
-
-        for name, gateway in telescope.gateways.items():
-            gateway.handle_batch = recorder(name)
-        telescope.twinklenet.handle_batch = recorder()
-
-        rng = np.random.default_rng(4)
-        n = 600
-        # Deployed slots plus control space: below every key (slot 0 of
-        # the covering prefix), between keys and above every key.
-        nets = [COVERING.network, *(_slot(i).network for i in range(12))]
-        pick = rng.integers(0, len(nets), n)
-        dst_hi = np.array([nets[k] >> 64 for k in pick.tolist()],
-                          dtype=np.uint64)
-        dst_hi |= rng.integers(0, 1 << 16, n).astype(np.uint64)
-        batch = PacketBatch.from_columns(
-            ts=np.sort(rng.uniform(2000.0, 3000.0, n)),
-            src_hi=np.full(n, SRC >> 64, dtype=np.uint64),
-            src_lo=rng.integers(1, 1 << 32, n).astype(np.uint64),
-            dst_hi=dst_hi, dst_lo=rng.integers(0, 1 << 62, n),
-            proto=np.full(n, TCP), sport=rng.integers(1024, 65536, n),
-            dport=rng.choice([22, 80, 443], n), origin=np.arange(n))
-        expected = _route_reference(telescope, batch)
-        telescope.handle_batch(batch)
-
-        assert [name for name, _ in routed] == [
-            name for name, _ in expected]
-        assert {name for name, _ in routed} == set(slots)
-        for (_, got), (_, want) in zip(routed, expected):
-            for col_got, col_want in zip(_columns(got), _columns(want)):
-                assert col_got.dtype == col_want.dtype
-                assert np.array_equal(col_got, col_want)
-        assert len(telescope.capturer) == n
-
     def test_control_space_only_routes_nothing(self, telescope, configs):
         telescope.deploy(configs["H_TPot1"], _slot(5), at=1000.0)
-        routed = []
-        telescope.gateways["H_TPot1"].handle_batch = routed.append
         batch = PacketBatch.from_packets([
             tcp_segment(2000.0, SRC, COVERING.network | 1, 4000, 22,
                         TcpFlags.SYN),
@@ -273,8 +220,10 @@ class TestRouting:
                         TcpFlags.SYN),
         ])
         telescope.handle_batch(batch)
-        assert routed == []
         assert len(telescope.capturer) == 2
+        for dst in (COVERING.network | 1, _slot(9).network | 1):
+            assert telescope.honeyprefix_for(dst) is None
+            assert not telescope.responds(dst, TCP, 22, at=2001.0)
 
 
 class TestOracles:

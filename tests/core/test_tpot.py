@@ -10,7 +10,7 @@ from repro.core.tpot import (
     TPotInstance,
 )
 from repro.net.addr import IPv6Prefix
-from repro.net.batch import PacketBatch, WireBatch
+from repro.net.batch import PacketBatch
 from repro.net.packet import (
     ICMPV6,
     TCP,
@@ -147,22 +147,25 @@ class TestDnatGateway:
         assert _count(registry, "tpot.gateway.nat_entries") == 0
 
     def test_out_of_prefix_ignored(self, bgp_only_telescope):
-        """The gateway answers ICMP across its whole prefix, so it must
-        never be handed a row outside it: the telescope routes only a
-        honeyprefix's own rows to its gateway."""
+        """The gateway answers ICMP across its whole prefix, yet the
+        telescope's oracles say no outside it, before the deploy and
+        after the withdrawal."""
         telescope = bgp_only_telescope
-        telescope.deploy(HoneyprefixConfig(name="tp", tpot=1), PREFIX,
-                         at=0.0)
-        gateway = telescope.gateways["tp"]
-        outside = (PREFIX.network - 1, PREFIX.network + (1 << 80), 42)
-        telescope.handle_batch(PacketBatch.from_packets(
-            [icmp_echo_request(1.0, SRC, dst) for dst in outside]))
-        assert gateway.rx_count == 0
-        assert telescope.response_count == 0
-        telescope.handle_batch(PacketBatch.from_packets(
-            [icmp_echo_request(2.0, SRC, PREFIX.network | 0xBEEF)]))
-        assert gateway.rx_count == 1
-        assert telescope.response_count == 1
+        inside = PREFIX.network | 0xBEEF
+        assert not telescope.responds(inside, TCP, 22, at=1.0)
+        hp = telescope.deploy(HoneyprefixConfig(name="tp", tpot=1), PREFIX,
+                              at=10.0)
+        assert not telescope.responds(inside, ICMPV6, None, at=5.0)
+        assert telescope.interaction_level(inside, 5.0) == 0
+        for dst in (PREFIX.network - 1, PREFIX.network + (1 << 80), 42):
+            assert not telescope.responds(dst, ICMPV6, None, at=20.0)
+            assert not telescope.responds(dst, TCP, 22, at=20.0)
+            assert telescope.interaction_level(dst, 20.0) == 0
+        assert telescope.responds(inside, TCP, 22, at=20.0)
+        assert telescope.interaction_level(inside, 20.0) == 2
+        telescope.withdraw(hp, at=30.0)
+        assert not telescope.responds(inside, ICMPV6, None, at=30.0)
+        assert telescope.interaction_level(inside, 30.0) == 0
 
     def test_responds_oracle(self, stack):
         gateway, _, _ = stack
@@ -183,7 +186,7 @@ class TestNatPortWrap:
         gateway.handle(tcp_segment(1.0, SRC, self.DST1, 4000, 22,
                                    TcpFlags.SYN))
         # Enough distinct flows from the same scanner to bring the port
-        # counter back to flow 1's port (batch path: one column block).
+        # counter back to flow 1's port (one probe batch).
         n = (61_000 - 32_768) - 1
         gateway.handle_batch(PacketBatch.from_packets(
             tcp_segment(2.0, SRC, PREFIX.network | 0x33, 10_000 + i, 80,
@@ -206,9 +209,12 @@ class TestNatPortWrap:
         assert out[-1].dport == 4000
 
     def test_batch_fallback_reply_sourced_from_own_flow(self, stack):
+        """The same through ``handle_batch``: a probe re-SYN on flow 1
+        is answered from flow 1's destination, back to its port."""
         gateway, _, _ = stack
         self._wrap(gateway)
-        replies = gateway.handle_batch(WireBatch.from_packets([self._ack()]))
-        (banner,) = replies.to_packets()
-        assert banner.payload.startswith(b"SSH-2.0")
-        assert banner.src == self.DST1
+        (synack,) = gateway.handle_batch(PacketBatch.from_packets([
+            tcp_segment(4.0, SRC, self.DST1, 4000, 22, TcpFlags.SYN)]))
+        assert TcpFlags(synack.flags) == TcpFlags.SYN | TcpFlags.ACK
+        assert synack.src == self.DST1
+        assert synack.dport == 4000

@@ -10,8 +10,8 @@ from repro.core.twinklenet import (
     TwinklenetConfig,
 )
 from repro.net.addr import IPv6Prefix
-from repro.net.batch import PacketBatch
 from repro.net.packet import (
+    ICMPV6,
     TCP,
     UDP,
     IcmpType,
@@ -59,23 +59,26 @@ class TestIcmp:
         assert responses == []
 
     def test_silence_outside_honeyprefixes(self, bgp_only_telescope):
-        """An aliased honeyprefix answers ICMP anywhere in its /48, yet a
-        packet just outside it, or outside the telescope, never reaches
-        Twinklenet: the telescope routes, and only to a honeyprefix."""
+        """An aliased honeyprefix answers ICMP anywhere in its /48, yet
+        the telescope's oracles, which are what scanners learn from, say
+        no just outside it, outside the telescope, before the deploy and
+        after the withdrawal."""
         telescope = bgp_only_telescope
-        hp = telescope.deploy(
-            HoneyprefixConfig(name="hp", aliased=True,
-                              icmp_mode=IcmpMode.FULL),
-            PREFIX, at=0.0)
-        outside = (PREFIX.network - 1, PREFIX.network + (1 << 80), 42)
-        telescope.handle_batch(PacketBatch.from_packets(
-            [icmp_echo_request(1.0, SRC, dst) for dst in outside]))
-        assert telescope.twinklenet.rx_count == 0
-        assert telescope.response_count == 0
-        telescope.handle_batch(PacketBatch.from_packets(
-            [icmp_echo_request(2.0, SRC, hp.prefix.network | 0xF00)]))
-        assert telescope.twinklenet.rx_count == 1
-        assert telescope.response_count == 1
+        config = HoneyprefixConfig(name="hp", aliased=True,
+                                   icmp_mode=IcmpMode.FULL)
+        inside = PREFIX.network | 0xF00
+        assert not telescope.responds(inside, ICMPV6, None, at=1.0)
+        assert telescope.interaction_level(inside, 1.0) == 0
+        hp = telescope.deploy(config, PREFIX, at=10.0)
+        assert not telescope.responds(inside, ICMPV6, None, at=5.0)
+        for dst in (PREFIX.network - 1, PREFIX.network + (1 << 80), 42):
+            assert not telescope.responds(dst, ICMPV6, None, at=20.0)
+            assert telescope.interaction_level(dst, 20.0) == 0
+        assert telescope.responds(inside, ICMPV6, None, at=20.0)
+        assert telescope.interaction_level(inside, 20.0) == 1
+        telescope.withdraw(hp, at=30.0)
+        assert not telescope.responds(inside, ICMPV6, None, at=30.0)
+        assert telescope.interaction_level(inside, 30.0) == 0
 
 
 class TestTcp:

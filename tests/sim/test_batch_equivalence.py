@@ -64,13 +64,9 @@ class TestCountEquality:
 
     def test_rx_accounting_matches_dispatch(self, run):
         scenario, _ = run
-        telescope = scenario.telescope
-        gateways_rx = sum(g.rx_count for g in telescope.gateways.values())
-        honeypot_rx = telescope.twinklenet.rx_count + gateways_rx
-        # Every NT-A packet is captured; the honeypots see the honeyprefix
-        # share of them (the rest is control space).
-        assert len(telescope.capturer) == scenario.counters.nta
-        assert honeypot_rx <= scenario.counters.nta
+        # Every packet dispatched to NT-A is captured, and nothing else.
+        assert scenario.counters.nta > 0
+        assert len(scenario.telescope.capturer) == scenario.counters.nta
 
 
 class TestBatchDeterminism:

@@ -34,6 +34,8 @@ import numpy as np
 import pytest
 
 from repro.__main__ import main
+from repro.core.tpot import DnatGateway
+from repro.core.twinklenet import Twinklenet
 from repro.exec.cache import ScenarioCache
 from repro.obs import Journal, MetricsRegistry, use_journal, use_registry
 from repro.service import ScenarioServer, ScenarioService
@@ -313,6 +315,24 @@ class TestModeMatrix:
                         if n.startswith("observer-")})
         finally:
             server.stop()
+
+
+def test_day_loop_never_replies(tmp_path, monkeypatch):
+    """NT-A captures and answers nothing: with every honeypot entry point
+    raising, a batch run still reproduces the pinned outputs, and both
+    kinds of honeyprefix were deployed and probed."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the day loop handed a packet to a honeypot")
+
+    for owner in (Twinklenet, DnatGateway):
+        monkeypatch.setattr(owner, "handle", refuse)
+        monkeypatch.setattr(owner, "handle_batch", refuse)
+    result, journal, observe_dir, _ = run("batch", tmp_path, "silent")
+    assert digests(result, journal, observe_dir) == PINNED["batch"]
+    probed = {bool(hp.config.tpot)
+              for hp in result.honeyprefixes.values()
+              if hp.responsive and result.nta.mask_dst_in(hp.prefix).any()}
+    assert probed == {False, True}
 
 
 def test_experiment_all_cold_store_then_warm_hit(tmp_path, monkeypatch,

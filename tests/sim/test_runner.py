@@ -176,7 +176,7 @@ class TestRunScenarioTiny:
         telemetry = tiny.telemetry
         assert telemetry["counters"]["engine.events"] >= 2
         assert "telescope.NT-C-capture.packets" in telemetry["counters"]
-        assert "twinklenet.rx" in telemetry["counters"]
+        assert "telescope.NT-A-capture.packets" in telemetry["counters"]
         assert set(telemetry["timings"]) >= {
             "scenario.build", "scenario.run", "scenario.freeze",
         }
