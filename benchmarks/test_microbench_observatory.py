@@ -9,10 +9,11 @@ workload), each mode in its own subprocess:
   validated observer JSON.
 
 The contract under test is that observing is a rider, not a second
-pipeline: the per-day work is vectorized (tactic classification runs the
-python path once per *distinct* probe tuple, new-source counting is a
-lexsort + set diff), so the observer must stay within a few percent of
-the plain streaming wall clock.  The budget below is deliberately looser
+pipeline: the per-day work is vectorized (one pass classifies the tactics
+of NT-A's whole day over every honeyprefix, reading the day index the
+detectors already built; new-source counting looks the day's distinct
+sources up in a ``KeySet`` of those seen), so the observer must stay
+within a few percent of the plain streaming wall clock.  The budget below is deliberately looser
 than the target headline (≤3% on an idle machine) to keep CI honest on
 shared 1-CPU runners; the measured ratio lands in the artifact either
 way.  Scan counts from both children must agree — the observer must not

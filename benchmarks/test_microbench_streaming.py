@@ -23,7 +23,7 @@ excluded) must stay within :data:`GROWTH_BOUND` of the H peak.  Two
 gates hold it: one in streaming mode and one in observe mode (the same
 config with ``observe_dir``, which adds the observer and its
 seen-source keys).  What still grows is state that outlives a day — the
-T-Pot gateways' flow tables, open scan sessions' target sets, the
+open scan sessions and the target table they hold ids into, the
 observer's seen sources and the closed scan events — see
 ``run_scenario``.  A run that keeps its drained days fails the gate
 (:func:`test_growth_gate_catches_retained_days`).  Wall clock is
@@ -133,12 +133,13 @@ GROWTH_CONFIG = dict(
     hitlist_first_cycle_day=1, hitlist_cycle_days=100_000,
 )
 GROWTH_DAYS = 8
-#: Peak(2H) / peak(H) on GROWTH_CONFIG reads 1.71 in streaming mode
-#: (53.8 MB -> 92.0 MB) and 1.72 in observe mode (55.8 MB -> 95.7 MB);
+#: Peak(2H) / peak(H) on GROWTH_CONFIG reads 1.437 in streaming mode
+#: (37.5 MB -> 53.9 MB) and 1.458 in observe mode (39.6 MB -> 57.8 MB);
 #: tracemalloc peaks repeat within 0.01% for a fixed config.  The growth
-#: is the state the ``run_scenario`` docstring lists, much of it the
-#: T-Pot flow tables.  A run that keeps its drained days fails the bound
-#: (it read 1.99), and the 15 -> 30-day run this gate replaced grew 3.1x.
+#: is the state the ``run_scenario`` docstring lists, most of it the open
+#: scan sessions' target ids and the table they index.  A run that keeps
+#: its drained days fails the bound, and the 15 -> 30-day run this gate
+#: replaced grew 3.1x.
 GROWTH_BOUND = 1.85
 
 _GROWTH_DRIVER = """\

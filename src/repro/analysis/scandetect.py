@@ -28,22 +28,30 @@ Each level then needs one single-key int64 argsort — ``(source id,
 timestamp rank)`` lays its sessions out — and one int64 sort —
 ``(segment, destination id)`` counts their distinct targets.
 
-**Open sessions are columns.**  A tracker's carry state is one row per
-open session: the truncated source, first and last packet times, packet
-count, and the distinct targets in CSR form.  A carried session whose
-source reappears in the chunk is located by a lookup in the level's
-table of distinct sources; if the source's first chunk packet arrives
-within the timeout, the session merges into that first segment.  Its
-carried targets are looked up among the chunk's destination ids (one the
-chunk never saw takes a fresh id) and join the segment's ``(segment,
-destination)`` sort — so the union is counted by the same pass as every
-other segment's targets.  Carried sessions that do not merge close, or
-stay open while a future packet could still extend them.  The next carry
-is rebuilt in one allocation per target column: the sort's codes are
-freed first, then the staying segments' targets and the idle carried
-sessions' targets are taken (``np.take(..., out=)``) straight into their
-slices of it, so the old carry is never joined with a partial copy of
-the new one.  All of it is vectorized; no Python runs per session.
+**Open sessions are columns; their targets are table ids.**  A
+tracker's carry state is one row per open session: the truncated
+source, first and last packet times, packet count, and the distinct
+targets in CSR form, each an integer id into a :class:`TargetTable` of
+(hi, lo) destinations.  The trackers of one
+:class:`~repro.analysis.streaming.StreamAnalyzer` share one table, so a
+target held at /128, /64 and /48 is stored once; a standalone tracker
+owns its own.  At a feed, one lookup of the table among the chunk's
+destinations maps every table id to a chunk destination id (a target
+the chunk never saw takes a fresh id past them), once per chunk for all
+the levels.  A carried session whose source reappears in the chunk is
+located by a lookup in the level's table of distinct sources; if the
+source's first chunk packet arrives within the timeout, the session
+merges into that first segment, and its mapped target ids join the
+segment's ``(segment, destination)`` sort — so the union is counted by
+the same pass as every other segment's targets.  Carried sessions that
+do not merge close, or stay open while a future packet could still
+extend them.  The next carry holds chunk ids, written in one allocation:
+the staying segments' targets, then the idle carried sessions' mapped
+ids.  After the chunk's feeds the table is compacted to the ids an open
+session still references and the carries renumbered into it (a
+standalone tracker defers this to its next feed, so a single-chunk run
+never builds a table).  All of it is vectorized; no Python runs per
+session.
 
 Memory is O(open sessions + one chunk), never O(run) for a chunked feed:
 at each feed boundary any session whose last packet is more than a
@@ -139,14 +147,16 @@ def _sessions(kid: np.ndarray, index: "DayIndex", id_bound: int,
 class DayIndex:
     """What every aggregation level shares about one chunk, sorted once.
 
-    * ``rank``: each row's position in stable timestamp order;
+    * ``rank``: each row's position in stable timestamp order, and
+      ``by_time`` its inverse, the rows in that order;
     * ``sid``: dense /128 source ids into the distinct sources
       ``src_hi``/``src_lo``, which are in (hi, lo) order — masking that
       table to any prefix length keeps it sorted, so :meth:`level`
       derives a level's ids from the table alone;
     * ``did``: dense destination ids into ``dst_hi``/``dst_lo``;
-      :meth:`destination_ids` finds a carried session's targets among
-      them, so carried and fresh targets compare as integers.
+      :meth:`destination_ids` finds a :class:`TargetTable`'s carried
+      targets among them, so carried and fresh targets compare as
+      integers.
 
     Built per chunk and never pickled.
     """
@@ -156,8 +166,9 @@ class DayIndex:
         self.ts = records.ts
         self.t_min = float(records.ts.min()) if n else None
         self.t_max = float(records.ts.max()) if n else None
+        self.by_time = np.argsort(records.ts, kind="stable")
         self.rank = np.empty(n, dtype=np.int64)
-        self.rank[np.argsort(records.ts, kind="stable")] = np.arange(n)
+        self.rank[self.by_time] = np.arange(n)
 
         sid, rep = group_keys((records.src_hi, records.src_lo))
         s_hi, s_lo = records.src_hi[rep], records.src_lo[rep]
@@ -189,14 +200,94 @@ class DayIndex:
         return self._levels[length]
 
 
+class TargetTable:
+    """The distinct targets that open sessions hold, by integer id.
+
+    Row ``i`` is the destination ``(hi[i], lo[i])``; every open session
+    keeps its targets as ids into the table, so a target held by several
+    sessions — at several aggregation levels when trackers share the
+    table — is stored once, and a chunk finds the carried targets among
+    its destinations with one lookup of the table, not one per session.
+
+    :meth:`chunk_ids` maps the table into a chunk's id space: the
+    :class:`DayIndex` destination ids, then one fresh id per row the
+    chunk never saw.  It is computed once per index, so trackers sharing
+    the table share the lookup.  While a chunk is fed, their carries hold
+    ids in that chunk space; :meth:`compact` then rebuilds the table from
+    the chunk ids an open session still references and renumbers the
+    carries into it.
+    """
+
+    def __init__(self) -> None:
+        self.hi = self.lo = np.empty(0, dtype=np.uint64)
+        #: ``(dst_hi, dst_lo, absent)`` of the chunk whose ids the
+        #: carries hold, until :meth:`compact`; ``absent`` are the table
+        #: rows the chunk never saw, in fresh-id order.
+        self._pending: tuple | None = None
+        self._index: DayIndex | None = None
+        self._map: tuple | None = None
+
+    def __len__(self) -> int:
+        return len(self.hi)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_index"] = state["_map"] = None
+        return state
+
+    def chunk_ids(self, index: DayIndex) -> tuple[np.ndarray, int]:
+        """``(to_chunk, id_bound)``: each table row's id in ``index``'s
+        destination id space, and the bound of that space."""
+        if self._index is index:
+            return self._map
+        if self._pending is not None:
+            raise RuntimeError(
+                "target ids of the previous chunk were never compacted")
+        n_dst = len(index.dst_hi)
+        if len(self.hi):
+            to_chunk = index.destination_ids(self.hi, self.lo)
+            absent = np.flatnonzero(to_chunk < 0)
+            to_chunk[absent] = n_dst + np.arange(len(absent))
+        else:
+            to_chunk = absent = np.empty(0, dtype=np.int64)
+        self._pending = (index.dst_hi, index.dst_lo, absent)
+        self._index, self._map = index, (to_chunk, n_dst + len(absent))
+        return self._map
+
+    def compact(self, trackers) -> None:
+        """Keep the chunk ids that an open session of ``trackers`` (every
+        tracker holding ids into this table) references, and renumber
+        them."""
+        if self._pending is None:
+            return
+        dst_hi, dst_lo, absent = self._pending
+        n_dst = len(dst_hi)
+        carries = [tracker._open for tracker in trackers]
+        used = np.zeros(n_dst + len(absent), dtype=bool)
+        for carry in carries:
+            used[carry.t_id] = True
+        kept = np.flatnonzero(used)
+        del used
+        new_id = np.empty(n_dst + len(absent), dtype=np.int64)
+        new_id[kept] = np.arange(len(kept))
+        for carry in carries:
+            carry.t_id = new_id[carry.t_id]
+        del new_id
+        split = int(np.searchsorted(kept, n_dst))
+        held = absent[kept[split:] - n_dst]
+        self.hi = np.concatenate([dst_hi[kept[:split]], self.hi[held]])
+        self.lo = np.concatenate([dst_lo[kept[:split]], self.lo[held]])
+        self._pending = self._index = self._map = None
+
+
 @dataclass
 class _OpenSessions:
     """A tracker's open sessions as columns, one row per session.
 
     ``k_hi``/``k_lo`` is the truncated source (``k_lo`` is zero at
-    lengths <= 64); session ``i``'s distinct targets are
-    ``t_hi[t_off[i]:t_off[i + 1]]`` with ``t_lo`` alike — 16 bytes per
-    target, the tracker's only per-session payload.
+    lengths <= 64); session ``i``'s distinct targets are the
+    :class:`TargetTable` ids ``t_id[t_off[i]:t_off[i + 1]]`` — 8 bytes
+    per target, the tracker's only per-session payload.
     """
 
     k_hi: np.ndarray
@@ -205,14 +296,13 @@ class _OpenSessions:
     last: np.ndarray
     packets: np.ndarray
     t_off: np.ndarray
-    t_hi: np.ndarray
-    t_lo: np.ndarray
+    t_id: np.ndarray
 
     @classmethod
     def empty(cls) -> "_OpenSessions":
         words, times = np.empty(0, np.uint64), np.empty(0, np.float64)
         return cls(words, words, times, times, np.empty(0, np.int64),
-                   np.zeros(1, np.int64), words, words)
+                   np.zeros(1, np.int64), np.empty(0, np.int64))
 
     def __len__(self) -> int:
         return len(self.k_hi)
@@ -227,7 +317,7 @@ class _OpenSessions:
             self.k_hi[rows], self.k_lo[rows], self.start[rows],
             self.last[rows], self.packets[rows],
             np.concatenate([[0], np.cumsum(lengths)]),
-            self.t_hi[positions], self.t_lo[positions])
+            self.t_id[positions])
 
 
 class SessionTracker:
@@ -247,7 +337,11 @@ class SessionTracker:
         source_length: int = 64,
         min_targets: int = DEFAULT_MIN_TARGETS,
         timeout: float = DEFAULT_TIMEOUT,
+        targets: TargetTable | None = None,
     ):
+        """``targets`` is a table shared with other trackers fed the same
+        chunks, whose owner compacts it after every chunk; by default the
+        tracker owns a table of its own and compacts it itself."""
         _validate(min_targets, timeout)
         if not 0 <= source_length <= 128:
             raise ValueError(
@@ -258,6 +352,8 @@ class SessionTracker:
         self._watermark = _NEG_INF
         self._events: list[ScanEvent] = []
         self._open = _OpenSessions.empty()
+        self._owns_targets = targets is None
+        self._targets = TargetTable() if targets is None else targets
 
     # -- introspection ----------------------------------------------------
 
@@ -318,6 +414,10 @@ class SessionTracker:
         # >= : a session ending exactly a timeout before the horizon can
         # still merge with a packet at ts == horizon (the gap rule is > ).
         lower = horizon - timeout
+        if self._owns_targets:
+            # Deferred from the previous feed, so a single-chunk run never
+            # builds a table.
+            self._targets.compact((self,))
         carry = self._open
         if n == 0:
             idle = carry.last >= lower
@@ -327,9 +427,9 @@ class SessionTracker:
             return len(self._events) - before
 
         kid_of_sid, key_hi, key_lo = index.level(self.source_length)
-        # Destination ids: the chunk's, then merged carried targets absent
+        # Destination ids: the chunk's, then the carried targets absent
         # from it, so every id stays below this bound.
-        id_bound = len(index.dst_hi) + len(carry.t_hi)
+        to_chunk, id_bound = self._targets.chunk_ids(index)
         codes, starts, seg_kid, start_ts, end_ts = _sessions(
             kid_of_sid[index.sid], index, id_bound, timeout)
         n_segs = len(starts)
@@ -358,19 +458,13 @@ class SessionTracker:
         # Distinct targets per segment from one sort of the codes; a
         # merged session's carried targets sort into its segment, so the
         # count is the union's.
-        dst_hi, dst_lo = index.dst_hi, index.dst_lo
         if len(merged):
             positions, lengths = _csr_take(carry.t_off, merged)
-            carried_hi = carry.t_hi[positions]
-            carried_lo = carry.t_lo[positions]
-            carried_ids = index.destination_ids(carried_hi, carried_lo)
-            absent = np.flatnonzero(carried_ids < 0)
-            carried_ids[absent] = len(dst_hi) + np.arange(len(absent))
-            codes = np.concatenate([
-                codes,
-                np.repeat(merged_seg, lengths) * id_bound + carried_ids])
-            dst_hi = np.concatenate([dst_hi, carried_hi[absent]])
-            dst_lo = np.concatenate([dst_lo, carried_lo[absent]])
+            carried = np.repeat(merged_seg, lengths)
+            carried *= id_bound
+            carried += to_chunk[carry.t_id[positions]]
+            codes = np.concatenate([codes, carried])
+            del carried, positions
             start_ts[merged_seg] = carry.start[merged]
             seg_packets[merged_seg] += carry.packets[merged]
         codes.sort()
@@ -384,25 +478,23 @@ class SessionTracker:
                    start_ts[done], end_ts[done], seg_packets[done],
                    uniq[done])
 
-        # The next carry, built in one allocation: the staying segments'
-        # targets, then the idle carried sessions', each taken straight
-        # into its slice of the new target columns.
-        targets = codes[stays[code_seg]]
-        del codes, code_seg
-        targets %= id_bound
+        # The next carry, in chunk ids until the table is compacted: the
+        # staying segments' targets, then the idle carried sessions',
+        # each written straight into its slice of one allocation.
+        keep = stays[code_seg]
+        del code_seg
         kept = np.flatnonzero(stays)
         rest = np.flatnonzero(idle)
         positions, lengths = _csr_take(carry.t_off, rest)
-        split = len(targets)
-        t_hi = np.empty(split + len(positions), dtype=np.uint64)
-        t_lo = np.empty_like(t_hi)
+        split = int(np.count_nonzero(keep))
+        t_id = np.empty(split + len(positions), dtype=np.int64)
+        np.remainder(codes[keep], id_bound, out=t_id[:split])
+        del codes, keep
         # mode="clip" (the indices are in range): the default "raise"
         # would buffer the output instead of writing ``out`` in place.
-        for out, fresh, held in ((t_hi, dst_hi, carry.t_hi),
-                                 (t_lo, dst_lo, carry.t_lo)):
-            np.take(fresh, targets, out=out[:split], mode="clip")
-            np.take(held, positions, out=out[split:], mode="clip")
-        del targets, positions
+        np.take(to_chunk, carry.t_id[positions], out=t_id[split:],
+                mode="clip")
+        del positions
         self._open = _OpenSessions(
             np.concatenate([key_hi[seg_kid[kept]], carry.k_hi[rest]]),
             np.concatenate([key_lo[seg_kid[kept]], carry.k_lo[rest]]),
@@ -411,7 +503,7 @@ class SessionTracker:
             np.concatenate([seg_packets[kept], carry.packets[rest]]),
             np.concatenate([[0], np.cumsum(np.concatenate(
                 [uniq[kept], lengths]))]),
-            t_hi, t_lo)
+            t_id)
         self._watermark = horizon
         return len(self._events) - before
 
@@ -422,6 +514,8 @@ class SessionTracker:
         """
         self._close_open(np.arange(len(self._open)))
         self._open = _OpenSessions.empty()
+        if self._owns_targets:
+            self._targets = TargetTable()
         self._events.sort(key=_event_order)
         return list(self._events)
 

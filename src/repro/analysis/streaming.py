@@ -8,8 +8,13 @@ carry open sessions across day boundaries, so the finished event lists
 equal batch :func:`~repro.analysis.scandetect.detect_scans` over the
 whole run — element-identical at every aggregation level, pinned by
 randomized equivalence tests — while memory stays O(open sessions + one
-day).  The observer reads each level's distinct sources from the same
-index (:meth:`StreamAnalyzer.day_sources`).
+day).  The three trackers hold their open sessions' targets as ids into
+one :class:`~repro.analysis.scandetect.TargetTable`: a day maps the table
+to its destination ids with one lookup for all three levels, and the
+analyzer compacts the table after the three feeds.  The observer reads
+the day from the same index until :meth:`StreamAnalyzer.end_day`: each
+level's distinct sources (:meth:`StreamAnalyzer.day_sources`) and NT-A's
+destination and source ids (:attr:`StreamAnalyzer.day_index`).
 
 The session kernel itself lives in :mod:`repro.analysis.scandetect`;
 its names are re-exported here.
@@ -28,6 +33,7 @@ from repro.analysis.scandetect import (
     DayIndex,
     ScanEvent,
     SessionTracker,
+    TargetTable,
 )
 
 __all__ = [
@@ -58,7 +64,8 @@ class StreamAnalyzer:
 
     Holds a :class:`SessionTracker` per aggregation level (the paper's
     /128, /64, /48 by default), all fed the same day chunk through one
-    shared :class:`DayIndex`.  Picklable, so a streaming run's open state
+    shared :class:`DayIndex` and holding their targets in one shared
+    :class:`TargetTable`.  Picklable, so a streaming run's open state
     checkpoints alongside the scenario; the day index is not part of it.
     """
 
@@ -71,18 +78,20 @@ class StreamAnalyzer:
     ):
         self.name = name
         self.levels = tuple(levels)
+        self._targets = TargetTable()
         self.trackers = {
             level: SessionTracker(source_length=level,
-                                  min_targets=min_targets, timeout=timeout)
+                                  min_targets=min_targets, timeout=timeout,
+                                  targets=self._targets)
             for level in self.levels
         }
         self.records_in = 0
         self._summary: StreamSummary | None = None
-        self._day_sources: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._day: DayIndex | None = None
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state["_day_sources"] = {}
+        state["_day"] = None
         return state
 
     def feed(self, records: PacketRecords, now: float | None = None) -> int:
@@ -90,16 +99,28 @@ class StreamAnalyzer:
         index = DayIndex(records)
         closed = sum(tracker.feed_index(index, now=now)
                      for tracker in self.trackers.values())
-        self._day_sources = {level: index.level(level)[1:]
-                             for level in self.levels}
+        self._targets.compact(self.trackers.values())
+        self._day = index
         self.records_in += len(records)
         return closed
+
+    @property
+    def day_index(self) -> DayIndex | None:
+        """The :class:`DayIndex` of the chunk fed last, until
+        :meth:`end_day`."""
+        return self._day
+
+    def end_day(self) -> None:
+        """Release the day index once the day has been read."""
+        self._day = None
 
     def day_sources(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """The distinct sources at ``level`` of the chunk fed last, as
         (hi, lo) columns in address order (``lo`` is zero at levels
         <= 64)."""
-        return self._day_sources[level]
+        if self._day is None or level not in self.levels:
+            raise KeyError(level)
+        return self._day.level(level)[1:]
 
     @property
     def open_sessions(self) -> int:
@@ -115,4 +136,5 @@ class StreamAnalyzer:
                 events={level: tracker.finish()
                         for level, tracker in self.trackers.items()},
             )
+            self._targets = TargetTable()
         return self._summary

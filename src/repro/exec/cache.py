@@ -65,7 +65,9 @@ from repro.obs import RunManifest, get_journal, get_registry, stage
 #: 2: one ``origin`` array per telescope replaces the truth sidecar tables.
 #: 3: checkpoints are mid-run entries; the key and manifest carry the mode.
 #: 4: observe checkpoints hold their seen sources as key columns, not sets.
-CACHE_SCHEMA_VERSION = 4
+#: 5: stream checkpoints hold open sessions' targets as ids into one
+#:    target table per telescope, not as (hi, lo) columns per tracker.
+CACHE_SCHEMA_VERSION = 5
 
 #: The telescopes, in capture order, with their record file stems.
 _TELESCOPES = (("NT-A", "nta"), ("NT-B", "ntb"), ("NT-C", "ntc"))

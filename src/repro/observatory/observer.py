@@ -46,9 +46,14 @@ from pathlib import Path
 import numpy as np
 
 from repro._util import DAY
-from repro.analysis.records import PacketRecords
+from repro.analysis.scandetect import DayIndex
 from repro.analysis.streaming import SCAN_LEVELS
-from repro.analysis.tactics import tactic_combos
+from repro.analysis.tactics import (
+    TacticTable,
+    TacticTables,
+    combo_counts,
+    tactic_masks,
+)
 from repro.net.addr import KeySet, split_by_48
 from repro.obs import (
     JOURNAL_SCHEMA_VERSION,
@@ -172,17 +177,65 @@ def load_observer_day(path) -> dict:
     return validate_observer(record)
 
 
-def day_tactics(records: PacketRecords, hp, source_length: int = 48,
-                ) -> tuple[Counter, int]:
-    """One day's Figure 11 tactic combos for one honeyprefix.
+def day_tactics(records, honeyprefixes, source_length: int = 48,
+                table=TacticTable.of, index: DayIndex | None = None,
+                ) -> tuple[Counter, int, dict]:
+    """One day's Figure 11 tactic mix over every honeyprefix in
+    ``honeyprefixes`` (each one /48), in one pass:
+    ``(combos, sources, first_seen)``.
 
-    The kernel of :func:`repro.analysis.tactics.label_tactics` over the
-    day's (honeyprefix-restricted) records, with sources of at most 64
-    bits.
+    Each (honeyprefix, source) pair counts once, with sources of at most
+    64 bits; ``first_seen`` maps each probed honeyprefix's name to its
+    earliest probe time, and ``table(hp)`` gives a honeyprefix's
+    :class:`~repro.analysis.tactics.TacticTable`.  The day's
+    :class:`~repro.analysis.scandetect.DayIndex` (built when not given)
+    saves the sorts: one :func:`~repro.net.addr.split_by_48` of its
+    distinct destinations names each probe's honeyprefix, the special
+    addresses are looked up among those destinations only, and its
+    source ids at ``source_length`` number the pairs densely for the
+    kernel of :func:`repro.analysis.tactics.label_tactics`.
     """
     if not 0 < source_length <= 64:
         raise ValueError(f"source_length must be in (0, 64]: {source_length}")
-    return tactic_combos(records, hp, source_length)
+    by_key = {}
+    for hp in honeyprefixes:
+        if hp.prefix.length != 48:
+            raise ValueError(f"{hp.name}: a honeyprefix is one /48, "
+                             f"got {hp.prefix}")
+        by_key[hp.prefix.network >> 64] = hp
+    if index is None:
+        index = DayIndex(records)
+    keys = np.array(sorted(by_key), dtype=np.uint64)
+    parts = split_by_48(keys, index.dst_hi)
+    if not parts:
+        return Counter(), 0, {}
+    hps = [by_key[key] for key in keys.tolist()]
+    tables = TacticTables.of([table(hp) for hp in hps])
+    # Per distinct destination, then per probe.
+    owner = np.full(len(index.dst_hi), -1, dtype=np.int64)
+    for slot, rows in parts:
+        owner[rows] = slot
+    special = tables.special_ids(index.dst_hi, index.dst_lo, owner)
+    owner, special = owner[index.did], special[index.did]
+    # Pairs numbered densely from the day's source ids, with a spare
+    # owner (0) per source for the rows of no honeyprefix.
+    span = len(hps) + 1
+    group = index.level(source_length)[0][index.sid]
+    group *= span
+    group += owner
+    group += 1
+    groups, first, masks = tactic_masks(records, tables, group, owner,
+                                        special, order=index.rank)
+    # Groups come in time order: a honeyprefix's first group holds its
+    # earliest probe.
+    slot = groups % span - 1
+    probed = slot >= 0
+    slot, first, masks = slot[probed], first[probed], masks[probed]
+    _, earliest = np.unique(slot, return_index=True)
+    first_seen = {hps[s].name: t for s, t in zip(
+        slot[earliest].tolist(),
+        records.ts[index.by_time[first[earliest]]].tolist())}
+    return combo_counts(masks), len(masks), first_seen
 
 
 @dataclass
@@ -222,6 +275,8 @@ class Observatory:
         self.directory = Path(directory)
         self.levels = levels
         self._registry = get_registry()
+        #: honeyprefix name -> (honeyprefix, timeline length, table).
+        self._tactic_tables: dict = {}
         self._closed = False
         if state is None:
             state = ObservatoryState(
@@ -345,10 +400,7 @@ class Observatory:
             }
             self.state.records_total += len(records)
 
-        combos: Counter = Counter()
-        total_sources = 0
         honeyprefixes = {}
-        nta = drained["NT-A"]
         day_end = (day + 1) * DAY
         # Gate on the deployment *time*, not dict membership: the engine
         # runs every event up to and including ``day_end``, so a deploy at
@@ -357,20 +409,13 @@ class Observatory:
         deployed = {name: hp for name, hp in scenario.honeyprefixes.items()
                     if hp.deployed_at is not None
                     and hp.deployed_at < day_end}
-        # Every honeyprefix is one /48, so one split of the day's rows
-        # hands each its probes, in arrival order.
-        by_key = {hp.prefix.network >> 64: name
-                  for name, hp in deployed.items()}
-        keys = np.array(sorted(by_key), dtype=np.uint64)
-        rows_of = {by_key[int(keys[slot])]: rows
-                   for slot, rows in split_by_48(keys, nta.dst_hi)}
+        combos, total_sources, first_seen = day_tactics(
+            drained["NT-A"], [deployed[name] for name in sorted(deployed)],
+            table=self._tactic_table, index=streams["NT-A"].day_index)
+        for name in sorted(first_seen):
+            self.state.first_seen.setdefault(name, first_seen[name])
         for name in sorted(deployed):
-            hp = deployed[name]
-            selected = (nta.select(rows_of[name]) if name in rows_of
-                        else PacketRecords.empty())
-            if len(selected) and name not in self.state.first_seen:
-                self.state.first_seen[name] = float(selected.ts.min())
-            deployed_at = hp.deployed_at
+            deployed_at = deployed[name].deployed_at
             first = self.state.first_seen.get(name)
             honeyprefixes[name] = {
                 "deployed_at": deployed_at,
@@ -378,10 +423,6 @@ class Observatory:
                 "reaction_s": (first - deployed_at
                                if first is not None else None),
             }
-            if len(selected):
-                hp_combos, hp_sources = day_tactics(selected, hp)
-                combos += hp_combos
-                total_sources += hp_sources
 
         shares = {label: count / total_sources
                   for label, count in combos.items()} if total_sources else {}
@@ -397,6 +438,16 @@ class Observatory:
             },
             "honeyprefixes": honeyprefixes,
         }
+
+    def _tactic_table(self, hp) -> TacticTable:
+        """``hp``'s tactic table, rebuilt only once it has recorded a
+        feature since the last build: every change to its addresses and
+        bindings comes with a timeline entry."""
+        held = self._tactic_tables.get(hp.name)
+        if held is None or held[0] is not hp or held[1] != len(hp.timeline):
+            held = (hp, len(hp.timeline), TacticTable.of(hp))
+            self._tactic_tables[hp.name] = held
+        return held[2]
 
     def _count_new_sources(self, telescope: str, level: int,
                            analyzer) -> int:

@@ -201,18 +201,17 @@ def run_scenario(
     loop: each day's captures are drained into per-telescope
     :class:`~repro.analysis.streaming.StreamAnalyzer` instances and
     released, so no packet outlives its day.  Peak memory still grows
-    with the horizon through state that outlives a day: the T-Pot
-    gateways' flow tables (one packed row, about 57 bytes with its
-    index entry, per distinct flow, which keeps
-    ``tpot.gateway.nat_entries`` exact), the target sets of open scan
+    with the horizon through state that outlives a day: the open scan
     sessions (a source that never idles for the session timeout keeps
-    its session and its distinct targets open), the observer's
+    its session open, with its distinct targets as 8-byte ids into its
+    telescope's target table of 16-byte addresses), the observer's
     seen-source key columns in observe mode, and the closed scan events
     the result returns.  At a flat daily volume
     (``benchmarks/test_microbench_streaming.py``, 5e-3) doubling the
-    horizon from 8 to 16 days takes the tracemalloc peak from 54 to
-    92 MB (56 to 96 MB in observe mode); at day 16 the flow tables hold
-    17.7 MB (314k flows) and the open sessions 19 MB.  Both modes run the same session kernel
+    horizon from 8 to 16 days takes the tracemalloc peak from 37.5 to
+    53.9 MB (39.6 to 57.8 MB in observe mode); at day 16 NT-A's open
+    sessions hold 1.19M target ids into a 340k-row table, 15.1 MB with
+    their columns.  Both modes run the same session kernel
     (:class:`~repro.analysis.scandetect.SessionTracker`), fed a day at a
     time here and the whole run at once by ``detect_scans``, so the
     result's :attr:`ScenarioResult.streaming` summaries carry events
@@ -369,9 +368,10 @@ def _feed_streams(scenario, streams, journal, day: int,
 
     With an ``observatory``, the drained day records are handed to it
     after all three feeds, so the observer record sees the day's
-    post-feed tracker state alongside the raw packets.  The records are
-    released either way once the observation is written — the one-day
-    memory bound is unchanged.
+    post-feed tracker state alongside the raw packets and each
+    analyzer's day index.  The records and the indexes are released
+    either way once the observation is written — the one-day memory
+    bound is unchanged.
     """
     drained = {} if observatory is not None else None
     for name, cap in scenario.capturers.items():
@@ -388,6 +388,8 @@ def _feed_streams(scenario, streams, journal, day: int,
             drained[name] = records
     if observatory is not None:
         observatory.observe_day(day, scenario, streams, drained)
+    for analyzer in streams.values():
+        analyzer.end_day()
 
 
 def _simulate(config, resume, start_day, *, progress, cache, mode,

@@ -22,9 +22,11 @@ from repro._util import DAY, HOUR
 from repro.analysis.records import PacketRecords
 from repro.analysis.scandetect import detect_scans
 from repro.analysis.streaming import (
+    SCAN_LEVELS,
     SessionTracker,
     StreamAnalyzer,
 )
+from repro.net import addr
 from repro.net.addr import find_keys, group_keys, key_hashes, mask_u64
 from repro.net.packet import TCP, UDP, Packet, icmp_echo_request
 from tests.analysis.reference import detect_scans_reference, sorted_by_time
@@ -284,6 +286,153 @@ class TestUnsortedAndEdgeChunks:
             sport=tail.sport, dport=tail.dport)
         assert len(np.unique(big.src_lo)) > 2_000
         _feed_and_check([big, tail], source_length, 10, 300.0)
+
+
+def _rows(rows):
+    """Records from ``(ts, src, dst)`` triples (128-bit ints)."""
+    mask = (1 << 64) - 1
+    return PacketRecords.from_columns(
+        ts=[t for t, _, _ in rows],
+        src_hi=[s >> 64 for _, s, _ in rows],
+        src_lo=[s & mask for _, s, _ in rows],
+        dst_hi=[d >> 64 for _, _, d in rows],
+        dst_lo=[d & mask for _, _, d in rows],
+        proto=np.full(len(rows), TCP), sport=np.full(len(rows), 4000),
+        dport=np.full(len(rows), 80))
+
+
+def _analyzer_matches_reference(chunks, nows, min_targets, timeout):
+    """Feed ``chunks`` to one analyzer; its events must equal the
+    per-packet oracle over their concatenation at every level."""
+    analyzer = StreamAnalyzer("NT-A", min_targets=min_targets,
+                              timeout=timeout)
+    for chunk, now in zip(chunks, nows):
+        analyzer.feed(chunk, now=now)
+        assert all(tracker._targets is analyzer._targets
+                   for tracker in analyzer.trackers.values())
+    records = PacketRecords.concat(chunks)
+    summary = copy.deepcopy(analyzer).finish()
+    for level in SCAN_LEVELS:
+        assert summary.events[level] == detect_scans_reference(
+            records, level, min_targets, timeout), level
+    return analyzer
+
+
+def _table_targets(analyzer) -> set:
+    table = analyzer._targets
+    return set(zip(table.hi.tolist(), table.lo.tolist()))
+
+
+def _held_targets(analyzer) -> set:
+    """The (hi, lo) targets some open session of some level holds."""
+    table = analyzer._targets
+    held = set()
+    for tracker in analyzer.trackers.values():
+        ids = tracker._open.t_id
+        held |= set(zip(table.hi[ids].tolist(), table.lo[ids].tolist()))
+    return held
+
+
+class TestTargetTable:
+    """One carried-target table per analyzer, shared by its three levels:
+    ids, not (hi, lo) pairs, ride in the carry, and the table keeps
+    exactly the targets an open session still holds."""
+
+    def test_sources_active_every_day_reuse_targets(self):
+        """Scanners probing a small target pool every day: their sessions
+        never close, so the same targets are carried and seen again day
+        after day, at all three levels at once."""
+        rng = np.random.default_rng(0)
+        net = 0x2001_0DB8 << 96
+        sources = [net | (i % 3) << 80 | i << 64 | 1 for i in range(6)]
+        pool = [0x3FFF << 112 | int(rng.integers(1 << 40))
+                for _ in range(150)]
+        timeout, width = 600.0, 500.0
+        chunks, nows = [], []
+        for day in range(20):
+            # Every source probes at least once per window (gaps stay
+            # under the timeout), from a pool that repeats day to day.
+            rows = [(day * width + float(rng.uniform(0, width)),
+                     sources[int(rng.integers(6))],
+                     pool[int(rng.integers(150))]) for _ in range(80)]
+            rows += [(day * width + 10.0 * (i + 1), source,
+                      pool[int(rng.integers(150))])
+                     for i, source in enumerate(sources)]
+            chunks.append(_shuffled(rng, _rows(rows)))
+            nows.append((day + 1) * width)
+        analyzer = _analyzer_matches_reference(chunks, nows, 50, timeout)
+        assert analyzer.open_sessions == 3 + 6 + 6  # /48, /64, /128
+        assert _table_targets(analyzer) == _held_targets(analyzer)
+        assert len(analyzer._targets) <= 150
+
+    def test_target_leaves_and_returns(self):
+        """A target whose sessions all closed leaves the table; probed
+        again later, it takes a new id and counts from scratch."""
+        timeout = 100.0
+        a, b = 0x2001_0DB8_0001 << 80 | 1, 0x2001_0DB8_0002 << 80 | 1
+        back = 0x3FFF << 112 | 0xBEEF
+        others = [0x3FFF << 112 | i for i in range(1, 8)]
+        first = _rows([(float(i), a, d)
+                       for i, d in enumerate([back] + others)])
+        # ``a`` falls silent: its session closes on the horizon alone.
+        quiet = _rows([(150.0, b, others[0])])
+        later = _rows([(400.0 + i, a, d)
+                       for i, d in enumerate([back, back] + others[:3])])
+        chunks, nows = [first, quiet, later], [50.0, 300.0, 450.0]
+        analyzer = StreamAnalyzer("NT-A", min_targets=3, timeout=timeout)
+        analyzer.feed(first, now=nows[0])
+        assert (back >> 64, back & (1 << 64) - 1) in _table_targets(analyzer)
+        analyzer.feed(quiet, now=nows[1])
+        assert (back >> 64, back & (1 << 64) - 1) not in _table_targets(
+            analyzer)
+        assert _table_targets(analyzer) == _held_targets(analyzer)
+        _analyzer_matches_reference(chunks, nows, 3, timeout)
+
+    def test_idle_session_across_an_empty_feed(self):
+        """An empty chunk inside the timeout carries every session and
+        the table untouched; the next chunk merges into them."""
+        timeout = 1_000.0
+        src = 0x2001_0DB8_0003 << 80 | 7
+        targets = [0x3FFF << 112 | i for i in range(12)]
+        before = _rows([(float(i), src, d)
+                        for i, d in enumerate(targets[:8])])
+        after = _rows([(900.0 + i, src, d)
+                       for i, d in enumerate(targets[4:])])
+        chunks = [before, PacketRecords.empty(), after]
+        nows = [100.0, 500.0, 1_000.0]
+        analyzer = StreamAnalyzer("NT-A", min_targets=10, timeout=timeout)
+        analyzer.feed(before, now=nows[0])
+        held = _table_targets(analyzer)
+        analyzer.feed(PacketRecords.empty(), now=nows[1])
+        assert analyzer.open_sessions == 3
+        assert _table_targets(analyzer) == held == _held_targets(analyzer)
+        analyzer.feed(after, now=nows[2])
+        events = analyzer.finish().events
+        assert [e.unique_targets for e in events[128]] == [12]
+        _analyzer_matches_reference(chunks, nows, 10, timeout)
+
+    def test_colliding_hashes_in_the_day_lookup(self, monkeypatch):
+        """Targets that share their low half collide under a weak pair
+        hash (the low half alone); the table's lookup among the day's
+        destinations still finds each exactly."""
+        monkeypatch.setattr(
+            addr, "key_hashes",
+            lambda cols: np.array(cols[-1], dtype=np.uint64, copy=True))
+        rng = np.random.default_rng(3)
+        src = [0x2001_0DB8_0004 << 80 | i << 64 | 1 for i in range(3)]
+        # 40 targets over 8 low halves: every low half is shared.
+        targets = [(0x3FFF << 112 | i << 64) | (i % 8) for i in range(40)]
+        chunks, nows = [], []
+        for day in range(6):
+            rows = [(day * 300.0 + float(rng.uniform(0, 300)),
+                     src[int(rng.integers(3))],
+                     targets[int(rng.integers(40))]) for _ in range(60)]
+            chunks.append(_rows(rows))
+            nows.append((day + 1) * 300.0)
+        analyzer = _analyzer_matches_reference(chunks, nows, 20, 400.0)
+        assert _table_targets(analyzer) == _held_targets(analyzer)
+        table = analyzer._targets
+        assert len(set(table.lo.tolist())) < len(table)
 
 
 class TestPairIds:

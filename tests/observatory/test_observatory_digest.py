@@ -9,11 +9,14 @@ reproduce them byte for byte, so a change that shifts both modes the
 same way still fails.
 """
 
+import copy
 import hashlib
 import json
 import pickle
+from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.exec.cache import (
@@ -130,28 +133,83 @@ def test_killed_and_resumed_digests(tmp_path):
     assert digests(data, result) == GOLDEN
 
 
-def _previous_layout(tracker) -> None:
-    """Rewrite a tracker's pickled state into the per-session list layout
+@dataclass
+class ColumnCarry:
+    """The open-session columns that cache schema 4 pickled: every
+    tracker held its sessions' targets as its own (hi, lo) columns."""
+
+    k_hi: np.ndarray
+    k_lo: np.ndarray
+    start: np.ndarray
+    last: np.ndarray
+    packets: np.ndarray
+    t_off: np.ndarray
+    t_hi: np.ndarray
+    t_lo: np.ndarray
+
+
+def _carried_targets(analyzer, tracker):
+    table = analyzer._targets
+    sessions = tracker._open
+    return table.hi[sessions.t_id], table.lo[sessions.t_id]
+
+
+def _list_layout(analyzer) -> None:
+    """Rewrite an analyzer's trackers into the per-session list layout
     that checkpoint protocol 3 stored (before checkpoints joined the
     store)."""
-    state = tracker.__dict__
-    sessions = state.pop("_open")
-    keys = (sessions.k_hi.tolist()
-            if tracker.source_length <= 64 else
-            list(zip(sessions.k_hi.tolist(), sessions.k_lo.tolist())))
-    off = sessions.t_off
-    state.update(
-        _keys=keys, _start=sessions.start.tolist(),
-        _last=sessions.last.tolist(), _packets=sessions.packets.tolist(),
-        _targets=[(sessions.t_hi[a:b], sessions.t_lo[a:b])
-                  for a, b in zip(off[:-1], off[1:])])
+    for tracker in analyzer.trackers.values():
+        t_hi, t_lo = _carried_targets(analyzer, tracker)
+        state = tracker.__dict__
+        sessions = state.pop("_open")
+        del state["_targets"], state["_owns_targets"]
+        keys = (sessions.k_hi.tolist()
+                if tracker.source_length <= 64 else
+                list(zip(sessions.k_hi.tolist(), sessions.k_lo.tolist())))
+        off = sessions.t_off
+        state.update(
+            _keys=keys, _start=sessions.start.tolist(),
+            _last=sessions.last.tolist(), _packets=sessions.packets.tolist(),
+            _targets=[(t_hi[a:b], t_lo[a:b])
+                      for a, b in zip(off[:-1], off[1:])])
+    del analyzer.__dict__["_targets"]
+
+
+def _column_layout(analyzer) -> None:
+    """Rewrite an analyzer's trackers into the column carry of cache
+    schema 4: no shared target table, each tracker's targets as (hi, lo)
+    columns of its own."""
+    for tracker in analyzer.trackers.values():
+        t_hi, t_lo = _carried_targets(analyzer, tracker)
+        state = tracker.__dict__
+        sessions = state.pop("_open")
+        del state["_targets"], state["_owns_targets"]
+        state["_open"] = ColumnCarry(
+            sessions.k_hi, sessions.k_lo, sessions.start, sessions.last,
+            sessions.packets, sessions.t_off, t_hi, t_lo)
+    del analyzer.__dict__["_targets"]
+
+
+def _write_state(entry, streams, cursor) -> None:
+    """Replace the checkpoint's state file and reseal the entry under
+    the previous store version with valid checksums."""
+    state = entry / "state.00003.pkl"
+    state.write_bytes(pickle.dumps({"streams": streams,
+                                    "observatory": cursor}))
+    manifest = json.loads((entry / "manifest.json").read_text())
+    del manifest["manifest_sha256"]
+    manifest["files"][state.name] = _sha256(state.read_bytes())
+    manifest["cache_schema"] = CACHE_SCHEMA_VERSION - 1
+    manifest["manifest_sha256"] = _manifest_digest(manifest)
+    (entry / "manifest.json").write_text(json.dumps(manifest))
 
 
 def test_previous_layout_checkpoint_is_refused(tmp_path):
-    """A checkpoint in the old layouts (per-session tracker lists, seen
-    sources as Python sets), sealed under an older store version with
-    valid checksums, is ignored rather than unpickled into the new code;
-    the resume then runs from day zero and still reproduces the serial
+    """Checkpoints in the old layouts, sealed under an older store version
+    with valid checksums, are ignored rather than unpickled into the new
+    code: per-session tracker lists with seen sources as Python sets
+    (protocol 3), and per-tracker (hi, lo) target columns (schema 4).
+    The resume then runs from day zero and still reproduces the serial
     run byte for byte."""
     data, ckpt = tmp_path / "data", tmp_path / "ckpt"
     with pytest.raises(SimulationAborted):
@@ -163,24 +221,24 @@ def test_previous_layout_checkpoint_is_refused(tmp_path):
     assert any(tracker.open_sessions
                for analyzer in checkpoint.streams.values()
                for tracker in analyzer.trackers.values())
+
+    columns = copy.deepcopy(checkpoint.streams)
+    for analyzer in columns.values():
+        _column_layout(analyzer)
+    assert any(len(tracker._open.t_hi)
+               for analyzer in columns.values()
+               for tracker in analyzer.trackers.values())
+    _write_state(entry, columns, checkpoint.observatory)
+    assert store.read(CONFIG, "observe") is None
+
     for analyzer in checkpoint.streams.values():
-        for tracker in analyzer.trackers.values():
-            _previous_layout(tracker)
+        _list_layout(analyzer)
     cursor = checkpoint.observatory
     cursor.seen_sources = {
         name: {level: as_sets(keys, level) for level, keys in levels.items()}
         for name, levels in cursor.seen_sources.items()}
     assert any(cursor.seen_sources["NT-A"].values())
-    state = entry / "state.00003.pkl"
-    state.write_bytes(pickle.dumps({"streams": checkpoint.streams,
-                                    "observatory": cursor}))
-    manifest = json.loads((entry / "manifest.json").read_text())
-    del manifest["manifest_sha256"]
-    manifest["files"][state.name] = _sha256(state.read_bytes())
-    manifest["cache_schema"] = CACHE_SCHEMA_VERSION - 1
-    manifest["manifest_sha256"] = _manifest_digest(manifest)
-    (entry / "manifest.json").write_text(json.dumps(manifest))
-
+    _write_state(entry, checkpoint.streams, cursor)
     assert store.read(CONFIG, "observe") is None
     result = observe(data, cache_dir=ckpt, checkpoint_every=3)
     assert digests(data, result) == GOLDEN

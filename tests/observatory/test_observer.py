@@ -10,11 +10,17 @@ on ``tests/obs/test_journal_tail.py``.
 import copy
 import json
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.analysis.tactics import label_tactics
+from repro._util import DAY, HOUR
+from repro.analysis.records import PacketRecords
+from repro.analysis.scandetect import DayIndex
+from repro.analysis.tactics import TacticTable, label_tactics
+from repro.core.features import Feature
+from repro.net.packet import ICMPV6, TCP, UDP
 from repro.obs import JournalTail
 from repro.observatory import (
     ObservatoryError,
@@ -34,7 +40,13 @@ from repro.net.addr import prefix_groups_u64
 from repro.observatory import Observatory
 from repro.observatory.observer import OBSERVATIONS_NAME, TELESCOPES
 from tests.analysis.reference import label_tactics_oracle
-from tests.observatory.reference import SeenSourcesReference, as_sets
+from repro.sim import ScenarioConfig
+from tests.observatory.reference import (
+    SeenSourcesReference,
+    as_sets,
+    day_tactics_reference,
+    tactic_combos_reference,
+)
 
 from tests.observatory.conftest import DAYS, OBS_CONFIG
 
@@ -179,7 +191,7 @@ class TestDayTactics:
             hp = result.scenario.honeyprefixes[name]
             selected = nta.select(nta.mask_dst_in(hp.prefix))
             reference, reference_sources = label_tactics_oracle(selected, hp)
-            combos, sources = day_tactics(selected, hp)
+            combos, sources, _ = day_tactics(selected, [hp])
             assert combos == reference, name
             assert sources == reference_sources, name
             assert label_tactics(selected, hp).combos == reference, name
@@ -191,6 +203,153 @@ class TestDayTactics:
 
         with pytest.raises(ValueError):
             day_tactics(PacketRecords.empty(), None, source_length=0)
+
+
+#: Every trigger inside eight days (the digest config of
+#: ``test_observatory_digest.py`` at a lower volume): TLS issued, T-Pot
+#: and H_UDP hitlisted, two BGP-only prefixes withdrawn.
+TRIGGERS_CONFIG = ScenarioConfig(
+    seed=29, duration_days=8, volume_scale=1e-5, n_tail=5, phase1_day=1,
+    phase2_day=2, phase3_day=3, specific_start_day=4, tls_offset_days=1,
+    tpot_hitlist_offset_days=2, tpot_tls_offset_days=3,
+    udp_hitlist_offset_days=1, withdraw_after_days=3,
+    hitlist_first_cycle_day=1, hitlist_cycle_days=2)
+
+
+@pytest.fixture(scope="module")
+def triggered():
+    """The honeyprefixes of a run that fired every trigger, by name."""
+    from repro.sim import run_scenario
+
+    return run_scenario(TRIGGERS_CONFIG, stream_analysis=True).honeyprefixes
+
+
+def _random_day(rng, hps, n):
+    """``n`` probes over the honeyprefixes: about half to their special
+    addresses, the rest to random addresses in them, in /48s next to
+    them and far outside.  A third come from four heavy scanner /48s
+    (so one /48 probes several honeyprefixes), the rest from many light
+    ones, whose few probes keep their feature masks apart; half the
+    probes land within two hours of some trigger."""
+    special = {hp.name: sorted(set(hp.responsive)
+                               | set(hp.domain_targets.values())
+                               | set(hp.subdomain_targets.values())
+                               | set(hp.manual_hitlist_addresses))
+               for hp in hps}
+    ports = sorted({port for hp in hps for bindings in hp.responsive.values()
+                    for _, port in bindings if port is not None})
+    triggers = sorted({t for hp in hps for t, _, _ in hp.timeline})
+    dsts = []
+    for _ in range(n):
+        hp = hps[rng.integers(len(hps))]
+        roll = rng.random()
+        if roll < 0.5 and special[hp.name]:
+            mine = special[hp.name]
+            dsts.append(mine[rng.integers(len(mine))])
+        elif roll < 0.85:
+            dsts.append(hp.prefix.network | int(rng.integers(1 << 62)))
+        elif roll < 0.95:
+            dsts.append((hp.prefix.network ^ (1 << 80))
+                        | int(rng.integers(1 << 16)))
+        else:
+            dsts.append(0x3FFF << 112 | int(rng.integers(1 << 32)))
+    srcs = [(0x2001_0DB8_0000 + int(rng.integers(4)) if rng.random() < 0.3
+             else 0x2001_0DB9_0000 + int(rng.integers(n // 3))) << 80
+            | int(rng.integers(4)) << 64 | int(rng.integers(1 << 8))
+            for _ in range(n)]
+    near = rng.random(n) < 0.5
+    ts = np.where(near, rng.choice(triggers, n)
+                  + rng.uniform(-2 * HOUR, 2 * HOUR, n),
+                  rng.uniform(0.0, 8 * DAY, n))
+    return PacketRecords.from_columns(
+        ts=np.maximum(ts, 0.0),
+        src_hi=[s >> 64 for s in srcs],
+        src_lo=[s & (1 << 64) - 1 for s in srcs],
+        dst_hi=[d >> 64 for d in dsts],
+        dst_lo=[d & (1 << 64) - 1 for d in dsts],
+        proto=rng.choice([ICMPV6, TCP, UDP, 0], n, p=[0.4, 0.3, 0.2, 0.1]),
+        sport=np.full(n, 4000),
+        dport=rng.choice(ports + [0, 9, 53, 80, 443], n))
+
+
+class TestOnePassTactics:
+    """The one-pass day kernel against the per-honeyprefix path it
+    replaced (``tests.observatory.reference``), on randomized days over
+    honeyprefixes in every state: aliased and not, T-Pot, TLS-issued,
+    hitlisted and withdrawn."""
+
+    def test_fixture_covers_every_state(self, triggered):
+        hps = triggered.values()
+        assert any(hp.config.aliased for hp in hps)
+        assert any(not hp.config.aliased for hp in hps)
+        assert any(hp.config.tpot for hp in hps)
+        assert any(hp.feature_time(Feature.TLS_SUB) is not None
+                   for hp in hps)
+        assert any(hp.feature_time(Feature.HITLIST) is not None
+                   for hp in hps)
+        assert any(hp.withdrawn_at is not None for hp in hps)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_honeyprefix_path(self, triggered, seed):
+        rng = np.random.default_rng(seed)
+        names = sorted(triggered)
+        # A random subset of the prefixes is deployed on this day.
+        names = [n for n in names if rng.random() < 0.8]
+        hps = [triggered[name] for name in names]
+        records = _random_day(rng, hps, 3_000)
+        expect = day_tactics_reference(
+            records, {name: triggered[name] for name in names})
+        assert day_tactics(records, hps) == expect
+        index = DayIndex(records)
+        assert day_tactics(records, hps, index=index) == expect
+        # One scanner /48 probed several honeyprefixes.
+        owners = {}
+        for hp in hps:
+            rows = records.mask_dst_in(hp.prefix)
+            for source in np.unique(records.src_hi[rows] >> 16).tolist():
+                owners.setdefault(source, set()).add(hp.name)
+        assert max(len(seen) for seen in owners.values()) > 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_label_tactics_keeps_first_row_order(self, triggered, seed):
+        """Fig 11 reads ``most_common``, whose ties keep the labels'
+        insertion order: the sources' first rows, as before."""
+        rng = np.random.default_rng(10 + seed)
+        records = _random_day(rng, list(triggered.values()), 2_000)
+        for name, hp in sorted(triggered.items()):
+            selected = records.select(records.mask_dst_in(hp.prefix))
+            combos, sources = tactic_combos_reference(selected, hp)
+            report = label_tactics(selected, hp)
+            assert list(report.combos.items()) == list(combos.items()), name
+            assert report.total_sources == sources, name
+
+    def test_no_probes(self, triggered):
+        hps = list(triggered.values())
+        records = _random_day(np.random.default_rng(0), hps, 50)
+        outside = records.select(records.dst_hi >> np.uint64(48)
+                                 == np.uint64(0x3FFF))
+        assert day_tactics(outside, hps) == (Counter(), 0, {})
+        assert day_tactics(records, []) == (Counter(), 0, {})
+
+    def test_table_rebuilt_only_when_a_feature_is_recorded(
+            self, tmp_path, triggered):
+        hp = copy.deepcopy(triggered["H_UDP"])
+        observatory = Observatory(tmp_path / "data")
+        try:
+            table = observatory._tactic_table(hp)
+            assert observatory._tactic_table(hp) is table
+            address = hp.prefix.network | 0xABCD
+            hp.manual_hitlist_addresses.append(address)
+            hp.record(9 * DAY, Feature.HITLIST)
+            rebuilt = observatory._tactic_table(hp)
+            assert rebuilt is not table
+            fresh = TacticTable.of(hp)
+            assert address & (1 << 64) - 1 in rebuilt.lo.tolist()
+            for name in ("hi", "lo", "role", "hit_time", "bindings"):
+                assert np.array_equal(getattr(rebuilt, name),
+                                      getattr(fresh, name))
+        finally:
+            observatory.close()
 
 
 class _DaySources:
